@@ -27,7 +27,7 @@ from repro.analysis.profiling import (
 )
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.headers import EthernetHeader, Ipv4Header, UdpHeader
-from repro.net.packet import Packet, PacketPool
+from repro.net.packet import Packet
 from repro.rdma.headers import BthHeader, IcrcTrailer, RethHeader, parse_roce
 from repro.rdma.constants import Opcode
 from repro.sim.simulator import Simulator, kernel_mode
@@ -180,22 +180,6 @@ def _cancel_heavy_record(n_events: int = 50_000, mode: str = "scalar") -> PerfRe
     return record
 
 
-def _pool_clone_record(min_seconds: float) -> PerfRecord:
-    """Clone-release churn through the packet pool (steady-state reuse)."""
-    pool = PacketPool()
-    source = _sample_packet()
-    clone = pool.clone
-
-    def churn():
-        clone(source).release(pool)
-
-    record = throughput("packet_pool_clone", churn, min_seconds=min_seconds)
-    record.extra["pool_hits"] = pool.hits
-    record.extra["pool_misses"] = pool.misses
-    record.extra["baseline_name"] = "packet_clone"
-    return record
-
-
 def collect_records(quick: bool = False):
     """Run every microbenchmark; returns {name: PerfRecord}.
 
@@ -211,8 +195,9 @@ def collect_records(quick: bool = False):
     fresh = _sample_packet()
 
     def pack_fresh():
-        # Re-assign a field so codec caching cannot trivialize the loop:
-        # this exercises the invalidate-then-repack path.
+        # Re-assign a field between packs: pack() serialises the current
+        # field values every time, so this must cost what the loop above
+        # does (the names date from the pack-byte cache).
         fresh.require(Ipv4Header).identification ^= 1
         return fresh.pack()
 
@@ -239,7 +224,6 @@ def collect_records(quick: bool = False):
         "packet_clone": throughput(
             "packet_clone", packet.clone, min_seconds=scale
         ),
-        "packet_pool_clone": _pool_clone_record(scale),
         "packet_frame_len": throughput(
             "packet_frame_len", lambda: packet.frame_len, min_seconds=scale
         ),

@@ -153,7 +153,7 @@ from .apps.l4lb import (
 )
 
 # -- packets ----------------------------------------------------------------
-from .net.packet import Packet, PacketPool
+from .net.packet import Packet
 
 # -- servers and NICs -------------------------------------------------------
 from .hosts.server import Host, MemoryServer
@@ -323,7 +323,6 @@ __all__ = [
     "MigrationRecord",
     # packets
     "Packet",
-    "PacketPool",
     # hosts + NICs
     "Host",
     "MemoryServer",

@@ -312,8 +312,8 @@ class Corrupt(LinkFault):
             mutant.payload = bytes(data)
             return mutant
         # No payload (READ / Fetch-and-Add requests, ACKs): damage the
-        # innermost RoCE field instead.  Field assignment invalidates the
-        # header's cached pack bytes, so the stale ICRC trailer no longer
+        # innermost RoCE field instead.  pack() always serialises the
+        # current field values, so the stale ICRC trailer no longer
         # matches and verification catches the flip.
         atomic = mutant.find(AtomicEthHeader)
         if atomic is not None:

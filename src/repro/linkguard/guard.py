@@ -391,7 +391,7 @@ class LinkGuard:
         if headers and isinstance(headers[0], EthernetHeader):
             shim.inner_ethertype = headers[0].ethertype
             headers[0].ethertype = ETHERTYPE_LINKGUARD
-            headers.insert(1, shim)
+            wire.insert(1, shim)
         else:
             wire.push(shim)
         return wire
@@ -507,7 +507,7 @@ class LinkGuard:
         seq = shim.seq
         # Strip the shim and restore the displaced ethertype; the wire
         # clone is guard-owned, so in-place restoration is safe.
-        packet.headers.pop(index)
+        packet.remove(index)
         if index == 1:
             packet.headers[0].ethertype = shim.inner_ethertype
         if guard_checksum(packet.pack()) != shim.checksum:

@@ -20,17 +20,16 @@ in a link RTT instead of a transport RTO.  The shim here is that tag:
   inner frame behind it.
 
 The codec follows the repo's header idiom (:mod:`repro.net.headers`):
-dataclass + :class:`~repro.net.headers.CachedPackMixin`, a module-level
-precompiled :class:`struct.Struct`, byte-exact ``pack``/``unpack``.
+a slotted :class:`~repro.net.headers.Header`, a module-level precompiled
+:class:`struct.Struct`, byte-exact ``pack``/``unpack``.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 
-from ..net.headers import CachedPackMixin, HeaderError
+from ..net.headers import Header, HeaderError
 
 #: EtherType claimed by guarded frames (IEEE 802 local experimental 2).
 ETHERTYPE_LINKGUARD = 0x88B6
@@ -47,6 +46,8 @@ GUARD_NAK = 2
 #: past them and let the transport's go-back-N repair the damage.
 GUARD_RESYNC = 3
 
+_KINDS = (GUARD_DATA, GUARD_ACK, GUARD_NAK, GUARD_RESYNC)
+
 #: Flag bit: this DATA frame is a guard retransmission.
 FLAG_RESENT = 0x01
 #: Flag bit: the ``ack`` field is meaningful (piggybacked cumulative ack).
@@ -60,77 +61,96 @@ def guard_checksum(frame_bytes: bytes) -> int:
     return zlib.crc32(frame_bytes) & 0xFFFF
 
 
-@dataclass
-class GuardShimHeader(CachedPackMixin):
+class GuardShimHeader(Header):
     """The 18-byte link-guard shim (kind, flags, seq, ack, extent,
-    checksum, inner ethertype)."""
+    checksum, inner ethertype).
 
-    kind: int = GUARD_DATA
-    flags: int = 0
-    #: DATA: this frame's link-local sequence number.  NAK/RESYNC: first
-    #: sequence of the named range.  ACK: unused (0).
-    seq: int = 0
-    #: Cumulative ack (valid iff ``FLAG_ACK_VALID``): every sequence up
-    #: to and including this value arrived.  ``0xFFFFFFFF`` encodes
-    #: "nothing yet" (the sequence space starts at 0).
-    ack: int = 0
-    #: NAK/RESYNC: last sequence of the named range (inclusive).
-    extent: int = 0
-    #: DATA: CRC16 of the inner frame bytes.  Control frames: 0.
-    checksum: int = 0
-    #: DATA: the Ethernet ethertype the shim displaced.  Control: 0.
-    inner_ethertype: int = 0
+    * ``seq`` — DATA: this frame's link-local sequence number.
+      NAK/RESYNC: first sequence of the named range.  ACK: unused (0).
+    * ``ack`` — cumulative ack (valid iff ``FLAG_ACK_VALID``): every
+      sequence up to and including this value arrived.  ``0xFFFFFFFF``
+      encodes "nothing yet" (the sequence space starts at 0).
+    * ``extent`` — NAK/RESYNC: last sequence of the named range (inclusive).
+    * ``checksum`` — DATA: CRC16 of the inner frame bytes.  Control: 0.
+    * ``inner_ethertype`` — DATA: the Ethernet ethertype the shim
+      displaced.  Control: 0.
+    """
 
-    LENGTH = 18
+    __slots__ = (
+        "kind",
+        "flags",
+        "seq",
+        "ack",
+        "extent",
+        "checksum",
+        "inner_ethertype",
+    )
+    LENGTH = byte_len = 18
 
-    def __post_init__(self) -> None:
-        if self.kind not in (GUARD_DATA, GUARD_ACK, GUARD_NAK, GUARD_RESYNC):
+    def __init__(
+        self,
+        kind: int = GUARD_DATA,
+        flags: int = 0,
+        seq: int = 0,
+        ack: int = 0,
+        extent: int = 0,
+        checksum: int = 0,
+        inner_ethertype: int = 0,
+    ) -> None:
+        if kind not in _KINDS:
+            raise HeaderError(f"bad guard shim kind: {kind}")
+        if not 0 <= flags <= 0xFF:
+            raise HeaderError(f"guard shim flags out of range: {flags}")
+        if not 0 <= seq <= 0xFFFFFFFF:
+            raise HeaderError(f"guard shim seq out of range: {seq}")
+        if not 0 <= ack <= 0xFFFFFFFF:
+            raise HeaderError(f"guard shim ack out of range: {ack}")
+        if not 0 <= extent <= 0xFFFFFFFF:
+            raise HeaderError(f"guard shim extent out of range: {extent}")
+        if not 0 <= checksum <= 0xFFFF:
+            raise HeaderError(f"guard shim checksum out of range: {checksum}")
+        if not 0 <= inner_ethertype <= 0xFFFF:
+            raise HeaderError(
+                f"guard shim inner_ethertype out of range: {inner_ethertype}"
+            )
+        self.kind = kind
+        self.flags = flags
+        self.seq = seq
+        self.ack = ack
+        self.extent = extent
+        self.checksum = checksum
+        self.inner_ethertype = inner_ethertype
+
+    def pack(self) -> bytes:
+        if self.kind not in _KINDS:
             raise HeaderError(f"bad guard shim kind: {self.kind}")
-        for name, value, limit in (
-            ("flags", self.flags, 0xFF),
-            ("seq", self.seq, 0xFFFFFFFF),
-            ("ack", self.ack, 0xFFFFFFFF),
-            ("extent", self.extent, 0xFFFFFFFF),
-            ("checksum", self.checksum, 0xFFFF),
-            ("inner_ethertype", self.inner_ethertype, 0xFFFF),
-        ):
-            if not 0 <= value <= limit:
-                raise HeaderError(f"guard shim {name} out of range: {value}")
-
-    def _pack(self) -> bytes:
-        return _SHIM_STRUCT.pack(
-            self.kind,
-            self.flags,
-            self.seq,
-            self.ack,
-            self.extent,
-            self.checksum,
-            self.inner_ethertype,
-        )
+        try:
+            return _SHIM_STRUCT.pack(
+                self.kind,
+                self.flags,
+                self.seq,
+                self.ack,
+                self.extent,
+                self.checksum,
+                self.inner_ethertype,
+            )
+        except struct.error as exc:
+            raise self._pack_error(exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "GuardShimHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short guard shim: {len(data)} bytes")
-        raw = data[: cls.LENGTH]
-        kind, flags, seq, ack, extent, checksum, inner = _SHIM_STRUCT.unpack(raw)
-        if kind not in (GUARD_DATA, GUARD_ACK, GUARD_NAK, GUARD_RESYNC):
-            raise HeaderError(f"bad guard shim kind: {kind}")
-        # Direct __dict__ fill (see EthernetHeader.unpack): wire-masked
-        # fields cannot be out of range.
         header = object.__new__(cls)
-        header.__dict__.update(
-            kind=kind,
-            flags=flags,
-            seq=seq,
-            ack=ack,
-            extent=extent,
-            checksum=checksum,
-            inner_ethertype=inner,
-            _packed=raw,
-        )
+        (
+            header.kind,
+            header.flags,
+            header.seq,
+            header.ack,
+            header.extent,
+            header.checksum,
+            header.inner_ethertype,
+        ) = _SHIM_STRUCT.unpack_from(data)
+        if header.kind not in _KINDS:
+            raise HeaderError(f"bad guard shim kind: {header.kind}")
         return header
-
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH

@@ -17,7 +17,9 @@ class MacAddress:
 
     BROADCAST_VALUE = (1 << 48) - 1
 
-    def __init__(self, value: Union[int, str, "MacAddress"]) -> None:
+    def __new__(cls, value: Union[int, str, "MacAddress"]) -> "MacAddress":
+        if type(value) is cls:
+            return value  # immutable: an address is never re-wrapped
         if isinstance(value, MacAddress):
             value = value.value
         elif isinstance(value, str):
@@ -32,7 +34,9 @@ class MacAddress:
                 value = (value << 8) | byte
         if not 0 <= value < (1 << 48):
             raise ValueError(f"MAC address out of range: {value:#x}")
+        self = object.__new__(cls)
         object.__setattr__(self, "value", value)
+        return self
 
     def __setattr__(self, name: str, val: object) -> None:
         raise AttributeError("MacAddress is immutable")
@@ -68,6 +72,8 @@ class MacAddress:
         return bool((self.value >> 40) & 0x01)
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is MacAddress:
+            return self.value == other.value
         if isinstance(other, (MacAddress, int, str)):
             try:
                 return self.value == MacAddress(other).value
@@ -91,7 +97,9 @@ class Ipv4Address:
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Union[int, str, "Ipv4Address"]) -> None:
+    def __new__(cls, value: Union[int, str, "Ipv4Address"]) -> "Ipv4Address":
+        if type(value) is cls:
+            return value  # immutable: an address is never re-wrapped
         if isinstance(value, Ipv4Address):
             value = value.value
         elif isinstance(value, str):
@@ -106,7 +114,9 @@ class Ipv4Address:
                 value = (value << 8) | octet
         if not 0 <= value < (1 << 32):
             raise ValueError(f"IPv4 address out of range: {value:#x}")
+        self = object.__new__(cls)
         object.__setattr__(self, "value", value)
+        return self
 
     def __setattr__(self, name: str, val: object) -> None:
         raise AttributeError("Ipv4Address is immutable")
@@ -128,6 +138,8 @@ class Ipv4Address:
         return self.value.to_bytes(4, "big")
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is Ipv4Address:
+            return self.value == other.value
         if isinstance(other, (Ipv4Address, int, str)):
             try:
                 return self.value == Ipv4Address(other).value

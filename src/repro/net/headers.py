@@ -6,20 +6,21 @@ the simulator carry *structured* header objects for speed, but wire sizes and
 serialized bytes always come from these codecs, so bandwidth accounting is
 grounded in the real formats rather than hard-coded constants.
 
-Fast-path notes: all codecs use module-level precompiled
-:class:`struct.Struct` instances (no per-call format parsing), and every
-header caches its serialized bytes via :class:`CachedPackMixin` — the cache
-is invalidated only when a field assignment actually changes a value, so
-re-packing an unmodified header (the overwhelmingly common case in the
-simulator, e.g. a packet traversing several hops) is a dict lookup.  The
-IPv4 checksum is computed arithmetically from the header fields on the
-pack path and memoized by input bytes on the verify path.
+The model is a fixed layout, the way a switch pipeline holds a packet
+header vector: a header is a ``__slots__`` class with one slot per wire
+field, its ``byte_len`` is a class constant, and ``pack()`` serialises the
+*current* slot values through a module-level precompiled
+:class:`struct.Struct`.  There is no cached serialisation to invalidate —
+assigning a field is a plain slot store and the next ``pack()`` reflects
+it by construction, which is what ICRC and guard-CRC corruption detection
+rely on.  Constructors range-check every field; a field driven out of
+range afterwards makes ``pack()`` raise :class:`HeaderError`.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .addresses import Ipv4Address, MacAddress
 
@@ -49,161 +50,181 @@ _IPV4_STRUCT = struct.Struct("!BBHHHBBH4s4s")
 _UDP_STRUCT = struct.Struct("!HHHH")
 _WORDS_10 = struct.Struct("!10H")
 
+_new = object.__new__
+
 
 class HeaderError(ValueError):
-    """Raised when a header cannot be decoded from raw bytes."""
+    """Raised when a header cannot be decoded, built or serialised."""
 
 
-_MISSING = object()
+class Header:
+    """Shared base of every fixed-layout header (and trailer).
 
-
-class CachedPackMixin:
-    """Caches a header's serialized bytes, invalidating on field mutation.
-
-    Subclasses implement ``_pack() -> bytes``; ``pack()`` returns the cached
-    bytes when no field has changed since the last serialization.  The
-    invalidation hook compares old and new values, so rewriting a field
-    with an identical value (e.g. ``fixup_lengths`` stamping an unchanged
-    length on every pack) keeps the cache warm.  ``unpack`` constructors
-    pre-seed the cache with the consumed wire bytes.
+    A subclass declares its wire fields as ``__slots__``, its size as the
+    class constants ``LENGTH``/``byte_len``, a range-checking ``__init__``,
+    ``pack()`` and ``unpack()``.  The base supplies value equality, a
+    ``repr`` and :meth:`copy`; field values are all immutable (ints,
+    bools, bytes, addresses), so a slot-for-slot copy is fully independent.
     """
 
     __slots__ = ()
+    #: Serialised size in bytes; a class constant because the layout is fixed.
+    byte_len = 0
+    #: Every wire field, in declaration order (inherited slots included).
+    _fields: Tuple[str, ...] = ()
 
-    def __setattr__(self, name: str, value: object) -> None:
-        d = self.__dict__
-        if "_packed" in d:
-            old = d.get(name, _MISSING)
-            if old is not value and old != value:
-                del d["_packed"]
-        d[name] = value
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(
+            name
+            for base in reversed(cls.__mro__)
+            for name in base.__dict__.get("__slots__", ())
+        )
+        # One straight-line slot-to-slot copy per class (the dataclass
+        # technique): a generic getattr/setattr loop costs four times as
+        # much, and every packet stamped from a template pays it.
+        body = "".join(f" dup.{name} = self.{name}\n" for name in cls._fields)
+        source = f"def copy(self):\n dup = new(cls)\n{body} return dup"
+        namespace = {"new": _new, "cls": cls}
+        # Compiled under this file's name so profiles charge it to this layer.
+        exec(compile(source, __file__, "exec"), namespace)
+        cls.copy = namespace["copy"]
+        cls.copy.__qualname__ = f"{cls.__qualname__}.copy"
+        cls.copy.__doc__ = "An independent header holding the same field values."
 
-    def pack(self) -> bytes:
-        d = self.__dict__
-        packed = d.get("_packed")
-        if packed is None:
-            packed = d["_packed"] = self._pack()
-        return packed
+    def _pack_error(self, cause: Optional[struct.error] = None) -> "HeaderError":
+        detail = f": {cause}" if cause is not None else ""
+        return HeaderError(f"{self!r} holds an out-of-range field{detail}")
 
-    def _pack(self) -> bytes:
-        raise NotImplementedError
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self._fields
+        )
+
+    __hash__ = None  # mutable value type
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class EthernetHeader(CachedPackMixin):
+class EthernetHeader(Header):
     """IEEE 802.3 Ethernet II header (14 bytes, no VLAN tag)."""
 
-    dst: MacAddress
-    src: MacAddress
-    ethertype: int = ETHERTYPE_IPV4
+    __slots__ = ("dst", "src", "ethertype")
+    LENGTH = byte_len = 14
 
-    LENGTH = 14
+    def __init__(
+        self, dst: MacAddress, src: MacAddress, ethertype: int = ETHERTYPE_IPV4
+    ) -> None:
+        if not 0 <= ethertype <= 0xFFFF:
+            raise HeaderError(f"ethertype out of range: {ethertype:#x}")
+        self.dst = MacAddress(dst)
+        self.src = MacAddress(src)
+        self.ethertype = ethertype
 
-    def __post_init__(self) -> None:
-        self.dst = MacAddress(self.dst)
-        self.src = MacAddress(self.src)
-        if not 0 <= self.ethertype <= 0xFFFF:
-            raise HeaderError(f"ethertype out of range: {self.ethertype:#x}")
-
-    def _pack(self) -> bytes:
-        return _ETH_STRUCT.pack(
-            self.dst.to_bytes(), self.src.to_bytes(), self.ethertype
-        )
+    def pack(self) -> bytes:
+        try:
+            return _ETH_STRUCT.pack(
+                self.dst.to_bytes(), self.src.to_bytes(), self.ethertype
+            )
+        except struct.error as exc:
+            raise self._pack_error(exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "EthernetHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short Ethernet header: {len(data)} bytes")
-        raw = data[: cls.LENGTH]
-        dst, src, ethertype = _ETH_STRUCT.unpack(raw)
-        # Direct __dict__ fill: skips the cache-invalidation __setattr__ and
-        # __post_init__ revalidation — every field is width-limited by the
-        # wire format itself.
-        header = object.__new__(cls)
-        header.__dict__.update(
-            dst=MacAddress.from_bytes(dst),
-            src=MacAddress.from_bytes(src),
-            ethertype=ethertype,
-            _packed=raw,
-        )
+        dst, src, ethertype = _ETH_STRUCT.unpack_from(data)
+        # Straight slot fill: every field is width-limited by the wire
+        # format itself, so the constructor's range checks cannot fail.
+        header = _new(cls)
+        header.dst = MacAddress.from_bytes(dst)
+        header.src = MacAddress.from_bytes(src)
+        header.ethertype = ethertype
         return header
-
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH
-
-
-_checksum_cache: dict = {}
 
 
 def ipv4_checksum(header_bytes: bytes) -> int:
     """Compute the RFC 1071 one's-complement checksum over *header_bytes*.
 
-    The checksum field itself must be zeroed in the input.  Results are
-    memoized by input bytes (bounded), since the verify path recomputes
-    the checksum of identical headers once per hop.
+    The checksum field itself must be zeroed in the input (summing a valid
+    header *including* its checksum gives 0).
     """
-    cached = _checksum_cache.get(header_bytes)
-    if cached is not None:
-        return cached
     data = header_bytes
     if len(data) % 2:
         data += b"\x00"
-    if len(data) == 20:
-        total = sum(_WORDS_10.unpack(data))
-    else:
-        total = 0
-        for (word,) in struct.iter_unpack("!H", data):
-            total += word
+    total = sum(word for (word,) in struct.iter_unpack("!H", data))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
-    result = (~total) & 0xFFFF
-    if len(_checksum_cache) >= 8192:
-        _checksum_cache.clear()
-    _checksum_cache[header_bytes] = result
-    return result
+    return (~total) & 0xFFFF
 
 
-@dataclass
-class Ipv4Header(CachedPackMixin):
+class Ipv4Header(Header):
     """IPv4 header (20 bytes, no options).
 
     ``total_length`` covers the IPv4 header plus everything after it; the
     packet layer keeps it consistent automatically when packing.
     """
 
-    src: Ipv4Address
-    dst: Ipv4Address
-    protocol: int = 17  # UDP
-    total_length: int = 20
-    ttl: int = 64
-    dscp: int = 0
-    ecn: int = 0
-    identification: int = 0
-    flags: int = 0b010  # don't fragment
-    fragment_offset: int = 0
-
-    LENGTH = 20
+    __slots__ = (
+        "src",
+        "dst",
+        "protocol",
+        "total_length",
+        "ttl",
+        "dscp",
+        "ecn",
+        "identification",
+        "flags",
+        "fragment_offset",
+    )
+    LENGTH = byte_len = 20
     PROTO_UDP = 17
     PROTO_TCP = 6
 
-    def __post_init__(self) -> None:
-        self.src = Ipv4Address(self.src)
-        self.dst = Ipv4Address(self.dst)
+    def __init__(
+        self,
+        src: Ipv4Address,
+        dst: Ipv4Address,
+        protocol: int = 17,  # UDP
+        total_length: int = 20,
+        ttl: int = 64,
+        dscp: int = 0,
+        ecn: int = 0,
+        identification: int = 0,
+        flags: int = 0b010,  # don't fragment
+        fragment_offset: int = 0,
+    ) -> None:
         for name, value, limit in (
-            ("protocol", self.protocol, 0xFF),
-            ("total_length", self.total_length, 0xFFFF),
-            ("ttl", self.ttl, 0xFF),
-            ("dscp", self.dscp, 0x3F),
-            ("ecn", self.ecn, 0x3),
-            ("identification", self.identification, 0xFFFF),
-            ("flags", self.flags, 0x7),
-            ("fragment_offset", self.fragment_offset, 0x1FFF),
+            ("protocol", protocol, 0xFF),
+            ("total_length", total_length, 0xFFFF),
+            ("ttl", ttl, 0xFF),
+            ("dscp", dscp, 0x3F),
+            ("ecn", ecn, 0x3),
+            ("identification", identification, 0xFFFF),
+            ("flags", flags, 0x7),
+            ("fragment_offset", fragment_offset, 0x1FFF),
         ):
             if not 0 <= value <= limit:
                 raise HeaderError(f"IPv4 {name} out of range: {value}")
+        self.src = Ipv4Address(src)
+        self.dst = Ipv4Address(dst)
+        self.protocol = protocol
+        self.total_length = total_length
+        self.ttl = ttl
+        self.dscp = dscp
+        self.ecn = ecn
+        self.identification = identification
+        self.flags = flags
+        self.fragment_offset = fragment_offset
 
-    def _pack(self) -> bytes:
+    def pack(self) -> bytes:
+        # The low halves of the two shared words would spill into their
+        # neighbours silently; struct range-checks everything else.
+        if self.ecn >> 2 or self.fragment_offset >> 13:
+            raise self._pack_error()
         version_ihl = (4 << 4) | 5
         tos = (self.dscp << 2) | self.ecn
         flags_frag = (self.flags << 13) | self.fragment_offset
@@ -222,27 +243,29 @@ class Ipv4Header(CachedPackMixin):
             + (dst >> 16)
             + (dst & 0xFFFF)
         )
-        while total >> 16:
-            total = (total & 0xFFFF) + (total >> 16)
-        checksum = (~total) & 0xFFFF
-        return _IPV4_STRUCT.pack(
-            version_ihl,
-            tos,
-            self.total_length,
-            self.identification,
-            flags_frag,
-            self.ttl,
-            self.protocol,
-            checksum,
-            self.src.to_bytes(),
-            self.dst.to_bytes(),
-        )
+        # Nine 16-bit words sum below 2**20: two folds always suffice.
+        total = (total & 0xFFFF) + (total >> 16)
+        total = (total & 0xFFFF) + (total >> 16)
+        try:
+            return _IPV4_STRUCT.pack(
+                version_ihl,
+                tos,
+                self.total_length,
+                self.identification,
+                flags_frag,
+                self.ttl,
+                self.protocol,
+                (~total) & 0xFFFF,
+                self.src.to_bytes(),
+                self.dst.to_bytes(),
+            )
+        except struct.error as exc:
+            raise self._pack_error(exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "Ipv4Header":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short IPv4 header: {len(data)} bytes")
-        raw = data[: cls.LENGTH]
         (
             version_ihl,
             tos,
@@ -254,88 +277,78 @@ class Ipv4Header(CachedPackMixin):
             checksum,
             src,
             dst,
-        ) = _IPV4_STRUCT.unpack(raw)
+        ) = _IPV4_STRUCT.unpack_from(data)
         version = version_ihl >> 4
         ihl = version_ihl & 0xF
         if version != 4:
             raise HeaderError(f"not an IPv4 header (version={version})")
         if ihl != 5:
             raise HeaderError(f"IPv4 options unsupported (ihl={ihl})")
-        verify = raw[:10] + b"\x00\x00" + raw[12:]
-        expected = ipv4_checksum(verify)
+        total = sum(_WORDS_10.unpack_from(data)) - checksum
+        total = (total & 0xFFFF) + (total >> 16)
+        total = (total & 0xFFFF) + (total >> 16)
+        expected = (~total) & 0xFFFF
         if checksum != expected:
             raise HeaderError(
                 f"bad IPv4 checksum: {checksum:#06x} != {expected:#06x}"
             )
-        # Direct __dict__ fill (see EthernetHeader.unpack): wire-masked
-        # fields cannot be out of range.
-        header = object.__new__(cls)
-        header.__dict__.update(
-            src=Ipv4Address.from_bytes(src),
-            dst=Ipv4Address.from_bytes(dst),
-            protocol=protocol,
-            total_length=total_length,
-            ttl=ttl,
-            dscp=tos >> 2,
-            ecn=tos & 0x3,
-            identification=identification,
-            flags=flags_frag >> 13,
-            fragment_offset=flags_frag & 0x1FFF,
-            _packed=raw,
-        )
+        header = _new(cls)
+        header.src = Ipv4Address.from_bytes(src)
+        header.dst = Ipv4Address.from_bytes(dst)
+        header.protocol = protocol
+        header.total_length = total_length
+        header.ttl = ttl
+        header.dscp = tos >> 2
+        header.ecn = tos & 0x3
+        header.identification = identification
+        header.flags = flags_frag >> 13
+        header.fragment_offset = flags_frag & 0x1FFF
         return header
 
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH
 
-
-@dataclass
-class UdpHeader(CachedPackMixin):
+class UdpHeader(Header):
     """UDP header (8 bytes).
 
     The checksum is carried verbatim; RoCEv2 sets it to zero, which is legal
     for UDP over IPv4 and what real RNICs emit.
     """
 
-    src_port: int
-    dst_port: int
-    length: int = 8
-    checksum: int = 0
+    __slots__ = ("src_port", "dst_port", "length", "checksum")
+    LENGTH = byte_len = 8
 
-    LENGTH = 8
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, src_port: int, dst_port: int, length: int = 8, checksum: int = 0
+    ) -> None:
         for name, value in (
-            ("src_port", self.src_port),
-            ("dst_port", self.dst_port),
-            ("length", self.length),
-            ("checksum", self.checksum),
+            ("src_port", src_port),
+            ("dst_port", dst_port),
+            ("length", length),
+            ("checksum", checksum),
         ):
             if not 0 <= value <= 0xFFFF:
                 raise HeaderError(f"UDP {name} out of range: {value}")
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.length = length
+        self.checksum = checksum
 
-    def _pack(self) -> bytes:
-        return _UDP_STRUCT.pack(
-            self.src_port, self.dst_port, self.length, self.checksum
-        )
+    def pack(self) -> bytes:
+        try:
+            return _UDP_STRUCT.pack(
+                self.src_port, self.dst_port, self.length, self.checksum
+            )
+        except struct.error as exc:
+            raise self._pack_error(exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "UdpHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short UDP header: {len(data)} bytes")
-        raw = data[: cls.LENGTH]
-        src_port, dst_port, length, checksum = _UDP_STRUCT.unpack(raw)
-        header = object.__new__(cls)
-        header.__dict__.update(
-            src_port=src_port,
-            dst_port=dst_port,
-            length=length,
-            checksum=checksum,
-            _packed=raw,
-        )
+        header = _new(cls)
+        (
+            header.src_port,
+            header.dst_port,
+            header.length,
+            header.checksum,
+        ) = _UDP_STRUCT.unpack_from(data)
         return header
-
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH

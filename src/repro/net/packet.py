@@ -9,20 +9,25 @@ accounting.
 ``meta`` carries simulation-only annotations (flow ids, creation timestamps,
 trace hooks) that never appear on the wire and never count toward sizes.
 
-Fast-path notes: header/trailer byte totals are cached and maintained
-incrementally — the stacks are :class:`_HeaderList` instances whose mutators
-invalidate the owning packet's size caches, so ``frame_len``/``wire_len``
-on an unchanged stack never re-walk it.  ``clone()`` duplicates each header
-shallowly (header field values are all immutable — ints, bytes, addresses)
-and shares the payload bytes instead of deep-copying, which is what a
-switch mirror semantically needs at a fraction of the cost.
+The layout is fixed the way a pipeline's packet header vector is:
+``buffer_len``/``frame_len``/``wire_len`` are plain ints set at construction
+and *adjusted* by every stack or payload change, never re-summed; the
+stacks are exposed as tuples, so the only way to change one is through
+the :class:`Packet` methods that keep the sizes right; and everything
+that depends only on the *sequence of header types* — where the first
+header of a type sits, how many bytes precede each IPv4/UDP length field —
+lives in one :class:`_Layout` shared by every packet of that shape, which
+makes ``find``/``require``/``eth``/``ipv4``/``udp`` a dict lookup.
+``clone()`` copies each header slot for slot (field values are all
+immutable) and shares the payload bytes, which is what a switch mirror
+semantically needs at a fraction of the cost of a deep copy.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-from typing import Any, Dict, Iterable, List, Optional, Type, TypeVar
+from typing import Any, Dict, Iterable, Optional, Tuple, Type, TypeVar
 
 from .headers import (
     ETHERNET_FCS_BYTES,
@@ -42,63 +47,65 @@ _packet_ids = itertools.count(1)
 #: Process-wide count of packets constructed, for the profiling harness.
 _packets_created = 0
 
+#: Frames shorter than this many buffer bytes are padded to the minimum.
+_MIN_UNPADDED = ETHERNET_MIN_FRAME - ETHERNET_FCS_BYTES
+#: Preamble + inter-frame gap: what the wire adds to a frame.
+_WIRE_EXTRA = ETHERNET_WIRE_OVERHEAD - ETHERNET_FCS_BYTES
+#: ``meta`` value types a clone may share instead of deep-copying.
+_SCALARS = (int, float, str, bytes, bool, type(None))
+
 
 def packets_created() -> int:
     """Packets constructed in this process since import (all instances)."""
     return _packets_created
 
 
-class _HeaderList(list):
-    """A header stack that invalidates its packet's size caches on mutation.
+class _Layout(dict):
+    """What all packets with one sequence of header types have in common.
 
-    Every length-affecting mutator notifies the owning :class:`Packet`;
-    ``sort``/``reverse`` keep the same contents so they are left alone.
+    Maps a header type to the stack index of the first header that is an
+    instance of it (-1 when absent); a type asked about for the first time
+    is resolved by one ``issubclass`` scan and remembered, so subclass
+    matching costs nothing per packet.
     """
 
-    __slots__ = ("_owner",)
+    __slots__ = ("types", "header_len", "length_fields")
 
-    def append(self, item: Any) -> None:
-        list.append(self, item)
-        self._owner._dirty_sizes()
+    def __init__(self, types: Tuple[type, ...]) -> None:
+        self.types = types
+        #: Total bytes of the stack (``byte_len`` is a class constant).
+        self.header_len = sum(t.byte_len for t in types)
+        #: ``(stack index, bytes before it, field name)`` of every IPv4
+        #: total-length and UDP length field.
+        fields = []
+        before = 0
+        for index, header_type in enumerate(types):
+            if issubclass(header_type, Ipv4Header):
+                fields.append((index, before, "total_length"))
+            elif issubclass(header_type, UdpHeader):
+                fields.append((index, before, "length"))
+            before += header_type.byte_len
+        self.length_fields = tuple(fields)
 
-    def extend(self, items: Iterable[Any]) -> None:
-        list.extend(self, items)
-        self._owner._dirty_sizes()
+    def __missing__(self, header_type: type) -> int:
+        index = -1
+        for i, present in enumerate(self.types):
+            if issubclass(present, header_type):
+                index = i
+                break
+        self[header_type] = index
+        return index
 
-    def insert(self, index: int, item: Any) -> None:
-        list.insert(self, index, item)
-        self._owner._dirty_sizes()
 
-    def remove(self, item: Any) -> None:
-        list.remove(self, item)
-        self._owner._dirty_sizes()
+_layouts: Dict[Tuple[type, ...], _Layout] = {}
 
-    def pop(self, index: int = -1) -> Any:
-        item = list.pop(self, index)
-        self._owner._dirty_sizes()
-        return item
 
-    def clear(self) -> None:
-        list.clear(self)
-        self._owner._dirty_sizes()
-
-    def __setitem__(self, index: Any, value: Any) -> None:
-        list.__setitem__(self, index, value)
-        self._owner._dirty_sizes()
-
-    def __delitem__(self, index: Any) -> None:
-        list.__delitem__(self, index)
-        self._owner._dirty_sizes()
-
-    def __iadd__(self, items: Iterable[Any]) -> "_HeaderList":
-        list.extend(self, items)
-        self._owner._dirty_sizes()
-        return self
-
-    def __imul__(self, count: int) -> "_HeaderList":
-        result = list.__imul__(self, count)
-        self._owner._dirty_sizes()
-        return result
+def _layout_of(headers: Tuple[Any, ...]) -> _Layout:
+    types = tuple(map(type, headers))
+    layout = _layouts.get(types)
+    if layout is None:
+        layout = _layouts[types] = _Layout(types)
+    return layout
 
 
 class Packet:
@@ -110,95 +117,145 @@ class Packet:
 
     __slots__ = (
         "_headers",
-        "payload",
+        "_payload",
         "_trailers",
+        "_layout",
         "meta",
         "packet_id",
-        "_hdr_len",
-        "_trl_len",
-        "_in_pool",
+        "buffer_len",
+        "frame_len",
+        "wire_len",
     )
+
+    #: Bytes this packet occupies in a switch buffer: headers + payload +
+    #: trailers.
+    buffer_len: int
+    #: L2 frame size: ``buffer_len`` + FCS, padded to the 64 B minimum.
+    frame_len: int
+    #: Bytes occupied on the wire: the frame plus preamble and IFG.
+    wire_len: int
 
     def __init__(
         self,
-        headers: Optional[List[Any]] = None,
+        headers: Optional[Iterable[Any]] = None,
         payload: bytes = b"",
-        trailers: Optional[List[Any]] = None,
+        trailers: Optional[Iterable[Any]] = None,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self._headers = self._adopt(headers)
-        self.payload = payload if type(payload) is bytes else bytes(payload)
-        self._trailers = self._adopt(trailers)
+        self._headers = headers = tuple(headers) if headers else ()
+        self._payload = payload if type(payload) is bytes else bytes(payload)
+        self._trailers = trailers = tuple(trailers) if trailers else ()
+        self._layout = layout = _layout_of(headers)
         self.meta: Dict[str, Any] = dict(meta) if meta else {}
         self.packet_id = next(_packet_ids)
-        self._hdr_len: Optional[int] = None
-        self._trl_len: Optional[int] = None
-        self._in_pool = False
+        size = layout.header_len + len(payload)
+        for trailer in trailers:
+            size += trailer.byte_len
+        self.buffer_len = size
+        self.frame_len = frame = (
+            size + ETHERNET_FCS_BYTES if size > _MIN_UNPADDED else ETHERNET_MIN_FRAME
+        )
+        self.wire_len = frame + _WIRE_EXTRA
         global _packets_created
         _packets_created += 1
 
-    def _adopt(self, items: Optional[Iterable[Any]]) -> _HeaderList:
-        stack = _HeaderList(items) if items else _HeaderList()
-        stack._owner = self
-        return stack
-
-    def _dirty_sizes(self) -> None:
-        self._hdr_len = None
-        self._trl_len = None
+    def _resize(self, delta: int) -> None:
+        """Grow (or shrink) all three sizes by *delta* bytes (see __init__)."""
+        self.buffer_len = size = self.buffer_len + delta
+        self.frame_len = frame = (
+            size + ETHERNET_FCS_BYTES if size > _MIN_UNPADDED else ETHERNET_MIN_FRAME
+        )
+        self.wire_len = frame + _WIRE_EXTRA
 
     @property
-    def headers(self) -> List[Any]:
-        """The header stack, outermost first (mutable in place)."""
+    def headers(self) -> Tuple[Any, ...]:
+        """The header stack, outermost first.
+
+        A tuple: change the stack with :meth:`push`, :meth:`pop`,
+        :meth:`append`, :meth:`insert` or :meth:`remove`, which keep the
+        sizes and the type index right.
+        """
         return self._headers
 
-    @headers.setter
-    def headers(self, items: Iterable[Any]) -> None:
-        self._headers = self._adopt(list(items))
-        self._dirty_sizes()
-
     @property
-    def trailers(self) -> List[Any]:
-        """The trailer stack (mutable in place)."""
+    def trailers(self) -> Tuple[Any, ...]:
+        """The trailer stack (a tuple; replace it with :meth:`set_trailers`)."""
         return self._trailers
 
-    @trailers.setter
-    def trailers(self, items: Iterable[Any]) -> None:
-        self._trailers = self._adopt(list(items))
-        self._dirty_sizes()
+    @property
+    def payload(self) -> bytes:
+        return self._payload
+
+    @payload.setter
+    def payload(self, data: bytes) -> None:
+        data = data if type(data) is bytes else bytes(data)
+        self._resize(len(data) - len(self._payload))
+        self._payload = data
 
     # -- header-stack manipulation -------------------------------------------
 
+    def _restack(self, stack: Tuple[Any, ...], delta: int) -> None:
+        layout = _layout_of(stack)  # raises before anything has changed
+        self._headers = stack
+        self._layout = layout
+        self._resize(delta)
+
+    def insert(self, index: int, header: Any) -> "Packet":
+        """Put *header* at stack position *index* (returns self)."""
+        stack = list(self._headers)
+        stack.insert(index, header)
+        self._restack(tuple(stack), header.byte_len)
+        return self
+
+    def remove(self, index: int) -> Any:
+        """Remove and return the header at stack position *index*."""
+        stack = list(self._headers)
+        try:
+            header = stack.pop(index)
+        except IndexError:
+            raise HeaderError(f"no header at stack position {index}") from None
+        self._restack(tuple(stack), -header.byte_len)
+        return header
+
     def push(self, header: Any) -> "Packet":
         """Prepend *header* as the new outermost header (returns self)."""
-        self._headers.insert(0, header)
-        return self
+        return self.insert(0, header)
+
+    def append(self, header: Any) -> "Packet":
+        """Add *header* as the new innermost header (returns self)."""
+        return self.insert(len(self._headers), header)
 
     def pop(self) -> Any:
         """Remove and return the outermost header."""
-        if not self._headers:
-            raise HeaderError("cannot pop from an empty header stack")
-        return self._headers.pop(0)
+        return self.remove(0)
+
+    def set_trailers(self, trailers: Iterable[Any]) -> None:
+        """Replace the trailer stack."""
+        trailers = tuple(trailers)
+        self._resize(
+            sum(t.byte_len for t in trailers)
+            - sum(t.byte_len for t in self._trailers)
+        )
+        self._trailers = trailers
 
     def find(self, header_type: Type[H]) -> Optional[H]:
         """Return the first header of *header_type*, or None."""
-        for header in self._headers:
-            if isinstance(header, header_type):
-                return header
-        return None
+        index = self._layout[header_type]
+        return self._headers[index] if index >= 0 else None
 
     def require(self, header_type: Type[H]) -> H:
         """Return the first header of *header_type*, raising if absent."""
-        header = self.find(header_type)
-        if header is None:
+        index = self._layout[header_type]
+        if index < 0:
             raise HeaderError(f"packet has no {header_type.__name__}")
-        return header
+        return self._headers[index]
 
     def index_of(self, header_type: Type[Any]) -> int:
         """Return the stack index of the first header of *header_type*."""
-        for i, header in enumerate(self._headers):
-            if isinstance(header, header_type):
-                return i
-        raise HeaderError(f"packet has no {header_type.__name__}")
+        index = self._layout[header_type]
+        if index < 0:
+            raise HeaderError(f"packet has no {header_type.__name__}")
+        return index
 
     @property
     def eth(self) -> EthernetHeader:
@@ -212,8 +269,6 @@ class Packet:
     def udp(self) -> UdpHeader:
         return self.require(UdpHeader)
 
-    # -- sizes -----------------------------------------------------------------
-
     def find_trailer(self, trailer_type: Type[H]) -> Optional[H]:
         """Return the first trailer of *trailer_type*, or None."""
         for trailer in self._trailers:
@@ -224,64 +279,33 @@ class Packet:
     @property
     def header_len(self) -> int:
         """Total bytes of all headers in the stack (trailers excluded)."""
-        n = self._hdr_len
-        if n is None:
-            n = self._hdr_len = sum(h.byte_len for h in self._headers)
-        return n
-
-    @property
-    def trailer_len(self) -> int:
-        """Total bytes of all trailers."""
-        n = self._trl_len
-        if n is None:
-            n = self._trl_len = sum(t.byte_len for t in self._trailers)
-        return n
-
-    @property
-    def frame_len(self) -> int:
-        """L2 frame size: headers + payload + trailers + FCS, min-padded."""
-        raw = (
-            self.header_len
-            + len(self.payload)
-            + self.trailer_len
-            + ETHERNET_FCS_BYTES
-        )
-        return max(raw, ETHERNET_MIN_FRAME)
-
-    @property
-    def wire_len(self) -> int:
-        """Bytes occupied on the wire: frame plus preamble + IFG."""
-        return self.frame_len + (ETHERNET_WIRE_OVERHEAD - ETHERNET_FCS_BYTES)
-
-    @property
-    def buffer_len(self) -> int:
-        """Bytes this packet occupies in a switch buffer."""
-        return self.header_len + len(self.payload) + self.trailer_len
+        return self._layout.header_len
 
     # -- serialization -----------------------------------------------------------
 
     def fixup_lengths(self) -> None:
         """Make IPv4/UDP length fields consistent with the current stack.
 
-        Walks the stack once, innermost header outward; for each IPv4
-        (resp. UDP) header the length covers the header itself, every
-        header after it, the payload, and the trailers.
+        Each covers its own header, every header after it, the payload
+        and the trailers: ``buffer_len`` less the bytes in front of it.
         """
-        after = len(self.payload) + self.trailer_len
-        for header in reversed(self._headers):
-            after += header.byte_len
-            if isinstance(header, Ipv4Header):
-                header.total_length = after
-            elif isinstance(header, UdpHeader):
-                header.length = after
+        size = self.buffer_len
+        for index, before, field in self._layout.length_fields:
+            header = self._headers[index]
+            if size - before > 0xFFFF:
+                raise HeaderError(
+                    f"{type(header).__name__}.{field} cannot hold "
+                    f"{size - before}: the field is 16 bits wide"
+                )
+            setattr(header, field, size - before)
 
     def pack(self) -> bytes:
         """Serialize the packet to bytes (without FCS/preamble/IFG)."""
         self.fixup_lengths()
         return (
-            b"".join(h.pack() for h in self._headers)
-            + self.payload
-            + b"".join(t.pack() for t in self._trailers)
+            b"".join([h.pack() for h in self._headers])
+            + self._payload
+            + b"".join([t.pack() for t in self._trailers])
         )
 
     @classmethod
@@ -292,9 +316,8 @@ class Packet:
         payload; protocol modules such as :mod:`repro.rdma.headers` provide
         their own continuation parsers over that payload.
         """
-        headers: List[Any] = []
         eth = EthernetHeader.unpack(data)
-        headers.append(eth)
+        headers = [eth]
         offset = EthernetHeader.LENGTH
         if eth.ethertype == ETHERTYPE_IPV4 and len(data) >= offset + Ipv4Header.LENGTH:
             ip = Ipv4Header.unpack(data[offset:])
@@ -306,25 +329,11 @@ class Packet:
             data = data[:end]
             offset += Ipv4Header.LENGTH
             if ip.protocol == Ipv4Header.PROTO_UDP and len(data) >= offset + UdpHeader.LENGTH:
-                udp = UdpHeader.unpack(data[offset:])
-                headers.append(udp)
+                headers.append(UdpHeader.unpack(data[offset:]))
                 offset += UdpHeader.LENGTH
         return cls(headers=headers, payload=data[offset:])
 
     # -- copying -----------------------------------------------------------------
-
-    @staticmethod
-    def _copy_header(header: Any) -> Any:
-        # Headers are dataclasses whose field values are all immutable
-        # (ints, bools, bytes, MacAddress/Ipv4Address), so a fresh object
-        # sharing the same values is as independent as a deep copy.
-        cls = type(header)
-        try:
-            dup = cls.__new__(cls)
-            dup.__dict__.update(header.__dict__)
-        except (TypeError, AttributeError):
-            return copy.deepcopy(header)
-        return dup
 
     def clone(self) -> "Packet":
         """Copy the packet (fresh packet_id), as a switch mirror would.
@@ -335,179 +344,28 @@ class Packet:
         payload cannot affect the original.  Scalar ``meta`` values are
         carried over directly; container values are deep-copied.
         """
-        copy_header = self._copy_header
+        dup = Packet.__new__(Packet)
+        dup._headers = tuple([h.copy() for h in self._headers])
+        dup._payload = self._payload
+        trailers = self._trailers
+        dup._trailers = tuple([t.copy() for t in trailers]) if trailers else ()
+        dup._layout = self._layout
         meta = self.meta
-        if meta:
-            new_meta = {
-                key: value
-                if type(value) in (int, float, str, bytes, bool, type(None))
-                else copy.deepcopy(value)
-                for key, value in meta.items()
-            }
-        else:
-            new_meta = None
-        return Packet(
-            headers=[copy_header(h) for h in self._headers],
-            payload=self.payload,
-            trailers=[copy_header(t) for t in self._trailers],
-            meta=new_meta,
-        )
-
-    def release(self, pool: Optional["PacketPool"] = None) -> None:
-        """Return this packet (and its header objects) to a free-list pool.
-
-        Opt-in recycling for workloads that churn packets: the caller
-        asserts that *nothing else* holds a reference to this packet or to
-        its header/trailer objects — no retransmit queue, no pending
-        delivery, no trace buffer.  After release the packet must not be
-        touched; a later :meth:`PacketPool.acquire`/:meth:`PacketPool.clone`
-        may re-initialise it in place under a fresh ``packet_id``.
-        Double release is a no-op.
-        """
-        (pool if pool is not None else DEFAULT_POOL)._release(self)
+        dup.meta = {
+            key: value if type(value) in _SCALARS else copy.deepcopy(value)
+            for key, value in meta.items()
+        } if meta else {}
+        dup.packet_id = next(_packet_ids)
+        dup.buffer_len = self.buffer_len
+        dup.frame_len = self.frame_len
+        dup.wire_len = self.wire_len
+        global _packets_created
+        _packets_created += 1
+        return dup
 
     def __repr__(self) -> str:
         names = "/".join(type(h).__name__.replace("Header", "") for h in self._headers)
         return (
             f"<Packet #{self.packet_id} {names or 'raw'} "
-            f"payload={len(self.payload)}B frame={self.frame_len}B>"
+            f"payload={len(self._payload)}B frame={self.frame_len}B>"
         )
-
-
-class PacketPool:
-    """A free list of :class:`Packet` shells with header-scratch reuse.
-
-    Packet churn is the second hot path after the event loop: every hop
-    of every simulated exchange builds packets (requests, responses,
-    mirrors) that die microseconds later.  The pool recycles the whole
-    object graph — the :class:`Packet` shell, its ``_HeaderList``
-    containers, its ``meta`` dict, *and the released header objects
-    themselves*, which become scratch that :meth:`clone` re-initialises
-    field-by-field instead of allocating fresh headers.
-
-    Recycling is strictly opt-in (see :meth:`Packet.release`): the core
-    simulation never releases packets on your behalf, because a packet
-    "received" at one node is routinely still referenced elsewhere (a
-    sender's retransmit queue, a pending duplicate delivery, a tap's
-    capture buffer).  Pool or not, an acquired packet is indistinguishable
-    from a fresh one: new ``packet_id``, clean caches, independent stacks.
-    """
-
-    __slots__ = ("_free", "max_free", "hits", "misses", "recycled")
-
-    def __init__(self, max_free: int = 1024) -> None:
-        self._free: List[Packet] = []
-        #: Shells beyond this many are dropped on release (GC reclaims them).
-        self.max_free = max_free
-        self.hits = 0
-        self.misses = 0
-        self.recycled = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def _release(self, packet: Packet) -> None:
-        if packet._in_pool:
-            return
-        if len(self._free) >= self.max_free:
-            return
-        packet._in_pool = True
-        self.recycled += 1
-        self._free.append(packet)
-
-    def acquire(
-        self,
-        headers: Optional[List[Any]] = None,
-        payload: bytes = b"",
-        trailers: Optional[List[Any]] = None,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> Packet:
-        """A packet initialised like ``Packet(...)``, recycled if possible.
-
-        The given header/trailer objects are adopted as-is (exactly like
-        the :class:`Packet` constructor); only the shell and containers
-        are reused.  Use :meth:`clone` to also recycle header objects.
-        """
-        packet = self._reuse_shell()
-        if packet is None:
-            self.misses += 1
-            return Packet(
-                headers=headers, payload=payload, trailers=trailers, meta=meta
-            )
-        hdrs = packet._headers
-        list.clear(hdrs)
-        if headers:
-            list.extend(hdrs, headers)
-        trls = packet._trailers
-        list.clear(trls)
-        if trailers:
-            list.extend(trls, trailers)
-        packet.payload = payload if type(payload) is bytes else bytes(payload)
-        if meta:
-            packet.meta.update(meta)
-        return packet
-
-    def clone(self, source: Packet) -> Packet:
-        """Clone *source* through the pool (semantics of :meth:`Packet.clone`).
-
-        On a free-list hit, the recycled shell's retained header objects
-        are re-initialised in place from the source's fields whenever the
-        types line up positionally — zero header allocation for the
-        steady-state case of cloning the same packet shape repeatedly.
-        """
-        packet = self._reuse_shell()
-        if packet is None:
-            self.misses += 1
-            return source.clone()
-        copy_header = Packet._copy_header
-        for stack, src_stack in (
-            (packet._headers, source._headers),
-            (packet._trailers, source._trailers),
-        ):
-            scratch = list(stack)
-            list.clear(stack)
-            for i, src_header in enumerate(src_stack):
-                if (
-                    i < len(scratch)
-                    and type(scratch[i]) is type(src_header)
-                    and hasattr(src_header, "__dict__")
-                ):
-                    dup = scratch[i]
-                    dup.__dict__.clear()
-                    dup.__dict__.update(src_header.__dict__)
-                else:
-                    dup = copy_header(src_header)
-                list.append(stack, dup)
-        packet.payload = source.payload
-        src_meta = source.meta
-        if src_meta:
-            packet.meta.update(
-                {
-                    key: value
-                    if type(value) in (int, float, str, bytes, bool, type(None))
-                    else copy.deepcopy(value)
-                    for key, value in src_meta.items()
-                }
-            )
-        # The shell kept the source's sizes only if the stacks matched;
-        # recompute lazily either way (cleared in _reuse_shell).
-        return packet
-
-    def _reuse_shell(self) -> Optional[Packet]:
-        free = self._free
-        if not free:
-            return None
-        self.hits += 1
-        packet = free.pop()
-        packet._in_pool = False
-        packet.packet_id = next(_packet_ids)
-        # Keep the containers and their retained header objects: clone()
-        # uses them as scratch.  acquire() clears them below/extends.
-        packet.meta.clear()
-        packet._hdr_len = None
-        packet._trl_len = None
-        return packet
-
-
-#: Process-wide default pool used by ``Packet.release()`` with no argument.
-DEFAULT_POOL = PacketPool()

@@ -6,36 +6,37 @@ round-trip byte-exactly.  Sizes match the paper's overhead analysis: BTH is
 12 B (so IPv4 + UDP + BTH = the 40 B the paper quotes for RoCEv2), RETH is
 16 B, AtomicETH is 28 B.
 
-Like the L2/L3 codecs in :mod:`repro.net.headers`, every header here uses
-module-level precompiled :class:`struct.Struct` instances and caches its
-serialized bytes via :class:`~repro.net.headers.CachedPackMixin`
-(invalidated only when a field assignment changes a value).  ICRC
-computation is memoized by input bytes, since retransmissions and mirrored
-packets re-CRC identical byte strings.
+Like the L2/L3 codecs in :mod:`repro.net.headers`, every header here is a
+fixed-layout :class:`~repro.net.headers.Header`: ``__slots__`` fields, a
+range-checking constructor, a class-constant ``byte_len`` and a ``pack()``
+that serialises the current field values through a module-level
+precompiled :class:`struct.Struct`.  ICRC computation is memoized by
+input bytes, since retransmissions and mirrored packets re-CRC identical
+byte strings.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..net.headers import CachedPackMixin, HeaderError
+from ..net.headers import Header, HeaderError
 from ..net.packet import Packet
 from .constants import Opcode
 
 # Precompiled wire formats (struct.Struct avoids per-call format parsing).
-_GRH_STRUCT = struct.Struct("!IHBB")
+_GRH_STRUCT = struct.Struct("!IHBB16s16s")
 _BTH_STRUCT = struct.Struct("!BBHII")
 _RETH_STRUCT = struct.Struct("!QII")
 _ATOMIC_ETH_STRUCT = struct.Struct("!QIQQ")
 _U32_STRUCT = struct.Struct("!I")
 _U64_STRUCT = struct.Struct("!Q")
 
+_new = object.__new__
 
-@dataclass
-class GrhHeader(CachedPackMixin):
+
+class GrhHeader(Header):
     """Global Route Header (40 bytes) — RoCEv1's routing layer.
 
     RoCEv1 frames are ``Ethernet / GRH / BTH / ...`` with ethertype 0x8915
@@ -44,71 +45,84 @@ class GrhHeader(CachedPackMixin):
     it, but the overhead harness serializes both framings.
     """
 
-    src_gid: bytes
-    dst_gid: bytes
-    payload_length: int = 0
-    next_header: int = 0x1B  # IBA transport
-    hop_limit: int = 64
-    traffic_class: int = 0
-    flow_label: int = 0
+    __slots__ = (
+        "src_gid",
+        "dst_gid",
+        "payload_length",
+        "next_header",
+        "hop_limit",
+        "traffic_class",
+        "flow_label",
+    )
+    LENGTH = byte_len = 40
 
-    LENGTH = 40
-
-    def __post_init__(self) -> None:
-        if len(self.src_gid) != 16 or len(self.dst_gid) != 16:
+    def __init__(
+        self,
+        src_gid: bytes,
+        dst_gid: bytes,
+        payload_length: int = 0,
+        next_header: int = 0x1B,  # IBA transport
+        hop_limit: int = 64,
+        traffic_class: int = 0,
+        flow_label: int = 0,
+    ) -> None:
+        if len(src_gid) != 16 or len(dst_gid) != 16:
             raise HeaderError("GRH GIDs must be 16 bytes")
-        if not 0 <= self.payload_length <= 0xFFFF:
-            raise HeaderError(
-                f"GRH payload length out of range: {self.payload_length}"
-            )
-        if not 0 <= self.flow_label < (1 << 20):
-            raise HeaderError(f"GRH flow label out of range: {self.flow_label}")
+        if not 0 <= payload_length <= 0xFFFF:
+            raise HeaderError(f"GRH payload length out of range: {payload_length}")
+        if not 0 <= flow_label < (1 << 20):
+            raise HeaderError(f"GRH flow label out of range: {flow_label}")
+        self.src_gid = src_gid
+        self.dst_gid = dst_gid
+        self.payload_length = payload_length
+        self.next_header = next_header
+        self.hop_limit = hop_limit
+        self.traffic_class = traffic_class
+        self.flow_label = flow_label
 
-    def _pack(self) -> bytes:
-        word0 = (
-            (6 << 28)
-            | ((self.traffic_class & 0xFF) << 20)
-            | (self.flow_label & 0xFFFFF)
-        )
-        return (
-            _GRH_STRUCT.pack(
+    def pack(self) -> bytes:
+        # Fields narrower than their word would spill into a neighbour;
+        # struct range-checks the full-width ones.
+        if (
+            self.traffic_class >> 8
+            or self.flow_label >> 20
+            or len(self.src_gid) != 16
+            or len(self.dst_gid) != 16
+        ):
+            raise self._pack_error()
+        word0 = (6 << 28) | (self.traffic_class << 20) | self.flow_label
+        try:
+            return _GRH_STRUCT.pack(
                 word0,
                 self.payload_length,
                 self.next_header,
                 self.hop_limit,
+                self.src_gid,
+                self.dst_gid,
             )
-            + self.src_gid
-            + self.dst_gid
-        )
+        except struct.error as exc:
+            raise self._pack_error(exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "GrhHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short GRH: {len(data)} bytes")
-        word0, payload_length, next_header, hop_limit = _GRH_STRUCT.unpack(
-            data[:8]
+        word0, payload_length, next_header, hop_limit, src_gid, dst_gid = (
+            _GRH_STRUCT.unpack_from(data)
         )
         if word0 >> 28 != 6:
             raise HeaderError(f"bad GRH IP version: {word0 >> 28}")
-        # Direct __dict__ fill: skips the cache-invalidation __setattr__ and
-        # __post_init__ revalidation — every field is width-limited by the
-        # wire format itself (the same pattern as repro.net.headers).
-        header = object.__new__(cls)
-        header.__dict__.update(
-            src_gid=data[8:24],
-            dst_gid=data[24:40],
-            payload_length=payload_length,
-            next_header=next_header,
-            hop_limit=hop_limit,
-            traffic_class=(word0 >> 20) & 0xFF,
-            flow_label=word0 & 0xFFFFF,
-            _packed=data[: cls.LENGTH],
-        )
+        # Straight slot fill: every field is width-limited by the wire
+        # format itself (the same pattern as repro.net.headers).
+        header = _new(cls)
+        header.src_gid = src_gid
+        header.dst_gid = dst_gid
+        header.payload_length = payload_length
+        header.next_header = next_header
+        header.hop_limit = hop_limit
+        header.traffic_class = (word0 >> 20) & 0xFF
+        header.flow_label = word0 & 0xFFFFF
         return header
-
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH
 
 
 def gid_from_ipv4(ip) -> bytes:
@@ -116,221 +130,224 @@ def gid_from_ipv4(ip) -> bytes:
     return b"\x00" * 10 + b"\xff\xff" + ip.to_bytes()
 
 
-@dataclass
-class BthHeader(CachedPackMixin):
+class BthHeader(Header):
     """Base Transport Header (12 bytes) — present in every RoCE packet."""
 
-    opcode: int
-    dest_qp: int
-    psn: int
-    ack_request: bool = False
-    solicited_event: bool = False
-    migration_request: bool = False
-    pad_count: int = 0
-    partition_key: int = 0xFFFF
+    __slots__ = (
+        "opcode",
+        "dest_qp",
+        "psn",
+        "ack_request",
+        "solicited_event",
+        "migration_request",
+        "pad_count",
+        "partition_key",
+    )
+    LENGTH = byte_len = 12
 
-    LENGTH = 12
+    def __init__(
+        self,
+        opcode: int,
+        dest_qp: int,
+        psn: int,
+        ack_request: bool = False,
+        solicited_event: bool = False,
+        migration_request: bool = False,
+        pad_count: int = 0,
+        partition_key: int = 0xFFFF,
+    ) -> None:
+        if not 0 <= opcode <= 0xFF:
+            raise HeaderError(f"BTH opcode out of range: {opcode}")
+        if not 0 <= dest_qp < (1 << 24):
+            raise HeaderError(f"BTH dest_qp out of range: {dest_qp}")
+        if not 0 <= psn < (1 << 24):
+            raise HeaderError(f"BTH psn out of range: {psn}")
+        if not 0 <= pad_count <= 3:
+            raise HeaderError(f"BTH pad_count out of range: {pad_count}")
+        if not 0 <= partition_key <= 0xFFFF:
+            raise HeaderError(f"BTH pkey out of range: {partition_key}")
+        self.opcode = opcode
+        self.dest_qp = dest_qp
+        self.psn = psn
+        self.ack_request = ack_request
+        self.solicited_event = solicited_event
+        self.migration_request = migration_request
+        self.pad_count = pad_count
+        self.partition_key = partition_key
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.opcode <= 0xFF:
-            raise HeaderError(f"BTH opcode out of range: {self.opcode}")
-        if not 0 <= self.dest_qp < (1 << 24):
-            raise HeaderError(f"BTH dest_qp out of range: {self.dest_qp}")
-        if not 0 <= self.psn < (1 << 24):
-            raise HeaderError(f"BTH psn out of range: {self.psn}")
-        if not 0 <= self.pad_count <= 3:
-            raise HeaderError(f"BTH pad_count out of range: {self.pad_count}")
-        if not 0 <= self.partition_key <= 0xFFFF:
-            raise HeaderError(f"BTH pkey out of range: {self.partition_key}")
-
-    def _pack(self) -> bytes:
+    def pack(self) -> bytes:
+        # The 24-bit fields share a word with reserved/flag bits.
+        if self.pad_count >> 2 or self.dest_qp >> 24 or self.psn >> 24:
+            raise self._pack_error()
         flags = (
-            (int(self.solicited_event) << 7)
-            | (int(self.migration_request) << 6)
+            (bool(self.solicited_event) << 7)
+            | (bool(self.migration_request) << 6)
             | (self.pad_count << 4)
             # transport header version = 0 in low nibble
         )
-        word2 = self.dest_qp & 0x00FFFFFF  # high byte reserved
-        word3 = ((int(self.ack_request) << 31) | self.psn) & 0xFFFFFFFF
-        return _BTH_STRUCT.pack(
-            self.opcode, flags, self.partition_key, word2, word3
-        )
+        try:
+            return _BTH_STRUCT.pack(
+                self.opcode,
+                flags,
+                self.partition_key,
+                self.dest_qp,  # high byte reserved
+                (bool(self.ack_request) << 31) | self.psn,
+            )
+        except struct.error as exc:
+            raise self._pack_error(exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "BthHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short BTH: {len(data)} bytes")
-        raw = data[: cls.LENGTH]
-        opcode, flags, pkey, word2, word3 = _BTH_STRUCT.unpack(raw)
-        header = object.__new__(cls)
-        header.__dict__.update(
-            opcode=opcode,
-            dest_qp=word2 & 0x00FFFFFF,
-            psn=word3 & 0x00FFFFFF,
-            ack_request=bool(word3 >> 31),
-            solicited_event=bool(flags >> 7 & 1),
-            migration_request=bool(flags >> 6 & 1),
-            pad_count=(flags >> 4) & 0x3,
-            partition_key=pkey,
-            _packed=raw,
-        )
+        opcode, flags, pkey, word2, word3 = _BTH_STRUCT.unpack_from(data)
+        header = _new(cls)
+        header.opcode = opcode
+        header.dest_qp = word2 & 0x00FFFFFF
+        header.psn = word3 & 0x00FFFFFF
+        header.ack_request = bool(word3 >> 31)
+        header.solicited_event = bool(flags >> 7 & 1)
+        header.migration_request = bool(flags >> 6 & 1)
+        header.pad_count = (flags >> 4) & 0x3
+        header.partition_key = pkey
         return header
 
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH
 
-
-@dataclass
-class RethHeader(CachedPackMixin):
+class RethHeader(Header):
     """RDMA Extended Transport Header (16 bytes) — WRITE and READ requests."""
 
-    virtual_address: int
-    rkey: int
-    dma_length: int
+    __slots__ = ("virtual_address", "rkey", "dma_length")
+    LENGTH = byte_len = 16
 
-    LENGTH = 16
+    def __init__(self, virtual_address: int, rkey: int, dma_length: int) -> None:
+        if not 0 <= virtual_address < (1 << 64):
+            raise HeaderError(f"RETH VA out of range: {virtual_address}")
+        if not 0 <= rkey < (1 << 32):
+            raise HeaderError(f"RETH rkey out of range: {rkey}")
+        if not 0 <= dma_length < (1 << 32):
+            raise HeaderError(f"RETH length out of range: {dma_length}")
+        self.virtual_address = virtual_address
+        self.rkey = rkey
+        self.dma_length = dma_length
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.virtual_address < (1 << 64):
-            raise HeaderError(f"RETH VA out of range: {self.virtual_address}")
-        if not 0 <= self.rkey < (1 << 32):
-            raise HeaderError(f"RETH rkey out of range: {self.rkey}")
-        if not 0 <= self.dma_length < (1 << 32):
-            raise HeaderError(f"RETH length out of range: {self.dma_length}")
-
-    def _pack(self) -> bytes:
-        return _RETH_STRUCT.pack(self.virtual_address, self.rkey, self.dma_length)
+    def pack(self) -> bytes:
+        try:
+            return _RETH_STRUCT.pack(self.virtual_address, self.rkey, self.dma_length)
+        except struct.error as exc:
+            raise self._pack_error(exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "RethHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short RETH: {len(data)} bytes")
-        raw = data[: cls.LENGTH]
-        va, rkey, length = _RETH_STRUCT.unpack(raw)
-        header = object.__new__(cls)
-        header.__dict__.update(
-            virtual_address=va, rkey=rkey, dma_length=length, _packed=raw
+        header = _new(cls)
+        header.virtual_address, header.rkey, header.dma_length = (
+            _RETH_STRUCT.unpack_from(data)
         )
         return header
 
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH
 
-
-@dataclass
-class AtomicEthHeader(CachedPackMixin):
+class AtomicEthHeader(Header):
     """Atomic Extended Transport Header (28 bytes) — Fetch-and-Add / CAS."""
 
-    virtual_address: int
-    rkey: int
-    swap_add: int
-    compare: int = 0
+    __slots__ = ("virtual_address", "rkey", "swap_add", "compare")
+    LENGTH = byte_len = 28
 
-    LENGTH = 28
+    def __init__(
+        self, virtual_address: int, rkey: int, swap_add: int, compare: int = 0
+    ) -> None:
+        if not 0 <= virtual_address < (1 << 64):
+            raise HeaderError(f"AtomicETH VA out of range: {virtual_address}")
+        if not 0 <= rkey < (1 << 32):
+            raise HeaderError(f"AtomicETH rkey out of range: {rkey}")
+        if not 0 <= swap_add < (1 << 64):
+            raise HeaderError(f"AtomicETH swap/add out of range: {swap_add}")
+        if not 0 <= compare < (1 << 64):
+            raise HeaderError(f"AtomicETH compare out of range: {compare}")
+        self.virtual_address = virtual_address
+        self.rkey = rkey
+        self.swap_add = swap_add
+        self.compare = compare
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.virtual_address < (1 << 64):
-            raise HeaderError(f"AtomicETH VA out of range: {self.virtual_address}")
-        if not 0 <= self.rkey < (1 << 32):
-            raise HeaderError(f"AtomicETH rkey out of range: {self.rkey}")
-        if not 0 <= self.swap_add < (1 << 64):
-            raise HeaderError(f"AtomicETH swap/add out of range: {self.swap_add}")
-        if not 0 <= self.compare < (1 << 64):
-            raise HeaderError(f"AtomicETH compare out of range: {self.compare}")
-
-    def _pack(self) -> bytes:
-        return _ATOMIC_ETH_STRUCT.pack(
-            self.virtual_address, self.rkey, self.swap_add, self.compare
-        )
+    def pack(self) -> bytes:
+        try:
+            return _ATOMIC_ETH_STRUCT.pack(
+                self.virtual_address, self.rkey, self.swap_add, self.compare
+            )
+        except struct.error as exc:
+            raise self._pack_error(exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "AtomicEthHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short AtomicETH: {len(data)} bytes")
-        raw = data[: cls.LENGTH]
-        va, rkey, swap_add, compare = _ATOMIC_ETH_STRUCT.unpack(raw)
-        header = object.__new__(cls)
-        header.__dict__.update(
-            virtual_address=va,
-            rkey=rkey,
-            swap_add=swap_add,
-            compare=compare,
-            _packed=raw,
-        )
+        header = _new(cls)
+        (
+            header.virtual_address,
+            header.rkey,
+            header.swap_add,
+            header.compare,
+        ) = _ATOMIC_ETH_STRUCT.unpack_from(data)
         return header
 
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH
 
-
-@dataclass
-class AethHeader(CachedPackMixin):
+class AethHeader(Header):
     """ACK Extended Transport Header (4 bytes) — responses and ACK/NAK."""
 
-    syndrome: int
-    msn: int = 0
+    __slots__ = ("syndrome", "msn")
+    LENGTH = byte_len = 4
 
-    LENGTH = 4
+    def __init__(self, syndrome: int, msn: int = 0) -> None:
+        if not 0 <= syndrome <= 0xFF:
+            raise HeaderError(f"AETH syndrome out of range: {syndrome}")
+        if not 0 <= msn < (1 << 24):
+            raise HeaderError(f"AETH MSN out of range: {msn}")
+        self.syndrome = syndrome
+        self.msn = msn
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.syndrome <= 0xFF:
-            raise HeaderError(f"AETH syndrome out of range: {self.syndrome}")
-        if not 0 <= self.msn < (1 << 24):
-            raise HeaderError(f"AETH MSN out of range: {self.msn}")
-
-    def _pack(self) -> bytes:
-        return _U32_STRUCT.pack((self.syndrome << 24) | self.msn)
+    def pack(self) -> bytes:
+        if self.msn >> 24:
+            raise self._pack_error()
+        try:
+            return _U32_STRUCT.pack((self.syndrome << 24) | self.msn)
+        except struct.error as exc:
+            raise self._pack_error(exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "AethHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short AETH: {len(data)} bytes")
-        raw = data[: cls.LENGTH]
-        (word,) = _U32_STRUCT.unpack(raw)
-        header = object.__new__(cls)
-        header.__dict__.update(
-            syndrome=word >> 24, msn=word & 0x00FFFFFF, _packed=raw
-        )
+        (word,) = _U32_STRUCT.unpack_from(data)
+        header = _new(cls)
+        header.syndrome = word >> 24
+        header.msn = word & 0x00FFFFFF
         return header
 
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH
 
-
-@dataclass
-class AtomicAckEthHeader(CachedPackMixin):
+class AtomicAckEthHeader(Header):
     """Atomic ACK ETH (8 bytes): the value read before the atomic applied."""
 
-    original_data: int
+    __slots__ = ("original_data",)
+    LENGTH = byte_len = 8
 
-    LENGTH = 8
+    def __init__(self, original_data: int) -> None:
+        if not 0 <= original_data < (1 << 64):
+            raise HeaderError(f"AtomicAckETH data out of range: {original_data}")
+        self.original_data = original_data
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.original_data < (1 << 64):
-            raise HeaderError(
-                f"AtomicAckETH data out of range: {self.original_data}"
-            )
-
-    def _pack(self) -> bytes:
-        return _U64_STRUCT.pack(self.original_data)
+    def pack(self) -> bytes:
+        try:
+            return _U64_STRUCT.pack(self.original_data)
+        except struct.error as exc:
+            raise self._pack_error(exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "AtomicAckEthHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short AtomicAckETH: {len(data)} bytes")
-        raw = data[: cls.LENGTH]
-        (value,) = _U64_STRUCT.unpack(raw)
-        header = object.__new__(cls)
-        header.__dict__.update(original_data=value, _packed=raw)
+        header = _new(cls)
+        (header.original_data,) = _U64_STRUCT.unpack_from(data)
         return header
-
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH
 
 
 #: Memoized ICRC values by input bytes (bounded): retransmissions, mirrors,
@@ -338,8 +355,7 @@ class AtomicAckEthHeader(CachedPackMixin):
 _icrc_cache: Dict[bytes, int] = {}
 
 
-@dataclass
-class IcrcTrailer(CachedPackMixin):
+class IcrcTrailer(Header):
     """Invariant CRC (4 bytes), appended after the RoCE payload.
 
     We compute a CRC32 over the packed RoCE headers and payload.  This is a
@@ -347,21 +363,21 @@ class IcrcTrailer(CachedPackMixin):
     stable for our packets and lets tests detect corruption end to end.
     """
 
-    value: int = 0
+    __slots__ = ("value",)
+    LENGTH = byte_len = 4
 
-    LENGTH = 4
+    def __init__(self, value: int = 0) -> None:
+        self.value = value
 
-    def _pack(self) -> bytes:
+    def pack(self) -> bytes:
         return _U32_STRUCT.pack(self.value & 0xFFFFFFFF)
 
     @classmethod
     def unpack(cls, data: bytes) -> "IcrcTrailer":
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short ICRC: {len(data)} bytes")
-        raw = data[: cls.LENGTH]
-        (value,) = _U32_STRUCT.unpack(raw)
-        trailer = object.__new__(cls)
-        trailer.__dict__.update(value=value, _packed=raw)
+        trailer = _new(cls)
+        (trailer.value,) = _U32_STRUCT.unpack_from(data)
         return trailer
 
     @classmethod
@@ -374,10 +390,6 @@ class IcrcTrailer(CachedPackMixin):
                 _icrc_cache.clear()
             _icrc_cache[roce_bytes] = value
         return cls(value=value)
-
-    @property
-    def byte_len(self) -> int:
-        return self.LENGTH
 
 
 # -- structured helpers -----------------------------------------------------
@@ -408,15 +420,18 @@ def roce_headers_for(opcode: int) -> Tuple[type, ...]:
     return _EXTENSIONS_BY_RAW_OPCODE.get(opcode, ())
 
 
-def parse_roce(data: bytes) -> Tuple[List[object], bytes, Optional[IcrcTrailer]]:
+def parse_roce(
+    data: bytes,
+) -> Tuple[Tuple[Header, ...], bytes, Optional[IcrcTrailer]]:
     """Parse a UDP payload as RoCE: returns (headers, payload, icrc).
 
-    ``headers`` starts with the :class:`BthHeader` followed by its extension
-    headers; ``payload`` is whatever sits between the last extension header
-    and the 4-byte ICRC trailer.
+    ``headers`` is a stack slice like :attr:`Packet.headers` — a tuple that
+    starts with the :class:`BthHeader` followed by its extension headers;
+    ``payload`` is whatever sits between the last extension header and the
+    4-byte ICRC trailer.
     """
     bth = BthHeader.unpack(data)
-    headers: List[object] = [bth]
+    headers = [bth]
     offset = BthHeader.LENGTH
     for ext_type in _EXTENSIONS_BY_RAW_OPCODE.get(bth.opcode, ()):
         headers.append(ext_type.unpack(data[offset:]))
@@ -425,7 +440,7 @@ def parse_roce(data: bytes) -> Tuple[List[object], bytes, Optional[IcrcTrailer]]
         raise HeaderError("RoCE packet too short for ICRC trailer")
     payload = data[offset : len(data) - IcrcTrailer.LENGTH]
     icrc = IcrcTrailer.unpack(data[len(data) - IcrcTrailer.LENGTH :])
-    return headers, payload, icrc
+    return tuple(headers), payload, icrc
 
 
 def roce_packet_overhead(opcode: int, rocev1: bool = False) -> int:

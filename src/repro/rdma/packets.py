@@ -18,13 +18,15 @@ demonstrates (see DESIGN.md §10).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from ..net.addresses import Ipv4Address, MacAddress
 from ..net.headers import (
     ETHERTYPE_ROCEV1,
     ROCEV2_UDP_PORT,
     EthernetHeader,
+    Header,
+    HeaderError,
     Ipv4Header,
     UdpHeader,
 )
@@ -81,44 +83,91 @@ def verify_icrc(packet: Packet) -> bool:
     trailer = packet.find_trailer(IcrcTrailer)
     if trailer is None or trailer.value == 0:
         return True
-    return _icrc_for(packet).value == trailer.value
+    roce = packet.headers[packet.index_of(BthHeader) :]
+    return _icrc_over(roce, packet.payload).value == trailer.value
 
 
-def _icrc_for(packet: Packet) -> IcrcTrailer:
-    """Compute the ICRC over the RoCE section (BTH onward) of *packet*."""
-    bth_index = packet.index_of(BthHeader)
-    roce_bytes = (
-        b"".join(h.pack() for h in packet.headers[bth_index:]) + packet.payload
-    )
-    return IcrcTrailer.compute(roce_bytes)
+def _icrc_over(roce: Tuple[Header, ...], payload: bytes) -> IcrcTrailer:
+    """Compute the ICRC over the RoCE section: *roce* (BTH onward) + payload."""
+    return IcrcTrailer.compute(b"".join([h.pack() for h in roce]) + payload)
 
 
-def _base_packet(
+#: The constant part of every RoCEv2 frame.  A builder copies these three
+#: headers and patches addresses, source port and the two length fields —
+#: the way the switch fills fields into a fixed header stack — instead of
+#: constructing and re-validating three outer headers per packet.
+_ETH = EthernetHeader(dst=MacAddress(0), src=MacAddress(0))
+_IP = Ipv4Header(src=Ipv4Address(0), dst=Ipv4Address(0), protocol=Ipv4Header.PROTO_UDP)
+_UDP = UdpHeader(src_port=0, dst_port=ROCEV2_UDP_PORT)
+#: UDP source port of every request (responses mirror the request's).
+_REQUEST_UDP_PORT = 49152
+
+
+def _stamp(
     src_mac: MacAddress,
     dst_mac: MacAddress,
     src_ip: Ipv4Address,
     dst_ip: Ipv4Address,
-    bth: BthHeader,
-    src_udp_port: int = 49152,
+    src_udp_port: int,
+    roce: Tuple[Header, ...],
+    payload: bytes,
+    compute_icrc: bool,
 ) -> Packet:
-    """Assemble the Eth/IPv4/UDP/BTH scaffolding every RoCE packet shares."""
-    packet = Packet(
-        headers=[
-            EthernetHeader(dst=dst_mac, src=src_mac),
-            Ipv4Header(src=src_ip, dst=dst_ip, protocol=Ipv4Header.PROTO_UDP),
-            UdpHeader(src_port=src_udp_port, dst_port=ROCEV2_UDP_PORT),
-            bth,
-        ],
-        trailers=[IcrcTrailer()],
+    """Stamp one RoCEv2 packet: Eth/IPv4/UDP template, *roce* (BTH first), ICRC.
+
+    The IPv4 and UDP lengths follow arithmetically from the opcode's
+    extension headers and the payload length; nothing is re-walked.
+    """
+    eth = _ETH.copy()
+    eth.dst = dst_mac
+    eth.src = src_mac
+    ip = _IP.copy()
+    ip.src = src_ip
+    ip.dst = dst_ip
+    udp = _UDP.copy()
+    udp.src_port = src_udp_port
+    length = UdpHeader.LENGTH + len(payload) + IcrcTrailer.LENGTH
+    for header in roce:
+        length += header.byte_len
+    udp.length = length
+    ip.total_length = length = length + Ipv4Header.LENGTH
+    if length > 0xFFFF:
+        raise HeaderError(
+            f"Ipv4Header.total_length cannot hold {length}: the RoCE payload "
+            f"of {len(payload)} B does not fit one packet"
+        )
+    protect = compute_icrc or _default_compute_icrc
+    icrc = _icrc_over(roce, payload) if protect else IcrcTrailer()
+    return Packet((eth, ip, udp) + roce, payload, (icrc,))
+
+
+def _request(
+    qp: QueuePair,
+    opcode: Opcode,
+    psn: Optional[int],
+    ack_request: bool,
+    extension: Header,
+    payload: bytes,
+    compute_icrc: bool,
+) -> Packet:
+    if not qp.is_connected:
+        raise RuntimeError(f"QP {qp.qpn} is not connected")
+    bth = BthHeader(
+        opcode=opcode,
+        dest_qp=qp.dest_qpn,
+        psn=qp.allocate_psn() if psn is None else psn,
+        ack_request=ack_request,
     )
-    return packet
-
-
-def _finish(packet: Packet, compute_icrc: bool) -> Packet:
-    packet.fixup_lengths()
-    if compute_icrc or _default_compute_icrc:
-        packet.trailers[0] = _icrc_for(packet)
-    return packet
+    return _stamp(
+        qp.local_mac,
+        qp.dest_mac,
+        qp.local_ip,
+        qp.dest_ip,
+        _REQUEST_UDP_PORT,
+        (bth, extension),
+        payload,
+        compute_icrc,
+    )
 
 
 def build_write_request(
@@ -131,23 +180,10 @@ def build_write_request(
     compute_icrc: bool = False,
 ) -> Packet:
     """RDMA WRITE (only) request carrying *data* to ``remote_address``."""
-    if not qp.is_connected:
-        raise RuntimeError(f"QP {qp.qpn} is not connected")
-    psn = qp.allocate_psn() if psn is None else psn
-    bth = BthHeader(
-        opcode=Opcode.RDMA_WRITE_ONLY,
-        dest_qp=qp.dest_qpn,
-        psn=psn,
-        ack_request=ack_request,
+    reth = RethHeader(virtual_address=remote_address, rkey=rkey, dma_length=len(data))
+    return _request(
+        qp, Opcode.RDMA_WRITE_ONLY, psn, ack_request, reth, bytes(data), compute_icrc
     )
-    packet = _base_packet(
-        qp.local_mac, qp.dest_mac, qp.local_ip, qp.dest_ip, bth
-    )
-    packet.headers.append(
-        RethHeader(virtual_address=remote_address, rkey=rkey, dma_length=len(data))
-    )
-    packet.payload = bytes(data)
-    return _finish(packet, compute_icrc)
 
 
 def build_read_request(
@@ -159,19 +195,8 @@ def build_read_request(
     compute_icrc: bool = False,
 ) -> Packet:
     """RDMA READ request for *length* bytes at ``remote_address``."""
-    if not qp.is_connected:
-        raise RuntimeError(f"QP {qp.qpn} is not connected")
-    psn = qp.allocate_psn() if psn is None else psn
-    bth = BthHeader(
-        opcode=Opcode.RDMA_READ_REQUEST, dest_qp=qp.dest_qpn, psn=psn
-    )
-    packet = _base_packet(
-        qp.local_mac, qp.dest_mac, qp.local_ip, qp.dest_ip, bth
-    )
-    packet.headers.append(
-        RethHeader(virtual_address=remote_address, rkey=rkey, dma_length=length)
-    )
-    return _finish(packet, compute_icrc)
+    reth = RethHeader(virtual_address=remote_address, rkey=rkey, dma_length=length)
+    return _request(qp, Opcode.RDMA_READ_REQUEST, psn, False, reth, b"", compute_icrc)
 
 
 def build_fetch_add_request(
@@ -183,44 +208,40 @@ def build_fetch_add_request(
     compute_icrc: bool = False,
 ) -> Packet:
     """RDMA atomic Fetch-and-Add of *add_value* at ``remote_address``."""
-    if not qp.is_connected:
-        raise RuntimeError(f"QP {qp.qpn} is not connected")
-    psn = qp.allocate_psn() if psn is None else psn
-    bth = BthHeader(opcode=Opcode.FETCH_ADD, dest_qp=qp.dest_qpn, psn=psn)
-    packet = _base_packet(
-        qp.local_mac, qp.dest_mac, qp.local_ip, qp.dest_ip, bth
+    atomic = AtomicEthHeader(
+        virtual_address=remote_address, rkey=rkey, swap_add=add_value
     )
-    packet.headers.append(
-        AtomicEthHeader(
-            virtual_address=remote_address, rkey=rkey, swap_add=add_value
-        )
-    )
-    return _finish(packet, compute_icrc)
+    return _request(qp, Opcode.FETCH_ADD, psn, False, atomic, b"", compute_icrc)
 
 
-def _response_scaffold(
-    request: Packet, opcode: Opcode, responder_qp: QueuePair
+def _response(
+    request: Packet,
+    responder_qp: QueuePair,
+    opcode: Opcode,
+    psn: Optional[int],
+    extensions: Tuple[Header, ...],
+    payload: bytes,
+    compute_icrc: bool,
 ) -> Packet:
-    """Build a response packet addressed back at the requester."""
+    """Stamp a response addressed back at the requester of *request*."""
     req_eth = request.eth
     req_ip = request.ipv4
-    req_udp = request.udp
-    req_bth = request.require(BthHeader)
     bth = BthHeader(
         opcode=opcode,
         # Responses go to the requester's QP.
         dest_qp=responder_qp.dest_qpn if responder_qp.dest_qpn is not None else 0,
-        psn=req_bth.psn,
+        psn=request.require(BthHeader).psn if psn is None else psn,
     )
-    packet = _base_packet(
-        src_mac=req_eth.dst,
-        dst_mac=req_eth.src,
-        src_ip=req_ip.dst,
-        dst_ip=req_ip.src,
-        bth=bth,
-        src_udp_port=req_udp.src_port,
+    return _stamp(
+        req_eth.dst,
+        req_eth.src,
+        req_ip.dst,
+        req_ip.src,
+        request.udp.src_port,
+        (bth,) + extensions,
+        payload,
+        compute_icrc,
     )
-    return packet
 
 
 def build_read_response(
@@ -230,14 +251,16 @@ def build_read_response(
     compute_icrc: bool = False,
 ) -> Packet:
     """READ response (only) carrying *data*, mirrored from *request*."""
-    packet = _response_scaffold(
-        request, Opcode.RDMA_READ_RESPONSE_ONLY, responder_qp
+    aeth = AethHeader(syndrome=AethSyndrome.ACK, msn=responder_qp.msn)
+    return _response(
+        request,
+        responder_qp,
+        Opcode.RDMA_READ_RESPONSE_ONLY,
+        None,
+        (aeth,),
+        bytes(data),
+        compute_icrc,
     )
-    packet.headers.append(
-        AethHeader(syndrome=AethSyndrome.ACK, msn=responder_qp.msn)
-    )
-    packet.payload = bytes(data)
-    return _finish(packet, compute_icrc)
 
 
 def build_ack(
@@ -253,11 +276,38 @@ def build_ack(
     BTH (``psn_override``), which is how a real requester learns where to
     resume — the primitives use it to resynchronize their soft QPs.
     """
-    packet = _response_scaffold(request, Opcode.ACKNOWLEDGE, responder_qp)
-    if psn_override is not None:
-        packet.require(BthHeader).psn = psn_override
-    packet.headers.append(AethHeader(syndrome=syndrome, msn=responder_qp.msn))
-    return _finish(packet, compute_icrc)
+    aeth = AethHeader(syndrome=syndrome, msn=responder_qp.msn)
+    return _response(
+        request,
+        responder_qp,
+        Opcode.ACKNOWLEDGE,
+        psn_override,
+        (aeth,),
+        b"",
+        compute_icrc,
+    )
+
+
+def build_atomic_ack(
+    request: Packet,
+    responder_qp: QueuePair,
+    original_value: int,
+    compute_icrc: bool = False,
+) -> Packet:
+    """Atomic acknowledgement carrying the pre-operation value."""
+    extensions = (
+        AethHeader(syndrome=AethSyndrome.ACK, msn=responder_qp.msn),
+        AtomicAckEthHeader(original_data=original_value),
+    )
+    return _response(
+        request,
+        responder_qp,
+        Opcode.ATOMIC_ACKNOWLEDGE,
+        None,
+        extensions,
+        b"",
+        compute_icrc,
+    )
 
 
 def convert_to_rocev1(packet: Packet) -> Packet:
@@ -268,38 +318,17 @@ def convert_to_rocev1(packet: Packet) -> Packet:
     the case of RoCEv1".  Returns a new packet; the input is not modified.
     """
     v1 = packet.clone()
-    eth = v1.require(EthernetHeader)
-    ip = v1.require(Ipv4Header)
+    eth = v1.eth
+    ip = v1.ipv4
+    for _ in range(v1.index_of(BthHeader)):
+        v1.pop()
     grh = GrhHeader(
         src_gid=gid_from_ipv4(ip.src),
         dst_gid=gid_from_ipv4(ip.dst),
+        # Everything after the GRH, ICRC included.
+        payload_length=v1.buffer_len,
         hop_limit=ip.ttl,
     )
-    bth_index = v1.index_of(BthHeader)
-    v1.headers = [
-        EthernetHeader(dst=eth.dst, src=eth.src, ethertype=ETHERTYPE_ROCEV1),
-        grh,
-        *v1.headers[bth_index:],
-    ]
-    # GRH payload length covers everything after the GRH, ICRC included.
-    grh.payload_length = (
-        sum(h.byte_len for h in v1.headers[2:])
-        + len(v1.payload)
-        + v1.trailer_len
-    )
+    v1.push(grh)
+    v1.push(EthernetHeader(dst=eth.dst, src=eth.src, ethertype=ETHERTYPE_ROCEV1))
     return v1
-
-
-def build_atomic_ack(
-    request: Packet,
-    responder_qp: QueuePair,
-    original_value: int,
-    compute_icrc: bool = False,
-) -> Packet:
-    """Atomic acknowledgement carrying the pre-operation value."""
-    packet = _response_scaffold(request, Opcode.ATOMIC_ACKNOWLEDGE, responder_qp)
-    packet.headers.append(
-        AethHeader(syndrome=AethSyndrome.ACK, msn=responder_qp.msn)
-    )
-    packet.headers.append(AtomicAckEthHeader(original_data=original_value))
-    return _finish(packet, compute_icrc)

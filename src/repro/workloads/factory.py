@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..hosts.server import Host
-from ..net.headers import EthernetHeader, Ipv4Header, UdpHeader
+from ..net.headers import EthernetHeader, HeaderError, Ipv4Header, UdpHeader
 from ..net.packet import Packet
 
 #: Ethernet + IPv4 + UDP header bytes.
@@ -45,4 +45,20 @@ def udp_between(
         payload=payload,
     )
     packet.fixup_lengths()
+    return packet
+
+
+def stamp_ports(template: Packet, src_port: int, dst_port: int) -> Packet:
+    """A copy of *template* (a :func:`udp_between` packet) for another flow.
+
+    Generators build one template and stamp the per-packet UDP ports onto
+    a clone of it; the ports are range-checked as the header constructor
+    would, everything else was validated once with the template.
+    """
+    if not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
+        raise HeaderError(f"UDP port out of range: {src_port}, {dst_port}")
+    packet = template.clone()
+    udp = packet.udp
+    udp.src_port = src_port
+    udp.dst_port = dst_port
     return packet

@@ -18,7 +18,7 @@ from ..hosts.server import Host
 from ..net.packet import Packet
 from ..sim.simulator import Simulator
 from ..sim.units import SEC
-from .factory import udp_between
+from .factory import stamp_ports, udp_between
 
 
 class ZipfSampler:
@@ -86,8 +86,8 @@ class ZipfFlowWorkload:
         self._sent = 0
         self.sent_by_rank: Dict[int, int] = {}
         self.packets_sent = 0
-        template = udp_between(src, dst, packet_size)
-        self._interval_ns = template.wire_len * 8 * SEC / rate_bps
+        self._template = udp_between(src, dst, packet_size)
+        self._interval_ns = self._template.wire_len * 8 * SEC / rate_bps
         self.on_done = None
 
     def flow_key(self, rank: int) -> FlowKey:
@@ -100,13 +100,7 @@ class ZipfFlowWorkload:
 
     def packet_for(self, rank: int) -> Packet:
         key = self.flow_key(rank)
-        packet = udp_between(
-            self.src,
-            self.dst,
-            self.packet_size,
-            src_port=key.src_port,
-            dst_port=key.dst_port,
-        )
+        packet = stamp_ports(self._template, key.src_port, key.dst_port)
         packet.meta["flow_rank"] = rank
         packet.meta["sent_at"] = self.sim.now
         return packet

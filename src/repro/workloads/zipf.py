@@ -36,7 +36,7 @@ from ..net.packet import Packet
 from ..sim.rng import SeedSequence
 from ..sim.simulator import Simulator
 from ..sim.units import SEC
-from .factory import udp_between
+from .factory import stamp_ports, udp_between
 from .flows import FlowKey
 
 
@@ -188,13 +188,7 @@ class OpenLoopZipfTraffic:
 
     def packet_for(self, rank: int) -> Packet:
         key = self.flow_key(rank)
-        packet = udp_between(
-            self.src,
-            self.dst,
-            self.packet_size,
-            src_port=key.src_port,
-            dst_port=key.dst_port,
-        )
+        packet = stamp_ports(self._template, key.src_port, key.dst_port)
         packet.meta["flow_rank"] = rank
         packet.meta["sent_at"] = self.sim.now
         return packet

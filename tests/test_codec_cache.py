@@ -1,14 +1,15 @@
-"""Pack-cache correctness for the header codecs.
+"""Mutate-then-repack correctness for the header codecs.
 
-Every header caches its serialized bytes (see
-:class:`repro.net.headers.CachedPackMixin`).  These tests pin the contract
-that makes the cache safe to rely on everywhere:
+Headers are fixed-layout slotted objects whose ``pack()`` always
+serialises the current field values (there is no cached serialisation;
+the file and class names date from when there was one).  These tests pin
+the contract everything above the codecs relies on:
 
-* ``pack()`` after any field mutation reflects the new value — the cache
-  is invalidated by assignment, including assignment on a header that was
-  built by ``unpack()`` (whose cache is pre-seeded with the wire bytes);
-* re-assigning the *same* value keeps the cached bytes valid;
-* ``pack``/``unpack`` round-trips stay exact under both regimes.
+* ``pack()`` after any field mutation reflects the new value, including
+  on a header that was built by ``unpack()``;
+* re-assigning the *same* value, or packing twice, gives the same bytes;
+* ``pack``/``unpack`` round-trips stay exact;
+* a clone is independent of its source, headers and payload alike.
 """
 
 from hypothesis import given
@@ -42,16 +43,16 @@ class TestCacheInvalidation:
         ip = Ipv4Header(src=Ipv4Address("10.0.0.1"), dst=Ipv4Address("10.0.0.2"))
         first = ip.pack()
         ip.ttl = ip.ttl  # a no-op rewrite, e.g. fixup_lengths re-stamping
-        assert ip.pack() is first
+        assert ip.pack() == first
 
     def test_repeated_pack_is_cached(self):
         bth = BthHeader(opcode=0x0A, dest_qp=5, psn=9)
-        assert bth.pack() is bth.pack()
+        assert bth.pack() == bth.pack() == BthHeader.unpack(bth.pack()).pack()
 
     def test_mutate_after_unpack_repacks(self):
         raw = BthHeader(opcode=0x0A, dest_qp=5, psn=9).pack()
         bth = BthHeader.unpack(raw)
-        assert bth.pack() == raw  # pre-seeded from the wire bytes
+        assert bth.pack() == raw
         bth.psn = 10
         assert bth.pack() != raw
         assert BthHeader.unpack(bth.pack()).psn == 10
@@ -221,104 +222,58 @@ def _roce_packet(psn: int, payload: bytes, dscp: int = 0):
     )
 
 
-class TestPacketPool:
-    """The free-list pool must be invisible to correctness: a recycled
-    packet can never alias a live one, and pooled clones keep every
-    cached-pack invalidation guarantee of a constructor-built clone."""
-
-    @given(
-        psns=st.lists(st.integers(0, (1 << 24) - 1), min_size=1, max_size=8),
-        payload=st.binary(min_size=0, max_size=64),
-        other_payload=st.binary(min_size=0, max_size=64),
-    )
-    def test_release_then_reacquire_never_aliases_live_packet(
-        self, psns, payload, other_payload
-    ):
-        from repro.net.packet import PacketPool
-
-        pool = PacketPool()
-        live = []
-        for psn in psns:
-            # Clone a packet, keep the clone alive, release the *source*:
-            # the recycled shell must never share headers/payload/stacks
-            # with the clone that outlives it.
-            source = _roce_packet(psn, payload)
-            keep = pool.clone(source)
-            source.release(pool)
-            live.append((keep, keep.pack()))
-            reacquired = pool.clone(_roce_packet(psn ^ 0xFFFF, other_payload))
-            assert reacquired is not keep
-            assert reacquired._headers is not keep._headers
-            for h_new in reacquired.headers:
-                for live_packet, _ in live:
-                    assert all(h_new is not h for h in live_packet.headers)
-        # Every live clone still packs to the bytes it packed originally.
-        for keep, packed in live:
-            assert keep.pack() == packed
-
-    def test_double_release_is_single_entry(self):
-        from repro.net.packet import PacketPool
-
-        pool = PacketPool()
-        packet = _roce_packet(1, b"x")
-        packet.release(pool)
-        packet.release(pool)
-        assert len(pool) == 1
-        a = pool.acquire(payload=b"a")
-        b = pool.acquire(payload=b"b")
-        assert a is not b
-        assert a.payload == b"a" and b.payload == b"b"
-
-    def test_acquired_shell_is_fresh(self):
-        from repro.net.packet import PacketPool
-
-        pool = PacketPool()
-        packet = _roce_packet(5, b"hello")
-        packet.meta["flow"] = 7
-        old_id = packet.packet_id
-        packet.release(pool)
-        again = pool.acquire(payload=b"other")
-        assert again.packet_id != old_id
-        assert again.headers == [] and again.trailers == []
-        assert again.meta == {}
-        assert again.payload == b"other"
-        assert again.frame_len  # size caches rebuilt, no stale totals
+class TestCloneIndependence:
+    """A clone shares nothing mutable with its source: header objects are
+    copied slot for slot, and only the immutable payload bytes are shared."""
 
     @given(
         psn=st.integers(0, (1 << 24) - 1),
         new_psn=st.integers(0, (1 << 24) - 1),
         dscp=st.integers(0, 0x3F),
     )
-    def test_pooled_clone_keeps_cached_pack_invalidation(self, psn, new_psn, dscp):
-        from repro.net.packet import PacketPool
-
-        pool = PacketPool()
-        # Warm the free list so the clone under test reuses header scratch.
-        pool.clone(_roce_packet(0, b"warm")).release(pool)
-
+    def test_mutating_a_clone_never_touches_the_source(self, psn, new_psn, dscp):
         source = _roce_packet(psn, b"payload", dscp=dscp)
         source_raw = source.pack()
-        clone = pool.clone(source)
+        clone = source.clone()
         assert clone.pack() == source_raw
-        # Mutating the clone's header invalidates its cached bytes...
+        assert clone.packet_id != source.packet_id
+        # Mutating the clone's header shows in its bytes...
         clone.require(BthHeader).psn = new_psn
         assert BthHeader.unpack(clone.pack()[42:54]).psn == new_psn
-        # ...and never touches the source's headers or cached bytes.
+        # ...and never touches the source's headers or bytes.
         assert source.require(BthHeader).psn == psn
         assert source.pack() == source_raw
 
-    def test_pooled_clone_matches_constructor_clone(self):
-        from repro.net.packet import PacketPool
+    @given(
+        payload=st.binary(min_size=0, max_size=64),
+        other_payload=st.binary(min_size=0, max_size=64),
+    )
+    def test_clone_shares_no_header_and_keeps_its_own_payload(
+        self, payload, other_payload
+    ):
+        source = _roce_packet(7, payload)
+        clone = source.clone()
+        assert clone.headers == source.headers
+        assert clone.trailers == source.trailers
+        for mine, theirs in zip(
+            clone.headers + clone.trailers, source.headers + source.trailers
+        ):
+            assert mine is not theirs
+        clone.payload = other_payload
+        assert source.payload == payload
+        assert source.buffer_len == 74 + len(payload)
+        assert clone.buffer_len == 74 + len(other_payload)
 
-        pool = PacketPool()
-        pool.clone(_roce_packet(9, b"warm")).release(pool)
+    def test_clone_deep_copies_container_meta(self):
         source = _roce_packet(123, b"data" * 8)
         source.meta["tags"] = [1, 2]
-        plain = source.clone()
-        pooled = pool.clone(source)
-        assert pooled.headers == plain.headers
-        assert pooled.trailers == plain.trailers
-        assert pooled.payload == plain.payload
-        assert pooled.meta == plain.meta
-        assert pooled.meta["tags"] is not source.meta["tags"]  # deep-copied
-        assert pool.hits == 1 and pool.misses == 1  # warm-up missed, reuse hit
+        source.meta["flow"] = 9
+        clone = source.clone()
+        assert clone.meta == source.meta
+        assert clone.meta["tags"] is not source.meta["tags"]
+
+    def test_header_copy_is_equal_and_independent(self):
+        for header in _roce_packet(5, b"x").headers:
+            dup = header.copy()
+            assert dup == header and dup is not header
+            assert dup.pack() == header.pack()

@@ -147,7 +147,7 @@ class TestRoceGenMisc:
     def test_owns_response_rejects_other_qpns(self):
         tb, channel, gen = self.build()
         packet = make_udp_packet()
-        packet.headers.append(BthHeader(opcode=Opcode.ACKNOWLEDGE, dest_qp=0xBEEF, psn=0))
+        packet.append(BthHeader(opcode=Opcode.ACKNOWLEDGE, dest_qp=0xBEEF, psn=0))
         assert not gen.owns_response(packet)
 
 

@@ -44,7 +44,7 @@ def test_push_pop_header_order():
     outer = EthernetHeader(dst=MacAddress(1), src=MacAddress(2))
     packet.push(inner)
     packet.push(outer)
-    assert packet.headers == [outer, inner]
+    assert packet.headers == (outer, inner)
     assert packet.pop() is outer
 
 

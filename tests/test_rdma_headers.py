@@ -127,7 +127,7 @@ class TestParseRoce:
         raw = bth.pack() + reth.pack() + payload
         raw += IcrcTrailer.compute(raw).pack()
         headers, parsed_payload, icrc = parse_roce(raw)
-        assert headers == [bth, reth]
+        assert headers == (bth, reth)
         assert parsed_payload == payload
         assert icrc == IcrcTrailer.compute(raw[:-4])
 
@@ -137,7 +137,7 @@ class TestParseRoce:
         atomic_ack = AtomicAckEthHeader(original_data=41)
         raw = bth.pack() + aeth.pack() + atomic_ack.pack() + IcrcTrailer().pack()
         headers, payload, _ = parse_roce(raw)
-        assert headers == [bth, aeth, atomic_ack]
+        assert headers == (bth, aeth, atomic_ack)
         assert payload == b""
 
     def test_truncated_rejected(self):

@@ -46,8 +46,9 @@ def build_fabric(sim, n_hosts=3, tm_config=None, switch_config=None):
 
 def packet_between(hosts, src_idx, dst_idx, payload=b"x" * 100):
     packet = make_udp_packet(payload=payload)
-    packet.headers[0] = EthernetHeader(
-        dst=hosts[dst_idx].eth.mac, src=hosts[src_idx].eth.mac
+    packet.pop()
+    packet.push(
+        EthernetHeader(dst=hosts[dst_idx].eth.mac, src=hosts[src_idx].eth.mac)
     )
     return packet
 
