@@ -27,9 +27,11 @@ restoring K-way redundancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .._deprecation import warn_once
+from ..core.channel import RemoteMemoryChannel
+from ..core.rocegen import ResponseSteering
 from ..core.state_store import (
     ATOMIC_OPERAND_BYTES,
     RemoteStateStore,
@@ -99,6 +101,7 @@ class ReplicatedStateStore:
         self.stores: Dict[str, RemoteStateStore] = {}
         #: Closed stores kept only to consume late in-flight responses.
         self._retired: List[RemoteStateStore] = []
+        self._steering = ResponseSteering(self._owned_channels)
         #: Every counter index that ever received an update — the
         #: control-plane worklist for reconciliation.
         self._touched: Set[int] = set()
@@ -124,7 +127,14 @@ class ReplicatedStateStore:
             store = RemoteStateStore(self.switch, channel, config=self.config)
         self.pool.watch(member, store.rocegen)
         self.stores[member.name] = store
+        self._steering.refresh()
         return store
+
+    def _owned_channels(self) -> Iterator[Tuple[RemoteMemoryChannel, RemoteStateStore]]:
+        """Every channel a response may still arrive on, with its store."""
+        for store in [*self._retired, *self.stores.values()]:
+            for channel in store.response_channels:
+                yield channel, store
 
     def replica_stores(self, index: int) -> List[RemoteStateStore]:
         """The alive replica stores currently hosting *index*."""
@@ -172,13 +182,8 @@ class ReplicatedStateStore:
         self.cluster_stats.updates_replicated += 1
 
     def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:
-        for store in self.stores.values():
-            if store.try_handle(ctx, packet):
-                return True
-        for store in self._retired:
-            if store.try_handle(ctx, packet):
-                return True
-        return False
+        store = self._steering.owner_of(packet)
+        return store is not None and store.try_handle(ctx, packet)
 
     def flush_all(self) -> None:
         for store in self.stores.values():
@@ -280,5 +285,6 @@ class ReplicatedStateStore:
         # is the redundancy replication bought.
         store.close()
         self._retired.append(store)
+        self._steering.refresh()
         if self.stores:
             self.reconcile()

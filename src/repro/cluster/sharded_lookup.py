@@ -26,8 +26,9 @@ change it re-installs only the flows whose ring owner moved:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..core.channel import RemoteMemoryChannel
 from ..core.lookup_table import (
     ACTION_DROP,
     LookupTableConfig,
@@ -36,6 +37,7 @@ from ..core.lookup_table import (
     RemoteLookupTable,
     ResolveEgress,
 )
+from ..core.rocegen import ResponseSteering
 from ..net.packet import Packet
 from ..switches.hashing import FiveTuple
 from ..switches.pipeline import PipelineContext
@@ -91,6 +93,7 @@ class ShardedLookupTable:
         self.shards: Dict[str, RemoteLookupTable] = {}
         #: Shards draining or dead, kept only to consume late responses.
         self._retired: List[RemoteLookupTable] = []
+        self._steering = ResponseSteering(self._owned_channels)
         #: Control-plane journal: every installed flow → action.
         self._journal: Dict[FiveTuple, RemoteAction] = {}
         #: Current ring owner per journaled flow (migration delta base).
@@ -122,7 +125,14 @@ class ShardedLookupTable:
         shard.flow_of = self._flow_of
         self.pool.watch(member, shard.rocegen)
         self.shards[member.name] = shard
+        self._steering.refresh()
         return shard
+
+    def _owned_channels(self) -> Iterator[Tuple[RemoteMemoryChannel, RemoteLookupTable]]:
+        """Every channel a response may still arrive on, with its shard."""
+        for shard in [*self._retired, *self.shards.values()]:
+            for channel in shard.response_channels:
+                yield channel, shard
 
     def _shard_key(self, flow: FiveTuple) -> int:
         return flow.hash()
@@ -187,13 +197,8 @@ class ShardedLookupTable:
         return self.shard_for(self._flow_of(packet)).lookup(ctx, packet)
 
     def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:
-        for shard in self.shards.values():
-            if shard.try_handle(ctx, packet):
-                return True
-        for shard in self._retired:
-            if shard.try_handle(ctx, packet):
-                return True
-        return False
+        shard = self._steering.owner_of(packet)
+        return shard is not None and shard.try_handle(ctx, packet)
 
     @property
     def stats(self) -> LookupTableStats:
@@ -221,6 +226,7 @@ class ShardedLookupTable:
         if shard is None:
             return
         self._retired.append(shard)
+        self._steering.refresh()
         if graceful:
             self.cluster_stats.members_left += 1
             self.pool.hold_for_drain(member)

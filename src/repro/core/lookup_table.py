@@ -622,14 +622,23 @@ class RemoteLookupTable:
 
     # -- response path ----------------------------------------------------------------
 
+    @property
+    def response_channels(self) -> Tuple[RemoteMemoryChannel, ...]:
+        """The channels whose responses :meth:`try_handle` consumes."""
+        if self._fastgen is None:
+            return (self.rocegen.channel,)
+        return (self.rocegen.channel, self._fastgen.channel)
+
     def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:
         """Consume READ responses for this table; True when handled."""
-        if self.rocegen.owns_response(packet):
-            gen = self.rocegen
-        elif self._fastgen is not None and self._fastgen.owns_response(packet):
-            gen = self._fastgen
-        else:
+        bth = packet.find(BthHeader)
+        if bth is None:
             return False
+        gen, fastgen = self.rocegen, self._fastgen
+        if bth.dest_qp != gen.channel.switch_qp.qpn:
+            if fastgen is None or bth.dest_qp != fastgen.channel.switch_qp.qpn:
+                return False
+            gen = fastgen
         ctx.drop()  # responses never leave the switch
         opcode = gen.classify_response(packet)
         if gen.is_nak(packet):

@@ -44,6 +44,7 @@ from typing import (
     TYPE_CHECKING,
     Deque,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -61,7 +62,7 @@ from ..switches.registers import RegisterArray
 from ..switches.switch import ProgrammableSwitch
 from ..switches.traffic_manager import HookVerdict, PortQueue
 from .channel import RemoteMemoryChannel
-from .rocegen import RoceRequestGenerator
+from .rocegen import ResponseSteering, RoceRequestGenerator
 
 if TYPE_CHECKING:  # cluster imports core; break the cycle for typing
     from ..cluster.pool import MemoryPool, PoolMember
@@ -219,6 +220,8 @@ class RemotePacketBuffer:
         else:
             self.read_channels = self.channels
             self.read_rocegens = self.rocegens
+        self._steering = ResponseSteering(self._owned_channels)
+        self._steering.refresh()
         self.entries_per_channel = min(
             channel.length // self.config.entry_bytes for channel in self.channels
         )
@@ -410,6 +413,7 @@ class RemotePacketBuffer:
         self._channel_unread.append(0)
         self._channel_strikes.append(0)
         self.capacity_entries = self.entries_per_channel * len(self.channels)
+        self._steering.refresh()
         return index
 
     def on_member_join(self, member: "PoolMember") -> None:
@@ -804,7 +808,7 @@ class RemotePacketBuffer:
         The switch program calls this first in ``on_ingress``; returns True
         when the packet was a response this primitive handled.
         """
-        owner = self._owning_channel(packet)
+        owner = self._steering.owner_of(packet)
         if owner is None:
             return False
         channel_idx, is_read_qp = owner
@@ -828,19 +832,15 @@ class RemotePacketBuffer:
             self._complete_load(channel_idx, packet)
         return True
 
-    def _owning_channel(self, packet: Packet):
-        """Return (channel index, rode-the-read-QP) for our responses."""
-        bth = packet.find(BthHeader)
-        if bth is None:
-            return None
-        for i, channel in enumerate(self.channels):
-            if bth.dest_qp == channel.switch_qp.qpn:
-                return i, False
+    def _owned_channels(
+        self,
+    ) -> Iterator[Tuple[RemoteMemoryChannel, Tuple[int, bool]]]:
+        """Every channel of ours, with (channel index, is-the-read-QP)."""
         if self.read_channels is not self.channels:
             for i, channel in enumerate(self.read_channels):
-                if bth.dest_qp == channel.switch_qp.qpn:
-                    return i, True
-        return None
+                yield channel, (i, True)
+        for i, channel in enumerate(self.channels):
+            yield channel, (i, False)
 
     def _complete_load(self, channel_idx: int, response: Packet) -> None:
         psn = response.require(BthHeader).psn

@@ -17,7 +17,7 @@ property over those metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..net.packet import Packet
 from ..obs.trace import (
@@ -76,6 +76,52 @@ class RoceGenStats:
     #: Responses discarded because their computed ICRC did not match —
     #: corruption in flight, detected (see DESIGN.md §10).
     icrc_drops: int = 0
+
+
+class ResponseSteering:
+    """Steer RoCE responses to their owner by one match on BTH ``dest_qp``.
+
+    A primitive composed over several channels (shards, replicas, ring
+    stripes) passes *scan*, which yields ``(channel, owner)`` for every
+    channel it may still be sent a response on, and calls :meth:`refresh`
+    whenever that set changes.  A QP reconnect renumbers a channel with no
+    such event, so a miss — or a hit on a channel that has since been
+    renumbered — rescans once: the answer is always the one a scan of
+    every channel would give.
+    """
+
+    __slots__ = ("_scan", "_table")
+
+    def __init__(
+        self, scan: Callable[[], Iterable[Tuple[RemoteMemoryChannel, Any]]]
+    ) -> None:
+        self._scan = scan
+        #: The match table: ``dest_qp`` → (channel, owner).
+        self._table: Dict[int, Tuple[RemoteMemoryChannel, Any]] = {}
+
+    def refresh(self) -> None:
+        self._table = {
+            channel.switch_qp.qpn: (channel, owner) for channel, owner in self._scan()
+        }
+
+    @property
+    def owners(self) -> Dict[int, Any]:
+        """``dest_qp → owner`` as currently installed (introspection)."""
+        return {qpn: owner for qpn, (_, owner) in self._table.items()}
+
+    def owner_of(self, packet: Packet) -> Optional[Any]:
+        """The owner of the queue pair *packet* answers to, or None."""
+        bth = packet.find(BthHeader)
+        if bth is None:
+            return None
+        qpn = bth.dest_qp
+        entry = self._table.get(qpn)
+        if entry is None or entry[0].switch_qp.qpn != qpn:
+            self.refresh()
+            entry = self._table.get(qpn)
+            if entry is None:
+                return None
+        return entry[1]
 
 
 class RoceRequestGenerator:

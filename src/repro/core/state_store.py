@@ -373,11 +373,22 @@ class RemoteStateStore:
 
     # -- response path ---------------------------------------------------------------
 
+    @property
+    def response_channels(self) -> Tuple[RemoteMemoryChannel, ...]:
+        """The channels whose responses :meth:`try_handle` consumes."""
+        if self._fastgen is None:
+            return (self.rocegen.channel,)
+        return (self.rocegen.channel, self._fastgen.channel)
+
     def _owning_gen(self, packet: Packet) -> Optional[RoceRequestGenerator]:
-        if self.rocegen.owns_response(packet):
-            return self.rocegen
-        if self._fastgen is not None and self._fastgen.owns_response(packet):
-            return self._fastgen
+        bth = packet.find(BthHeader)
+        if bth is None:
+            return None
+        gen, fastgen = self.rocegen, self._fastgen
+        if bth.dest_qp == gen.channel.switch_qp.qpn:
+            return gen
+        if fastgen is not None and bth.dest_qp == fastgen.channel.switch_qp.qpn:
+            return fastgen
         return None
 
     def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:

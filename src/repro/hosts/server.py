@@ -52,21 +52,6 @@ class Host(Node):
         for handler in self.packet_handlers:
             handler(packet, interface)
 
-    def receive_batch(self, packets: List[Packet], interface: Interface) -> None:
-        # Hoists the NIC dispatch lookup out of the loop.  Binding
-        # ``handle_packet`` here (not at init) keeps the RnicFaultInjector
-        # contract: injectors shadow the method on the instance.
-        self.rx_packets += len(packets)
-        handle = self.rnic.handle_packet
-        handlers = self.packet_handlers
-        for packet in packets:
-            self.rx_bytes += packet.buffer_len
-            if packet.find(BthHeader) is not None:
-                handle(packet)
-                continue
-            for handler in handlers:
-                handler(packet, interface)
-
     def send(self, packet: Packet) -> bool:
         """Transmit *packet* out of the host's NIC."""
         return self.eth.send(packet)

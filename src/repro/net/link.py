@@ -107,8 +107,8 @@ class Link:
         self.taps: List[Callable[[Interface, Packet], None]] = _TapList(self)
         self._fault_injector = None
         self._fast = loss_probability == 0.0
-        a.link = self
-        b.link = self
+        a.attach(self)
+        b.attach(self)
 
     # -- fast-path bookkeeping -------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..sim.simulator import Simulator
-from ..sim.units import transmission_delay_ns
+from ..sim.units import SEC
 from .addresses import Ipv4Address, MacAddress
 from .packet import Packet
 from .queues import TxQueue
@@ -22,7 +22,16 @@ if TYPE_CHECKING:
 
 
 class Interface:
-    """One port of a node; transmit queue + serializer for one link end."""
+    """One port of a node; transmit queue + serializer for one link end.
+
+    The serializer is one method, :meth:`_transmit_next`, run once per
+    frame: it hands the frame that just finished to the link and starts
+    the next one.  Everything it needs that is fixed for the life of the
+    link (the simulator, the rate) is a plain attribute, resolved when the
+    link attaches.  ``deliver`` and ``link.carry`` are looked up per
+    packet, on the instance, because LinkGuard and the fault injectors
+    shadow them there while the simulation runs.
+    """
 
     def __init__(
         self,
@@ -33,11 +42,14 @@ class Interface:
         queue: Optional[TxQueue] = None,
     ) -> None:
         self.node = node
+        self.sim: Simulator = node.sim
         self.name = name
         self.mac = MacAddress(mac)
         self.ip = Ipv4Address(ip) if ip is not None else None
         self.queue = queue if queue is not None else TxQueue()
         self.link: Optional["Link"] = None
+        #: The attached link's rate (0 until a link attaches).
+        self.rate_bps = 0.0
         self._busy = False
         self._paused = False
         # Counters for bandwidth monitors.
@@ -48,12 +60,12 @@ class Interface:
         #: Optional taps, called as tap(packet) on transmit start / receive.
         self.tx_taps: List[Callable[[Packet], None]] = []
         self.rx_taps: List[Callable[[Packet], None]] = []
-        #: Callback fired when the serializer goes idle with an empty queue.
-        self.on_idle: Optional[Callable[[], None]] = None
 
-    @property
-    def sim(self) -> Simulator:
-        return self.node.sim
+    def attach(self, link: "Link") -> None:
+        """Bind this end to *link* (called by :class:`Link`, which has
+        already validated the rate)."""
+        self.link = link
+        self.rate_bps = link.rate_bps
 
     @property
     def peer(self) -> Optional["Interface"]:
@@ -61,12 +73,6 @@ class Interface:
         if self.link is None:
             return None
         return self.link.peer_of(self)
-
-    @property
-    def rate_bps(self) -> float:
-        if self.link is None:
-            raise RuntimeError(f"{self} has no link attached")
-        return self.link.rate_bps
 
     # -- transmit path -------------------------------------------------------------
 
@@ -76,13 +82,13 @@ class Interface:
             raise RuntimeError(f"{self} has no link attached")
         admitted = self.queue.offer(packet)
         if admitted and not self._busy:
-            self._start_next()
+            self._transmit_next()
         return admitted
 
     def kick(self) -> None:
         """(Re)start transmission if idle — used after queue-side refills."""
         if not self._busy:
-            self._start_next()
+            self._transmit_next()
 
     @property
     def paused(self) -> bool:
@@ -99,30 +105,31 @@ class Interface:
         if was_paused and not paused:
             self.kick()
 
-    def _start_next(self) -> None:
+    def _transmit_next(self, sent: Optional[Packet] = None) -> None:
+        """Put *sent* (the frame whose serialization just ended) on the
+        wire, then start serializing the next queued frame, if any."""
+        if sent is not None:
+            self.link.carry(self, sent)
         if self._paused:
             self._busy = False
             return
+        # Busy *before* polling: a dequeue listener may refill this queue
+        # and kick() the port, which must not start a second frame inside
+        # this one.
+        self._busy = True
         packet = self.queue.poll()
         if packet is None:
             self._busy = False
-            if self.on_idle is not None:
-                self.on_idle()
             return
-        self._busy = True
-        for tap in self.tx_taps:
-            tap(packet)
+        if self.tx_taps:
+            for tap in self.tx_taps:
+                tap(packet)
+        wire_len = packet.wire_len
         self.tx_packets += 1
-        self.tx_bytes += packet.wire_len
-        serialize_ns = transmission_delay_ns(packet.wire_len, self.rate_bps)
-        assert self.link is not None
+        self.tx_bytes += wire_len
+        # transmission_delay_ns() with its rate check already made by Link.
         # Serializer completions are never cancelled: fire-and-forget.
-        self.sim.post(serialize_ns, self._finish_transmit, packet)
-
-    def _finish_transmit(self, packet: Packet) -> None:
-        assert self.link is not None
-        self.link.carry(self, packet)
-        self._start_next()
+        self.sim.post(wire_len * 8 * SEC / self.rate_bps, self._transmit_next, packet)
 
     # -- receive path ----------------------------------------------------------------
 
@@ -130,8 +137,9 @@ class Interface:
         """Called by the link when *packet* finishes propagating to this end."""
         self.rx_packets += 1
         self.rx_bytes += packet.wire_len
-        for tap in self.rx_taps:
-            tap(packet)
+        if self.rx_taps:
+            for tap in self.rx_taps:
+                tap(packet)
         self.node.receive(packet, self)
 
     def deliver_batch(self, packets: List[Packet]) -> None:

@@ -52,12 +52,18 @@ class TxQueue:
 
     def offer(self, packet: Packet) -> bool:
         """Enqueue *packet*; returns False (and counts a drop) if full."""
-        if not self.admits(packet):
+        size = packet.buffer_len
+        packet_cap = self.capacity_packets
+        byte_cap = self.capacity_bytes
+        # admits(), inlined: this runs once per packet per host hop.
+        if (packet_cap is not None and len(self._queue) + 1 > packet_cap) or (
+            byte_cap is not None and self._depth_bytes + size > byte_cap
+        ):
             self.dropped_packets += 1
-            self.dropped_bytes += packet.buffer_len
+            self.dropped_bytes += size
             return False
         self._queue.append(packet)
-        self._depth_bytes += packet.buffer_len
+        self._depth_bytes += size
         self.enqueued_packets += 1
         return True
 
@@ -68,18 +74,8 @@ class TxQueue:
         callback must fill the queue exactly as the same packets offered one
         at a time would, including which tail packets get dropped.
         """
-        admitted = 0
-        queue = self._queue
-        for packet in packets:
-            if not self.admits(packet):
-                self.dropped_packets += 1
-                self.dropped_bytes += packet.buffer_len
-                continue
-            queue.append(packet)
-            self._depth_bytes += packet.buffer_len
-            self.enqueued_packets += 1
-            admitted += 1
-        return admitted
+        offer = self.offer
+        return sum(1 for packet in packets if offer(packet))
 
     def poll(self) -> Optional[Packet]:
         """Dequeue the next packet, or None if empty."""

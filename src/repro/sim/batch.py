@@ -99,7 +99,7 @@ class BatchSimulator(Simulator):
     def schedule(
         self, delay_ns: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
-        if delay_ns < 0:
+        if not delay_ns >= 0:
             raise SimulationError(
                 f"cannot schedule into the past (delay={delay_ns}ns)"
             )
@@ -113,7 +113,7 @@ class BatchSimulator(Simulator):
     def schedule_at(
         self, time_ns: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
-        if time_ns < self._now:
+        if not time_ns >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time_ns}ns, now is t={self._now}ns"
             )
@@ -124,7 +124,7 @@ class BatchSimulator(Simulator):
         return event
 
     def post(self, delay_ns: float, callback: Callable[..., Any], *args: Any) -> None:
-        if delay_ns < 0:
+        if not delay_ns >= 0:
             raise SimulationError(
                 f"cannot schedule into the past (delay={delay_ns}ns)"
             )
@@ -144,7 +144,7 @@ class BatchSimulator(Simulator):
             bucket.append(callback)
 
     def post_delivery(self, delay_ns: float, interface: Any, packet: Any) -> None:
-        if delay_ns < 0:
+        if not delay_ns >= 0:
             raise SimulationError(
                 f"cannot schedule into the past (delay={delay_ns}ns)"
             )

@@ -9,11 +9,12 @@ scheduled events, so a simulation is fully reproducible given its seed.
 Fast-path notes — this loop is the hottest code in the repository (every
 simulated packet costs several events):
 
-* Heap entries are the :class:`~repro.sim.events.Event` objects
-  themselves, slot-light ``list`` subclasses laid out as
-  ``[time, seq, callback, args]``.  ``heapq`` compares them with C list
-  comparison (time, then the unique sequence number) instead of a Python
-  ``__lt__`` per sift step, and scheduling allocates one object.
+* Heap entries are lists laid out as ``[time, seq, callback, args]``:
+  bare ones for fire-and-forget posts, :class:`~repro.sim.events.Event`
+  (a slot-light ``list`` subclass) where the caller gets a cancellation
+  handle.  ``heapq`` compares either kind with C list comparison (time,
+  then the unique sequence number) instead of a Python ``__lt__`` per
+  sift step, and scheduling allocates one object.
 * ``run()`` drains the heap inline — no per-event ``step()`` call — with
   the heap and ``heappop`` hoisted into locals, a dedicated tightest loop
   for the common "no deadline, no budget" case, and a no-unpack call for
@@ -174,6 +175,19 @@ class Simulator:
         return self.active_events
 
     # -- scheduling ------------------------------------------------------------
+    #
+    # Every entry point builds the same heap entry, ``[time, seq, callback,
+    # args]``, and makes one comparison on the way in.  The comparison is
+    # written ``not x >= y`` so that it rejects NaN along with the past: a
+    # NaN time sorts before everything and would become ``sim.now``.
+    # ``schedule``/``schedule_at`` wrap the entry in an :class:`Event` (a
+    # list subclass) and hand it back for cancellation.  The hot paths
+    # (link delivery, serializer completion, pipeline passes, RNIC engines)
+    # never cancel, so ``post``/``post_delivery`` push the bare list: a
+    # display instead of a class call, and the heap still compares entries
+    # of either kind in C.  Firing order is the same for all four and for
+    # both kernels; the batch kernel additionally coalesces adjacent
+    # ``post_delivery`` entries for one interface into one callback.
 
     def schedule(
         self, delay_ns: float, callback: Callable[..., Any], *args: Any
@@ -181,10 +195,10 @@ class Simulator:
         """Schedule *callback(*args)* to fire ``delay_ns`` from now.
 
         Returns the :class:`Event`, which the caller may :meth:`~Event.cancel`.
-        A negative delay is an error; a zero delay fires after all events
-        already scheduled for the current instant (FIFO).
+        A negative (or NaN) delay is an error; a zero delay fires after all
+        events already scheduled for the current instant (FIFO).
         """
-        if delay_ns < 0:
+        if not delay_ns >= 0:
             raise SimulationError(
                 f"cannot schedule into the past (delay={delay_ns}ns)"
             )
@@ -198,7 +212,7 @@ class Simulator:
         self, time_ns: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
         """Schedule *callback(*args)* at absolute time ``time_ns``."""
-        if time_ns < self._now:
+        if not time_ns >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time_ns}ns, now is t={self._now}ns"
             )
@@ -208,44 +222,29 @@ class Simulator:
         _heappush(self._heap, event)
         return event
 
-    # -- fire-and-forget scheduling --------------------------------------------
-    #
-    # The hot paths (link delivery, serializer completion, switch pipeline
-    # passes, RNIC engines) never cancel the events they schedule, so they
-    # do not need the Event handle back.  ``post``/``post_delivery`` make
-    # that contract explicit: the scalar kernel implements them as plain
-    # schedules, while the batch kernel stores them as bare cohort entries
-    # (no Event allocation, no heap sift) and — for deliveries — coalesces
-    # adjacent same-interface arrivals into one batched callback.  Firing
-    # order is identical to schedule() in both kernels.
-
     def post(self, delay_ns: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule *callback(*args)* with no cancellation handle."""
-        if delay_ns < 0:
+        if not delay_ns >= 0:
             raise SimulationError(
                 f"cannot schedule into the past (delay={delay_ns}ns)"
             )
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._heap, Event((self._now + delay_ns, seq, callback, args)))
+        _heappush(self._heap, [self._now + delay_ns, seq, callback, args])
 
     def post_delivery(self, delay_ns: float, interface: "Interface", packet: Any) -> None:
         """Schedule ``interface.deliver(packet)`` with no cancellation handle.
 
-        This is the tagged form of :meth:`post` the batch kernel keys its
-        link-delivery coalescing on; the scalar kernel treats it exactly
-        like today's ``schedule(delay, interface.deliver, packet)``.
+        The tagged form of :meth:`post` the batch kernel keys its
+        link-delivery coalescing on.
         """
-        if delay_ns < 0:
+        if not delay_ns >= 0:
             raise SimulationError(
                 f"cannot schedule into the past (delay={delay_ns}ns)"
             )
         seq = self._seq
         self._seq = seq + 1
-        _heappush(
-            self._heap,
-            Event((self._now + delay_ns, seq, interface.deliver, (packet,))),
-        )
+        _heappush(self._heap, [self._now + delay_ns, seq, interface.deliver, (packet,)])
 
     # -- execution -------------------------------------------------------------
 

@@ -20,11 +20,26 @@ if TYPE_CHECKING:
 
 
 class PipelineContext:
-    """Per-packet forwarding decisions collected during pipeline execution."""
+    """Per-packet forwarding decisions collected during pipeline execution.
 
-    def __init__(self, switch: "ProgrammableSwitch", in_port: Optional[int]) -> None:
+    The model's packet metadata struct: a fixed set of slots, built once
+    per pipeline pass.  It refers to its switch and its packet and to
+    nothing that refers back, so it and the packet are freed by reference
+    count the moment the pass ends.
+    """
+
+    __slots__ = (
+        "switch", "in_port", "packet",
+        "egress_port", "dropped", "flooded", "recirculated", "emitted",
+    )
+
+    def __init__(
+        self, switch: "ProgrammableSwitch", in_port: Optional[int], packet: Packet
+    ) -> None:
         self.switch = switch
         self.in_port = in_port
+        #: The packet this pass is deciding about (what ``clone_to`` mirrors).
+        self.packet = packet
         self.egress_port: Optional[int] = None
         self.dropped = False
         self.flooded = False
@@ -62,7 +77,9 @@ class PipelineContext:
     def clone_to(self, port: int) -> Packet:
         """Mirror the current packet to *port*; returns the clone for
         further modification (truncation, header rewrites)."""
-        raise NotImplementedError  # bound per-packet by the switch
+        clone = self.packet.clone()
+        self.emitted.append((clone, port))
+        return clone
 
     def recirculate(self) -> None:
         """Send the packet through the pipeline again (loopback port).

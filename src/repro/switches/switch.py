@@ -94,23 +94,21 @@ class ProgrammableSwitch(Node):
         program.attach(self)
 
     # -- data path -------------------------------------------------------------------
+    #
+    # One pipeline pass is receive -> _run_pipeline -> transmit, with a
+    # fixed amount of work on the unicast path and nothing allocated per
+    # packet that can outlive the pass (no closure, lambda or partial: a
+    # context that referred to one would be cyclic garbage).
 
     def receive(self, packet: Packet, interface: Interface) -> None:
         self.stats.rx_packets += 1
-        port = self._port_of_interface[interface]
         self.sim.post(
-            self.config.pipeline_latency_ns, self._run_pipeline, packet, port, 0
+            self.config.pipeline_latency_ns,
+            self._run_pipeline,
+            packet,
+            self._port_of_interface[interface],
+            0,
         )
-
-    def receive_batch(self, packets: List[Packet], interface: Interface) -> None:
-        # Hoists the port lookup and stats update out of the per-packet loop.
-        self.stats.rx_packets += len(packets)
-        port = self._port_of_interface[interface]
-        post = self.sim.post
-        latency = self.config.pipeline_latency_ns
-        pipeline = self._run_pipeline
-        for packet in packets:
-            post(latency, pipeline, packet, port, 0)
 
     def inject(self, packet: Packet, port: Optional[int] = None) -> None:
         """Run a locally-generated packet through the pipeline (CPU port)."""
@@ -121,31 +119,19 @@ class ProgrammableSwitch(Node):
     def _run_pipeline(
         self, packet: Packet, in_port: Optional[int], pass_count: int
     ) -> None:
-        if self.program is None:
+        program = self.program
+        if program is None:
             raise RuntimeError(f"{self.name}: no program bound")
         self.stats.processed += 1
-        ctx = PipelineContext(self, in_port)
-        ctx.clone_to = lambda port: self._clone_to(ctx, packet, port)
+        ctx = PipelineContext(self, in_port, packet)
         if pass_count == 0:
-            self.program.on_ingress(ctx, packet)
+            program.on_ingress(ctx, packet)
         else:
-            self.program.on_recirculate(ctx, packet)
-        self._apply_verdict(ctx, packet, in_port, pass_count)
-
-    def _clone_to(self, ctx: PipelineContext, packet: Packet, port: int) -> Packet:
-        clone = packet.clone()
-        ctx.emitted.append((clone, port))
-        return clone
-
-    def _apply_verdict(
-        self,
-        ctx: PipelineContext,
-        packet: Packet,
-        in_port: Optional[int],
-        pass_count: int,
-    ) -> None:
-        for extra, port in ctx.emitted:
-            self.transmit(extra, port)
+            program.on_recirculate(ctx, packet)
+        # Apply the verdict.
+        if ctx.emitted:
+            for extra, port in ctx.emitted:
+                self.transmit(extra, port)
         if ctx.recirculated:
             if pass_count + 1 > self.config.max_recirculations:
                 self.stats.recirculation_overflow_drops += 1
@@ -158,28 +144,21 @@ class ProgrammableSwitch(Node):
                 in_port,
                 pass_count + 1,
             )
-            return
-        if ctx.dropped:
+        elif ctx.dropped:
             self.stats.dropped_by_program += 1
-            return
-        if ctx.flooded:
-            for port in range(self.port_count):
-                if port != in_port:
-                    self.transmit(packet.clone() if port != self._last_flood_port(in_port) else packet, port)
-            return
-        if ctx.egress_port is not None:
+        elif ctx.flooded:
+            targets = [p for p in range(len(self._ports)) if p != in_port]
+            # Every target but the last gets a clone; the last, the original.
+            for port in targets[:-1]:
+                self.transmit(packet.clone(), port)
+            if targets:
+                self.transmit(packet, targets[-1])
+        elif ctx.egress_port is not None:
             self.transmit(packet, ctx.egress_port)
-
-    def _last_flood_port(self, in_port: Optional[int]) -> int:
-        """The highest-numbered flood target, which gets the original packet."""
-        for port in range(self.port_count - 1, -1, -1):
-            if port != in_port:
-                return port
-        return -1
 
     def transmit(self, packet: Packet, port: int) -> bool:
         """Hand *packet* to the traffic manager / port serializer."""
-        if not 0 <= port < self.port_count:
+        if not 0 <= port < len(self._ports):
             raise ValueError(f"{self.name}: no such port {port}")
         self.stats.tx_packets += 1
         return self._ports[port].send(packet)

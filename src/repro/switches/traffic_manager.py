@@ -16,11 +16,13 @@ The TM exposes the two hooks the remote packet-buffer primitive needs:
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..net.headers import Ipv4Header
 from ..net.packet import Packet
+from ..rdma.headers import BthHeader
 from ..sim.units import mib
 
 
@@ -67,29 +69,24 @@ class TrafficManagerConfig:
     priority_classifier: Optional[Callable[[Packet], bool]] = None
 
 
-def _is_rdma(packet: Packet) -> bool:
-    """Classify RDMA traffic the way the pipeline would (BTH present)."""
-    # Local import: net must not depend on rdma at module load.
-    from ..rdma.headers import BthHeader
-
-    return packet.find(BthHeader) is not None
-
-
 class PortQueue:
     """One port's egress FIFO, drawing from the TM's shared byte pool.
 
     Duck-type compatible with :class:`repro.net.queues.TxQueue` so an
     :class:`~repro.net.node.Interface` can serve directly from it.
+
+    Admission is one straight line per packet.  Every optional feature —
+    egress hook, RDMA classification, rate cap, per-queue limit, ECN
+    threshold, dequeue listeners — costs one attribute test when it is
+    off, read from the live config so a mid-run change takes effect.
     """
 
     def __init__(self, tm: "TrafficManager", port: int) -> None:
         self.tm = tm
         self.port = port
-        self._queue: List[Packet] = []
-        self._head = 0
+        self._queue: Deque[Packet] = deque()
         # Strict-priority class for RDMA packets (rdma_priority mode).
-        self._rdma_queue: List[Packet] = []
-        self._rdma_head = 0
+        self._rdma_queue: Deque[Packet] = deque()
         self._depth_bytes = 0
         self.enqueued_packets = 0
         self.dropped_packets = 0
@@ -103,114 +100,103 @@ class PortQueue:
 
     # -- TxQueue protocol -------------------------------------------------------
 
-    def admits(self, packet: Packet, is_rdma: bool = False) -> bool:
+    def offer(self, packet: Packet) -> bool:
+        """TM admission: egress hook first, then shared-pool drop-tail."""
+        tm = self.tm
+        hook = tm.egress_hook
+        if hook is not None and hook(self.port, packet, self) is HookVerdict.CONSUMED:
+            return True  # the hook owns the packet now; not a drop
+        config = tm.config
         size = packet.buffer_len
-        pool = self.tm.config.buffer_bytes
-        if self.tm.config.rdma_priority and not is_rdma:
-            # Reserved headroom is off limits to non-RDMA traffic.
-            pool -= self.tm.config.rdma_reserved_bytes
-        if self.tm.used_bytes + size > pool:
+        pool = config.buffer_bytes
+        is_rdma = False
+        if config.rdma_priority or config.rdma_rate_cap_bps is not None:
+            # Classify RDMA traffic the way the pipeline would (BTH present).
+            classifier = config.priority_classifier
+            if classifier is not None:
+                is_rdma = classifier(packet)
+            else:
+                is_rdma = packet.find(BthHeader) is not None
+            if is_rdma:
+                if config.rdma_rate_cap_bps is not None and not self._police_rdma(size):
+                    self.rdma_policer_drops += 1
+                    tm.total_dropped_packets += 1
+                    tm.total_dropped_bytes += size
+                    return False
+            elif config.rdma_priority:
+                # Reserved headroom is off limits to non-RDMA traffic.
+                pool -= config.rdma_reserved_bytes
+        limit = config.per_queue_limit_bytes
+        if tm.used_bytes + size > pool or (
+            limit is not None and self._depth_bytes + size > limit
+        ):
+            self.dropped_packets += 1
+            self.dropped_bytes += size
+            tm.total_dropped_packets += 1
+            tm.total_dropped_bytes += size
             return False
-        limit = self.tm.config.per_queue_limit_bytes
-        if limit is not None and self._depth_bytes + size > limit:
-            return False
+        threshold = config.ecn_threshold_bytes
+        if threshold is not None and self._depth_bytes >= threshold:
+            # DCTCP-style step marking: CE when the queue is hot.
+            ip = packet.find(Ipv4Header)
+            if ip is not None and ip.ecn in (1, 2):  # ECT(1) / ECT(0)
+                ip.ecn = 3  # CE
+                self.ecn_marked += 1
+        self.enqueue_direct(packet, is_rdma)
         return True
 
-    def _police_rdma(self, packet: Packet) -> bool:
+    def _police_rdma(self, size: int) -> bool:
         """Token-bucket policer for the §7 RDMA bandwidth cap."""
-        cap = self.tm.config.rdma_rate_cap_bps
-        if cap is None:
-            return True
-        now = self.tm.now_ns()
+        config = self.tm.config
+        now = self.tm.clock()
         elapsed = max(0.0, now - self._cap_refilled_at)
         self._cap_refilled_at = now
         self._cap_tokens = min(
-            self.tm.config.rdma_cap_burst_bytes,
-            self._cap_tokens + elapsed * cap / 8e9,
+            config.rdma_cap_burst_bytes,
+            self._cap_tokens + elapsed * config.rdma_rate_cap_bps / 8e9,
         )
-        size = packet.buffer_len
         if self._cap_tokens < size:
             return False
         self._cap_tokens -= size
         return True
 
-    def offer(self, packet: Packet) -> bool:
-        """TM admission: egress hook first, then shared-pool drop-tail."""
-        verdict = self.tm.consult_hook(self.port, packet, self)
-        if verdict is HookVerdict.CONSUMED:
-            return True  # the hook owns the packet now; not a drop
-        if not self.tm.classifies_rdma:
-            is_rdma = False
-        elif self.tm.config.priority_classifier is not None:
-            is_rdma = self.tm.config.priority_classifier(packet)
-        else:
-            is_rdma = _is_rdma(packet)
-        if is_rdma and not self._police_rdma(packet):
-            self.rdma_policer_drops += 1
-            self.tm.total_dropped_packets += 1
-            self.tm.total_dropped_bytes += packet.buffer_len
-            return False
-        if not self.admits(packet, is_rdma=is_rdma):
-            self.dropped_packets += 1
-            self.dropped_bytes += packet.buffer_len
-            self.tm.total_dropped_packets += 1
-            self.tm.total_dropped_bytes += packet.buffer_len
-            return False
-        self._maybe_mark_ecn(packet)
-        self.enqueue_direct(packet, is_rdma=is_rdma)
-        return True
-
-    def _maybe_mark_ecn(self, packet: Packet) -> None:
-        """DCTCP-style step marking: CE when the queue is hot."""
-        threshold = self.tm.config.ecn_threshold_bytes
-        if threshold is None or self._depth_bytes < threshold:
-            return
-        ip = packet.find(Ipv4Header)
-        if ip is not None and ip.ecn in (1, 2):  # ECT(1) / ECT(0)
-            ip.ecn = 3  # CE
-            self.ecn_marked += 1
-
     def enqueue_direct(self, packet: Packet, is_rdma: bool = False) -> None:
         """Enqueue bypassing the egress hook (used by the hook itself when
         re-injecting packets loaded back from remote memory)."""
+        tm = self.tm
         size = packet.buffer_len
-        if is_rdma and self.tm.config.rdma_priority:
+        if is_rdma and tm.config.rdma_priority:
             self._rdma_queue.append(packet)
         else:
             self._queue.append(packet)
-        self._depth_bytes += size
-        self.tm.used_bytes += size
-        self.tm.peak_used_bytes = max(self.tm.peak_used_bytes, self.tm.used_bytes)
-        self.peak_depth_bytes = max(self.peak_depth_bytes, self._depth_bytes)
+        self._depth_bytes = depth = self._depth_bytes + size
+        tm.used_bytes = used = tm.used_bytes + size
+        if used > tm.peak_used_bytes:
+            tm.peak_used_bytes = used
+        if depth > self.peak_depth_bytes:
+            self.peak_depth_bytes = depth
         self.enqueued_packets += 1
 
-    def _pop(self, queue: List[Packet], head: int):
-        packet = queue[head]
-        head += 1
-        # Compact lazily so poll stays O(1) amortised.
-        if head > 64 and head * 2 >= len(queue):
-            del queue[:head]
-            head = 0
-        return packet, head
-
     def poll(self) -> Optional[Packet]:
-        if self._rdma_head < len(self._rdma_queue):
-            packet, self._rdma_head = self._pop(self._rdma_queue, self._rdma_head)
-        elif self._head < len(self._queue):
-            packet, self._head = self._pop(self._queue, self._head)
+        if self._rdma_queue:
+            packet = self._rdma_queue.popleft()
+        elif self._queue:
+            packet = self._queue.popleft()
         else:
             return None
-        self._depth_bytes -= packet.buffer_len
-        self.tm.used_bytes -= packet.buffer_len
-        self.tm.notify_dequeue(self.port, packet, self)
+        tm = self.tm
+        size = packet.buffer_len
+        self._depth_bytes -= size
+        tm.used_bytes -= size
+        if tm.dequeue_listeners:
+            for listener in tm.dequeue_listeners:
+                listener(self.port, packet, self)
         return packet
 
     def peek(self) -> Optional[Packet]:
-        if self._rdma_head < len(self._rdma_queue):
-            return self._rdma_queue[self._rdma_head]
-        if self._head < len(self._queue):
-            return self._queue[self._head]
-        return None
+        if self._rdma_queue:
+            return self._rdma_queue[0]
+        return self._queue[0] if self._queue else None
 
     # -- introspection --------------------------------------------------------------
 
@@ -219,10 +205,7 @@ class PortQueue:
         return self._depth_bytes
 
     def __len__(self) -> int:
-        return (
-            len(self._queue) - self._head
-            + len(self._rdma_queue) - self._rdma_head
-        )
+        return len(self._queue) + len(self._rdma_queue)
 
     def __bool__(self) -> bool:
         return True
@@ -247,32 +230,10 @@ class TrafficManager:
         #: (needed only by the RDMA rate-cap policer).
         self.clock: Callable[[], float] = lambda: 0.0
 
-    def now_ns(self) -> float:
-        return self.clock()
-
-    @property
-    def classifies_rdma(self) -> bool:
-        """Does any configured feature need per-packet RDMA classification?"""
-        return (
-            self.config.rdma_priority
-            or self.config.rdma_rate_cap_bps is not None
-        )
-
     def queue_for(self, port: int) -> PortQueue:
         if port not in self.queues:
             self.queues[port] = PortQueue(self, port)
         return self.queues[port]
-
-    def consult_hook(
-        self, port: int, packet: Packet, queue: PortQueue
-    ) -> HookVerdict:
-        if self.egress_hook is None:
-            return HookVerdict.PASS
-        return self.egress_hook(port, packet, queue)
-
-    def notify_dequeue(self, port: int, packet: Packet, queue: PortQueue) -> None:
-        for listener in self.dequeue_listeners:
-            listener(port, packet, queue)
 
     @property
     def free_bytes(self) -> int:

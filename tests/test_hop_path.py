@@ -1,0 +1,684 @@
+"""The per-packet hop: serialiser -> link -> pipeline -> traffic manager -> kernel.
+
+Four properties of the hop path (DESIGN.md §5.1, "the hop path"):
+
+* it makes no cyclic garbage — a packet and its pipeline context die by
+  reference count, whichever program handled them;
+* it costs a bounded, exactly repeatable number of Python calls per frame;
+* the traffic manager's straight-line admission decides exactly what the
+  helper chain it replaced decided (a transcription of that chain is kept
+  here as the reference);
+* composites steer a RoCE response to its shard by one match on
+  ``dest_qp``, and the match table tracks membership.
+
+Plus the regressions that rode along: serialiser re-entrancy, NaN event
+times, and ``PipelineContext.clone_to`` on a hand-built context.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import gc
+import math
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import (
+    ACTION_SET_DSCP,
+    DEFAULT_LINK_RATE,
+    ENTRY_SEQ_BYTES,
+    BatchSimulator,
+    CountingProgram,
+    FiveTuple,
+    Host,
+    L4LbController,
+    L4LbProgram,
+    LookupTableConfig,
+    MemoryPool,
+    OpenLoopZipfTraffic,
+    PacketBufferConfig,
+    PipelineContext,
+    RemoteAction,
+    RemoteBufferProgram,
+    RemoteLookupProgram,
+    RemoteLookupTable,
+    RemotePacketBuffer,
+    RemoteStateStore,
+    ReplicatedStateStore,
+    ShardedLookupTable,
+    Simulator,
+    StateStoreConfig,
+    StaticL2Program,
+    TrafficManagerConfig,
+    build_testbed,
+)
+from repro.net.headers import Ipv4Header
+from repro.rdma.headers import BthHeader
+from repro.rdma.packets import build_read_request, build_write_request
+from repro.rdma.qp import QueuePair
+from repro.rdma.verbs import connect_qps
+from repro.sim.simulator import SimulationError
+from repro.sim.units import transmission_delay_ns
+from repro.switches.traffic_manager import HookVerdict, PortQueue, TrafficManager
+from repro.workloads.factory import udp_between
+
+PACKETS = 2_000
+
+
+def bind(tb, program):
+    for host, port in zip(tb.hosts, tb.host_ports):
+        program.install(host.eth.mac, port)
+    tb.switch.bind_program(program)
+    return program
+
+
+def count_deliveries(host):
+    delivered = []
+    host.packet_handlers.append(lambda packet, iface: delivered.append(packet.packet_id))
+    return delivered
+
+
+def zipf_traffic(tb, count=PACKETS, cls=OpenLoopZipfTraffic, **kwargs):
+    options = dict(flows=512, alpha=1.0, packet_size=128, rate_pps=2e6, count=count, seed=3)
+    options.update(kwargs)
+    return cls(tb.sim, tb.hosts[0], tb.hosts[1], **options)
+
+
+def install_flows(table, tb, traffic):
+    for rank in traffic.distinct_ranks():
+        key = traffic.flow_key(rank)
+        flow = FiveTuple(
+            src_ip=tb.hosts[0].eth.ip.value, dst_ip=tb.hosts[1].eth.ip.value,
+            protocol=17, src_port=key.src_port, dst_port=key.dst_port,
+        )
+        table.install(flow, RemoteAction(ACTION_SET_DSCP, rank % 64))
+
+
+# -- (i) no garbage ------------------------------------------------------------------
+
+
+@contextmanager
+def no_cyclic_garbage():
+    """Run the body with the collector off; nothing in it may need one."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0, f"the data path left {unreachable} objects to the cycle collector"
+
+
+def test_static_l2_forwarding_makes_no_garbage():
+    tb = build_testbed(n_hosts=2, with_memory_server=False, seed=1)
+    bind(tb, StaticL2Program())
+    delivered = count_deliveries(tb.hosts[1])
+    zipf_traffic(tb, packet_size=64).start()
+    with no_cyclic_garbage():
+        tb.sim.run()
+    assert len(delivered) == PACKETS
+
+
+def test_remote_lookup_bounce_makes_no_garbage():
+    tb = build_testbed(n_hosts=2, seed=1)
+    program = bind(tb, RemoteLookupProgram())
+    delivered = count_deliveries(tb.hosts[1])
+    traffic = zipf_traffic(tb)
+    config = LookupTableConfig(entries=1 << 12, cache_entries=0, layout="cuckoo", hash_seed=1)
+    channel = tb.controller.open_channel(tb.memory_server, tb.server_port, config.region_bytes)
+    table = RemoteLookupTable(tb.switch, channel, config=config)
+    program.use_lookup_table(table)
+    install_flows(table, tb, traffic)
+    traffic.start()
+    with no_cyclic_garbage():
+        tb.sim.run()
+    assert len(delivered) == PACKETS
+    assert table.stats.remote_lookups == PACKETS  # cache off: every packet bounced
+
+
+def test_counting_program_makes_no_garbage():
+    tb = build_testbed(n_hosts=2, seed=1)
+    program = bind(tb, CountingProgram())
+    delivered = count_deliveries(tb.hosts[1])
+    config = StateStoreConfig(counters=1024, reliable=True)
+    channel = tb.controller.open_channel(tb.memory_server, tb.server_port, config.counters * 8)
+    store = RemoteStateStore(tb.switch, channel, config=config)
+    program.use_state_store(store)
+    zipf_traffic(tb).start()
+    with no_cyclic_garbage():
+        tb.sim.run()
+        store.flush_all()
+        tb.sim.run()
+    assert len(delivered) == PACKETS
+    assert store.stats.acks_received > 0
+
+
+def test_remote_buffer_store_and_drain_make_no_garbage():
+    frame_bytes = 512
+    entry_bytes = frame_bytes + ENTRY_SEQ_BYTES
+    tb = build_testbed(n_hosts=2, seed=1)
+    program = bind(tb, RemoteBufferProgram())
+    delivered = count_deliveries(tb.hosts[1])
+    channel = tb.controller.open_channel(
+        tb.memory_server, tb.server_port, (PACKETS + 16) * entry_bytes
+    )
+    buffer = RemotePacketBuffer(
+        tb.switch, channel, protected_port=tb.host_ports[1],
+        config=PacketBufferConfig(
+            entry_bytes=entry_bytes, high_watermark_bytes=0, low_watermark_bytes=1 << 30,
+            manual_load=True, max_outstanding_reads=8,
+        ),
+    )
+    program.use_packet_buffer(buffer)
+    zipf_traffic(tb, packet_size=frame_bytes, rate_pps=4e6, arrival="paced").start()
+    with no_cyclic_garbage():
+        tb.sim.run()
+    assert delivered == [] and buffer.stats.stored_packets == PACKETS
+    buffer.start_draining()
+    with no_cyclic_garbage():
+        tb.sim.run()
+    assert len(delivered) == PACKETS
+
+
+class VipTraffic(OpenLoopZipfTraffic):
+    """Arrivals addressed to the load balancer's virtual IP."""
+
+    vip = None
+
+    def packet_for(self, rank):
+        packet = super().packet_for(rank)
+        packet.ipv4.dst = self.vip
+        return packet
+
+
+def test_l4lb_program_makes_no_garbage():
+    backends, connections = 3, 256
+    tb = build_testbed(n_hosts=2, n_memory_servers=backends + 1, seed=1)
+    pool = MemoryPool(tb.controller, seed=1, fail_after=8)
+    names = [f"backend{i}" for i in range(backends)]
+    for name, server, port in zip(names, tb.memory_servers[1:], tb.server_ports[1:]):
+        pool.add_server(server, port, name=name)
+    program = bind(tb, L4LbProgram("10.9.9.9"))
+    config = LookupTableConfig(
+        entries=1 << 12, packet_slot_bytes=256, cache_entries=64, layout="cuckoo",
+        hash_seed=1, policy="lru",
+    )
+    channel = tb.controller.open_channel(
+        tb.memory_servers[0], tb.server_ports[0], config.region_bytes, name="l4lb:connections"
+    )
+    table = RemoteLookupTable(tb.switch, channel, config=config)
+    program.use_connection_table(table)
+    store = ReplicatedStateStore(
+        tb.switch, pool, replication=2,
+        config=StateStoreConfig(counters=2 * backends, reliable=True, retry_timeout_ns=50_000.0),
+    )
+    program.use_counter_store(store)
+    controller = L4LbController(program, table, store, pool, seed=1)
+    reached = []
+    for name, server, port in zip(names, tb.memory_servers[1:], tb.server_ports[1:]):
+        controller.add_backend(name, server.eth.ip, server.eth.mac, port, member=pool.member(name))
+        server.packet_handlers.append(lambda packet, iface: reached.append(packet.packet_id))
+    traffic = zipf_traffic(tb, cls=VipTraffic, flows=connections)
+    traffic.vip = program.vip
+    for rank in range(connections):
+        key = traffic.flow_key(rank)
+        controller.admit(FiveTuple(
+            src_ip=tb.hosts[0].eth.ip.value, dst_ip=program.vip.value, protocol=17,
+            src_port=key.src_port, dst_port=key.dst_port,
+        ))
+    traffic.start()
+    with no_cyclic_garbage():
+        tb.sim.run()
+        store.flush_all()
+        tb.sim.run()
+    assert len(reached) == PACKETS
+    assert table.stats.remote_lookups > 0 and store.stats.acks_received > 0
+
+
+# -- (ii) the call budget ----------------------------------------------------------------
+
+HOP_FILES = (
+    "/net/node.py", "/net/link.py", "/net/queues.py",
+    "/switches/switch.py", "/switches/pipeline.py", "/switches/traffic_manager.py",
+    "/sim/simulator.py", "/hosts/server.py",
+)
+
+
+def _hop_calls_forwarding(frames: int) -> int:
+    """Calls into the hop files while *frames* 64 B frames cross the switch
+    at line rate (bench_e2e's ``l2_forward`` geometry)."""
+    tb = build_testbed(n_hosts=2, with_memory_server=False, seed=1)
+    bind(tb, StaticL2Program())
+    delivered = count_deliveries(tb.hosts[1])
+    zipf_traffic(
+        tb, count=frames, flows=64, alpha=0.0, packet_size=64, arrival="paced",
+        rate_pps=DEFAULT_LINK_RATE / ((64 + 24) * 8),
+    ).start()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    tb.sim.run()
+    profiler.disable()
+    assert len(delivered) == frames
+    return sum(
+        entry.callcount
+        for entry in profiler.getstats()
+        if getattr(entry.code, "co_filename", "").endswith(HOP_FILES)
+    )
+
+
+def test_forwarding_a_frame_costs_a_bounded_number_of_hop_calls():
+    frames = 200
+    calls = _hop_calls_forwarding(frames)
+    assert calls == _hop_calls_forwarding(frames), "the count must repeat exactly"
+    # Per frame: 10 wire (send, serialiser, carry, deliver on two hops, the
+    # host queue's offer/poll), 5 pipeline, 3 traffic manager, 7 kernel
+    # (six event entries and the generator's clock read) and the hosts'
+    # send/receive: 27, plus start-up.  It was 42 with the helper chains.
+    assert 0 < calls <= 28 * frames, f"{calls / frames:.1f} hop calls per frame"
+
+
+# -- (iii) admission equivalence ---------------------------------------------------------
+
+
+class ReferencePortQueue:
+    """The helper-chain admission this PR replaced, transcribed: one method
+    per decision, list-plus-head FIFOs, ``max()`` peaks."""
+
+    def __init__(self, tm, port=0):
+        self.tm = tm
+        self.port = port
+        self._queue, self._head = [], 0
+        self._rdma_queue, self._rdma_head = [], 0
+        self._depth_bytes = 0
+        self.enqueued_packets = self.dropped_packets = self.dropped_bytes = 0
+        self.rdma_policer_drops = self.ecn_marked = self.peak_depth_bytes = 0
+        self._cap_tokens = float(tm.config.rdma_cap_burst_bytes)
+        self._cap_refilled_at = 0.0
+
+    @property
+    def depth_bytes(self):
+        return self._depth_bytes
+
+    def _classifies_rdma(self):
+        return self.tm.config.rdma_priority or self.tm.config.rdma_rate_cap_bps is not None
+
+    def _consult_hook(self, packet):
+        if self.tm.egress_hook is None:
+            return HookVerdict.PASS
+        return self.tm.egress_hook(self.port, packet, self)
+
+    def admits(self, packet, is_rdma=False):
+        size = packet.buffer_len
+        pool = self.tm.config.buffer_bytes
+        if self.tm.config.rdma_priority and not is_rdma:
+            pool -= self.tm.config.rdma_reserved_bytes
+        if self.tm.used_bytes + size > pool:
+            return False
+        limit = self.tm.config.per_queue_limit_bytes
+        if limit is not None and self._depth_bytes + size > limit:
+            return False
+        return True
+
+    def _police_rdma(self, packet):
+        cap = self.tm.config.rdma_rate_cap_bps
+        if cap is None:
+            return True
+        now = self.tm.clock()
+        elapsed = max(0.0, now - self._cap_refilled_at)
+        self._cap_refilled_at = now
+        self._cap_tokens = min(
+            self.tm.config.rdma_cap_burst_bytes, self._cap_tokens + elapsed * cap / 8e9
+        )
+        size = packet.buffer_len
+        if self._cap_tokens < size:
+            return False
+        self._cap_tokens -= size
+        return True
+
+    def offer(self, packet):
+        if self._consult_hook(packet) is HookVerdict.CONSUMED:
+            return True
+        if not self._classifies_rdma():
+            is_rdma = False
+        elif self.tm.config.priority_classifier is not None:
+            is_rdma = self.tm.config.priority_classifier(packet)
+        else:
+            is_rdma = packet.find(BthHeader) is not None
+        if is_rdma and not self._police_rdma(packet):
+            self.rdma_policer_drops += 1
+            self.tm.total_dropped_packets += 1
+            self.tm.total_dropped_bytes += packet.buffer_len
+            return False
+        if not self.admits(packet, is_rdma=is_rdma):
+            self.dropped_packets += 1
+            self.dropped_bytes += packet.buffer_len
+            self.tm.total_dropped_packets += 1
+            self.tm.total_dropped_bytes += packet.buffer_len
+            return False
+        self._maybe_mark_ecn(packet)
+        self.enqueue_direct(packet, is_rdma=is_rdma)
+        return True
+
+    def _maybe_mark_ecn(self, packet):
+        threshold = self.tm.config.ecn_threshold_bytes
+        if threshold is None or self._depth_bytes < threshold:
+            return
+        ip = packet.find(Ipv4Header)
+        if ip is not None and ip.ecn in (1, 2):
+            ip.ecn = 3
+            self.ecn_marked += 1
+
+    def enqueue_direct(self, packet, is_rdma=False):
+        size = packet.buffer_len
+        if is_rdma and self.tm.config.rdma_priority:
+            self._rdma_queue.append(packet)
+        else:
+            self._queue.append(packet)
+        self._depth_bytes += size
+        self.tm.used_bytes += size
+        self.tm.peak_used_bytes = max(self.tm.peak_used_bytes, self.tm.used_bytes)
+        self.peak_depth_bytes = max(self.peak_depth_bytes, self._depth_bytes)
+        self.enqueued_packets += 1
+
+    def poll(self):
+        if self._rdma_head < len(self._rdma_queue):
+            packet = self._rdma_queue[self._rdma_head]
+            self._rdma_head += 1
+        elif self._head < len(self._queue):
+            packet = self._queue[self._head]
+            self._head += 1
+        else:
+            return None
+        self._depth_bytes -= packet.buffer_len
+        self.tm.used_bytes -= packet.buffer_len
+        for listener in self.tm.dequeue_listeners:
+            listener(self.port, packet, self)
+        return packet
+
+    def __len__(self):
+        return len(self._queue) - self._head + len(self._rdma_queue) - self._rdma_head
+
+
+_SIM = Simulator()
+_A = Host(_SIM, "a", "02:00:00:00:00:01", "10.0.0.1")
+_B = Host(_SIM, "b", "02:00:00:00:00:02", "10.0.0.2")
+_QP = QueuePair(0x100, _A.eth.ip, _A.eth.mac)
+connect_qps(_QP, QueuePair(0x200, _B.eth.ip, _B.eth.mac))
+
+
+def make_packet(kind: str, size: int, ecn: int):
+    if kind == "rdma":
+        packet = build_write_request(_QP, 0x1000, 0x42, b"x" * size)
+    else:
+        packet = udp_between(_A, _B, size)
+    packet.require(Ipv4Header).ecn = ecn
+    return packet
+
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("offer"), st.sampled_from(["rdma", "udp"]),
+            st.integers(64, 1500), st.integers(0, 3),
+        ),
+        st.tuples(st.just("poll")),
+        st.tuples(st.just("tick"), st.floats(0.0, 5_000.0)),
+    ),
+    min_size=1, max_size=60,
+)
+configs = st.fixed_dictionaries(dict(
+    buffer_bytes=st.integers(1_500, 12_000),
+    per_queue_limit_bytes=st.none() | st.integers(1_000, 8_000),
+    rdma_priority=st.booleans(),
+    rdma_reserved_bytes=st.integers(0, 3_000),
+    rdma_rate_cap_bps=st.none() | st.sampled_from([1e9, 10e9]),
+    rdma_cap_burst_bytes=st.integers(500, 4_000),
+    ecn_threshold_bytes=st.none() | st.integers(0, 6_000),
+))
+
+
+def _drive(queue_type, config, with_hook, with_listeners, with_classifier, ops):
+    """Run *ops* against one queue implementation; return all it decided."""
+    clock = [0.0]
+    if with_classifier:
+        # A finer class than "any RoCE": odd-sized packets, RoCE or not.
+        config = dict(config, priority_classifier=lambda packet: packet.buffer_len % 2)
+    tm = TrafficManager(TrafficManagerConfig(**config))
+    tm.clock = lambda: clock[0]
+    queue = queue_type(tm, 0)
+    log = []
+    if with_hook:
+        # Consumes every third large packet; everything else passes.
+        seen = [0]
+
+        def hook(port, packet, q):
+            seen[0] += packet.buffer_len > 700
+            consumed = packet.buffer_len > 700 and seen[0] % 3 == 0
+            log.append(("hook", port, packet.buffer_len, q.depth_bytes, consumed))
+            return HookVerdict.CONSUMED if consumed else HookVerdict.PASS
+
+        tm.egress_hook = hook
+    if with_listeners:
+        for tag in ("first", "second"):
+            tm.dequeue_listeners.append(
+                lambda port, packet, q, tag=tag: log.append(
+                    (tag, port, packet.buffer_len, q.depth_bytes, len(q))
+                )
+            )
+    for op in ops:
+        if op[0] == "offer":
+            packet = make_packet(*op[1:])
+            verdict = queue.offer(packet)
+            log.append(("offer", bool(verdict), packet.require(Ipv4Header).ecn))
+        elif op[0] == "poll":
+            packet = queue.poll()
+            log.append(("poll", None if packet is None else (
+                packet.buffer_len, packet.find(BthHeader) is not None
+            )))
+        else:
+            clock[0] += op[1]
+        log.append((
+            queue.depth_bytes, len(queue), queue.enqueued_packets, queue.dropped_packets,
+            queue.dropped_bytes, queue.rdma_policer_drops, queue.ecn_marked,
+            queue.peak_depth_bytes, tm.used_bytes, tm.peak_used_bytes,
+            tm.total_dropped_packets, tm.total_dropped_bytes,
+        ))
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs, st.booleans(), st.booleans(), st.booleans(), operations)
+def test_straight_line_admission_matches_the_helper_chain(
+    config, with_hook, with_listeners, with_classifier, ops
+):
+    new = _drive(PortQueue, config, with_hook, with_listeners, with_classifier, ops)
+    old = _drive(ReferencePortQueue, config, with_hook, with_listeners, with_classifier, ops)
+    assert new == old
+
+
+# -- (iv) response steering ----------------------------------------------------------------
+
+
+def brute_force_owners(shards, retired):
+    """dest_qp -> shard by asking every shard in turn, as the data path used to."""
+    owners = {}
+    for shard in [*retired, *shards]:
+        gens = [shard.rocegen] + ([shard._fastgen] if shard._fastgen is not None else [])
+        for gen in gens:
+            owners[gen.channel.switch_qp.qpn] = shard
+    return owners
+
+
+def response_to(qpn: int):
+    """A RoCE packet whose BTH ``dest_qp`` is *qpn*."""
+    requester = QueuePair(0x300, _A.eth.ip, _A.eth.mac)
+    connect_qps(requester, QueuePair(qpn, _B.eth.ip, _B.eth.mac))
+    return build_read_request(requester, 0x1000, 0x42, 64)
+
+
+def sharded_lookup(servers=3):
+    tb = build_testbed(n_hosts=2, n_memory_servers=servers, seed=1)
+    pool = MemoryPool(tb.controller, seed=1)
+    for server, port in zip(tb.memory_servers, tb.server_ports):
+        pool.add_server(server, port)
+    program = bind(tb, RemoteLookupProgram())
+    table = ShardedLookupTable(
+        tb.switch, pool, config=LookupTableConfig(entries=1 << 12, cache_entries=0)
+    )
+    program.use_lookup_table(table)
+    return tb, pool, table
+
+
+def test_steering_map_tracks_join_leave_retire_and_rejoin():
+    tb, pool, table = sharded_lookup(servers=3)
+
+    def check(expected_qps):
+        owners = table._steering.owners
+        assert owners == brute_force_owners(table.shards.values(), table._retired)
+        assert len(owners) == expected_qps
+
+    check(3)
+    pool.remove_server("memserver2")  # graceful leave: the shard retires
+    check(3)
+    assert len(table.shards) == 2 and len(table._retired) == 1
+    pool.fail_server("memserver1")  # death: retired too, still addressable
+    check(3)
+    pool.add_server(tb.memory_servers[2], tb.server_ports[2], name="memserver2")
+    check(4)  # the re-joined member's fresh QP beside its retired one
+    assert table._steering.owners[table.shards["memserver2"].channel.switch_qp.qpn] is (
+        table.shards["memserver2"]
+    )
+
+
+def test_a_retired_shards_responses_still_reach_it():
+    tb, pool, table = sharded_lookup(servers=2)
+    traffic = zipf_traffic(tb, count=200, flows=64)
+    install_flows(table, tb, traffic)
+    delivered = count_deliveries(tb.hosts[1])
+    traffic.start()
+    leaver = table.shards["memserver1"]
+    at_leave = {}
+
+    def leave():
+        at_leave.update(hits=leaver.stats.remote_hits, pending=len(leaver._pending))
+        pool.remove_server("memserver1")
+
+    tb.sim.schedule_at(20_000.0, leave)
+    tb.sim.run()
+    assert at_leave["pending"] > 0, "the leave must catch lookups in flight"
+    assert leaver in table._retired
+    assert leaver.stats.remote_hits == at_leave["hits"] + at_leave["pending"]
+    assert len(delivered) == 200 and table.stats.lookups_lost == 0
+
+
+def test_steering_follows_a_qp_reconnect():
+    """A reconnect renumbers a channel with no membership event: the first
+    response on the new QP misses the match table, which rescans."""
+    tb, pool, table = sharded_lookup(servers=2)
+    traffic = zipf_traffic(tb, count=100, flows=64)
+    install_flows(table, tb, traffic)
+    delivered = count_deliveries(tb.hosts[1])
+    old_qpns = [shard.channel.switch_qp.qpn for shard in table.shards.values()]
+    for shard in table.shards.values():
+        tb.controller.reconnect_channel(shard.channel)
+    assert not set(old_qpns) & {s.channel.switch_qp.qpn for s in table.shards.values()}
+    # A late response to a QP that no longer exists has no owner, although
+    # the match table still lists it: a hit is checked against the channel.
+    assert set(table._steering.owners) == set(old_qpns)
+    assert table._steering.owner_of(response_to(old_qpns[0])) is None
+    assert table._steering.owners == brute_force_owners(table.shards.values(), [])
+    traffic.start()
+    tb.sim.run()
+    assert len(delivered) == 100 and table.stats.remote_hits == 100
+
+
+def test_replicated_store_and_striped_buffer_steer_by_qp():
+    tb = build_testbed(n_hosts=2, n_memory_servers=3, seed=1)
+    pool = MemoryPool(tb.controller, seed=1)
+    for server, port in zip(tb.memory_servers, tb.server_ports):
+        pool.add_server(server, port)
+    store = ReplicatedStateStore(tb.switch, pool, replication=2)
+    assert store._steering.owners == brute_force_owners(store.stores.values(), [])
+    pool.remove_server("memserver0")
+    assert store._steering.owners == brute_force_owners(store.stores.values(), store._retired)
+    assert len(store._steering.owners) == 3
+
+    buffer = RemotePacketBuffer.from_pool(
+        tb.switch, pool, protected_port=tb.host_ports[1], bytes_per_member=64 * 1024,
+        separate_read_qps=True,
+    )
+    expected = {ch.switch_qp.qpn: (i, False) for i, ch in enumerate(buffer.channels)}
+    expected.update({ch.switch_qp.qpn: (i, True) for i, ch in enumerate(buffer.read_channels)})
+    assert buffer._steering.owners == expected and len(expected) == 4
+    pool.add_server(tb.memory_servers[0], tb.server_ports[0], name="late")
+    assert len(buffer._steering.owners) == 6
+    assert buffer._steering.owners[buffer.read_channels[2].switch_qp.qpn] == (2, True)
+
+
+# -- regressions that rode along ----------------------------------------------------------
+
+
+def test_a_listener_that_refills_and_kicks_does_not_start_a_second_frame():
+    """Two 1500 B frames from an idle 40 G port must leave one serialisation
+    time apart, even when a dequeue listener re-injects the second one and
+    kicks the port from inside the first one's dequeue (what the remote
+    packet buffer's reorder drain does)."""
+    tb = build_testbed(n_hosts=2, with_memory_server=False, seed=1)
+    bind(tb, StaticL2Program())
+    port = tb.host_ports[1]
+    queue, iface = tb.switch.port_queue(port), tb.switch.port_interface(port)
+    first = udp_between(tb.hosts[0], tb.hosts[1], 1500)
+    second = udp_between(tb.hosts[0], tb.hosts[1], 1500)
+    arrivals = []
+    tb.hosts[1].packet_handlers.append(
+        lambda packet, _iface: arrivals.append((packet.packet_id, tb.sim.now))
+    )
+
+    def refill(_port, packet, q):
+        if packet is first:
+            q.enqueue_direct(second)
+            iface.kick()
+
+    tb.switch.tm.dequeue_listeners.append(refill)
+    tb.switch.transmit(first, port)
+    tb.sim.run()
+    assert [pid for pid, _ in arrivals] == [first.packet_id, second.packet_id]
+    gap = arrivals[1][1] - arrivals[0][1]
+    assert gap == pytest.approx(transmission_delay_ns(second.wire_len, DEFAULT_LINK_RATE))
+    assert iface.tx_packets == 2
+
+
+@pytest.mark.parametrize("kernel", [Simulator, BatchSimulator])
+def test_nan_times_are_rejected_at_every_entry_point(kernel):
+    sim = kernel()
+    fired = []
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        sim.schedule(nan, fired.append, 1)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(nan, fired.append, 2)
+    with pytest.raises(SimulationError):
+        sim.post(nan, fired.append, 3)
+    with pytest.raises(SimulationError):
+        sim.post_delivery(nan, object(), None)
+    with pytest.raises(SimulationError):
+        sim.post(-1.0, fired.append, 4)
+    sim.post(5.0, fired.append, 5)
+    sim.schedule(math.inf, fired.append, 6)  # "never" stays legal
+    sim.run(until_ns=10.0)
+    assert fired == [5] and sim.now == 10.0
+
+
+def test_clone_to_works_on_a_hand_built_context():
+    tb = build_testbed(n_hosts=2, with_memory_server=False, seed=1)
+    packet = udp_between(tb.hosts[0], tb.hosts[1], 128)
+    ctx = PipelineContext(tb.switch, 0, packet)
+    clone = ctx.clone_to(1)
+    assert clone is not packet and clone.pack() == packet.pack()
+    assert ctx.emitted == [(clone, 1)]
+    assert not hasattr(ctx, "__dict__")  # a fixed struct: nothing can be hung on it
+    assert not hasattr(tb.switch.port_interface(0), "on_idle")
