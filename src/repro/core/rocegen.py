@@ -30,9 +30,10 @@ from ..obs.trace import (
     KIND_READ_RESP,
     KIND_WRITE,
 )
-from ..rdma.constants import AethSyndrome, Opcode
+from ..rdma.constants import OPCODES, AethSyndrome, Opcode
 from ..rdma.headers import AethHeader, AtomicAckEthHeader, BthHeader
 from ..rdma.packets import (
+    MAX_READ_BYTES,
     build_fetch_add_request,
     build_read_request,
     build_write_request,
@@ -47,6 +48,8 @@ from .channel import RemoteMemoryChannel
 #: implicates the channel in a stall, "timeout" when a watchdog fires for
 #: it, and "progress" on every non-NAK response.
 HealthListener = Callable[["RoceRequestGenerator", str], None]
+
+_NAK_MASK = AethSyndrome.NAK_MASK
 
 _RESPONSE_KINDS = {
     Opcode.ACKNOWLEDGE: KIND_ACK,
@@ -213,13 +216,11 @@ class RoceRequestGenerator:
         to the port (an idle port serializes synchronously, so tagging the
         returned packet afterwards is too late for transmit-time hooks).
         """
-        self._check_range(remote_address, len(data))
+        channel = self.channel
+        if not 0 <= remote_address - channel.base_address <= channel.length - len(data):
+            raise self._outside_channel(remote_address, len(data))
         request = build_write_request(
-            self.channel.switch_qp,
-            remote_address,
-            self.channel.rkey,
-            data,
-            ack_request=ack_request,
+            channel.switch_qp, remote_address, channel.rkey, data, ack_request=ack_request
         )
         if meta:
             request.meta.update(meta)
@@ -228,13 +229,15 @@ class RoceRequestGenerator:
         return request
 
     def read(self, remote_address: int, length: int) -> Packet:
-        """Issue an RDMA READ of *length* bytes; returns the packet."""
-        self._check_range(remote_address, length)
+        """Issue an RDMA READ of *length* bytes — at most ``MAX_READ_BYTES``,
+        the response being one packet; returns the request packet."""
+        if length > MAX_READ_BYTES:
+            raise ValueError(f"READ of {length} B exceeds one packet ({MAX_READ_BYTES} B)")
+        channel = self.channel
+        if not 0 <= remote_address - channel.base_address <= channel.length - length:
+            raise self._outside_channel(remote_address, length)
         request = build_read_request(
-            self.channel.switch_qp,
-            remote_address,
-            self.channel.rkey,
-            length,
+            channel.switch_qp, remote_address, channel.rkey, length
         )
         self._m_reads.inc()
         self._transmit(request, KIND_READ)
@@ -249,28 +252,21 @@ class RoceRequestGenerator:
         responder's atomic replay cache answers duplicates without
         re-applying them.
         """
-        self._check_range(remote_address, 8)
+        channel = self.channel
+        if not 0 <= remote_address - channel.base_address <= channel.length - 8:
+            raise self._outside_channel(remote_address, 8)
         request = build_fetch_add_request(
-            self.channel.switch_qp,
-            remote_address,
-            self.channel.rkey,
-            value,
-            psn=psn,
+            channel.switch_qp, remote_address, channel.rkey, value, psn=psn
         )
         self._m_fetch_adds.inc()
         self._transmit(request, KIND_ATOMIC)
         return request
 
-    def _check_range(self, remote_address: int, size: int) -> None:
-        if (
-            remote_address < self.channel.base_address
-            or remote_address + size > self.channel.end_address
-        ):
-            raise ValueError(
-                f"address range [{remote_address:#x}, "
-                f"{remote_address + size:#x}) outside channel "
-                f"{self.channel.name!r}"
-            )
+    def _outside_channel(self, remote_address: int, size: int) -> ValueError:
+        return ValueError(
+            f"address range [{remote_address:#x}, {remote_address + size:#x}) "
+            f"outside channel {self.channel.name!r}"
+        )
 
     def _transmit(self, request: Packet, kind: str) -> None:
         self._m_request_bytes.inc(request.wire_len)
@@ -320,13 +316,13 @@ class RoceRequestGenerator:
         self._m_responses.inc()
         self._m_response_bytes.inc(packet.wire_len)
         aeth = packet.find(AethHeader)
-        is_nak = aeth is not None and AethSyndrome.is_nak(aeth.syndrome)
-        opcode = Opcode(bth.opcode)
+        is_nak = aeth is not None and aeth.syndrome & _NAK_MASK == _NAK_MASK
+        # Every member is truthy; Opcode() raises for a value that is none.
+        opcode = OPCODES.get(bth.opcode) or Opcode(bth.opcode)
         if is_nak:
             self._m_naks.inc()
-            self._emit_health("nak")
-        else:
-            self._emit_health("progress")
+        if self.health_listener is not None:
+            self.health_listener(self, "nak" if is_nak else "progress")
         if self._trace is not None:
             self._trace.emit(
                 self.switch.sim.now,
@@ -343,7 +339,7 @@ class RoceRequestGenerator:
     @staticmethod
     def is_nak(packet: Packet) -> bool:
         aeth = packet.find(AethHeader)
-        return aeth is not None and AethSyndrome.is_nak(aeth.syndrome)
+        return aeth is not None and aeth.syndrome & _NAK_MASK == _NAK_MASK
 
     def maybe_resync(self, packet: Packet) -> bool:
         """Resynchronize the soft QP after a PSN-sequence-error NAK.

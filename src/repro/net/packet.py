@@ -43,6 +43,7 @@ from .headers import (
 H = TypeVar("H")
 
 _packet_ids = itertools.count(1)
+_new = object.__new__
 
 #: Process-wide count of packets constructed, for the profiling harness.
 _packets_created = 0
@@ -100,12 +101,19 @@ class _Layout(dict):
 _layouts: Dict[Tuple[type, ...], _Layout] = {}
 
 
-def _layout_of(headers: Tuple[Any, ...]) -> _Layout:
-    types = tuple(map(type, headers))
+def packet_layout(*types: type) -> _Layout:
+    """The layout shared by every packet whose header stack is *types*; a
+    builder of many such packets looks it up once for :meth:`Packet.stamped`."""
     layout = _layouts.get(types)
     if layout is None:
         layout = _layouts[types] = _Layout(types)
     return layout
+
+
+def _layout_of(headers: Tuple[Any, ...]) -> _Layout:
+    types = tuple(map(type, headers))
+    layout = _layouts.get(types)
+    return packet_layout(*types) if layout is None else layout
 
 
 class Packet:
@@ -158,6 +166,37 @@ class Packet:
         self.wire_len = frame + _WIRE_EXTRA
         global _packets_created
         _packets_created += 1
+
+    @classmethod
+    def stamped(
+        cls,
+        layout: _Layout,
+        headers: Tuple[Any, ...],
+        payload: bytes,
+        trailers: Tuple[Any, ...],
+        buffer_len: int,
+    ) -> "Packet":
+        """``Packet(headers, payload, trailers)`` for a builder that already
+        knows the shape and size: *layout* is :func:`packet_layout` of the
+        types of *headers* (a tuple), *payload* is ``bytes`` and *buffer_len*
+        the total size.  Nothing is re-derived or checked here."""
+        packet = _new(cls)
+        packet._headers = headers
+        packet._payload = payload
+        packet._trailers = trailers
+        packet._layout = layout
+        packet.meta = {}
+        packet.packet_id = next(_packet_ids)
+        packet.buffer_len = buffer_len
+        packet.frame_len = frame = (
+            buffer_len + ETHERNET_FCS_BYTES
+            if buffer_len > _MIN_UNPADDED
+            else ETHERNET_MIN_FRAME
+        )
+        packet.wire_len = frame + _WIRE_EXTRA
+        global _packets_created
+        _packets_created += 1
+        return packet
 
     def _resize(self, delta: int) -> None:
         """Grow (or shrink) all three sizes by *delta* bytes (see __init__)."""

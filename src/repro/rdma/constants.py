@@ -31,6 +31,9 @@ class Opcode(enum.IntEnum):
     FETCH_ADD = 0x14
 
 
+#: ``Opcode`` members by wire value (a dict probe; ``Opcode(value)`` is slow).
+OPCODES = {int(opcode): opcode for opcode in Opcode}
+
 #: Opcodes that a responder treats as requests.
 REQUEST_OPCODES = frozenset(
     {
@@ -76,9 +79,12 @@ class AethSyndrome:
         }
     )
 
+    #: The two syndrome bits that are both set in every NAK.
+    NAK_MASK = 0b0110_0000
+
     @classmethod
     def is_nak(cls, syndrome: int) -> bool:
-        return (syndrome & 0b0110_0000) == 0b0110_0000
+        return (syndrome & cls.NAK_MASK) == cls.NAK_MASK
 
 
 #: PSNs are 24-bit sequence numbers.

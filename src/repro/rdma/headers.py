@@ -10,9 +10,7 @@ Like the L2/L3 codecs in :mod:`repro.net.headers`, every header here is a
 fixed-layout :class:`~repro.net.headers.Header`: ``__slots__`` fields, a
 range-checking constructor, a class-constant ``byte_len`` and a ``pack()``
 that serialises the current field values through a module-level
-precompiled :class:`struct.Struct`.  ICRC computation is memoized by
-input bytes, since retransmissions and mirrored packets re-CRC identical
-byte strings.
+precompiled :class:`struct.Struct`.
 """
 
 from __future__ import annotations
@@ -350,11 +348,6 @@ class AtomicAckEthHeader(Header):
         return header
 
 
-#: Memoized ICRC values by input bytes (bounded): retransmissions, mirrors,
-#: and loopback verification all CRC identical byte strings.
-_icrc_cache: Dict[bytes, int] = {}
-
-
 class IcrcTrailer(Header):
     """Invariant CRC (4 bytes), appended after the RoCE payload.
 
@@ -383,13 +376,7 @@ class IcrcTrailer(Header):
     @classmethod
     def compute(cls, roce_bytes: bytes) -> "IcrcTrailer":
         """Compute the trailer over already-packed BTH..payload bytes."""
-        value = _icrc_cache.get(roce_bytes)
-        if value is None:
-            value = zlib.crc32(roce_bytes) & 0xFFFFFFFF
-            if len(_icrc_cache) >= 4096:
-                _icrc_cache.clear()
-            _icrc_cache[roce_bytes] = value
-        return cls(value=value)
+        return cls(value=zlib.crc32(roce_bytes))
 
 
 # -- structured helpers -----------------------------------------------------

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Iterator, Optional
+import struct
+from collections import defaultdict
+from functools import partial
+from typing import Dict, Optional
 
 from .constants import ATOMIC_OPERAND_BYTES
 
@@ -23,6 +26,10 @@ from .constants import ATOMIC_OPERAND_BYTES
 TIER_DRAM = "dram"
 TIER_FAST = "fast"
 TIERS = (TIER_FAST, TIER_DRAM)
+
+#: An atomic operand on the wire and in memory: one big-endian 64-bit word.
+_WORD = struct.Struct("!Q")
+_WORD_MASK = (1 << 64) - 1
 
 
 class AccessFlags(enum.IntFlag):
@@ -35,12 +42,22 @@ class AccessFlags(enum.IntFlag):
     ALL_REMOTE = REMOTE_WRITE | REMOTE_READ | REMOTE_ATOMIC
 
 
+# The rights as plain ints: the per-request test is one int mask.
+_REMOTE_WRITE = int(AccessFlags.REMOTE_WRITE)
+_REMOTE_READ = int(AccessFlags.REMOTE_READ)
+_REMOTE_ATOMIC = int(AccessFlags.REMOTE_ATOMIC)
+
+
 class MemoryAccessError(Exception):
     """An access violated a region's bounds, rights, or alignment."""
 
 
 class SparseBuffer:
-    """A zero-initialised sparse byte buffer backed by fixed-size pages."""
+    """A zero-initialised sparse byte buffer backed by fixed-size pages.
+
+    An access inside one page is one slice of it; only one that
+    straddles a page boundary walks pages.
+    """
 
     def __init__(self, length: int, page_size: int = 4096) -> None:
         if length < 0:
@@ -49,66 +66,87 @@ class SparseBuffer:
             raise ValueError(f"page size must be positive, got {page_size}")
         self.length = length
         self.page_size = page_size
-        self._pages: Dict[int, bytearray] = {}
+        #: Resident pages by index.  Indexing a missing page allocates it
+        #: zeroed (a write's first touch); ``get`` leaves the buffer sparse.
+        self._pages: Dict[int, bytearray] = defaultdict(partial(bytearray, page_size))
 
     @property
     def resident_bytes(self) -> int:
         """Bytes of actually-allocated (touched) pages."""
         return len(self._pages) * self.page_size
 
-    def _check_range(self, offset: int, size: int) -> None:
-        if offset < 0 or size < 0 or offset + size > self.length:
-            raise MemoryAccessError(
-                f"range [{offset}, {offset + size}) outside buffer of "
-                f"{self.length} bytes"
-            )
-
-    def _page_spans(self, offset: int, size: int) -> Iterator[tuple]:
-        """Yield (page_index, start_in_page, end_in_page) covering the range."""
-        position = offset
-        end = offset + size
-        while position < end:
-            page_index, start = divmod(position, self.page_size)
-            chunk_end = min(self.page_size, start + (end - position))
-            yield page_index, start, chunk_end
-            position += chunk_end - start
+    def _out_of_range(self, offset: int, size: int) -> MemoryAccessError:
+        return MemoryAccessError(
+            f"range [{offset}, {offset + size}) outside buffer of "
+            f"{self.length} bytes"
+        )
 
     def read(self, offset: int, size: int) -> bytes:
-        self._check_range(offset, size)
+        if offset < 0 or size < 0 or offset + size > self.length:
+            raise self._out_of_range(offset, size)
+        page_size = self.page_size
+        index, start = divmod(offset, page_size)
+        if start + size <= page_size:
+            page = self._pages.get(index)
+            return bytes(size) if page is None else bytes(page[start : start + size])
         parts = []
-        for page_index, start, end in self._page_spans(offset, size):
-            page = self._pages.get(page_index)
-            if page is None:
-                parts.append(bytes(end - start))
-            else:
-                parts.append(bytes(page[start:end]))
+        while size:
+            chunk = min(size, page_size - start)
+            page = self._pages.get(index)
+            parts.append(
+                bytes(chunk) if page is None else bytes(page[start : start + chunk])
+            )
+            size -= chunk
+            index += 1
+            start = 0
         return b"".join(parts)
 
     def write(self, offset: int, data: bytes) -> None:
-        self._check_range(offset, len(data))
+        size = len(data)
+        if offset < 0 or offset + size > self.length:
+            raise self._out_of_range(offset, size)
+        page_size = self.page_size
+        index, start = divmod(offset, page_size)
+        if 0 < size <= page_size - start:
+            self._pages[index][start : start + size] = data
+            return
         cursor = 0
-        for page_index, start, end in self._page_spans(offset, len(data)):
-            page = self._pages.get(page_index)
-            if page is None:
-                page = bytearray(self.page_size)
-                self._pages[page_index] = page
-            chunk = end - start
-            page[start:end] = data[cursor : cursor + chunk]
+        while cursor < size:
+            chunk = min(size - cursor, page_size - start)
+            self._pages[index][start : start + chunk] = data[cursor : cursor + chunk]
             cursor += chunk
+            index += 1
+            start = 0
 
-
-_rkey_counter = itertools.count(0x1000)
+    def fetch_add(self, offset: int, value: int) -> int:
+        """Add *value* (mod 2**64) to the big-endian 64-bit word at *offset*;
+        returns the previous value.  One in-place word operation on the page."""
+        index, start = divmod(offset, self.page_size)
+        size = ATOMIC_OPERAND_BYTES
+        if not 0 <= offset <= self.length - size or start + size > self.page_size:
+            # Out of range (read raises), or an unaligned word straddling
+            # two pages: the general path.
+            (original,) = _WORD.unpack(self.read(offset, size))
+            self.write(offset, _WORD.pack((original + value) & _WORD_MASK))
+            return original
+        page = self._pages[index]
+        (original,) = _WORD.unpack_from(page, start)
+        _WORD.pack_into(page, start, (original + value) & _WORD_MASK)
+        return original
 
 
 class MemoryRegion:
-    """A registered RDMA memory region: VA range + rkey + access rights."""
+    """A registered RDMA memory region: VA range + rkey + access rights.
+
+    :meth:`Dram.register` hands out rkeys from the server's own namespace.
+    """
 
     def __init__(
         self,
         base_address: int,
         length: int,
         access: AccessFlags = AccessFlags.ALL_REMOTE,
-        rkey: Optional[int] = None,
+        rkey: int = 0,
         page_size: int = 4096,
         tier: str = TIER_DRAM,
     ) -> None:
@@ -119,8 +157,9 @@ class MemoryRegion:
         self.base_address = base_address
         self.length = length
         self.access = access
+        self._rights = int(access)
         self.tier = tier
-        self.rkey = next(_rkey_counter) if rkey is None else rkey
+        self.rkey = rkey
         self._buffer = SparseBuffer(length, page_size=page_size)
         self.valid = True
         # Operation counters, handy for asserting "zero CPU involvement"
@@ -141,52 +180,50 @@ class MemoryRegion:
         """Invalidate the region; subsequent remote access NAKs."""
         self.valid = False
 
-    def _check(self, va: int, size: int, needed: AccessFlags) -> None:
+    def _check(self, va: int, size: int, needed: int) -> int:
+        """Admit an access to [va, va + size) needing the right with int value
+        *needed* (an int, so the per-request test is one plain mask);
+        returns its buffer offset."""
+        offset = va - self.base_address
+        if self.valid and self._rights & needed and 0 <= offset <= self.length - size:
+            return offset
         if not self.valid:
             raise MemoryAccessError(f"region rkey={self.rkey:#x} deregistered")
-        if not (self.access & needed):
+        if not self._rights & needed:
             raise MemoryAccessError(
-                f"region rkey={self.rkey:#x} lacks {needed.name} access"
+                f"region rkey={self.rkey:#x} lacks {AccessFlags(needed).name} access"
             )
-        if va < self.base_address or va + size > self.end_address:
-            raise MemoryAccessError(
-                f"VA range [{va:#x}, {va + size:#x}) outside region "
-                f"[{self.base_address:#x}, {self.end_address:#x})"
-            )
+        raise MemoryAccessError(
+            f"VA range [{va:#x}, {va + size:#x}) outside region "
+            f"[{self.base_address:#x}, {self.end_address:#x})"
+        )
 
     def read(self, va: int, size: int) -> bytes:
         """Remote READ of *size* bytes at virtual address *va*."""
-        self._check(va, size, AccessFlags.REMOTE_READ)
+        offset = self._check(va, size, _REMOTE_READ)
         self.reads += 1
-        return self._buffer.read(va - self.base_address, size)
+        return self._buffer.read(offset, size)
 
     def write(self, va: int, data: bytes) -> None:
         """Remote WRITE of *data* at virtual address *va*."""
-        self._check(va, len(data), AccessFlags.REMOTE_WRITE)
+        offset = self._check(va, len(data), _REMOTE_WRITE)
         self.writes += 1
-        self._buffer.write(va - self.base_address, data)
+        self._buffer.write(offset, data)
 
     def fetch_add(self, va: int, value: int) -> int:
         """Atomic 64-bit Fetch-and-Add; returns the pre-add value."""
-        self._check(va, ATOMIC_OPERAND_BYTES, AccessFlags.REMOTE_ATOMIC)
+        offset = self._check(va, ATOMIC_OPERAND_BYTES, _REMOTE_ATOMIC)
         if va % ATOMIC_OPERAND_BYTES:
             raise MemoryAccessError(f"atomic VA {va:#x} not 8-byte aligned")
         self.atomics += 1
-        offset = va - self.base_address
-        original = int.from_bytes(
-            self._buffer.read(offset, ATOMIC_OPERAND_BYTES), "big"
-        )
-        updated = (original + value) % (1 << 64)
-        self._buffer.write(offset, updated.to_bytes(ATOMIC_OPERAND_BYTES, "big"))
-        return original
+        return self._buffer.fetch_add(offset, value)
 
     def compare_swap(self, va: int, compare: int, swap: int) -> int:
         """Atomic 64-bit Compare-and-Swap; returns the pre-swap value."""
-        self._check(va, ATOMIC_OPERAND_BYTES, AccessFlags.REMOTE_ATOMIC)
+        offset = self._check(va, ATOMIC_OPERAND_BYTES, _REMOTE_ATOMIC)
         if va % ATOMIC_OPERAND_BYTES:
             raise MemoryAccessError(f"atomic VA {va:#x} not 8-byte aligned")
         self.atomics += 1
-        offset = va - self.base_address
         original = int.from_bytes(
             self._buffer.read(offset, ATOMIC_OPERAND_BYTES), "big"
         )
@@ -202,6 +239,13 @@ class MemoryRegion:
         )
 
 
+class _Regions(dict):
+    """Registered regions by rkey; indexing an unknown rkey is an access error."""
+
+    def __missing__(self, rkey: int) -> MemoryRegion:
+        raise MemoryAccessError(f"unknown rkey {rkey:#x}")
+
+
 class Dram:
     """A server's DRAM: a registry of memory regions with a capacity budget."""
 
@@ -209,8 +253,11 @@ class Dram:
         if capacity_bytes <= 0:
             raise ValueError(f"DRAM capacity must be positive: {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self.regions: Dict[int, MemoryRegion] = {}
+        self.regions: Dict[int, MemoryRegion] = _Regions()
         self._next_base = 0x1000_0000
+        # Per-server, like the RNIC's QPNs: a process-wide counter would
+        # make RETH/ICRC bytes depend on unrelated earlier runs.
+        self._rkeys = itertools.count(0x1000)
 
     @property
     def registered_bytes(self) -> int:
@@ -230,7 +277,7 @@ class Dram:
                 f"{self.registered_bytes}/{self.capacity_bytes} B already in use"
             )
         region = MemoryRegion(
-            self._next_base, length, access=access, page_size=page_size, tier=tier
+            self._next_base, length, access, next(self._rkeys), page_size, tier
         )
         # Keep VA spaces of successive regions disjoint and page-aligned.
         self._next_base += (length + page_size - 1) // page_size * page_size

@@ -17,6 +17,7 @@ demonstrates (see DESIGN.md §10).
 
 from __future__ import annotations
 
+import zlib
 from contextlib import contextmanager
 from typing import Iterator, Optional, Tuple
 
@@ -30,8 +31,8 @@ from ..net.headers import (
     Ipv4Header,
     UdpHeader,
 )
-from ..net.packet import Packet
-from .constants import AethSyndrome, Opcode
+from ..net.packet import Packet, packet_layout
+from .constants import PSN_MODULO, AethSyndrome, Opcode
 from .headers import (
     AethHeader,
     AtomicAckEthHeader,
@@ -42,8 +43,10 @@ from .headers import (
     RethHeader,
     gid_from_ipv4,
 )
-from .qp import QueuePair
+from .qp import QpState, QueuePair
 
+_crc32 = zlib.crc32
+_new = object.__new__
 
 #: Process-wide default for the builders' ``compute_icrc`` parameter.
 #: False keeps the fast path free of per-packet CRC32; chaos runs with
@@ -83,13 +86,11 @@ def verify_icrc(packet: Packet) -> bool:
     trailer = packet.find_trailer(IcrcTrailer)
     if trailer is None or trailer.value == 0:
         return True
-    roce = packet.headers[packet.index_of(BthHeader) :]
-    return _icrc_over(roce, packet.payload).value == trailer.value
-
-
-def _icrc_over(roce: Tuple[Header, ...], payload: bytes) -> IcrcTrailer:
-    """Compute the ICRC over the RoCE section: *roce* (BTH onward) + payload."""
-    return IcrcTrailer.compute(b"".join([h.pack() for h in roce]) + payload)
+    # The builders' running CRC32, over the headers as they stand now.
+    crc = 0
+    for header in packet.headers[packet.index_of(BthHeader) :]:
+        crc = _crc32(header.pack(), crc)
+    return _crc32(packet.payload, crc) == trailer.value
 
 
 #: The constant part of every RoCEv2 frame.  A builder copies these three
@@ -103,70 +104,103 @@ _UDP = UdpHeader(src_port=0, dst_port=ROCEV2_UDP_PORT)
 _REQUEST_UDP_PORT = 49152
 
 
+def _shape(opcode: Opcode, *extensions: type) -> Tuple[int, object, int]:
+    """What every packet of *opcode* has in common: the raw opcode, the
+    packet layout of its stack and its size with no payload."""
+    layout = packet_layout(EthernetHeader, Ipv4Header, UdpHeader, BthHeader, *extensions)
+    return int(opcode), layout, layout.header_len + IcrcTrailer.LENGTH
+
+
+# The six packets of this one-packet RC subset.
+_WRITE = _shape(Opcode.RDMA_WRITE_ONLY, RethHeader)
+_READ = _shape(Opcode.RDMA_READ_REQUEST, RethHeader)
+_FETCH_ADD = _shape(Opcode.FETCH_ADD, AtomicEthHeader)
+_READ_RESPONSE = _shape(Opcode.RDMA_READ_RESPONSE_ONLY, AethHeader)
+_ACK = _shape(Opcode.ACKNOWLEDGE, AethHeader)
+_ATOMIC_ACK = _shape(Opcode.ATOMIC_ACKNOWLEDGE, AethHeader, AtomicAckEthHeader)
+
+#: The most a READ may ask for: what one response packet can carry
+#: (65 535 less IPv4 20, UDP 8, BTH 12, AETH 4 and ICRC 4 = 65 487 B).
+MAX_READ_BYTES = 0xFFFF - (_READ_RESPONSE[2] - EthernetHeader.LENGTH)
+
+
 def _stamp(
+    qp: QueuePair,
+    shape: Tuple[int, object, int],
+    psn: int,
+    ack_request: bool,
     src_mac: MacAddress,
     dst_mac: MacAddress,
     src_ip: Ipv4Address,
     dst_ip: Ipv4Address,
     src_udp_port: int,
-    roce: Tuple[Header, ...],
+    extensions: Tuple[Header, ...],
     payload: bytes,
     compute_icrc: bool,
 ) -> Packet:
-    """Stamp one RoCEv2 packet: Eth/IPv4/UDP template, *roce* (BTH first), ICRC.
+    """Stamp one RoCEv2 packet of *shape* that *qp* sends, in one pass.
 
-    The IPv4 and UDP lengths follow arithmetically from the opcode's
-    extension headers and the payload length; nothing is re-walked.
+    The BTH is a copy of the QP's template (``dest_qp`` range-checked once,
+    by ``qp.connect()``) with the shape's opcode, *psn* (QP state, or
+    checked by the caller) and *ack_request* filled in; Eth/IPv4/UDP are
+    copies of the module's triple.  Every length follows arithmetically
+    from the shape and the payload length; nothing is re-walked.
     """
+    opcode, layout, size = shape
+    size += len(payload)
+    if size - EthernetHeader.LENGTH > 0xFFFF:
+        raise HeaderError(
+            f"Ipv4Header.total_length cannot hold {size - EthernetHeader.LENGTH}: "
+            f"the RoCE payload of {len(payload)} B does not fit one packet"
+        )
     eth = _ETH.copy()
     eth.dst = dst_mac
     eth.src = src_mac
     ip = _IP.copy()
     ip.src = src_ip
     ip.dst = dst_ip
+    ip.total_length = size - EthernetHeader.LENGTH
     udp = _UDP.copy()
     udp.src_port = src_udp_port
-    length = UdpHeader.LENGTH + len(payload) + IcrcTrailer.LENGTH
-    for header in roce:
-        length += header.byte_len
-    udp.length = length
-    ip.total_length = length = length + Ipv4Header.LENGTH
-    if length > 0xFFFF:
-        raise HeaderError(
-            f"Ipv4Header.total_length cannot hold {length}: the RoCE payload "
-            f"of {len(payload)} B does not fit one packet"
-        )
-    protect = compute_icrc or _default_compute_icrc
-    icrc = _icrc_over(roce, payload) if protect else IcrcTrailer()
-    return Packet((eth, ip, udp) + roce, payload, (icrc,))
+    udp.length = size - (EthernetHeader.LENGTH + Ipv4Header.LENGTH)
+    bth = qp.bth_template.copy()
+    bth.opcode = opcode
+    bth.psn = psn
+    bth.ack_request = ack_request
+    icrc = _new(IcrcTrailer)
+    icrc.value = 0
+    if compute_icrc or _default_compute_icrc:
+        # One running CRC32 over BTH, extensions and payload: the bytes
+        # are never joined into a copy of the packet (see verify_icrc).
+        crc = _crc32(bth.pack())
+        for header in extensions:
+            crc = _crc32(header.pack(), crc)
+        icrc.value = _crc32(payload, crc)
+    return Packet.stamped(
+        layout, (eth, ip, udp, bth) + extensions, payload, (icrc,), size
+    )
 
 
 def _request(
     qp: QueuePair,
-    opcode: Opcode,
+    shape: Tuple[int, object, int],
     psn: Optional[int],
     ack_request: bool,
     extension: Header,
     payload: bytes,
     compute_icrc: bool,
 ) -> Packet:
-    if not qp.is_connected:
+    if qp.state is not QpState.RTS or qp.dest_qpn is None:
         raise RuntimeError(f"QP {qp.qpn} is not connected")
-    bth = BthHeader(
-        opcode=opcode,
-        dest_qp=qp.dest_qpn,
-        psn=qp.allocate_psn() if psn is None else psn,
-        ack_request=ack_request,
-    )
+    if psn is None:  # qp.allocate_psn(), inline
+        psn = qp.next_psn
+        qp.next_psn = (psn + 1) % PSN_MODULO
+    elif not 0 <= psn < PSN_MODULO:
+        raise HeaderError(f"BTH psn out of range: {psn}")
     return _stamp(
-        qp.local_mac,
-        qp.dest_mac,
-        qp.local_ip,
-        qp.dest_ip,
-        _REQUEST_UDP_PORT,
-        (bth, extension),
-        payload,
-        compute_icrc,
+        qp, shape, psn, ack_request,
+        qp.local_mac, qp.dest_mac, qp.local_ip, qp.dest_ip, _REQUEST_UDP_PORT,
+        (extension,), payload, compute_icrc,
     )
 
 
@@ -180,10 +214,10 @@ def build_write_request(
     compute_icrc: bool = False,
 ) -> Packet:
     """RDMA WRITE (only) request carrying *data* to ``remote_address``."""
+    if type(data) is not bytes:
+        data = bytes(data)
     reth = RethHeader(virtual_address=remote_address, rkey=rkey, dma_length=len(data))
-    return _request(
-        qp, Opcode.RDMA_WRITE_ONLY, psn, ack_request, reth, bytes(data), compute_icrc
-    )
+    return _request(qp, _WRITE, psn, ack_request, reth, data, compute_icrc)
 
 
 def build_read_request(
@@ -196,7 +230,7 @@ def build_read_request(
 ) -> Packet:
     """RDMA READ request for *length* bytes at ``remote_address``."""
     reth = RethHeader(virtual_address=remote_address, rkey=rkey, dma_length=length)
-    return _request(qp, Opcode.RDMA_READ_REQUEST, psn, False, reth, b"", compute_icrc)
+    return _request(qp, _READ, psn, False, reth, b"", compute_icrc)
 
 
 def build_fetch_add_request(
@@ -211,36 +245,36 @@ def build_fetch_add_request(
     atomic = AtomicEthHeader(
         virtual_address=remote_address, rkey=rkey, swap_add=add_value
     )
-    return _request(qp, Opcode.FETCH_ADD, psn, False, atomic, b"", compute_icrc)
+    return _request(qp, _FETCH_ADD, psn, False, atomic, b"", compute_icrc)
 
 
 def _response(
     request: Packet,
     responder_qp: QueuePair,
-    opcode: Opcode,
+    shape: Tuple[int, object, int],
     psn: Optional[int],
+    syndrome: int,
     extensions: Tuple[Header, ...],
     payload: bytes,
     compute_icrc: bool,
 ) -> Packet:
-    """Stamp a response addressed back at the requester of *request*."""
-    req_eth = request.eth
-    req_ip = request.ipv4
-    bth = BthHeader(
-        opcode=opcode,
-        # Responses go to the requester's QP.
-        dest_qp=responder_qp.dest_qpn if responder_qp.dest_qpn is not None else 0,
-        psn=request.require(BthHeader).psn if psn is None else psn,
-    )
+    """Stamp a response addressed back at the requester of *request*; it
+    opens with an AETH of *syndrome* (a constant, or checked by
+    :func:`build_ack`) and the QP's MSN, then *extensions*."""
+    req_eth = request.require(EthernetHeader)
+    req_ip = request.require(Ipv4Header)
+    if psn is None:
+        psn = request.require(BthHeader).psn
+    elif not 0 <= psn < PSN_MODULO:
+        raise HeaderError(f"BTH psn out of range: {psn}")
+    aeth = _new(AethHeader)
+    aeth.syndrome = syndrome
+    aeth.msn = responder_qp.msn
     return _stamp(
-        req_eth.dst,
-        req_eth.src,
-        req_ip.dst,
-        req_ip.src,
-        request.udp.src_port,
-        (bth,) + extensions,
-        payload,
-        compute_icrc,
+        responder_qp, shape, psn, False,  # the template names the requester's QP
+        req_eth.dst, req_eth.src, req_ip.dst, req_ip.src,
+        request.require(UdpHeader).src_port,
+        (aeth,) + extensions, payload, compute_icrc,
     )
 
 
@@ -251,14 +285,10 @@ def build_read_response(
     compute_icrc: bool = False,
 ) -> Packet:
     """READ response (only) carrying *data*, mirrored from *request*."""
-    aeth = AethHeader(syndrome=AethSyndrome.ACK, msn=responder_qp.msn)
+    if type(data) is not bytes:
+        data = bytes(data)
     return _response(
-        request,
-        responder_qp,
-        Opcode.RDMA_READ_RESPONSE_ONLY,
-        None,
-        (aeth,),
-        bytes(data),
+        request, responder_qp, _READ_RESPONSE, None, AethSyndrome.ACK, (), data,
         compute_icrc,
     )
 
@@ -276,15 +306,10 @@ def build_ack(
     BTH (``psn_override``), which is how a real requester learns where to
     resume — the primitives use it to resynchronize their soft QPs.
     """
-    aeth = AethHeader(syndrome=syndrome, msn=responder_qp.msn)
+    if not 0 <= syndrome <= 0xFF:
+        raise HeaderError(f"AETH syndrome out of range: {syndrome}")
     return _response(
-        request,
-        responder_qp,
-        Opcode.ACKNOWLEDGE,
-        psn_override,
-        (aeth,),
-        b"",
-        compute_icrc,
+        request, responder_qp, _ACK, psn_override, syndrome, (), b"", compute_icrc
     )
 
 
@@ -295,18 +320,9 @@ def build_atomic_ack(
     compute_icrc: bool = False,
 ) -> Packet:
     """Atomic acknowledgement carrying the pre-operation value."""
-    extensions = (
-        AethHeader(syndrome=AethSyndrome.ACK, msn=responder_qp.msn),
-        AtomicAckEthHeader(original_data=original_value),
-    )
     return _response(
-        request,
-        responder_qp,
-        Opcode.ATOMIC_ACKNOWLEDGE,
-        None,
-        extensions,
-        b"",
-        compute_icrc,
+        request, responder_qp, _ATOMIC_ACK, None, AethSyndrome.ACK,
+        (AtomicAckEthHeader(original_data=original_value),), b"", compute_icrc,
     )
 
 

@@ -55,7 +55,7 @@ from ..sim.events import Event
 from ..sim.simulator import Simulator
 from ..sim.units import gbps, transmission_delay_ns, usec
 from .constants import (
-    ATOMIC_OPERAND_BYTES,
+    PSN_MODULO,
     AethSyndrome,
     Opcode,
     REQUEST_OPCODES,
@@ -64,6 +64,7 @@ from .constants import (
 from .headers import AethHeader, AtomicAckEthHeader, AtomicEthHeader, BthHeader, RethHeader
 from .memory import Dram, MemoryAccessError
 from .packets import (
+    MAX_READ_BYTES,
     build_ack,
     build_atomic_ack,
     build_fetch_add_request,
@@ -73,6 +74,14 @@ from .packets import (
     verify_icrc,
 )
 from .qp import Completion, QpState, QueuePair, WorkRequest
+
+
+#: QP states in which the responder serves requests.
+_RECEIVING_STATES = (QpState.RTR, QpState.RTS)
+
+
+class _InvalidRequest(Exception):
+    """A request this responder refuses with NAK-Invalid-Request."""
 
 
 @dataclass
@@ -333,6 +342,7 @@ class Rnic:
         means in-flight corruption, and the NIC drops silently (real
         RNICs do — no NAK, since nothing in the damaged packet can be
         trusted).  Recovery is the requester's go-back-N timeout.
+        A request is admitted to the receive buffer, or dropped if full.
         """
         bth = packet.find(BthHeader)
         if bth is None:
@@ -350,33 +360,77 @@ class Rnic:
                     channel="icrc",
                 )
             return
-        if bth.opcode in REQUEST_OPCODES:
-            self._accept_request(packet, bth)
-        else:
+        if bth.opcode not in REQUEST_OPCODES:
             self._handle_response(packet, bth)
-
-    # ---------------------------------------------------------- responder path
-
-    def _accept_request(self, packet: Packet, bth: BthHeader) -> None:
+            return
         self._m_requests.inc()
         size = packet.buffer_len
         if self._rx_backlog_bytes + size > self.config.rx_buffer_bytes:
             self._m_rx_overflow.inc()
             return
-        self._rx_queue.append(packet)
         self._rx_backlog_bytes += size
-        if not self._rx_busy:
-            self._serve_next()
+        if self._rx_busy:
+            self._rx_queue.append((packet, bth))
+        else:
+            self._rx_busy = True
+            self.sim.post(
+                self.config.rx_processing_ns, self._process_request, packet, bth
+            )
 
-    def _serve_next(self) -> None:
-        if not self._rx_queue:
+    # ---------------------------------------------------------- responder path
+
+    def _process_request(self, packet: Packet, bth: BthHeader) -> None:
+        """Header processing is done: check QP and PSN, then execute.
+
+        The kernel events posted from here on, and their order, are part
+        of the timing model (DESIGN.md §5.1).
+        """
+        # Pipelined: pull the next message in as soon as this one clears
+        # header processing (the DMA/atomic engines serialize behind it).
+        if self._rx_queue:
+            self.sim.post(
+                self.config.rx_processing_ns,
+                self._process_request,
+                *self._rx_queue.popleft(),
+            )
+        else:
             self._rx_busy = False
+        qp = self.qps.get(bth.dest_qp)
+        if qp is None or qp.state not in _RECEIVING_STATES:
+            self._m_unknown_qp.inc()
+            self._rx_backlog_bytes -= packet.buffer_len
             return
-        self._rx_busy = True
-        packet = self._rx_queue.popleft()
-        self.sim.post(
-            self.config.rx_processing_ns, self._process_request, packet
-        )
+        qp.requests_received += 1
+        psn = bth.psn
+        expected = qp.expected_psn
+        if psn != expected:
+            self._rx_backlog_bytes -= packet.buffer_len
+            if (psn - expected) % PSN_MODULO < PSN_MODULO // 2:
+                # Future PSN: at least one request was lost.  NAK with the
+                # expected PSN so the requester can resynchronize.
+                self._m_sequence_errors.inc()
+                self._send_nak(
+                    packet, qp, AethSyndrome.NAK_PSN_SEQUENCE_ERROR, expected
+                )
+            else:
+                # Past PSN: a duplicate (requester retransmission).
+                self._m_duplicates.inc()
+                self._replay(packet, bth, qp)
+            return
+        try:
+            execute = self._EXECUTE.get(bth.opcode)
+            if execute is None:
+                raise _InvalidRequest
+            execute(self, packet, bth, qp)
+        except MemoryAccessError:
+            self._m_access_errors.inc()
+            qp.advance_expected()
+            self._rx_backlog_bytes -= packet.buffer_len
+            self._send_nak(packet, qp, AethSyndrome.NAK_REMOTE_ACCESS_ERROR, psn)
+        except _InvalidRequest:
+            # Refused before anything executed: ePSN does not advance.
+            self._rx_backlog_bytes -= packet.buffer_len
+            self._send_nak(packet, qp, AethSyndrome.NAK_INVALID_REQUEST, psn)
 
     def _release_buffer(self, packet: Packet, at_ns: Optional[float] = None) -> None:
         """Free the packet's receive-buffer bytes, now or at *at_ns*.
@@ -392,62 +446,6 @@ class Rnic:
                 at_ns - self.sim.now, self._release_buffer, packet
             )
 
-    def _process_request(self, packet: Packet) -> None:
-        # Pipelined: pull the next message in as soon as this one clears
-        # header processing (the DMA/atomic engines serialize behind it).
-        self._serve_next()
-        bth = packet.require(BthHeader)
-        qp = self.qps.get(bth.dest_qp)
-        if qp is None or qp.state not in (QpState.RTR, QpState.RTS):
-            self._m_unknown_qp.inc()
-            self._release_buffer(packet)
-            return
-        qp.requests_received += 1
-        distance = psn_distance(qp.expected_psn, bth.psn)
-        if distance == 0:
-            self._execute(packet, bth, qp)
-        elif distance < (1 << 23):
-            # Future PSN: at least one request was lost.  NAK with the
-            # expected PSN so the requester can resynchronize.
-            self._m_sequence_errors.inc()
-            self._release_buffer(packet)
-            self._send_nak(
-                packet,
-                qp,
-                AethSyndrome.NAK_PSN_SEQUENCE_ERROR,
-                psn_override=qp.expected_psn,
-            )
-        else:
-            # Past PSN: a duplicate (requester retransmission).
-            self._m_duplicates.inc()
-            self._release_buffer(packet)
-            self._replay(packet, bth, qp)
-
-    def _execute(self, packet: Packet, bth: BthHeader, qp: QueuePair) -> None:
-        opcode = Opcode(bth.opcode)
-        try:
-            if opcode == Opcode.RDMA_WRITE_ONLY:
-                self._execute_write(packet, bth, qp)
-            elif opcode == Opcode.RDMA_READ_REQUEST:
-                self._execute_read(packet, bth, qp)
-            elif opcode == Opcode.FETCH_ADD:
-                self._execute_fetch_add(packet, bth, qp)
-            else:
-                self._m_naks.inc()
-                self._release_buffer(packet)
-                self._send_nak(packet, qp, AethSyndrome.NAK_INVALID_REQUEST)
-        except MemoryAccessError:
-            self._m_access_errors.inc()
-            qp.advance_expected()
-            self._release_buffer(packet)
-            self._send_nak(packet, qp, AethSyndrome.NAK_REMOTE_ACCESS_ERROR)
-
-    def _region(self, rkey: int):
-        region = self.dram.lookup(rkey)
-        if region is None:
-            raise MemoryAccessError(f"unknown rkey {rkey:#x}")
-        return region
-
     def _read_latency_ns(self, region) -> float:
         """The READ fetch latency for *region*'s tier (DESIGN.md §13)."""
         profiles = self.config.tier_profiles
@@ -457,34 +455,30 @@ class Rnic:
                 return profile.read_latency_ns
         return self.config.dma_read_latency_ns
 
-    def _atomic_rate_ops(self, region) -> float:
-        """The Fetch-and-Add service rate for *region*'s tier."""
-        profiles = self.config.tier_profiles
-        if profiles is not None:
-            profile = profiles.get(region.tier)
-            if profile is not None and profile.atomic_rate_ops is not None:
-                return profile.atomic_rate_ops
-        return self.config.atomic_rate_ops
-
     def _execute_write(self, packet: Packet, bth: BthHeader, qp: QueuePair) -> None:
         reth = packet.require(RethHeader)
-        region = self._region(reth.rkey)
-        data = packet.payload[: reth.dma_length]
+        data = packet.payload
+        size = len(data)
+        if reth.dma_length != size:
+            # RC answers a length mismatch with a NAK and writes nothing.
+            raise _InvalidRequest
+        region = self.dram.regions[reth.rkey]  # unknown: MemoryAccessError
         region.write(reth.virtual_address, data)
         self._m_writes.inc()
-        self._m_bytes_written.inc(len(data))
+        self._m_bytes_written.inc(size)
         qp.advance_expected()
-        finish = self._reserve_dma(
-            len(data), self.config.dma_write_bandwidth_bps
-        )
+        finish = self._reserve_dma(size, self.config.dma_write_bandwidth_bps)
         self._release_buffer(packet, at_ns=finish)
         if bth.ack_request:
-            response = build_ack(packet, qp)
-            self._send_response_at(finish, response, qp)
+            self._m_acks.inc()
+            self._send_response_at(finish, build_ack(packet, qp), qp)
 
     def _execute_read(self, packet: Packet, bth: BthHeader, qp: QueuePair) -> None:
         reth = packet.require(RethHeader)
-        region = self._region(reth.rkey)
+        if reth.dma_length > MAX_READ_BYTES:
+            # The one-packet subset: refused, not segmented.
+            raise _InvalidRequest
+        region = self.dram.regions[reth.rkey]  # unknown: MemoryAccessError
         data = region.read(reth.virtual_address, reth.dma_length)
         self._m_reads.inc()
         self._m_bytes_read.inc(len(data))
@@ -495,18 +489,18 @@ class Rnic:
             extra_ns=self._read_latency_ns(region),
         )
         self._release_buffer(packet, at_ns=finish)
-        response = build_read_response(packet, qp, data)
-        self._send_response_at(finish, response, qp)
+        self._send_response_at(finish, build_read_response(packet, qp, data), qp)
 
     def _execute_fetch_add(self, packet: Packet, bth: BthHeader, qp: QueuePair) -> None:
-        if self._atomic_inflight >= self.config.max_outstanding_atomics:
+        config = self.config
+        if self._atomic_inflight >= config.max_outstanding_atomics:
             # The atomic engine is saturated; a real NIC drops or stalls the
             # wire.  The paper's switch-side primitive exists to avoid this.
             self._m_atomic_overflow.inc()
-            self._release_buffer(packet)
+            self._rx_backlog_bytes -= packet.buffer_len
             return
         atomic = packet.require(AtomicEthHeader)
-        region = self._region(atomic.rkey)  # raises → NAK before queueing
+        region = self.dram.regions[atomic.rkey]  # unknown: NAK before queueing
         # The memory effect applies now, in request order (RC semantics);
         # the bounded atomic *engine* only determines when the response can
         # leave and when the request's buffer is retired.
@@ -515,32 +509,46 @@ class Rnic:
         qp.advance_expected()
         cache = self._atomic_replay[qp.qpn]
         cache[bth.psn] = original
-        while len(cache) > self.config.max_outstanding_atomics:
+        while len(cache) > config.max_outstanding_atomics:
             cache.popitem(last=False)
         self._atomic_inflight += 1
-        start = max(self.sim.now, self._atomic_free_at)
-        service_ns = 1e9 / self._atomic_rate_ops(region)
-        finish = start + service_ns
-        self._atomic_free_at = finish
-        self.sim.post(finish - self.sim.now, self._retire_atomic, packet)
-        response = build_atomic_ack(packet, qp, original)
-        self._send_response_at(finish, response, qp)
+        rate = config.atomic_rate_ops
+        if config.tier_profiles is not None:  # the region's tier may override it
+            profile = config.tier_profiles.get(region.tier)
+            if profile is not None and profile.atomic_rate_ops is not None:
+                rate = profile.atomic_rate_ops
+        now = self.sim.now
+        self._atomic_free_at = finish = max(now, self._atomic_free_at) + 1e9 / rate
+        self.sim.post(finish - now, self._retire_atomic, packet)
+        self._send_response_at(finish, build_atomic_ack(packet, qp, original), qp)
 
     def _retire_atomic(self, packet: Packet) -> None:
         self._atomic_inflight -= 1
-        self._release_buffer(packet)
+        self._rx_backlog_bytes -= packet.buffer_len
+
+    #: Execution by raw BTH opcode; any other request is NAKed as invalid.
+    _EXECUTE = {
+        int(Opcode.RDMA_WRITE_ONLY): _execute_write,
+        int(Opcode.RDMA_READ_REQUEST): _execute_read,
+        int(Opcode.FETCH_ADD): _execute_fetch_add,
+    }
 
     def _replay(self, packet: Packet, bth: BthHeader, qp: QueuePair) -> None:
         """Serve a duplicate request idempotently (requester retried)."""
-        opcode = Opcode(bth.opcode)
+        opcode = bth.opcode
         if opcode == Opcode.RDMA_READ_REQUEST:
             # Reads are safe to re-execute.
             reth = packet.require(RethHeader)
+            if reth.dma_length > MAX_READ_BYTES:
+                self._send_nak(packet, qp, AethSyndrome.NAK_INVALID_REQUEST, bth.psn)
+                return
             try:
-                region = self._region(reth.rkey)
+                region = self.dram.regions[reth.rkey]
                 data = region.read(reth.virtual_address, reth.dma_length)
             except MemoryAccessError:
-                self._send_nak(packet, qp, AethSyndrome.NAK_REMOTE_ACCESS_ERROR)
+                self._send_nak(
+                    packet, qp, AethSyndrome.NAK_REMOTE_ACCESS_ERROR, bth.psn
+                )
                 return
             finish = self._reserve_dma(
                 len(data),
@@ -555,10 +563,10 @@ class Rnic:
                     self.sim.now, build_atomic_ack(packet, qp, cached), qp
                 )
             # Not in the replay cache: silently drop; the requester errors out.
-        else:
+        elif bth.ack_request:
             # Duplicate WRITE: already applied; just re-ACK.
-            if bth.ack_request:
-                self._send_response_at(self.sim.now, build_ack(packet, qp), qp)
+            self._m_acks.inc()
+            self._send_response_at(self.sim.now, build_ack(packet, qp), qp)
 
     def _reserve_dma(
         self, payload_bytes: int, bandwidth_bps: float, extra_ns: float = 0.0
@@ -589,37 +597,22 @@ class Rnic:
         """
         qp.responses_sent += 1
         self._m_responses.inc()
-        bth = response.require(BthHeader)
-        if bth.opcode == Opcode.ACKNOWLEDGE:
-            self._m_acks.inc()
-        when_ns = max(when_ns, self.sim.now, self._resp_floor.get(qp.qpn, 0.0))
+        now = self.sim.now
+        when_ns = max(when_ns, now, self._resp_floor.get(qp.qpn, 0.0))
         self._resp_floor[qp.qpn] = when_ns
-        self.sim.post(when_ns - self.sim.now, self.interface.send, response)
+        self.sim.post(when_ns - now, self.interface.send, response)
 
-    def _send_nak(
-        self,
-        packet: Packet,
-        qp: QueuePair,
-        syndrome: int,
-        psn_override: Optional[int] = None,
-    ) -> None:
+    def _send_nak(self, packet: Packet, qp: QueuePair, syndrome: int, psn: int) -> None:
+        """NAK *packet* now; *psn* is its own, or the expected one (sequence error)."""
         self._m_naks.inc()
         qp.naks_sent += 1
         if self._trace is not None:
             self._trace.emit(
-                self.sim.now,
-                self._trace_node,
-                qp.qpn,
-                "NAK",
-                psn=psn_override
-                if psn_override is not None
-                else packet.require(BthHeader).psn,
-                syndrome=syndrome,
+                self.sim.now, self._trace_node, qp.qpn, "NAK", psn=psn, syndrome=syndrome
             )
+        self._m_acks.inc()  # a NAK is an ACKNOWLEDGE packet too
         self._send_response_at(
-            self.sim.now,
-            build_ack(packet, qp, syndrome=syndrome, psn_override=psn_override),
-            qp,
+            self.sim.now, build_ack(packet, qp, syndrome=syndrome, psn_override=psn), qp
         )
 
     # --------------------------------------------------------- requester path

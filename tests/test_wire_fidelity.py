@@ -75,20 +75,15 @@ class WireChecker:
 
 
 def _reset_global_id_counters():
-    """Pin the process-global ID counters to a fixed origin.
+    """Pin the one process-global ID counter left to a fixed origin.
 
-    rkeys come from a process-wide ``itertools.count`` (as on a real host,
-    where keys are never reused), so two runs in one process hand out
-    different rkeys — and rkeys appear in RETH bytes.  Byte-identity tests
-    across kernel modes must therefore restart the counters per run; the
-    per-run simulation itself stays fully deterministic.
+    Work-request ids come from a process-wide ``itertools.count``; rkeys
+    and QPNs are per-server namespaces and need no pinning.
     """
     import itertools
 
-    from repro.rdma import memory as rdma_memory
     from repro.rdma import qp as rdma_qp
 
-    rdma_memory._rkey_counter = itertools.count(0x1000)
     rdma_qp._wr_ids = itertools.count(1)
 
 
