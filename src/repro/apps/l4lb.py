@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..cluster.pool import MemoryPool, PoolMember
@@ -82,9 +83,11 @@ class Backend:
     def bytes_index(self) -> int:
         return 2 * self.slot + 1
 
-    @property
+    @cached_property
     def action(self) -> RemoteAction:
-        """The remote-table action that steers a connection here."""
+        """The remote-table action that steers a connection here — one
+        immutable action shared by all of them (``pip`` is fixed at
+        registration, as ``backends_by_pip`` already assumes)."""
         return RemoteAction(ACTION_SET_DST_IP, self.pip.value)
 
 
@@ -176,7 +179,7 @@ class L4LbProgram(StaticL2Program):
         flow = FiveTuple.of(packet)
         if flow.dst_ip == self.vip.value:
             return flow
-        return replace(flow, dst_ip=self.vip.value)
+        return flow._replace(dst_ip=self.vip.value)
 
     def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
         table = self.connection_table
@@ -259,6 +262,8 @@ class L4LbController:
         self.drain_timeout_ns = drain_timeout_ns
         self._salt = struct.pack("!I", seed & 0xFFFFFFFF)
         self.backends: Dict[str, Backend] = {}
+        #: name → the bytes its score hashes after the flow's (name + salt).
+        self._score_suffix: Dict[str, bytes] = {}
         #: Current backend per established connection.
         self.placement: Dict[FiveTuple, str] = {}
         #: Full assignment history, kept only for migrated connections
@@ -299,6 +304,7 @@ class L4LbController:
             slot=slot,
         )
         self.backends[name] = backend
+        self._score_suffix[name] = name.encode() + self._salt
         self.flows_by_backend[name] = set()
         self.program.register_backend(backend)
         return backend
@@ -317,16 +323,16 @@ class L4LbController:
 
     def place(self, flow: FiveTuple) -> Optional[Backend]:
         """Rendezvous-hash *flow* over the active backends (deterministic)."""
-        packed = flow.pack()
+        # score = crc32(flow bytes + name + salt): the flow's part is hashed
+        # once and each backend continues that running CRC over its suffix.
+        running = zlib.crc32(flow.pack())
+        suffixes = self._score_suffix
         best: Optional[Backend] = None
         best_score: Tuple[int, str] = (-1, "")
-        for backend in self.backends.values():
+        for name, backend in self.backends.items():
             if backend.state != BACKEND_ACTIVE:
                 continue
-            score = (
-                zlib.crc32(packed + backend.name.encode() + self._salt),
-                backend.name,
-            )
+            score = (zlib.crc32(suffixes[name], running), name)
             if best is None or score > best_score:
                 best, best_score = backend, score
         return best
@@ -356,15 +362,13 @@ class L4LbController:
     def migrate(self, flow: FiveTuple, target: Backend, reason: str) -> None:
         """Journaled re-install: re-point *flow* at *target* live.
 
-        Rewrites the remote entry in place and refreshes any SRAM-cached
-        copy, so in-flight packets flip to the new backend at the install
-        instant — no entry ever disappears mid-migration.
+        The table's re-install rewrites the remote entry in place and
+        refreshes any SRAM-cached copy, so in-flight packets flip to the
+        new backend at the install instant — no entry ever disappears
+        mid-migration.
         """
         source = self.placement.get(flow)
         self.table.install(flow, target.action)
-        cache = self.table.cache
-        if cache is not None and cache.contains(flow):
-            cache.admit(flow, target.action)
         history = self._history.get(flow)
         if history is None:
             history = [source] if source is not None else []

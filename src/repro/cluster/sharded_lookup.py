@@ -163,18 +163,24 @@ class ShardedLookupTable:
             shard.flow_of = extractor
 
     def install(self, flow: FiveTuple, action: RemoteAction) -> int:
-        """Journal and write *action* into the flow's owning shard.
+        """Write *action* into the flow's owning shard, then journal it.
 
-        With no live members the flow is journaled only (returns ``-1``);
-        it is written out when the next member joins.
+        The shard goes first: one that refuses the entry
+        (:class:`~repro.cuckoo.CuckooFullError`) leaves no journal or
+        placement record behind, so a later membership change neither
+        skips nor resurrects a flow the caller was told had failed.  With
+        no live members the flow is journaled only (returns ``-1``); it
+        is written out when the next member joins.
         """
-        self._journal[flow] = action
         if not self.shards:
+            self._journal[flow] = action
             self._placement.pop(flow, None)
             return -1
         owner = self.pool.member_for(self._shard_key(flow)).name
+        index = self.shards[owner].install(flow, action)
+        self._journal[flow] = action
         self._placement[flow] = owner
-        return self.shards[owner].install(flow, action)
+        return index
 
     def lookup(self, ctx: PipelineContext, packet: Packet) -> bool:
         if not self.shards:

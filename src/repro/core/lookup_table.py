@@ -36,6 +36,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple, Union
 
 from ..cuckoo import CuckooConfig, CuckooDirectory
@@ -58,6 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tiering uses core)
 
 ACTION_BYTES = 16
 _ACTION_FORMAT = "!BBII6x"
+_PACK_ACTION = struct.Struct(_ACTION_FORMAT).pack
+_EMPTY_SLOT = bytes(ACTION_BYTES)
 
 #: Well-known remote actions.
 ACTION_NOP = 0
@@ -77,9 +80,7 @@ class RemoteAction:
     param: int
 
     def pack_with(self, fingerprint: int) -> bytes:
-        return struct.pack(
-            _ACTION_FORMAT, 1, self.action_id, self.param, fingerprint
-        )
+        return _PACK_ACTION(1, self.action_id, self.param, fingerprint)
 
     @classmethod
     def unpack(cls, data: bytes) -> Tuple[bool, "RemoteAction", int]:
@@ -257,17 +258,17 @@ class RemoteLookupTable:
                 f"layout {self.config.layout!r} needs {needed} B, exceeding "
                 f"the channel's {channel.length} B"
             )
-        if tiering is not None:
-            unit = (
-                self.config.pair_bytes
-                if self.config.layout == "cuckoo"
-                else self.config.entry_bytes
+        #: Bytes per indexed unit (bucket pair or entry); fixed at construction.
+        self._unit_bytes = unit = (
+            self.config.pair_bytes
+            if self.config.layout == "cuckoo"
+            else self.config.entry_bytes
+        )
+        if tiering is not None and tiering.unit_bytes != unit:
+            raise ValueError(
+                f"tiering geometry unit_bytes={tiering.unit_bytes} does "
+                f"not match the layout's indexed unit ({unit} B)"
             )
-            if tiering.unit_bytes != unit:
-                raise ValueError(
-                    f"tiering geometry unit_bytes={tiering.unit_bytes} does "
-                    f"not match the layout's indexed unit ({unit} B)"
-                )
         self.default_action = (
             default_action
             if default_action is not None
@@ -409,9 +410,7 @@ class RemoteLookupTable:
         Tiered tables resolve the *current* serving address per operation
         through :meth:`_locate`; the home address stays valid for probes.
         """
-        if self.config.layout == "cuckoo":
-            return self.channel.base_address + index * self.config.pair_bytes
-        return self.channel.base_address + index * self.config.entry_bytes
+        return self.channel.base_address + index * self._unit_bytes
 
     def _locate(
         self, index: int
@@ -432,7 +431,8 @@ class RemoteLookupTable:
         fast copy stale until its next demotion.
         """
         if self._tiering is None:
-            return self.channel.region, self.entry_address(index)
+            channel = self.channel
+            return channel.region, channel.base_address + index * self._unit_bytes
         tier, address = self._tiering.resolve(index)
         return self._tiering.channel_for(tier).region, address
 
@@ -464,7 +464,7 @@ class RemoteLookupTable:
                 max_kicks=self.config.max_kicks,
                 max_relocations=self.config.max_relocations,
             ),
-            packer=lambda flow: flow.pack(),
+            packer=methodcaller("pack"),
         )
         self.dataplane = self.directory.dataplane
 
@@ -506,7 +506,15 @@ class RemoteLookupTable:
         data = action.pack_with(fingerprint_of(flow))
         region, address = self._entry_target(index)
         region.write(address, data)
+        self._refresh_cached(flow, action)
         return index
+
+    def _refresh_cached(self, flow: FiveTuple, action: RemoteAction) -> None:
+        """A (re-)installed flow's SRAM copy must not outlive the entry it
+        mirrored.  ``contains`` asks without touching recency or counters."""
+        cache = self.cache
+        if cache is not None and cache.contains(flow):
+            cache.admit(flow, action)
 
     def _write_slot(self, ref, data: bytes) -> None:
         region, pair_base = self._entry_target(ref.index)
@@ -514,11 +522,18 @@ class RemoteLookupTable:
         region.write(pair_base + offset * ACTION_BYTES, data)
 
     def _install_cuckoo(self, flow: FiveTuple, action: RemoteAction) -> int:
-        moves = self.directory.insert(flow)  # may raise CuckooFullError
+        packed = flow.pack()  # once: the directory's key bytes, the fingerprint's input
+        directory = self.directory
+        moves = directory.insert(flow, packed)  # may raise CuckooFullError
         self._installed[flow] = action
-        if not moves:  # re-install: rewrite the entry in place
-            ref = self.directory.location[flow]
-            self._write_slot(ref, action.pack_with(fingerprint_of(flow)))
+        if len(moves) <= 1:
+            # One write: a fresh slot with nothing displaced (the common
+            # insert), or a re-install rewriting its entry in place.
+            ref = moves[0].dst if moves else directory.location[flow]
+            fingerprint = (crc16(packed) << 16) | crc16(packed[::-1])
+            self._write_slot(ref, action.pack_with(fingerprint))
+            if not moves:
+                self._refresh_cached(flow, action)
             return ref.index
         written = set()
         for move in moves:
@@ -532,10 +547,10 @@ class RemoteLookupTable:
             if (
                 src is not None
                 and src not in written
-                and self.directory.slot_key(src) is None
+                and directory.slot_key(src) is None
             ):
-                self._write_slot(src, b"\x00" * ACTION_BYTES)
-        return self.directory.location[flow].index
+                self._write_slot(src, _EMPTY_SLOT)
+        return directory.location[flow].index
 
     # -- data plane ---------------------------------------------------------------
 

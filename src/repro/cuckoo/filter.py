@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import struct
 from array import array
-from typing import List, Tuple
-
-from ..switches.hashing import crc32
+from typing import List, Sequence, Tuple
+from zlib import crc32
 
 _CELL_MAX = 0xFFFF
 
@@ -40,7 +39,7 @@ class ChoiceFilter:
     randomization.
     """
 
-    __slots__ = ("cells", "hashes", "seed", "_cells", "adds", "removes")
+    __slots__ = ("cells", "hashes", "seed", "_cells", "_prefixes", "adds", "removes")
 
     def __init__(self, cells: int, hashes: int = 2, seed: int = 0) -> None:
         if cells <= 0:
@@ -51,6 +50,11 @@ class ChoiceFilter:
         self.hashes = hashes
         self.seed = seed
         self._cells = array("H", bytes(2 * cells))
+        #: Running CRC32 of each probe's ``(seed, probe)`` prefix, hashed
+        #: once here: a probe is one ``crc32(rotated key, running)``.
+        self._prefixes = tuple(
+            crc32(struct.pack("!II", seed, probe)) for probe in range(hashes)
+        )
         self.adds = 0
         self.removes = 0
 
@@ -63,14 +67,16 @@ class ChoiceFilter:
         masquerading as k.  Rotations are distinct linear maps, making
         the probes behave independently.
         """
-        pivots = (probe % len(key) if key else 0 for probe in range(self.hashes))
-        return tuple(
-            crc32(
-                struct.pack("!II", self.seed, probe) + key[pivot:] + key[:pivot]
-            )
-            % self.cells
-            for probe, pivot in enumerate(pivots)
-        )
+        size = len(key) or 1
+        cells = self.cells
+        out: Tuple[int, ...] = ()  # += beats a comprehension's frame at 2-3 probes
+        for probe, prefix in enumerate(self._prefixes):
+            pivot = probe % size
+            out += (crc32(key[pivot:] + key[:pivot], prefix) % cells,)
+        return out
+
+    # The key forms hash and delegate; the directory, which holds a key's
+    # cells already (one ``indices`` per placement), calls the by-cells forms.
 
     def add(self, key: bytes) -> List[int]:
         """Increment *key*'s cells; returns the cells that went 0 → 1.
@@ -79,33 +85,47 @@ class ChoiceFilter:
         unrelated key from negative to positive — the directory uses the
         return value to find T0 residents that must relocate.
         """
+        return self.add_cells(self.indices(key))
+
+    def add_cells(self, indices: Sequence[int]) -> List[int]:
         self.adds += 1
+        cells = self._cells
         flipped: List[int] = []
-        for cell in self.indices(key):
-            value = self._cells[cell]
+        for cell in indices:
+            value = cells[cell]
             if value == 0:
                 flipped.append(cell)
             if value < _CELL_MAX:
-                self._cells[cell] = value + 1
+                cells[cell] = value + 1
         return flipped
 
     def remove(self, key: bytes) -> None:
         """Decrement *key*'s cells (must pair with a previous :meth:`add`)."""
+        self.remove_cells(self.indices(key))
+
+    def remove_cells(self, indices: Sequence[int]) -> None:
         self.removes += 1
-        for cell in self.indices(key):
-            value = self._cells[cell]
+        cells = self._cells
+        for cell in indices:
+            value = cells[cell]
             if value == 0:
                 raise ValueError(
                     "choice filter underflow: remove() without a matching "
                     "add() — the directory invariant is broken"
                 )
             if value < _CELL_MAX:  # saturated cells stay pinned
-                self._cells[cell] = value - 1
+                cells[cell] = value - 1
 
     def query(self, key: bytes) -> bool:
         """True when every probe cell is non-zero (key *may* be in T1)."""
+        return self.query_cells(self.indices(key))
+
+    def query_cells(self, indices: Sequence[int]) -> bool:
         cells = self._cells
-        return all(cells[cell] for cell in self.indices(key))
+        for cell in indices:
+            if not cells[cell]:
+                return False
+        return True
 
     def cell_value(self, cell: int) -> int:
         return self._cells[cell]

@@ -32,9 +32,10 @@ import random
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from zlib import crc32
 
-from ..switches.hashing import crc32
 from .filter import ChoiceFilter
 
 #: Subtable identifiers.
@@ -51,8 +52,7 @@ class CuckooFullError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class SlotRef:
+class SlotRef(NamedTuple):
     """One action slot: ``(subtable, pair index, slot within bucket)``."""
 
     table: int
@@ -60,8 +60,7 @@ class SlotRef:
     slot: int
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """A placement the remote table must mirror: write *key* at *dst*.
 
     ``src`` is the slot the key vacated (``None`` for a fresh insert).
@@ -130,15 +129,14 @@ class CuckooDataPlane:
     no retries.
     """
 
-    __slots__ = ("pairs", "seed0", "seed1", "filter")
+    __slots__ = ("pairs", "seed0", "seed1", "filter", "_crc0", "_crc1")
 
     def __init__(
         self, pairs: int, seed0: int, seed1: int, choice_filter: ChoiceFilter
     ) -> None:
         self.pairs = pairs
-        self.seed0 = seed0
-        self.seed1 = seed1
         self.filter = choice_filter
+        self.reseed(seed0, seed1)
 
     # CRC32 is affine, so two digests of same-length messages that differ
     # only in a seed prefix XOR to a key-independent constant — with a
@@ -148,23 +146,24 @@ class CuckooDataPlane:
     # the byte-reversed key (a different linear map of the key bits).
 
     def h0(self, key: bytes) -> int:
-        return crc32(struct.pack("!I", self.seed0 & 0xFFFFFFFF) + key) % self.pairs
+        return crc32(key, self._crc0) % self.pairs
 
     def h1(self, key: bytes) -> int:
-        return (
-            crc32(struct.pack("!I", self.seed1 & 0xFFFFFFFF) + key[::-1])
-            % self.pairs
-        )
+        return crc32(key[::-1], self._crc1) % self.pairs
 
     def read_index(self, key: bytes) -> int:
         """The ONE pair index to READ for *key* (the EMOMA choice)."""
         if self.filter.query(key):
-            return self.h1(key)
-        return self.h0(key)
+            return crc32(key[::-1], self._crc1) % self.pairs
+        return crc32(key, self._crc0) % self.pairs
 
     def reseed(self, seed0: int, seed1: int) -> None:
         self.seed0 = seed0
         self.seed1 = seed1
+        # Each seed prefix is hashed once, here; a bucket hash continues
+        # the running CRC over the key bytes.
+        self._crc0 = crc32(struct.pack("!I", seed0 & 0xFFFFFFFF))
+        self._crc1 = crc32(struct.pack("!I", seed1 & 0xFFFFFFFF))
 
 
 class CuckooDirectory:
@@ -181,6 +180,11 @@ class CuckooDirectory:
     positive; those are detected through a cell → T0-residents index and
     relocated to T1 in the same insert call, bounded by
     ``max_relocations``.
+
+    Each placement derives its key's *digest* — packed bytes and filter
+    cells, then ``h0`` and (only when T0 is closed to it) ``h1`` — once,
+    and hands it down to every step that needs it; nothing per key is
+    kept between calls (a resident digest would outweigh the table).
     """
 
     def __init__(
@@ -204,9 +208,15 @@ class CuckooDirectory:
         self._rng = random.Random(self.config.derived_seed("cuckoo-victim"))
         #: key → its current slot.
         self.location: Dict[Any, SlotRef] = {}
-        self._slot_key: Dict[SlotRef, Any] = {}
-        #: filter cell → T0-resident keys probing that cell (invariant index).
-        self._t0_cells: Dict[int, Set[Any]] = {}
+        # Geometry is fixed at construction (the data plane's is too).
+        self._pairs = self.config.pairs
+        self._bucket = self.config.slots_per_bucket
+        #: Slot occupancy, one flat list: the key (or None) of slot
+        #: ``(table * pairs + index) * slots_per_bucket + slot``.
+        self._slots: List[Optional[Any]] = [None] * self.config.capacity
+        #: filter cell → T0-resident keys probing that cell (invariant
+        #: index): small lists, each key once, no entry for an empty cell.
+        self._t0_cells: Dict[int, List[Any]] = {}
         #: Every eviction/relocation, in order — the deterministic kick
         #: trace the property tests compare across same-seed runs.
         self.kick_log: List[Tuple[str, Any, SlotRef]] = []
@@ -223,7 +233,10 @@ class CuckooDirectory:
         return key in self.location
 
     def slot_key(self, ref: SlotRef) -> Optional[Any]:
-        return self._slot_key.get(ref)
+        table, index, slot = ref
+        if table in (T0, T1) and 0 <= index < self._pairs and 0 <= slot < self._bucket:
+            return self._slots[(table * self._pairs + index) * self._bucket + slot]
+        return None
 
     @property
     def load(self) -> float:
@@ -234,231 +247,266 @@ class CuckooDirectory:
         return self.dataplane.h0(kb), self.dataplane.h1(kb)
 
     def check_invariant(self) -> List[Any]:
-        """Keys violating the EMOMA invariant (must be empty)."""
-        bad = []
+        """Everything wrong with the directory (must be empty).
+
+        Keys violating the EMOMA invariant come first, as themselves;
+        bookkeeping faults follow as ``(what, ...)`` tuples: the slot
+        array and ``location`` must be a bijection, and the T0 index must
+        list every T0 resident under each of its cells exactly once and
+        nothing else (no stale key, no emptied entry left behind).
+        """
+        bad: List[Any] = []
+        faults: List[Any] = []
+        expected: Dict[int, List[Any]] = {}
         for key, ref in self.location.items():
-            positive = self.filter.query(self.packer(key))
-            if ref.table == T0 and positive:
+            cells = self.filter.indices(self.packer(key))
+            if self.filter.query_cells(cells) != (ref.table == T1):
                 bad.append(key)
-            elif ref.table == T1 and not positive:
-                bad.append(key)
-        return bad
+            if self.slot_key(ref) is not key:
+                faults.append(("slot", key, ref))
+            if ref.table == T0:
+                for cell in set(cells):
+                    expected.setdefault(cell, []).append(key)
+        occupied = len(self._slots) - self._slots.count(None)
+        if occupied != len(self.location):
+            faults.append(("occupancy", occupied, len(self.location)))
+        have, want = (
+            {cell: (len(keys), set(keys)) for cell, keys in index.items()}
+            for index in (self._t0_cells, expected)
+        )
+        faults += [
+            ("t0-index", cell, self._t0_cells.get(cell))
+            for cell in have.keys() | want.keys()
+            if have.get(cell) != want.get(cell)
+        ]
+        return bad + faults
 
     # -- journaled mutations (so a failed insert rolls back cleanly) ----------
+    #
+    # An insert changes the directory only through _set_slot and _evict.
+    # Each keeps the filter (T1) or the T0 index in step with the slot it
+    # touches and journals what undoing it needs — flat slot index, cells —
+    # so _rollback recomputes nothing and insert snapshots nothing on entry:
+    # kick log, counters and victim RNG are restored from the journal too.
 
-    def _register_t0(self, key: Any, kb: bytes) -> None:
-        for cell in self.filter.indices(kb):
-            self._t0_cells.setdefault(cell, set()).add(key)
+    def _arrive(self, key: Any, table: int, cells: Sequence[int]) -> Sequence[int]:
+        """*key* now sits in *table*: add it to the filter (T1; returns the
+        cells that flipped 0 → 1, the cascade's input) or index it (T0)."""
+        if table == T1:
+            return self.filter.add_cells(cells)
+        index = self._t0_cells
+        for cell in cells:
+            residents = index.get(cell)
+            if residents is None:
+                index[cell] = [key]
+            elif key not in residents:  # both probes on one cell: listed once
+                residents.append(key)
+        return ()
 
-    def _unregister_t0(self, key: Any, kb: bytes) -> None:
-        for cell in self.filter.indices(kb):
-            residents = self._t0_cells.get(cell)
-            if residents is not None:
-                residents.discard(key)
+    def _leave(self, key: Any, table: int, cells: Sequence[int]) -> None:
+        if table == T1:
+            self.filter.remove_cells(cells)
+            return
+        index = self._t0_cells
+        for cell in cells:
+            residents = index.get(cell)
+            if residents is not None and key in residents:
+                if len(residents) == 1:
+                    del index[cell]
+                else:
+                    residents.remove(key)
 
-    def _set_slot(self, key: Any, ref: SlotRef, journal: List[tuple]) -> None:
-        journal.append(("set", key, ref, self.location.get(key)))
-        self._slot_key[ref] = key
-        self.location[key] = ref
-        if ref.table == T0:
-            self._register_t0(key, self.packer(key))
+    def _set_slot(self, key, ref: SlotRef, at: int, cells, journal) -> Sequence[int]:
+        """Seat *key* at *ref* (flat index *at*); returns the flipped cells."""
+        location = self.location
+        journal.append(("set", key, ref, at, cells, location.get(key)))
+        self._slots[at] = key
+        location[key] = ref
+        return self._arrive(key, ref.table, cells)
 
-    def _clear_slot(self, key: Any, ref: SlotRef, journal: List[tuple]) -> None:
-        journal.append(("clear", key, ref))
-        del self._slot_key[ref]
-        if ref.table == T0:
-            self._unregister_t0(key, self.packer(key))
-
-    def _filter_add(self, kb: bytes, journal: List[tuple]) -> List[int]:
-        journal.append(("fadd", kb))
-        return self.filter.add(kb)
-
-    def _filter_remove(self, kb: bytes, journal: List[tuple]) -> None:
-        journal.append(("fremove", kb))
-        self.filter.remove(kb)
+    def _evict(self, why: str, key, ref: SlotRef, at: int, cells, journal) -> None:
+        """Vacate *ref* — a ``"kick"`` or a ``"relocate"`` — and log it."""
+        journal.append(("evict", key, ref, at, cells, why))
+        if why == "kick":
+            self.kicks += 1
+        else:
+            self.relocations += 1
+        self.kick_log.append((why, key, ref))
+        self._slots[at] = None
+        self._leave(key, ref.table, cells)
 
     def _rollback(self, journal: List[tuple]) -> None:
+        slots = self._slots
         for op in reversed(journal):
-            kind = op[0]
-            if kind == "set":
-                _, key, ref, prev = op
-                if self._slot_key.get(ref) is key:
-                    del self._slot_key[ref]
-                if ref.table == T0:
-                    self._unregister_t0(key, self.packer(key))
-                if prev is None:
+            if op[0] == "rng":  # the victim stream as it stood before a draw
+                self._rng.setstate(op[1])
+                continue
+            kind, key, ref, at, cells, extra = op
+            if kind == "set":  # extra: the key's previous slot
+                if slots[at] is key:
+                    slots[at] = None
+                self._leave(key, ref.table, cells)
+                if extra is None:
                     self.location.pop(key, None)
                 else:
-                    self.location[key] = prev
-            elif kind == "clear":
-                _, key, ref = op
-                self._slot_key[ref] = key
-                if ref.table == T0:
-                    self._register_t0(key, self.packer(key))
-            elif kind == "fadd":
-                self.filter.remove(op[1])
-            elif kind == "fremove":
-                self.filter.add(op[1])
+                    self.location[key] = extra
+            else:  # "evict"; extra: why
+                slots[at] = key
+                self._arrive(key, ref.table, cells)
+                self.kick_log.pop()
+                if extra == "kick":
+                    self.kicks -= 1
+                else:
+                    self.relocations -= 1
 
     # -- the insert path -------------------------------------------------------
 
-    def insert(self, key: Any) -> List[Move]:
+    def insert(self, key: Any, packed: Optional[bytes] = None) -> List[Move]:
         """Place *key*; returns the slot writes the table must mirror.
 
         Deterministic: same seed + same insert order ⇒ identical final
         layout, identical move lists, identical ``kick_log``.  Raises
         :class:`CuckooFullError` (after rolling back) when the kick or
-        relocation budget is exhausted.
+        relocation budget is exhausted.  A caller that already holds the
+        key's packed bytes passes them as *packed*.
         """
-        if key in self.location:
+        location = self.location
+        if key in location:
             return []  # re-install: same slot, caller rewrites the entry
-        if len(self.location) >= self.config.capacity:
+        config = self.config
+        if len(location) >= len(self._slots):
             self.failed_inserts += 1
             raise CuckooFullError(
-                f"cuckoo table full: {len(self.location)} keys in "
-                f"{self.config.capacity} slots"
+                f"cuckoo table full: {len(location)} keys in {config.capacity} slots"
             )
+        kb = self.packer(key) if packed is None else packed
         journal: List[tuple] = []
-        log_mark = len(self.kick_log)
-        rng_state = self._rng.getstate()
-        counters = (self.kicks, self.relocations)
         moves: List[Move] = []
-        #: Keys awaiting (re)placement, with the slot each vacated.
-        pending: deque = deque([(key, None)])
-        kicks_left = self.config.max_kicks
+        #: Keys awaiting (re)placement: (key, vacated slot, packed, cells).
+        pending: deque = deque()
+        placing = (key, None, kb, self.filter.indices(kb))
+        kicks_left = config.max_kicks
         try:
-            while pending:
-                if len(moves) > self.config.max_relocations:
+            while True:
+                if len(moves) > config.max_relocations:
                     raise CuckooFullError(
                         f"insert of {key!r} exceeded max_relocations="
-                        f"{self.config.max_relocations} at load "
-                        f"{self.load:.2f}"
+                        f"{config.max_relocations} at load {self.load:.2f}"
                     )
-                k, src = pending.popleft()
-                kicks_left = self._place(k, src, moves, pending, journal,
-                                         kicks_left)
+                kicks_left = self._place(*placing, moves, pending, journal, kicks_left)
+                if not pending:
+                    return moves
+                placing = pending.popleft()
         except CuckooFullError:
             self._rollback(journal)
-            del self.kick_log[log_mark:]
-            self._rng.setstate(rng_state)
-            self.kicks, self.relocations = counters
             self.failed_inserts += 1
             raise
-        return moves
 
     def _place(
-        self,
-        key: Any,
-        src: Optional[SlotRef],
-        moves: List[Move],
-        pending: deque,
-        journal: List[tuple],
-        kicks_left: int,
+        self, key: Any, src: Optional[SlotRef], kb: bytes, cells: Tuple[int, ...],
+        moves: List[Move], pending: deque, journal: List[tuple], kicks_left: int,
     ) -> int:
-        kb = self.packer(key)
-        h0 = self.dataplane.h0(kb)
-        h1 = self.dataplane.h1(kb)
+        bucket = self._bucket
+        positive = self.filter.query_cells(cells)
         # 1. T0 home, but only while the filter still queries negative —
         #    otherwise the data plane would READ pair h1 and miss it.
-        if not self.filter.query(kb):
-            slot = self._free_slot(T0, h0)
-            if slot is not None:
-                ref = SlotRef(T0, h0, slot)
-                self._set_slot(key, ref, journal)
-                moves.append(Move(key, src, ref))
-                return kicks_left
-        # 2. T1 home: always legal (the add keeps it query-positive), but
-        #    the add may flip T0 residents positive — relocate them now.
-        slot = self._free_slot(T1, h1)
-        if slot is not None:
-            ref = SlotRef(T1, h1, slot)
-            self._set_slot(key, ref, journal)
-            flipped = self._filter_add(kb, journal)
-            moves.append(Move(key, src, ref))
+        table = T0
+        index = self.dataplane.h0(kb)
+        base = index * bucket
+        slot = None if positive else self._free_slot(base)
+        if slot is None:
+            # 2. T1 home: always legal (seating adds the key to the filter,
+            #    keeping it query-positive), but the add may flip T0
+            #    residents positive — the cascade relocates them.
+            h1 = self.dataplane.h1(kb)
+            t1_base = (self._pairs + h1) * bucket
+            slot = self._free_slot(t1_base)
+            if slot is not None or positive:
+                table, index, base = T1, h1, t1_base
+        victim = None
+        if slot is None:
+            # 3. Both homes full: kick a seeded victim.  A key that may sit
+            #    in T0 kicks there: a T0 placement needs no filter add
+            #    (keeping filter pressure — and hence the relocation
+            #    cascade — down), and the T0 victim restarts the walk with
+            #    both of its own homes to try.
+            if kicks_left <= 0:
+                raise CuckooFullError(
+                    f"kick chain for {key!r} exceeded max_kicks="
+                    f"{self.config.max_kicks} at load {self.load:.2f}"
+                )
+            if kicks_left == self.config.max_kicks:
+                # This insert's first draw: only now is the victim stream
+                # about to move, so only now is it worth a 625-word snapshot.
+                journal.append(("rng", self._rng.getstate()))
+            kicks_left -= 1
+            slot = self._pick_victim(table, base)
+            victim = self._slots[base + slot]
+            victim_kb = self.packer(victim)
+            victim_cells = self.filter.indices(victim_kb)
+        ref = SlotRef(table, index, slot)
+        if victim is not None:
+            self._evict("kick", victim, ref, base + slot, victim_cells, journal)
+        flipped = self._set_slot(key, ref, base + slot, cells, journal)
+        moves.append(Move(key, src, ref))
+        if flipped:
             self._cascade(flipped, pending, journal)
-            return kicks_left
-        # 3. Both homes full: kick a seeded victim.
-        if kicks_left <= 0:
-            raise CuckooFullError(
-                f"kick chain for {key!r} exceeded max_kicks="
-                f"{self.config.max_kicks} at load {self.load:.2f}"
-            )
-        self.kicks += 1
-        if not self.filter.query(kb):
-            # The key may sit in T0, so kick there: a T0 placement needs
-            # no filter add (keeping filter pressure — and hence the
-            # relocation cascade — down), and the T0 victim restarts the
-            # walk with both of its own homes to try.
-            victim_slot = self._rng.randrange(self.config.slots_per_bucket)
-            ref = SlotRef(T0, h0, victim_slot)
-            victim = self._slot_key[ref]
-            self.kick_log.append(("kick", victim, ref))
-            self._clear_slot(victim, ref, journal)
-            self._set_slot(key, ref, journal)
-            moves.append(Move(key, src, ref))
-            pending.append((victim, ref))
-            return kicks_left - 1
-        # Filter-positive: the key is confined to its T1 bucket.  A victim
+        if victim is not None:
+            pending.append((victim, ref, victim_kb, victim_cells))
+        return kicks_left
+
+    def _pick_victim(self, table: int, base: int) -> int:
+        """The slot to kick from the full bucket starting at flat *base*."""
+        bucket = self._bucket
+        if table == T0:
+            return self._rng.randrange(bucket)
+        # A filter-positive key is confined to its T1 bucket.  A victim
         # whose own filter entries are all that keep it positive — and
         # whose T0 home has room — escapes to T0 immediately, ending the
         # chain; prefer those, else the walk cycles inside this bucket
         # (every occupant confined the same way) until the budget trips.
         escapable = [
-            slot
-            for slot in range(self.config.slots_per_bucket)
-            if self._can_escape_to_t0(self._slot_key[SlotRef(T1, h1, slot)])
+            slot for slot in range(bucket)
+            if self._can_escape_to_t0(self._slots[base + slot])
         ]
         if escapable:
-            victim_slot = escapable[self._rng.randrange(len(escapable))]
-        else:
-            victim_slot = self._rng.randrange(self.config.slots_per_bucket)
-        ref = SlotRef(T1, h1, victim_slot)
-        victim = self._slot_key[ref]
-        self.kick_log.append(("kick", victim, ref))
-        self._clear_slot(victim, ref, journal)
-        self._filter_remove(self.packer(victim), journal)
-        self._set_slot(key, ref, journal)
-        flipped = self._filter_add(kb, journal)
-        moves.append(Move(key, src, ref))
-        self._cascade(flipped, pending, journal)
-        pending.append((victim, ref))
-        return kicks_left - 1
+            return escapable[self._rng.randrange(len(escapable))]
+        return self._rng.randrange(bucket)
 
     def _can_escape_to_t0(self, key: Any) -> bool:
         """Would *key*, removed from T1, fit (and stay negative) in T0?"""
         kb = self.packer(key)
-        cells: Dict[int, int] = {}
+        own: Dict[int, int] = {}
         for cell in self.filter.indices(kb):
-            cells[cell] = cells.get(cell, 0) + 1
+            own[cell] = own.get(cell, 0) + 1
         # Negative after removing its own increments?
-        if all(self.filter.cell_value(c) - n > 0 for c, n in cells.items()):
+        if all(self.filter.cell_value(c) - n > 0 for c, n in own.items()):
             return False
-        return self._free_slot(T0, self.dataplane.h0(kb)) is not None
+        return self._free_slot(self.dataplane.h0(kb) * self._bucket) is not None
 
-    def _cascade(
-        self, flipped_cells: List[int], pending: deque, journal: List[tuple]
-    ) -> None:
+    def _cascade(self, flipped_cells: Sequence[int], pending: deque, journal) -> None:
         """Queue T0 residents the filter add just flipped positive."""
-        if not flipped_cells:
-            return
-        suspects: Set[Any] = set()
+        suspects: set = set()
         for cell in flipped_cells:
-            suspects |= self._t0_cells.get(cell, set())
+            suspects.update(self._t0_cells.get(cell, ()))
         # Deterministic order: sort by packed key bytes, never set order.
-        for suspect in sorted(suspects, key=self.packer):
-            ref = self.location.get(suspect)
-            if ref is None or ref.table != T0:
-                continue
-            if not self.filter.query(self.packer(suspect)):
+        packer = self.packer
+        for kb, suspect in sorted(
+            ((packer(suspect), suspect) for suspect in suspects), key=itemgetter(0)
+        ):
+            cells = self.filter.indices(kb)
+            if not self.filter.query_cells(cells):
                 continue  # still negative; invariant holds
-            self.relocations += 1
-            self.kick_log.append(("relocate", suspect, ref))
-            self._clear_slot(suspect, ref, journal)
-            pending.append((suspect, ref))
+            ref = self.location[suspect]  # in T0: the index lists no one else
+            at = ref.index * self._bucket + ref.slot
+            self._evict("relocate", suspect, ref, at, cells, journal)
+            pending.append((suspect, ref, kb, cells))
 
-    def _free_slot(self, table: int, index: int) -> Optional[int]:
-        for slot in range(self.config.slots_per_bucket):
-            if SlotRef(table, index, slot) not in self._slot_key:
+    def _free_slot(self, base: int) -> Optional[int]:
+        """Lowest free slot of the bucket whose flat index starts at *base*."""
+        slots = self._slots
+        for slot in range(self._bucket):
+            if slots[base + slot] is None:
                 return slot
         return None
 
@@ -467,12 +515,9 @@ class CuckooDirectory:
         ref = self.location.pop(key, None)
         if ref is None:
             return None
-        del self._slot_key[ref]
-        kb = self.packer(key)
-        if ref.table == T0:
-            self._unregister_t0(key, kb)
-        else:
-            self.filter.remove(kb)
+        table, index, slot = ref
+        self._slots[(table * self._pairs + index) * self._bucket + slot] = None
+        self._leave(key, table, self.filter.indices(self.packer(key)))
         return ref
 
     def __repr__(self) -> str:

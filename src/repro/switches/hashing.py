@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 from ..net.headers import Ipv4Header, UdpHeader
 from ..net.packet import Packet
@@ -44,9 +43,10 @@ _CRC16_TABLE = _build_crc16_table()
 def crc16(data: bytes) -> int:
     """CRC-16 (ARC variant: poly 0x8005 reflected, init 0) of *data*."""
     crc = 0x0000
+    table = _CRC16_TABLE
     for byte in data:
-        crc = (crc >> 8) ^ _CRC16_TABLE[(crc ^ byte) & 0xFF]
-    return crc & 0xFFFF
+        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
+    return crc
 
 
 def crc32(data: bytes) -> int:
@@ -87,9 +87,16 @@ def hash_fields(fields: Iterable[FieldValue], width_bits: int = 32) -> int:
     return digest & ((1 << width_bits) - 1)
 
 
-@dataclass(frozen=True)
-class FiveTuple:
-    """The classic flow key: (src IP, dst IP, protocol, src port, dst port)."""
+_FIVE_TUPLE = struct.Struct("!IIBHH")
+
+
+class FiveTuple(NamedTuple):
+    """The classic flow key: (src IP, dst IP, protocol, src port, dst port).
+
+    A named tuple: construction, equality and ``hash()`` run in C, and the
+    hash is the plain 5-tuple's, so anything keyed by flows iterates in an
+    order set by field values alone.  Ranges are checked at :meth:`pack`.
+    """
 
     src_ip: int
     dst_ip: int
@@ -108,27 +115,14 @@ class FiveTuple:
         udp = packet.find(UdpHeader)
         src_port = udp.src_port if udp is not None else 0
         dst_port = udp.dst_port if udp is not None else 0
-        return cls(
-            src_ip=ip.src.value,
-            dst_ip=ip.dst.value,
-            protocol=ip.protocol,
-            src_port=src_port,
-            dst_port=dst_port,
-        )
+        return cls(ip.src.value, ip.dst.value, ip.protocol, src_port, dst_port)
 
     def pack(self) -> bytes:
-        return struct.pack(
-            "!IIBHH",
-            self.src_ip,
-            self.dst_ip,
-            self.protocol,
-            self.src_port,
-            self.dst_port,
-        )
+        return _FIVE_TUPLE.pack(*self)
 
     def hash(self, width_bits: int = 32) -> int:
         """CRC32 hash of the packed 5-tuple, truncated to ``width_bits``."""
-        digest = crc32(self.pack())
+        digest = zlib.crc32(_FIVE_TUPLE.pack(*self))
         if width_bits >= 32:
             return digest
         return digest & ((1 << width_bits) - 1)
