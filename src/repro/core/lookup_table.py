@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple, Union
 
 from ..cuckoo import CuckooConfig, CuckooDirectory
 from ..net.addresses import Ipv4Address
-from ..net.headers import Ipv4Header
+from ..net.headers import HeaderError, Ipv4Header
 from ..net.packet import Packet
 from ..policies.cache import CachePolicy, make_cache_policy
 from ..rdma.constants import Opcode, psn_distance
@@ -655,15 +655,14 @@ class RemoteLookupTable:
                 return False
             gen = fastgen
         ctx.drop()  # responses never leave the switch
-        opcode = gen.classify_response(packet)
-        if gen.is_nak(packet):
+        opcode, is_nak, psn = gen.accept_response(packet)
+        if is_nak:
             self._handle_nak(gen, packet)
             return True
-        if opcode != Opcode.RDMA_READ_RESPONSE_ONLY:
+        if opcode is not Opcode.RDMA_READ_RESPONSE_ONLY:
             return True
         # Match the response to its lookup by PSN; anything older in the
         # FIFO was lost to a drop window and never got a response.
-        psn = packet.require(BthHeader).psn
         fifo = self._pending_of(gen)
         while fifo and fifo[0]["read_psn"] != psn:
             self._release_pending(fifo.popleft())
@@ -677,8 +676,14 @@ class RemoteLookupTable:
         flow: FiveTuple = pending["flow"]
         action, action_bytes = self._resolve_entry(entry, flow)
         if self.config.mode == "bounce":
-            original = Packet.parse(entry[action_bytes:])
-            original.meta.update(pending["meta"])
+            try:
+                original = Packet.parse(entry, action_bytes)
+            except HeaderError:
+                # The bounced frame came back undecodable (corrupted in
+                # the slot or on the wire): the clean loss of §7.
+                self._m_lookups_lost.inc()
+                return True
+            original.meta = pending["meta"]  # the copy taken at the bounce
         else:
             original = pending["parked"]
             # Account the pipeline passes spent waiting in recirculation.

@@ -31,8 +31,11 @@ recoveries is declared dead: its unread entries are abandoned (clean
 losses, in order), new stores re-stripe over the survivors, and with no
 survivors left the switch degrades gracefully to plain drop-tail.
 
-Ring state (write/read pointers, mode flag) lives in data-plane register
-arrays, exactly as the P4 prototype keeps it.
+Ring state (write/read/load pointers, mode flag) lives in data-plane
+register arrays, exactly as the P4 prototype keeps it, and is accessed the
+way a pipeline stage would: each pass — egress-hook store, dequeue, READ
+response, load, release — reads a register at most once and writes it at
+most once, before any call that can re-enter the primitive.
 """
 
 from __future__ import annotations
@@ -40,22 +43,13 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..net.headers import Ipv4Header
+from ..net.headers import HeaderError, Ipv4Header
 from ..net.packet import Packet
 from ..rdma.constants import Opcode
 from ..rdma.headers import BthHeader
+from ..rdma.packets import MAX_READ_BYTES, MAX_WRITE_BYTES
 from ..sim.units import kib, mib
 from ..switches.pipeline import PipelineContext
 from ..switches.registers import RegisterArray
@@ -69,6 +63,12 @@ if TYPE_CHECKING:  # cluster imports core; break the cycle for typing
 
 #: Register indices for the ring state.
 _WRITE_PTR, _READ_PTR, _NEXT_LOAD_PTR, _BUFFERING = range(4)
+#: Fields of one per-entry record (``RemotePacketBuffer._entries``).
+_CHANNEL, _ADDRESS, _META, _FLUSHED = range(4)
+_PASS, _CONSUMED = HookVerdict.PASS, HookVerdict.CONSUMED
+_STAMP = struct.Struct("!Q")
+#: The largest entry one WRITE can store and one READ response can return.
+_MAX_ENTRY_BYTES = min(MAX_WRITE_BYTES, MAX_READ_BYTES)
 
 #: Each ring entry is prefixed with its write pointer so a reader can tell
 #: a fresh entry from stale bytes left by a lost RDMA WRITE (§7: "an RDMA
@@ -137,6 +137,14 @@ class PacketBufferStats:
     ecn_marked: int = 0
 
 
+def _same_region(read: RemoteMemoryChannel, write: RemoteMemoryChannel) -> bool:
+    return (
+        read.rkey == write.rkey
+        and read.server is write.server
+        and read.base_address == write.base_address
+    )
+
+
 class RemotePacketBuffer:
     """Data-plane component protecting one egress queue with remote memory."""
 
@@ -166,6 +174,14 @@ class RemotePacketBuffer:
         self.channels = list(channels)
         self.protected_port = protected_port
         self.config = config if config is not None else PacketBufferConfig()
+        if not ENTRY_SEQ_BYTES < self.config.entry_bytes <= _MAX_ENTRY_BYTES:
+            raise ValueError(
+                f"entry_bytes={self.config.entry_bytes}: an entry is the "
+                f"{ENTRY_SEQ_BYTES} B stamp plus a frame, and must fit one RDMA "
+                f"WRITE and one READ response ({_MAX_ENTRY_BYTES} B)"
+            )
+        if self.config.max_outstanding_reads < 1:
+            raise ValueError("max_outstanding_reads must be >= 1")
         #: This buffer's scope in the simulation's metric registry
         #: ("pktbuf[<port>]", suffixed on collision).
         self.metrics = switch.sim.obs.registry.unique_scope(
@@ -203,15 +219,10 @@ class RemotePacketBuffer:
             read_channels = list(read_channels)
             if len(read_channels) != len(self.channels):
                 raise ValueError("need one read channel per write channel")
-            for write_ch, read_ch in zip(self.channels, read_channels):
-                if (
-                    read_ch.rkey != write_ch.rkey
-                    or read_ch.server is not write_ch.server
-                    or read_ch.base_address != write_ch.base_address
-                ):
-                    raise ValueError(
-                        "read channels must share their write channel's region"
-                    )
+            if not all(map(_same_region, read_channels, self.channels)):
+                raise ValueError(
+                    "read channels must share their write channel's region"
+                )
             self.read_channels = read_channels
             self.read_rocegens = [
                 RoceRequestGenerator(switch, channel)
@@ -245,15 +256,16 @@ class RemotePacketBuffer:
         ]
         # Cross-channel reorder stage: completed entries by ring pointer.
         self._reorder: Dict[int, Optional[Packet]] = {}
-        # Simulation bookkeeping: per-slot packet metadata survives the
-        # store/load round trip (on the wire the full frame carries it).
-        self._meta_by_index: Dict[int, dict] = {}
-        # Striping state.  Each entry's channel and remote address are
-        # recorded at store time (on hardware: an epoch register plus the
-        # same pointer arithmetic, reconfigured by the control plane on
-        # failover; here the mapping is explicit).
-        self._entry_channel: Dict[int, int] = {}
-        self._entry_address: Dict[int, int] = {}
+        # One record per ring entry, alive from store to release: ``ptr ->
+        # [channel, address, meta, flushed]``.  Channel and address are
+        # fixed at store time (on hardware: an epoch register plus pointer
+        # arithmetic, reconfigured by the control plane on failover); meta
+        # is the packet's simulation metadata (on the wire the frame
+        # carries it); flushed turns True once the entry's WRITE has left
+        # the switch (see _store).  ``len(_entries)`` is the occupancy.
+        self._entries: Dict[int, list] = {}
+        # Stripe targets, recomputed at every membership change.
+        self._targets: List[int] = list(range(len(self.channels)))
         self._rr_cursor = 0
         self._channel_slot_counter = [0] * len(self.channels)
         self._channel_unread = [0] * len(self.channels)
@@ -271,27 +283,13 @@ class RemotePacketBuffer:
         self._bytes_per_member = 0
         self.drain_poll_ns = 10_000.0
         self.drain_timeout_ns = 1_000_000.0
-        # Entries whose WRITE request has left the switch (see _store).
-        self._flushed: set = set()
         self._loading = False  # reentrancy guard for the load loop
+        self._queue: PortQueue = switch.port_queue(protected_port)
         # Plug into the traffic manager.
         if switch.tm.egress_hook is not None:
             raise RuntimeError("switch TM already has an egress hook")
         switch.tm.egress_hook = self._egress_hook
         switch.tm.dequeue_listeners.append(self._on_dequeue)
-
-    @property
-    def tiers(self) -> List[str]:
-        """Memory tier of each ring's backing channel (DESIGN.md §13).
-
-        A buffer whose rings were placed with
-        ``TieredMemoryPool.place_channel(..., tier="fast")`` stores and
-        loads bursts with the RNIC's fast-tier service profile — the
-        whole-object static pin the tiering design gives packet buffers
-        (their access pattern is a ring sweep: block-granular promotion
-        would thrash, so the ring is pinned as a unit).
-        """
-        return [channel.tier for channel in self.channels]
 
     @property
     def stats(self) -> PacketBufferStats:
@@ -336,28 +334,16 @@ class RemotePacketBuffer:
         members = pool.alive_members
         if not members:
             raise ValueError("pool has no alive members")
-        channels: List[RemoteMemoryChannel] = []
-        read_channels: List[RemoteMemoryChannel] = []
-        for member in members:
-            channel = pool.open_channel(
-                member, bytes_per_member, name=f"pktbuf:{member.name}"
-            )
-            channels.append(channel)
-            if separate_read_qps:
-                read_channels.append(
-                    pool.open_channel(
-                        member,
-                        bytes_per_member,
-                        name=f"pktbuf-read:{member.name}",
-                        share_region_with=channel,
-                    )
-                )
+        rings = [
+            cls._open_rings(pool, member, bytes_per_member, separate_read_qps)
+            for member in members
+        ]
         buffer = cls(
             switch,
-            channels,
+            [channel for channel, _ in rings],
             protected_port,
             config=config,
-            read_channels=read_channels if separate_read_qps else None,
+            read_channels=[read for _, read in rings] if separate_read_qps else None,
         )
         buffer.pool = pool
         buffer._bytes_per_member = bytes_per_member
@@ -370,6 +356,15 @@ class RemotePacketBuffer:
             )
         pool.listeners.append(buffer)
         return buffer
+
+    @staticmethod
+    def _open_rings(pool: "MemoryPool", member: "PoolMember", size: int, separate: bool):
+        """Open *member*'s ring and, with separate read QPs, a second QP on it."""
+        channel = pool.open_channel(member, size, name=f"pktbuf:{member.name}")
+        read_channel = pool.open_channel(
+            member, size, name=f"pktbuf-read:{member.name}", share_region_with=channel
+        ) if separate else None
+        return channel, read_channel
 
     def add_channel(
         self,
@@ -392,11 +387,7 @@ class RemotePacketBuffer:
                 raise ValueError(
                     "buffer uses separate read QPs; pass read_channel"
                 )
-            if (
-                read_channel.rkey != channel.rkey
-                or read_channel.server is not channel.server
-                or read_channel.base_address != channel.base_address
-            ):
+            if not _same_region(read_channel, channel):
                 raise ValueError(
                     "read channel must share the write channel's region"
                 )
@@ -413,21 +404,15 @@ class RemotePacketBuffer:
         self._channel_unread.append(0)
         self._channel_strikes.append(0)
         self.capacity_entries = self.entries_per_channel * len(self.channels)
+        self._retarget()
         self._steering.refresh()
         return index
 
     def on_member_join(self, member: "PoolMember") -> None:
-        channel = self.pool.open_channel(
-            member, self._bytes_per_member, name=f"pktbuf:{member.name}"
+        channel, read_channel = self._open_rings(
+            self.pool, member, self._bytes_per_member,
+            separate=self.read_channels is not self.channels,
         )
-        read_channel = None
-        if self.read_channels is not self.channels:
-            read_channel = self.pool.open_channel(
-                member,
-                self._bytes_per_member,
-                name=f"pktbuf-read:{member.name}",
-                share_region_with=channel,
-            )
         index = self.add_channel(channel, read_channel)
         self._member_channel[member.name] = index
         self.pool.watch(member, self.read_rocegens[index])
@@ -442,6 +427,7 @@ class RemotePacketBuffer:
         # Stop striping to the leaver but keep reading its ring; hold its
         # channels open until the unread entries drain out.
         self._draining_channels.add(index)
+        self._retarget()
         self.pool.hold_for_drain(member)
         self._drain_channel(
             member, index, deadline=self.switch.sim.now + self.drain_timeout_ns
@@ -457,7 +443,7 @@ class RemotePacketBuffer:
         self._fail_channel(index)
         # Entries stranded on the dead channel resolve as clean losses as
         # the read pointer sweeps them; kick the sweep now.
-        self._maybe_start_loading(self.switch.port_queue(self.protected_port))
+        self._maybe_start_loading(self._queue)
 
     def _drain_channel(
         self, member: "PoolMember", index: int, deadline: float
@@ -485,98 +471,93 @@ class RemotePacketBuffer:
 
     @property
     def alive_channels(self) -> List[int]:
-        """Stripe targets: not failed, not draining out of the pool."""
-        return [
-            i for i in range(len(self.channels))
-            if i not in self._failed_channels
-            and i not in self._draining_channels
-            and i not in self._degraded_channels
-        ]
+        """Stripe targets: not failed, not draining out of the pool, not
+        degraded."""
+        return self._targets
 
-    def _assign_channel(self) -> Optional[int]:
-        """Round-robin the next store over surviving channels.
-
-        Returns None when no channel can take the entry (all failed, or
-        every survivor's ring is full).
-        """
-        alive = self.alive_channels
-        for _ in range(len(alive)):
-            idx = alive[self._rr_cursor % len(alive)]
-            self._rr_cursor += 1
-            if self._channel_unread[idx] < self.entries_per_channel:
-                return idx
-        return None
+    def _retarget(self) -> None:
+        """Recompute the stripe targets; every membership change ends here
+        (``add_channel``, graceful leave, ``_fail_channel``, ``degrade``,
+        ``recover``)."""
+        out = self._failed_channels | self._draining_channels | self._degraded_channels
+        self._targets = [i for i in range(len(self.channels)) if i not in out]
 
     # -- store path ---------------------------------------------------------------
 
-    def _egress_hook(
-        self, port: int, packet: Packet, queue: PortQueue
-    ) -> HookVerdict:
+    def _egress_hook(self, port: int, packet: Packet, queue: PortQueue) -> HookVerdict:
         if port != self.protected_port:
-            return HookVerdict.PASS
+            return _PASS
+        regs = self._regs
         if self._degraded_channels:
             # Breaker open: stop diverting — a store into a dead channel
             # strands the packet.  Passing through trades order for
             # delivery; the trade-off is documented in DESIGN.md §11.
-            if self.is_buffering:
+            if regs.read(_BUFFERING):
                 self._m_degraded_passthrough.inc()
-            return HookVerdict.PASS
-        if not self.is_buffering:
+            return _PASS
+        if not regs.read(_BUFFERING):
             if (
                 queue.depth_bytes + packet.buffer_len
                 <= self.config.high_watermark_bytes
             ):
-                return HookVerdict.PASS
+                return _PASS
             # Queue built past the watermark: enter buffering mode.
-            self._regs.write(_BUFFERING, 1)
+            regs.write(_BUFFERING, 1)
             self._m_episodes.inc()
         self._store(packet, queue)
-        return HookVerdict.CONSUMED
+        return _CONSUMED
 
     def _store(self, packet: Packet, queue: PortQueue) -> None:
-        threshold = self.config.ecn_ring_threshold_entries
-        if threshold is not None and self.stored_entries >= threshold:
+        config = self.config
+        regs = self._regs
+        write_ptr = regs.read(_WRITE_PTR)
+        threshold = config.ecn_ring_threshold_entries
+        if threshold is not None and write_ptr - regs.read(_READ_PTR) >= threshold:
             ip = packet.find(Ipv4Header)
             if ip is not None and ip.ecn in (1, 2):
                 ip.ecn = 3  # CE: the ring, not the port queue, is hot
                 self._m_ecn_marked.inc()
         frame = packet.pack()
-        if len(frame) > self.config.entry_bytes - ENTRY_SEQ_BYTES:
+        if len(frame) > config.entry_bytes - ENTRY_SEQ_BYTES:
             self._m_oversize_drops.inc()
             return
-        channel_idx = self._assign_channel()
-        if channel_idx is None:
-            # Remote rings exhausted — §2.1 argues O(10 GB) makes this
-            # rare; when it happens the packet drops like any buffer drop.
+        # Round-robin over the surviving channels, skipping full rings.
+        targets = self._targets
+        unread = self._channel_unread
+        for _ in targets:
+            channel_idx = targets[self._rr_cursor % len(targets)]
+            self._rr_cursor += 1
+            if unread[channel_idx] < self.entries_per_channel:
+                break
+        else:
+            # Remote rings exhausted (or no channel left) — §2.1 argues
+            # O(10 GB) makes this rare; when it happens the packet drops
+            # like any buffer drop.
             self._m_ring_full_drops.inc()
             return
-        write_ptr = self._regs.read(_WRITE_PTR)
-        slot = (
-            self._channel_slot_counter[channel_idx] % self.entries_per_channel
-        )
+        slot = self._channel_slot_counter[channel_idx] % self.entries_per_channel
         self._channel_slot_counter[channel_idx] += 1
         address = (
-            self.channels[channel_idx].base_address
-            + slot * self.config.entry_bytes
+            self.channels[channel_idx].base_address + slot * config.entry_bytes
         )
-        entry = struct.pack("!Q", write_ptr) + frame
+        # The entry is on the books before its WRITE is handed over: an
+        # idle server port serializes synchronously, and the dequeue pass
+        # that re-enters from there must see a ring that holds it.
+        self._entries[write_ptr] = [channel_idx, address, dict(packet.meta), False]
+        unread[channel_idx] += 1
+        regs.write(_WRITE_PTR, write_ptr + 1)
+        self._m_stored_packets.inc()
+        self._m_stored_bytes.inc(len(frame))
         # Loads must never outrun stores *inside the switch*: a READ that
         # jumps the server-port queue (e.g. under read prioritization)
         # would fetch the slot before its WRITE left the box.  The tag
         # lets the TM dequeue listener mark the entry flushed.
         self.rocegens[channel_idx].write(
             address,
-            entry,
-            ack_request=self.config.ack_writes,
+            _STAMP.pack(write_ptr) + frame,
+            ack_request=config.ack_writes,
             meta={"pktbuf_write_ptr": write_ptr},
         )
-        self._entry_channel[write_ptr] = channel_idx
-        self._entry_address[write_ptr] = address
-        self._channel_unread[channel_idx] += 1
-        self._meta_by_index[write_ptr] = dict(packet.meta)
-        self._regs.write(_WRITE_PTR, write_ptr + 1)
-        self._m_stored_packets.inc()
-        self._m_stored_bytes.inc(len(frame))
         # If the local queue already drained below the low watermark the
         # dequeue trigger will never fire again — kick loading from here.
         self._maybe_start_loading(queue)
@@ -587,80 +568,83 @@ class RemotePacketBuffer:
         flushed_ptr = packet.meta.get("pktbuf_write_ptr")
         if flushed_ptr is not None:
             # This entry's WRITE is on the wire; its READ may now be issued.
-            self._flushed.add(flushed_ptr)
+            record = self._entries.get(flushed_ptr)
+            if record is not None:
+                record[_FLUSHED] = True
             if flushed_ptr == self._regs.read(_NEXT_LOAD_PTR):
-                self._maybe_start_loading(
-                    self.switch.port_queue(self.protected_port)
-                )
-            return
-        if port != self.protected_port:
-            return
-        self._maybe_start_loading(queue)
+                self._maybe_start_loading(self._queue)
+        elif port == self.protected_port:
+            self._maybe_start_loading(queue)
 
     def start_draining(self) -> None:
         """Manually begin loading stored packets back (§5 microbenchmark)."""
         self._manual_drain_started = True
-        self._maybe_start_loading(self.switch.port_queue(self.protected_port))
+        self._maybe_start_loading(self._queue)
 
     def _maybe_start_loading(self, queue: PortQueue) -> None:
-        if self._loading:
+        """The load pass: issue READs for the next entries in pointer order
+        while credit lasts, then release whatever became releasable."""
+        config = self.config
+        if (
+            self._loading
+            or self._degraded_channels  # stands down until the breaker re-closes
+            or (config.manual_load and not self._manual_drain_started)
+            or queue.depth_bytes > config.low_watermark_bytes
+        ):
             return
-        if self._degraded_channels:
-            return  # load path stands down until the breaker re-closes
-        if not self.is_buffering:
-            return
-        if self.config.manual_load and not self._manual_drain_started:
-            return
-        if queue.depth_bytes > self.config.low_watermark_bytes:
-            return
-        self._loading = True
-        try:
-            budget = self.config.max_outstanding_reads * max(
-                1, len(self.alive_channels)
-            )
-            while (
-                self._outstanding_reads < budget and self._unread_entries() > 0
-            ):
-                if not self._issue_read():
-                    break  # next entry's WRITE hasn't left the switch yet
-        finally:
-            self._loading = False
-        # Entries marked lost (failed channel) or kept across a recovery
-        # may already be releasable without any wire round trip.
-        self._drain_reorder()
-
-    def _unread_entries(self) -> int:
-        return self._regs.read(_WRITE_PTR) - self._regs.read(_NEXT_LOAD_PTR)
-
-    def _issue_read(self) -> bool:
-        """Issue (or resolve) the next READ in pointer order.
-
-        Returns False when the load loop must stop because the entry's
-        WRITE has not been transmitted yet; True otherwise (issued,
-        already completed, or skipped as lost on a failed channel).
-        """
-        load_ptr = self._regs.read(_NEXT_LOAD_PTR)
-        if load_ptr not in self._flushed:
-            return False
-        channel_idx = self._entry_channel[load_ptr]
-        self._regs.write(_NEXT_LOAD_PTR, load_ptr + 1)
-        if load_ptr in self._reorder:
-            # Already completed before a go-back-N recovery; no wire work.
-            return True
-        if channel_idx in self._failed_channels:
-            self._reorder[load_ptr] = None
-            self._m_lost_to_failover.inc()
-            return True
-        # §4: "each load operation fetches a single entire entry regardless
-        # of the original packet size".
-        request = self.read_rocegens[channel_idx].read(
-            self._entry_address[load_ptr], self.config.entry_bytes
+        credit = (
+            config.max_outstanding_reads * (len(self._targets) or 1)
+            - self._outstanding_reads
         )
-        psn = request.require(BthHeader).psn
-        self._inflight[channel_idx].append((load_ptr, psn))
-        self._outstanding_reads += 1
-        self._arm_watchdog()
-        return True
+        reorder = self._reorder
+        entries = self._entries
+        if credit <= 0 and entries and not reorder:
+            return  # nothing to issue, to release, or to end
+        regs = self._regs
+        if not regs.read(_BUFFERING):
+            return
+        if credit > 0 and entries:
+            load_ptr = next_load = regs.read(_NEXT_LOAD_PTR)
+            write_ptr = regs.read(_WRITE_PTR)
+            # The guard keeps every re-entrant dequeue out of the loop, so
+            # the pointer is written back once, when the loop is done.
+            self._loading = True
+            try:
+                while credit > 0 and load_ptr < write_ptr:
+                    record = entries[load_ptr]
+                    if not record[_FLUSHED]:
+                        break  # this entry's WRITE hasn't left the switch yet
+                    pointer = load_ptr
+                    load_ptr += 1
+                    if pointer in reorder:
+                        # Completed before a go-back-N recovery; no wire work.
+                        continue
+                    channel_idx = record[_CHANNEL]
+                    if channel_idx in self._failed_channels:
+                        reorder[pointer] = None
+                        self._m_lost_to_failover.inc()
+                        continue
+                    # §4: "each load operation fetches a single entire entry
+                    # regardless of the original packet size".
+                    request = self.read_rocegens[channel_idx].read(
+                        record[_ADDRESS], config.entry_bytes
+                    )
+                    self._inflight[channel_idx].append(
+                        (pointer, request.require(BthHeader).psn)
+                    )
+                    self._outstanding_reads += 1
+                    credit -= 1
+                    if config.read_timeout_ns is not None and not self._watchdog_armed:
+                        self._arm_watchdog()
+            finally:
+                self._loading = False
+                if load_ptr != next_load:
+                    regs.write(_NEXT_LOAD_PTR, load_ptr)
+        # Entries marked lost (failed channel) or kept across a recovery
+        # may already be releasable without any wire round trip, and an
+        # episode that stored nothing ends here.
+        if reorder or not entries:
+            self._drain_reorder()
 
     # -- loss recovery (optional, §7 reliability extension) ----------------------
 
@@ -701,7 +685,7 @@ class RemotePacketBuffer:
                 self._strike_channel(idx)
             inflight.clear()
         self._regs.write(_NEXT_LOAD_PTR, self._regs.read(_READ_PTR))
-        self._maybe_start_loading(self.switch.port_queue(self.protected_port))
+        self._maybe_start_loading(self._queue)
 
     def _strike_channel(self, idx: int) -> None:
         if idx in self._failed_channels:
@@ -725,6 +709,7 @@ class RemotePacketBuffer:
         still waiting on it are abandoned as the reads reach them."""
         self._failed_channels.add(idx)
         self._draining_channels.discard(idx)
+        self._retarget()
         self._inflight[idx].clear()
         self._m_channels_failed.inc()
 
@@ -735,12 +720,10 @@ class RemotePacketBuffer:
             if len(self.channels) == 1:
                 return 0
             raise ValueError("multiple channels; pass the affected one")
-        for i, ch in enumerate(self.channels):
-            if ch is channel:
-                return i
-        for i, ch in enumerate(self.read_channels):
-            if ch is channel:
-                return i
+        for channels in (self.channels, self.read_channels):
+            for i, ch in enumerate(channels):
+                if ch is channel:
+                    return i
         raise ValueError(f"channel {channel.name!r} is not striped here")
 
     def degrade(self, channel: Optional[RemoteMemoryChannel] = None) -> None:
@@ -756,6 +739,7 @@ class RemotePacketBuffer:
         if idx in self._degraded_channels:
             return
         self._degraded_channels.add(idx)
+        self._retarget()
         self._outstanding_reads = max(
             0, self._outstanding_reads - len(self._inflight[idx])
         )
@@ -786,16 +770,15 @@ class RemotePacketBuffer:
         """
         idx = self._channel_index(channel)
         self._degraded_channels.discard(idx)
+        self._retarget()
         if self._degraded_channels:
             return
-        if self.stored_entries > 0 or self._reorder:
+        if self._entries or self._reorder:
             self._outstanding_reads = 0
             for inflight in self._inflight:
                 inflight.clear()
             self._regs.write(_NEXT_LOAD_PTR, self._regs.read(_READ_PTR))
-            self._maybe_start_loading(
-                self.switch.port_queue(self.protected_port)
-            )
+            self._maybe_start_loading(self._queue)
             self._drain_reorder()
         elif self.is_buffering:
             self._regs.write(_BUFFERING, 0)
@@ -812,14 +795,10 @@ class RemotePacketBuffer:
         if owner is None:
             return False
         channel_idx, is_read_qp = owner
-        rocegen = (
-            self.read_rocegens[channel_idx]
-            if is_read_qp
-            else self.rocegens[channel_idx]
-        )
-        opcode = rocegen.classify_response(packet)
+        rocegen = (self.read_rocegens if is_read_qp else self.rocegens)[channel_idx]
+        opcode, is_nak, psn = rocegen.accept_response(packet)
         ctx.drop()  # the response itself never leaves the switch
-        if rocegen.is_nak(packet):
+        if is_nak:
             # A request was lost: resynchronize that QP's PSN stream.  The
             # read chain needs a go-back-N restart only when the loss hit
             # the read QP with reads in flight; lost WRITEs surface later
@@ -827,9 +806,8 @@ class RemotePacketBuffer:
             rocegen.maybe_resync(packet)
             if is_read_qp and self._inflight[channel_idx]:
                 self._recover_reads()
-            return True
-        if opcode == Opcode.RDMA_READ_RESPONSE_ONLY:
-            self._complete_load(channel_idx, packet)
+        elif opcode is Opcode.RDMA_READ_RESPONSE_ONLY:
+            self._complete_load(channel_idx, psn, packet.payload)
         return True
 
     def _owned_channels(
@@ -842,60 +820,62 @@ class RemotePacketBuffer:
         for i, channel in enumerate(self.channels):
             yield channel, (i, False)
 
-    def _complete_load(self, channel_idx: int, response: Packet) -> None:
-        psn = response.require(BthHeader).psn
+    def _complete_load(self, channel_idx: int, psn: int, entry: bytes) -> None:
+        """The response pass: park the fetched entry in the reorder stage,
+        release in pointer order, chain the next READ."""
         inflight = self._inflight[channel_idx]
         if not inflight or inflight[0][1] != psn:
             # Stale response from a chain that has since been recovered.
             return
-        pointer, _ = inflight.popleft()
-        self._outstanding_reads = max(0, self._outstanding_reads - 1)
+        pointer = inflight.popleft()[0]
+        if self._outstanding_reads > 0:
+            self._outstanding_reads -= 1
         self._channel_strikes[channel_idx] = 0  # the channel is alive
-        if pointer < self._regs.read(_READ_PTR):
+        record = self._entries.get(pointer)
+        if record is None:
             # A pre-recovery duplicate of an already-released entry.
             return
-        entry = response.payload
-        (stamp,) = struct.unpack("!Q", entry[:ENTRY_SEQ_BYTES])
-        if stamp == pointer:
-            original = Packet.parse(entry[ENTRY_SEQ_BYTES:])
-            original.meta.update(self._meta_by_index.get(pointer, {}))
-            self._reorder[pointer] = original
-        else:
-            # Stale stamp: the WRITE for this slot was lost on the wire, so
-            # the original packet is gone (best-effort semantics, §7).
-            self._reorder[pointer] = None
+        original = None
+        try:
+            if _STAMP.unpack_from(entry)[0] == pointer:
+                original = Packet.parse(entry, ENTRY_SEQ_BYTES)
+                original.meta = record[_META]
+        except HeaderError:
+            pass  # corrupted beyond decoding, in the ring or on the wire
+        if original is None:
+            # Stale stamp (the WRITE for this slot was lost on the wire) or
+            # an undecodable frame: the original packet is gone — the clean
+            # loss best-effort semantics prescribe (§7).
             self._m_lost_in_transit.inc()
-        if len(self._reorder) > self._m_reorder_peak.value:
-            self._m_reorder_peak.set(len(self._reorder))
+        reorder = self._reorder
+        reorder[pointer] = original
+        if len(reorder) > self._m_reorder_peak.value:
+            self._m_reorder_peak.set(len(reorder))
         self._drain_reorder()
-        if self.stored_entries > 0:
+        if self._entries:
             # §4: the received READ response triggers the next READ.
-            self._maybe_start_loading(
-                self.switch.port_queue(self.protected_port)
-            )
+            self._maybe_start_loading(self._queue)
 
     def _drain_reorder(self) -> None:
-        """Move consecutive completed entries into the egress queue.
+        """The release pass: move consecutive completed entries into the
+        egress queue.
 
         Pure release: never re-enters the load loop (callers decide
         whether to chain the next READ), so release and load cannot
-        mutually recurse.
+        mutually recurse.  Both registers are written before the port is
+        kicked, which can re-enter through the dequeue listener.
         """
-        queue = self.switch.port_queue(self.protected_port)
+        regs = self._regs
+        reorder = self._reorder
+        entries = self._entries
+        queue = self._queue
+        read_ptr = committed = regs.read(_READ_PTR)
         released = False
-        while True:
-            read_ptr = self._regs.read(_READ_PTR)
-            if read_ptr not in self._reorder:
-                break
-            original = self._reorder.pop(read_ptr)
-            self._meta_by_index.pop(read_ptr, None)
-            self._flushed.discard(read_ptr)
-            channel_idx = self._entry_channel.pop(read_ptr, None)
-            self._entry_address.pop(read_ptr, None)
-            if channel_idx is not None:
-                # The ring slot is reusable once its entry is retired.
-                self._channel_unread[channel_idx] -= 1
-            self._regs.write(_READ_PTR, read_ptr + 1)
+        while read_ptr in reorder:
+            original = reorder.pop(read_ptr)
+            # The ring slot is reusable once its entry is retired.
+            self._channel_unread[entries.pop(read_ptr)[_CHANNEL]] -= 1
+            read_ptr += 1
             if original is not None:
                 self._m_loaded_packets.inc()
                 self._m_loaded_bytes.inc(original.buffer_len)
@@ -903,8 +883,10 @@ class RemotePacketBuffer:
                 # hook so the loaded packet is not diverted again.
                 queue.enqueue_direct(original)
                 released = True
+        if read_ptr != committed:
+            regs.write(_READ_PTR, read_ptr)
+        if not entries and not reorder:
+            # Rings fully drained: leave buffering mode (order preserved).
+            regs.write(_BUFFERING, 0)
         if released:
             self.switch.port_interface(self.protected_port).kick()
-        if self.stored_entries == 0 and not self._reorder:
-            # Rings fully drained: leave buffering mode (order preserved).
-            self._regs.write(_BUFFERING, 0)

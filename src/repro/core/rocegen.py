@@ -289,17 +289,23 @@ class RoceRequestGenerator:
         bth = packet.find(BthHeader)
         return bth is not None and bth.dest_qp == self.channel.switch_qp.qpn
 
-    def classify_response(self, packet: Packet) -> Optional[Opcode]:
-        """Account for a response and return its opcode; NAKs are counted.
+    def accept_response(
+        self, packet: Packet
+    ) -> Tuple[Optional[Opcode], bool, int]:
+        """Account for a response in one pass: ``(opcode, is_nak, psn)`` —
+        everything a primitive's response pass dispatches on, from one
+        look at the BTH and AETH.  NAKs are counted here.
 
-        Responses carrying a computed ICRC are verified first: a
-        mismatch means the packet was corrupted in flight, and the data
-        plane must not act on anything inside it — it is dropped,
-        counted under ``icrc_drops``, and ``None`` is returned (callers
-        treat it as no response at all; the primitives' watchdogs
-        recover, the same as for a lost packet).
+        Responses carrying a computed ICRC are verified first: a mismatch
+        means the packet was corrupted in flight, and the data plane must
+        not act on anything inside it — it is dropped, counted under
+        ``icrc_drops``, and the opcode is ``None`` (callers treat it as no
+        response at all; the primitives' watchdogs recover, the same as
+        for a lost packet).
         """
         bth = packet.require(BthHeader)
+        aeth = packet.find(AethHeader)
+        is_nak = aeth is not None and aeth.syndrome & _NAK_MASK == _NAK_MASK
         if not verify_icrc(packet):
             self._m_icrc_drops.inc()
             if self._trace is not None:
@@ -312,11 +318,9 @@ class RoceRequestGenerator:
                     wire_bytes=packet.wire_len,
                     channel="icrc",
                 )
-            return None
+            return None, is_nak, bth.psn
         self._m_responses.inc()
         self._m_response_bytes.inc(packet.wire_len)
-        aeth = packet.find(AethHeader)
-        is_nak = aeth is not None and aeth.syndrome & _NAK_MASK == _NAK_MASK
         # Every member is truthy; Opcode() raises for a value that is none.
         opcode = OPCODES.get(bth.opcode) or Opcode(bth.opcode)
         if is_nak:
@@ -334,7 +338,11 @@ class RoceRequestGenerator:
                 channel=self.channel.name,
                 syndrome=aeth.syndrome if is_nak else None,
             )
-        return opcode
+        return opcode, is_nak, bth.psn
+
+    def classify_response(self, packet: Packet) -> Optional[Opcode]:
+        """:meth:`accept_response` for a caller that only needs the opcode."""
+        return self.accept_response(packet)[0]
 
     @staticmethod
     def is_nak(packet: Packet) -> bool:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .._deprecation import warn_once
 from ..net.packet import Packet
-from ..rdma.constants import ATOMIC_OPERAND_BYTES, Opcode, psn_distance
+from ..rdma.constants import ATOMIC_OPERAND_BYTES, PSN_MODULO, Opcode
 from ..rdma.headers import BthHeader
 from ..rdma.memory import TIER_FAST
 from ..switches.hashing import FiveTuple
@@ -39,6 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tiering uses core)
 
 #: Register index of the outstanding-operation count.
 _OUTSTANDING = 0
+_PSN_MASK, _PSN_HALF = PSN_MODULO - 1, PSN_MODULO // 2
+_U64 = 1 << 64
 
 
 @dataclass
@@ -165,26 +167,19 @@ class RemoteStateStore:
         # On hardware this is a register array indexed by counter index;
         # FIFO order keeps flushing fair.
         self._accumulators: "OrderedDict[int, int]" = OrderedDict()
-        # Reliable mode: per-generator in-flight operations
-        # psn -> (index, value, address), oldest first, plus the
-        # retransmission watchdog state.  The address is recorded at issue
-        # time so retransmissions replay the *original* target even if the
-        # block moved tiers since (it cannot — busy blocks refuse to move —
-        # but the invariant is cheap to keep by construction).
-        self._inflight: Dict[
-            RoceRequestGenerator, "OrderedDict[int, tuple]"
-        ] = {gen: OrderedDict() for gen in self._gens}
+        # Operations on the wire, one issue-ordered record per generator
+        # (PSN spaces are per-QP): psn -> (index, value, address, block,
+        # issued_at), oldest first.  It feeds the busy-block refcounts (a
+        # block with operations on the wire must not change tier) and the
+        # op_latency_ns histogram in either reliability mode; reliable
+        # mode also commits from it and retransmits from it, to the address
+        # recorded at issue time (a busy block cannot move, but replaying
+        # the *original* target is cheap to keep by construction).
+        self._ops: Dict[RoceRequestGenerator, Dict[int, tuple]] = {
+            gen: {} for gen in self._gens
+        }
         self._retry_armed = False
-        self._retry_snapshot: Dict[
-            RoceRequestGenerator, Optional[int]
-        ] = {}
-        # psn -> (block, t_issue_ns) per generator: feeds the busy-block
-        # refcounts (a block with operations on the wire must not change
-        # tier) and the op_latency_ns histogram.  Local bookkeeping only —
-        # it never touches the wire, in either reliability mode.
-        self._op_meta: Dict[
-            RoceRequestGenerator, "OrderedDict[int, tuple]"
-        ] = {gen: OrderedDict() for gen in self._gens}
+        self._retry_snapshot: Dict[RoceRequestGenerator, Optional[int]] = {}
         self._busy_blocks: Dict[int, int] = {}
         self._closed = False
         # Degraded mode (DESIGN.md §11): while the channel's breaker is
@@ -296,7 +291,8 @@ class RemoteStateStore:
         """
         if self._closed:
             raise RuntimeError("state store is closed")
-        if not 0 <= index < self.config.counters:
+        config = self.config
+        if not 0 <= index < config.counters:
             raise IndexError(f"counter index {index} out of range")
         pending = self._accumulators.get(index, 0) + value
         if self._degraded:
@@ -310,8 +306,8 @@ class RemoteStateStore:
         # Batch readiness uses the magnitude so negative (Count Sketch)
         # deltas flush too; a zero net change needs no operation at all.
         if (
-            self.outstanding < self.config.max_outstanding
-            and abs(pending) >= self.config.batch_size
+            abs(pending) >= config.batch_size
+            and self._regs.read(_OUTSTANDING) < config.max_outstanding
         ):
             self._accumulators.pop(index, None)
             self._issue(index, pending)
@@ -325,13 +321,13 @@ class RemoteStateStore:
         # Negative deltas (Count Sketch's ±1 updates) ride as two's
         # complement: Fetch-and-Add is modulo 2^64 on both ends.
         gen, address, block = self._locate(index)
-        request = gen.fetch_add(address, value % (1 << 64))
-        psn = request.require(BthHeader).psn
-        self._op_meta[gen][psn] = (block, self.switch.sim.now)
+        request = gen.fetch_add(address, value % _U64)
+        self._ops[gen][request.require(BthHeader).psn] = (
+            index, value, address, block, self.switch.sim.now
+        )
         if block is not None:
             self._busy_blocks[block] = self._busy_blocks.get(block, 0) + 1
-        if self.config.reliable:
-            self._inflight[gen][psn] = (index, value, address)
+        if self.config.reliable and not self._retry_armed:
             self._arm_retry()
         self._regs.add(_OUTSTANDING, 1)
         self._m_ops.inc()
@@ -343,33 +339,62 @@ class RemoteStateStore:
         """True while *block* has operations on the wire (must not move)."""
         return self._busy_blocks.get(block, 0) > 0
 
-    def _release_block(self, block: Optional[int]) -> None:
-        if block is None:
-            return
+    def _release_block(self, block: int) -> None:
         count = self._busy_blocks.get(block, 0) - 1
         if count <= 0:
             self._busy_blocks.pop(block, None)
         else:
             self._busy_blocks[block] = count
 
-    def _retire_meta_through(self, gen: RoceRequestGenerator, psn: int) -> None:
-        """Retire issue-time bookkeeping for every op at or before *psn*."""
-        meta = self._op_meta[gen]
-        retired = [p for p in meta if psn_distance(p, psn) < (1 << 23)]
-        now = self.switch.sim.now
-        for p in retired:
-            block, issued = meta.pop(p)
-            self._h_op_latency.observe(now - issued)
-            self._release_block(block)
+    def _retire_through(self, gen: RoceRequestGenerator, psn: int) -> None:
+        """Retire every op of *gen* at or before *psn*, oldest first.
 
-    def _clear_meta(self, gen: RoceRequestGenerator) -> None:
-        """Drop a generator's issue-time bookkeeping (resync/suspend/close)."""
-        for block, _issued in self._op_meta[gen].values():
-            self._release_block(block)
-        self._op_meta[gen].clear()
+        RC is in order and the record is in issue order, so the retired
+        ops are its front: pop until the first PSN past the acknowledged
+        one — O(retired), whatever the window.  Each retired op records
+        its latency and releases its busy-block hold; in reliable mode
+        its value is now definitely applied.
+        """
+        ops = self._ops[gen]
+        now = self.switch.sim.now
+        committed = self._committed if self.config.reliable else None
+        while ops:
+            for front in ops:
+                break
+            if (psn - front) & _PSN_MASK >= _PSN_HALF:
+                return  # the front op is past psn: nothing (more) to retire
+            index, value, _address, block, issued = ops.pop(front)
+            self._h_op_latency.observe(now - issued)
+            if block is not None:
+                self._release_block(block)
+            if committed is not None:
+                committed[index] = committed.get(index, 0) + value
+            if front == psn:
+                return  # the usual case: the ACK names the front op
+
+    def _drop_ops(self, gen: RoceRequestGenerator) -> None:
+        """Forget a generator's ops on the wire (resync/suspend/close)."""
+        ops = self._ops[gen]
+        for op in ops.values():
+            if op[3] is not None:
+                self._release_block(op[3])
+        ops.clear()
+
+    def _suspend_ops(self, gen: RoceRequestGenerator) -> None:
+        """Park a generator's ops for the post-recovery reconcile, then
+        forget them (best-effort mode forgets them, as it forgets any loss)."""
+        if self.config.reliable:
+            for op in self._ops[gen].values():
+                self._suspended_ops.append((op[0], op[1]))
+        self._drop_ops(gen)
 
     def _total_inflight(self) -> int:
-        return sum(len(ops) for ops in self._inflight.values())
+        """Ops held for retransmission (best-effort mode holds none)."""
+        total = 0
+        if self.config.reliable:
+            for ops in self._ops.values():
+                total += len(ops)
+        return total
 
     # -- response path ---------------------------------------------------------------
 
@@ -380,78 +405,58 @@ class RemoteStateStore:
             return (self.rocegen.channel,)
         return (self.rocegen.channel, self._fastgen.channel)
 
-    def _owning_gen(self, packet: Packet) -> Optional[RoceRequestGenerator]:
-        bth = packet.find(BthHeader)
-        if bth is None:
-            return None
-        gen, fastgen = self.rocegen, self._fastgen
-        if bth.dest_qp == gen.channel.switch_qp.qpn:
-            return gen
-        if fastgen is not None and bth.dest_qp == fastgen.channel.switch_qp.qpn:
-            return fastgen
-        return None
-
     def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:
         """Consume atomic acknowledgements; True when handled."""
-        gen = self._owning_gen(packet)
-        if gen is None:
+        bth = packet.find(BthHeader)
+        if bth is None:
             return False
+        gen = self.rocegen
+        if bth.dest_qp != gen.channel.switch_qp.qpn:
+            gen = self._fastgen
+            if gen is None or bth.dest_qp != gen.channel.switch_qp.qpn:
+                return False
         ctx.drop()
-        opcode = gen.classify_response(packet)
-        if opcode == Opcode.RDMA_READ_RESPONSE_ONLY:
+        opcode, is_nak, psn = gen.accept_response(packet)
+        if opcode is Opcode.RDMA_READ_RESPONSE_ONLY:
             # Reconcile READ after a recovery (or a breaker probe, whose
-            # PSN matches nothing and is ignored here — classify_response
+            # PSN matches nothing and is ignored here — accept_response
             # already reported it as progress).
-            self._complete_reconcile(gen, packet)
+            self._complete_reconcile(gen, psn, packet)
             return True
-        if opcode not in (Opcode.ATOMIC_ACKNOWLEDGE, Opcode.ACKNOWLEDGE):
+        if opcode is not Opcode.ATOMIC_ACKNOWLEDGE and opcode is not Opcode.ACKNOWLEDGE:
             return True
-        if gen.is_nak(packet):
-            self._m_naks.inc()
-            if self.config.reliable:
-                # Go-back-N: retransmit rejected operations with their
-                # original PSNs (never resync backwards — reusing a PSN for
-                # a *different* operation would let the replay cache
-                # swallow it).
-                self._handle_nak_reliable(gen, packet)
-            else:
-                # Best-effort: the operation's value is lost; resync the
-                # PSN stream so later operations are not rejected too.
-                # Nothing of ours is left on this stream's wire, so the
-                # busy-block holds release.
-                gen.maybe_resync(packet)
-                self._clear_meta(gen)
-        else:
+        regs = self._regs
+        reliable = self.config.reliable
+        if not is_nak:
             self._m_acks.inc()
-            psn = packet.require(BthHeader).psn
-            self._retire_meta_through(gen, psn)
-            if self.config.reliable:
-                self._ack_through(gen, psn)
-        if not self.config.reliable:
-            self._regs.write(
-                _OUTSTANDING, max(0, self._regs.read(_OUTSTANDING) - 1)
-            )
+            self._retire_through(gen, psn)
+        elif reliable:
+            # Go-back-N: retransmit rejected operations with their
+            # original PSNs (never resync backwards — reusing a PSN for
+            # a *different* operation would let the replay cache
+            # swallow it).
+            self._m_naks.inc()
+            self._handle_nak_reliable(gen, psn)
+        else:
+            # Best-effort: the operation's value is lost; resync the
+            # PSN stream so later operations are not rejected too.
+            # Nothing of ours is left on this stream's wire, so the
+            # busy-block holds release.
+            self._m_naks.inc()
+            gen.maybe_resync(packet)
+            self._drop_ops(gen)
+        if reliable:
+            regs.write(_OUTSTANDING, self._total_inflight())
+        else:
+            outstanding = regs.read(_OUTSTANDING)
+            if outstanding:
+                regs.write(_OUTSTANDING, outstanding - 1)
         self._flush()
         return True
 
     # -- reliable-mode machinery (§7 extension) ---------------------------------
 
-    def _ack_through(self, gen: RoceRequestGenerator, psn: int) -> None:
-        """Retire every in-flight op at or before *psn* (RC is in order)."""
-        inflight = self._inflight[gen]
-        retired = [
-            p
-            for p in inflight
-            if psn_distance(p, psn) < (1 << 23)
-        ]
-        for p in retired:
-            index, value, _address = inflight.pop(p)
-            self._committed[index] = self._committed.get(index, 0) + value
-        self._regs.write(_OUTSTANDING, self._total_inflight())
-
-    def _handle_nak_reliable(
-        self, gen: RoceRequestGenerator, packet: Packet
-    ) -> None:
+    def _handle_nak_reliable(self, gen: RoceRequestGenerator, expected: int) -> None:
         """A NAK names the first rejected PSN: ops before it executed, ops
         from it on never did — retransmit them verbatim, in PSN order.
 
@@ -460,28 +465,20 @@ class RemoteStateStore:
         harmless duplicate retransmissions that the responder's replay
         cache absorbs.
         """
-        expected = packet.require(BthHeader).psn
-        inflight = self._inflight[gen]
-        for p in list(inflight):
-            if psn_distance(expected, p) >= (1 << 23):
-                # p < expected: already executed; its response may have
-                # been lost, but the count is safely applied.
-                index, value, _address = inflight.pop(p)
-                self._committed[index] = self._committed.get(index, 0) + value
-        # The executed prefix is done on the wire too — release its
-        # busy-block holds and record its latencies.
-        self._retire_meta_through(gen, (expected - 1) % (1 << 24))
-        for p, (index, value, address) in inflight.items():
-            gen.fetch_add(address, value % (1 << 64), psn=p)
+        # The executed prefix is done on the wire too (a response may have
+        # been lost, but the count is safely applied) — commit it, release
+        # its busy-block holds and record its latencies.
+        self._retire_through(gen, (expected - 1) & _PSN_MASK)
+        for p, op in self._ops[gen].items():
+            gen.fetch_add(op[2], op[1] % _U64, psn=p)
             self._m_requeued.inc()
-        self._regs.write(_OUTSTANDING, self._total_inflight())
 
     def _arm_retry(self) -> None:
         if self._retry_armed or self._closed or self._degraded:
             return
         self._retry_armed = True
         self._retry_snapshot = {
-            gen: next(iter(ops), None) for gen, ops in self._inflight.items()
+            gen: next(iter(ops), None) for gen, ops in self._ops.items()
         }
         self.switch.sim.schedule(self.config.retry_timeout_ns, self._retry_check)
 
@@ -491,7 +488,7 @@ class RemoteStateStore:
             return
         stalled = [
             (gen, head)
-            for gen, ops in self._inflight.items()
+            for gen, ops in self._ops.items()
             for head in [next(iter(ops), None)]
             if head is not None and head == self._retry_snapshot.get(gen)
         ]
@@ -504,13 +501,13 @@ class RemoteStateStore:
         # idempotent.
         for gen, head in stalled:
             gen.record_timeout()
-            if self._closed or self._degraded or head not in self._inflight[gen]:
+            if self._closed or self._degraded or head not in self._ops[gen]:
                 # The timeout report tripped the health monitor, which
                 # closed or degraded this store reentrantly — nothing
                 # left to retransmit on this stream.
                 continue
-            index, value, address = self._inflight[gen][head]
-            gen.fetch_add(address, value % (1 << 64), psn=head)
+            _index, value, address, _block, _issued = self._ops[gen][head]
+            gen.fetch_add(address, value % _U64, psn=head)
             self._m_retx.inc()
         if not self._closed and not self._degraded:
             self._arm_retry()
@@ -522,18 +519,14 @@ class RemoteStateStore:
         (§7's "at the cost of some delay in updates").  Operators drain
         leftovers with :meth:`flush_all`.
         """
-        if self._degraded:
+        if self._degraded or not self._accumulators:
             return
+        batch = self.config.batch_size
         while self._regs.read(_OUTSTANDING) < self.config.max_outstanding:
-            ready = next(
-                (
-                    index
-                    for index, value in self._accumulators.items()
-                    if abs(value) >= self.config.batch_size
-                ),
-                None,
-            )
-            if ready is None:
+            for ready, value in self._accumulators.items():
+                if abs(value) >= batch:
+                    break
+            else:
                 return
             self._issue(ready, self._accumulators.pop(ready))
 
@@ -570,10 +563,7 @@ class RemoteStateStore:
             return
         self._degraded = True
         for gen in self._gens:
-            for index, value, _address in self._inflight[gen].values():
-                self._suspended_ops.append((index, value))
-            self._inflight[gen].clear()
-            self._clear_meta(gen)
+            self._suspend_ops(gen)
         self._regs.write(_OUTSTANDING, 0)
 
     def degrade_fast(self) -> None:
@@ -591,12 +581,7 @@ class RemoteStateStore:
         if self._tiering is None or self._fast_degraded:
             return
         self._fast_degraded = True
-        gen = self._fastgen
-        if self.config.reliable:
-            for index, value, _address in self._inflight[gen].values():
-                self._suspended_ops.append((index, value))
-        self._inflight[gen].clear()
-        self._clear_meta(gen)
+        self._suspend_ops(self._fastgen)
         self._regs.write(_OUTSTANDING, self._total_inflight())
         self._tiering.fast_enabled = False
         self._tiering.demote_all(force=True)
@@ -657,9 +642,8 @@ class RemoteStateStore:
             self._m_reconcile_reads.inc()
 
     def _complete_reconcile(
-        self, gen: RoceRequestGenerator, packet: Packet
+        self, gen: RoceRequestGenerator, psn: int, packet: Packet
     ) -> None:
-        psn = packet.require(BthHeader).psn
         index = self._reconcile_reads.pop((gen, psn), None)
         if index is None:
             return  # breaker probe or stale READ — nothing to reconcile
@@ -691,8 +675,7 @@ class RemoteStateStore:
         """
         self._closed = True
         for gen in self._gens:
-            self._inflight[gen].clear()
-            self._clear_meta(gen)
+            self._drop_ops(gen)
         self._accumulators.clear()
         self._suspended_ops = []
         self._reconcile_reads.clear()
@@ -719,10 +702,11 @@ class RemoteStateStore:
         will still be applied on top of whatever the repair writes.
         """
         total = self._accumulators.get(index, 0)
-        for ops in self._inflight.values():
-            for op_index, value, _address in ops.values():
-                if op_index == index:
-                    total += value
+        if self.config.reliable:  # best-effort tracks no value in flight
+            for ops in self._ops.values():
+                for op in ops.values():
+                    if op[0] == index:
+                        total += op[1]
         for op_index, value in self._suspended_ops:
             if op_index == index:
                 total += value
@@ -731,13 +715,8 @@ class RemoteStateStore:
 
     def read_counter_via_control_plane(self, index: int) -> int:
         """Operator-side counter read (estimation algorithms run here, §4)."""
+        region, address = self.channel.region, self.counter_address(index)
         if self._tiering is not None:
             tier, address = self._tiering.resolve(index)
-            raw = self._tiering.channel_for(tier).region.read(
-                address, ATOMIC_OPERAND_BYTES
-            )
-            return int.from_bytes(raw, "big")
-        raw = self.channel.region.read(
-            self.counter_address(index), ATOMIC_OPERAND_BYTES
-        )
-        return int.from_bytes(raw, "big")
+            region = self._tiering.channel_for(tier).region
+        return int.from_bytes(region.read(address, ATOMIC_OPERAND_BYTES), "big")

@@ -1,7 +1,7 @@
 """Byte-accurate codecs for the classic header stack: Ethernet, IPv4, UDP.
 
-Every header type supports ``pack() -> bytes`` and ``unpack(bytes)`` that
-round-trip exactly; property-based tests assert this invariant.  Packets in
+Every header type supports ``pack() -> bytes`` and ``unpack(bytes, offset=0)``
+(decode in place, no slice) that round-trip exactly; property-based tests assert this invariant.  Packets in
 the simulator carry *structured* header objects for speed, but wire sizes and
 serialized bytes always come from these codecs, so bandwidth accounting is
 grounded in the real formats rather than hard-coded constants.
@@ -133,10 +133,10 @@ class EthernetHeader(Header):
             raise self._pack_error(exc) from None
 
     @classmethod
-    def unpack(cls, data: bytes) -> "EthernetHeader":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short Ethernet header: {len(data)} bytes")
-        dst, src, ethertype = _ETH_STRUCT.unpack_from(data)
+    def unpack(cls, data: bytes, offset: int = 0) -> "EthernetHeader":
+        if len(data) - offset < cls.LENGTH:
+            raise HeaderError(f"short Ethernet header: {len(data) - offset} bytes")
+        dst, src, ethertype = _ETH_STRUCT.unpack_from(data, offset)
         # Straight slot fill: every field is width-limited by the wire
         # format itself, so the constructor's range checks cannot fail.
         header = _new(cls)
@@ -263,9 +263,9 @@ class Ipv4Header(Header):
             raise self._pack_error(exc) from None
 
     @classmethod
-    def unpack(cls, data: bytes) -> "Ipv4Header":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short IPv4 header: {len(data)} bytes")
+    def unpack(cls, data: bytes, offset: int = 0) -> "Ipv4Header":
+        if len(data) - offset < cls.LENGTH:
+            raise HeaderError(f"short IPv4 header: {len(data) - offset} bytes")
         (
             version_ihl,
             tos,
@@ -277,14 +277,14 @@ class Ipv4Header(Header):
             checksum,
             src,
             dst,
-        ) = _IPV4_STRUCT.unpack_from(data)
+        ) = _IPV4_STRUCT.unpack_from(data, offset)
         version = version_ihl >> 4
         ihl = version_ihl & 0xF
         if version != 4:
             raise HeaderError(f"not an IPv4 header (version={version})")
         if ihl != 5:
             raise HeaderError(f"IPv4 options unsupported (ihl={ihl})")
-        total = sum(_WORDS_10.unpack_from(data)) - checksum
+        total = sum(_WORDS_10.unpack_from(data, offset)) - checksum
         total = (total & 0xFFFF) + (total >> 16)
         total = (total & 0xFFFF) + (total >> 16)
         expected = (~total) & 0xFFFF
@@ -341,14 +341,14 @@ class UdpHeader(Header):
             raise self._pack_error(exc) from None
 
     @classmethod
-    def unpack(cls, data: bytes) -> "UdpHeader":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short UDP header: {len(data)} bytes")
+    def unpack(cls, data: bytes, offset: int = 0) -> "UdpHeader":
+        if len(data) - offset < cls.LENGTH:
+            raise HeaderError(f"short UDP header: {len(data) - offset} bytes")
         header = _new(cls)
         (
             header.src_port,
             header.dst_port,
             header.length,
             header.checksum,
-        ) = _UDP_STRUCT.unpack_from(data)
+        ) = _UDP_STRUCT.unpack_from(data, offset)
         return header

@@ -116,6 +116,12 @@ def _layout_of(headers: Tuple[Any, ...]) -> _Layout:
     return packet_layout(*types) if layout is None else layout
 
 
+#: The three shapes :meth:`Packet.parse` decodes.
+_PARSED_ETH = packet_layout(EthernetHeader)
+_PARSED_IP = packet_layout(EthernetHeader, Ipv4Header)
+_PARSED_UDP = packet_layout(EthernetHeader, Ipv4Header, UdpHeader)
+
+
 class Packet:
     """A network packet: a header stack, payload bytes, optional trailers.
 
@@ -348,29 +354,34 @@ class Packet:
         )
 
     @classmethod
-    def parse(cls, data: bytes) -> "Packet":
-        """Parse Ethernet → IPv4 → UDP from raw bytes.
+    def parse(cls, data: bytes, offset: int = 0) -> "Packet":
+        """Parse Ethernet → IPv4 → UDP from the frame at ``data[offset:]``.
 
-        Anything below UDP (or a non-IPv4/non-UDP stack) is kept as opaque
-        payload; protocol modules such as :mod:`repro.rdma.headers` provide
-        their own continuation parsers over that payload.
+        Decoded in place: the headers are unpacked at the running offset
+        and the only bytes copied are the payload's.  Anything below UDP
+        (or a non-IPv4/non-UDP stack) is kept as opaque payload; protocol
+        modules such as :mod:`repro.rdma.headers` provide their own
+        continuation parsers over that payload.
         """
-        eth = EthernetHeader.unpack(data)
-        headers = [eth]
-        offset = EthernetHeader.LENGTH
-        if eth.ethertype == ETHERTYPE_IPV4 and len(data) >= offset + Ipv4Header.LENGTH:
-            ip = Ipv4Header.unpack(data[offset:])
-            headers.append(ip)
+        end = len(data)
+        eth = EthernetHeader.unpack(data, offset)
+        offset += EthernetHeader.LENGTH
+        headers, layout = (eth,), _PARSED_ETH
+        if eth.ethertype == ETHERTYPE_IPV4 and end >= offset + Ipv4Header.LENGTH:
+            ip = Ipv4Header.unpack(data, offset)
+            headers, layout = (eth, ip), _PARSED_IP
             # Honour the IP length: Ethernet frames may carry padding (or,
             # for packets read back from a reused ring-buffer slot, stale
             # bytes of a previous longer frame).
-            end = min(len(data), offset + ip.total_length)
-            data = data[:end]
+            end = min(end, offset + ip.total_length)
             offset += Ipv4Header.LENGTH
-            if ip.protocol == Ipv4Header.PROTO_UDP and len(data) >= offset + UdpHeader.LENGTH:
-                headers.append(UdpHeader.unpack(data[offset:]))
+            if ip.protocol == Ipv4Header.PROTO_UDP and end >= offset + UdpHeader.LENGTH:
+                headers, layout = (eth, ip, UdpHeader.unpack(data, offset)), _PARSED_UDP
                 offset += UdpHeader.LENGTH
-        return cls(headers=headers, payload=data[offset:])
+        payload = data[offset:end]
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+        return cls.stamped(layout, headers, payload, (), layout.header_len + len(payload))
 
     # -- copying -----------------------------------------------------------------
 

@@ -122,6 +122,8 @@ _ATOMIC_ACK = _shape(Opcode.ATOMIC_ACKNOWLEDGE, AethHeader, AtomicAckEthHeader)
 #: The most a READ may ask for: what one response packet can carry
 #: (65 535 less IPv4 20, UDP 8, BTH 12, AETH 4 and ICRC 4 = 65 487 B).
 MAX_READ_BYTES = 0xFFFF - (_READ_RESPONSE[2] - EthernetHeader.LENGTH)
+#: The most one WRITE may carry (its RETH is 12 B more than an AETH).
+MAX_WRITE_BYTES = 0xFFFF - (_WRITE[2] - EthernetHeader.LENGTH)
 
 
 def _stamp(

@@ -28,26 +28,30 @@ class RegisterArray:
         self.reads = 0
         self.writes = 0
 
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.size:
-            raise IndexError(
-                f"register {self.name!r} index {index} out of range "
-                f"(size {self.size})"
-            )
+    def _out_of_range(self, index: int) -> IndexError:
+        return IndexError(
+            f"register {self.name!r} index {index} out of range "
+            f"(size {self.size})"
+        )
+
+    # One call per access: the bounds test is inline in each accessor.
 
     def read(self, index: int) -> int:
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
         self.reads += 1
         return self._values[index]
 
     def write(self, index: int, value: int) -> None:
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
         self.writes += 1
         self._values[index] = value & self._mask
 
     def add(self, index: int, delta: int) -> int:
         """Read-modify-write add (one stateful-ALU op); returns new value."""
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
         self.reads += 1
         self.writes += 1
         new = (self._values[index] + delta) & self._mask
@@ -56,7 +60,8 @@ class RegisterArray:
 
     def update(self, index: int, fn: Callable[[int], int]) -> int:
         """Apply ``fn`` read-modify-write; returns the new value."""
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
         self.reads += 1
         self.writes += 1
         new = fn(self._values[index]) & self._mask

@@ -1,0 +1,90 @@
+"""Every call budget the repo holds itself to: one table.
+
+Counts, not timings: cProfile call counts repeat exactly on any machine.
+The tier-1 guards (``test_packet_model``, ``test_hop_path``,
+``test_roce_round_trip``, ``test_install_path``, ``test_primitive_path``)
+import their ceilings from here, and CI's ``bench-e2e-quick`` step runs
+``python -m tests.budgets bench_e2e_quick.json`` to hold the quick-run
+record to :data:`BENCH_BUDGETS`.  Each comment gives the measured value
+and what it was before its path was budgeted.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import gc
+import json
+import sys
+from typing import Callable, List, Tuple
+
+# -- tier-1 guards: Python calls per unit of work -----------------------------------------
+
+#: ``net/packet.py`` + ``net/headers.py`` calls per forwarded 64 B frame
+#: (PR 17; measured 10, was 99).
+MODEL_CALLS_PER_FRAME = 30
+#: Wire, pipeline, traffic-manager, kernel and host calls per forwarded
+#: frame (PR 18; measured 27, was 42).
+HOP_CALLS_PER_FRAME = 28
+#: ``rdma/*`` + request-generator calls per Fetch-and-Add round trip
+#: (PR 19; measured 23, was 56).
+ROUND_TRIP_CALLS_PER_OP = 25
+#: Every call, C functions included, per ``RemoteLookupTable.install``
+#: (PR 20; measured 41, was 113) and per ``L4LbController.admit`` (52, was 136).
+INSTALL_CALLS = 45
+ADMIT_CALLS = 55
+#: Ring-register reads + writes per stored-and-drained frame (PR 23;
+#: measured 10: store 3, WRITE dequeue 1, READ response 6; was 25).
+BUFFER_REGISTER_ACCESSES_PER_FRAME = 12
+#: ``core/packet_buffer.py`` + ``switches/registers.py`` calls per
+#: stored-and-drained frame (PR 23; measured 24, was 84).
+BUFFER_CALLS_PER_FRAME = 26
+#: ``core/state_store.py`` calls per acknowledged Fetch-and-Add at window 1
+#: (PR 23; measured 8.5, was 15.4 plus a ``psn_distance`` per op in the
+#: window).  A wider window may add at most one call per op retired.
+STATE_STORE_CALLS_PER_OP = 9
+
+# -- bench_e2e at --quick: sums of per-layer ``calls_per_op`` ------------------------------
+
+#: ``name: (workload, layers, ceiling)``.
+BENCH_BUDGETS = {
+    # A forwarded frame: 10 + 3 + 5 + 8 = 26 measured (was 43).
+    "hop path": ("l2_forward", ("net.wire", "switches.tm", "switches.pipeline", "sim"), 32),
+    # A counted Fetch-and-Add's round trip (22 measured; was 61).
+    "RoCE round trip": ("counter_tiered", ("rdma.rnic", "rdma.codec", "core.rocegen"), 34),
+    # A buffered frame in the primitive and its registers (36 measured; was 100).
+    "buffered frame": ("pktbuf_ring", ("core.pktbuf", "switches.pipeline"), 60),
+}
+
+
+def profiled(run: Callable[[], object]) -> Tuple[list, int]:
+    """cProfile entries of *run*, every call it made (C functions included),
+    taken with the collector off — a gc callback's calls would land in the
+    counts — and the cyclic garbage the run left behind."""
+    profiler = cProfile.Profile()
+    gc.collect()
+    gc.disable()
+    try:
+        profiler.enable()
+        run()
+        profiler.disable()
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    return profiler.getstats(), garbage
+
+
+def check_bench_record(records: List[dict]) -> None:
+    """Hold a ``bench_e2e/run.py --output`` record to :data:`BENCH_BUDGETS`."""
+    per_layer = {record["workload"]: record["per_layer"] for record in records}
+    for name, (workload, layers, ceiling) in BENCH_BUDGETS.items():
+        calls = {layer: per_layer[workload][f"{layer}.calls_per_op"] for layer in layers}
+        total = sum(calls.values())
+        assert total <= ceiling, (
+            f"{name}: {total:.1f} calls per {workload} op (> {ceiling}): {calls}"
+        )
+        print(f"{name}: {total:.1f} calls per {workload} op (<= {ceiling}) {calls}")
+
+
+if __name__ == "__main__":
+    with open(sys.argv[1]) as handle:
+        check_bench_record(json.load(handle))

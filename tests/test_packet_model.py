@@ -60,6 +60,8 @@ from repro.rdma.packets import (
 from repro.rdma.qp import QueuePair
 from repro.workloads.factory import stamp_ports, udp_between
 
+from .budgets import MODEL_CALLS_PER_FRAME
+
 
 class TaggedUdpHeader(UdpHeader):
     """A subclass, to pin ``find``'s isinstance semantics."""
@@ -623,4 +625,4 @@ def test_forwarding_a_frame_costs_a_bounded_number_of_model_calls():
     calls = _model_calls_forwarding(frames)
     assert calls == _model_calls_forwarding(frames), "the count must repeat exactly"
     # 99 per frame before the fixed-layout model; 10 with it.
-    assert 0 < calls <= 30 * frames, f"{calls / frames:.1f} model calls per frame"
+    assert 0 < calls <= MODEL_CALLS_PER_FRAME * frames, f"{calls / frames:.1f} model calls per frame"
