@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import bisect
 import struct
+import zlib
 from typing import Dict, List, Union
 
-from ..switches.hashing import crc32
-
 Key = Union[int, bytes]
+
+_PACK_U64 = struct.Struct("!Q").pack
+_U64_MASK = (1 << 64) - 1
 
 
 class RingEmptyError(LookupError):
@@ -60,7 +62,7 @@ class ConsistentHashRing:
 
     def _positions_of(self, member: str) -> List[int]:
         return [
-            crc32(f"{self.seed}:{member}#{i}".encode())
+            zlib.crc32(f"{self.seed}:{member}#{i}".encode())
             for i in range(self.vnodes)
         ]
 
@@ -91,13 +93,15 @@ class ConsistentHashRing:
 
     @staticmethod
     def _hash_key(key: Key) -> int:
-        if isinstance(key, bytes):
-            return crc32(key)
-        return crc32(struct.pack("!Q", key & ((1 << 64) - 1)))
+        return zlib.crc32(key if isinstance(key, bytes) else _PACK_U64(key & _U64_MASK))
 
     def owner(self, key: Key) -> str:
         """The member owning *key*: first virtual node clockwise."""
-        return self.replicas(key, 1)[0]
+        points = self._points
+        if not points:
+            raise RingEmptyError("ring has no members")
+        index = bisect.bisect_right(points, self._hash_key(key))
+        return self._owner_at[points[index if index < len(points) else 0]]
 
     def replicas(self, key: Key, k: int) -> List[str]:
         """The first *k* distinct members clockwise from *key*'s position.
@@ -127,6 +131,6 @@ class ConsistentHashRing:
         """
         counts: Dict[str, int] = {}
         for i in range(samples):
-            member = self.owner(crc32(struct.pack("!I", i)))
+            member = self.owner(zlib.crc32(struct.pack("!I", i)))
             counts[member] = counts.get(member, 0) + 1
         return {m: c / samples for m, c in sorted(counts.items())}

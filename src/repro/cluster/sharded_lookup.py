@@ -25,6 +25,7 @@ change it re-installs only the flows whose ring owner moved:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -39,6 +40,7 @@ from ..core.lookup_table import (
 )
 from ..core.rocegen import ResponseSteering
 from ..net.packet import Packet
+from ..rdma.headers import BthHeader
 from ..switches.hashing import FiveTuple
 from ..switches.pipeline import PipelineContext
 from ..switches.switch import ProgrammableSwitch
@@ -134,11 +136,10 @@ class ShardedLookupTable:
             for channel in shard.response_channels:
                 yield channel, shard
 
-    def _shard_key(self, flow: FiveTuple) -> int:
-        return flow.hash()
-
-    def shard_for(self, flow: FiveTuple) -> RemoteLookupTable:
-        return self.shards[self.pool.member_for(self._shard_key(flow)).name]
+    def _owner(self, packed: bytes) -> str:
+        """The member whose shard holds the flow with key bytes *packed*:
+        the ring owner of their CRC32 (``FiveTuple.hash``)."""
+        return self.pool.ring.owner(zlib.crc32(packed))
 
     # -- program-facing surface (duck-types RemoteLookupTable) -------------------
 
@@ -176,7 +177,7 @@ class ShardedLookupTable:
             self._journal[flow] = action
             self._placement.pop(flow, None)
             return -1
-        owner = self.pool.member_for(self._shard_key(flow)).name
+        owner = self._owner(flow.pack())
         index = self.shards[owner].install(flow, action)
         self._journal[flow] = action
         self._placement[flow] = owner
@@ -200,11 +201,18 @@ class ShardedLookupTable:
             else:
                 ctx.forward(port)
             return True
-        return self.shard_for(self._flow_of(packet)).lookup(ctx, packet)
+        # One key extraction and one packing per pass: the shard, and in it
+        # the READ index and the fingerprint, all derive from these bytes.
+        flow = self._flow_of(packet)
+        packed = flow.pack()
+        return self.shards[self._owner(packed)].lookup(ctx, packet, flow, packed)
 
     def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:
-        shard = self._steering.owner_of(packet)
-        return shard is not None and shard.try_handle(ctx, packet)
+        bth = packet.find(BthHeader)
+        if bth is None:
+            return False
+        shard = self._steering.owner_of(packet, bth)
+        return shard is not None and shard.try_handle(ctx, packet, bth)
 
     @property
     def stats(self) -> LookupTableStats:
@@ -277,7 +285,7 @@ class ShardedLookupTable:
         if not self.shards:
             return
         for flow, action in self._journal.items():
-            owner = self.pool.member_for(self._shard_key(flow)).name
+            owner = self._owner(flow.pack())
             if self._placement.get(flow) == owner:
                 continue
             self.shards[owner].install(flow, action)

@@ -34,6 +34,7 @@ action.
 from __future__ import annotations
 
 import struct
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from operator import methodcaller
@@ -58,9 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tiering uses core)
     from ..tiering.geometry import TieredRegionGeometry
 
 ACTION_BYTES = 16
-_ACTION_FORMAT = "!BBII6x"
-_PACK_ACTION = struct.Struct(_ACTION_FORMAT).pack
+_ACTION = struct.Struct("!BBII6x")
+_PACK_ACTION = _ACTION.pack
+_UNPACK_ACTION = _ACTION.unpack_from
 _EMPTY_SLOT = bytes(ACTION_BYTES)
+_READ_RESPONSE = Opcode.RDMA_READ_RESPONSE_ONLY
+_PSN_HALF = 1 << 23
 
 #: Well-known remote actions.
 ACTION_NOP = 0
@@ -85,9 +89,7 @@ class RemoteAction:
     @classmethod
     def unpack(cls, data: bytes) -> Tuple[bool, "RemoteAction", int]:
         """Returns (valid, action, fingerprint)."""
-        valid, action_id, param, fingerprint = struct.unpack(
-            _ACTION_FORMAT, data[:ACTION_BYTES]
-        )
+        valid, action_id, param, fingerprint = _UNPACK_ACTION(data)
         return bool(valid), cls(action_id=action_id, param=param), fingerprint
 
 
@@ -258,12 +260,18 @@ class RemoteLookupTable:
                 f"layout {self.config.layout!r} needs {needed} B, exceeding "
                 f"the channel's {channel.length} B"
             )
-        #: Bytes per indexed unit (bucket pair or entry); fixed at construction.
-        self._unit_bytes = unit = (
-            self.config.pair_bytes
-            if self.config.layout == "cuckoo"
-            else self.config.entry_bytes
+        # Mode and geometry, fixed at construction: whether misses bounce
+        # the packet, bytes per indexed unit (bucket pair or entry), and
+        # the action field one READ fetches — one slot (direct) or the
+        # whole bucket pair (cuckoo) — as a width and its slot offsets.
+        self._bounce = self.config.mode == "bounce"
+        self._entries = self.config.entries
+        self._slot_space = self.config.packet_slot_bytes
+        self._action_bytes = (
+            self.config.bucket_pair_bytes if self.config.layout == "cuckoo" else ACTION_BYTES
         )
+        self._slot_offsets = tuple(range(0, self._action_bytes, ACTION_BYTES))
+        self._unit_bytes = unit = self._action_bytes + self._slot_space
         if tiering is not None and tiering.unit_bytes != unit:
             raise ValueError(
                 f"tiering geometry unit_bytes={tiering.unit_bytes} does "
@@ -341,13 +349,15 @@ class RemoteLookupTable:
                 "failed_inserts", fn=lambda: self.directory.failed_inserts
             )
         # In-flight lookups, issue order, one FIFO per PSN stream.  Each
-        # entry records its READ's PSN so responses are matched exactly
-        # (a FIFO popleft would misalign after go-back-N losses discard a
-        # window of lookups).  ``_pending`` is the DRAM/home stream — the
-        # only one a non-tiered table has, which is why it keeps its
-        # pre-tiering name (the sharded table drains it by that name).
-        self._pending: Deque[dict] = deque()
-        self._pending_fast: Deque[dict] = deque()
+        # record is one tuple — (READ PSN, flow, fingerprint, tier block,
+        # ``meta`` copy, issue time, parked packet) — whose PSN matches
+        # responses exactly (a FIFO popleft would misalign after go-back-N
+        # losses discard a window of lookups).  ``_pending`` is the
+        # DRAM/home stream — the only one a non-tiered table has, which is
+        # why it keeps its pre-tiering name (the sharded table drains it by
+        # that name).
+        self._pending: Deque[tuple] = deque()
+        self._pending_fast: Deque[tuple] = deque()
         # Guard against the NAK bursts one loss event produces: a resync
         # is acted on once per stream; echoes within the guard window are
         # ignored so they cannot kill lookups issued after the resync.
@@ -412,16 +422,16 @@ class RemoteLookupTable:
         """
         return self.channel.base_address + index * self._unit_bytes
 
-    def _locate(
+    def _locate_tiered(
         self, index: int
-    ) -> "Tuple[RoceRequestGenerator, int, Optional[int]]":
-        """(generator, address, block) serving *index* right now."""
-        if self._tiering is None:
-            return self.rocegen, self.entry_address(index), None
-        tier, address = self._tiering.resolve(index)
-        self._tiering.record_access(index, tier)
-        gen = self._fastgen if tier == TIER_FAST else self.rocegen
-        return gen, address, self._tiering.block_of(index)
+    ) -> "Tuple[RoceRequestGenerator, Deque[tuple], int, int]":
+        """(generator, its FIFO, address, block) serving *index* right now."""
+        tiering = self._tiering
+        tier, address = tiering.resolve(index)
+        tiering.record_access(index, tier)
+        if tier == TIER_FAST:
+            return self._fastgen, self._pending_fast, address, tiering.block_of(index)
+        return self.rocegen, self._pending, address, tiering.block_of(index)
 
     def _entry_target(self, index: int) -> "Tuple[object, int]":
         """(region, address) the control plane must write for *index*.
@@ -436,24 +446,19 @@ class RemoteLookupTable:
         tier, address = self._tiering.resolve(index)
         return self._tiering.channel_for(tier).region, address
 
-    def _pending_of(self, gen: RoceRequestGenerator) -> Deque[dict]:
-        if self._fastgen is not None and gen is self._fastgen:
-            return self._pending_fast
-        return self._pending
-
-    def _hold_block(self, block: Optional[int]) -> None:
-        if block is not None:
-            self._busy_blocks[block] = self._busy_blocks.get(block, 0) + 1
-
-    def _release_pending(self, pending: dict) -> None:
-        block = pending.get("block")
-        if block is None:
-            return
+    def _release_block(self, block: int) -> None:
         count = self._busy_blocks.get(block, 0) - 1
         if count <= 0:
             self._busy_blocks.pop(block, None)
         else:
             self._busy_blocks[block] = count
+
+    def _write_off(self, record: tuple) -> None:
+        """Account one in-flight lookup as lost (§7's clean loss)."""
+        block = record[3]  # the tier block it held, if any
+        if block is not None:
+            self._release_block(block)
+        self._m_lookups_lost.inc()
 
     def _build_directory(self, seed: int) -> None:
         self.directory = CuckooDirectory(
@@ -554,15 +559,21 @@ class RemoteLookupTable:
 
     # -- data plane ---------------------------------------------------------------
 
-    def lookup(self, ctx: PipelineContext, packet: Packet) -> bool:
+    def lookup(
+        self, ctx: PipelineContext, packet: Packet,
+        flow: Optional[FiveTuple] = None, packed: Optional[bytes] = None,
+    ) -> bool:
         """Resolve and apply the action for *packet*.
 
         Returns True when the packet was handled locally (cache hit: the
         action has been applied synchronously) and False when a remote
         lookup is in flight (the packet was bounced or parked; the caller
-        must not forward it).
+        must not forward it).  A front end that already extracted the key
+        to choose this table (the sharded table) passes it as *flow* with
+        its *packed* bytes, so a pass digests the key once.
         """
-        flow = self.flow_of(packet)
+        if flow is None:
+            flow = self.flow_of(packet)
         if self.cache is not None:
             action = self.cache.lookup(flow)
             if action is not None:
@@ -578,7 +589,7 @@ class RemoteLookupTable:
             self._m_degraded_defaults.inc()
             self._apply(ctx, packet, self.default_action)
             return True
-        self._remote_lookup(ctx, packet, flow)
+        self._remote_lookup(ctx, packet, flow, flow.pack() if packed is None else packed)
         return False
 
     def _apply(
@@ -592,47 +603,55 @@ class RemoteLookupTable:
             ctx.forward(port)
 
     def _remote_lookup(
-        self, ctx: PipelineContext, packet: Packet, flow: FiveTuple
+        self, ctx: PipelineContext, packet: Packet, flow: FiveTuple, packed: bytes
     ) -> None:
+        """Bounce (or park) *packet*; the READ index and the fingerprint the
+        response is matched by both derive from *packed*, the key's bytes."""
         self._m_remote_lookups.inc()
-        index = self.index_of(flow)
-        gen, address, block = self._locate(index)
+        dataplane = self.dataplane
+        if dataplane is not None:
+            index = dataplane.read_index(packed)
+        else:
+            index = zlib.crc32(packed) % self._entries
+        if self._tiering is None:
+            gen, fifo, block = self.rocegen, self._pending, None
+            address = self.channel.base_address + index * self._unit_bytes
+        else:
+            gen, fifo, address, block = self._locate_tiered(index)
         # Direct layout READs one action; cuckoo READs the whole bucket
         # pair (2 x slots_per_bucket actions) in the same single request —
         # the choice filter already picked the index, so there is never a
         # second READ, collision or not.
-        action_bytes = (
-            self.config.bucket_pair_bytes
-            if self.config.layout == "cuckoo"
-            else ACTION_BYTES
-        )
-        pending = {
-            "flow": flow,
-            "index": index,
-            "block": block,
-            "meta": dict(packet.meta),
-            "issued_at": self.switch.sim.now,
-        }
-        if self.config.mode == "bounce":
+        action_bytes = self._action_bytes
+        if self._bounce:
             # (1) deposit the packet in the entry's slot, (2) read the
             # whole (actions, packet) entry back.
             frame = packet.pack()
-            slot_space = self.config.packet_slot_bytes
-            if len(frame) > slot_space:
+            if len(frame) > self._slot_space:
                 raise ValueError(
                     f"packet of {len(frame)} B exceeds the "
-                    f"{slot_space} B packet slot"
+                    f"{self._slot_space} B packet slot"
                 )
             gen.write(address + action_bytes, frame)
             request = gen.read(address, action_bytes + len(frame))
+            parked = None
         else:
             # §7 alternative: keep the packet recirculating locally and
             # fetch only the action slots.
-            pending["parked"] = packet
             request = gen.read(address, action_bytes)
-        pending["read_psn"] = request.require(BthHeader).psn
-        self._hold_block(block)
-        self._pending_of(gen).append(pending)
+            parked = packet
+        if block is not None:
+            # Held against tier moves until the lookup is answered or lost.
+            self._busy_blocks[block] = self._busy_blocks.get(block, 0) + 1
+        fifo.append((
+            request.require(BthHeader).psn,
+            flow,
+            (crc16(packed) << 16) | crc16(packed[::-1]),  # fingerprint_of(flow)
+            block,
+            dict(packet.meta),
+            self.switch.sim.now,
+            parked,
+        ))
         ctx.drop()  # the original packet no longer proceeds on this pass
 
     # -- response path ----------------------------------------------------------------
@@ -644,38 +663,52 @@ class RemoteLookupTable:
             return (self.rocegen.channel,)
         return (self.rocegen.channel, self._fastgen.channel)
 
-    def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:
-        """Consume READ responses for this table; True when handled."""
-        bth = packet.find(BthHeader)
+    def try_handle(
+        self, ctx: PipelineContext, packet: Packet, bth: Optional[BthHeader] = None
+    ) -> bool:
+        """Consume READ responses for this table; True when handled.
+
+        *bth* is the packet's BTH when the caller already found it (the
+        sharded table steers by it); steering, this pass and
+        ``accept_response`` share that one look.
+        """
         if bth is None:
-            return False
-        gen, fastgen = self.rocegen, self._fastgen
-        if bth.dest_qp != gen.channel.switch_qp.qpn:
-            if fastgen is None or bth.dest_qp != fastgen.channel.switch_qp.qpn:
+            bth = packet.find(BthHeader)
+            if bth is None:
                 return False
-            gen = fastgen
+        gen, fifo = self.rocegen, self._pending
+        if bth.dest_qp != gen.channel.switch_qp.qpn:
+            gen = self._fastgen
+            if gen is None or bth.dest_qp != gen.channel.switch_qp.qpn:
+                return False
+            fifo = self._pending_fast
         ctx.drop()  # responses never leave the switch
-        opcode, is_nak, psn = gen.accept_response(packet)
+        opcode, is_nak, psn = gen.accept_response(packet, bth)
         if is_nak:
-            self._handle_nak(gen, packet)
+            self._handle_nak(gen, fifo, packet, psn)
             return True
-        if opcode is not Opcode.RDMA_READ_RESPONSE_ONLY:
+        if opcode is not _READ_RESPONSE:
             return True
         # Match the response to its lookup by PSN; anything older in the
         # FIFO was lost to a drop window and never got a response.
-        fifo = self._pending_of(gen)
-        while fifo and fifo[0]["read_psn"] != psn:
-            self._release_pending(fifo.popleft())
-            self._m_lookups_lost.inc()
+        while fifo and fifo[0][0] != psn:
+            self._write_off(fifo.popleft())
         if not fifo:
             return True  # stale response from before a resync
-        pending = fifo.popleft()
-        self._release_pending(pending)
-        self._m_latency.observe(self.switch.sim.now - pending["issued_at"])
+        _, flow, fingerprint, block, meta, issued_at, original = fifo.popleft()
+        if block is not None:
+            self._release_block(block)
+        now = self.switch.sim.now
+        self._m_latency.observe(now - issued_at)
         entry = packet.payload
-        flow: FiveTuple = pending["flow"]
-        action, action_bytes = self._resolve_entry(entry, flow)
-        if self.config.mode == "bounce":
+        action_bytes = self._action_bytes
+        if len(entry) < action_bytes:
+            # A READ response shorter than the action field it was asked
+            # for: nothing in it can be trusted — the clean loss of §7.
+            self._m_lookups_lost.inc()
+            return True
+        action = self._resolve_entry(entry, flow, fingerprint)
+        if self._bounce:
             try:
                 original = Packet.parse(entry, action_bytes)
             except HeaderError:
@@ -683,13 +716,11 @@ class RemoteLookupTable:
                 # the slot or on the wire): the clean loss of §7.
                 self._m_lookups_lost.inc()
                 return True
-            original.meta = pending["meta"]  # the copy taken at the bounce
+            original.meta = meta  # the copy taken at the bounce
         else:
-            original = pending["parked"]
             # Account the pipeline passes spent waiting in recirculation.
-            waited = self.switch.sim.now - pending["issued_at"]
-            passes = max(1, int(waited // self.switch.config.recirculation_latency_ns))
-            self._m_recirc_passes.inc(passes)
+            passes = (now - issued_at) // self.switch.config.recirculation_latency_ns
+            self._m_recirc_passes.inc(max(1, int(passes)))
         self._mutate(ctx, original, action)
         port = self.resolve_egress(original, action)
         if port is not None and action.action_id != ACTION_DROP:
@@ -699,62 +730,49 @@ class RemoteLookupTable:
         return True
 
     def _resolve_entry(
-        self, entry: bytes, flow: FiveTuple
-    ) -> Tuple[RemoteAction, int]:
-        """Decode the READ response into an action + header length.
+        self, entry: bytes, flow: FiveTuple, fingerprint: int
+    ) -> RemoteAction:
+        """The action the fetched action field holds for *flow*.
 
-        Direct layout: one action slot at offset 0.  Cuckoo layout: scan
-        the ``2 x slots_per_bucket`` slots of the fetched bucket pair for
-        the one whose fingerprint matches *flow* — the pipeline-stage
-        analogue of a bucket compare, still within the same single READ.
+        One pass over the slots one READ brought back — a single slot
+        (direct layout) or the ``2 x slots_per_bucket`` slots of the bucket
+        pair (cuckoo; the pipeline-stage analogue of a bucket compare,
+        still within the same single READ) — decoding each in place and
+        building an action only for the valid slot whose fingerprint
+        matches.  *entry* holds at least the action field (the caller
+        checked).  No match: the default action — occupied slots belong to
+        other flows (a mismatch: never apply another flow's action), an
+        empty field is simply invalid.
         """
-        expected_fp = fingerprint_of(flow)
-        if self.config.layout == "cuckoo":
-            action_bytes = self.config.bucket_pair_bytes
-            any_valid = False
-            for offset in range(0, action_bytes, ACTION_BYTES):
-                valid, action, stored_fp = RemoteAction.unpack(
-                    entry[offset:offset + ACTION_BYTES]
-                )
-                if not valid:
-                    continue
-                any_valid = True
-                if stored_fp == expected_fp:
+        occupied = False
+        for offset in self._slot_offsets:
+            valid, action_id, param, stored = _UNPACK_ACTION(entry, offset)
+            if valid:
+                if stored == fingerprint:
                     self._m_remote_hits.inc()
+                    action = RemoteAction(action_id, param)
                     if self.cache is not None and self.config.cache_fill:
                         self._cache_fill(flow, action)
-                    return action, action_bytes
-            # Flow not present in its pair: occupied slots belong to
-            # other flows (a mismatch), an empty pair is simply invalid.
-            if any_valid:
-                self._m_fp_mismatches.inc()
-            else:
-                self._m_remote_invalid.inc()
-            return self.default_action, action_bytes
-        valid, action, stored_fp = RemoteAction.unpack(entry)
-        if not valid:
-            self._m_remote_invalid.inc()
-            action = self.default_action
-        elif stored_fp != expected_fp:
-            # Another flow owns this index — do not apply its action.
+                    return action
+                occupied = True
+        if occupied:
             self._m_fp_mismatches.inc()
-            action = self.default_action
         else:
-            self._m_remote_hits.inc()
-            if self.cache is not None and self.config.cache_fill:
-                self._cache_fill(flow, action)
-        return action, ACTION_BYTES
+            self._m_remote_invalid.inc()
+        return self.default_action
 
-    def _handle_nak(self, gen: RoceRequestGenerator, packet: Packet) -> None:
+    def _handle_nak(
+        self, gen: RoceRequestGenerator, fifo: "Deque[tuple]", packet: Packet, expected: int
+    ) -> None:
         """One loss event → one resync: discard the rejected lookup suffix.
 
-        The NAK names the responder's expected PSN ``e``; every in-flight
-        lookup whose READ carries ``psn >= e`` was rejected and (in bounce
-        mode) its packet is gone.  Echo NAKs from the same event arrive
-        for a while; the guard window keeps them from touching lookups
-        issued after the resync (which legitimately reuse PSNs >= e).
+        The NAK names the responder's expected PSN ``e`` (*expected*, the
+        NAK's own PSN); every in-flight lookup whose READ carries
+        ``psn >= e`` was rejected and (in bounce mode) its packet is gone.
+        Echo NAKs from the same event arrive for a while; the guard window
+        keeps them from touching lookups issued after the resync (which
+        legitimately reuse PSNs >= e).
         """
-        expected = packet.require(BthHeader).psn
         now = self.switch.sim.now
         last = self._last_resync.get(gen)
         if (
@@ -766,12 +784,8 @@ class RemoteLookupTable:
         self._last_resync[gen] = (expected, now)
         gen.record_strike()  # one loss event = one strike
         gen.maybe_resync(packet)
-        fifo = self._pending_of(gen)
-        while fifo and psn_distance(
-            expected, fifo[-1]["read_psn"]
-        ) < (1 << 23):
-            self._release_pending(fifo.pop())
-            self._m_lookups_lost.inc()
+        while fifo and psn_distance(expected, fifo[-1][0]) < _PSN_HALF:
+            self._write_off(fifo.pop())
 
     # -- degraded mode & recovery (DESIGN.md §11) --------------------------------
 
@@ -790,8 +804,7 @@ class RemoteLookupTable:
         self._degraded = True
         for fifo in (self._pending, self._pending_fast):
             while fifo:
-                self._release_pending(fifo.popleft())
-                self._m_lookups_lost.inc()
+                self._write_off(fifo.popleft())
 
     def degrade_fast(self) -> None:
         """Fast tier unhealthy: spill to DRAM and keep serving (§13).
@@ -807,8 +820,7 @@ class RemoteLookupTable:
             return
         self._fast_degraded = True
         while self._pending_fast:
-            self._release_pending(self._pending_fast.popleft())
-            self._m_lookups_lost.inc()
+            self._write_off(self._pending_fast.popleft())
         self._tiering.fast_enabled = False
         self._tiering.demote_all(force=True)
 

@@ -112,11 +112,13 @@ class ResponseSteering:
         """``dest_qp → owner`` as currently installed (introspection)."""
         return {qpn: owner for qpn, (_, owner) in self._table.items()}
 
-    def owner_of(self, packet: Packet) -> Optional[Any]:
-        """The owner of the queue pair *packet* answers to, or None."""
-        bth = packet.find(BthHeader)
+    def owner_of(self, packet: Packet, bth: Optional[BthHeader] = None) -> Optional[Any]:
+        """The owner of the queue pair *packet* answers to, or None; *bth*
+        is the packet's BTH when the caller has already found it."""
         if bth is None:
-            return None
+            bth = packet.find(BthHeader)
+            if bth is None:
+                return None
         qpn = bth.dest_qp
         entry = self._table.get(qpn)
         if entry is None or entry[0].switch_qp.qpn != qpn:
@@ -290,11 +292,12 @@ class RoceRequestGenerator:
         return bth is not None and bth.dest_qp == self.channel.switch_qp.qpn
 
     def accept_response(
-        self, packet: Packet
+        self, packet: Packet, bth: Optional[BthHeader] = None
     ) -> Tuple[Optional[Opcode], bool, int]:
         """Account for a response in one pass: ``(opcode, is_nak, psn)`` —
         everything a primitive's response pass dispatches on, from one
-        look at the BTH and AETH.  NAKs are counted here.
+        look at the BTH (*bth*, when the caller steered by it already) and
+        AETH.  NAKs are counted here.
 
         Responses carrying a computed ICRC are verified first: a mismatch
         means the packet was corrupted in flight, and the data plane must
@@ -303,7 +306,8 @@ class RoceRequestGenerator:
         response at all; the primitives' watchdogs recover, the same as
         for a lost packet).
         """
-        bth = packet.require(BthHeader)
+        if bth is None:
+            bth = packet.require(BthHeader)
         aeth = packet.find(AethHeader)
         is_nak = aeth is not None and aeth.syndrome & _NAK_MASK == _NAK_MASK
         if not verify_icrc(packet):

@@ -12,10 +12,11 @@ from typing import Optional
 
 from ..hosts.server import Host
 from ..net.headers import EthernetHeader, HeaderError, Ipv4Header, UdpHeader
-from ..net.packet import Packet
+from ..net.packet import Packet, packet_layout
 
 #: Ethernet + IPv4 + UDP header bytes.
 UDP_HEADER_BYTES = EthernetHeader.LENGTH + Ipv4Header.LENGTH + UdpHeader.LENGTH
+_UDP_LAYOUT = packet_layout(EthernetHeader, Ipv4Header, UdpHeader)
 
 
 def udp_between(
@@ -52,13 +53,16 @@ def stamp_ports(template: Packet, src_port: int, dst_port: int) -> Packet:
     """A copy of *template* (a :func:`udp_between` packet) for another flow.
 
     Generators build one template and stamp the per-packet UDP ports onto
-    a clone of it; the ports are range-checked as the header constructor
-    would, everything else was validated once with the template.
+    independent copies of its three headers; the payload bytes are shared
+    and ``meta`` starts empty.  The ports are range-checked as the header
+    constructor would, everything else was validated once with the template.
     """
     if not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
         raise HeaderError(f"UDP port out of range: {src_port}, {dst_port}")
-    packet = template.clone()
-    udp = packet.udp
+    eth, ip, udp = template.headers
+    udp = udp.copy()
     udp.src_port = src_port
     udp.dst_port = dst_port
-    return packet
+    return Packet.stamped(
+        _UDP_LAYOUT, (eth.copy(), ip.copy(), udp), template.payload, (), template.buffer_len
+    )

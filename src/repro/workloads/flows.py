@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ..hosts.server import Host
 from ..net.packet import Packet
@@ -54,14 +54,97 @@ class FlowKey:
     dst_port: int
 
 
-class ZipfFlowWorkload:
-    """Paced packet stream over Zipf-popular flows between two hosts.
+class ZipfPacketSource:
+    """Packets over rank-numbered flows between two hosts, one per tick.
 
-    Flows are distinguished by UDP port pairs, which is enough to make
-    their 5-tuples (and hence remote table/counter indices) distinct.
+    What :class:`ZipfFlowWorkload` and
+    :class:`~repro.workloads.zipf.OpenLoopZipfTraffic` share: the rank →
+    UDP port pair mapping (which is enough to make 5-tuples, and hence
+    remote table/counter indices, distinct), the packet stamped from one
+    template, the per-rank ledger and the self-re-arming tick over a rank
+    schedule fixed up front (so the population is inspectable pre-run).
+    A subclass supplies ``schedule`` (the ``count`` ranks to send, in
+    order), ``_mean_gap_ns`` and ``_arrival_rng`` (``None`` for a fixed
+    gap, else exponential gaps).
     """
 
     BASE_PORT = 1024
+    #: Port-space fan-out: ranks per dst port.
+    PORT_SPAN = 60_000
+
+    schedule: List[int]
+    count: int
+    _mean_gap_ns: float
+    _arrival_rng: Optional[random.Random] = None
+
+    def __init__(self, sim: Simulator, src: Host, dst: Host, packet_size: int) -> None:
+        self.sim = sim
+        self.src = src
+        self.dst = dst
+        self.packet_size = packet_size
+        self.sent_by_rank: Dict[int, int] = {}
+        self.packets_sent = 0
+        self.on_done: Optional[Callable[[], None]] = None
+        self._cursor = 0
+        self._template = udp_between(src, dst, packet_size)
+
+    def distinct_ranks(self) -> List[int]:
+        """Sorted ranks that will actually appear, for pre-installation."""
+        return sorted(set(self.schedule))
+
+    def flow_key(self, rank: int) -> FlowKey:
+        """Deterministic flow → port-pair mapping (60k ranks per dst port)."""
+        return FlowKey(
+            rank=rank,
+            src_port=self.BASE_PORT + rank % self.PORT_SPAN,
+            dst_port=self.BASE_PORT + rank // self.PORT_SPAN,
+        )
+
+    def packet_for(self, rank: int) -> Packet:
+        packet = stamp_ports(
+            self._template,
+            self.BASE_PORT + rank % self.PORT_SPAN,
+            self.BASE_PORT + rank // self.PORT_SPAN,
+        )
+        meta = packet.meta
+        meta["flow_rank"] = rank
+        meta["sent_at"] = self.sim.now
+        return packet
+
+    def start(self, at_ns: float = 0.0) -> None:
+        self.sim.schedule_at(max(at_ns, self.sim.now), self._tick)
+
+    def _tick(self) -> None:
+        cursor = self._cursor
+        if cursor >= self.count:
+            if self.on_done is not None:
+                self.on_done()
+            return
+        rank = self.schedule[cursor]
+        self._cursor = cursor + 1
+        self.src.send(self.packet_for(rank))
+        sent = self.sent_by_rank
+        sent[rank] = sent.get(rank, 0) + 1
+        self.packets_sent += 1
+        gap = self._mean_gap_ns
+        if self._arrival_rng is not None:
+            gap *= self._arrival_rng.expovariate(1.0)
+        self.sim.post(gap, self._tick)
+
+    def distinct_flows_sent(self) -> int:
+        return len(self.sent_by_rank)
+
+    def heavy_hitters(self, threshold: int) -> Dict[int, int]:
+        """Ground-truth flows with at least *threshold* packets."""
+        return {
+            rank: count
+            for rank, count in self.sent_by_rank.items()
+            if count >= threshold
+        }
+
+
+class ZipfFlowWorkload(ZipfPacketSource):
+    """Paced packet stream over Zipf-popular flows between two hosts."""
 
     def __init__(
         self,
@@ -75,58 +158,9 @@ class ZipfFlowWorkload:
         count: int = 10_000,
         seed: int = 0,
     ) -> None:
-        self.sim = sim
-        self.src = src
-        self.dst = dst
+        super().__init__(sim, src, dst, packet_size)
         self.flows = flows
-        self.packet_size = packet_size
         self.count = count
-        self._rng = random.Random(seed)
-        self._sampler = ZipfSampler(flows, alpha, self._rng)
-        self._sent = 0
-        self.sent_by_rank: Dict[int, int] = {}
-        self.packets_sent = 0
-        self._template = udp_between(src, dst, packet_size)
-        self._interval_ns = self._template.wire_len * 8 * SEC / rate_bps
-        self.on_done = None
-
-    def flow_key(self, rank: int) -> FlowKey:
-        """Deterministic flow → port-pair mapping (16k ranks per dst port)."""
-        return FlowKey(
-            rank=rank,
-            src_port=self.BASE_PORT + rank % 60_000,
-            dst_port=self.BASE_PORT + rank // 60_000,
-        )
-
-    def packet_for(self, rank: int) -> Packet:
-        key = self.flow_key(rank)
-        packet = stamp_ports(self._template, key.src_port, key.dst_port)
-        packet.meta["flow_rank"] = rank
-        packet.meta["sent_at"] = self.sim.now
-        return packet
-
-    def start(self, at_ns: float = 0.0) -> None:
-        self.sim.schedule_at(max(at_ns, self.sim.now), self._tick)
-
-    def _tick(self) -> None:
-        if self._sent >= self.count:
-            if self.on_done is not None:
-                self.on_done()
-            return
-        rank = self._sampler.sample()
-        self.src.send(self.packet_for(rank))
-        self.sent_by_rank[rank] = self.sent_by_rank.get(rank, 0) + 1
-        self.packets_sent += 1
-        self._sent += 1
-        self.sim.schedule(self._interval_ns, self._tick)
-
-    def distinct_flows_sent(self) -> int:
-        return len(self.sent_by_rank)
-
-    def heavy_hitters(self, threshold: int) -> Dict[int, int]:
-        """Ground-truth flows with at least *threshold* packets."""
-        return {
-            rank: count
-            for rank, count in self.sent_by_rank.items()
-            if count >= threshold
-        }
+        sampler = ZipfSampler(flows, alpha, random.Random(seed))
+        self.schedule = [sampler.sample() for _ in range(count)]
+        self._mean_gap_ns = self._template.wire_len * 8 * SEC / rate_bps

@@ -20,7 +20,8 @@ for thousands of flows, unusable at millions — so this module provides:
   can install table entries for exactly the flows that will appear
   before the first packet is sent.
 
-Flows map to UDP port pairs exactly like
+Flows map to UDP port pairs through the
+:class:`~repro.workloads.flows.ZipfPacketSource` it shares with
 :class:`~repro.workloads.flows.ZipfFlowWorkload` (rank → ``src_port``,
 ``dst_port``), so 5-tuples stay distinct across the whole population.
 """
@@ -29,15 +30,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Optional
+from typing import List
 
 from ..hosts.server import Host
-from ..net.packet import Packet
 from ..sim.rng import SeedSequence
 from ..sim.simulator import Simulator
 from ..sim.units import SEC
-from .factory import stamp_ports, udp_between
-from .flows import FlowKey
+from .flows import ZipfPacketSource
 
 
 class ZipfGenerator:
@@ -109,7 +108,7 @@ def _helper2(x: float) -> float:
     return 1.0 + x * 0.5 * (1.0 + x * (1.0 / 3.0) * (1.0 + 0.25 * x))
 
 
-class OpenLoopZipfTraffic:
+class OpenLoopZipfTraffic(ZipfPacketSource):
     """Open-loop packet arrivals over a seeded Zipf flow population.
 
     Arrivals follow their own clock — seeded Poisson (``arrival=
@@ -125,10 +124,6 @@ class OpenLoopZipfTraffic:
     call :meth:`distinct_ranks` before starting to pre-install exactly
     the flows the run will offer.
     """
-
-    BASE_PORT = 1024
-    #: Port-space fan-out (ranks per dst port) — matches ZipfFlowWorkload.
-    PORT_SPAN = 60_000
 
     def __init__(
         self,
@@ -149,79 +144,18 @@ class OpenLoopZipfTraffic:
             raise ValueError(f"unknown arrival process: {arrival!r}")
         if rate_pps <= 0:
             raise ValueError(f"rate must be positive, got {rate_pps}")
-        self.sim = sim
-        self.src = src
-        self.dst = dst
+        super().__init__(sim, src, dst, packet_size)
         self.flows = flows
         self.alpha = alpha
-        self.packet_size = packet_size
         self.rate_pps = rate_pps
         self.count = count
         self.arrival = arrival
         seeds = SeedSequence(seed)
-        self._arrival_rng = seeds.stream("zipf.arrivals")
+        if arrival == "poisson":
+            self._arrival_rng = seeds.stream("zipf.arrivals")
         self._mean_gap_ns = SEC / rate_pps
         # The rank schedule is fixed up front: sampling is O(1) per
         # packet, so even million-packet schedules build in well under a
         # second, and the population becomes inspectable pre-run.
         generator = ZipfGenerator(flows, alpha, seeds.stream("zipf.ranks"))
         self.schedule: List[int] = [generator.sample() for _ in range(count)]
-        self.sent_by_rank: Dict[int, int] = {}
-        self.packets_sent = 0
-        self._cursor = 0
-        self.on_done: Optional[Callable[[], None]] = None
-        self._template = udp_between(src, dst, packet_size)
-
-    # -- population introspection (pre-run) ------------------------------------
-
-    def distinct_ranks(self) -> List[int]:
-        """Sorted ranks that will actually appear, for pre-installation."""
-        return sorted(set(self.schedule))
-
-    def flow_key(self, rank: int) -> FlowKey:
-        """Deterministic flow → port-pair mapping (shared with flows.py)."""
-        return FlowKey(
-            rank=rank,
-            src_port=self.BASE_PORT + rank % self.PORT_SPAN,
-            dst_port=self.BASE_PORT + rank // self.PORT_SPAN,
-        )
-
-    def packet_for(self, rank: int) -> Packet:
-        key = self.flow_key(rank)
-        packet = stamp_ports(self._template, key.src_port, key.dst_port)
-        packet.meta["flow_rank"] = rank
-        packet.meta["sent_at"] = self.sim.now
-        return packet
-
-    # -- the arrival process ----------------------------------------------------
-
-    def _gap_ns(self) -> float:
-        if self.arrival == "poisson":
-            return self._arrival_rng.expovariate(1.0) * self._mean_gap_ns
-        return self._mean_gap_ns
-
-    def start(self, at_ns: float = 0.0) -> None:
-        self.sim.schedule_at(max(at_ns, self.sim.now), self._tick)
-
-    def _tick(self) -> None:
-        if self._cursor >= self.count:
-            if self.on_done is not None:
-                self.on_done()
-            return
-        rank = self.schedule[self._cursor]
-        self._cursor += 1
-        self.src.send(self.packet_for(rank))
-        self.sent_by_rank[rank] = self.sent_by_rank.get(rank, 0) + 1
-        self.packets_sent += 1
-        self.sim.schedule(self._gap_ns(), self._tick)
-
-    def distinct_flows_sent(self) -> int:
-        return len(self.sent_by_rank)
-
-    def heavy_hitters(self, threshold: int) -> Dict[int, int]:
-        """Ground-truth flows with at least *threshold* packets."""
-        return {
-            rank: count
-            for rank, count in self.sent_by_rank.items()
-            if count >= threshold
-        }

@@ -2,7 +2,8 @@
 
 Counts, not timings: cProfile call counts repeat exactly on any machine.
 The tier-1 guards (``test_packet_model``, ``test_hop_path``,
-``test_roce_round_trip``, ``test_install_path``, ``test_primitive_path``)
+``test_roce_round_trip``, ``test_install_path``, ``test_primitive_path``,
+``test_lookup_path``)
 import their ceilings from here, and CI's ``bench-e2e-quick`` step runs
 ``python -m tests.budgets bench_e2e_quick.json`` to hold the quick-run
 record to :data:`BENCH_BUDGETS`.  Each comment gives the measured value
@@ -42,6 +43,10 @@ BUFFER_CALLS_PER_FRAME = 26
 #: (PR 23; measured 8.5, was 15.4 plus a ``psn_distance`` per op in the
 #: window).  A wider window may add at most one call per op retired.
 STATE_STORE_CALLS_PER_OP = 9
+#: ``core/lookup_table.py`` + ``cluster/*`` + ``workloads/*`` calls per
+#: bounced lookup through a sharded cuckoo table, generation to delivery
+#: (PR 24; measured 17, was 34).
+LOOKUP_CALLS_PER_MISS = 18
 
 # -- bench_e2e at --quick: sums of per-layer ``calls_per_op`` ------------------------------
 
@@ -53,6 +58,9 @@ BENCH_BUDGETS = {
     "RoCE round trip": ("counter_tiered", ("rdma.rnic", "rdma.codec", "core.rocegen"), 34),
     # A buffered frame in the primitive and its registers (36 measured; was 100).
     "buffered frame": ("pktbuf_ring", ("core.pktbuf", "switches.pipeline"), 60),
+    # A bounced lookup in the generator, the sharded front and the table
+    # (22 measured; was 39).
+    "bounced lookup": ("lookup_miss_x4", ("core.lookup", "cluster", "workloads"), 24),
 }
 
 
