@@ -7,23 +7,21 @@ updates** and goodput within 10 % of the lossless run, deterministically
 reproducible from the FaultPlan seed.
 
 Run directly (``python benchmarks/bench_chaos.py``) this module writes
-the machine-readable ``BENCH_chaos.json`` perf record the repo commits;
-under pytest-benchmark it asserts the same bounds.
+the machine-readable ``BENCH_chaos.json`` results record the repo
+commits (simulated numbers only); under pytest-benchmark it asserts the
+same bounds.
 """
 
 import argparse
-import os
+import json
 import sys
 
-from repro.analysis.profiling import compare_records, load_report, write_report
 from repro.experiments.chaos import (
     CHAOS_SEED,
     LOSS_RATES,
     assert_recovery,
-    chaos_perf_record,
     format_chaos,
     format_chaos_recovery,
-    recovery_perf_record,
     run_chaos_recovery,
     run_chaos_sweep,
 )
@@ -90,23 +88,68 @@ def test_chaos_sweep_is_deterministic(benchmark, paper_report):
     assert [r.__dict__ for r in rows] == [r.__dict__ for r in replay]
 
 
-# -- standalone perf-record harness -----------------------------------------
+# -- standalone results-record harness --------------------------------------
+
+
+def sweep_results(rows):
+    """One entry per swept loss rate, keyed ``loss[<rate>]``."""
+    return {
+        f"loss[{row.loss_rate:g}]": {
+            "seed": row.seed,
+            "loss_rate": row.loss_rate,
+            "packets_sent": row.packets_sent,
+            "duration_ms": row.duration_ms,
+            "expected_total": row.expected_total,
+            "recovered_total": row.recovered_total,
+            "lost_updates": row.lost_updates,
+            "counters_wrong": row.counters_wrong,
+            "link_drops": row.link_drops,
+            "retransmissions": row.retransmissions,
+            "naks": row.naks,
+            "timeouts": row.timeouts,
+            "goodput_updates_per_ms": row.goodput_updates_per_ms,
+        }
+        for row in rows
+    }
+
+
+def recovery_results(report):
+    """The self-healing scenario; the headline is the degraded-vs-healthy
+    goodput pair (updates absorbed per ms while the breaker was open
+    versus the healthy remainder of the run)."""
+    return {
+        "seed": report.seed,
+        "packets_sent": report.packets_sent,
+        "store_duration_ms": report.store_duration_ms,
+        "buffer_duration_ms": report.buffer_duration_ms,
+        "expected_total": report.expected_total,
+        "recovered_total": report.recovered_total,
+        "lost_updates": report.lost_updates,
+        "counters_wrong": report.counters_wrong,
+        "degraded_updates": report.degraded_updates,
+        "degraded_ms": report.degraded_ms,
+        "goodput_degraded_per_ms": report.degraded_goodput_per_ms,
+        "goodput_healthy_per_ms": report.healthy_goodput_per_ms,
+        "store_breaker_opens": report.store_breaker_opens,
+        "store_probe_failures": report.store_probe_failures,
+        "store_reconnects": report.store_reconnects,
+        "buffered_packets": report.buffered_packets,
+        "delivered_packets": report.delivered_packets,
+        "lost_buffered": report.lost_buffered,
+        "out_of_order": report.out_of_order,
+        "buffer_reconnects": report.buffer_reconnects,
+    }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=(
             "Benchmark the fault-injection/recovery path; emit a JSON "
-            "perf record."
+            "results record."
         )
     )
     parser.add_argument(
-        "--output", default="BENCH_chaos.json", help="perf record path"
-    )
-    parser.add_argument(
-        "--baseline",
-        default="",
-        help="baseline record to compute speedups against ('' to skip)",
+        "--output", default="BENCH_chaos.json", help="results record path"
     )
     parser.add_argument(
         "--label", default="bench_chaos", help="label stored in the record"
@@ -132,7 +175,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.obs import Observability, WireTrace
+    from repro.obs import Observability
+    from repro.obs.trace import WireTrace
 
     obs = Observability(trace=WireTrace() if args.trace else None)
     with obs.activate():
@@ -147,13 +191,11 @@ def main(argv=None) -> int:
             packets=1000 if args.quick else args.packets, seed=args.seed
         )
     assert_recovery(recovery)
-    report = chaos_perf_record(rows, label=args.label)
-    report["results"]["recovery"] = recovery_perf_record(recovery).to_dict()
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_report(args.baseline)
-        report["baseline_label"] = baseline.get("label")
-        report["speedup"] = compare_records(report, baseline)
-    write_report(args.output, report)
+    results = sweep_results(rows)
+    results["recovery"] = recovery_results(recovery)
+    with open(args.output, "w") as handle:
+        json.dump({"label": args.label, "results": results}, handle, indent=2)
+        handle.write("\n")
 
     print(format_chaos(rows))
     lossy = next(r for r in rows if r.loss_rate == 0.01)

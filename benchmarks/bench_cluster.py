@@ -10,22 +10,15 @@ Regenerates the two headline results of the cluster subsystem:
 * killing one server mid-count under K=2 replication loses not a single
   state-store counter update.
 
-Run directly (``python benchmarks/bench_cluster.py``) this module times
-the same runs with :mod:`repro.analysis.profiling` and writes a
-machine-readable ``BENCH_cluster.json`` perf record.
+Run directly (``python benchmarks/bench_cluster.py``) this module runs
+the same experiments and writes a machine-readable ``BENCH_cluster.json``
+results record (simulated numbers only).
 """
 
 import argparse
-import os
+import json
 import sys
 
-from repro.analysis.profiling import (
-    load_report,
-    make_report,
-    measure,
-    write_report,
-)
-from repro.sim.simulator import kernel_mode
 from repro.experiments.scaleout import (
     format_failover,
     format_scaleout,
@@ -78,96 +71,52 @@ def test_failover_loses_no_counter_updates(benchmark, paper_report):
     assert result.all_counters_exact
 
 
-# -- standalone perf-record harness -----------------------------------------
+# -- standalone results-record harness --------------------------------------
 
 
-def collect_records(quick: bool = False, modes: tuple = ("scalar", "batch")):
-    """Run the cluster experiments under the profiler; {name: PerfRecord}.
-
-    Each experiment runs once per kernel mode: scalar records keep their
-    historical names, batch twins ride under a ``_batch`` suffix with
-    ``extra["mode"]`` / ``extra["baseline_name"]`` set (the same
-    convention as ``bench_micro``), so baseline speedups compare like
-    with like.
-    """
+def collect_records(quick: bool = False):
+    """Run the cluster experiments; ({name: simulated results}, rows, failover)."""
     lookups = 400 if quick else 1200
     packets = 1500 if quick else 4000
     kill_at = 600_000.0 if quick else 1_500_000.0
 
     records = {}
     rows = []
-    result = None
-    for mode in modes:
-        suffix = "" if mode == "scalar" else f"_{mode}"
-        with kernel_mode(mode):
-            mode_rows = []
-            for servers in (1, 2, 4):
-                row, record = measure(
-                    f"scaleout_{servers}_servers",
-                    run_scaleout_point,
-                    servers,
-                    lookups_per_host=lookups,
-                )
-                record.label += suffix
-                record.extra["servers"] = servers
-                record.extra["mlookups_per_sec"] = round(row.mlookups_per_sec, 3)
-                record.extra["lookups_lost"] = row.lookups_lost
-                records[record.label] = record
-                mode_rows.append(row)
-            speedup = mode_rows[-1].mlookups_per_sec / mode_rows[0].mlookups_per_sec
-            records[f"scaleout_4_servers{suffix}"].extra["speedup_vs_1_server"] = (
-                round(speedup, 3)
-            )
+    for servers in (1, 2, 4):
+        row = run_scaleout_point(servers, lookups_per_host=lookups)
+        records[f"scaleout_{servers}_servers"] = dict(
+            servers=servers,
+            mlookups_per_sec=round(row.mlookups_per_sec, 3),
+            lookups_lost=row.lookups_lost,
+        )
+        rows.append(row)
+    speedup = rows[-1].mlookups_per_sec / rows[0].mlookups_per_sec
+    records["scaleout_4_servers"]["speedup_vs_1_server"] = round(speedup, 3)
 
-            mode_result, record = measure(
-                "failover_replicated_counters",
-                run_failover_counters,
-                packets=packets,
-                kill_at_ns=kill_at,
-            )
-            record.label += suffix
-            record.extra["killed_member"] = mode_result.killed_member
-            record.extra["lost_updates"] = mode_result.lost_updates
-            record.extra["all_counters_exact"] = mode_result.all_counters_exact
-            record.extra["counters_repaired"] = mode_result.counters_repaired
-            records[record.label] = record
-            if mode == "scalar" or result is None:
-                rows = mode_rows
-                result = mode_result
-    for name, record in records.items():
-        if name.endswith("_batch"):
-            record.extra["mode"] = "batch"
-            record.extra.setdefault("baseline_name", name[: -len("_batch")])
-        else:
-            record.extra.setdefault("mode", "scalar")
+    result = run_failover_counters(packets=packets, kill_at_ns=kill_at)
+    records["failover_replicated_counters"] = dict(
+        killed_member=result.killed_member,
+        lost_updates=result.lost_updates,
+        all_counters_exact=result.all_counters_exact,
+        counters_repaired=result.counters_repaired,
+    )
     return records, rows, result
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "Benchmark the cluster subsystem; emit a JSON perf record."
+            "Benchmark the cluster subsystem; emit a JSON results record."
         )
     )
     parser.add_argument(
-        "--output", default="BENCH_cluster.json", help="perf record path"
-    )
-    parser.add_argument(
-        "--baseline",
-        default="",
-        help="baseline record to compute speedups against ('' to skip)",
+        "--output", default="BENCH_cluster.json", help="results record path"
     )
     parser.add_argument(
         "--label", default="bench_cluster", help="label stored in the record"
     )
     parser.add_argument(
         "--quick", action="store_true", help="reduced scales (CI smoke)"
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("scalar", "batch", "both"),
-        default="both",
-        help="kernel mode(s) to benchmark (default: both, side by side)",
     )
     parser.add_argument(
         "--metrics",
@@ -183,27 +132,20 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.obs import Observability, WireTrace
+    from repro.obs import Observability
+    from repro.obs.trace import WireTrace
 
-    modes = ("scalar", "batch") if args.mode == "both" else (args.mode,)
     obs = Observability(trace=WireTrace() if args.trace else None)
     with obs.activate():
-        records, rows, failover = collect_records(quick=args.quick, modes=modes)
-    baseline = None
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_report(args.baseline)
-    report = make_report(args.label, records, baseline=baseline)
-    write_report(args.output, report)
+        records, rows, failover = collect_records(quick=args.quick)
+    with open(args.output, "w") as handle:
+        json.dump({"label": args.label, "results": records}, handle, indent=2)
+        handle.write("\n")
 
     print(format_scaleout(rows))
     print()
     print(format_failover(failover))
-    key = (
-        "scaleout_4_servers"
-        if "scaleout_4_servers" in records
-        else "scaleout_4_servers_batch"
-    )
-    speedup = records[key].extra["speedup_vs_1_server"]
+    speedup = records["scaleout_4_servers"]["speedup_vs_1_server"]
     print(f"\n4-server speedup: {speedup:.2f}x "
           f"(lost updates on failover: {failover.lost_updates})")
     print(f"wrote {args.output}")

@@ -9,20 +9,18 @@ against the program's independent ledger) and **zero affinity breaks**
 for established connections.
 
 Run directly (``python benchmarks/bench_l4lb.py``) this module writes
-the machine-readable ``BENCH_l4lb.json`` perf record the repo commits;
+the machine-readable ``BENCH_l4lb.json`` results record the repo commits;
 under pytest-benchmark it asserts the same bar at reduced scale.
 """
 
 import argparse
-import os
+import json
 
-from repro.analysis.profiling import compare_records, load_report, write_report
 from repro.experiments.l4lb import (
     L4LB_CORRUPT_RATE,
     L4LB_SEED,
     assert_l4lb,
     format_l4lb,
-    l4lb_perf_record,
     run_l4lb_soak,
 )
 
@@ -61,23 +59,38 @@ def test_l4lb_soak_is_deterministic(benchmark, paper_report):
     assert result.connections_migrated == replay.connections_migrated
 
 
-# -- standalone perf-record harness -----------------------------------------
+# -- standalone results-record harness --------------------------------------
+
+#: The soak's acceptance and accounting numbers, in record order.
+RESULT_FIELDS = (
+    "seed", "connections", "new_connections", "backends", "table_entries",
+    "corrupt_rate", "packets_offered", "duration_ms", "vip_packets",
+    "forwarded_packets", "delivered_total", "expected_total",
+    "recovered_total", "lost_updates", "all_counters_exact",
+    "affinity_breaks", "flows_delivered", "connections_migrated",
+    "unsanctioned_migrations", "killed_backend", "kill_detect_latency_ns",
+    "breaker_opens", "reconnect_attempts", "kill_escalations",
+    "members_failed", "victim_wire_loss", "other_wire_loss",
+    "drained_backend", "drains_completed", "drains_forced",
+    "counters_repaired", "corrupted_frames", "masked_losses",
+    "lookups_lost", "new_on_inactive",
+)
+
+
+def soak_results(result):
+    """The soak as one ``l4lb_soak`` entry of :data:`RESULT_FIELDS`."""
+    return {"l4lb_soak": {name: getattr(result, name) for name in RESULT_FIELDS}}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "Benchmark the L4LB combined-failure soak; emit a JSON perf "
+            "Benchmark the L4LB combined-failure soak; emit a JSON results "
             "record."
         )
     )
     parser.add_argument(
-        "--output", default="BENCH_l4lb.json", help="perf record path"
-    )
-    parser.add_argument(
-        "--baseline",
-        default="",
-        help="baseline record to compute speedups against ('' to skip)",
+        "--output", default="BENCH_l4lb.json", help="results record path"
     )
     parser.add_argument(
         "--label", default="bench_l4lb", help="label stored in the record"
@@ -113,7 +126,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.obs import Observability, WireTrace
+    from repro.obs import Observability
+    from repro.obs.trace import WireTrace
 
     obs = Observability(trace=WireTrace() if args.trace else None)
     with obs.activate():
@@ -127,12 +141,9 @@ def main(argv=None) -> int:
             seed=args.seed,
         )
     assert_l4lb(result)
-    report = l4lb_perf_record(result, label=args.label)
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_report(args.baseline)
-        report["baseline_label"] = baseline.get("label")
-        report["speedup"] = compare_records(report, baseline)
-    write_report(args.output, report)
+    with open(args.output, "w") as handle:
+        json.dump({"label": args.label, "results": soak_results(result)}, handle, indent=2)
+        handle.write("\n")
 
     print(format_l4lb(result))
     detect = result.kill_detect_latency_ns

@@ -9,21 +9,19 @@ recovery (guard off, or breaker-only — the breaker never opens on
 scattered corruption) is measurably worse.
 
 Run directly (``python benchmarks/bench_linkguard.py``) this module
-writes the machine-readable ``BENCH_linkguard.json`` perf record the
+writes the machine-readable ``BENCH_linkguard.json`` results record the
 repo commits; under pytest-benchmark it asserts the same bounds.
 """
 
 import argparse
-import os
+import json
 import sys
 
-from repro.analysis.profiling import compare_records, load_report, write_report
 from repro.experiments.linkguard import (
     CORRUPT_RATE,
     LINKGUARD_SEED,
     assert_linkguard,
     format_linkguard,
-    linkguard_perf_record,
     run_linkguard_sweep,
 )
 
@@ -52,22 +50,47 @@ def test_linkguard_sweep_is_deterministic(benchmark, paper_report):
     assert [r.__dict__ for r in rows] == [r.__dict__ for r in replay]
 
 
-# -- standalone perf-record harness -----------------------------------------
+# -- standalone results-record harness --------------------------------------
+
+
+def sweep_results(rows):
+    """One entry per ``workload[variant]``, goodput also as a fraction of
+    the workload's lossless run."""
+    lossless = {r.workload: r.goodput_per_ms for r in rows if r.variant == "lossless"}
+    results = {}
+    for row in rows:
+        base = lossless.get(row.workload, 0)
+        results[f"{row.workload}[{row.variant}]"] = {
+            "seed": row.seed,
+            "variant": row.variant,
+            "workload": row.workload,
+            "corrupt_rate": row.corrupt_rate,
+            "packets_sent": row.packets_sent,
+            "duration_ms": row.duration_ms,
+            "delivered": row.delivered,
+            "lost": row.lost,
+            "out_of_order": row.out_of_order,
+            "corrupted_frames": row.corrupted_frames,
+            "transport_naks": row.transport_naks,
+            "transport_timeouts": row.transport_timeouts,
+            "masked_losses": row.masked_losses,
+            "guard_resent": row.guard_resent,
+            "shim_bytes": row.shim_bytes,
+            "breaker_opens": row.breaker_opens,
+            "goodput_per_ms": row.goodput_per_ms,
+            "goodput_vs_lossless": row.goodput_per_ms / base if base > 0 else None,
+        }
+    return results
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "Benchmark the link-protection sweep; emit a JSON perf record."
+            "Benchmark the link-protection sweep; emit a JSON results record."
         )
     )
     parser.add_argument(
-        "--output", default="BENCH_linkguard.json", help="perf record path"
-    )
-    parser.add_argument(
-        "--baseline",
-        default="",
-        help="baseline record to compute speedups against ('' to skip)",
+        "--output", default="BENCH_linkguard.json", help="results record path"
     )
     parser.add_argument(
         "--label", default="bench_linkguard", help="label stored in the record"
@@ -99,7 +122,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.obs import Observability, WireTrace
+    from repro.obs import Observability
+    from repro.obs.trace import WireTrace
 
     obs = Observability(trace=WireTrace() if args.trace else None)
     with obs.activate():
@@ -109,12 +133,9 @@ def main(argv=None) -> int:
             seed=args.seed,
         )
     assert_linkguard(rows)
-    report = linkguard_perf_record(rows, label=args.label)
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_report(args.baseline)
-        report["baseline_label"] = baseline.get("label")
-        report["speedup"] = compare_records(report, baseline)
-    write_report(args.output, report)
+    with open(args.output, "w") as handle:
+        json.dump({"label": args.label, "results": sweep_results(rows)}, handle, indent=2)
+        handle.write("\n")
 
     print(format_linkguard(rows))
     by = {(r.workload, r.variant): r for r in rows}

@@ -11,21 +11,15 @@ Regenerates the headline numbers of the cuckoo/cache/Zipf subsystem:
   (1 → 2 → 4 servers, each driven at its own lossless ceiling).
 
 Run directly (``python benchmarks/bench_lookup_scale.py``) this module
-times the same runs with :mod:`repro.analysis.profiling` and writes a
-machine-readable ``BENCH_lookup.json`` perf record; ``--quick`` shrinks
-the population to 100 k flows for the CI lookup-smoke job.
+runs the same study and writes a machine-readable ``BENCH_lookup.json``
+results record (simulated numbers only); ``--quick`` shrinks the
+population to 100 k flows for the CI lookup-smoke job.
 """
 
 import argparse
-import os
+import json
 import sys
 
-from repro.analysis.profiling import (
-    load_report,
-    make_report,
-    measure,
-    write_report,
-)
 from repro.experiments.lookup_scale import (
     CACHE_SIZES,
     POLICIES,
@@ -86,11 +80,11 @@ def test_scaleout_sustained_misses(benchmark, paper_report):
     assert speedup >= 3.0
 
 
-# -- standalone perf-record harness -----------------------------------------
+# -- standalone results-record harness --------------------------------------
 
 
 def collect_records(quick: bool = False):
-    """Run the study under the profiler; returns ({name: PerfRecord}, ...)."""
+    """Run the study; returns ({name: simulated results}, curve, scaleout)."""
     scale = QUICK if quick else FULL
     cache_sizes = (128, 256) if quick else CACHE_SIZES
 
@@ -98,14 +92,8 @@ def collect_records(quick: bool = False):
     curve = []
     for policy in POLICIES:
         for cache in cache_sizes:
-            point, record = measure(
-                f"policy_{policy}_{cache}",
-                run_policy_point,
-                policy,
-                cache,
-                **scale,
-            )
-            record.extra.update(
+            point = run_policy_point(policy, cache, **scale)
+            records[f"policy_{policy}_{cache}"] = dict(
                 policy=policy,
                 cache_entries=cache,
                 population=point.population,
@@ -118,18 +106,12 @@ def collect_records(quick: bool = False):
                 bounce_retries=point.one_read.bounce_retries,
                 one_read=point.one_read.holds,
             )
-            records[record.label] = record
             curve.append(point)
 
     scaleout = []
     for servers in (1, 2, 4):
-        row, record = measure(
-            f"scaleout_{servers}_servers",
-            run_lookup_scaleout_point,
-            servers,
-            **scale,
-        )
-        record.extra.update(
+        row = run_lookup_scaleout_point(servers, **scale)
+        records[f"scaleout_{servers}_servers"] = dict(
             servers=servers,
             population=row.population,
             offered_mlps=row.offered_mlps,
@@ -139,12 +121,9 @@ def collect_records(quick: bool = False):
             bounce_retries=row.one_read.bounce_retries,
             one_read=row.one_read.holds,
         )
-        records[record.label] = record
         scaleout.append(row)
     speedup = scaleout[-1].mmisses_per_sec / scaleout[0].mmisses_per_sec
-    records["scaleout_4_servers"].extra["speedup_vs_1_server"] = round(
-        speedup, 3
-    )
+    records["scaleout_4_servers"]["speedup_vs_1_server"] = round(speedup, 3)
     return records, curve, scaleout
 
 
@@ -152,16 +131,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=(
             "Benchmark the EMOMA-scale lookup subsystem; emit a JSON "
-            "perf record."
+            "results record."
         )
     )
     parser.add_argument(
-        "--output", default="BENCH_lookup.json", help="perf record path"
-    )
-    parser.add_argument(
-        "--baseline",
-        default="",
-        help="baseline record to compute speedups against ('' to skip)",
+        "--output", default="BENCH_lookup.json", help="results record path"
     )
     parser.add_argument(
         "--label", default="bench_lookup", help="label stored in the record"
@@ -185,22 +159,21 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.obs import Observability, WireTrace
+    from repro.obs import Observability
+    from repro.obs.trace import WireTrace
 
     obs = Observability(trace=WireTrace() if args.trace else None)
     with obs.activate():
         records, curve, scaleout = collect_records(quick=args.quick)
-    baseline = None
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_report(args.baseline)
-    report = make_report(args.label, records, baseline=baseline)
-    write_report(args.output, report)
+    with open(args.output, "w") as handle:
+        json.dump({"label": args.label, "results": records}, handle, indent=2)
+        handle.write("\n")
 
     print(format_policy_curve(curve))
     print()
     print(format_lookup_scaleout(scaleout))
-    retries = sum(r.extra.get("bounce_retries", 0) for r in records.values())
-    speedup = records["scaleout_4_servers"].extra["speedup_vs_1_server"]
+    retries = sum(r["bounce_retries"] for r in records.values())
+    speedup = records["scaleout_4_servers"]["speedup_vs_1_server"]
     print(f"\nbounce-retry READs across all runs: {retries}")
     print(f"4-server sustained-miss speedup: {speedup:.2f}x")
     if retries != 0:

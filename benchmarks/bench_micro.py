@@ -6,31 +6,22 @@ study lives or dies by: event dispatch, header serialization, hash
 externs, and a full RDMA round trip.
 
 Run directly (``python benchmarks/bench_micro.py``) this module times the
-same hot paths with :mod:`repro.analysis.profiling` and writes a
-machine-readable ``BENCH_micro.json`` perf record; when a baseline record
-exists (``benchmarks/BENCH_micro_seed.json`` by default) the report also
-carries per-benchmark speedups, which is how the fast-path work is tracked
-PR over PR.
+same hot paths and writes ``BENCH_micro.json``: wall-clock operations per
+second, for reading by eye.  These numbers are noisy; speed claims are
+made with ``bench_e2e/`` (interleaved, host-corrected), never from here.
 """
 
 import argparse
-import os
+import json
+import platform
 import sys
-
-from repro.analysis.profiling import (
-    PerfRecord,
-    Profiler,
-    load_report,
-    make_report,
-    throughput,
-    write_report,
-)
+import time
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.headers import EthernetHeader, Ipv4Header, UdpHeader
 from repro.net.packet import Packet
 from repro.rdma.headers import BthHeader, IcrcTrailer, RethHeader, parse_roce
 from repro.rdma.constants import Opcode
-from repro.sim.simulator import Simulator, kernel_mode
+from repro.sim.simulator import Simulator
 from repro.switches.hashing import FiveTuple, crc16, hash_fields
 
 
@@ -100,7 +91,7 @@ def test_rdma_write_round_trip(benchmark):
     """Full simulated RDMA WRITE through switch + RNIC, per operation."""
     from repro.apps.programs import StaticL2Program
     from repro.core.rocegen import RoceRequestGenerator
-    from repro.experiments.topology import build_testbed
+    from repro.testbed import build_testbed
 
     def one_write():
         tb = build_testbed(n_hosts=1)
@@ -120,24 +111,32 @@ def test_rdma_write_round_trip(benchmark):
     assert writes == 1
 
 
-# -- standalone perf-record harness -----------------------------------------
+# -- standalone harness ------------------------------------------------------
 
 
-def _event_loop_record(
-    n_events: int = 200_000, chains: int = 256, mode: str = "scalar"
-) -> PerfRecord:
+def _ops_per_s(fn, min_seconds: float) -> dict:
+    """Call *fn* (after one warm-up call) until ``min_seconds`` elapse."""
+    fn()
+    calls = 0
+    start = now = time.perf_counter()
+    deadline = start + min_seconds
+    while now < deadline:
+        fn()
+        calls += 1
+        now = time.perf_counter()
+    return {"calls": calls, "ops_per_s": calls / (now - start)}
+
+
+def _event_loop(n_events: int = 200_000, chains: int = 256) -> dict:
     """Time *chains* concurrent self-rescheduling tick chains.
 
     Concurrent chains keep the calendar ~*chains* entries deep, matching
     what real experiments look like (every in-flight packet holds an
     event), so the benchmark exercises calendar maintenance rather than
     just dispatch.  The ticks use fire-and-forget ``post`` — what the
-    product hot paths (link delivery, serializers, pipelines) use — so
-    the scalar number exercises heap sifting and the batch number
-    exercises whole-cohort draining of a 256-wide bucket.
+    product hot paths (link delivery, serializers, pipelines) use.
     """
-    with kernel_mode(mode):
-        sim = Simulator()
+    sim = Simulator()
     remaining = [n_events]
     post = sim.post
 
@@ -149,19 +148,16 @@ def _event_loop_record(
 
     for _ in range(chains):
         post(1.0, tick)
-    with Profiler("simulator_event_throughput") as prof:
-        sim.run()
-    record = prof.record
-    assert record is not None and record.events == n_events
-    record.extra["mode"] = mode
-    record.extra["chains"] = chains
-    return record
+    start = time.perf_counter()
+    sim.run()
+    wall = time.perf_counter() - start
+    assert sim.events_processed == n_events
+    return {"events": n_events, "chains": chains, "ops_per_s": n_events / wall}
 
 
-def _cancel_heavy_record(n_events: int = 50_000, mode: str = "scalar") -> PerfRecord:
+def _cancel_heavy(n_events: int = 50_000) -> dict:
     """Event loop where half the scheduled events are cancelled (timeouts)."""
-    with kernel_mode(mode):
-        sim = Simulator()
+    sim = Simulator()
     remaining = [n_events]
 
     def tick():
@@ -172,23 +168,15 @@ def _cancel_heavy_record(n_events: int = 50_000, mode: str = "scalar") -> PerfRe
             sim.schedule(1.0, tick)
 
     sim.schedule(1.0, tick)
-    with Profiler("simulator_cancel_throughput") as prof:
-        sim.run()
-    record = prof.record
-    assert record is not None and record.events == n_events
-    record.extra["mode"] = mode
-    return record
+    start = time.perf_counter()
+    sim.run()
+    wall = time.perf_counter() - start
+    assert sim.events_processed == n_events
+    return {"events": n_events, "ops_per_s": n_events / wall}
 
 
 def collect_records(quick: bool = False):
-    """Run every microbenchmark; returns {name: PerfRecord}.
-
-    The simulator and round-trip workloads run in *both* kernel modes:
-    the scalar record keeps its historical name (so seed comparisons keep
-    working) and the batch twin rides under a ``_batch`` suffix with
-    ``extra["mode"]`` set and ``extra["baseline_name"]`` pointing at the
-    scalar entry, so its speedup is computed against the same baseline.
-    """
+    """Run every microbenchmark; returns {name: {"ops_per_s": ..., ...}}."""
     scale = 0.05 if quick else 0.3
     packet = _sample_packet()
     raw_roce = packet.pack()[42:]
@@ -201,54 +189,22 @@ def collect_records(quick: bool = False):
         fresh.require(Ipv4Header).identification ^= 1
         return fresh.pack()
 
-    n_events = 20_000 if quick else 200_000
-    n_cancel = 5_000 if quick else 50_000
-    records = {
-        "simulator_event_throughput": _event_loop_record(n_events),
-        "simulator_event_throughput_batch": _event_loop_record(
-            n_events, mode="batch"
-        ),
-        "simulator_cancel_throughput": _cancel_heavy_record(n_cancel),
-        "simulator_cancel_throughput_batch": _cancel_heavy_record(
-            n_cancel, mode="batch"
-        ),
-        "packet_pack_cached": throughput(
-            "packet_pack_cached", packet.pack, min_seconds=scale
-        ),
-        "packet_pack_mutating": throughput(
-            "packet_pack_mutating", pack_fresh, min_seconds=scale
-        ),
-        "roce_parse": throughput(
-            "roce_parse", lambda: parse_roce(raw_roce), min_seconds=scale
-        ),
-        "packet_clone": throughput(
-            "packet_clone", packet.clone, min_seconds=scale
-        ),
-        "packet_frame_len": throughput(
-            "packet_frame_len", lambda: packet.frame_len, min_seconds=scale
-        ),
-        "rdma_write_round_trip": throughput(
-            "rdma_write_round_trip", _one_rdma_write, min_seconds=scale
-        ),
+    return {
+        "simulator_event_throughput": _event_loop(20_000 if quick else 200_000),
+        "simulator_cancel_throughput": _cancel_heavy(5_000 if quick else 50_000),
+        "packet_pack_cached": _ops_per_s(packet.pack, scale),
+        "packet_pack_mutating": _ops_per_s(pack_fresh, scale),
+        "roce_parse": _ops_per_s(lambda: parse_roce(raw_roce), scale),
+        "packet_clone": _ops_per_s(packet.clone, scale),
+        "packet_frame_len": _ops_per_s(lambda: packet.frame_len, scale),
+        "rdma_write_round_trip": _ops_per_s(_one_rdma_write, scale),
     }
-    with kernel_mode("batch"):
-        records["rdma_write_round_trip_batch"] = throughput(
-            "rdma_write_round_trip", _one_rdma_write, min_seconds=scale
-        )
-    records["rdma_write_round_trip_batch"].label = "rdma_write_round_trip_batch"
-    for name, record in records.items():
-        if name.endswith("_batch"):
-            record.extra["mode"] = "batch"
-            record.extra.setdefault("baseline_name", name[: -len("_batch")])
-        else:
-            record.extra.setdefault("mode", "scalar")
-    return records
 
 
 def _one_rdma_write():
     from repro.apps.programs import StaticL2Program
     from repro.core.rocegen import RoceRequestGenerator
-    from repro.experiments.topology import build_testbed
+    from repro.testbed import build_testbed
 
     tb = build_testbed(n_hosts=1)
     program = StaticL2Program()
@@ -264,15 +220,10 @@ def _one_rdma_write():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Microbenchmark the simulation fast path; emit a JSON perf record."
+        description="Microbenchmark the simulation fast path; emit a JSON record."
     )
     parser.add_argument(
-        "--output", default="BENCH_micro.json", help="perf record path"
-    )
-    parser.add_argument(
-        "--baseline",
-        default=os.path.join(os.path.dirname(__file__), "BENCH_micro_seed.json"),
-        help="baseline record to compute speedups against ('' to skip)",
+        "--output", default="BENCH_micro.json", help="record path"
     )
     parser.add_argument(
         "--label", default="bench_micro", help="label stored in the record"
@@ -296,7 +247,8 @@ def main(argv=None) -> int:
 
     from contextlib import nullcontext
 
-    from repro.obs import Observability, WireTrace
+    from repro.obs import Observability
+    from repro.obs.trace import WireTrace
 
     # Observability is only installed when its output was asked for: the
     # round-trip benchmarks build a testbed per op, and thousands of
@@ -306,17 +258,18 @@ def main(argv=None) -> int:
     wrapper = obs.activate() if (args.metrics or args.trace) else nullcontext()
     with wrapper:
         records = collect_records(quick=args.quick)
-    baseline = None
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_report(args.baseline)
-    report = make_report(args.label, records, baseline=baseline)
-    write_report(args.output, report)
+    report = {
+        "label": args.label,
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+        "results": records,
+    }
+    with open(args.output, "w") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
 
     for name, record in sorted(records.items()):
-        rate = record.extra.get("ops_per_sec") or record.events_per_sec
-        speed = report.get("speedup", {}).get(name)
-        suffix = f"  ({speed:.2f}x vs baseline)" if speed else ""
-        print(f"{name:32s} {rate:14,.0f} ops/s{suffix}")
+        print(f"{name:32s} {record['ops_per_s']:14,.0f} ops/s")
     print(f"\nwrote {args.output}")
     if args.metrics:
         from repro.analysis.reporting import write_metrics_json
@@ -326,11 +279,6 @@ def main(argv=None) -> int:
     if args.trace:
         obs.trace.write_jsonl(args.trace)
         print(f"wrote {args.trace} ({len(obs.trace)} events)")
-    if baseline is not None:
-        events_speedup = report["speedup"].get("simulator_event_throughput")
-        if events_speedup is not None:
-            print(f"event-loop speedup vs {report['baseline_label']}: "
-                  f"{events_speedup:.2f}x")
     return 0
 
 

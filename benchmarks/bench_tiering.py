@@ -15,22 +15,16 @@ Regenerates the headline numbers of the tiered-memory subsystem
   member of a K=2 replicated pool; demote-not-drop plus the replica max
   rule still returns every update.
 
-Run directly (``python benchmarks/bench_tiering.py``) this module times
-the same runs with :mod:`repro.analysis.profiling` and writes a
-machine-readable ``BENCH_tiering.json`` perf record; ``--quick`` shrinks
-the population to 100 k flows for the CI tiering-smoke job.
+Run directly (``python benchmarks/bench_tiering.py``) this module runs
+the same study and writes a machine-readable ``BENCH_tiering.json``
+results record (simulated numbers only); ``--quick`` shrinks the
+population to 100 k flows for the CI tiering-smoke job.
 """
 
 import argparse
-import os
+import json
 import sys
 
-from repro.analysis.profiling import (
-    load_report,
-    make_report,
-    measure,
-    write_report,
-)
 from repro.experiments.tiering import (
     TIERING_POLICIES,
     format_tiering_chaos,
@@ -103,21 +97,19 @@ def test_chaos_blackout_zero_lost(benchmark, paper_report):
     assert point.promotions > 0
 
 
-# -- standalone perf-record harness -----------------------------------------
+# -- standalone results-record harness --------------------------------------
 
 
 def collect_records(quick: bool = False):
-    """Run the study under the profiler; returns ({name: PerfRecord}, ...)."""
+    """Run the study; returns ({name: simulated results}, points, chaos)."""
     scale = QUICK if quick else FULL
     chaos_scale = CHAOS_QUICK if quick else CHAOS_FULL
 
     records = {}
     points = []
     for policy in TIERING_POLICIES:
-        point, record = measure(
-            f"tiering_{policy}", run_tiering_point, policy, **scale
-        )
-        record.extra.update(
+        point = run_tiering_point(policy, **scale)
+        records[f"tiering_{policy}"] = dict(
             policy=policy,
             flows=point.flows,
             counters=point.counters,
@@ -133,19 +125,16 @@ def collect_records(quick: bool = False):
             demotions=point.demotions,
             lost_updates=point.lost_updates,
         )
-        records[record.label] = record
         points.append(point)
     by_policy = {p.policy: p for p in points}
     speedup = (
         by_policy["dram"].mean_latency_ns
         / by_policy["frequency"].mean_latency_ns
     )
-    records["tiering_frequency"].extra["speedup_vs_dram"] = round(speedup, 3)
+    records["tiering_frequency"]["speedup_vs_dram"] = round(speedup, 3)
 
-    chaos, record = measure(
-        "tiering_chaos_blackout", run_tiering_chaos_point, **chaos_scale
-    )
-    record.extra.update(
+    chaos = run_tiering_chaos_point(**chaos_scale)
+    records["tiering_chaos_blackout"] = dict(
         flows=chaos.flows,
         updates=chaos.updates,
         blackout_ns=chaos.blackout_ns,
@@ -156,7 +145,6 @@ def collect_records(quick: bool = False):
         updates_unreplicated=chaos.updates_unreplicated,
         zero_lost=chaos.zero_lost,
     )
-    records[record.label] = record
     return records, points, chaos
 
 
@@ -164,16 +152,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=(
             "Benchmark the tiered-memory placement policies; emit a JSON "
-            "perf record."
+            "results record."
         )
     )
     parser.add_argument(
-        "--output", default="BENCH_tiering.json", help="perf record path"
-    )
-    parser.add_argument(
-        "--baseline",
-        default="",
-        help="baseline record to compute speedups against ('' to skip)",
+        "--output", default="BENCH_tiering.json", help="results record path"
     )
     parser.add_argument(
         "--label", default="bench_tiering", help="label stored in the record"
@@ -197,27 +180,22 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.obs import Observability, WireTrace
+    from repro.obs import Observability
+    from repro.obs.trace import WireTrace
 
     obs = Observability(trace=WireTrace() if args.trace else None)
     with obs.activate():
         records, points, chaos = collect_records(quick=args.quick)
-    baseline = None
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_report(args.baseline)
-    report = make_report(args.label, records, baseline=baseline)
-    write_report(args.output, report)
+    with open(args.output, "w") as handle:
+        json.dump({"label": args.label, "results": records}, handle, indent=2)
+        handle.write("\n")
 
     print(format_tiering_sweep(points))
     print()
     print(format_tiering_chaos(chaos))
-    speedup = records["tiering_frequency"].extra["speedup_vs_dram"]
-    lost = sum(r.extra.get("lost_updates", 0) for r in records.values())
-    bounded = all(
-        r.extra["occupancy_bounded"]
-        for r in records.values()
-        if "occupancy_bounded" in r.extra
-    )
+    speedup = records["tiering_frequency"]["speedup_vs_dram"]
+    lost = sum(r["lost_updates"] for r in records.values())
+    bounded = all(r.get("occupancy_bounded", True) for r in records.values())
     print(f"\nfrequency-vs-DRAM mean FAA speedup: {speedup:.2f}x")
     print(f"lost updates across all runs: {lost}")
     if speedup < SPEEDUP_BAR:

@@ -1,35 +1,1 @@
 """Measurement: recorders, monitors, statistics, reporting."""
-
-from .monitors import (
-    DepthSample,
-    LatencyRecorder,
-    LinkBandwidthMonitor,
-    QueueDepthSampler,
-)
-from .reporting import (
-    METRICS_SCHEMA,
-    format_gbps,
-    format_metrics,
-    format_table,
-    format_usec,
-    metrics_to_dict,
-    write_metrics_json,
-)
-from .stats import Summary, jain_fairness, percentile
-
-__all__ = [
-    "DepthSample",
-    "LatencyRecorder",
-    "LinkBandwidthMonitor",
-    "METRICS_SCHEMA",
-    "QueueDepthSampler",
-    "Summary",
-    "format_gbps",
-    "format_metrics",
-    "format_table",
-    "format_usec",
-    "jain_fairness",
-    "metrics_to_dict",
-    "percentile",
-    "write_metrics_json",
-]

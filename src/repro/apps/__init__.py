@@ -1,74 +1,1 @@
 """Motivating applications (§2) and the composite data-plane programs."""
-
-from .kv_cache import (
-    KvCacheProgram,
-    KvHeader,
-    KvStorageServer,
-    RemoteValueStore,
-)
-from .l4lb import (
-    BACKEND_ACTIVE,
-    BACKEND_DEAD,
-    BACKEND_DRAINING,
-    BACKEND_RETIRED,
-    Backend,
-    L4LbController,
-    L4LbProgram,
-    L4LbStats,
-    MigrationRecord,
-)
-from .sequencer import SEQUENCER_PORT, SeqHeader, SequencerProgram
-from .programs import (
-    CountingProgram,
-    RemoteBufferProgram,
-    RemoteLookupProgram,
-    StaticL2Program,
-)
-from .sketch import (
-    CountMinSketch,
-    CountSketch,
-    LocalCounterBackend,
-    RemoteCounterBackend,
-    SketchGeometry,
-)
-from .telemetry import (
-    HeavyHitterDetector,
-    HeavyHitterReport,
-    SketchTelemetryProgram,
-    mean_relative_error,
-)
-from .virtual_switch import VipMapping, VirtualSwitchProgram
-
-__all__ = [
-    "BACKEND_ACTIVE",
-    "BACKEND_DEAD",
-    "BACKEND_DRAINING",
-    "BACKEND_RETIRED",
-    "Backend",
-    "CountMinSketch",
-    "CountSketch",
-    "CountingProgram",
-    "HeavyHitterDetector",
-    "HeavyHitterReport",
-    "KvCacheProgram",
-    "KvHeader",
-    "KvStorageServer",
-    "L4LbController",
-    "L4LbProgram",
-    "L4LbStats",
-    "LocalCounterBackend",
-    "MigrationRecord",
-    "RemoteBufferProgram",
-    "RemoteCounterBackend",
-    "RemoteLookupProgram",
-    "RemoteValueStore",
-    "SEQUENCER_PORT",
-    "SeqHeader",
-    "SequencerProgram",
-    "SketchGeometry",
-    "SketchTelemetryProgram",
-    "StaticL2Program",
-    "VipMapping",
-    "VirtualSwitchProgram",
-    "mean_relative_error",
-]

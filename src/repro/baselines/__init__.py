@@ -1,18 +1,1 @@
 """Baseline systems the paper compares against."""
-
-from .cpu_slowpath import CpuSlowPath, CpuSlowPathConfig, CpuSlowPathStats
-from .l2_switch import L2SwitchProgram
-from .native_rdma import NativeRdmaReport, NativeRdmaStreamer
-from .pfc import PfcConfig, PfcManager, PfcStats
-
-__all__ = [
-    "CpuSlowPath",
-    "CpuSlowPathConfig",
-    "CpuSlowPathStats",
-    "L2SwitchProgram",
-    "NativeRdmaReport",
-    "NativeRdmaStreamer",
-    "PfcConfig",
-    "PfcManager",
-    "PfcStats",
-]

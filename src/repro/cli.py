@@ -63,7 +63,8 @@ from .experiments.scaleout import (
 )
 from .experiments.sequencer import format_sequencer, run_sequencer_throughput
 from .experiments.telemetry import format_telemetry, run_telemetry
-from .obs import Observability, WireTrace
+from .obs import Observability
+from .obs.trace import WireTrace
 
 
 def _cmd_fig3a(args: argparse.Namespace) -> str:
@@ -288,15 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--profile",
-        metavar="PATH",
-        default=None,
-        help=(
-            "profile the run (wall time, events/sec, packets/sec, section "
-            "times) and write a JSON perf record to PATH"
-        ),
-    )
-    parser.add_argument(
         "--metrics",
         metavar="PATH",
         default=None,
@@ -509,7 +501,7 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
 
     # Fail before the (possibly long) run, not after it.
-    for flag in ("profile", "metrics", "trace"):
+    for flag in ("metrics", "trace"):
         path = getattr(args, flag)
         if path:
             out_dir = os.path.dirname(os.path.abspath(path))
@@ -520,24 +512,7 @@ def main(argv: List[str] = None) -> int:
     # builds inside the block emits into the same registry (and trace).
     obs = Observability(trace=WireTrace() if args.trace else None)
     with obs.activate():
-        if args.profile:
-            from .analysis.profiling import Profiler, make_report, write_report
-
-            with Profiler(args.command) as prof:
-                print(args.fn(args))
-            record = prof.record
-            assert record is not None
-            write_report(
-                args.profile, make_report(args.command, {args.command: record})
-            )
-            print(
-                f"[profile] {record.wall_s:.3f}s wall, "
-                f"{record.events_per_sec:,.0f} events/s, "
-                f"{record.packets_per_sec:,.0f} packets/s -> {args.profile}",
-                file=sys.stderr,
-            )
-        else:
-            print(args.fn(args))
+        print(args.fn(args))
 
     if args.metrics:
         from .analysis.reporting import write_metrics_json

@@ -8,23 +8,3 @@ live migration on membership change.  :class:`ShardedLookupTable` and
 :class:`ReplicatedStateStore` are pool-backed drop-ins for the
 single-channel primitives.
 """
-
-from .health import HealthMonitor, MemberHealth
-from .pool import MemoryPool, PoolListener, PoolMember
-from .replicated_store import ClusterStoreStats, ReplicatedStateStore
-from .ring import ConsistentHashRing, RingEmptyError
-from .sharded_lookup import ClusterLookupStats, ShardedLookupTable
-
-__all__ = [
-    "ClusterLookupStats",
-    "ClusterStoreStats",
-    "ConsistentHashRing",
-    "HealthMonitor",
-    "MemberHealth",
-    "MemoryPool",
-    "PoolListener",
-    "PoolMember",
-    "ReplicatedStateStore",
-    "RingEmptyError",
-    "ShardedLookupTable",
-]

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from .._deprecation import warn_once
 from ..core.channel import RemoteMemoryChannel
 from ..core.rocegen import ResponseSteering
 from ..core.state_store import (
@@ -152,13 +151,7 @@ class ReplicatedStateStore:
         return FiveTuple.of(packet)
 
     def index_of(self, flow: FiveTuple) -> int:
-        """Counter index for *flow*; ``index_of(packet)`` is deprecated."""
-        if isinstance(flow, Packet):
-            warn_once(
-                f"{type(self).__name__}.index_of(packet) is deprecated; "
-                "use index_of(key_of(packet))"
-            )
-            flow = self.key_of(flow)
+        """Counter index for *flow*."""
         return flow.hash() % self.config.counters
 
     def on_packet(self, ctx: PipelineContext, packet: Packet) -> None:

@@ -9,48 +9,3 @@ Three data-plane primitives over an RDMA channel to server DRAM (§3–§4):
 Plus the control plane that wires them up (:class:`RdmaChannelController`)
 and the shared request generator (:class:`RoceRequestGenerator`).
 """
-
-from .channel import ChannelError, RdmaChannelController, RemoteMemoryChannel
-from .lookup_table import (
-    ACTION_BYTES,
-    ACTION_DROP,
-    ACTION_NOP,
-    ACTION_SET_DSCP,
-    ACTION_SET_EGRESS,
-    LookupTableConfig,
-    LookupTableStats,
-    RemoteAction,
-    RemoteLookupTable,
-    fingerprint_of,
-)
-from .packet_buffer import (
-    PacketBufferConfig,
-    PacketBufferStats,
-    RemotePacketBuffer,
-)
-from .rocegen import RoceGenStats, RoceRequestGenerator
-from .state_store import RemoteStateStore, StateStoreConfig, StateStoreStats
-
-__all__ = [
-    "ACTION_BYTES",
-    "ACTION_DROP",
-    "ACTION_NOP",
-    "ACTION_SET_DSCP",
-    "ACTION_SET_EGRESS",
-    "ChannelError",
-    "LookupTableConfig",
-    "LookupTableStats",
-    "PacketBufferConfig",
-    "PacketBufferStats",
-    "RdmaChannelController",
-    "RemoteAction",
-    "RemoteLookupTable",
-    "RemoteMemoryChannel",
-    "RemotePacketBuffer",
-    "RemoteStateStore",
-    "RoceGenStats",
-    "RoceRequestGenerator",
-    "StateStoreConfig",
-    "StateStoreStats",
-    "fingerprint_of",
-]

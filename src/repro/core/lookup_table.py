@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from operator import methodcaller
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple, Union
 
-from ..cuckoo import CuckooConfig, CuckooDirectory
+from ..cuckoo.layout import CuckooConfig, CuckooDirectory
 from ..net.addresses import Ipv4Address
 from ..net.headers import HeaderError, Ipv4Header
 from ..net.packet import Packet
@@ -48,7 +48,6 @@ from ..policies.cache import CachePolicy, make_cache_policy
 from ..rdma.constants import Opcode, psn_distance
 from ..rdma.headers import BthHeader
 from ..rdma.memory import TIER_FAST
-from .._deprecation import warn_once
 from ..switches.hashing import FiveTuple, crc16
 from ..switches.pipeline import PipelineContext
 from ..switches.switch import ProgrammableSwitch
@@ -123,38 +122,14 @@ class LookupTableConfig:
     policy: Union[str, CachePolicy, None] = None
     #: Seed for policy randomness (the pinning policy's threshold jitter).
     policy_seed: Optional[int] = None
-    #: Deprecated spellings of ``policy`` / ``policy_seed`` (pre-unified
-    #: API); still honoured, warn once, mirrored after normalization.
-    cache_policy: Optional[str] = None
-    cache_seed: Optional[int] = None
     #: Base promotion threshold for the "pin" policy.
     pin_threshold: int = 4
 
     def __post_init__(self) -> None:
-        if self.cache_policy is not None:
-            warn_once(
-                "LookupTableConfig(cache_policy=...) is deprecated; "
-                "use policy= (repro.policies naming convention)"
-            )
-            if self.policy is None:
-                self.policy = self.cache_policy
-        if self.cache_seed is not None:
-            warn_once(
-                "LookupTableConfig(cache_seed=...) is deprecated; "
-                "use policy_seed="
-            )
-            if self.policy_seed is None:
-                self.policy_seed = self.cache_seed
         if self.policy is None:
             self.policy = "fifo"
         if self.policy_seed is None:
             self.policy_seed = 0
-        # Keep the legacy fields readable (old callers inspect them).
-        if isinstance(self.policy, str):
-            self.cache_policy = self.policy
-        else:
-            self.cache_policy = self.policy.policy_name
-        self.cache_seed = self.policy_seed
 
     @property
     def entry_bytes(self) -> int:
@@ -404,12 +379,6 @@ class RemoteLookupTable:
         choice filter selects (``h1`` on positive, ``h0`` on negative) —
         always the pair actually holding the flow, by the invariant.
         """
-        if isinstance(flow, Packet):
-            warn_once(
-                f"{type(self).__name__}.index_of(packet) is deprecated; "
-                "use index_of(key_of(packet))"
-            )
-            flow = self.key_of(flow)
         if self.dataplane is not None:
             return self.dataplane.read_index(flow.pack())
         return flow.hash() % self.config.entries

@@ -22,7 +22,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from .._deprecation import warn_once
 from ..net.packet import Packet
 from ..rdma.constants import ATOMIC_OPERAND_BYTES, PSN_MODULO, Opcode
 from ..rdma.headers import BthHeader
@@ -222,19 +221,8 @@ class RemoteStateStore:
         return FiveTuple.of(packet)
 
     def index_of(self, flow: FiveTuple) -> int:
-        """Counter index for *flow*.
-
-        Historically took a :class:`Packet` (``index_of(packet)``); that
-        form still works but is deprecated — use
-        ``index_of(key_of(packet))``, the same shape as
-        :meth:`RemoteLookupTable.index_of`.
-        """
-        if isinstance(flow, Packet):
-            warn_once(
-                f"{type(self).__name__}.index_of(packet) is deprecated; "
-                "use index_of(key_of(packet))"
-            )
-            flow = self.key_of(flow)
+        """Counter index for *flow* (``index_of(key_of(packet))`` for a
+        packet, the same shape as :meth:`RemoteLookupTable.index_of`)."""
         return flow.hash() % self.config.counters
 
     def counter_address(self, index: int) -> int:

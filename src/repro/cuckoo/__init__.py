@@ -6,27 +6,3 @@ on-chip counting Bloom "choice filter" that tells the data plane which
 pair to read.  See :mod:`repro.cuckoo.layout` for the invariant and
 :mod:`repro.cuckoo.filter` for the filter.
 """
-
-from .filter import ChoiceFilter
-from .layout import (
-    T0,
-    T1,
-    CuckooConfig,
-    CuckooDataPlane,
-    CuckooDirectory,
-    CuckooFullError,
-    Move,
-    SlotRef,
-)
-
-__all__ = [
-    "ChoiceFilter",
-    "CuckooConfig",
-    "CuckooDataPlane",
-    "CuckooDirectory",
-    "CuckooFullError",
-    "Move",
-    "SlotRef",
-    "T0",
-    "T1",
-]

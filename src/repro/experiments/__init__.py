@@ -18,118 +18,7 @@ One module per result:
 * :mod:`.lookup_scale`       — EMOMA-scale cuckoo/cache/Zipf lookup study
 * :mod:`.tiering`            — tiered-memory placement-policy study (§13)
 
-Each ``run_*`` harness has a matching ``format_*`` text renderer; both
-are exported here.  The library surface itself (primitives, testbed,
-observability) lives in :mod:`repro.api`.
+Each ``run_*`` harness has a matching ``format_*`` text renderer in the
+same module; import both from there.  The library surface itself
+(primitives, testbed, observability) lives in :mod:`repro.api`.
 """
-
-from .ablations import (
-    format_batching,
-    format_cache,
-    format_drops,
-    format_mode,
-    format_priority,
-    format_window,
-    run_batching_ablation,
-    run_priority_ablation,
-    run_cache_ablation,
-    run_drop_ablation,
-    run_mode_ablation,
-    run_window_ablation,
-)
-from .baremetal import format_baremetal, run_baremetal, run_baremetal_comparison
-from .chaos import (
-    chaos_perf_record,
-    format_chaos,
-    run_chaos_point,
-    run_chaos_sweep,
-)
-from .fig3a import format_fig3a, run_fig3a
-from .fig3b import format_fig3b, run_fig3b
-from .incast import format_incast, run_incast, run_incast_comparison
-from .linkguard import (
-    assert_linkguard,
-    format_linkguard,
-    linkguard_perf_record,
-    run_linkguard_point,
-    run_linkguard_sweep,
-)
-from .kv_cache import format_kv_cache, run_kv_cache, run_kv_cache_comparison
-from .overhead import format_overhead, run_overhead
-from .packet_buffer_rate import (
-    format_packet_buffer_rate,
-    run_packet_buffer_rate,
-    run_store_load_point,
-)
-from .persistent_congestion import (
-    format_persistent_congestion,
-    run_persistent_congestion,
-    run_persistent_congestion_comparison,
-)
-from .scaleout import (
-    format_failover,
-    format_scaleout,
-    run_failover_counters,
-    run_scaleout,
-    run_scaleout_point,
-)
-from .sequencer import format_sequencer, run_sequencer_point, run_sequencer_throughput
-from .telemetry import format_telemetry, run_telemetry
-from .topology import Testbed, build_testbed
-
-__all__ = [
-    "Testbed",
-    "assert_linkguard",
-    "build_testbed",
-    "chaos_perf_record",
-    "format_baremetal",
-    "format_batching",
-    "format_cache",
-    "format_chaos",
-    "format_drops",
-    "format_failover",
-    "format_fig3a",
-    "format_fig3b",
-    "format_incast",
-    "format_kv_cache",
-    "format_linkguard",
-    "linkguard_perf_record",
-    "format_mode",
-    "format_overhead",
-    "format_packet_buffer_rate",
-    "format_persistent_congestion",
-    "format_priority",
-    "format_scaleout",
-    "format_sequencer",
-    "format_telemetry",
-    "format_window",
-    "run_baremetal",
-    "run_baremetal_comparison",
-    "run_batching_ablation",
-    "run_cache_ablation",
-    "run_chaos_point",
-    "run_chaos_sweep",
-    "run_drop_ablation",
-    "run_failover_counters",
-    "run_fig3a",
-    "run_fig3b",
-    "run_incast",
-    "run_incast_comparison",
-    "run_kv_cache",
-    "run_kv_cache_comparison",
-    "run_linkguard_point",
-    "run_linkguard_sweep",
-    "run_mode_ablation",
-    "run_overhead",
-    "run_priority_ablation",
-    "run_packet_buffer_rate",
-    "run_persistent_congestion",
-    "run_persistent_congestion_comparison",
-    "run_scaleout",
-    "run_scaleout_point",
-    "run_store_load_point",
-    "run_sequencer_point",
-    "run_sequencer_throughput",
-    "run_telemetry",
-    "run_window_ablation",
-]

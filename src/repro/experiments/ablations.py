@@ -38,7 +38,7 @@ from ..switches.hashing import FiveTuple
 from ..workloads.factory import udp_between
 from ..workloads.flows import ZipfFlowWorkload
 from ..workloads.perftest import RawEthernetBw
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 
 # -- 1. Fetch-and-Add batching -------------------------------------------------

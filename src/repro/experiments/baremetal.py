@@ -30,7 +30,7 @@ from ..net.packet import Packet
 from ..sim.units import SEC, gbps, to_usec
 from ..workloads.factory import udp_between
 from ..workloads.flows import ZipfSampler
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 MODES = ("slowpath", "remote")
 

@@ -34,16 +34,18 @@ from ..core.packet_buffer import (
     RemotePacketBuffer,
 )
 from ..core.state_store import RemoteStateStore, StateStoreConfig
-from ..faults import Blackout, FaultPlan, IidLoss
+from ..faults.models import Blackout, IidLoss
+from ..faults.plan import FaultPlan
 from ..net.headers import UdpHeader
-from ..policies import BreakerPolicy
+from ..policies.breaker import BreakerPolicy
 from ..rdma.constants import ATOMIC_OPERAND_BYTES
-from ..resilience import CircuitBreakerConfig, SelfHealingChannel
+from ..resilience.breaker import CircuitBreakerConfig
+from ..resilience.guard import SelfHealingChannel
 from ..sim.rng import SeedSequence
 from ..sim.units import usec
 from ..switches.hashing import FiveTuple
 from ..workloads.perftest import PacketSink, RawEthernetBw
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 #: Root seed for every chaos run; one number pins the whole timeline.
 CHAOS_SEED = 42
@@ -601,71 +603,3 @@ def format_chaos_recovery(report: RecoveryReport) -> str:
             f"(seed={report.seed})"
         ),
     )
-
-
-def recovery_perf_record(report: RecoveryReport):
-    """The self-healing scenario as one ``PerfRecord`` (rides BENCH_chaos).
-
-    The headline extra is the degraded-vs-healthy goodput pair: updates
-    absorbed per ms while the breaker was open versus the healthy
-    remainder of the run — the cost of an outage under self-healing.
-    """
-    from ..analysis.profiling import PerfRecord
-
-    record = PerfRecord(
-        label="recovery",
-        wall_s=(report.store_duration_ms + report.buffer_duration_ms) / 1e3,
-        events=report.packets_sent + report.buffered_packets,
-    )
-    record.extra.update(
-        {
-            "seed": report.seed,
-            "expected_total": report.expected_total,
-            "recovered_total": report.recovered_total,
-            "lost_updates": report.lost_updates,
-            "counters_wrong": report.counters_wrong,
-            "degraded_updates": report.degraded_updates,
-            "degraded_ms": report.degraded_ms,
-            "goodput_degraded_per_ms": report.degraded_goodput_per_ms,
-            "goodput_healthy_per_ms": report.healthy_goodput_per_ms,
-            "store_breaker_opens": report.store_breaker_opens,
-            "store_probe_failures": report.store_probe_failures,
-            "store_reconnects": report.store_reconnects,
-            "buffered_packets": report.buffered_packets,
-            "delivered_packets": report.delivered_packets,
-            "lost_buffered": report.lost_buffered,
-            "out_of_order": report.out_of_order,
-            "buffer_reconnects": report.buffer_reconnects,
-        }
-    )
-    return record
-
-
-def chaos_perf_record(rows: Sequence[ChaosRow], label: str = "chaos"):
-    """The sweep in ``repro-perf-record/v1`` shape (committed as BENCH)."""
-    from ..analysis.profiling import PerfRecord, make_report
-
-    records: Dict[str, PerfRecord] = {}
-    for row in rows:
-        record = PerfRecord(
-            label=f"loss[{row.loss_rate:g}]",
-            wall_s=row.duration_ms / 1e3,
-            events=row.packets_sent,
-        )
-        record.extra.update(
-            {
-                "seed": row.seed,
-                "loss_rate": row.loss_rate,
-                "expected_total": row.expected_total,
-                "recovered_total": row.recovered_total,
-                "lost_updates": row.lost_updates,
-                "counters_wrong": row.counters_wrong,
-                "link_drops": row.link_drops,
-                "retransmissions": row.retransmissions,
-                "naks": row.naks,
-                "timeouts": row.timeouts,
-                "goodput_updates_per_ms": row.goodput_updates_per_ms,
-            }
-        )
-        records[record.label] = record
-    return make_report(label, records)

@@ -38,7 +38,7 @@ from ..sim.units import gbps, mib, to_msec
 from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.incast import IncastWorkload
 from ..workloads.perftest import PacketSink, RawEthernetBw
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 VARIANTS = ("droptail", "remote_buffer", "pfc")
 

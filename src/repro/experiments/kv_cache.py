@@ -37,7 +37,7 @@ from ..sim.units import SEC, gbps, to_usec
 from ..switches.tables import ActionEntry
 from ..workloads.factory import udp_between
 from ..workloads.flows import ZipfSampler
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 MODES = ("server", "sram", "sram+remote")
 

@@ -47,24 +47,26 @@ from ..apps.l4lb import (
     L4LbController,
     L4LbProgram,
 )
-from ..cluster import MemoryPool, ReplicatedStateStore
+from ..cluster.pool import MemoryPool
+from ..cluster.replicated_store import ReplicatedStateStore
 from ..core.lookup_table import LookupTableConfig, RemoteLookupTable
 from ..core.state_store import StateStoreConfig
-from ..faults import Corrupt, FaultPlan
+from ..faults.models import Corrupt
+from ..faults.plan import FaultPlan
 from ..hosts.server import MemoryServer
-from ..linkguard import LinkGuard
+from ..linkguard.guard import LinkGuard
 from ..net.addresses import Ipv4Address
 from ..net.headers import Ipv4Header, UdpHeader
 from ..obs import Observability
-from ..policies import BreakerPolicy
+from ..policies.breaker import BreakerPolicy
 from ..rdma.packets import integrity_protected
-from ..resilience import CircuitBreakerConfig
+from ..resilience.breaker import CircuitBreakerConfig
 from ..sim.rng import SeedSequence
 from ..sim.units import SEC, usec
 from ..switches.hashing import FiveTuple
 from ..workloads.zipf import OpenLoopZipfTraffic
+from ..testbed import build_testbed
 from .scaleout import RING_SEED, RING_VNODES
-from .topology import build_testbed
 
 #: Root seed: one number pins every schedule in the soak.
 L4LB_SEED = 42
@@ -571,57 +573,6 @@ def format_l4lb(result: L4LbSoakResult) -> str:
         f"{result.lookups_lost} lookups lost",
     ]
     return "\n".join(summary)
-
-
-def l4lb_perf_record(result: L4LbSoakResult, label: str = "l4lb"):
-    """The soak in ``repro-perf-record/v1`` shape (committed as BENCH)."""
-    from ..analysis.profiling import PerfRecord, make_report
-
-    record = PerfRecord(
-        label="l4lb_soak",
-        wall_s=result.duration_ms / 1e3,
-        events=result.packets_offered,
-    )
-    record.extra.update(
-        {
-            "seed": result.seed,
-            "connections": result.connections,
-            "new_connections": result.new_connections,
-            "backends": result.backends,
-            "table_entries": result.table_entries,
-            "corrupt_rate": result.corrupt_rate,
-            "packets_offered": result.packets_offered,
-            "vip_packets": result.vip_packets,
-            "forwarded_packets": result.forwarded_packets,
-            "delivered_total": result.delivered_total,
-            "expected_total": result.expected_total,
-            "recovered_total": result.recovered_total,
-            "lost_updates": result.lost_updates,
-            "all_counters_exact": result.all_counters_exact,
-            "affinity_breaks": result.affinity_breaks,
-            "flows_delivered": result.flows_delivered,
-            "connections_migrated": result.connections_migrated,
-            "unsanctioned_migrations": result.unsanctioned_migrations,
-            "killed_backend": result.killed_backend,
-            "kill_detect_latency_ns": result.kill_detect_latency_ns,
-            "breaker_opens": result.breaker_opens,
-            "reconnect_attempts": result.reconnect_attempts,
-            "kill_escalations": result.kill_escalations,
-            "members_failed": result.members_failed,
-            "victim_wire_loss": result.victim_wire_loss,
-            "other_wire_loss": result.other_wire_loss,
-            "drained_backend": result.drained_backend,
-            "drains_completed": result.drains_completed,
-            "drains_forced": result.drains_forced,
-            "counters_repaired": result.counters_repaired,
-            "corrupted_frames": result.corrupted_frames,
-            "masked_losses": result.masked_losses,
-            "lookups_lost": result.lookups_lost,
-            "new_on_inactive": result.new_on_inactive,
-            "duration_ms": result.duration_ms,
-        }
-    )
-    return make_report(label, {record.label: record})
 
 
 def publish_l4lb_metrics(registry, result: L4LbSoakResult) -> None:

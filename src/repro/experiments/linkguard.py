@@ -54,17 +54,19 @@ from ..core.packet_buffer import (
     PacketBufferConfig,
     RemotePacketBuffer,
 )
-from ..faults import Corrupt, FaultPlan
-from ..linkguard import LinkGuard
+from ..faults.models import Corrupt
+from ..faults.plan import FaultPlan
+from ..linkguard.guard import LinkGuard
 from ..obs import Observability
-from ..policies import BreakerPolicy
+from ..policies.breaker import BreakerPolicy
 from ..rdma.packets import integrity_protected
-from ..resilience import CircuitBreakerConfig, SelfHealingChannel
+from ..resilience.breaker import CircuitBreakerConfig
+from ..resilience.guard import SelfHealingChannel
 from ..sim.rng import SeedSequence
 from ..sim.units import gbps, usec
 from ..switches.hashing import FiveTuple
 from ..workloads.perftest import PacketSink, RawEthernetBw
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 #: Root seed: one number pins every variant's timeline.
 LINKGUARD_SEED = 42
@@ -392,51 +394,6 @@ def format_linkguard(rows: Sequence[LinkGuardRow]) -> str:
             f"(seed={rows[0].seed if rows else '-'})"
         ),
     )
-
-
-def linkguard_perf_record(
-    rows: Sequence[LinkGuardRow], label: str = "linkguard"
-):
-    """The sweep in ``repro-perf-record/v1`` shape (committed as BENCH)."""
-    from ..analysis.profiling import PerfRecord, make_report
-
-    records: Dict[str, PerfRecord] = {}
-    base: Dict[str, float] = {
-        r.workload: r.goodput_per_ms for r in rows if r.variant == "lossless"
-    }
-    for row in rows:
-        record = PerfRecord(
-            label=f"{row.workload}[{row.variant}]",
-            wall_s=row.duration_ms / 1e3,
-            events=row.packets_sent,
-        )
-        record.extra.update(
-            {
-                "seed": row.seed,
-                "variant": row.variant,
-                "workload": row.workload,
-                "corrupt_rate": row.corrupt_rate,
-                "packets_sent": row.packets_sent,
-                "delivered": row.delivered,
-                "lost": row.lost,
-                "out_of_order": row.out_of_order,
-                "corrupted_frames": row.corrupted_frames,
-                "transport_naks": row.transport_naks,
-                "transport_timeouts": row.transport_timeouts,
-                "masked_losses": row.masked_losses,
-                "guard_resent": row.guard_resent,
-                "shim_bytes": row.shim_bytes,
-                "breaker_opens": row.breaker_opens,
-                "goodput_per_ms": row.goodput_per_ms,
-                "goodput_vs_lossless": (
-                    row.goodput_per_ms / base[row.workload]
-                    if base.get(row.workload, 0) > 0
-                    else None
-                ),
-            }
-        )
-        records[record.label] = record
-    return make_report(label, records)
 
 
 def publish_linkguard_metrics(registry, rows: Sequence[LinkGuardRow]) -> None:

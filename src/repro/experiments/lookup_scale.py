@@ -31,7 +31,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.reporting import format_table
 from ..apps.programs import RemoteLookupProgram
-from ..cluster import MemoryPool, ShardedLookupTable
+from ..cluster.pool import MemoryPool
+from ..cluster.sharded_lookup import ShardedLookupTable
 from ..core.lookup_table import (
     ACTION_SET_DSCP,
     LookupTableConfig,
@@ -41,8 +42,8 @@ from ..core.lookup_table import (
 from ..switches.hashing import FiveTuple
 from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.zipf import OpenLoopZipfTraffic
+from ..testbed import build_testbed
 from .scaleout import OFFERED_PER_SERVER_MLPS, RING_SEED, RING_VNODES
-from .topology import build_testbed
 
 #: Policies compared by the study, in presentation order.
 POLICIES = ("fifo", "lru", "lfu", "pin")

@@ -27,7 +27,7 @@ from ..rdma.constants import Opcode
 from ..sim.units import SEC, gbps
 from ..baselines.native_rdma import NativeRdmaStreamer
 from ..workloads.perftest import PacketSink, RawEthernetBw
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 
 @dataclass

@@ -30,7 +30,7 @@ from ..core.packet_buffer import (
 from ..sim.units import gbps, kib, msec, to_msec
 from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.dctcp import DctcpConfig, DctcpReceiver, DctcpSender
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 MODES = ("buffer_only", "buffer+ecn")
 

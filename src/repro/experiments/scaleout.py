@@ -27,7 +27,9 @@ from typing import Dict, List, Sequence
 
 from ..analysis.reporting import format_table
 from ..apps.programs import CountingProgram, RemoteLookupProgram
-from ..cluster import MemoryPool, ReplicatedStateStore, ShardedLookupTable
+from ..cluster.pool import MemoryPool
+from ..cluster.replicated_store import ReplicatedStateStore
+from ..cluster.sharded_lookup import ShardedLookupTable
 from ..core.lookup_table import (
     ACTION_SET_DSCP,
     LookupTableConfig,
@@ -39,7 +41,7 @@ from ..switches.hashing import FiveTuple
 from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.factory import udp_between
 from ..workloads.perftest import RawEthernetBw
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 #: Ring salt for every scale-out run (placement, hence the load split, is
 #: deterministic and reproducible — satellite of the cluster subsystem).

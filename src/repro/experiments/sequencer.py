@@ -17,7 +17,7 @@ from ..apps.sequencer import SEQUENCER_PORT, SeqHeader, SequencerProgram
 from ..net.headers import UdpHeader
 from ..sim.units import SEC, gbps
 from ..workloads.perftest import RawEthernetBw
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 
 @dataclass

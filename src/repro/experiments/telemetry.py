@@ -34,7 +34,7 @@ from ..rdma.constants import ATOMIC_OPERAND_BYTES
 from ..sim.units import gbps, kib
 from ..switches.hashing import FiveTuple
 from ..workloads.flows import ZipfFlowWorkload
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 
 @dataclass

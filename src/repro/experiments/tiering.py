@@ -53,13 +53,14 @@ from ..core.state_store import (
     RemoteStateStore,
     StateStoreConfig,
 )
-from ..faults import FaultPlan, RnicBlackout
+from ..faults.injectors import RnicBlackout
+from ..faults.plan import FaultPlan
 from ..rdma.memory import TIER_FAST
 from ..rdma.rnic import TierProfile
 from ..sim.units import usec
-from ..tiering import TieredMemoryPool
+from ..tiering.pool import TieredMemoryPool
 from ..workloads.zipf import ZipfGenerator
-from .topology import build_testbed
+from ..testbed import build_testbed
 
 #: Placement policies compared by the sweep, in presentation order.
 #: ``dram`` is the all-DRAM baseline every speedup is quoted against.

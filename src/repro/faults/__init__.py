@@ -29,41 +29,3 @@ DESIGN.md §10 for the full fault/recovery model and
 :mod:`repro.experiments.chaos` for the soak experiment that holds it to
 its guarantees.
 """
-
-from .injectors import (
-    AtomicEngineStall,
-    LinkFaultInjector,
-    RnicBlackout,
-    RnicDropBurst,
-    RnicFault,
-    RnicFaultInjector,
-)
-from .models import (
-    Blackout,
-    Corrupt,
-    Duplicate,
-    GilbertElliottLoss,
-    IidLoss,
-    Jitter,
-    LinkFault,
-    Reorder,
-)
-from .plan import FaultPlan
-
-__all__ = [
-    "AtomicEngineStall",
-    "Blackout",
-    "Corrupt",
-    "Duplicate",
-    "FaultPlan",
-    "GilbertElliottLoss",
-    "IidLoss",
-    "Jitter",
-    "LinkFault",
-    "LinkFaultInjector",
-    "Reorder",
-    "RnicBlackout",
-    "RnicDropBurst",
-    "RnicFault",
-    "RnicFaultInjector",
-]

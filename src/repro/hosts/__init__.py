@@ -1,5 +1,1 @@
 """Host nodes: end hosts, remote-memory servers."""
-
-from .server import Host, MemoryServer, PacketHandler
-
-__all__ = ["Host", "MemoryServer", "PacketHandler"]

@@ -24,15 +24,3 @@ versus a breaker; DESIGN.md §14 specifies the protocol.
 >>> ...                                        # run traffic, inject faults
 >>> guard.counts["masked_losses"]              # losses the transport never saw
 """
-
-from .guard import LinkGuard, LinkGuardConfig, PROTECTION_LEVELS
-from .shim import ETHERTYPE_LINKGUARD, GuardShimHeader, guard_checksum
-
-__all__ = [
-    "ETHERTYPE_LINKGUARD",
-    "GuardShimHeader",
-    "LinkGuard",
-    "LinkGuardConfig",
-    "PROTECTION_LEVELS",
-    "guard_checksum",
-]

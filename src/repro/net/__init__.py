@@ -1,48 +1,1 @@
 """Network substrate: addresses, header codecs, packets, links, nodes."""
-
-from .addresses import Ipv4Address, MacAddress
-from .headers import (
-    ETHERNET_FCS_BYTES,
-    ETHERNET_IFG_BYTES,
-    ETHERNET_MIN_FRAME,
-    ETHERNET_PREAMBLE_BYTES,
-    ETHERNET_WIRE_OVERHEAD,
-    ETHERTYPE_IPV4,
-    ETHERTYPE_ROCEV1,
-    ROCEV2_UDP_PORT,
-    EthernetHeader,
-    HeaderError,
-    Ipv4Header,
-    UdpHeader,
-    ipv4_checksum,
-)
-from .link import Link, connect
-from .node import Interface, Node
-from .packet import Packet
-from .pcap import PcapWriter
-from .queues import TxQueue
-
-__all__ = [
-    "ETHERNET_FCS_BYTES",
-    "ETHERNET_IFG_BYTES",
-    "ETHERNET_MIN_FRAME",
-    "ETHERNET_PREAMBLE_BYTES",
-    "ETHERNET_WIRE_OVERHEAD",
-    "ETHERTYPE_IPV4",
-    "ETHERTYPE_ROCEV1",
-    "ROCEV2_UDP_PORT",
-    "EthernetHeader",
-    "HeaderError",
-    "Interface",
-    "Ipv4Address",
-    "Ipv4Header",
-    "Link",
-    "MacAddress",
-    "Node",
-    "Packet",
-    "PcapWriter",
-    "TxQueue",
-    "UdpHeader",
-    "connect",
-    "ipv4_checksum",
-]

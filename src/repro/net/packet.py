@@ -45,7 +45,7 @@ H = TypeVar("H")
 _packet_ids = itertools.count(1)
 _new = object.__new__
 
-#: Process-wide count of packets constructed, for the profiling harness.
+#: Process-wide count of packets constructed (``bench_e2e`` reads it around a run).
 _packets_created = 0
 
 #: Frames shorter than this many buffer bytes are padded to the minimum.

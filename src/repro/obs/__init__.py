@@ -22,22 +22,20 @@ handle instead::
 
 ``Simulator`` adopts the active handle when one is installed and builds
 a private one otherwise (:meth:`Observability.adopt`).
+
+The metric types live in :mod:`.registry` and the trace in :mod:`.trace`;
+import them from there (or from :mod:`repro.api`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricRegistry,
-    MetricScope,
-)
-from .trace import TraceEvent, WireTrace
+from .registry import MetricRegistry
+
+if TYPE_CHECKING:
+    from .trace import WireTrace
 
 
 class Observability:
@@ -74,16 +72,3 @@ class Observability:
             yield self
         finally:
             Observability._active = previous
-
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metric",
-    "MetricRegistry",
-    "MetricScope",
-    "Observability",
-    "TraceEvent",
-    "WireTrace",
-]

@@ -13,13 +13,8 @@ Tracing is **opt-in**: the default :class:`~repro.obs.Observability` has
 packet.  Enable it per run (CLI ``--trace out.jsonl``) or per test
 (``Observability(trace=WireTrace())``).
 
-Two export shapes:
-
-* **JSONL** — one event per line, the format trace tooling diffs and
-  greps (:meth:`WireTrace.write_jsonl`).
-* **repro-perf-record/v1** — the repo's existing perf-record schema,
-  one record per QP, so trace summaries ride the same artifact pipeline
-  as the benchmark records (:meth:`WireTrace.to_perf_record`).
+The export shape is JSONL — one event per line, the format trace
+tooling diffs and greps (:meth:`WireTrace.write_jsonl`).
 """
 
 from __future__ import annotations
@@ -171,43 +166,3 @@ class WireTrace:
     def write_jsonl(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_jsonl())
-
-    def to_perf_record(self, label: str = "wire-trace") -> Dict[str, Any]:
-        """The trace summarized in the ``repro-perf-record/v1`` shape.
-
-        One result per QP: ``wall_s`` is the simulated span of that QP's
-        timeline, ``events`` its event count, and ``extra`` carries the
-        per-kind breakdown, the PSN range and the wire byte total —
-        enough to spot a NAK storm or an idle QP from the same artifact
-        viewer the benchmarks use.
-        """
-        # Imported here: analysis depends on obs for reporting, not the
-        # other way around.
-        from ..analysis.profiling import PerfRecord, make_report
-
-        records: Dict[str, PerfRecord] = {}
-        for qpn, events in sorted(self.per_qp().items()):
-            span_ns = events[-1].t_ns - events[0].t_ns if len(events) > 1 else 0.0
-            record = PerfRecord(
-                label=f"qp[{qpn}]",
-                wall_s=span_ns / 1e9,
-                events=len(events),
-            )
-            kinds: Dict[str, int] = {}
-            wire_bytes = 0
-            psns = []
-            for event in events:
-                kinds[event.kind] = kinds.get(event.kind, 0) + 1
-                wire_bytes += event.wire_bytes
-                if event.psn is not None:
-                    psns.append(event.psn)
-            record.extra["kinds"] = kinds
-            record.extra["wire_bytes"] = wire_bytes
-            if psns:
-                record.extra["first_psn"] = psns[0]
-                record.extra["last_psn"] = psns[-1]
-            records[f"qp[{qpn}]"] = record
-        report = make_report(label, records)
-        report["trace_events"] = len(self.events)
-        report["trace_dropped"] = self.dropped
-        return report

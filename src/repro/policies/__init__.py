@@ -2,7 +2,7 @@
 
 One protocol family, three kinds, one construction convention::
 
-    from repro.policies import (
+    from repro.api import (
         make_policy,          # generic factory: make_policy("cache", "lru", ...)
         CachePolicy,          # SRAM eviction (fifo/lru/lfu/pin)
         PlacementPolicy,      # tier placement (static/frequency/watermark)
@@ -11,77 +11,36 @@ One protocol family, three kinds, one construction convention::
 
 Every policy is built with ``(seed, metrics_scope)`` and consumed through
 a ``policy=`` / ``policy_seed=`` kwarg pair on the owning component.
-The old homes (``repro.core.cache_policy``, raw breaker ``config=``/
-``rng=`` kwargs) keep working through warn-once deprecation shims.
+Each kind lives in its own module (:mod:`.cache`, :mod:`.placement`,
+:mod:`.breaker`, the protocol in :mod:`.base`); :func:`make_policy`
+imports only the one it builds.
 """
 
-from .base import POLICY_KINDS, Policy
-from .breaker import BreakerPolicy
-from .cache import (
-    CACHE_POLICIES,
-    CachePolicy,
-    FifoCachePolicy,
-    LfuCachePolicy,
-    LruCachePolicy,
-    PinningCachePolicy,
-    make_cache_policy,
-)
-from .placement import (
-    PLACEMENT_POLICIES,
-    AccessFrequencyPlacement,
-    BlockStat,
-    PlacementPolicy,
-    PlacementView,
-    StaticPinPlacement,
-    TierMove,
-    WatermarkPlacement,
-    make_placement_policy,
-)
+from .base import POLICY_KINDS
 
 
 def make_policy(kind: str, name: str, *args, **kwargs):
     """Build a policy by ``(kind, name)`` — the one-stop factory.
 
     ``make_policy("cache", "lru", 1024)`` ==
-    :func:`make_cache_policy`\\ ``("lru", 1024)``;
+    :func:`~.cache.make_cache_policy`\\ ``("lru", 1024)``;
     ``make_policy("placement", "frequency", seed=7)`` ==
-    :func:`make_placement_policy`\\ ``("frequency", seed=7)``;
+    :func:`~.placement.make_placement_policy`\\ ``("frequency", seed=7)``;
     ``make_policy("breaker", "breaker", fail_threshold=2)`` builds a
-    :class:`BreakerPolicy`.
+    :class:`~.breaker.BreakerPolicy`.
     """
     if kind == "cache":
+        from .cache import make_cache_policy
+
         return make_cache_policy(name, *args, **kwargs)
     if kind == "placement":
+        from .placement import make_placement_policy
+
         return make_placement_policy(name, *args, **kwargs)
     if kind == "breaker":
+        from .breaker import BreakerPolicy
+
         return BreakerPolicy(*args, **kwargs)
     raise ValueError(
         f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}"
     )
-
-
-__all__ = [
-    "POLICY_KINDS",
-    "Policy",
-    "make_policy",
-    # cache
-    "CACHE_POLICIES",
-    "CachePolicy",
-    "FifoCachePolicy",
-    "LfuCachePolicy",
-    "LruCachePolicy",
-    "PinningCachePolicy",
-    "make_cache_policy",
-    # placement
-    "PLACEMENT_POLICIES",
-    "AccessFrequencyPlacement",
-    "BlockStat",
-    "PlacementPolicy",
-    "PlacementView",
-    "StaticPinPlacement",
-    "TierMove",
-    "WatermarkPlacement",
-    "make_placement_policy",
-    # breaker
-    "BreakerPolicy",
-]

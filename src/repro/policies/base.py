@@ -1,7 +1,7 @@
 """The unified policy surface: one construction convention, three kinds.
 
-The repo grew three ad-hoc policy surfaces — SRAM cache eviction
-(``core/cache_policy.py``), the cluster ring's placement logic, and the
+The repo grew three ad-hoc policy surfaces — SRAM cache eviction (the
+fixed lookup-table cache), the cluster ring's placement logic, and the
 resilience layer's per-channel breaker wiring.  They now share one base:
 
 * every policy is constructed with ``(seed, metrics_scope)`` — a seed for

@@ -19,9 +19,6 @@ keeps is what determines the miss rate — so the policy is a plug:
 Every policy emits ``hits / misses / inserts / evictions / pins`` plus
 ``hit_rate`` and ``size`` into the obs registry under the owning
 table's ``lookup.cache`` scope.
-
-This module is the canonical home (``repro.policies.cache``); the old
-``repro.core.cache_policy`` path keeps working through a warn-once shim.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from .._deprecation import UNSET, warn_once
 from ..obs.registry import Counter, MetricScope
 from ..switches.tables import ActionEntry, ExactMatchTable, TableFullError
 from .base import Policy
@@ -57,21 +53,11 @@ class CachePolicy(Policy):
         entries: int,
         metrics_scope: Optional[MetricScope] = None,
         seed: int = 0,
-        *,
-        scope: Any = UNSET,
     ) -> None:
-        if scope is not UNSET:
-            warn_once(
-                "CachePolicy(scope=...) is deprecated; pass metrics_scope= "
-                "(the unified repro.policies construction convention)"
-            )
-            metrics_scope = scope
         super().__init__(seed=seed, metrics_scope=metrics_scope)
         if entries <= 0:
             raise ValueError(f"cache needs positive capacity, got {entries}")
         self.entries = entries
-        # Legacy attribute name; reads the same object as metrics_scope.
-        self.scope = metrics_scope
         if metrics_scope is not None:
             self._m_hits = metrics_scope.counter("hits")
             self._m_misses = metrics_scope.counter("misses")
@@ -144,10 +130,8 @@ class FifoCachePolicy(CachePolicy):
         entries: int,
         metrics_scope: Optional[MetricScope] = None,
         seed: int = 0,
-        *,
-        scope: Any = UNSET,
     ) -> None:
-        super().__init__(entries, metrics_scope, seed, scope=scope)
+        super().__init__(entries, metrics_scope, seed)
         self.table = ExactMatchTable("lookup.cache", entries)
 
     def _get(self, flow: Any) -> Optional[Any]:
@@ -186,10 +170,8 @@ class LruCachePolicy(CachePolicy):
         entries: int,
         metrics_scope: Optional[MetricScope] = None,
         seed: int = 0,
-        *,
-        scope: Any = UNSET,
     ) -> None:
-        super().__init__(entries, metrics_scope, seed, scope=scope)
+        super().__init__(entries, metrics_scope, seed)
         self._entries: "OrderedDict[Any, Any]" = OrderedDict()
 
     def _get(self, flow: Any) -> Optional[Any]:
@@ -230,10 +212,8 @@ class LfuCachePolicy(CachePolicy):
         entries: int,
         metrics_scope: Optional[MetricScope] = None,
         seed: int = 0,
-        *,
-        scope: Any = UNSET,
     ) -> None:
-        super().__init__(entries, metrics_scope, seed, scope=scope)
+        super().__init__(entries, metrics_scope, seed)
         self._actions: Dict[Any, Any] = {}
         self._freq: Dict[Any, int] = {}
         self._buckets: Dict[int, "OrderedDict[Any, None]"] = {}
@@ -305,10 +285,8 @@ class PinningCachePolicy(CachePolicy):
         seed: int = 0,
         threshold: int = 4,
         pin_fraction: float = 0.75,
-        *,
-        scope: Any = UNSET,
     ) -> None:
-        super().__init__(entries, metrics_scope, seed, scope=scope)
+        super().__init__(entries, metrics_scope, seed)
         if threshold < 1:
             raise ValueError(f"promotion threshold must be >= 1: {threshold}")
         if not 0.0 < pin_fraction < 1.0:
@@ -384,15 +362,8 @@ def make_cache_policy(
     seed: int = 0,
     pin_threshold: int = 4,
     pin_fraction: float = 0.75,
-    *,
-    scope: Any = UNSET,
 ) -> CachePolicy:
     """Build the cache policy *name* (one of :data:`CACHE_POLICIES`)."""
-    if scope is not UNSET:
-        warn_once(
-            "make_cache_policy(scope=...) is deprecated; pass metrics_scope="
-        )
-        metrics_scope = scope
     if name == "fifo":
         return FifoCachePolicy(entries, metrics_scope, seed)
     if name == "lru":

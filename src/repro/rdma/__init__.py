@@ -1,81 +1,1 @@
 """RoCEv2 protocol stack: headers, memory regions, queue pairs, RNIC model."""
-
-from .constants import (
-    ATOMIC_OPERAND_BYTES,
-    AethSyndrome,
-    Opcode,
-    PSN_MODULO,
-    psn_add,
-    psn_distance,
-)
-from .headers import (
-    AethHeader,
-    AtomicAckEthHeader,
-    AtomicEthHeader,
-    BthHeader,
-    GrhHeader,
-    IcrcTrailer,
-    RethHeader,
-    gid_from_ipv4,
-    parse_roce,
-    roce_packet_overhead,
-)
-from .memory import (
-    AccessFlags,
-    Dram,
-    MemoryAccessError,
-    MemoryRegion,
-    SparseBuffer,
-)
-from .packets import (
-    build_ack,
-    convert_to_rocev1,
-    build_atomic_ack,
-    build_fetch_add_request,
-    build_read_request,
-    build_read_response,
-    build_write_request,
-)
-from .qp import Completion, QpState, QueuePair, WorkRequest
-from .rnic import Rnic, RnicConfig, RnicStats
-from .verbs import RdmaClient, connect_qps
-
-__all__ = [
-    "ATOMIC_OPERAND_BYTES",
-    "AccessFlags",
-    "AethHeader",
-    "AethSyndrome",
-    "AtomicAckEthHeader",
-    "AtomicEthHeader",
-    "BthHeader",
-    "Completion",
-    "Dram",
-    "GrhHeader",
-    "IcrcTrailer",
-    "MemoryAccessError",
-    "MemoryRegion",
-    "Opcode",
-    "PSN_MODULO",
-    "QpState",
-    "QueuePair",
-    "RdmaClient",
-    "RethHeader",
-    "Rnic",
-    "RnicConfig",
-    "RnicStats",
-    "SparseBuffer",
-    "WorkRequest",
-    "build_ack",
-    "build_atomic_ack",
-    "build_fetch_add_request",
-    "build_read_request",
-    "build_read_response",
-    "build_write_request",
-    "convert_to_rocev1",
-    "gid_from_ipv4",
-    "connect_qps",
-    "parse_roce",
-    "psn_add",
-    "psn_distance",
-    "roce_packet_overhead",
-]

@@ -8,21 +8,3 @@ owning primitive through its degraded mode, and every primitive
 guarantees a reconciliation story (zero lost counter updates, in-order
 stranded-packet drain, counted cache/default service).
 """
-
-from .breaker import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
-    CircuitBreakerConfig,
-)
-from .guard import SelfHealingChannel
-
-__all__ = [
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "CircuitBreaker",
-    "CircuitBreakerConfig",
-    "SelfHealingChannel",
-]

@@ -28,10 +28,9 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from .._deprecation import warn_once
 from ..core.channel import RdmaChannelController, RemoteMemoryChannel
 from ..core.rocegen import RoceRequestGenerator
-from .breaker import CircuitBreaker, CircuitBreakerConfig
+from .breaker import CircuitBreaker
 
 
 class SelfHealingChannel:
@@ -62,8 +61,6 @@ class SelfHealingChannel:
         breaker's thresholds and seeded probe jitter — the unified
         ``(seed, metrics_scope)`` policy surface.  ``policy_seed`` is a
         shorthand that builds a default-threshold policy from a seed.
-        The pre-unification ``config=`` / ``rng=`` kwargs still work but
-        warn once; they cannot be combined with ``policy=``.
     """
 
     def __init__(
@@ -72,8 +69,6 @@ class SelfHealingChannel:
         channel: RemoteMemoryChannel,
         primitive,
         generators: Optional[List[RoceRequestGenerator]] = None,
-        config: Optional[CircuitBreakerConfig] = None,
-        rng: Optional[random.Random] = None,
         reconnect: bool = True,
         policy=None,
         policy_seed: Optional[int] = None,
@@ -86,39 +81,21 @@ class SelfHealingChannel:
                 )
         if channel not in controller.channels:
             raise ValueError(f"channel {channel.name!r} is not open on this controller")
-        if config is not None:
-            warn_once(
-                "SelfHealingChannel(config=...) is deprecated; pass "
-                "policy=BreakerPolicy(config=...) (repro.policies)"
-            )
-        if rng is not None:
-            warn_once(
-                "SelfHealingChannel(rng=...) is deprecated; pass "
-                "policy=BreakerPolicy(seed=...) or policy_seed="
-            )
         self.controller = controller
         self.channel = channel
         self.primitive = primitive
         self.reconnect = reconnect
         sim = controller.switch.sim
         if policy is not None:
-            if config is not None or rng is not None:
-                raise ValueError(
-                    "pass either policy= or the deprecated config=/rng=, "
-                    "not both"
-                )
             # Duck-typed BreakerPolicy (this module must not import
             # repro.policies: policies.breaker imports resilience.breaker).
             self.breaker = policy.build(sim, channel.name)
         elif policy_seed is not None:
-            if rng is not None:
-                raise ValueError("pass either policy_seed= or rng=, not both")
             self.breaker = CircuitBreaker(
-                sim, channel.name, config=config,
-                rng=random.Random(policy_seed),
+                sim, channel.name, rng=random.Random(policy_seed)
             )
         else:
-            self.breaker = CircuitBreaker(sim, channel.name, config=config, rng=rng)
+            self.breaker = CircuitBreaker(sim, channel.name)
         self.metrics = sim.obs.registry.unique_scope(
             f"resilience.guard[{channel.name}]"
         )

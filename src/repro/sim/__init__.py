@@ -1,81 +1,1 @@
 """Discrete-event simulation core: clock, events, units, seeded RNG."""
-
-from .batch import BatchSimulator
-from .events import Event
-from .rng import SeedSequence
-from .simulator import (
-    KERNELS,
-    SimulationError,
-    Simulator,
-    default_kernel,
-    kernel_mode,
-    set_default_kernel,
-)
-from .units import (
-    BPS,
-    GBPS,
-    GIB,
-    KBPS,
-    KIB,
-    MBPS,
-    MIB,
-    MSEC,
-    NSEC,
-    SEC,
-    USEC,
-    gbps,
-    gib,
-    kbps,
-    kib,
-    mbps,
-    mib,
-    msec,
-    nsec,
-    rate_bps_from_bytes,
-    sec,
-    to_gbps,
-    to_msec,
-    to_sec,
-    to_usec,
-    transmission_delay_ns,
-    usec,
-)
-
-__all__ = [
-    "BatchSimulator",
-    "Event",
-    "KERNELS",
-    "SeedSequence",
-    "SimulationError",
-    "Simulator",
-    "default_kernel",
-    "kernel_mode",
-    "set_default_kernel",
-    "BPS",
-    "GBPS",
-    "GIB",
-    "KBPS",
-    "KIB",
-    "MBPS",
-    "MIB",
-    "MSEC",
-    "NSEC",
-    "SEC",
-    "USEC",
-    "gbps",
-    "gib",
-    "kbps",
-    "kib",
-    "mbps",
-    "mib",
-    "msec",
-    "nsec",
-    "rate_bps_from_bytes",
-    "sec",
-    "to_gbps",
-    "to_msec",
-    "to_sec",
-    "to_usec",
-    "transmission_delay_ns",
-    "usec",
-]

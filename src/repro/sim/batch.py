@@ -49,9 +49,10 @@ from array import array
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Dict, List, Optional
 
-from . import simulator as _kernel
 from .events import Event
 from .simulator import SimulationError, Simulator
+
+_INF = float("inf")
 
 
 class BatchSimulator(Simulator):
@@ -99,9 +100,9 @@ class BatchSimulator(Simulator):
     def schedule(
         self, delay_ns: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
-        if not delay_ns >= 0:
+        if not 0.0 <= delay_ns < _INF:
             raise SimulationError(
-                f"cannot schedule into the past (delay={delay_ns}ns)"
+                f"delay must be finite and >= 0, got {delay_ns}ns"
             )
         t = self._now + delay_ns
         seq = self._seq
@@ -113,7 +114,7 @@ class BatchSimulator(Simulator):
     def schedule_at(
         self, time_ns: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
-        if not time_ns >= self._now:
+        if not self._now <= time_ns < _INF:
             raise SimulationError(
                 f"cannot schedule at t={time_ns}ns, now is t={self._now}ns"
             )
@@ -124,9 +125,9 @@ class BatchSimulator(Simulator):
         return event
 
     def post(self, delay_ns: float, callback: Callable[..., Any], *args: Any) -> None:
-        if not delay_ns >= 0:
+        if not 0.0 <= delay_ns < _INF:
             raise SimulationError(
-                f"cannot schedule into the past (delay={delay_ns}ns)"
+                f"delay must be finite and >= 0, got {delay_ns}ns"
             )
         t = self._now + delay_ns
         if t == self._cache_time:
@@ -144,9 +145,9 @@ class BatchSimulator(Simulator):
             bucket.append(callback)
 
     def post_delivery(self, delay_ns: float, interface: Any, packet: Any) -> None:
-        if not delay_ns >= 0:
+        if not 0.0 <= delay_ns < _INF:
             raise SimulationError(
-                f"cannot schedule into the past (delay={delay_ns}ns)"
+                f"delay must be finite and >= 0, got {delay_ns}ns"
             )
         t = self._now + delay_ns
         if t == self._cache_time:
@@ -187,6 +188,8 @@ class BatchSimulator(Simulator):
 
     def step(self) -> bool:
         """Fire the next pending event (cancelled entries purged silently)."""
+        if self._running:
+            raise SimulationError("simulator is not reentrant")
         buckets = self._buckets
         times = self._times
         while times:
@@ -209,8 +212,11 @@ class BatchSimulator(Simulator):
                     self._cache_bucket = None
                 self._now = t
                 self._events_processed += 1
-                _kernel._events_fired_total += 1
-                self._fire(entry)
+                self._running = True
+                try:
+                    self._fire(entry)
+                finally:
+                    self._running = False
                 return True
             # Bucket held only cancelled entries: purge it.
             del buckets[t]
@@ -243,6 +249,8 @@ class BatchSimulator(Simulator):
     ) -> None:
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if until_ns is not None and until_ns != until_ns:
+            raise SimulationError("the deadline is NaN")
         self._running = True
         fired = 0
         try:
@@ -253,7 +261,6 @@ class BatchSimulator(Simulator):
         finally:
             self._running = False
             self._events_processed += fired
-            _kernel._events_fired_total += fired
         if until_ns is not None and self._now < until_ns:
             self._now = until_ns
 

@@ -42,6 +42,7 @@ if TYPE_CHECKING:
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -86,16 +87,6 @@ def kernel_mode(mode: str) -> Iterator[str]:
         yield mode
     finally:
         set_default_kernel(previous)
-
-
-#: Process-wide total of events fired across all Simulator instances,
-#: sampled by the profiling harness (events/sec without per-event hooks).
-_events_fired_total = 0
-
-
-def total_events_fired() -> int:
-    """Events fired by every simulator in this process since import."""
-    return _events_fired_total
 
 
 class Simulator:
@@ -177,9 +168,13 @@ class Simulator:
     # -- scheduling ------------------------------------------------------------
     #
     # Every entry point builds the same heap entry, ``[time, seq, callback,
-    # args]``, and makes one comparison on the way in.  The comparison is
-    # written ``not x >= y`` so that it rejects NaN along with the past: a
-    # NaN time sorts before everything and would become ``sim.now``.
+    # args]``, and makes one chained comparison on the way in.  It is
+    # written ``not lo <= x < inf`` so that it rejects NaN and infinity
+    # along with the past: a NaN time sorts before everything and an
+    # infinite one would become ``sim.now`` once the heap drains to it.
+    # The lower bound is the float ``0.0``: against a float delay CPython
+    # specialises a float-float compare, while an int ``0`` takes the
+    # generic path (3 % of ``l2_forward``'s run phase).
     # ``schedule``/``schedule_at`` wrap the entry in an :class:`Event` (a
     # list subclass) and hand it back for cancellation.  The hot paths
     # (link delivery, serializer completion, pipeline passes, RNIC engines)
@@ -195,12 +190,12 @@ class Simulator:
         """Schedule *callback(*args)* to fire ``delay_ns`` from now.
 
         Returns the :class:`Event`, which the caller may :meth:`~Event.cancel`.
-        A negative (or NaN) delay is an error; a zero delay fires after all
-        events already scheduled for the current instant (FIFO).
+        A negative, NaN or infinite delay is an error; a zero delay fires
+        after all events already scheduled for the current instant (FIFO).
         """
-        if not delay_ns >= 0:
+        if not 0.0 <= delay_ns < _INF:
             raise SimulationError(
-                f"cannot schedule into the past (delay={delay_ns}ns)"
+                f"delay must be finite and >= 0, got {delay_ns}ns"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -212,7 +207,7 @@ class Simulator:
         self, time_ns: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
         """Schedule *callback(*args)* at absolute time ``time_ns``."""
-        if not time_ns >= self._now:
+        if not self._now <= time_ns < _INF:
             raise SimulationError(
                 f"cannot schedule at t={time_ns}ns, now is t={self._now}ns"
             )
@@ -224,9 +219,9 @@ class Simulator:
 
     def post(self, delay_ns: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule *callback(*args)* with no cancellation handle."""
-        if not delay_ns >= 0:
+        if not 0.0 <= delay_ns < _INF:
             raise SimulationError(
-                f"cannot schedule into the past (delay={delay_ns}ns)"
+                f"delay must be finite and >= 0, got {delay_ns}ns"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -238,9 +233,9 @@ class Simulator:
         The tagged form of :meth:`post` the batch kernel keys its
         link-delivery coalescing on.
         """
-        if not delay_ns >= 0:
+        if not 0.0 <= delay_ns < _INF:
             raise SimulationError(
-                f"cannot schedule into the past (delay={delay_ns}ns)"
+                f"delay must be finite and >= 0, got {delay_ns}ns"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -252,9 +247,11 @@ class Simulator:
         """Fire the next pending event.
 
         Returns ``True`` if an event fired, ``False`` if the heap is empty.
-        Cancelled events are skipped silently.
+        Cancelled events are skipped silently.  Like :meth:`run`, it may
+        not be called from inside a callback.
         """
-        global _events_fired_total
+        if self._running:
+            raise SimulationError("simulator is not reentrant")
         heap = self._heap
         while heap:
             event = _heappop(heap)
@@ -263,8 +260,11 @@ class Simulator:
                 continue
             self._now = event[TIME]
             self._events_processed += 1
-            _events_fired_total += 1
-            callback(*event[ARGS])
+            self._running = True
+            try:
+                callback(*event[ARGS])
+            finally:
+                self._running = False
             return True
         return False
 
@@ -284,7 +284,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        global _events_fired_total
+        if until_ns is not None and until_ns != until_ns:
+            raise SimulationError("the deadline is NaN")
         self._running = True
         heap = self._heap
         heappop = _heappop
@@ -330,7 +331,6 @@ class Simulator:
         finally:
             self._running = False
             self._events_processed += fired
-            _events_fired_total += fired
         if until_ns is not None and self._now < until_ns:
             self._now = until_ns
 

@@ -1,45 +1,1 @@
 """Programmable-switch model: tables, registers, hashing, TM, pipeline."""
-
-from .hashing import FiveTuple, crc16, crc32, hash_fields
-from .pipeline import PipelineContext, SwitchProgram
-from .registers import RegisterArray
-from .switch import ProgrammableSwitch, SwitchConfig, SwitchStats
-from .tables import (
-    ActionEntry,
-    ExactMatchTable,
-    LpmTable,
-    TableFullError,
-    TableStats,
-    TernaryRule,
-    TernaryTable,
-)
-from .traffic_manager import (
-    HookVerdict,
-    PortQueue,
-    TrafficManager,
-    TrafficManagerConfig,
-)
-
-__all__ = [
-    "ActionEntry",
-    "ExactMatchTable",
-    "FiveTuple",
-    "HookVerdict",
-    "LpmTable",
-    "PipelineContext",
-    "PortQueue",
-    "ProgrammableSwitch",
-    "RegisterArray",
-    "SwitchConfig",
-    "SwitchProgram",
-    "SwitchStats",
-    "TableFullError",
-    "TableStats",
-    "TernaryRule",
-    "TernaryTable",
-    "TrafficManager",
-    "TrafficManagerConfig",
-    "crc16",
-    "crc32",
-    "hash_fields",
-]

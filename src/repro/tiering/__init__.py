@@ -4,12 +4,3 @@ See DESIGN.md §13.  :class:`TieredMemoryPool` owns the fast budget and
 the placement-policy tick; :class:`TieredRegionGeometry` is the per-object
 block map primitives resolve their addresses through.
 """
-
-from .geometry import TieredRegionGeometry
-from .pool import DEFAULT_TICK_NS, TieredMemoryPool
-
-__all__ = [
-    "DEFAULT_TICK_NS",
-    "TieredMemoryPool",
-    "TieredRegionGeometry",
-]

@@ -1,31 +1,1 @@
 """Workload generators: perftest/netpipe analogs, incast, Zipf, DCTCP."""
-
-from .dctcp import FEEDBACK_PORT, DctcpConfig, DctcpReceiver, DctcpSender
-from .factory import UDP_HEADER_BYTES, udp_between
-from .flows import FlowKey, ZipfFlowWorkload, ZipfSampler
-from .incast import INCAST_PORT, IncastReport, IncastWorkload
-from .netpipe import Echoer, PingPong
-from .perftest import PacketSink, RawEthernetBw, SenderReport
-from .zipf import OpenLoopZipfTraffic, ZipfGenerator
-
-__all__ = [
-    "DctcpConfig",
-    "DctcpReceiver",
-    "DctcpSender",
-    "Echoer",
-    "FEEDBACK_PORT",
-    "FlowKey",
-    "INCAST_PORT",
-    "IncastReport",
-    "IncastWorkload",
-    "OpenLoopZipfTraffic",
-    "PacketSink",
-    "PingPong",
-    "RawEthernetBw",
-    "SenderReport",
-    "UDP_HEADER_BYTES",
-    "ZipfFlowWorkload",
-    "ZipfGenerator",
-    "ZipfSampler",
-    "udp_between",
-]

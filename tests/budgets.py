@@ -48,6 +48,13 @@ STATE_STORE_CALLS_PER_OP = 9
 #: (PR 24; measured 17, was 34).
 LOOKUP_CALLS_PER_MISS = 18
 
+# -- tier-1 guard: import closure ----------------------------------------------------------
+
+#: ``repro`` modules a fresh interpreter holds after ``from repro.api
+#: import`` the names ``bench_e2e/workloads.py`` imports (measured 75,
+#: was 92).  Every bench child compiles each of them from source.
+IMPORT_MODULES = 77
+
 # -- bench_e2e at --quick: sums of per-layer ``calls_per_op`` ------------------------------
 
 #: ``name: (workload, layers, ceiling)``.

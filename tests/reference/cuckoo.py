@@ -8,7 +8,7 @@ import struct
 from array import array
 from collections import deque
 
-from repro.cuckoo import T0, T1, CuckooFullError, Move, SlotRef
+from repro.cuckoo.layout import CuckooFullError, Move, SlotRef, T0, T1
 from repro.switches.hashing import crc32
 
 

@@ -12,7 +12,7 @@ from repro.analysis.monitors import (
 from repro.analysis.reporting import format_gbps, format_table, format_usec
 from repro.analysis.stats import Summary, percentile
 from repro.apps.programs import StaticL2Program
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.sim.units import gbps, usec
 from repro.workloads.perftest import RawEthernetBw
 

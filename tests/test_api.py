@@ -1,14 +1,22 @@
-"""Tests for the public facade (repro.api) and the deprecation shims."""
+"""Tests for the public facade (repro.api)."""
 
+import ast
 import dataclasses
-import warnings
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.api as api
-from repro import _deprecation
 from repro.switches.hashing import FiveTuple
 from repro.workloads.factory import udp_between
+
+from .budgets import IMPORT_MODULES
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench_e2e"
 
 
 # -- facade ------------------------------------------------------------------
@@ -19,6 +27,86 @@ def test_every_exported_name_resolves():
         assert getattr(api, name, None) is not None, name
 
 
+def test_dir_lists_every_export():
+    assert set(dir(api)) >= set(api.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="NoSuchName"):
+        api.NoSuchName
+
+
+# -- import closure: a fresh interpreter loads only what it uses ---------------
+
+
+def _fresh(code: str) -> str:
+    """Run *code* in a new interpreter with ``src/`` first on the path."""
+    prelude = f"import sys; sys.path[:0] = [{str(ROOT / 'src')!r}, {str(BENCH)!r}]\n"
+    done = subprocess.run(
+        [sys.executable, "-c", prelude + code],
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return done.stdout
+
+
+_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))"
+
+
+def test_importing_the_facade_loads_nothing_else():
+    loaded = ast.literal_eval(_fresh("import repro.api\n" + _LOADED))
+    assert loaded == ["repro", "repro.api"]
+
+
+def test_the_bench_imports_stay_under_the_module_budget():
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.api"
+        for alias in node.names
+    ]
+    assert len(names) > 30
+    loaded = ast.literal_eval(_fresh(f"from repro.api import {', '.join(names)}\n" + _LOADED))
+    assert len(loaded) <= IMPORT_MODULES, loaded
+
+
+_RUN_PHASE = """
+import json
+from contextlib import nullcontext
+from workloads import WORKLOADS
+
+late = []
+
+class Clock:
+    def phase(self, name):
+        return nullcontext()
+
+    def reference(self, sim, start_ns, span_ns):
+        pass
+
+    def run(self, sim):
+        before = set(sys.modules)
+        sim.run()
+        late.extend(m for m in set(sys.modules) - before if m.split('.')[0] == 'repro')
+
+WORKLOADS[{name!r}](0.01, 42, Clock())
+print(json.dumps(sorted(late)))
+"""
+
+
+@pytest.mark.parametrize(
+    "workload",
+    ["l2_forward", "lookup_cached", "lookup_miss_x4", "counter_tiered", "pktbuf_ring", "l4lb_soak"],
+)
+def test_no_module_is_first_imported_while_the_simulation_runs(workload):
+    # A lazy name first touched inside ``sim.run()`` would move its
+    # compile time out of set-up and into the measured run phase.
+    assert json.loads(_fresh(_RUN_PHASE.format(name=workload))) == []
+
+
 def test_facade_matches_deep_imports():
     from repro.core.lookup_table import RemoteLookupTable
     from repro.core.state_store import RemoteStateStore
@@ -27,13 +115,6 @@ def test_facade_matches_deep_imports():
     assert api.RemoteLookupTable is RemoteLookupTable
     assert api.RemoteStateStore is RemoteStateStore
     assert api.build_testbed is build_testbed
-
-
-def test_experiments_topology_shim_still_works():
-    from repro.experiments.topology import Testbed, build_testbed
-
-    assert build_testbed is api.build_testbed
-    assert Testbed is api.Testbed
 
 
 def test_build_testbed_round_trip_through_facade():
@@ -56,7 +137,7 @@ def test_build_testbed_round_trip_through_facade():
     assert tb.sim.obs.registry.total("writes_executed") == 1
 
 
-# -- key_of / index_of reconciliation ---------------------------------------
+# -- key_of / index_of ------------------------------------------------------
 
 
 def _lookup_table():
@@ -82,56 +163,15 @@ def _state_store():
 def test_key_of_then_index_of_is_the_supported_form():
     tb, table = _lookup_table()
     packet = udp_between(tb.hosts[0], tb.hosts[1], 128)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        key = table.key_of(packet)
-        assert isinstance(key, FiveTuple)
-        index = table.index_of(key)
-    assert 0 <= index < table.config.entries
+    key = table.key_of(packet)
+    assert isinstance(key, FiveTuple)
+    assert 0 <= table.index_of(key) < table.config.entries
 
     tb, store = _state_store()
     packet = udp_between(tb.hosts[0], tb.hosts[1], 128)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        key = store.key_of(packet)
-        assert isinstance(key, FiveTuple)
-        index = store.index_of(key)
-    assert 0 <= index < store.config.counters
-
-
-def test_lookup_index_of_packet_is_deprecated_but_equivalent():
-    _deprecation.reset()
-    tb, table = _lookup_table()
-    packet = udp_between(tb.hosts[0], tb.hosts[1], 128)
-    with pytest.warns(DeprecationWarning, match="index_of"):
-        deprecated = table.index_of(packet)
-    assert deprecated == table.index_of(table.key_of(packet))
-
-
-def test_state_store_index_of_packet_is_deprecated_but_equivalent():
-    _deprecation.reset()
-    tb, store = _state_store()
-    packet = udp_between(tb.hosts[0], tb.hosts[1], 128)
-    with pytest.warns(DeprecationWarning, match="index_of"):
-        deprecated = store.index_of(packet)
-    assert deprecated == store.index_of(store.key_of(packet))
-
-
-def test_deprecation_warns_once_until_reset():
-    _deprecation.reset()
-    tb, table = _lookup_table()
-    packet = udp_between(tb.hosts[0], tb.hosts[1], 128)
-    with pytest.warns(DeprecationWarning):
-        table.index_of(packet)
-    # Second call: silent (warn-once), even with an always-filter on.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        table.index_of(packet)
-    assert not [w for w in caught if w.category is DeprecationWarning]
-    # reset() re-arms the warning (test isolation hook).
-    _deprecation.reset()
-    with pytest.warns(DeprecationWarning):
-        table.index_of(packet)
+    key = store.key_of(packet)
+    assert isinstance(key, FiveTuple)
+    assert 0 <= store.index_of(key) < store.config.counters
 
 
 # -- packet-buffer read-channel validation (bugfix) --------------------------

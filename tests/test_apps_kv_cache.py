@@ -17,7 +17,7 @@ from repro.apps.kv_cache import (
 )
 from repro.baselines.cpu_slowpath import CpuSlowPath, CpuSlowPathConfig
 from repro.experiments.kv_cache import run_kv_cache, run_kv_cache_comparison
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.net.headers import HeaderError, UdpHeader
 from repro.net.packet import Packet
 from repro.sim.units import usec

@@ -18,20 +18,20 @@ from repro.apps.l4lb import (
     L4LbController,
     L4LbProgram,
 )
-from repro.cluster import MemoryPool, ReplicatedStateStore
+from repro.cluster.pool import MemoryPool
+from repro.cluster.replicated_store import ReplicatedStateStore
 from repro.core.lookup_table import LookupTableConfig, RemoteLookupTable
 from repro.core.state_store import StateStoreConfig
 from repro.experiments.l4lb import (
     assert_l4lb,
     format_l4lb,
-    l4lb_perf_record,
     run_l4lb_soak,
     table_entries_for,
 )
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.net.headers import Ipv4Header
-from repro.policies import BreakerPolicy
-from repro.resilience import CircuitBreakerConfig
+from repro.policies.breaker import BreakerPolicy
+from repro.resilience.breaker import CircuitBreakerConfig
 from repro.sim.rng import SeedSequence
 from repro.sim.units import usec
 from repro.switches.hashing import FiveTuple
@@ -302,8 +302,6 @@ class TestSoakReducedScale:
         assert result.table_entries == table_entries_for(1_650)
         text = format_l4lb(result)
         assert "counter audit" in text and "lost 0" in text
-        report = l4lb_perf_record(result)
-        extra = report["results"]["l4lb_soak"]["extra"]
-        assert extra["lost_updates"] == 0
-        assert extra["affinity_breaks"] == 0
-        assert extra["all_counters_exact"] is True
+        assert result.lost_updates == 0
+        assert result.affinity_breaks == 0
+        assert result.all_counters_exact is True

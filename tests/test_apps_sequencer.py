@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.sequencer import SEQUENCER_PORT, SeqHeader, SequencerProgram
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.net.headers import UdpHeader
 from repro.sim.units import gbps
 from repro.workloads.factory import udp_between

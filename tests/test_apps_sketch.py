@@ -15,7 +15,7 @@ from repro.apps.sketch import (
     SketchGeometry,
 )
 from repro.core.state_store import RemoteStateStore, StateStoreConfig
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.sim.units import kib
 
 

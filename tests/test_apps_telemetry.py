@@ -9,7 +9,7 @@ from repro.apps.telemetry import (
     SketchTelemetryProgram,
     mean_relative_error,
 )
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.sim.units import gbps, kib
 from repro.switches.hashing import FiveTuple
 from repro.workloads.flows import ZipfFlowWorkload

@@ -5,7 +5,7 @@ import pytest
 from repro.apps.virtual_switch import VipMapping, VirtualSwitchProgram
 from repro.baselines.cpu_slowpath import CpuSlowPath, CpuSlowPathConfig
 from repro.core.lookup_table import LookupTableConfig, RemoteLookupTable
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.net.addresses import Ipv4Address
 from repro.net.headers import Ipv4Header
 from repro.sim.units import usec

@@ -5,7 +5,7 @@ import pytest
 from repro.apps.programs import StaticL2Program
 from repro.baselines.native_rdma import NativeRdmaStreamer
 from repro.baselines.pfc import PfcConfig, PfcManager
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.rdma.constants import Opcode
 from repro.sim.units import gbps, kib
 from repro.switches.traffic_manager import TrafficManagerConfig

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.policies import (
+from repro.policies.cache import (
     CACHE_POLICIES,
     FifoCachePolicy,
     LfuCachePolicy,
@@ -134,7 +134,7 @@ class TestPinning:
 
 class TestMetrics:
     def test_counters_emitted_under_scope(self):
-        from repro.obs import MetricRegistry
+        from repro.obs.registry import MetricRegistry
 
         registry = MetricRegistry()
         scope = registry.scope("lookup.cache")

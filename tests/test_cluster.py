@@ -7,14 +7,11 @@ from repro.apps.programs import (
     RemoteBufferProgram,
     RemoteLookupProgram,
 )
-from repro.cluster import (
-    ConsistentHashRing,
-    HealthMonitor,
-    MemoryPool,
-    ReplicatedStateStore,
-    RingEmptyError,
-    ShardedLookupTable,
-)
+from repro.cluster.health import HealthMonitor
+from repro.cluster.pool import MemoryPool
+from repro.cluster.replicated_store import ReplicatedStateStore
+from repro.cluster.ring import ConsistentHashRing, RingEmptyError
+from repro.cluster.sharded_lookup import ShardedLookupTable
 from repro.core.lookup_table import (
     ACTION_SET_DSCP,
     LookupTableConfig,
@@ -27,7 +24,7 @@ from repro.core.packet_buffer import (
 )
 from repro.core.rocegen import RoceRequestGenerator
 from repro.core.state_store import ATOMIC_OPERAND_BYTES, StateStoreConfig
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.sim.units import kib
 from repro.switches.hashing import FiveTuple
 from repro.switches.traffic_manager import TrafficManagerConfig

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.channel import ChannelError
 from repro.core.rocegen import RoceRequestGenerator
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.rdma.qp import QpState
 from repro.sim.units import mib
 

@@ -5,7 +5,7 @@ import pytest
 from repro.apps.programs import StaticL2Program
 from repro.core.channel import ChannelError
 from repro.core.rocegen import RoceRequestGenerator
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.sim.units import mib
 
 

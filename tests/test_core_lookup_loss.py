@@ -9,7 +9,7 @@ from repro.core.lookup_table import (
     RemoteAction,
     RemoteLookupTable,
 )
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.sim.units import gbps, usec
 from repro.switches.hashing import FiveTuple
 from repro.workloads.perftest import PacketSink, RawEthernetBw

@@ -12,7 +12,7 @@ from repro.core.lookup_table import (
     fingerprint_of,
 )
 from repro.core.channel import ChannelError
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.net.headers import UdpHeader
 from repro.sim.units import mib
 from repro.switches.hashing import FiveTuple

@@ -8,7 +8,7 @@ from repro.core.packet_buffer import (
     PacketBufferConfig,
     RemotePacketBuffer,
 )
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.sim.units import kib, mib, usec
 from repro.switches.traffic_manager import TrafficManagerConfig
 from repro.workloads.perftest import PacketSink, RawEthernetBw

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.programs import CountingProgram
 from repro.core.state_store import RemoteStateStore, StateStoreConfig
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.rdma.constants import ATOMIC_OPERAND_BYTES
 from repro.rdma.rnic import RnicConfig
 from repro.sim.units import mib, usec

@@ -11,8 +11,8 @@ import struct
 
 import pytest
 
-from repro.cuckoo import (
-    ChoiceFilter,
+from repro.cuckoo.filter import ChoiceFilter
+from repro.cuckoo.layout import (
     CuckooConfig,
     CuckooDirectory,
     CuckooFullError,

@@ -138,7 +138,8 @@ def test_chaos_run_identical_across_kernels():
     byte-identical wire trace, and a field-identical metric snapshot in
     both kernels."""
     from repro.experiments.chaos import run_chaos_point, run_chaos_recovery
-    from repro.obs import Observability, WireTrace
+    from repro.obs import Observability
+    from repro.obs.trace import WireTrace
 
     def run(mode):
         obs = Observability(trace=WireTrace())

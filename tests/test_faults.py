@@ -9,24 +9,27 @@ not to i.i.d. loss, not to bursts, not to a mid-run blackout.
 import pytest
 
 from repro.cluster.health import HealthMonitor
-from repro.faults import (
+from repro.faults.injectors import (
     AtomicEngineStall,
-    Blackout,
-    Corrupt,
-    Duplicate,
-    FaultPlan,
-    GilbertElliottLoss,
-    IidLoss,
-    Jitter,
     LinkFaultInjector,
-    Reorder,
     RnicBlackout,
     RnicDropBurst,
 )
+from repro.faults.models import (
+    Blackout,
+    Corrupt,
+    Duplicate,
+    GilbertElliottLoss,
+    IidLoss,
+    Jitter,
+    Reorder,
+)
+from repro.faults.plan import FaultPlan
 from repro.hosts.server import Host, MemoryServer
 from repro.net.link import connect
 from repro.net.node import Node
-from repro.obs import Observability, WireTrace
+from repro.obs import Observability
+from repro.obs.trace import WireTrace
 from repro.obs.trace import KIND_FAULT, KIND_RETX
 from repro.rdma.packets import (
     build_write_request,

@@ -43,13 +43,13 @@ from repro.api import (
     StateStoreConfig,
     build_testbed,
 )
-from repro.cuckoo import (
-    T0,
-    T1,
+from repro.cuckoo.layout import (
     CuckooConfig,
     CuckooDirectory,
     CuckooFullError,
     SlotRef,
+    T0,
+    T1,
 )
 from repro.net.headers import Ipv4Header
 from repro.policies.cache import make_cache_policy

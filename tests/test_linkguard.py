@@ -14,18 +14,13 @@ import pytest
 
 from repro.apps.programs import CountingProgram
 from repro.core.state_store import RemoteStateStore, StateStoreConfig
-from repro.experiments.topology import build_testbed
-from repro.faults import Corrupt, IidLoss, LinkFaultInjector
-from repro.linkguard import (
-    ETHERTYPE_LINKGUARD,
-    PROTECTION_LEVELS,
-    GuardShimHeader,
-    LinkGuard,
-    LinkGuardConfig,
-    guard_checksum,
-)
+from repro.testbed import build_testbed
+from repro.faults.injectors import LinkFaultInjector
+from repro.faults.models import Corrupt, IidLoss
+from repro.linkguard.guard import LinkGuard, LinkGuardConfig, PROTECTION_LEVELS
+from repro.linkguard.shim import ETHERTYPE_LINKGUARD, GuardShimHeader, guard_checksum
 from repro.rdma.packets import integrity_protected
-from repro.resilience import CircuitBreaker, CircuitBreakerConfig
+from repro.resilience.breaker import CircuitBreaker, CircuitBreakerConfig
 from repro.sim.simulator import kernel_mode
 from repro.sim.units import gbps, usec
 from repro.workloads.perftest import PacketSink, RawEthernetBw
@@ -210,7 +205,7 @@ class TestProtectionLevels:
 
 class TestDuplicateSuppression:
     def test_duplicate_frames_dropped_once(self):
-        from repro.faults import Duplicate
+        from repro.faults.models import Duplicate
 
         def shape(injector):
             injector.arm(Duplicate(0.05))
@@ -340,7 +335,8 @@ class TestBufferExhaustion:
 
 class TestMetricsAndTrace:
     def test_guard_events_reach_the_wire_trace(self):
-        from repro.obs import Observability, WireTrace
+        from repro.obs import Observability
+        from repro.obs.trace import WireTrace
         from repro.obs.trace import KIND_GUARD
 
         obs = Observability(trace=WireTrace())

@@ -47,10 +47,10 @@ from repro.api import (
     build_testbed,
 )
 from repro.core.lookup_table import ACTION_BYTES
-from repro.faults import IidLoss
+from repro.faults.models import IidLoss
 from repro.net.headers import HeaderError
 from repro.rdma.headers import RethHeader
-from repro.resilience import SelfHealingChannel
+from repro.resilience.guard import SelfHealingChannel
 from repro.sim.rng import SeedSequence
 from repro.sim.units import usec
 from repro.workloads.factory import stamp_ports, udp_between

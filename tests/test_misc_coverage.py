@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.programs import StaticL2Program
 from repro.core.rocegen import RoceRequestGenerator
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.net.addresses import MacAddress
 from repro.net.queues import TxQueue
 from repro.rdma.constants import AethSyndrome, Opcode

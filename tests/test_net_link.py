@@ -176,7 +176,7 @@ class TestFastPath:
 
         class _Injector:
             def carry(self, link, src, packet):
-                link.sim.post_delivery(link.propagation_ns, link.peer_of(src), packet)
+                link.sim.post(link.propagation_ns, link.peer_of(src).deliver, packet)
 
         link.fault_injector = _Injector()
         assert not link._fast

@@ -12,14 +12,9 @@ from repro.analysis.reporting import (
     write_metrics_json,
 )
 from repro.apps.programs import CountingProgram, RemoteLookupProgram
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    Observability,
-    WireTrace,
-)
+from repro.obs import Observability
+from repro.obs.registry import Counter, Gauge, Histogram, MetricRegistry
+from repro.obs.trace import WireTrace
 from repro.rdma.constants import ATOMIC_OPERAND_BYTES
 from repro.sim.simulator import Simulator, kernel_mode
 from repro.testbed import build_testbed
@@ -212,11 +207,6 @@ def test_end_to_end_trace_records_qp_timeline(tmp_path):
     for timeline in obs.trace.per_qp().values():
         times = [e.t_ns for e in timeline]
         assert times == sorted(times)
-
-    report = obs.trace.to_perf_record()
-    assert report["schema"] == "repro-perf-record/v1"
-    assert report["trace_events"] == len(obs.trace)
-    assert any(label.startswith("qp[") for label in report["results"])
 
 
 # -- metrics parity with legacy stats ---------------------------------------

@@ -1,38 +1,31 @@
-"""The unified policy surface: convention, placement planning, shims.
+"""The unified policy surface: convention and placement planning.
 
-Covers the three things ``repro.policies`` promises:
+Covers the two things ``repro.policies`` promises:
 
 * one construction convention — every policy takes ``(seed,
   metrics_scope)`` and names itself via ``policy_kind`` /
   ``policy_name``;
 * placement policies are pure decision logic — unit-testable against a
-  hand-built :class:`PlacementView`, no simulator required;
-* the old spellings (``repro.core.cache_policy`` imports, lookup-table
-  ``cache_policy=``/``cache_seed=``, guard ``config=``/``rng=``) keep
-  working through warn-once shims.
+  hand-built :class:`PlacementView`, no simulator required.
 """
 
 import random
 
 import pytest
 
-import repro._deprecation as _deprecation
-from repro.core.lookup_table import LookupTableConfig
-from repro.policies import (
-    CACHE_POLICIES,
-    PLACEMENT_POLICIES,
-    POLICY_KINDS,
+from repro.policies import make_policy
+from repro.policies.base import POLICY_KINDS, Policy
+from repro.policies.breaker import BreakerPolicy
+from repro.policies.cache import CACHE_POLICIES, make_cache_policy
+from repro.policies.placement import (
     AccessFrequencyPlacement,
     BlockStat,
-    BreakerPolicy,
+    PLACEMENT_POLICIES,
     PlacementView,
-    Policy,
     StaticPinPlacement,
     TierMove,
     WatermarkPlacement,
-    make_cache_policy,
     make_placement_policy,
-    make_policy,
 )
 from repro.rdma.memory import TIER_DRAM, TIER_FAST
 
@@ -102,6 +95,25 @@ class TestConvention:
         assert BreakerPolicy(rng=explicit).rng() is explicit
         with pytest.raises(ValueError):
             BreakerPolicy(config=object(), fail_threshold=2)
+
+
+    def test_guard_policy_seed_shorthand(self):
+        from repro.core.state_store import RemoteStateStore, StateStoreConfig
+        from repro.rdma.constants import ATOMIC_OPERAND_BYTES
+        from repro.resilience.guard import SelfHealingChannel
+        from repro.testbed import build_testbed
+
+        tb = build_testbed(n_hosts=2)
+        channel = tb.controller.open_channel(
+            tb.memory_server, tb.server_port, 16 * ATOMIC_OPERAND_BYTES
+        )
+        store = RemoteStateStore(
+            tb.switch, channel, config=StateStoreConfig(counters=16)
+        )
+        guard = SelfHealingChannel(
+            tb.controller, channel, store, policy_seed=11
+        )
+        assert guard.breaker is not None
 
 
 class TestStaticPinPlacement:
@@ -254,106 +266,3 @@ class TestWatermarkPlacement:
     def test_unknown_placement_policy_rejected(self):
         with pytest.raises(ValueError):
             make_placement_policy("random")
-
-
-class TestDeprecationShims:
-    def test_old_cache_policy_import_path_warns_once(self):
-        _deprecation.reset()
-        import repro.core.cache_policy as old
-
-        with pytest.warns(DeprecationWarning, match="repro.policies"):
-            cls = old.CachePolicy
-        from repro.policies import CachePolicy
-
-        assert cls is CachePolicy
-        # Second access: warn-once means silence.
-        import warnings
-
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            old.CachePolicy
-        assert not any(
-            issubclass(w.category, DeprecationWarning) for w in record
-        )
-        with pytest.raises(AttributeError):
-            old.NoSuchPolicy
-
-    def test_lookup_config_old_kwargs_warn_and_mirror(self):
-        import warnings
-
-        _deprecation.reset()
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            config = LookupTableConfig(
-                entries=1 << 10, cache_policy="lru", cache_seed=9
-            )
-        messages = [
-            str(w.message)
-            for w in record
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert any("cache_policy" in m and "policy=" in m for m in messages)
-        assert any("cache_seed" in m and "policy_seed=" in m for m in messages)
-        assert config.policy == "lru" and config.policy_seed == 9
-
-    def test_lookup_config_new_kwargs_mirror_back(self):
-        config = LookupTableConfig(entries=1 << 10, policy="lfu", policy_seed=5)
-        assert config.cache_policy == "lfu" and config.cache_seed == 5
-
-    def test_make_cache_policy_scope_kwarg_warns(self):
-        _deprecation.reset()
-        from repro.obs import MetricRegistry
-
-        scope = MetricRegistry().scope("cache")
-        with pytest.warns(DeprecationWarning, match="metrics_scope"):
-            policy = make_cache_policy("fifo", 4, scope=scope)
-        assert policy.metrics_scope is scope
-
-    def test_guard_config_and_rng_kwargs_warn(self):
-        from repro.core.state_store import RemoteStateStore, StateStoreConfig
-        from repro.experiments.topology import build_testbed
-        from repro.rdma.constants import ATOMIC_OPERAND_BYTES
-        from repro.resilience import CircuitBreakerConfig, SelfHealingChannel
-
-        tb = build_testbed(n_hosts=2)
-        channel = tb.controller.open_channel(
-            tb.memory_server, tb.server_port, 16 * ATOMIC_OPERAND_BYTES
-        )
-        store = RemoteStateStore(
-            tb.switch, channel, config=StateStoreConfig(counters=16)
-        )
-        _deprecation.reset()
-        with pytest.warns(DeprecationWarning, match="BreakerPolicy"):
-            SelfHealingChannel(
-                tb.controller,
-                channel,
-                store,
-                config=CircuitBreakerConfig(fail_threshold=2),
-                rng=random.Random(1),
-            )
-        with pytest.raises(ValueError):
-            SelfHealingChannel(
-                tb.controller,
-                channel,
-                store,
-                policy=BreakerPolicy(),
-                config=CircuitBreakerConfig(fail_threshold=2),
-            )
-
-    def test_guard_policy_seed_shorthand(self):
-        from repro.core.state_store import RemoteStateStore, StateStoreConfig
-        from repro.experiments.topology import build_testbed
-        from repro.rdma.constants import ATOMIC_OPERAND_BYTES
-        from repro.resilience import SelfHealingChannel
-
-        tb = build_testbed(n_hosts=2)
-        channel = tb.controller.open_channel(
-            tb.memory_server, tb.server_port, 16 * ATOMIC_OPERAND_BYTES
-        )
-        store = RemoteStateStore(
-            tb.switch, channel, config=StateStoreConfig(counters=16)
-        )
-        guard = SelfHealingChannel(
-            tb.controller, channel, store, policy_seed=11
-        )
-        assert guard.breaker is not None

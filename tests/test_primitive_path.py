@@ -44,7 +44,8 @@ from repro.api import (
     build_testbed,
 )
 from repro.core.packet_buffer import ENTRY_SEQ_BYTES
-from repro.faults import Corrupt, FaultPlan
+from repro.faults.models import Corrupt
+from repro.faults.plan import FaultPlan
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.headers import (
     EthernetHeader,

@@ -171,7 +171,7 @@ class TestPsnWraparound:
     def test_state_store_across_wrap(self):
         from repro.apps.programs import CountingProgram
         from repro.core.state_store import RemoteStateStore, StateStoreConfig
-        from repro.experiments.topology import build_testbed
+        from repro.testbed import build_testbed
         from repro.workloads.perftest import RawEthernetBw
         from repro.sim.units import gbps
 

@@ -23,21 +23,23 @@ from repro.core.lookup_table import (
 )
 from repro.core.state_store import RemoteStateStore, StateStoreConfig
 from repro.experiments.chaos import run_chaos_recovery
-from repro.experiments.topology import build_testbed
-from repro.faults import Blackout, FaultPlan, GilbertElliottLoss, IidLoss
+from repro.testbed import build_testbed
+from repro.faults.models import Blackout, GilbertElliottLoss, IidLoss
+from repro.faults.plan import FaultPlan
 from repro.net.headers import UdpHeader
-from repro.obs import Observability, WireTrace
+from repro.obs import Observability
+from repro.obs.trace import WireTrace
 from repro.obs.trace import KIND_BREAKER, KIND_RECONNECT
 from repro.rdma.constants import ATOMIC_OPERAND_BYTES
-from repro.policies import BreakerPolicy
-from repro.resilience import (
+from repro.policies.breaker import BreakerPolicy
+from repro.resilience.breaker import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     CircuitBreaker,
     CircuitBreakerConfig,
-    SelfHealingChannel,
 )
+from repro.resilience.guard import SelfHealingChannel
 from repro.sim.rng import SeedSequence
 from repro.sim.units import usec
 from repro.switches.hashing import FiveTuple
@@ -460,7 +462,7 @@ class TestTierTagSurvivesReconnect:
     def build_fast_channel(self):
         from repro.rdma.memory import TIER_FAST
         from repro.sim.units import kib
-        from repro.tiering import TieredMemoryPool
+        from repro.tiering.pool import TieredMemoryPool
 
         tb = build_testbed(n_hosts=2, with_memory_server=True)
         pool = TieredMemoryPool(

@@ -223,3 +223,45 @@ def test_run_with_budget_purges_cancelled_before_counting(sim):
     sim.run(max_events=2)
     assert out == [0, 1]
     assert sim.events_processed == 2
+
+
+def test_nan_deadline_rejected(sim):
+    # A NaN deadline compares false against every event time, so the run
+    # would drain the whole heap and leave the clock at the last event.
+    fired = []
+    sim.schedule(10.0, fired.append, 1)
+    sim.schedule(1e9, fired.append, 2)
+    with pytest.raises(SimulationError):
+        sim.run(until_ns=float("nan"))
+    with pytest.raises(SimulationError):
+        sim.run_for(float("nan"))
+    assert fired == [] and sim.now == 0.0
+
+
+def test_infinite_times_rejected(sim):
+    # An event at +inf would become ``sim.now`` once the heap drained to it.
+    inf = float("inf")
+    with pytest.raises(SimulationError):
+        sim.post(inf, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule(inf, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(inf, lambda: None)
+    sim.run()
+    assert sim.now == 0.0 and sim.events_processed == 0
+
+
+def test_step_inside_a_callback_rejected(sim):
+    fired = []
+
+    def peek_ahead():
+        sim.step()
+
+    sim.schedule(1.0, peek_ahead)
+    sim.schedule(5.0, fired.append, "later")
+    with pytest.raises(SimulationError):
+        sim.run()
+    assert fired == [] and sim.now == 1.0
+    with pytest.raises(SimulationError):
+        sim.schedule(1.0, peek_ahead)
+        sim.step()

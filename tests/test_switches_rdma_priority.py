@@ -25,7 +25,7 @@ from repro.core.lookup_table import (
     RemoteLookupTable,
 )
 from repro.core.state_store import RemoteStateStore, StateStoreConfig
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.rdma.headers import BthHeader
 from repro.sim.units import gbps, kib
 from repro.switches.hashing import FiveTuple

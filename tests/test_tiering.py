@@ -22,13 +22,15 @@ from repro.core.state_store import (
     RemoteStateStore,
     StateStoreConfig,
 )
-from repro.experiments.topology import build_testbed
-from repro.faults import FaultPlan, RnicBlackout
-from repro.obs import Observability, WireTrace
+from repro.testbed import build_testbed
+from repro.faults.injectors import RnicBlackout
+from repro.faults.plan import FaultPlan
+from repro.obs import Observability
+from repro.obs.trace import WireTrace
 from repro.obs.trace import KIND_TIER_MOVE
 from repro.rdma.memory import TIER_DRAM, TIER_FAST
 from repro.sim.units import kib, usec
-from repro.tiering import DEFAULT_TICK_NS, TieredMemoryPool
+from repro.tiering.pool import DEFAULT_TICK_NS, TieredMemoryPool
 
 
 def build_tiered(

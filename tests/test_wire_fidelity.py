@@ -16,7 +16,7 @@ from repro.core.lookup_table import (
     RemoteLookupTable,
 )
 from repro.core.state_store import RemoteStateStore, StateStoreConfig
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.net.headers import EthernetHeader, Ipv4Header, UdpHeader
 from repro.net.packet import Packet
 from repro.rdma.constants import Opcode
@@ -181,7 +181,8 @@ def _run_l4lb_migration_traffic(mode, seed=42):
     """L4LB with a mid-run live migration: installs, VIP lookups, counter
     FAAs, and the migration's re-install all cross tapped links."""
     from repro.apps.l4lb import L4LbController, L4LbProgram
-    from repro.cluster import MemoryPool, ReplicatedStateStore
+    from repro.cluster.pool import MemoryPool
+    from repro.cluster.replicated_store import ReplicatedStateStore
     from repro.net.addresses import Ipv4Address
     from repro.workloads.factory import udp_between
 
@@ -311,8 +312,9 @@ def _run_guarded_store_traffic(mode, seed=42):
     """Reliable store over a guarded, corrupting+losing server link."""
     import random
 
-    from repro.faults import Corrupt, IidLoss, LinkFaultInjector
-    from repro.linkguard import LinkGuard
+    from repro.faults.injectors import LinkFaultInjector
+    from repro.faults.models import Corrupt, IidLoss
+    from repro.linkguard.guard import LinkGuard
 
     _reset_global_id_counters()
     with kernel_mode(mode):
@@ -347,7 +349,7 @@ def _run_guarded_store_traffic(mode, seed=42):
 
 @pytest.mark.parametrize("mode", ["scalar", "batch"])
 def test_guarded_traffic_is_shimmed_on_the_wire(mode):
-    from repro.linkguard import ETHERTYPE_LINKGUARD, GuardShimHeader
+    from repro.linkguard.shim import ETHERTYPE_LINKGUARD, GuardShimHeader
 
     tap, guard = _run_guarded_store_traffic(mode)
     assert guard.counts["protected"] > 0
@@ -385,9 +387,10 @@ def _run_tiered_promotion_cycle(mode, seed=42):
     Bursts are separated by quiet gaps so in-flight ops quiesce — busy
     blocks refuse to move by design.
     """
-    from repro.obs import Observability, WireTrace
+    from repro.obs import Observability
+    from repro.obs.trace import WireTrace
     from repro.obs.trace import KIND_TIER_MOVE
-    from repro.tiering import TieredMemoryPool
+    from repro.tiering.pool import TieredMemoryPool
 
     _reset_global_id_counters()
     obs = Observability(trace=WireTrace())

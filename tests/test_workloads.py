@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.programs import StaticL2Program
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.sim.units import gbps, msec, usec
 from repro.workloads.factory import UDP_HEADER_BYTES, udp_between
 from repro.workloads.flows import ZipfFlowWorkload, ZipfSampler

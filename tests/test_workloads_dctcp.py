@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.programs import StaticL2Program
-from repro.experiments.topology import build_testbed
+from repro.testbed import build_testbed
 from repro.net.headers import Ipv4Header
 from repro.sim.units import gbps, kib, msec, usec
 from repro.switches.traffic_manager import TrafficManagerConfig
