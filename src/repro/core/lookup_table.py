@@ -38,7 +38,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from operator import methodcaller
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from ..cuckoo.layout import CuckooConfig, CuckooDirectory
 from ..net.addresses import Ipv4Address
@@ -48,7 +48,7 @@ from ..policies.cache import CachePolicy, make_cache_policy
 from ..rdma.constants import Opcode, psn_distance
 from ..rdma.headers import BthHeader
 from ..rdma.memory import TIER_FAST
-from ..switches.hashing import FiveTuple, crc16
+from ..switches.hashing import FiveTuple, flow_fingerprint
 from ..switches.pipeline import PipelineContext
 from ..switches.switch import ProgrammableSwitch
 from .channel import RemoteMemoryChannel
@@ -192,8 +192,7 @@ def fingerprint_of(flow: FiveTuple) -> int:
     cheap enough for one pipeline stage, and independent enough from the
     CRC32 index hash that index collisions rarely share fingerprints.
     """
-    packed = flow.pack()
-    return (crc16(packed) << 16) | crc16(packed[::-1])
+    return flow_fingerprint(flow.pack())
 
 
 #: Program-supplied policy: (packet, action) -> egress port, or None to drop.
@@ -310,6 +309,7 @@ class RemoteLookupTable:
         # ``install_hash_seeds`` can reseed while the table is empty.
         self.directory: Optional[CuckooDirectory] = None
         self.dataplane = None
+        #: flow → installed action (what a move rewrites; ``stale_cached``'s truth).
         self._installed: Dict[FiveTuple, RemoteAction] = {}
         if self.config.layout == "cuckoo":
             self._build_directory(self.config.hash_seed)
@@ -327,7 +327,8 @@ class RemoteLookupTable:
         # record is one tuple — (READ PSN, flow, fingerprint, tier block,
         # ``meta`` copy, issue time, parked packet) — whose PSN matches
         # responses exactly (a FIFO popleft would misalign after go-back-N
-        # losses discard a window of lookups).  ``_pending`` is the
+        # losses discard a window of lookups; a re-install blanks the flow:
+        # no cache fill).  ``_pending`` is the
         # DRAM/home stream — the only one a non-tiered table has, which is
         # why it keeps its pre-tiering name (the sharded table drains it by
         # that name).
@@ -480,20 +481,41 @@ class RemoteLookupTable:
         data = action.pack_with(fingerprint_of(flow))
         region, address = self._entry_target(index)
         region.write(address, data)
+        self._installed[flow] = action
         self._refresh_cached(flow, action)
         return index
 
     def _refresh_cached(self, flow: FiveTuple, action: RemoteAction) -> None:
         """A (re-)installed flow's SRAM copy must not outlive the entry it
-        mirrored.  ``contains`` asks without touching recency or counters."""
+        mirrored.  ``contains`` asks without touching recency or counters.
+        Its lookups in flight lose their flow: a READ that ran before this
+        write still steers its own packet (the bound: one round trip), but
+        never fills the cache with the superseded action."""
         cache = self.cache
-        if cache is not None and cache.contains(flow):
+        if cache is None:
+            return
+        for fifo in (self._pending, self._pending_fast):
+            for at, record in enumerate(fifo):
+                if record[1] == flow:
+                    fifo[at] = record[:1] + (None,) + record[2:]
+        if cache.contains(flow):
             cache.admit(flow, action)
 
+    def stale_cached(self) -> List[FiveTuple]:
+        """Cached flows whose SRAM action is not the installed one (none at
+        quiescence); ``peek`` touches no recency or counter."""
+        cache = self.cache
+        installed = self._installed.items() if cache is not None else ()
+        return [flow for flow, action in installed if cache.peek(flow) not in (None, action)]
+
     def _write_slot(self, ref, data: bytes) -> None:
-        region, pair_base = self._entry_target(ref.index)
-        offset = ref.table * self.config.slots_per_bucket + ref.slot
-        region.write(pair_base + offset * ACTION_BYTES, data)
+        table, index, slot = ref
+        offset = (table * self.config.slots_per_bucket + slot) * ACTION_BYTES
+        if self._tiering is None:  # straight into the one region
+            channel = self.channel
+            return channel.region.write(channel.base_address + index * self._unit_bytes + offset, data)
+        region, pair_base = self._entry_target(index)
+        region.write(pair_base + offset, data)
 
     def _install_cuckoo(self, flow: FiveTuple, action: RemoteAction) -> int:
         packed = flow.pack()  # once: the directory's key bytes, the fingerprint's input
@@ -504,8 +526,7 @@ class RemoteLookupTable:
             # One write: a fresh slot with nothing displaced (the common
             # insert), or a re-install rewriting its entry in place.
             ref = moves[0].dst if moves else directory.location[flow]
-            fingerprint = (crc16(packed) << 16) | crc16(packed[::-1])
-            self._write_slot(ref, action.pack_with(fingerprint))
+            self._write_slot(ref, action.pack_with(flow_fingerprint(packed)))
             if not moves:
                 self._refresh_cached(flow, action)
             return ref.index
@@ -615,7 +636,7 @@ class RemoteLookupTable:
         fifo.append((
             request.require(BthHeader).psn,
             flow,
-            (crc16(packed) << 16) | crc16(packed[::-1]),  # fingerprint_of(flow)
+            flow_fingerprint(packed),
             block,
             dict(packet.meta),
             self.switch.sim.now,
@@ -699,7 +720,7 @@ class RemoteLookupTable:
         return True
 
     def _resolve_entry(
-        self, entry: bytes, flow: FiveTuple, fingerprint: int
+        self, entry: bytes, flow: Optional[FiveTuple], fingerprint: int
     ) -> RemoteAction:
         """The action the fetched action field holds for *flow*.
 
@@ -720,8 +741,8 @@ class RemoteLookupTable:
                 if stored == fingerprint:
                     self._m_remote_hits.inc()
                     action = RemoteAction(action_id, param)
-                    if self.cache is not None and self.config.cache_fill:
-                        self._cache_fill(flow, action)
+                    if self.cache is not None and self.config.cache_fill and flow is not None:
+                        self._cache_fill(flow, action)  # None: a re-install raced the READ
                     return action
                 occupied = True
         if occupied:

@@ -214,9 +214,9 @@ class CuckooDirectory:
         #: Slot occupancy, one flat list: the key (or None) of slot
         #: ``(table * pairs + index) * slots_per_bucket + slot``.
         self._slots: List[Optional[Any]] = [None] * self.config.capacity
-        #: filter cell → T0-resident keys probing that cell (invariant
-        #: index): small lists, each key once, no entry for an empty cell.
-        self._t0_cells: Dict[int, List[Any]] = {}
+        #: filter cell → T0 residents probing that cell (invariant index):
+        #: a lone key itself, a list (each key once) only on a collision.
+        self._t0_cells: Dict[int, Any] = {}
         #: Every eviction/relocation, in order — the deterministic kick
         #: trace the property tests compare across same-seed runs.
         self.kick_log: List[Tuple[str, Any, SlotRef]] = []
@@ -270,9 +270,10 @@ class CuckooDirectory:
         occupied = len(self._slots) - self._slots.count(None)
         if occupied != len(self.location):
             faults.append(("occupancy", occupied, len(self.location)))
+        listed = {c: keys if type(keys) is list else [keys] for c, keys in self._t0_cells.items()}
         have, want = (
             {cell: (len(keys), set(keys)) for cell, keys in index.items()}
-            for index in (self._t0_cells, expected)
+            for index in (listed, expected)
         )
         faults += [
             ("t0-index", cell, self._t0_cells.get(cell))
@@ -283,9 +284,9 @@ class CuckooDirectory:
 
     # -- journaled mutations (so a failed insert rolls back cleanly) ----------
     #
-    # An insert changes the directory only through _set_slot and _evict.
-    # Each keeps the filter (T1) or the T0 index in step with the slot it
-    # touches and journals what undoing it needs — flat slot index, cells —
+    # An insert that may fail changes the directory only through _set_slot and
+    # _evict.  Each keeps the filter (T1) or the T0 index in step with the slot
+    # it touches and journals what undoing it needs — flat slot index, cells —
     # so _rollback recomputes nothing and insert snapshots nothing on entry:
     # kick log, counters and victim RNG are restored from the journal too.
 
@@ -296,11 +297,12 @@ class CuckooDirectory:
             return self.filter.add_cells(cells)
         index = self._t0_cells
         for cell in cells:
-            residents = index.get(cell)
-            if residents is None:
-                index[cell] = [key]
-            elif key not in residents:  # both probes on one cell: listed once
-                residents.append(key)
+            residents = index.setdefault(cell, key)  # a lone resident: the key itself
+            if type(residents) is list:
+                if key not in residents:  # both probes on one cell: listed once
+                    residents.append(key)
+            elif residents != key:
+                index[cell] = [residents, key]  # a collision: now a list
         return ()
 
     def _leave(self, key: Any, table: int, cells: Sequence[int]) -> None:
@@ -310,11 +312,13 @@ class CuckooDirectory:
         index = self._t0_cells
         for cell in cells:
             residents = index.get(cell)
-            if residents is not None and key in residents:
-                if len(residents) == 1:
+            if type(residents) is not list:
+                if residents == key:
                     del index[cell]
-                else:
-                    residents.remove(key)
+            elif key in residents:
+                residents.remove(key)
+                if len(residents) == 1:
+                    index[cell] = residents[0]  # back to the lone key
 
     def _set_slot(self, key, ref: SlotRef, at: int, cells, journal) -> Sequence[int]:
         """Seat *key* at *ref* (flat index *at*); returns the flipped cells."""
@@ -373,18 +377,26 @@ class CuckooDirectory:
         location = self.location
         if key in location:
             return []  # re-install: same slot, caller rewrites the entry
+        kb = self.packer(key) if packed is None else packed
+        cells = self.filter.indices(kb)
+        _, index, slot = self._t0_home(kb, cells)
+        if slot is not None:  # the common insert: it cannot fail, so it journals nothing
+            ref = SlotRef(T0, index, slot)
+            self._slots[index * self._bucket + slot] = key
+            location[key] = ref
+            self._arrive(key, T0, cells)
+            return [Move(key, None, ref)]
         config = self.config
         if len(location) >= len(self._slots):
             self.failed_inserts += 1
             raise CuckooFullError(
                 f"cuckoo table full: {len(location)} keys in {config.capacity} slots"
             )
-        kb = self.packer(key) if packed is None else packed
         journal: List[tuple] = []
         moves: List[Move] = []
         #: Keys awaiting (re)placement: (key, vacated slot, packed, cells).
         pending: deque = deque()
-        placing = (key, None, kb, self.filter.indices(kb))
+        placing = (key, None, kb, cells)
         kicks_left = config.max_kicks
         try:
             while True:
@@ -407,13 +419,10 @@ class CuckooDirectory:
         moves: List[Move], pending: deque, journal: List[tuple], kicks_left: int,
     ) -> int:
         bucket = self._bucket
-        positive = self.filter.query_cells(cells)
-        # 1. T0 home, but only while the filter still queries negative —
-        #    otherwise the data plane would READ pair h1 and miss it.
+        # 1. T0 home (:meth:`_t0_home`).
+        positive, index, slot = self._t0_home(kb, cells)
         table = T0
-        index = self.dataplane.h0(kb)
         base = index * bucket
-        slot = None if positive else self._free_slot(base)
         if slot is None:
             # 2. T1 home: always legal (seating adds the key to the filter,
             #    keeping it query-positive), but the add may flip T0
@@ -455,6 +464,14 @@ class CuckooDirectory:
             pending.append((victim, ref, victim_kb, victim_cells))
         return kicks_left
 
+    def _t0_home(self, kb: bytes, cells: Tuple[int, ...]) -> Tuple[bool, int, Optional[int]]:
+        """Rule 1, ``(positive, h0, slot)``: a free slot of bucket h0 only while the
+        filter queries negative — else the data plane READs pair h1 and misses."""
+        index = crc32(kb, self.dataplane._crc0) % self._pairs  # h0(kb)
+        if self.filter.query_cells(cells):
+            return True, index, None
+        return False, index, self._free_slot(index * self._bucket)
+
     def _pick_victim(self, table: int, base: int) -> int:
         """The slot to kick from the full bucket starting at flat *base*."""
         bucket = self._bucket
@@ -488,7 +505,9 @@ class CuckooDirectory:
         """Queue T0 residents the filter add just flipped positive."""
         suspects: set = set()
         for cell in flipped_cells:
-            suspects.update(self._t0_cells.get(cell, ()))
+            residents = self._t0_cells.get(cell)
+            if residents is not None:
+                suspects.update(residents if type(residents) is list else (residents,))
         # Deterministic order: sort by packed key bytes, never set order.
         packer = self.packer
         for kb, suspect in sorted(

@@ -154,6 +154,7 @@ class L4LbSoakResult:
     delivered_by_backend: Dict[str, int]
     lookups_lost: int
     no_backend_drops: int
+    stale_cached: int
     # -- counter audit (the zero-lost-updates bar) --
     expected: Dict[int, int]
     recovered: Dict[int, int]
@@ -475,6 +476,7 @@ def run_l4lb_soak(
         delivered_by_backend=delivered_by_backend,
         lookups_lost=table.stats.lookups_lost,
         no_backend_drops=program.no_backend_drops,
+        stale_cached=len(table.stale_cached()),
         expected=expected,
         recovered=recovered,
         affinity_breaks=affinity_breaks,
@@ -589,6 +591,7 @@ def publish_l4lb_metrics(registry, result: L4LbSoakResult) -> None:
     scope.counter("kills_detected").inc(1 if result.kill_detected else 0)
     scope.counter("drains_completed").inc(result.drains_completed)
     scope.counter("new_on_inactive").inc(result.new_on_inactive)
+    scope.counter("stale_cached").inc(result.stale_cached)
     scope.gauge("expected_total").set(result.expected_total)
     scope.gauge("recovered_total").set(result.recovered_total)
     scope.gauge("connections").set(result.connections)
@@ -599,7 +602,8 @@ def assert_l4lb(result: L4LbSoakResult) -> None:
     """The acceptance bar for the combined-failure soak.
 
     Zero lost counter updates (exact, per index), zero affinity breaks
-    for established connections, the kill actually absorbed by the §11
+    for established connections, no SRAM-cached connection left on a
+    superseded backend (DESIGN.md §15.4), the kill actually absorbed by the §11
     stack, the drain actually graceful, and the corruption actually
     masked — a soak where a failure leg silently failed to fire would
     pass a weaker bar while testing nothing.
@@ -622,6 +626,8 @@ def assert_l4lb(result: L4LbSoakResult) -> None:
             f"{result.unsanctioned_migrations} connections migrated off "
             "healthy backends"
         )
+    if result.stale_cached != 0:
+        raise AssertionError(f"{result.stale_cached} cached connections on a superseded backend")
     if not result.kill_detected:
         raise AssertionError("the killed backend was never declared dead")
     if result.breaker_opens < 1:

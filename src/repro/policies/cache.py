@@ -101,6 +101,10 @@ class CachePolicy(Policy):
         return inserted, evicted
 
     def contains(self, flow: Any) -> bool:
+        return self.peek(flow) is not None
+
+    def peek(self, flow: Any) -> Optional[Any]:
+        """The cached action or ``None``, touching no recency or counter."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -153,8 +157,9 @@ class FifoCachePolicy(CachePolicy):
             return False, evicted
         return True, evicted
 
-    def contains(self, flow: Any) -> bool:
-        return self.table.contains(flow)
+    def peek(self, flow: Any) -> Optional[Any]:
+        entry = self.table.peek(flow)
+        return None if entry is None else entry.params["remote_action"]
 
     def __len__(self) -> int:
         return len(self.table)
@@ -190,8 +195,8 @@ class LruCachePolicy(CachePolicy):
         self._entries[flow] = action
         return True, evicted
 
-    def contains(self, flow: Any) -> bool:
-        return flow in self._entries
+    def peek(self, flow: Any) -> Optional[Any]:
+        return self._entries.get(flow)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -256,8 +261,8 @@ class LfuCachePolicy(CachePolicy):
         self._min_freq = 1
         return True, evicted
 
-    def contains(self, flow: Any) -> bool:
-        return flow in self._actions
+    def peek(self, flow: Any) -> Optional[Any]:
+        return self._actions.get(flow)
 
     def __len__(self) -> int:
         return len(self._actions)
@@ -348,8 +353,9 @@ class PinningCachePolicy(CachePolicy):
         self._lru[flow] = action
         return True, evicted
 
-    def contains(self, flow: Any) -> bool:
-        return flow in self._pinned or flow in self._lru
+    def peek(self, flow: Any) -> Optional[Any]:
+        action = self._pinned.get(flow)
+        return self._lru.get(flow) if action is None else action
 
     def __len__(self) -> int:
         return len(self._pinned) + len(self._lru)

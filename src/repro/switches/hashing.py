@@ -49,6 +49,34 @@ def crc16(data: bytes) -> int:
     return crc
 
 
+def _fingerprint_tables(width: int = 13) -> Tuple[Tuple[int, ...], ...]:
+    """Per-position tables of ``(crc16(p) << 16) | crc16(p[::-1])``: CRC-16/ARC
+    (init 0, no final XOR) is linear over GF(2), so for a fixed length that is
+    the XOR of its values on each byte alone, and each position's table,
+    linear in the byte too, fills from its eight single-bit values."""
+    tables = []
+    for at in range(width):
+        bits = [bytes(at) + bytes((1 << bit,)) + bytes(width - 1 - at) for bit in range(8)]
+        basis = [(crc16(p) << 16) | crc16(p[::-1]) for p in bits]
+        table = [0] * 256
+        for byte in range(1, 256):
+            low = byte & -byte  # the lowest set bit; the rest is filled already
+            table[byte] = table[byte ^ low] ^ basis[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+(_F0, _F1, _F2, _F3, _F4, _F5, _F6, _F7, _F8, _F9, _F10, _F11, _F12) = _fingerprint_tables()
+
+
+def flow_fingerprint(packed: bytes) -> int:
+    """``(crc16(packed) << 16) | crc16(packed[::-1])`` of a 13-byte packed
+    5-tuple — the lookup table's flow fingerprint — one table per byte."""
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = packed
+    return (_F0[b0] ^ _F1[b1] ^ _F2[b2] ^ _F3[b3] ^ _F4[b4] ^ _F5[b5] ^ _F6[b6] ^ _F7[b7]
+            ^ _F8[b8] ^ _F9[b9] ^ _F10[b10] ^ _F11[b11] ^ _F12[b12])
+
+
 def crc32(data: bytes) -> int:
     """CRC-32 (IEEE 802.3) of *data*."""
     return zlib.crc32(data) & 0xFFFFFFFF

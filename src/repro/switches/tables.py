@@ -93,6 +93,10 @@ class ExactMatchTable:
     def contains(self, key: Hashable) -> bool:
         return key in self._entries
 
+    def peek(self, key: Hashable) -> Optional[ActionEntry]:
+        """The entry under *key*, or ``None``: no hit/miss accounting."""
+        return self._entries.get(key)
+
     def evict_oldest(self) -> Optional[Hashable]:
         """Remove and return the oldest-inserted key (FIFO eviction)."""
         if not self._entries:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..hosts.server import Host
 from ..net.packet import Packet
@@ -45,8 +44,7 @@ class ZipfSampler:
         return bisect.bisect_left(self._cdf, point)
 
 
-@dataclass
-class FlowKey:
+class FlowKey(NamedTuple):
     """Identifies one generated flow (maps to UDP port pair)."""
 
     rank: int
@@ -94,11 +92,8 @@ class ZipfPacketSource:
 
     def flow_key(self, rank: int) -> FlowKey:
         """Deterministic flow → port-pair mapping (60k ranks per dst port)."""
-        return FlowKey(
-            rank=rank,
-            src_port=self.BASE_PORT + rank % self.PORT_SPAN,
-            dst_port=self.BASE_PORT + rank // self.PORT_SPAN,
-        )
+        base, span = self.BASE_PORT, self.PORT_SPAN
+        return FlowKey(rank, base + rank % span, base + rank // span)
 
     def packet_for(self, rank: int) -> Packet:
         packet = stamp_ports(

@@ -30,9 +30,11 @@ HOP_CALLS_PER_FRAME = 28
 #: (PR 19; measured 23, was 56).
 ROUND_TRIP_CALLS_PER_OP = 25
 #: Every call, C functions included, per ``RemoteLookupTable.install``
-#: (PR 20; measured 41, was 113) and per ``L4LbController.admit`` (52, was 136).
-INSTALL_CALLS = 45
-ADMIT_CALLS = 55
+#: (measured 31; 41 with the two-CRC16 fingerprint and rollback scaffolding
+#: on every insert, 113 before digest-once placement) and per
+#: ``L4LbController.admit`` (42; was 52 and 136).
+INSTALL_CALLS = 34
+ADMIT_CALLS = 45
 #: Ring-register reads + writes per stored-and-drained frame (PR 23;
 #: measured 10: store 3, WRITE dequeue 1, READ response 6; was 25).
 BUFFER_REGISTER_ACCESSES_PER_FRAME = 12

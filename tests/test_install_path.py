@@ -12,8 +12,9 @@ around a call budget with **placement frozen**.  Five angles:
       ``location``, ``kick_log`` — and pinned from the parent commit;
 (iii) the ``FiveTuple`` contract (a named tuple that hashes like its fields);
 (iv)  cProfile budget guards on calls per install / per admit;
-(v)   regressions: sharded install bookkeeping, the stale SRAM copy, the
-      T0-index leak and the wider ``check_invariant()``.
+(v)   regressions: sharded install bookkeeping, the stale SRAM copy (and
+      its refill by a READ that raced the re-install), the T0-index leak
+      and the wider ``check_invariant()``.
 """
 
 from __future__ import annotations
@@ -432,13 +433,14 @@ def test_a_table_install_costs_a_bounded_number_of_calls():
     installs = 2_000
     calls = _install_calls(installs)
     assert calls == _install_calls(installs), "the count must repeat exactly"
-    # Per install of a key that lands in T0 (nearly all do at this load):
-    # 4 in the table (install, _install_cuckoo, _write_slot, _entry_target),
-    # 2 to pack the flow, 2 fingerprint CRC16s, 2 to pack the action, 6 in
-    # the region write, 11 in the directory and filter (insert, _place, h0,
-    # indices, query_cells, _free_slot, _set_slot, _arrive, 3 CRC32s),
-    # 4 to build the SlotRef and the Move, and 10 len/get/append: 41.  It
-    # was 113 with the per-step re-hashing.
+    # Per install of a key that lands in T0 (nearly all do at this load, and
+    # take the common insert): 3 in the table (install, _install_cuckoo,
+    # _write_slot), 2 to pack the flow, 1 table-driven fingerprint, 2 to
+    # pack the action, 6 in the region write, 9 in the directory and filter
+    # (insert, indices, _t0_home, query_cells, _free_slot, _arrive, 3
+    # CRC32s), 4 to build the SlotRef and the Move, and 4 len/setdefault:
+    # 31.  It was 41 with two pure-Python CRC16s and the rollback
+    # scaffolding built for every insert, 113 with the per-step re-hashing.
     assert 0 < calls <= INSTALL_CALLS * installs, f"{calls / installs:.1f} calls per install"
 
 
@@ -462,8 +464,9 @@ def test_an_admit_costs_a_bounded_number_of_calls():
     admits = 2_000
     calls = _admit_calls(admits)
     assert calls == _admit_calls(admits), "the count must repeat exactly"
-    # The install's 41 plus admit, place, a second pack of the flow (2), one
-    # running CRC32 and one per backend (4), and get/items/add: 52.  Was 136.
+    # The install's 31 plus admit, place, a second pack of the flow (2), one
+    # running CRC32 and one per backend (4), and get/items/add: 42.  Was 52,
+    # and 136 before that.
     assert 0 < calls <= ADMIT_CALLS * admits, f"{calls / admits:.1f} calls per admit"
 
 
@@ -508,9 +511,9 @@ def test_a_refused_sharded_install_leaves_no_bookkeeping_behind():
         assert refused in table.shards[owner].directory
 
 
-@pytest.mark.parametrize("layout", ["cuckoo", "direct"])
-@pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "pin"])
-def test_a_reinstall_refreshes_the_sram_copy(policy, layout):
+def _cached_table(policy: str, layout: str):
+    """A lookup program whose table caches; ``send()`` runs one packet of
+    the flow to its destination and returns the DSCP it arrived with."""
     tb = build_testbed(n_hosts=2, seed=1)
     program = RemoteLookupProgram()
     for host, port in zip(tb.hosts, tb.host_ports):
@@ -532,6 +535,13 @@ def test_a_reinstall_refreshes_the_sram_copy(policy, layout):
         return received[-1].require(Ipv4Header).dscp
 
     flow = FiveTuple.of(udp_between(tb.hosts[0], tb.hosts[1], 128, src_port=5000, dst_port=6000))
+    return tb, table, flow, send
+
+
+@pytest.mark.parametrize("layout", ["cuckoo", "direct"])
+@pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "pin"])
+def test_a_reinstall_refreshes_the_sram_copy(policy, layout):
+    tb, table, flow, send = _cached_table(policy, layout)
     table.install(flow, RemoteAction(ACTION_SET_DSCP, 10))
     assert send() == 10 and send() == 10  # the second from SRAM
     assert table.cache.contains(flow) and table.stats.local_hits >= 1
@@ -539,11 +549,44 @@ def test_a_reinstall_refreshes_the_sram_copy(policy, layout):
     table.install(flow, RemoteAction(ACTION_SET_DSCP, 20))
     assert send() == 20
     assert (table.stats.local_hits, table.stats.remote_lookups) == (hits + 1, remote)
+    assert table.stale_cached() == []
+
+
+@pytest.mark.parametrize("layout", ["cuckoo", "direct"])
+@pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "pin"])
+def test_a_read_that_raced_a_reinstall_never_fills_the_sram_copy(policy, layout):
+    """The READ runs at the server, the flow is re-installed, then the READ's
+    response lands.  It steers its own packet with the action it read — the
+    bound: one remote round trip — but must not fill SRAM with it: the next
+    packet, and the cache, carry the new action."""
+    tb, table, flow, send = _cached_table(policy, layout)
+    table.install(flow, RemoteAction(ACTION_SET_DSCP, 10))
+    region = table.channel.region
+    read = region.read
+
+    def read_then_reinstall(va, size):
+        data = read(va, size)  # the READ executes at the server ...
+        region.read = read
+        # ... and the control plane re-installs before its response lands.
+        tb.sim.schedule(0.0, table.install, flow, RemoteAction(ACTION_SET_DSCP, 20))
+        return data
+
+    region.read = read_then_reinstall
+    assert send() == 10  # the raced packet: the action its READ found
+    assert region.read is read, "the re-install never ran"
+    assert send() == 20
+    assert table.cache.peek(flow) == RemoteAction(ACTION_SET_DSCP, 20)
+    assert table.stale_cached() == []
+    assert send() == 20 and table.stats.local_hits >= 1
+    # The check reports a stale SRAM copy wherever one comes from.
+    table.cache.admit(flow, RemoteAction(ACTION_SET_DSCP, 10))
+    assert table.stale_cached() == [flow]
 
 
 @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "pin"])
 def test_contains_touches_no_recency_or_counter_state(policy):
-    """Why the refresh may ask ``contains()`` first: asking changes nothing."""
+    """Why the refresh may ask ``contains()`` first, and the staleness check
+    ``peek()``: asking changes nothing."""
     def warmed():
         cache = make_cache_policy(policy, 2, seed=3, pin_threshold=1)
         cache.admit(b"x", 1)
@@ -552,6 +595,7 @@ def test_contains_touches_no_recency_or_counter_state(policy):
 
     asked, untouched = warmed(), warmed()
     assert asked.contains(b"x") and not asked.contains(b"z")
+    assert asked.peek(b"x") == 1 and asked.peek(b"z") is None
     for cache in (asked, untouched):
         cache.admit(b"z", 3)  # evicts by recency / frequency / age
     for key in (b"x", b"y", b"z"):
@@ -615,13 +659,22 @@ def test_check_invariant_audits_the_bookkeeping_too():
     broken._slots[free] = b"ghost"  # an occupant location does not know
     assert broken.check_invariant()
 
+    # A cell's entry is its one resident itself, or a list on a collision.
+    def listed(directory, cell):
+        residents = directory._t0_cells[cell]
+        return list(residents) if type(residents) is list else [residents]
+
     broken = populated()
     cell = broken.filter.indices(key)[0]
-    broken._t0_cells[cell].remove(key)  # a T0 resident missing from its cell
+    others = [k for k in listed(broken, cell) if k != key]
+    if others:  # a T0 resident missing from its cell
+        broken._t0_cells[cell] = others if len(others) > 1 else others[0]
+    else:
+        del broken._t0_cells[cell]
     assert broken.check_invariant()
 
     broken = populated()
-    broken._t0_cells[cell].append(key)  # ... or listed twice
+    broken._t0_cells[cell] = listed(broken, cell) + [key]  # ... or listed twice
     assert broken.check_invariant()
 
     broken = populated()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.headers import EthernetHeader, Ipv4Header, UdpHeader
 from repro.net.packet import Packet
-from repro.switches.hashing import FiveTuple, crc16, crc32, hash_fields
+from repro.switches.hashing import FiveTuple, crc16, crc32, flow_fingerprint, hash_fields
 
 
 class TestCrc:
@@ -27,6 +27,37 @@ class TestCrc:
     def test_crc16_deterministic_and_bounded(self, data):
         assert crc16(data) == crc16(data)
         assert 0 <= crc16(data) <= 0xFFFF
+
+
+def two_crc16s(packed: bytes) -> int:
+    """The flow fingerprint's reference definition."""
+    return (crc16(packed) << 16) | crc16(packed[::-1])
+
+
+class TestFlowFingerprint:
+    """The per-position tables equal the two-CRC16 definition bit for bit."""
+
+    @given(st.binary(min_size=13, max_size=13))
+    def test_random_keys(self, packed):
+        assert flow_fingerprint(packed) == two_crc16s(packed)
+
+    @pytest.mark.parametrize("field", range(5))
+    def test_five_tuple_extremes(self, field):
+        """0 and the maximum of each field, the others all 0 or all maximal."""
+        maxima = (2**32 - 1, 2**32 - 1, 255, 65535, 65535)
+        for others in ((0,) * 5, maxima):
+            for value in (0, maxima[field]):
+                fields = list(others)
+                fields[field] = value
+                packed = FiveTuple(*fields).pack()
+                assert flow_fingerprint(packed) == two_crc16s(packed)
+
+    def test_known_vector_and_width(self):
+        assert flow_fingerprint(bytes(13)) == 0
+        packed = FiveTuple(0x0A000001, 0x0A000002, 17, 1000, 2000).pack()
+        assert flow_fingerprint(packed) == two_crc16s(packed) < 2**32
+        with pytest.raises(ValueError):
+            flow_fingerprint(packed + b"\x00")  # a packed 5-tuple is 13 bytes
 
 
 class TestHashFields:
