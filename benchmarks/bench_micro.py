@@ -3,7 +3,7 @@
 Unlike the paper-figure benchmarks (one long simulation timed once), these
 use pytest-benchmark's repeated timing to track the hot paths a simulation
 study lives or dies by: event dispatch, header serialization, hash
-externs, and a full RDMA round trip.
+externs, a full RDMA round trip and drawing a traffic schedule.
 
 Run directly (``python benchmarks/bench_micro.py``) this module times the
 same hot paths and writes ``BENCH_micro.json``: wall-clock operations per
@@ -14,6 +14,7 @@ made with ``bench_e2e/`` (interleaved, host-corrected), never from here.
 import argparse
 import json
 import platform
+import random
 import sys
 import time
 from repro.net.addresses import Ipv4Address, MacAddress
@@ -23,6 +24,7 @@ from repro.rdma.headers import BthHeader, IcrcTrailer, RethHeader, parse_roce
 from repro.rdma.constants import Opcode
 from repro.sim.simulator import Simulator
 from repro.switches.hashing import FiveTuple, crc16, hash_fields
+from repro.workloads.zipf import ZipfGenerator
 
 
 def test_simulator_event_throughput(benchmark):
@@ -175,6 +177,21 @@ def _cancel_heavy(n_events: int = 50_000) -> dict:
     return {"events": n_events, "ops_per_s": n_events / wall}
 
 
+def _zipf_schedule(count: int, n: int, alpha: float, bulk: bool, min_seconds: float) -> dict:
+    """Ranks per second drawing a *count*-rank schedule over *n* flows, in
+    one ``samples`` call or one ``sample`` call per rank (the same ranks)."""
+
+    def draw():
+        generator = ZipfGenerator(n, alpha, random.Random(1))
+        if bulk:
+            generator.samples(count)
+        else:
+            [generator.sample() for _ in range(count)]
+
+    record = _ops_per_s(draw, min_seconds)
+    return {"ranks": count, "calls": record["calls"], "ops_per_s": record["ops_per_s"] * count}
+
+
 def collect_records(quick: bool = False):
     """Run every microbenchmark; returns {name: {"ops_per_s": ..., ...}}."""
     scale = 0.05 if quick else 0.3
@@ -198,6 +215,11 @@ def collect_records(quick: bool = False):
         "packet_clone": _ops_per_s(packet.clone, scale),
         "packet_frame_len": _ops_per_s(lambda: packet.frame_len, scale),
         "rdma_write_round_trip": _ops_per_s(_one_rdma_write, scale),
+        # l2_forward's schedule, and lookup_cached's over its 10**6 flows.
+        "zipf_schedule_uniform_bulk": _zipf_schedule(187_500, 4096, 0.0, True, scale),
+        "zipf_schedule_uniform_per_call": _zipf_schedule(187_500, 4096, 0.0, False, scale),
+        "zipf_schedule_zipf_bulk": _zipf_schedule(30_000, 1_000_000, 1.0, True, scale),
+        "zipf_schedule_zipf_per_call": _zipf_schedule(30_000, 1_000_000, 1.0, False, scale),
     }
 
 

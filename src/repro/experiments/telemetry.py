@@ -113,7 +113,8 @@ def _run_backend(
     # Control-plane estimation pass over every flow the workload touched.
     keys: Dict[int, bytes] = {}
     estimates = []
-    for rank in workload.sent_by_rank:
+    sent_by_rank = workload.sent_by_rank
+    for rank, sent in sent_by_rank.items():
         key = workload.flow_key(rank)
         flow = FiveTuple(
             src_ip=tb.hosts[0].eth.ip.value,
@@ -123,10 +124,10 @@ def _run_backend(
             dst_port=key.dst_port,
         )
         keys[rank] = flow.pack()
-        estimates.append((sketch.estimate(keys[rank]), workload.sent_by_rank[rank]))
+        estimates.append((sketch.estimate(keys[rank]), sent))
 
     detector = HeavyHitterDetector(sketch)
-    report = detector.detect(keys, hh_threshold, workload.sent_by_rank)
+    report = detector.detect(keys, hh_threshold, sent_by_rank)
     return TelemetryResult(
         backend=backend,
         sketch_kind=sketch_kind,

@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional
+from array import array
+from collections import Counter
+from itertools import islice, repeat, starmap
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from ..hosts.server import Host
 from ..net.packet import Packet
 from ..sim.simulator import Simulator
 from ..sim.units import SEC
 from .factory import stamp_ports, udp_between
+
+
+def rank_array(population: int, ranks: Iterable[int] = ()) -> array:
+    """*ranks*, all below *population*, four bytes each (eight past 2³²)."""
+    return array("I" if population <= 1 << 32 else "Q", ranks)
 
 
 class ZipfSampler:
@@ -43,6 +51,12 @@ class ZipfSampler:
         point = self._rng.random() * self._total
         return bisect.bisect_left(self._cdf, point)
 
+    def samples(self, count: int) -> array:
+        """What *count* calls of :meth:`sample` return, four bytes a rank."""
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        return rank_array(self.n, starmap(self.sample, repeat((), count)))
+
 
 class FlowKey(NamedTuple):
     """Identifies one generated flow (maps to UDP port pair)."""
@@ -59,18 +73,21 @@ class ZipfPacketSource:
     :class:`~repro.workloads.zipf.OpenLoopZipfTraffic` share: the rank →
     UDP port pair mapping (which is enough to make 5-tuples, and hence
     remote table/counter indices, distinct), the packet stamped from one
-    template, the per-rank ledger and the self-re-arming tick over a rank
-    schedule fixed up front (so the population is inspectable pre-run).
-    A subclass supplies ``schedule`` (the ``count`` ranks to send, in
-    order), ``_mean_gap_ns`` and ``_arrival_rng`` (``None`` for a fixed
-    gap, else exponential gaps).
+    template and the self-re-arming tick over a rank schedule fixed up
+    front (so the population is inspectable pre-run).  The schedule and a
+    cursor into it are a source's whole state: what has been sent is the
+    schedule's prefix, and the per-rank ledger is counted from it when
+    asked for.  A subclass supplies ``schedule`` (the ``count`` ranks to
+    send, in order, four bytes each: :func:`rank_array`),
+    ``_mean_gap_ns`` and ``_arrival_rng`` (``None`` for a fixed gap, else
+    exponential gaps).
     """
 
     BASE_PORT = 1024
     #: Port-space fan-out: ranks per dst port.
     PORT_SPAN = 60_000
 
-    schedule: List[int]
+    schedule: array
     count: int
     _mean_gap_ns: float
     _arrival_rng: Optional[random.Random] = None
@@ -80,11 +97,22 @@ class ZipfPacketSource:
         self.src = src
         self.dst = dst
         self.packet_size = packet_size
-        self.sent_by_rank: Dict[int, int] = {}
-        self.packets_sent = 0
         self.on_done: Optional[Callable[[], None]] = None
         self._cursor = 0
         self._template = udp_between(src, dst, packet_size)
+
+    @property
+    def packets_sent(self) -> int:
+        return self._cursor
+
+    @property
+    def sent_by_rank(self) -> Counter[int]:
+        """Packets sent per rank, in first-send order.
+
+        Counted from the schedule's sent prefix on each access and returned
+        as a new ``Counter``: read it once, not once per rank.  A rank not
+        sent yet counts 0."""
+        return Counter(islice(self.schedule, self._cursor))
 
     def distinct_ranks(self) -> List[int]:
         """Sorted ranks that will actually appear, for pre-installation."""
@@ -115,19 +143,15 @@ class ZipfPacketSource:
             if self.on_done is not None:
                 self.on_done()
             return
-        rank = self.schedule[cursor]
         self._cursor = cursor + 1
-        self.src.send(self.packet_for(rank))
-        sent = self.sent_by_rank
-        sent[rank] = sent.get(rank, 0) + 1
-        self.packets_sent += 1
+        self.src.send(self.packet_for(self.schedule[cursor]))
         gap = self._mean_gap_ns
         if self._arrival_rng is not None:
             gap *= self._arrival_rng.expovariate(1.0)
         self.sim.post(gap, self._tick)
 
     def distinct_flows_sent(self) -> int:
-        return len(self.sent_by_rank)
+        return len(set(islice(self.schedule, self._cursor)))
 
     def heavy_hitters(self, threshold: int) -> Dict[int, int]:
         """Ground-truth flows with at least *threshold* packets."""
@@ -153,9 +177,10 @@ class ZipfFlowWorkload(ZipfPacketSource):
         count: int = 10_000,
         seed: int = 0,
     ) -> None:
+        if not rate_bps > 0:
+            raise ValueError(f"rate must be positive, got {rate_bps}")
         super().__init__(sim, src, dst, packet_size)
         self.flows = flows
         self.count = count
-        sampler = ZipfSampler(flows, alpha, random.Random(seed))
-        self.schedule = [sampler.sample() for _ in range(count)]
+        self.schedule = ZipfSampler(flows, alpha, random.Random(seed)).samples(count)
         self._mean_gap_ns = self._template.wire_len * 8 * SEC / rate_bps

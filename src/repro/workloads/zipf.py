@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List
+from array import array
+from itertools import repeat, starmap
 
 from ..hosts.server import Host
 from ..sim.rng import SeedSequence
 from ..sim.simulator import Simulator
 from ..sim.units import SEC
-from .flows import ZipfPacketSource
+from .flows import ZipfPacketSource, rank_array
 
 
 class ZipfGenerator:
@@ -93,6 +94,13 @@ class ZipfGenerator:
             if k - x <= self._s or u >= self._h_integral(k + 0.5) - self._h(k):
                 return k - 1
 
+    def samples(self, count: int) -> array:
+        """The ranks *count* calls of :meth:`sample` return, four bytes a
+        rank, leaving the rng in the state those calls would."""
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        return rank_array(self.n, starmap(self.sample, repeat((), count)))
+
 
 def _helper1(x: float) -> float:
     """log1p(x) / x, stable near zero."""
@@ -142,7 +150,7 @@ class OpenLoopZipfTraffic(ZipfPacketSource):
             raise ValueError(f"flow population too large: {flows}")
         if arrival not in ("poisson", "paced"):
             raise ValueError(f"unknown arrival process: {arrival!r}")
-        if rate_pps <= 0:
+        if not rate_pps > 0:
             raise ValueError(f"rate must be positive, got {rate_pps}")
         super().__init__(sim, src, dst, packet_size)
         self.flows = flows
@@ -158,4 +166,4 @@ class OpenLoopZipfTraffic(ZipfPacketSource):
         # packet, so even million-packet schedules build in well under a
         # second, and the population becomes inspectable pre-run.
         generator = ZipfGenerator(flows, alpha, seeds.stream("zipf.ranks"))
-        self.schedule: List[int] = [generator.sample() for _ in range(count)]
+        self.schedule = generator.samples(count)

@@ -1,9 +1,10 @@
-"""Every call budget the repo holds itself to: one table.
+"""Every call and byte budget the repo holds itself to: one table.
 
-Counts, not timings: cProfile call counts repeat exactly on any machine.
+Counts, not timings: cProfile call counts repeat exactly on any machine,
+and tracemalloc byte counts on any machine running one CPython version.
 The tier-1 guards (``test_packet_model``, ``test_hop_path``,
 ``test_roce_round_trip``, ``test_install_path``, ``test_primitive_path``,
-``test_lookup_path``)
+``test_lookup_path``, ``test_workloads_zipf``)
 import their ceilings from here, and CI's ``bench-e2e-quick`` step runs
 ``python -m tests.budgets bench_e2e_quick.json`` to hold the quick-run
 record to :data:`BENCH_BUDGETS`.  Each comment gives the measured value
@@ -16,6 +17,7 @@ import cProfile
 import gc
 import json
 import sys
+import tracemalloc
 from typing import Callable, List, Tuple
 
 # -- tier-1 guards: Python calls per unit of work -----------------------------------------
@@ -49,6 +51,21 @@ STATE_STORE_CALLS_PER_OP = 9
 #: bounced lookup through a sharded cuckoo table, generation to delivery
 #: (PR 24; measured 17, was 34).
 LOOKUP_CALLS_PER_MISS = 18
+
+# -- tier-1 guards: bytes, not calls ------------------------------------------------------
+# tracemalloc counts taken with the collector off (``retained``): they repeat
+# exactly on any machine running one CPython version.
+
+#: Bytes an ``OpenLoopZipfTraffic`` retains per scheduled packet: 20 000
+#: uniform ranks over 4 096 flows (measured 4.2, four bytes a rank in an
+#: ``array("I")`` plus its growth slack; was 34.9, a list slot and a boxed
+#: int per rank).
+SCHEDULE_BYTES_PER_PACKET = 5
+#: Bytes a run retains per packet its source sends, the source's and the
+#: testbed's together, beyond a shorter run: 3 000 against 1 000 packets to
+#: uniform flows over 10**6 ranks (measured 0.06; was 55.4, the per-rank
+#: ledger's dict and counts).
+SOURCE_BYTES_PER_SENT_PACKET = 1
 
 # -- tier-1 guard: import closure ----------------------------------------------------------
 
@@ -88,6 +105,28 @@ def profiled(run: Callable[[], object]) -> Tuple[list, int]:
     finally:
         gc.enable()
     return profiler.getstats(), garbage
+
+
+def retained(build: Callable[[], object]) -> Tuple[object, int]:
+    """What *build* returns and the bytes it left allocated, traced by
+    tracemalloc with the collector off — a collection inside *build* would
+    free memory it did not allocate.  The byte budgets are counts of a
+    trace started here; under a trace already running
+    (``PYTHONTRACEMALLOC``, ``-X tracemalloc``) this raises
+    :class:`RuntimeError` rather than measure and then stop that trace."""
+    if tracemalloc.is_tracing():
+        raise RuntimeError("tracemalloc is already tracing; the byte budgets need their own trace")
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return kept, after - before
 
 
 def check_bench_record(records: List[dict]) -> None:

@@ -4,7 +4,7 @@ sharded front, the bounce and the response pass, as they stood."""
 from __future__ import annotations
 
 import struct
-from typing import Deque, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.cluster.pool import PoolMember
 from repro.cluster.sharded_lookup import ShardedLookupTable
@@ -46,8 +46,13 @@ def reference_stamp_ports(template: Packet, src_port: int, dst_port: int) -> Pac
 
 
 class ReferenceZipfTraffic(OpenLoopZipfTraffic):
-    """A ``FlowKey`` and a clone per packet, the tick re-armed with a
-    cancellable event."""
+    """A ``FlowKey`` and a clone per packet, a per-rank ledger kept by the
+    tick, the tick re-armed with a cancellable event."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._sent_by_rank: Dict[int, int] = {}
+        self._packets_sent = 0
 
     def packet_for(self, rank: int) -> Packet:
         key = self.flow_key(rank)
@@ -69,8 +74,8 @@ class ReferenceZipfTraffic(OpenLoopZipfTraffic):
         rank = self.schedule[self._cursor]
         self._cursor += 1
         self.src.send(self.packet_for(rank))
-        self.sent_by_rank[rank] = self.sent_by_rank.get(rank, 0) + 1
-        self.packets_sent += 1
+        self._sent_by_rank[rank] = self._sent_by_rank.get(rank, 0) + 1
+        self._packets_sent += 1
         self.sim.schedule(self._gap_ns(), self._tick)
 
 

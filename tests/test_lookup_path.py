@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,9 @@ def in_flight(shard):
 
 
 def observe(tb, shards, traffic):
+    if isinstance(traffic, ReferenceZipfTraffic):
+        kept = (traffic._packets_sent, list(traffic._sent_by_rank.items()))
+        assert kept == (traffic.packets_sent, list(traffic.sent_by_rank.items()))
     return {
         "registry": tb.sim.obs.registry.snapshot(),
         "events": tb.sim.events_processed,
@@ -332,7 +336,7 @@ def both_buckets_the_same(types):
         tb.sim, tb.hosts[0], tb.hosts[1], flows=4096, alpha=0.0, packet_size=128,
         rate_pps=2e6, count=len(twins) * 20, seed=3,
     )
-    traffic.schedule[:] = twins * 20
+    traffic.schedule[:] = array("I", twins * 20)
     for rank in twins:
         table.install(flow_of_rank(tb, traffic, rank), RemoteAction(ACTION_SET_DSCP, rank % 64))
     traffic.start()

@@ -690,7 +690,7 @@ def test_a_flip_in_a_stored_frames_ip_header_loses_exactly_that_frame():
     tb.sim.run()
     assert wire.effects["corrupted"] == 1
     assert buffer.stats.lost_in_transit == 1 and buffer.stats.loaded_packets == 4
-    sent = tb.traffic.schedule
+    sent = list(tb.traffic.schedule)
     assert [packet.meta["flow_rank"] for packet in delivered] == sent[:2] + sent[3:]
     assert buffer.stored_entries == 0 and not buffer.is_buffering
 

@@ -154,6 +154,26 @@ class TestZipf:
         with pytest.raises(ValueError):
             ZipfSampler(10, -1.0, random.Random(1))
 
+    def _workload(self, **kwargs):
+        tb = forwarding_testbed()
+        return ZipfFlowWorkload(tb.sim, tb.hosts[0], tb.hosts[1], flows=50, **kwargs)
+
+    def test_workload_rejects_a_zero_rate(self):
+        """It raised ZeroDivisionError from the gap arithmetic."""
+        with pytest.raises(ValueError):
+            self._workload(rate_bps=0)
+
+    def test_workload_rejects_a_negative_rate(self):
+        """It built, and its first tick raised SimulationError from inside
+        ``sim.run()`` (a negative delay)."""
+        with pytest.raises(ValueError):
+            self._workload(rate_bps=-gbps(10))
+
+    def test_workload_rejects_a_negative_count(self):
+        """It built an empty schedule and sent nothing."""
+        with pytest.raises(ValueError):
+            self._workload(count=-1)
+
     def test_workload_counts_flows(self):
         tb = forwarding_testbed()
         workload = ZipfFlowWorkload(
