@@ -29,11 +29,7 @@ import importlib
 #: Defining module (relative to :mod:`repro`) → the names exported from it.
 _EXPORTS = {
     # -- simulation kernel and testbed -------------------------------------
-    "sim.simulator": (
-        "KERNELS", "Simulator", "default_kernel", "kernel_mode",
-        "set_default_kernel",
-    ),
-    "sim.batch": ("BatchSimulator",),
+    "sim.simulator": ("Simulator",),
     "sim.units": (
         "gbps", "gib", "kib", "mib", "msec", "nsec", "to_msec", "to_usec",
         "usec",

@@ -530,20 +530,16 @@ class RemoteLookupTable:
             if not moves:
                 self._refresh_cached(flow, action)
             return ref.index
-        written = set()
         for move in moves:
             moved_action = self._installed[move.key]
             self._write_slot(
                 move.dst, moved_action.pack_with(fingerprint_of(move.key))
             )
-            written.add(move.dst)
+        # Zero every vacated slot the directory now holds empty, even one
+        # an earlier move wrote: remote bytes must match the directory.
         for move in moves:
             src = move.src
-            if (
-                src is not None
-                and src not in written
-                and directory.slot_key(src) is None
-            ):
+            if src is not None and directory.slot_key(src) is None:
                 self._write_slot(src, _EMPTY_SLOT)
         return directory.location[flow].index
 

@@ -193,7 +193,7 @@ class LinkFaultInjector:
                     break
         for delay, delivered in deliveries:
             self._m_delivered.inc()
-            link.sim.post_delivery(delay, dst, delivered)
+            link.sim.post(delay, dst.deliver, delivered)
 
     def _in_scope(self, link: Link, src) -> bool:
         if self.direction == "both":

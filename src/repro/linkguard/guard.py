@@ -7,8 +7,8 @@ a LinkGuardian-style (SIGCOMM'23) protection pair in each direction:
   frame with a :class:`~repro.linkguard.shim.GuardShimHeader` (sequence
   number + inner-frame checksum + piggybacked cumulative ack) and keeps
   the original frame in a bounded *emergency retransmission buffer*;
-* the **receiver** side shadows the peer interface's ``deliver`` /
-  ``deliver_batch``, verifies the checksum, strips the shim, and watches
+* the **receiver** side shadows the peer interface's ``deliver``,
+  verifies the checksum, strips the shim, and watches
   the sequence space: a corrupted frame or a hole triggers an immediate
   NAK back across the link, so the sender resends from its buffer within
   a link RTT — the transport above never sees the loss, its RTO never
@@ -23,10 +23,9 @@ Interop is by construction, not by special cases:
   ones, and guard control frames (ACK/NAK/RESYNC) cross the same
   impaired wire;
 * the receive hook replays the saved per-interface ``deliver`` for each
-  released frame in sequence order, so under the batch kernel a
-  coalesced ``deliver_batch`` cohort produces the identical
-  tap/accounting/receive stream as the scalar kernel — guard ordering
-  survives delivery coalescing;
+  released frame in sequence order; the shadow is an instance attribute,
+  so frames already in flight when the guard is attached or detached
+  keep the ``deliver`` their link bound when they left;
 * a breaker watching the transport still trips on real outages: when
   the emergency buffer is exhausted (e.g. a blackout outlives it) new
   frames travel *unprotected*, the receiver is told to RESYNC past
@@ -253,7 +252,7 @@ class LinkGuard:
         link.carry = self._carry  # type: ignore[method-assign]
         link.guard = self  # type: ignore[attr-defined]
 
-        # Receiver hooks: shadow each interface's deliver/deliver_batch.
+        # Receiver hooks: shadow each interface's deliver.
         self._inner_deliver: Dict[Interface, Callable[[Packet], None]] = {}
         for iface in (link.a, link.b):
             self._install_receiver(iface)
@@ -267,18 +266,7 @@ class LinkGuard:
         def deliver(packet: Packet, _self=self, _iface=iface) -> None:
             _self._receive(_iface, packet)
 
-        def deliver_batch(
-            packets: List[Packet], _self=self, _iface=iface
-        ) -> None:
-            # Per-frame processing in cohort order: the released stream
-            # (taps, rx accounting, node.receive) is identical to the
-            # scalar kernel's per-packet deliveries.
-            receive = _self._receive
-            for packet in packets:
-                receive(_iface, packet)
-
         iface.deliver = deliver  # type: ignore[method-assign]
-        iface.deliver_batch = deliver_batch  # type: ignore[method-assign]
 
     def detach(self) -> None:
         """Restore the link and both interfaces to their unguarded paths."""
@@ -290,7 +278,6 @@ class LinkGuard:
             if iface in self._inner_deliver:
                 try:
                     del iface.deliver
-                    del iface.deliver_batch
                 except AttributeError:
                     pass
         self._inner_deliver.clear()

@@ -11,9 +11,8 @@ than re-checking all three conditions per packet, the link precomputes one
 ``_fast`` flag and invalidates it whenever any of the three change —
 ``taps`` is an observed list (:class:`_TapList`), and ``loss_probability``
 / ``fault_injector`` are properties.  The fast path is then a single flag
-test plus a fire-and-forget :meth:`~repro.sim.simulator.Simulator.post_delivery`,
-which the batch kernel can coalesce into one callback per same-instant
-cohort.
+test plus a fire-and-forget :meth:`~repro.sim.simulator.Simulator.post`
+of the peer's bound ``deliver``.
 """
 
 from __future__ import annotations
@@ -160,7 +159,7 @@ class Link:
                 dst = self.a
             else:
                 raise ValueError(f"{src} is not attached to {self}")
-            self.sim.post_delivery(self.propagation_ns, dst, packet)
+            self.sim.post(self.propagation_ns, dst.deliver, packet)
             return
         self._carry_slow(src, packet)
 
@@ -177,7 +176,7 @@ class Link:
         if self._fault_injector is not None:
             self._fault_injector.carry(self, src, packet)
             return
-        self.sim.post_delivery(self.propagation_ns, dst, packet)
+        self.sim.post(self.propagation_ns, dst.deliver, packet)
 
     def __repr__(self) -> str:
         return (

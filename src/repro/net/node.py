@@ -142,23 +142,6 @@ class Interface:
                 tap(packet)
         self.node.receive(packet, self)
 
-    def deliver_batch(self, packets: List[Packet]) -> None:
-        """Deliver a same-instant cohort of packets arriving on this interface.
-
-        Called by the batch kernel when adjacent deliveries coalesce.  Taps
-        and rx accounting run per packet, in arrival order, exactly as if
-        :meth:`deliver` had been called for each — only the hand-off into
-        the node is batched.
-        """
-        self.rx_packets += len(packets)
-        self.rx_bytes += sum(p.wire_len for p in packets)
-        taps = self.rx_taps
-        if taps:
-            for packet in packets:
-                for tap in taps:
-                    tap(packet)
-        self.node.receive_batch(packets, self)
-
     def __repr__(self) -> str:
         return f"<Interface {self.node.name}:{self.name} mac={self.mac}>"
 
@@ -191,16 +174,6 @@ class Node:
     def receive(self, packet: Packet, interface: Interface) -> None:
         """Handle an arriving packet.  Subclasses override."""
         raise NotImplementedError
-
-    def receive_batch(self, packets: List[Packet], interface: Interface) -> None:
-        """Handle a same-instant cohort of packets from *interface*.
-
-        Default: loop over :meth:`receive`.  Hot nodes (switch, host)
-        override to hoist per-packet lookups out of the loop.
-        """
-        receive = self.receive
-        for packet in packets:
-            receive(packet, interface)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

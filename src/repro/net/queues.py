@@ -9,7 +9,7 @@ pools, PFC pause) on top of the same interface.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, Optional
+from typing import Deque, Optional
 
 from .packet import Packet
 
@@ -66,16 +66,6 @@ class TxQueue:
         self._depth_bytes += size
         self.enqueued_packets += 1
         return True
-
-    def offer_many(self, packets: Iterable[Packet]) -> int:
-        """Offer each packet in order; returns how many were admitted.
-
-        Per-packet admission (not all-or-nothing): a batch delivered in one
-        callback must fill the queue exactly as the same packets offered one
-        at a time would, including which tail packets get dropped.
-        """
-        offer = self.offer
-        return sum(1 for packet in packets if offer(packet))
 
     def poll(self) -> Optional[Packet]:
         """Dequeue the next packet, or None if empty."""

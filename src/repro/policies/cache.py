@@ -123,8 +123,8 @@ class CachePolicy(Policy):
 class FifoCachePolicy(CachePolicy):
     """The original fixed policy: an :class:`ExactMatchTable` with
     oldest-first eviction — preserved byte-for-byte (same table name,
-    same insert/evict sequence) so fixed-seed runs and cross-kernel
-    wire-trace tests reproduce exactly what the hard-wired cache did.
+    same insert/evict sequence) so fixed-seed runs and the pinned
+    wire-trace hashes reproduce exactly what the hard-wired cache did.
     """
 
     policy_name = "fifo"

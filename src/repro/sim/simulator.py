@@ -31,14 +31,10 @@ simulated packet costs several events):
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, List, Optional
 
 from .events import ARGS, CALLBACK, TIME, Event
 from ..obs import Observability
-
-if TYPE_CHECKING:
-    from ..net.node import Interface
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -47,46 +43,6 @@ _INF = float("inf")
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulator (e.g. scheduling in the past)."""
-
-
-#: Names of the available kernel implementations (see :func:`set_default_kernel`).
-KERNELS = ("scalar", "batch")
-
-#: The kernel ``Simulator()`` instantiates when no explicit choice is made.
-_default_kernel = "scalar"
-
-
-def default_kernel() -> str:
-    """The kernel mode a bare ``Simulator()`` call currently selects."""
-    return _default_kernel
-
-
-def set_default_kernel(mode: str) -> None:
-    """Select the kernel every subsequent ``Simulator()`` builds.
-
-    ``"scalar"`` (the default) is the classic binary-heap loop below;
-    ``"batch"`` is the columnar bucketed calendar in
-    :mod:`repro.sim.batch`.  Both fire events in identical ``(time,
-    scheduling-order)`` sequence — batch mode is a throughput
-    optimisation, not a semantic switch — so fixed-seed runs produce
-    byte-identical wire traces in either mode (asserted by the
-    determinism and wire-fidelity test suites).
-    """
-    global _default_kernel
-    if mode not in KERNELS:
-        raise SimulationError(f"unknown kernel {mode!r}, expected one of {KERNELS}")
-    _default_kernel = mode
-
-
-@contextmanager
-def kernel_mode(mode: str) -> Iterator[str]:
-    """Scope the default kernel: ``with kernel_mode("batch"): ...``."""
-    previous = _default_kernel
-    set_default_kernel(mode)
-    try:
-        yield mode
-    finally:
-        set_default_kernel(previous)
 
 
 class Simulator:
@@ -101,26 +57,7 @@ class Simulator:
 
     __slots__ = ("_heap", "_now", "_seq", "_events_processed", "_running", "obs")
 
-    #: Kernel mode name; the batch subclass overrides it.
-    kernel = "scalar"
-
-    def __new__(cls, kernel: Optional[str] = None) -> "Simulator":
-        # A bare ``Simulator()`` honours the process default (see
-        # set_default_kernel); an explicit subclass always wins.
-        if cls is Simulator:
-            mode = kernel if kernel is not None else _default_kernel
-            if mode != "scalar":
-                if mode not in KERNELS:
-                    raise SimulationError(
-                        f"unknown kernel {mode!r}, expected one of {KERNELS}"
-                    )
-                from .batch import BatchSimulator
-
-                return object.__new__(BatchSimulator)
-        return object.__new__(cls)
-
-    def __init__(self, kernel: Optional[str] = None) -> None:
-        # ``kernel`` is consumed by __new__ (it selects the class).
+    def __init__(self) -> None:
         self._heap: List[Event] = []
         self._now: float = 0.0
         self._seq: int = 0
@@ -156,15 +93,6 @@ class Simulator:
         """
         return sum(1 for event in self._heap if event[CALLBACK] is not None)
 
-    @property
-    def pending_events(self) -> int:
-        """Alias for :attr:`active_events`.
-
-        Historical note: this used to report the raw heap length,
-        *including* lazily-deleted cancelled events; it now excludes them.
-        """
-        return self.active_events
-
     # -- scheduling ------------------------------------------------------------
     #
     # Every entry point builds the same heap entry, ``[time, seq, callback,
@@ -178,11 +106,12 @@ class Simulator:
     # ``schedule``/``schedule_at`` wrap the entry in an :class:`Event` (a
     # list subclass) and hand it back for cancellation.  The hot paths
     # (link delivery, serializer completion, pipeline passes, RNIC engines)
-    # never cancel, so ``post``/``post_delivery`` push the bare list: a
-    # display instead of a class call, and the heap still compares entries
-    # of either kind in C.  Firing order is the same for all four and for
-    # both kernels; the batch kernel additionally coalesces adjacent
-    # ``post_delivery`` entries for one interface into one callback.
+    # never cancel, so ``post`` pushes the bare list: a display instead of
+    # a class call, and the heap still compares entries of either kind in
+    # C.  Firing order is the same for all three.  A callback is resolved
+    # when its entry is pushed: a link posts ``dst.deliver``, bound when
+    # the frame leaves, so a LinkGuard attached or detached mid-flight
+    # changes only the frames sent after it.
 
     def schedule(
         self, delay_ns: float, callback: Callable[..., Any], *args: Any
@@ -226,20 +155,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         _heappush(self._heap, [self._now + delay_ns, seq, callback, args])
-
-    def post_delivery(self, delay_ns: float, interface: "Interface", packet: Any) -> None:
-        """Schedule ``interface.deliver(packet)`` with no cancellation handle.
-
-        The tagged form of :meth:`post` the batch kernel keys its
-        link-delivery coalescing on.
-        """
-        if not 0.0 <= delay_ns < _INF:
-            raise SimulationError(
-                f"delay must be finite and >= 0, got {delay_ns}ns"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        _heappush(self._heap, [self._now + delay_ns, seq, interface.deliver, (packet,)])
 
     # -- execution -------------------------------------------------------------
 

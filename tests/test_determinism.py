@@ -5,27 +5,24 @@ check it end to end, through the RDMA stack, primitives and workloads.
 The event-trace tests pin down the kernel-level guarantee directly (exact
 firing order, including FIFO tie-breaks and cancellations), so a fast-path
 regression in the simulator shows up here before it scrambles a figure.
+The seed-42 chaos run's wire trace is pinned by its SHA-256.
 """
 
+import hashlib
 import random
 from dataclasses import asdict
-
-import pytest
 
 from repro.experiments.baremetal import run_baremetal
 from repro.experiments.fig3b import run_fig3b_point
 from repro.experiments.incast import run_incast
 from repro.experiments.kv_cache import run_kv_cache
-from repro.sim.simulator import Simulator, kernel_mode
-
-#: Both kernels must satisfy every determinism guarantee in this module.
-MODES = ("scalar", "batch")
+from repro.sim.simulator import Simulator
 
 
-def _random_workload_trace(seed: int, n: int = 400, mode: str = "scalar"):
+def _random_workload_trace(seed: int, n: int = 400):
     """Drive a simulator with a seeded random event mix; return the trace."""
     rng = random.Random(seed)
-    sim = Simulator(kernel=mode)
+    sim = Simulator()
     trace = []
     cancellable = []
 
@@ -45,26 +42,15 @@ def _random_workload_trace(seed: int, n: int = 400, mode: str = "scalar"):
     return trace, sim.now, sim.events_processed
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_event_trace_deterministic(mode):
+def test_event_trace_deterministic():
     """Identical seeds produce byte-identical event traces."""
-    assert _random_workload_trace(7, mode=mode) == _random_workload_trace(7, mode=mode)
-    assert _random_workload_trace(8, mode=mode) == _random_workload_trace(8, mode=mode)
+    assert _random_workload_trace(7) == _random_workload_trace(7)
+    assert _random_workload_trace(8) == _random_workload_trace(8)
 
 
-@pytest.mark.parametrize("seed", [7, 8, 42])
-def test_event_trace_identical_across_kernels(seed):
-    """The batch kernel fires the exact scalar sequence — same (time, tag)
-    trace, same final clock, same event count."""
-    assert _random_workload_trace(seed, mode="scalar") == _random_workload_trace(
-        seed, mode="batch"
-    )
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_event_trace_fifo_at_equal_times(mode):
+def test_event_trace_fifo_at_equal_times():
     """Events scheduled for the same instant fire in scheduling order."""
-    sim = Simulator(kernel=mode)
+    sim = Simulator()
     order = []
     for i in range(50):
         sim.schedule(5.0, order.append, i)
@@ -72,13 +58,12 @@ def test_event_trace_fifo_at_equal_times(mode):
     assert order == list(range(50))
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_run_in_slices_matches_run_to_completion(mode):
+def test_run_in_slices_matches_run_to_completion():
     """Draining via deadlines slice by slice equals one uninterrupted run."""
-    full, full_now, full_count = _random_workload_trace(11, n=300, mode=mode)
+    full, full_now, full_count = _random_workload_trace(11, n=300)
 
     rng = random.Random(11)
-    sim = Simulator(kernel=mode)
+    sim = Simulator()
     trace = []
     cancellable = []
 
@@ -100,22 +85,10 @@ def test_run_in_slices_matches_run_to_completion(mode):
     assert sim.events_processed == full_count
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_fig3b_point_deterministic(mode):
-    with kernel_mode(mode):
-        a = run_fig3b_point(256, packets=800)
-        b = run_fig3b_point(256, packets=800)
+def test_fig3b_point_deterministic():
+    a = run_fig3b_point(256, packets=800)
+    b = run_fig3b_point(256, packets=800)
     assert asdict(a) == asdict(b)
-
-
-def test_fig3b_point_identical_across_kernels():
-    """A full experiment (switch + RNIC + workload) produces field-identical
-    results whichever kernel runs it."""
-    with kernel_mode("scalar"):
-        scalar = run_fig3b_point(256, packets=800)
-    with kernel_mode("batch"):
-        batch = run_fig3b_point(256, packets=800)
-    assert asdict(scalar) == asdict(batch)
 
 
 def test_incast_deterministic():
@@ -124,26 +97,18 @@ def test_incast_deterministic():
     assert asdict(a) == asdict(b)
 
 
-def test_incast_identical_across_kernels():
-    with kernel_mode("scalar"):
-        scalar = run_incast("remote_buffer", scale=0.02, n_memory_servers=2)
-    with kernel_mode("batch"):
-        batch = run_incast("remote_buffer", scale=0.02, n_memory_servers=2)
-    assert asdict(scalar) == asdict(batch)
-
-
-def test_chaos_run_identical_across_kernels():
+def test_chaos_run_is_pinned_and_repeats():
     """Seed-42 chaos run — IidLoss on the server link, then the blackout →
-    degrade → reconnect scenario — produces identical results, a
-    byte-identical wire trace, and a field-identical metric snapshot in
-    both kernels."""
+    degrade → reconnect scenario: its wire trace hashes to the pin, and a
+    second run gives identical results and a field-identical metric
+    snapshot."""
     from repro.experiments.chaos import run_chaos_point, run_chaos_recovery
     from repro.obs import Observability
     from repro.obs.trace import WireTrace
 
-    def run(mode):
+    def run():
         obs = Observability(trace=WireTrace())
-        with kernel_mode(mode), obs.activate():
+        with obs.activate():
             point = run_chaos_point(
                 loss_rate=0.05, packets=300, flows=8, counters=64, seed=42
             )
@@ -155,13 +120,12 @@ def test_chaos_run_identical_across_kernels():
             obs.registry.snapshot(),
         )
 
-    scalar = run("scalar")
-    batch = run("batch")
-    assert scalar[0] == batch[0]  # chaos sweep point results
-    assert scalar[1] == batch[1]  # recovery scenario results
-    assert scalar[2] == batch[2]  # wire trace, byte for byte
-    assert scalar[3] == batch[3]  # metric registry snapshot
-    assert len(scalar[2]) > 0 and len(scalar[3]) > 0
+    first = run()
+    assert hashlib.sha256(first[2].encode()).hexdigest() == (
+        "dc60d64c80380d25d701841dd6f246640368fa0ee30178c3f57727324dcf75df"
+    )
+    assert run() == first
+    assert len(first[3]) > 0
 
 
 def test_baremetal_deterministic_per_seed():

@@ -13,8 +13,9 @@ around a call budget with **placement frozen**.  Five angles:
 (iii) the ``FiveTuple`` contract (a named tuple that hashes like its fields);
 (iv)  cProfile budget guards on calls per install / per admit;
 (v)   regressions: sharded install bookkeeping, the stale SRAM copy (and
-      its refill by a READ that raced the re-install), the T0-index leak
-      and the wider ``check_invariant()``.
+      its refill by a READ that raced the re-install), the T0-index leak,
+      the wider ``check_invariant()`` and the stale remote slot a
+      multi-move insert left (``remote_slots_agree``).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.api import (
     StateStoreConfig,
     build_testbed,
 )
+from repro.core.lookup_table import ACTION_BYTES, fingerprint_of
 from repro.cuckoo.layout import (
     CuckooConfig,
     CuckooDirectory,
@@ -683,3 +685,57 @@ def test_check_invariant_audits_the_bookkeeping_too():
     assert broken.check_invariant()
     assert broken.slot_key(SlotRef(T0, 99, 0)) is None
     assert broken.slot_key(SlotRef(2, 0, 0)) is None and broken.slot_key(SlotRef(T1, 0, 9)) is None
+
+
+def remote_slots_agree(table: RemoteLookupTable) -> list:
+    """Every cuckoo slot whose remote bytes disagree with the directory.
+
+    A slot the directory gives a key holds a valid entry with that key's
+    fingerprint; a slot it holds empty is all zero.  Returns the
+    disagreeing slots' refs, so an agreeing table returns ``[]``.
+    """
+    directory, region = table.directory, table.channel.region
+    per_bucket = table.config.slots_per_bucket
+    bad = []
+    for index in range(table.config.pairs):
+        pair = region.read(table.entry_address(index), table.config.bucket_pair_bytes)
+        for side in (T0, T1):
+            for slot in range(per_bucket):
+                ref = SlotRef(side, index, slot)
+                at = (side * per_bucket + slot) * ACTION_BYTES
+                data = pair[at:at + ACTION_BYTES]
+                key = directory.slot_key(ref)
+                if key is None:
+                    agrees = data == bytes(ACTION_BYTES)
+                else:
+                    valid, _, fingerprint = RemoteAction.unpack(data)
+                    agrees = valid and fingerprint == fingerprint_of(key)
+                if not agrees:
+                    bad.append(ref)
+    return bad
+
+
+@pytest.mark.parametrize("seed", [3, 11, 13])
+def test_a_multi_move_insert_leaves_no_stale_remote_slot(seed):
+    # At these seeds some insert's kick chain writes a slot and then
+    # vacates it again; the directory holds it empty, so must memory.
+    tb = build_testbed(n_hosts=2, seed=seed)
+    config = LookupTableConfig(
+        entries=1 << 7, cache_entries=0, layout="cuckoo",
+        packet_slot_bytes=256, hash_seed=seed,
+    )
+    channel = tb.controller.open_channel(tb.memory_server, tb.server_port, config.region_bytes)
+    table = RemoteLookupTable(tb.switch, channel, config=config)
+    rng = random.Random(seed)
+    action = RemoteAction(ACTION_SET_DSCP, 1)
+    while True:
+        flow = FiveTuple(
+            rng.getrandbits(32), rng.getrandbits(32), 17,
+            rng.getrandbits(16), rng.getrandbits(16),
+        )
+        try:
+            table.install(flow, action)
+        except CuckooFullError:
+            break
+        assert remote_slots_agree(table) == [], table.directory.load
+    assert table.directory.load > 0.7

@@ -21,7 +21,6 @@ from repro.linkguard.guard import LinkGuard, LinkGuardConfig, PROTECTION_LEVELS
 from repro.linkguard.shim import ETHERTYPE_LINKGUARD, GuardShimHeader, guard_checksum
 from repro.rdma.packets import integrity_protected
 from repro.resilience.breaker import CircuitBreaker, CircuitBreakerConfig
-from repro.sim.simulator import kernel_mode
 from repro.sim.units import gbps, usec
 from repro.workloads.perftest import PacketSink, RawEthernetBw
 
@@ -29,7 +28,6 @@ DST_PORT = 20_000
 
 
 def _guarded_run(
-    mode="scalar",
     protection="full-ordered",
     config=None,
     corrupt=0.02,
@@ -40,35 +38,34 @@ def _guarded_run(
     direction="both",
 ):
     """Raw forwarding through the switch with a guarded, faulty host link."""
-    with kernel_mode(mode):
-        tb = build_testbed(n_hosts=2, with_memory_server=False)
-        program = CountingProgram()
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
-        link = tb.host_links[1]
-        if config is not None:
-            guard = LinkGuard(link, config=config)
-        else:
-            guard = LinkGuard(link, protection=protection)
-        injector = LinkFaultInjector(
-            link, rng=random.Random(seed), direction=direction
-        )
-        if shape is not None:
-            shape(injector)
-        else:
-            if corrupt:
-                injector.arm(Corrupt(corrupt))
-            if loss:
-                injector.arm(IidLoss(loss))
-        sink = PacketSink(tb.hosts[1], dst_port=DST_PORT)
-        gen = RawEthernetBw(
-            tb.sim, tb.hosts[0], tb.hosts[1],
-            packet_size=256, rate_bps=gbps(5), count=count,
-        )
-        gen.start()
-        tb.sim.run()
-        return tb, guard, injector, sink, gen
+    tb = build_testbed(n_hosts=2, with_memory_server=False)
+    program = CountingProgram()
+    for host, port in zip(tb.hosts, tb.host_ports):
+        program.install(host.eth.mac, port)
+    tb.switch.bind_program(program)
+    link = tb.host_links[1]
+    if config is not None:
+        guard = LinkGuard(link, config=config)
+    else:
+        guard = LinkGuard(link, protection=protection)
+    injector = LinkFaultInjector(
+        link, rng=random.Random(seed), direction=direction
+    )
+    if shape is not None:
+        shape(injector)
+    else:
+        if corrupt:
+            injector.arm(Corrupt(corrupt))
+        if loss:
+            injector.arm(IidLoss(loss))
+    sink = PacketSink(tb.hosts[1], dst_port=DST_PORT)
+    gen = RawEthernetBw(
+        tb.sim, tb.hosts[0], tb.hosts[1],
+        packet_size=256, rate_bps=gbps(5), count=count,
+    )
+    gen.start()
+    tb.sim.run()
+    return tb, guard, injector, sink, gen
 
 
 class TestShimCodec:
@@ -125,17 +122,16 @@ class TestConfig:
             )
 
 
-@pytest.mark.parametrize("mode", ["scalar", "batch"])
 class TestFullOrdered:
-    def test_masks_loss_and_corruption_in_order(self, mode):
-        tb, guard, injector, sink, gen = _guarded_run(mode=mode)
+    def test_masks_loss_and_corruption_in_order(self):
+        tb, guard, injector, sink, gen = _guarded_run()
         assert sink.packets == gen.report.packets_sent
         assert sink.out_of_order == 0
         assert guard.counts["masked_losses"] > 0
         assert guard.counts["corrupt_dropped"] > 0
         assert guard.counts["unmasked_losses"] == 0
 
-    def test_tail_drop_recovers_by_timeout(self, mode):
+    def test_tail_drop_recovers_by_timeout(self):
         # Drop exactly the last data frame (guard seq 19): no later
         # frame exposes the hole at the receiver, so only the
         # sender-side tail timer can recover it.
@@ -172,7 +168,7 @@ class TestFullOrdered:
                 return kept
 
         tb, guard, injector, sink, gen = _guarded_run(
-            mode=mode, count=20, shape=lambda inj: inj.arm(DropLastData(19))
+            count=20, shape=lambda inj: inj.arm(DropLastData(19))
         )
         assert sink.packets == 20
         assert guard.counts["tail_timeouts"] >= 1
@@ -283,54 +279,53 @@ class TestBufferExhaustion:
         ``on_exhausted`` hooks; wiring those into a circuit breaker
         (strike per event) turns sustained exhaustion into an open
         breaker, the §11 machinery taking over where §14 gives up."""
-        with kernel_mode("scalar"):
-            tb = build_testbed(n_hosts=2, with_memory_server=False)
-            program = CountingProgram()
-            for host, port in zip(tb.hosts, tb.host_ports):
-                program.install(host.eth.mac, port)
-            tb.switch.bind_program(program)
-            link = tb.host_links[1]
-            guard = LinkGuard(
-                link,
-                config=LinkGuardConfig(buffer_packets=2, ack_every=64),
-            )
-            breaker = CircuitBreaker(
-                tb.sim,
-                "linkguard-escalation",
-                config=CircuitBreakerConfig(
-                    fail_threshold=3, close_threshold=1
-                ),
-            )
-            # Resolve every half-open probe successfully (the link is
-            # lossy, not dead) — otherwise the unattended breaker would
-            # re-trip and reschedule probes forever.
-            breaker.on_half_open.append(lambda b: b.record("progress"))
-            hook_hits = []
+        tb = build_testbed(n_hosts=2, with_memory_server=False)
+        program = CountingProgram()
+        for host, port in zip(tb.hosts, tb.host_ports):
+            program.install(host.eth.mac, port)
+        tb.switch.bind_program(program)
+        link = tb.host_links[1]
+        guard = LinkGuard(
+            link,
+            config=LinkGuardConfig(buffer_packets=2, ack_every=64),
+        )
+        breaker = CircuitBreaker(
+            tb.sim,
+            "linkguard-escalation",
+            config=CircuitBreakerConfig(
+                fail_threshold=3, close_threshold=1
+            ),
+        )
+        # Resolve every half-open probe successfully (the link is
+        # lossy, not dead) — otherwise the unattended breaker would
+        # re-trip and reschedule probes forever.
+        breaker.on_half_open.append(lambda b: b.record("progress"))
+        hook_hits = []
 
-            def escalate(g, lane, seq):
-                hook_hits.append((lane, seq))
-                breaker.record("strike")
+        def escalate(g, lane, seq):
+            hook_hits.append((lane, seq))
+            breaker.record("strike")
 
-            guard.on_exhausted.append(escalate)
-            injector = LinkFaultInjector(link, rng=random.Random(42))
-            injector.arm(IidLoss(0.10))
-            sink = PacketSink(tb.hosts[1], dst_port=DST_PORT)
-            gen = RawEthernetBw(
-                tb.sim, tb.hosts[0], tb.hosts[1],
-                packet_size=256, rate_bps=gbps(20), count=200,
-            )
-            gen.start()
-            tb.sim.run()
+        guard.on_exhausted.append(escalate)
+        injector = LinkFaultInjector(link, rng=random.Random(42))
+        injector.arm(IidLoss(0.10))
+        sink = PacketSink(tb.hosts[1], dst_port=DST_PORT)
+        gen = RawEthernetBw(
+            tb.sim, tb.hosts[0], tb.hosts[1],
+            packet_size=256, rate_bps=gbps(20), count=200,
+        )
+        gen.start()
+        tb.sim.run()
 
-            assert guard.counts["buffer_exhausted"] > 0
-            assert len(hook_hits) == guard.counts["buffer_exhausted"]
-            assert breaker.opens >= 1
-            # Unprotected frames that were then lost are *reported*
-            # (RESYNC + unmasked counter), never silently stranded —
-            # and the stream still terminates.
-            assert guard.counts["resyncs"] > 0
-            assert guard.counts["unmasked_losses"] > 0
-            assert sink.packets < gen.report.packets_sent
+        assert guard.counts["buffer_exhausted"] > 0
+        assert len(hook_hits) == guard.counts["buffer_exhausted"]
+        assert breaker.opens >= 1
+        # Unprotected frames that were then lost are *reported*
+        # (RESYNC + unmasked counter), never silently stranded —
+        # and the stream still terminates.
+        assert guard.counts["resyncs"] > 0
+        assert guard.counts["unmasked_losses"] > 0
+        assert sink.packets < gen.report.packets_sent
 
 
 class TestMetricsAndTrace:

@@ -16,7 +16,7 @@ from repro.obs import Observability
 from repro.obs.registry import Counter, Gauge, Histogram, MetricRegistry
 from repro.obs.trace import WireTrace
 from repro.rdma.constants import ATOMIC_OPERAND_BYTES
-from repro.sim.simulator import Simulator, kernel_mode
+from repro.sim.simulator import Simulator
 from repro.testbed import build_testbed
 from repro.workloads.perftest import RawEthernetBw
 
@@ -212,13 +212,8 @@ def test_end_to_end_trace_records_qp_timeline(tmp_path):
 # -- metrics parity with legacy stats ---------------------------------------
 
 
-def _run_fixed_seed_lookup(mode="scalar"):
+def _run_fixed_seed_lookup():
     """A small fixed-seed fig3a-style run; returns (table, registry)."""
-    with kernel_mode(mode):
-        return _run_fixed_seed_lookup_inner()
-
-
-def _run_fixed_seed_lookup_inner():
     from repro.core.lookup_table import (
         ACTION_SET_DSCP,
         LookupTableConfig,
@@ -257,9 +252,8 @@ def _run_fixed_seed_lookup_inner():
     return table, tb.sim.obs.registry
 
 
-@pytest.mark.parametrize("mode", ["scalar", "batch"])
-def test_registry_matches_legacy_stats_on_fixed_seed_run(mode):
-    table, registry = _run_fixed_seed_lookup(mode)
+def test_registry_matches_legacy_stats_on_fixed_seed_run():
+    table, registry = _run_fixed_seed_lookup()
     stats = dataclasses.asdict(table.stats)
     assert stats["remote_lookups"] > 0
     scope = table.metrics.name
@@ -270,8 +264,7 @@ def test_registry_matches_legacy_stats_on_fixed_seed_run(mode):
     assert registry.value(f"{scope}.hit_rate") == table.stats.hit_rate
 
 
-@pytest.mark.parametrize("mode", ["scalar", "batch"])
-def test_registry_is_deterministic_across_runs(mode):
+def test_registry_is_deterministic_across_runs():
     # QP numbers come from a process-global allocator, so mask the per-QP
     # gauge names; everything else must be byte-identical run to run.
     import re
@@ -284,8 +277,8 @@ def test_registry_is_deterministic_across_runs(mode):
         }
         return json.dumps(doc, sort_keys=True)
 
-    _, reg_a = _run_fixed_seed_lookup(mode)
-    _, reg_b = _run_fixed_seed_lookup(mode)
+    _, reg_a = _run_fixed_seed_lookup()
+    _, reg_b = _run_fixed_seed_lookup()
     assert normalized(reg_a) == normalized(reg_b)
 
 

@@ -1,18 +1,17 @@
-"""Tests for the discrete-event simulator kernel.
+"""Tests for the discrete-event simulator kernel: ordering, cancellation,
+deadlines, budgets, reentrancy, and fire-and-forget ``post`` entries."""
 
-The ``sim`` fixture override below runs this whole module against BOTH
-kernels — every contract here (ordering, cancellation, deadlines,
-budgets, reentrancy) is kernel-independent by design.
-"""
+import random
 
 import pytest
 
 from repro.sim.simulator import SimulationError, Simulator
 
 
-@pytest.fixture(params=["scalar", "batch"])
-def sim(request) -> Simulator:
-    return Simulator(kernel=request.param)
+@pytest.fixture(params=["scalar"])
+def sim() -> Simulator:
+    """The one event kernel; the ``scalar`` id keeps these test ids stable."""
+    return Simulator()
 
 
 def test_clock_starts_at_zero(sim):
@@ -84,7 +83,7 @@ def test_run_until_deadline_leaves_later_events_pending(sim):
     sim.run(until_ns=50.0)
     assert fired == ["early"]
     assert sim.now == 50.0
-    assert sim.pending_events == 1
+    assert sim.active_events == 1
     sim.run()
     assert fired == ["early", "late"]
 
@@ -95,7 +94,7 @@ def test_run_for_advances_relative(sim):
     sim.schedule(15.0, lambda: None)
     sim.run_for(10.0)
     assert sim.now == 30.0
-    assert sim.pending_events == 1
+    assert sim.active_events == 1
 
 
 def test_max_events_budget(sim):
@@ -145,12 +144,11 @@ def test_reentrant_run_rejected(sim):
 def test_cancelled_events_excluded_from_pending(sim):
     live = sim.schedule(5.0, lambda: None)
     doomed = [sim.schedule(1.0, lambda: None) for _ in range(10)]
-    assert sim.pending_events == 11
+    assert sim.active_events == 11
     for event in doomed:
         event.cancel()
-    # Lazily-deleted entries are still in the heap, but neither
-    # pending_events nor active_events counts them.
-    assert sim.pending_events == 1
+    # Lazily-deleted entries are still in the heap, but active_events
+    # does not count them.
     assert sim.active_events == 1
     live.cancel()
     assert sim.active_events == 0
@@ -164,9 +162,9 @@ def test_cancelled_head_purged_at_deadline(sim):
     doomed.cancel()
     sim.run(until_ns=15.0)
     assert sim.now == 15.0
-    assert sim.pending_events == 1  # only the t=20 event remains
+    assert sim.active_events == 1  # only the t=20 event remains
     sim.run()
-    assert sim.pending_events == 0
+    assert sim.active_events == 0
 
 
 def test_cancelled_event_beyond_deadline_not_counted(sim):
@@ -174,7 +172,7 @@ def test_cancelled_event_beyond_deadline_not_counted(sim):
     doomed.cancel()
     sim.schedule(1.0, lambda: None)
     sim.run(until_ns=5.0)
-    assert sim.pending_events == 0
+    assert sim.active_events == 0
 
 
 def test_cancel_after_fire_is_harmless(sim):
@@ -265,3 +263,89 @@ def test_step_inside_a_callback_rejected(sim):
     with pytest.raises(SimulationError):
         sim.schedule(1.0, peek_ahead)
         sim.step()
+
+
+# -- post: fire-and-forget entries ----------------------------------------------
+
+
+def test_post_orders_with_scheduled_events(sim):
+    out = []
+    sim.schedule(5.0, out.append, "sched-1")
+    sim.post(5.0, out.append, "post")
+    sim.schedule(5.0, out.append, "sched-2")
+    sim.post(5.0, lambda: out.append("post-noargs"))
+    sim.run()
+    assert out == ["sched-1", "post", "sched-2", "post-noargs"]
+
+
+def test_posted_events_count_as_active(sim):
+    sim.post(5.0, lambda: None)
+    sim.post(5.0, lambda _arg: None, "arg")
+    assert sim.active_events == 2
+    sim.run()
+    assert sim.active_events == 0
+    assert sim.events_processed == 2
+
+
+def test_post_negative_delay_rejected(sim):
+    # An infinite one is rejected in test_infinite_times_rejected.
+    with pytest.raises(SimulationError):
+        sim.post(-1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post(float("nan"), lambda: None)
+    assert sim.active_events == 0
+
+
+def test_zero_delay_post_fires_after_the_events_already_due(sim):
+    out = []
+
+    def first():
+        out.append("first")
+        sim.post(0.0, out.append, "reposted")
+
+    sim.post(5.0, first)
+    sim.post(5.0, out.append, "second")
+    sim.run()
+    assert out == ["first", "second", "reposted"]
+
+
+def test_step_fires_one_posted_event_at_a_time(sim):
+    out = []
+    for n in range(3):
+        sim.post(5.0, out.append, n)
+    assert sim.step() is True
+    assert out == [0]
+    assert sim.active_events == 2
+    while sim.step():
+        pass
+    assert out == [0, 1, 2]
+    assert sim.step() is False
+
+
+def _prime(sim, seed):
+    """Thirty posts that re-post at random; returns the (time, tag) log."""
+    rng = random.Random(seed)
+    out = []
+
+    def fire(tag):
+        out.append((sim.now, tag))
+        if rng.random() < 0.4:
+            sim.post(rng.choice([0.0, 1.5, 3.0]), fire, tag + "'")
+
+    for n in range(30):
+        sim.post(rng.choice([0.0, 1.0, 4.0]), fire, str(n))
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 99])
+def test_deadline_sliced_run_matches_a_straight_run(seed):
+    sliced = Simulator()
+    sliced_log = _prime(sliced, seed)
+    while sliced.active_events:
+        sliced.run(until_ns=sliced.now + 2.0)
+    straight = Simulator()
+    straight_log = _prime(straight, seed)
+    straight.run()
+    assert sliced_log == straight_log
+    assert len(straight_log) > 30
+    assert sliced.events_processed == straight.events_processed

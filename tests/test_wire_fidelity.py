@@ -4,7 +4,11 @@ The simulator moves structured packets for speed, but every header codec
 is byte-exact.  These tests tap live links, serialize everything that
 crosses them, re-parse the bytes, and assert the reconstructed packets
 match — including full RoCE exchanges driven by the switch data plane.
+Each seed-fixed scenario's tapped bytes are also pinned by SHA-256, so a
+change that moves a single byte on the wire fails here.
 """
+
+import hashlib
 
 import pytest
 
@@ -31,15 +35,14 @@ from repro.rdma.headers import (
 from repro.rdma.packets import convert_to_rocev1
 from repro.switches.hashing import FiveTuple
 from repro.workloads.perftest import RawEthernetBw
-from repro.sim.simulator import kernel_mode
 from repro.sim.units import gbps
 
 
 class WireChecker:
     """Link tap: packs each packet, re-parses, compares layer by layer.
 
-    Also keeps every packed frame (``self.raw``) so cross-kernel runs can
-    assert the wire bytes are identical, not merely well-formed.
+    Also keeps every packed frame (``self.raw``) so a test can pin the
+    wire bytes, not merely check that they are well-formed.
     """
 
     def __init__(self, link):
@@ -74,6 +77,15 @@ class WireChecker:
         self.checked += 1
 
 
+def _frames_sha256(frames) -> str:
+    """SHA-256 over *frames*, each prefixed with its 4-byte length."""
+    digest = hashlib.sha256()
+    for frame in frames:
+        digest.update(len(frame).to_bytes(4, "big"))
+        digest.update(frame)
+    return digest.hexdigest()
+
+
 def _reset_global_id_counters():
     """Pin the one process-global ID counter left to a fixed origin.
 
@@ -87,97 +99,86 @@ def _reset_global_id_counters():
     rdma_qp._wr_ids = itertools.count(1)
 
 
-def _run_state_store_traffic(mode):
+def _run_state_store_traffic():
     _reset_global_id_counters()
-    with kernel_mode(mode):
-        tb = build_testbed(n_hosts=2)
-        program = CountingProgram()
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
-        config = StateStoreConfig(counters=1 << 10)
-        channel = tb.controller.open_channel(
-            tb.memory_server, tb.server_port, config.counters * 8
-        )
-        store = RemoteStateStore(tb.switch, channel, config=config)
-        program.use_state_store(store)
-        checker = WireChecker(tb.server_link)
-        gen = RawEthernetBw(
-            tb.sim, tb.hosts[0], tb.hosts[1],
-            packet_size=256, rate_bps=gbps(10), count=50,
-        )
-        gen.start()
-        tb.sim.run()
+    tb = build_testbed(n_hosts=2)
+    program = CountingProgram()
+    for host, port in zip(tb.hosts, tb.host_ports):
+        program.install(host.eth.mac, port)
+    tb.switch.bind_program(program)
+    config = StateStoreConfig(counters=1 << 10)
+    channel = tb.controller.open_channel(
+        tb.memory_server, tb.server_port, config.counters * 8
+    )
+    store = RemoteStateStore(tb.switch, channel, config=config)
+    program.use_state_store(store)
+    checker = WireChecker(tb.server_link)
+    gen = RawEthernetBw(
+        tb.sim, tb.hosts[0], tb.hosts[1],
+        packet_size=256, rate_bps=gbps(10), count=50,
+    )
+    gen.start()
+    tb.sim.run()
     return checker
 
 
-@pytest.mark.parametrize("mode", ["scalar", "batch"])
-def test_state_store_traffic_is_byte_faithful(mode):
-    checker = _run_state_store_traffic(mode)
+def test_state_store_traffic_is_byte_faithful():
+    checker = _run_state_store_traffic()
     assert checker.roce_checked > 0
     # Every packet on the server link is RoCE (requests + atomic acks).
     assert checker.roce_checked == checker.checked
+    assert _frames_sha256(checker.raw) == (
+        "4d04643543148ee01c8408de69b36a454e6185230d4ff7a7c5b1486da713763b"
+    )
 
 
-def test_state_store_traffic_identical_across_kernels():
-    """Seed-fixed run: the exact bytes crossing the server link must match
-    between kernels, packet for packet."""
-    scalar = _run_state_store_traffic("scalar")
-    batch = _run_state_store_traffic("batch")
-    assert scalar.raw == batch.raw
-    assert len(scalar.raw) == scalar.checked
-
-
-def _run_lookup_bounce_traffic(mode):
+def _run_lookup_bounce_traffic():
     _reset_global_id_counters()
-    with kernel_mode(mode):
-        tb = build_testbed(n_hosts=2)
-        program = RemoteLookupProgram()
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
-        config = LookupTableConfig(entries=1 << 10, cache_entries=0)
-        channel = tb.controller.open_channel(
-            tb.memory_server, tb.server_port,
-            config.entries * config.entry_bytes,
-        )
-        table = RemoteLookupTable(tb.switch, channel, config=config)
-        program.use_lookup_table(table)
-        flow = FiveTuple(
-            src_ip=tb.hosts[0].eth.ip.value,
-            dst_ip=tb.hosts[1].eth.ip.value,
-            protocol=17,
-            src_port=10_000,
-            dst_port=20_000,
-        )
-        table.install(flow, RemoteAction(ACTION_SET_DSCP, 9))
-        server_checker = WireChecker(tb.server_link)
-        host_checker = WireChecker(tb.host_links[1])
-        gen = RawEthernetBw(
-            tb.sim, tb.hosts[0], tb.hosts[1],
-            packet_size=512, rate_bps=gbps(5), count=20,
-        )
-        gen.start()
-        tb.sim.run()
+    tb = build_testbed(n_hosts=2)
+    program = RemoteLookupProgram()
+    for host, port in zip(tb.hosts, tb.host_ports):
+        program.install(host.eth.mac, port)
+    tb.switch.bind_program(program)
+    config = LookupTableConfig(entries=1 << 10, cache_entries=0)
+    channel = tb.controller.open_channel(
+        tb.memory_server, tb.server_port,
+        config.entries * config.entry_bytes,
+    )
+    table = RemoteLookupTable(tb.switch, channel, config=config)
+    program.use_lookup_table(table)
+    flow = FiveTuple(
+        src_ip=tb.hosts[0].eth.ip.value,
+        dst_ip=tb.hosts[1].eth.ip.value,
+        protocol=17,
+        src_port=10_000,
+        dst_port=20_000,
+    )
+    table.install(flow, RemoteAction(ACTION_SET_DSCP, 9))
+    server_checker = WireChecker(tb.server_link)
+    host_checker = WireChecker(tb.host_links[1])
+    gen = RawEthernetBw(
+        tb.sim, tb.hosts[0], tb.hosts[1],
+        packet_size=512, rate_bps=gbps(5), count=20,
+    )
+    gen.start()
+    tb.sim.run()
     return server_checker, host_checker
 
 
-@pytest.mark.parametrize("mode", ["scalar", "batch"])
-def test_lookup_bounce_traffic_is_byte_faithful(mode):
-    server_checker, host_checker = _run_lookup_bounce_traffic(mode)
+def test_lookup_bounce_traffic_is_byte_faithful():
+    server_checker, host_checker = _run_lookup_bounce_traffic()
     # 20 bounces: WRITE + READ per packet toward the server, plus responses.
     assert server_checker.roce_checked >= 60
     assert host_checker.checked == 20
+    assert _frames_sha256(server_checker.raw) == (
+        "5d79cea5af2711e31f6d7a57f37bb2d262c862ad804bbf4fb1625a687db342e9"
+    )
+    assert _frames_sha256(host_checker.raw) == (
+        "5b619378337fc4c8f3e3d51c6260d5364eab682a76d4cd5bb3fd2ec2b35eb1f5"
+    )
 
 
-def test_lookup_bounce_traffic_identical_across_kernels():
-    scalar_server, scalar_host = _run_lookup_bounce_traffic("scalar")
-    batch_server, batch_host = _run_lookup_bounce_traffic("batch")
-    assert scalar_server.raw == batch_server.raw
-    assert scalar_host.raw == batch_host.raw
-
-
-def _run_l4lb_migration_traffic(mode, seed=42):
+def _run_l4lb_migration_traffic(seed=42):
     """L4LB with a mid-run live migration: installs, VIP lookups, counter
     FAAs, and the migration's re-install all cross tapped links."""
     from repro.apps.l4lb import L4LbController, L4LbProgram
@@ -187,87 +188,85 @@ def _run_l4lb_migration_traffic(mode, seed=42):
     from repro.workloads.factory import udp_between
 
     _reset_global_id_counters()
-    with kernel_mode(mode):
-        tb = build_testbed(n_hosts=3, n_memory_servers=3, seed=seed)
-        pool = MemoryPool(tb.controller, seed=1)
-        for server, port in zip(tb.memory_servers[1:], tb.server_ports[1:]):
-            pool.add_server(server, port)
-        program = L4LbProgram("10.9.9.9")
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
-        config = LookupTableConfig(
-            entries=1 << 10, cache_entries=64, layout="cuckoo",
-            hash_seed=seed, policy="lru",
+    tb = build_testbed(n_hosts=3, n_memory_servers=3, seed=seed)
+    pool = MemoryPool(tb.controller, seed=1)
+    for server, port in zip(tb.memory_servers[1:], tb.server_ports[1:]):
+        pool.add_server(server, port)
+    program = L4LbProgram("10.9.9.9")
+    for host, port in zip(tb.hosts, tb.host_ports):
+        program.install(host.eth.mac, port)
+    tb.switch.bind_program(program)
+    config = LookupTableConfig(
+        entries=1 << 10, cache_entries=64, layout="cuckoo",
+        hash_seed=seed, policy="lru",
+    )
+    channel = tb.controller.open_channel(
+        tb.memory_servers[0], tb.server_ports[0], config.region_bytes,
+        name="l4lb:connections",
+    )
+    table = RemoteLookupTable(tb.switch, channel, config=config)
+    program.use_connection_table(table)
+    store = ReplicatedStateStore(
+        tb.switch,
+        pool,
+        config=StateStoreConfig(
+            counters=4, reliable=True, retry_timeout_ns=50_000.0
+        ),
+        replication=2,
+    )
+    program.use_counter_store(store)
+    controller = L4LbController(program, table, store, pool, seed=seed)
+    backends = [
+        controller.add_backend(
+            name, host.eth.ip, host.eth.mac, port
         )
-        channel = tb.controller.open_channel(
-            tb.memory_servers[0], tb.server_ports[0], config.region_bytes,
-            name="l4lb:connections",
-        )
-        table = RemoteLookupTable(tb.switch, channel, config=config)
-        program.use_connection_table(table)
-        store = ReplicatedStateStore(
-            tb.switch,
-            pool,
-            config=StateStoreConfig(
-                counters=4, reliable=True, retry_timeout_ns=50_000.0
-            ),
-            replication=2,
-        )
-        program.use_counter_store(store)
-        controller = L4LbController(program, table, store, pool, seed=seed)
-        backends = [
-            controller.add_backend(
-                name, host.eth.ip, host.eth.mac, port
-            )
-            for name, host, port in [
-                ("alpha", tb.hosts[1], tb.host_ports[1]),
-                ("beta", tb.hosts[2], tb.host_ports[2]),
-            ]
+        for name, host, port in [
+            ("alpha", tb.hosts[1], tb.host_ports[1]),
+            ("beta", tb.hosts[2], tb.host_ports[2]),
         ]
-        vip = Ipv4Address("10.9.9.9")
-        flows = [
-            FiveTuple(
-                src_ip=tb.hosts[0].eth.ip.value,
-                dst_ip=vip.value,
-                protocol=17,
-                src_port=10_000 + i,
-                dst_port=20_000,
-            )
-            for i in range(8)
-        ]
-        for flow in flows:
-            controller.admit(flow)
-        table_checker = WireChecker(tb.server_links[0])
-        counter_checker = WireChecker(tb.server_links[1])
-        backend_checker = WireChecker(tb.host_links[1])
+    ]
+    vip = Ipv4Address("10.9.9.9")
+    flows = [
+        FiveTuple(
+            src_ip=tb.hosts[0].eth.ip.value,
+            dst_ip=vip.value,
+            protocol=17,
+            src_port=10_000 + i,
+            dst_port=20_000,
+        )
+        for i in range(8)
+    ]
+    for flow in flows:
+        controller.admit(flow)
+    table_checker = WireChecker(tb.server_links[0])
+    counter_checker = WireChecker(tb.server_links[1])
+    backend_checker = WireChecker(tb.host_links[1])
 
-        def send(i):
-            packet = udp_between(
-                tb.hosts[0], tb.hosts[1], 128,
-                src_port=10_000 + i, dst_port=20_000,
-            )
-            packet.require(Ipv4Header).dst = vip
-            tb.hosts[0].send(packet)
+    def send(i):
+        packet = udp_between(
+            tb.hosts[0], tb.hosts[1], 128,
+            src_port=10_000 + i, dst_port=20_000,
+        )
+        packet.require(Ipv4Header).dst = vip
+        tb.hosts[0].send(packet)
 
-        for tick in range(24):
-            tb.sim.schedule_at(tick * 1_000.0, send, tick % 8)
+    for tick in range(24):
+        tb.sim.schedule_at(tick * 1_000.0, send, tick % 8)
 
-        def migrate_half():
-            for flow in flows[:4]:
-                source = controller.backends[controller.placement[flow]]
-                target = backends[1] if source is backends[0] else backends[0]
-                controller.migrate(flow, target, reason="drain")
+    def migrate_half():
+        for flow in flows[:4]:
+            source = controller.backends[controller.placement[flow]]
+            target = backends[1] if source is backends[0] else backends[0]
+            controller.migrate(flow, target, reason="drain")
 
-        tb.sim.schedule_at(11_500.0, migrate_half)
-        tb.sim.run()
+    tb.sim.schedule_at(11_500.0, migrate_half)
+    tb.sim.run()
     return table_checker, counter_checker, backend_checker, controller
 
 
-@pytest.mark.parametrize("mode", ["scalar", "batch"])
-def test_l4lb_migration_traffic_is_byte_faithful(mode):
+def test_l4lb_migration_traffic_is_byte_faithful():
     table_checker, counter_checker, backend_checker, controller = (
-        _run_l4lb_migration_traffic(mode)
+        _run_l4lb_migration_traffic()
     )
     # Installs + lookup bounces + the migration's re-installs: everything
     # on the table link is RoCE and round-trips byte-exactly.
@@ -278,19 +277,15 @@ def test_l4lb_migration_traffic_is_byte_faithful(mode):
     # Load-balanced data traffic actually reached a backend.
     assert backend_checker.checked > 0
     assert controller.stats.connections_migrated == 4
-
-
-def test_l4lb_migration_traffic_identical_across_kernels():
-    """Seed-42 L4LB migration: the exact bytes crossing the table link,
-    a counter-replica link, and a backend's host link must match between
-    kernels, packet for packet."""
-    scalar = _run_l4lb_migration_traffic("scalar")
-    batch = _run_l4lb_migration_traffic("batch")
-    for scalar_checker, batch_checker in zip(scalar[:3], batch[:3]):
-        assert scalar_checker.raw == batch_checker.raw
-        assert len(scalar_checker.raw) > 0
-    # The scenario is only meaningful if the migration actually ran.
-    assert scalar[3].stats.connections_migrated == 4
+    # Seed 42: the table link, a counter-replica link, a backend's link.
+    assert [
+        _frames_sha256(checker.raw)
+        for checker in (table_checker, counter_checker, backend_checker)
+    ] == [
+        "0040486567662043ac50099692dfd0587391cdd5ed7d3ef94b9d7397789db169",
+        "f72e36e9fbf61e755800429efab41ff514169feeb524d7483adb0f3a572e6f6f",
+        "5823273ca7b9e428b643a03256d0ff853e565225e1571d4c6ffc96f51f8acc6b",
+    ]
 
 
 class RawTap:
@@ -300,7 +295,7 @@ class RawTap:
     layers round-trip — but a guarded link carries 0x88B6-shimmed frames
     :meth:`Packet.parse` deliberately treats as opaque payload, so here
     we keep just the packed bytes (shims, resends, and standalone guard
-    ACK/NAK control frames included) for cross-kernel comparison.
+    ACK/NAK control frames included) for the pinned hash.
     """
 
     def __init__(self, link):
@@ -308,7 +303,7 @@ class RawTap:
         link.taps.append(lambda src, packet: self.raw.append(packet.pack()))
 
 
-def _run_guarded_store_traffic(mode, seed=42):
+def _run_guarded_store_traffic(seed=42):
     """Reliable store over a guarded, corrupting+losing server link."""
     import random
 
@@ -317,41 +312,39 @@ def _run_guarded_store_traffic(mode, seed=42):
     from repro.linkguard.guard import LinkGuard
 
     _reset_global_id_counters()
-    with kernel_mode(mode):
-        tb = build_testbed(n_hosts=2)
-        program = CountingProgram()
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
-        config = StateStoreConfig(
-            counters=1 << 10, reliable=True, retry_timeout_ns=50_000.0
-        )
-        channel = tb.controller.open_channel(
-            tb.memory_server, tb.server_port, config.counters * 8
-        )
-        store = RemoteStateStore(tb.switch, channel, config=config)
-        program.use_state_store(store)
-        guard = LinkGuard(tb.server_link)
-        tap = RawTap(tb.server_link)
-        injector = LinkFaultInjector(
-            tb.server_link, rng=random.Random(seed)
-        )
-        injector.arm(Corrupt(0.02))
-        injector.arm(IidLoss(0.02))
-        gen = RawEthernetBw(
-            tb.sim, tb.hosts[0], tb.hosts[1],
-            packet_size=256, rate_bps=gbps(10), count=50,
-        )
-        gen.start()
-        tb.sim.run()
+    tb = build_testbed(n_hosts=2)
+    program = CountingProgram()
+    for host, port in zip(tb.hosts, tb.host_ports):
+        program.install(host.eth.mac, port)
+    tb.switch.bind_program(program)
+    config = StateStoreConfig(
+        counters=1 << 10, reliable=True, retry_timeout_ns=50_000.0
+    )
+    channel = tb.controller.open_channel(
+        tb.memory_server, tb.server_port, config.counters * 8
+    )
+    store = RemoteStateStore(tb.switch, channel, config=config)
+    program.use_state_store(store)
+    guard = LinkGuard(tb.server_link)
+    tap = RawTap(tb.server_link)
+    injector = LinkFaultInjector(
+        tb.server_link, rng=random.Random(seed)
+    )
+    injector.arm(Corrupt(0.02))
+    injector.arm(IidLoss(0.02))
+    gen = RawEthernetBw(
+        tb.sim, tb.hosts[0], tb.hosts[1],
+        packet_size=256, rate_bps=gbps(10), count=50,
+    )
+    gen.start()
+    tb.sim.run()
     return tap, guard
 
 
-@pytest.mark.parametrize("mode", ["scalar", "batch"])
-def test_guarded_traffic_is_shimmed_on_the_wire(mode):
+def test_guarded_traffic_is_shimmed_on_the_wire():
     from repro.linkguard.shim import ETHERTYPE_LINKGUARD, GuardShimHeader
 
-    tap, guard = _run_guarded_store_traffic(mode)
+    tap, guard = _run_guarded_store_traffic()
     assert guard.counts["protected"] > 0
     # Every frame the tap saw carries the guard ethertype and a
     # well-formed shim right behind the Ethernet header.
@@ -364,21 +357,20 @@ def test_guarded_traffic_is_shimmed_on_the_wire(mode):
                 EthernetHeader.LENGTH + GuardShimHeader.LENGTH]
         )
         assert shim.kind in (0, 1, 2, 3)
+    # Seed 42: data frames, piggybacked acks, resends and standalone guard
+    # control frames, byte for byte; the guard masked real losses.
+    assert _frames_sha256(tap.raw) == (
+        "fe7d6878466f8fef7b635a1a92568a4468b73673dcd5419ce9589c8e1f0b8134"
+    )
+    assert guard.counts == {
+        "protected": 82, "masked_losses": 4, "resent": 4, "shim_bytes": 4392,
+        "reorder_fixed": 4, "corrupt_dropped": 1, "duplicates_dropped": 0,
+        "naks_sent": 4, "acks_sent": 25, "resyncs": 0, "buffer_exhausted": 0,
+        "tail_timeouts": 0, "unmasked_losses": 0,
+    }
 
 
-def test_guarded_traffic_identical_across_kernels():
-    """Seed-42 guarded run: the exact shimmed bytes crossing the server
-    link — data frames, piggybacked acks, resends, and standalone guard
-    control frames — must match between kernels, frame for frame."""
-    scalar_tap, scalar_guard = _run_guarded_store_traffic("scalar")
-    batch_tap, batch_guard = _run_guarded_store_traffic("batch")
-    assert scalar_guard.counts == batch_guard.counts
-    assert scalar_tap.raw == batch_tap.raw
-    # The run is only meaningful if the guard actually worked.
-    assert scalar_guard.counts["masked_losses"] > 0
-
-
-def _run_tiered_promotion_cycle(mode, seed=42):
+def _run_tiered_promotion_cycle(seed=42):
     """Drive a full promotion/demotion cycle on a tiered state store.
 
     Phase 1 heats blocks 0 and 1 (fills the two-slot fast window); phase 2
@@ -394,7 +386,7 @@ def _run_tiered_promotion_cycle(mode, seed=42):
 
     _reset_global_id_counters()
     obs = Observability(trace=WireTrace())
-    with kernel_mode(mode), obs.activate():
+    with obs.activate():
         tb = build_testbed(n_hosts=2)
         program = CountingProgram()
         for host, port in zip(tb.hosts, tb.host_ports):
@@ -442,23 +434,21 @@ def _run_tiered_promotion_cycle(mode, seed=42):
     return checker, moves
 
 
-@pytest.mark.parametrize("mode", ["scalar", "batch"])
-def test_tiered_promotion_cycle_is_byte_faithful(mode):
-    checker, moves = _run_tiered_promotion_cycle(mode)
+def test_tiered_promotion_cycle_is_byte_faithful():
+    checker, moves = _run_tiered_promotion_cycle()
     assert checker.roce_checked > 0
-    reasons = {channel for (_, _, channel) in moves}
-    assert "counters:promote" in reasons
-    assert "counters:demote" in reasons
-
-
-def test_tiered_promotion_cycle_identical_across_kernels():
-    """Fixed seed 42: the wire bytes AND the TIER_MOVE event stream of a
-    promotion/demotion cycle must match between kernels exactly."""
-    scalar_checker, scalar_moves = _run_tiered_promotion_cycle("scalar")
-    batch_checker, batch_moves = _run_tiered_promotion_cycle("batch")
-    assert scalar_checker.raw == batch_checker.raw
-    assert scalar_moves == batch_moves
-    assert scalar_moves, "no tier moves happened — the cycle never ran"
+    # Seed 42: the wire bytes and the TIER_MOVE stream, exactly.
+    assert _frames_sha256(checker.raw) == (
+        "c02d2b152dbab35fa62f337f2f769b04c11834d36b2372e7760eba0ce322b53d"
+    )
+    assert moves == [
+        (10000.0, 0, "counters:promote"),
+        (10000.0, 1, "counters:promote"),
+        (70000.0, 0, "counters:demote"),
+        (70000.0, 3, "counters:promote"),
+        (70000.0, 1, "counters:demote"),
+        (70000.0, 2, "counters:promote"),
+    ]
 
 
 class TestGrh:
