@@ -95,7 +95,7 @@ def main() -> None:
         i: store.read_counter_via_control_plane(i) for i in expected
     }
     wrong = sum(1 for i, v in expected.items() if recovered[i] != v)
-    gen = store.rocegen.stats
+    roce = store.rocegen.metrics
 
     print(f"packets counted           : {PACKETS}")
     print(f"expected total            : {sum(expected.values())}")
@@ -104,8 +104,8 @@ def main() -> None:
     print(f"updates lost              : "
           f"{sum(expected.values()) - sum(recovered.values())}")
     print(f"link drops injected       : {wire.dropped}")
-    print(f"NAKs / timeouts / retx    : {gen.naks_received} / "
-          f"{gen.timeouts} / {store.stats.retransmissions}")
+    print(f"NAKs / timeouts / retx    : {roce['naks_received']} / "
+          f"{roce['timeouts']} / {store.metrics['retransmissions']}")
     assert wrong == 0, "reliable mode must recover every update"
     print("all counters exact        : yes")
 

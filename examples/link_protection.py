@@ -90,25 +90,25 @@ def main() -> None:
     with integrity_protected():
         for protect in (False, True):
             store, guard, now = run(protect)
-            stats = store.rocegen.stats
+            roce = store.rocegen.metrics
             label = "guard on " if protect else "guard off"
-            print(f"[{label}] transport NAK replays : {stats.naks_received}")
-            print(f"[{label}] transport timeouts    : {stats.timeouts}")
+            print(f"[{label}] transport NAK replays : {roce['naks_received']}")
+            print(f"[{label}] transport timeouts    : {roce['timeouts']}")
             print(f"[{label}] store retransmissions : "
-                  f"{store.stats.retransmissions}")
+                  f"{store.metrics['retransmissions']}")
             if guard is not None:
                 print(f"[{label}] losses guard masked   : "
                       f"{guard.counts['masked_losses']}")
                 print(f"[{label}] guard resends         : "
                       f"{guard.counts['resent']}")
-                assert stats.naks_received == 0, "guard must mask every loss"
-                assert stats.timeouts == 0
-                assert store.stats.retransmissions == 0
+                assert roce["naks_received"] == 0, "guard must mask every loss"
+                assert roce["timeouts"] == 0
+                assert store.metrics["retransmissions"] == 0
                 assert guard.counts["masked_losses"] > 0, (
                     "corruption never hit the wire — raise CORRUPT_RATE"
                 )
             else:
-                assert stats.naks_received > 0, (
+                assert roce["naks_received"] > 0, (
                     "corruption never cost the transport anything — "
                     "raise CORRUPT_RATE"
                 )

@@ -68,7 +68,7 @@ def main() -> None:
     dataplane.read(channel.base_address, 5)
     tb.sim.run()
     print(f"t={to_usec(tb.sim.now):6.2f}us  READ issued and answered "
-          f"({dataplane.stats.responses_handled} responses seen)")
+          f"({dataplane.metrics['responses_handled']} responses seen)")
 
     # Atomic Fetch-and-Add: a remote counter, updated at line rate.
     counter_address = channel.base_address + 4096

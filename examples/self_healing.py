@@ -127,7 +127,7 @@ def main() -> None:
           f"{sum(expected.values())} / {sum(recovered.values())}")
     print(f"updates lost / wrong ctrs  : {lost} / {wrong}")
     print(f"updates absorbed degraded  : "
-          f"{store.metrics.counter('degraded_updates').value}")
+          f"{store.metrics['degraded_updates']}")
     print(f"breaker opens / probe fails: "
           f"{breaker.opens} / {breaker.probe_failures}")
     print(f"QP reconnects              : {guard.reconnects}")

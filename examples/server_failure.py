@@ -72,17 +72,17 @@ def main() -> None:
 
     print(f"burst: {total} packets across 2 senders; server 1 died at 30us\n")
     print(f"delivered in order    : {sink.packets} (reordered: {sink.out_of_order})")
-    print(f"lost to failover      : {buffer.stats.lost_to_failover}")
-    print(f"channels failed       : {buffer.stats.channels_failed}")
+    print(f"lost to failover      : {buffer.metrics['lost_to_failover']}")
+    print(f"channels failed       : {buffer.metrics['channels_failed']}")
     print(f"surviving channels    : {buffer.alive_channels}")
-    print(f"read-chain recoveries : {buffer.stats.read_recoveries}")
+    print(f"read-chain recoveries : {buffer.metrics['read_recoveries']}")
     print(f"done at               : {to_msec(tb.sim.now):.2f} ms "
           "(buffering mode off, nothing wedged)")
     accounted = (
         sink.packets
-        + buffer.stats.lost_to_failover
-        + buffer.stats.lost_in_transit
-        + buffer.stats.ring_full_drops
+        + buffer.metrics["lost_to_failover"]
+        + buffer.metrics["lost_in_transit"]
+        + buffer.metrics["ring_full_drops"]
         + tb.switch.tm.total_dropped_packets
     )
     assert accounted == total, "every packet must be delivered or accounted"

@@ -1,20 +1,19 @@
 """The supported public surface of the library, in one import.
 
-Everything a program, example, or downstream experiment needs rides this
+The names the examples, the tests and the benchmark use ride this
 facade::
 
-    from repro.api import (
-        build_testbed, LookupTableConfig, RemoteLookupTable, Observability,
-    )
+    from repro.api import build_testbed, LookupTableConfig, RemoteLookupTable
 
     tb = build_testbed(n_hosts=2)
     channel = tb.controller.open_channel(tb.memory_server, tb.server_port, ...)
     table = RemoteLookupTable(tb.switch, channel, LookupTableConfig(...))
     tb.sim.run()
-    print(tb.sim.obs.registry.snapshot("lookup"))
+    print(table.metrics["remote_lookups"])
 
-Deep imports (``repro.core.lookup_table`` etc.) keep working, but only
-the names exported here are treated as stable API; internals may move
+A name goes on the facade when something imports it from here.  Deep
+imports (``repro.core.lookup_table`` etc.) keep working, but only the
+names exported here are treated as stable API; internals may move
 between modules without notice.
 
 The facade is one table from each exported name to the module that
@@ -30,59 +29,25 @@ import importlib
 _EXPORTS = {
     # -- simulation kernel and testbed -------------------------------------
     "sim.simulator": ("Simulator",),
-    "sim.units": (
-        "gbps", "gib", "kib", "mib", "msec", "nsec", "to_msec", "to_usec",
-        "usec",
-    ),
-    "testbed": (
-        "DEFAULT_LINK_RATE", "DEFAULT_PROPAGATION_NS", "Testbed",
-        "build_testbed",
-    ),
-    # -- switch and control plane ------------------------------------------
-    "switches.switch": ("ProgrammableSwitch", "SwitchConfig"),
+    "sim.units": ("gbps", "kib", "mib", "to_msec", "to_usec", "usec"),
+    "testbed": ("DEFAULT_LINK_RATE", "build_testbed"),
+    # -- switch ------------------------------------------------------------
     "switches.traffic_manager": ("TrafficManagerConfig",),
-    "switches.pipeline": ("PipelineContext", "SwitchProgram"),
+    "switches.pipeline": ("PipelineContext",),
     "switches.hashing": ("FiveTuple",),
-    "core.channel": (
-        "ChannelError", "RdmaChannelController", "RemoteMemoryChannel",
-    ),
     # -- the three primitives (§4) -----------------------------------------
     "core.lookup_table": (
-        "ACTION_DROP", "ACTION_NOP", "ACTION_SET_DSCP", "ACTION_SET_DST_IP",
-        "ACTION_SET_EGRESS", "LookupTableConfig", "LookupTableStats",
+        "ACTION_SET_DSCP", "ACTION_SET_EGRESS", "LookupTableConfig",
         "RemoteAction", "RemoteLookupTable",
     ),
     "core.packet_buffer": (
-        "ENTRY_SEQ_BYTES", "PacketBufferConfig", "PacketBufferStats",
-        "RemotePacketBuffer",
+        "ENTRY_SEQ_BYTES", "PacketBufferConfig", "RemotePacketBuffer",
     ),
-    "core.state_store": (
-        "RemoteStateStore", "StateStoreConfig", "StateStoreStats",
-    ),
+    "core.state_store": ("RemoteStateStore", "StateStoreConfig"),
     "core.rocegen": ("RoceRequestGenerator",),
-    # -- cuckoo remote layout (DESIGN.md §12) --------------------------------
-    "cuckoo.filter": ("ChoiceFilter",),
-    "cuckoo.layout": (
-        "CuckooConfig", "CuckooDataPlane", "CuckooDirectory",
-        "CuckooFullError", "Move", "SlotRef",
-    ),
-    # -- unified policy surface (DESIGN.md §12/§13) ----------------------------
-    "policies": ("make_policy",),
-    "policies.base": ("POLICY_KINDS", "Policy"),
-    "policies.cache": (
-        "CACHE_POLICIES", "CachePolicy", "FifoCachePolicy", "LfuCachePolicy",
-        "LruCachePolicy", "PinningCachePolicy", "make_cache_policy",
-    ),
-    "policies.placement": (
-        "PLACEMENT_POLICIES", "PlacementPolicy", "StaticPinPlacement",
-        "AccessFrequencyPlacement", "WatermarkPlacement",
-        "make_placement_policy", "BlockStat", "PlacementView", "TierMove",
-    ),
-    "policies.breaker": ("BreakerPolicy",),
     # -- tiered remote memory (DESIGN.md §13) ----------------------------------
-    "rdma.memory": ("TIER_DRAM", "TIER_FAST", "TIERS"),
+    "rdma.memory": ("TIER_FAST",),
     "tiering.pool": ("TieredMemoryPool",),
-    "tiering.geometry": ("TieredRegionGeometry",),
     # -- million-flow workloads (DESIGN.md §12) --------------------------------
     "workloads.zipf": ("OpenLoopZipfTraffic", "ZipfGenerator"),
     # -- switch programs -----------------------------------------------------
@@ -92,46 +57,29 @@ _EXPORTS = {
     ),
     # -- L4 load balancer (DESIGN.md §15) --------------------------------------
     "apps.l4lb": (
-        "BACKEND_ACTIVE", "BACKEND_DEAD", "BACKEND_DRAINING",
-        "BACKEND_RETIRED", "Backend", "L4LbController", "L4LbProgram",
-        "L4LbStats", "MigrationRecord",
+        "BACKEND_DEAD", "BACKEND_RETIRED", "L4LbController", "L4LbProgram",
     ),
     # -- packets, servers and NICs -------------------------------------------
     "net.packet": ("Packet",),
-    "hosts.server": ("Host", "MemoryServer"),
-    "rdma.rnic": ("Rnic", "RnicConfig", "TierProfile"),
-    "rdma.packets": (
-        "integrity_protected", "set_integrity_default", "verify_icrc",
-    ),
+    "hosts.server": ("Host",),
+    "rdma.rnic": ("TierProfile",),
+    "rdma.packets": ("integrity_protected",),
     # -- fault injection (DESIGN.md §10) ---------------------------------------
-    "faults.models": (
-        "Blackout", "Corrupt", "Duplicate", "GilbertElliottLoss", "IidLoss",
-        "Jitter", "LinkFault", "Reorder",
-    ),
-    "faults.injectors": (
-        "AtomicEngineStall", "LinkFaultInjector", "RnicBlackout",
-        "RnicDropBurst", "RnicFault", "RnicFaultInjector",
-    ),
+    "faults.models": ("Blackout", "Corrupt", "IidLoss"),
     "faults.plan": ("FaultPlan",),
     # -- resilience (DESIGN.md §11) --------------------------------------------
-    "resilience.breaker": ("CircuitBreaker", "CircuitBreakerConfig"),
+    "policies.breaker": ("BreakerPolicy",),
+    "resilience.breaker": ("CircuitBreakerConfig",),
     "resilience.guard": ("SelfHealingChannel",),
     # -- link-local loss protection (DESIGN.md §14) ----------------------------
-    "linkguard.guard": ("LinkGuard", "LinkGuardConfig", "PROTECTION_LEVELS"),
-    "linkguard.shim": (
-        "ETHERTYPE_LINKGUARD", "GuardShimHeader", "guard_checksum",
-    ),
+    "linkguard.guard": ("LinkGuard",),
     # -- cluster scale-out ---------------------------------------------------
-    "cluster.pool": ("MemoryPool", "PoolMember"),
-    "cluster.health": ("HealthMonitor",),
+    "cluster.pool": ("MemoryPool",),
     "cluster.sharded_lookup": ("ShardedLookupTable",),
     "cluster.replicated_store": ("ReplicatedStateStore",),
     # -- observability -------------------------------------------------------
     "obs": ("Observability",),
-    "obs.registry": (
-        "Counter", "Gauge", "Histogram", "MetricRegistry", "MetricScope",
-    ),
-    "obs.trace": ("TraceEvent", "WireTrace"),
+    "obs.trace": ("WireTrace",),
 }
 
 #: Exported name → its defining module, the table ``__getattr__`` reads.

@@ -185,6 +185,7 @@ class MemoryPool:
 
     def fail_server(self, name: str) -> None:
         """Declare *name* dead right now (operator override of the monitor)."""
+        self.member(name)  # KeyError before the monitor tracks a phantom
         self.health.mark_down(name)
 
     def _health_down(self, name: str) -> None:

@@ -35,7 +35,6 @@ from ..core.state_store import (
     ATOMIC_OPERAND_BYTES,
     RemoteStateStore,
     StateStoreConfig,
-    StateStoreStats,
 )
 from ..net.packet import Packet
 from ..switches.hashing import FiveTuple
@@ -46,7 +45,7 @@ from .pool import MemoryPool, PoolMember
 
 @dataclass
 class ClusterStoreStats:
-    """Cluster-level counters layered over the per-replica store stats."""
+    """Cluster-level counters layered over the per-replica store metrics."""
 
     updates_replicated: int = 0
     members_joined: int = 0
@@ -190,17 +189,9 @@ class ReplicatedStateStore:
     def pending_value(self) -> int:
         return sum(store.pending_value for store in self.stores.values())
 
-    @property
-    def stats(self) -> StateStoreStats:
-        """Aggregate per-replica stats (retired replicas included)."""
-        total = StateStoreStats()
-        for store in list(self.stores.values()) + self._retired:
-            for name in vars(total):
-                setattr(
-                    total, name,
-                    getattr(total, name) + getattr(store.stats, name),
-                )
-        return total
+    def total(self, leaf: str) -> int:
+        """Replica metric *leaf* summed over every replica, retired ones included."""
+        return sum(store.metrics[leaf] for store in [*self.stores.values(), *self._retired])
 
     # -- reads and reconciliation --------------------------------------------------
 

@@ -33,7 +33,6 @@ from ..core.channel import RemoteMemoryChannel
 from ..core.lookup_table import (
     ACTION_DROP,
     LookupTableConfig,
-    LookupTableStats,
     RemoteAction,
     RemoteLookupTable,
     ResolveEgress,
@@ -49,7 +48,7 @@ from .pool import MemoryPool, PoolMember
 
 @dataclass
 class ClusterLookupStats:
-    """Cluster-level counters layered over the per-shard stats."""
+    """Cluster-level counters layered over the per-shard metrics."""
 
     members_joined: int = 0
     members_left: int = 0
@@ -61,7 +60,7 @@ class ClusterLookupStats:
     #: Graceful drains that completed (all in-flight lookups answered).
     drains_completed: int = 0
     #: Lookups offered while the pool had no live members (the packet
-    #: falls back to the default action locally).
+    #: falls back to the default action locally; not lost).
     lookups_unplaced: int = 0
 
 
@@ -214,19 +213,18 @@ class ShardedLookupTable:
         shard = self._steering.owner_of(packet, bth)
         return shard is not None and shard.try_handle(ctx, packet, bth)
 
+    def total(self, leaf: str) -> int:
+        """Shard metric *leaf* summed over every shard, retired ones included."""
+        return sum(shard.metrics[leaf] for shard in [*self.shards.values(), *self._retired])
+
     @property
-    def stats(self) -> LookupTableStats:
-        """Aggregate per-shard stats (retired shards included)."""
-        total = LookupTableStats()
-        for shard in list(self.shards.values()) + self._retired:
-            for name in vars(total):
-                setattr(
-                    total, name,
-                    getattr(total, name) + getattr(shard.stats, name),
-                )
-        total.lookups_lost += self.cluster_stats.lookups_lost_on_failure
-        total.lookups_lost += self.cluster_stats.lookups_unplaced
-        return total
+    def lookups_lost(self) -> int:
+        """Lookups lost to RDMA drops or abandoned with their member.
+
+        A lookup the default action served while the pool was empty
+        (``cluster_stats.lookups_unplaced``) was forwarded, not lost.
+        """
+        return self.total("lookups_lost") + self.cluster_stats.lookups_lost_on_failure
 
     # -- membership change (PoolListener) -----------------------------------------
 

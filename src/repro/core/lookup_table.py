@@ -159,32 +159,6 @@ class LookupTableConfig:
         return self.entries * self.entry_bytes
 
 
-@dataclass
-class LookupTableStats:
-    local_hits: int = 0
-    remote_lookups: int = 0
-    remote_hits: int = 0
-    remote_invalid: int = 0
-    fingerprint_mismatches: int = 0
-    cache_inserts: int = 0
-    cache_evictions: int = 0
-    recirculation_passes: int = 0
-    #: Lookups (and, in bounce mode, their packets) lost to RDMA drops —
-    #: §7: "an RDMA packet drop would lead to dropping the original packet".
-    lookups_lost: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """SRAM cache hit rate: local hits over all resolved lookups.
-
-        A property, not a field: :class:`ShardedLookupTable` sums the
-        dataclass *fields* shard by shard, and a ratio must be recomputed
-        from the summed counters, never added.
-        """
-        lookups = self.local_hits + self.remote_lookups
-        return self.local_hits / lookups if lookups else 0.0
-
-
 def fingerprint_of(flow: FiveTuple) -> int:
     """A 32-bit flow fingerprint independent of the index hash.
 
@@ -347,21 +321,6 @@ class RemoteLookupTable:
         #: programs override it to key on a subset (e.g. the §2.2 virtual
         #: switch keys on the destination VIP alone).
         self.flow_of: Callable[[Packet], FiveTuple] = FiveTuple.of
-
-    @property
-    def stats(self) -> LookupTableStats:
-        """Legacy stats shim: a snapshot of this table's metrics."""
-        return LookupTableStats(
-            local_hits=self._m_local_hits.value,
-            remote_lookups=self._m_remote_lookups.value,
-            remote_hits=self._m_remote_hits.value,
-            remote_invalid=self._m_remote_invalid.value,
-            fingerprint_mismatches=self._m_fp_mismatches.value,
-            cache_inserts=self._m_cache_inserts.value,
-            cache_evictions=self._m_cache_evictions.value,
-            recirculation_passes=self._m_recirc_passes.value,
-            lookups_lost=self._m_lookups_lost.value,
-        )
 
     def _cache_hit_rate(self) -> float:
         lookups = self._m_local_hits.value + self._m_remote_lookups.value

@@ -114,29 +114,6 @@ class PacketBufferConfig:
     ecn_ring_threshold_entries: Optional[int] = None
 
 
-@dataclass
-class PacketBufferStats:
-    stored_packets: int = 0
-    stored_bytes: int = 0
-    loaded_packets: int = 0
-    loaded_bytes: int = 0
-    ring_full_drops: int = 0
-    oversize_drops: int = 0
-    buffering_episodes: int = 0
-    #: Entries whose stamp mismatched (their WRITE was lost in transit).
-    lost_in_transit: int = 0
-    #: Go-back-N read-chain recoveries.
-    read_recoveries: int = 0
-    #: Peak entries parked in the cross-channel reorder stage.
-    reorder_peak: int = 0
-    #: Channels declared failed (server/link death, §7 robustness).
-    channels_failed: int = 0
-    #: Entries abandoned because their channel failed before they were read.
-    lost_to_failover: int = 0
-    #: Diverted packets CE-marked because the ring crossed its ECN threshold.
-    ecn_marked: int = 0
-
-
 def _same_region(read: RemoteMemoryChannel, write: RemoteMemoryChannel) -> bool:
     return (
         read.rkey == write.rkey
@@ -290,25 +267,6 @@ class RemotePacketBuffer:
             raise RuntimeError("switch TM already has an egress hook")
         switch.tm.egress_hook = self._egress_hook
         switch.tm.dequeue_listeners.append(self._on_dequeue)
-
-    @property
-    def stats(self) -> PacketBufferStats:
-        """Legacy stats shim: a snapshot of this buffer's metrics."""
-        return PacketBufferStats(
-            stored_packets=self._m_stored_packets.value,
-            stored_bytes=self._m_stored_bytes.value,
-            loaded_packets=self._m_loaded_packets.value,
-            loaded_bytes=self._m_loaded_bytes.value,
-            ring_full_drops=self._m_ring_full_drops.value,
-            oversize_drops=self._m_oversize_drops.value,
-            buffering_episodes=self._m_episodes.value,
-            lost_in_transit=self._m_lost_in_transit.value,
-            read_recoveries=self._m_read_recoveries.value,
-            reorder_peak=self._m_reorder_peak.value,
-            channels_failed=self._m_channels_failed.value,
-            lost_to_failover=self._m_lost_to_failover.value,
-            ecn_marked=self._m_ecn_marked.value,
-        )
 
     # -- pool mode (cluster subsystem) ---------------------------------------------
 

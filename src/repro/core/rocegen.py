@@ -10,13 +10,11 @@ simulation's :class:`~repro.obs.MetricRegistry` (request counts, wire
 bytes, NAKs, strikes, timeouts) and — when the run enables wire tracing —
 emits one :class:`~repro.obs.trace.TraceEvent` per request transmitted
 and per response classified, stamped with the QP, the PSN and the sim
-time.  The legacy :class:`RoceGenStats` dataclass survives as a snapshot
-property over those metrics.
+time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..net.packet import Packet
@@ -56,29 +54,6 @@ _RESPONSE_KINDS = {
     Opcode.RDMA_READ_RESPONSE_ONLY: KIND_READ_RESP,
     Opcode.ATOMIC_ACKNOWLEDGE: KIND_ATOMIC_ACK,
 }
-
-
-@dataclass
-class RoceGenStats:
-    """Snapshot of one generator's ``roce[<channel>].*`` metrics."""
-
-    writes_issued: int = 0
-    reads_issued: int = 0
-    fetch_adds_issued: int = 0
-    responses_handled: int = 0
-    naks_received: int = 0
-    request_wire_bytes: int = 0
-    response_wire_bytes: int = 0
-    #: Stall events charged to this channel by its primitive's recovery
-    #: machinery (go-back-N restarts with this channel's reads in flight,
-    #: accepted loss-event resyncs, ...).
-    strikes: int = 0
-    #: Watchdog expiries charged to this channel (reliable-mode
-    #: retransmission timers, read-chain watchdogs, ...).
-    timeouts: int = 0
-    #: Responses discarded because their computed ICRC did not match —
-    #: corruption in flight, detected (see DESIGN.md §10).
-    icrc_drops: int = 0
 
 
 class ResponseSteering:
@@ -157,22 +132,6 @@ class RoceRequestGenerator:
         self._m_timeouts = self.metrics.counter("timeouts")
         self._m_icrc_drops = self.metrics.counter("icrc_drops")
 
-    @property
-    def stats(self) -> RoceGenStats:
-        """Legacy stats shim: a snapshot of this generator's metrics."""
-        return RoceGenStats(
-            writes_issued=self._m_writes.value,
-            reads_issued=self._m_reads.value,
-            fetch_adds_issued=self._m_fetch_adds.value,
-            responses_handled=self._m_responses.value,
-            naks_received=self._m_naks.value,
-            request_wire_bytes=self._m_request_bytes.value,
-            response_wire_bytes=self._m_response_bytes.value,
-            strikes=self._m_strikes.value,
-            timeouts=self._m_timeouts.value,
-            icrc_drops=self._m_icrc_drops.value,
-        )
-
     # -- health signal ------------------------------------------------------------
 
     def _emit_health(self, event: str) -> None:
@@ -188,20 +147,6 @@ class RoceRequestGenerator:
         """A watchdog expired waiting on this channel."""
         self._m_timeouts.inc()
         self._emit_health("timeout")
-
-    def health_snapshot(self) -> dict:
-        """Uniform per-channel health counters (what the monitor consumes)."""
-        return {
-            "requests": (
-                self._m_writes.value
-                + self._m_reads.value
-                + self._m_fetch_adds.value
-            ),
-            "responses": self._m_responses.value,
-            "naks": self._m_naks.value,
-            "strikes": self._m_strikes.value,
-            "timeouts": self._m_timeouts.value,
-        }
 
     # -- request crafting ---------------------------------------------------------
 

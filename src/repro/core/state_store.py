@@ -68,22 +68,6 @@ class StateStoreConfig:
     retry_timeout_ns: float = 100_000.0
 
 
-@dataclass
-class StateStoreStats:
-    sampled_packets: int = 0
-    operations_issued: int = 0
-    updates_combined: int = 0
-    acks_received: int = 0
-    naks_received: int = 0
-    #: Sum of values carried by issued operations (for accuracy checks).
-    value_issued: int = 0
-    #: Reliable mode: same-PSN retransmissions after a timeout.
-    retransmissions: int = 0
-    #: Reliable mode: operations re-queued after a NAK said they were
-    #: rejected by the responder.
-    requeued_after_nak: int = 0
-
-
 class RemoteStateStore:
     """Data-plane component: remote per-flow counters via Fetch-and-Add."""
 
@@ -199,20 +183,6 @@ class RemoteStateStore:
         self._reconcile_reads: Dict[tuple, int] = {}
         # Suspended value per index awaiting its reconcile READ.
         self._reconcile_value: Dict[int, int] = {}
-
-    @property
-    def stats(self) -> StateStoreStats:
-        """Legacy stats shim: a snapshot of this store's metrics."""
-        return StateStoreStats(
-            sampled_packets=self._m_sampled.value,
-            operations_issued=self._m_ops.value,
-            updates_combined=self._m_combined.value,
-            acks_received=self._m_acks.value,
-            naks_received=self._m_naks.value,
-            value_issued=self._m_value.value,
-            retransmissions=self._m_retx.value,
-            requeued_after_nak=self._m_requeued.value,
-        )
 
     # -- addressing ----------------------------------------------------------------
 

@@ -87,8 +87,8 @@ def run_batching_ablation(
             BatchingResult(
                 batch_size=batch,
                 packets=packets,
-                operations=store.stats.operations_issued,
-                request_bytes=store.rocegen.stats.request_wire_bytes,
+                operations=store.metrics["operations_issued"],
+                request_bytes=store.rocegen.metrics["request_wire_bytes"],
                 counted_remotely=counted,
                 pending_locally=store.pending_value,
             )
@@ -175,7 +175,7 @@ def run_window_ablation(
                 ),
                 pending_locally=store.pending_value,
                 rnic_overflow_drops=(
-                    tb.memory_server.rnic.stats.atomic_overflow_drops
+                    tb.memory_server.rnic.metrics["atomic_overflow_drops"]
                 ),
             )
         )
@@ -263,13 +263,12 @@ def run_cache_ablation(
         )
         workload.start()
         tb.sim.run()
-        total = table.stats.local_hits + table.stats.remote_lookups
         results.append(
             CacheResult(
                 cache_entries=cache_entries,
                 packets=packets,
-                hit_rate=table.stats.local_hits / total if total else 0.0,
-                remote_lookups=table.stats.remote_lookups,
+                hit_rate=table.metrics["hit_rate"],
+                remote_lookups=table.metrics["remote_lookups"],
                 median_latency_us=(
                     to_usec(percentile(latencies, 50)) if latencies else 0.0
                 ),
@@ -350,8 +349,8 @@ def run_mode_ablation(
             ModeResult(
                 mode=mode,
                 packets=packets,
-                remote_request_bytes=table.rocegen.stats.request_wire_bytes,
-                recirculation_passes=table.stats.recirculation_passes,
+                remote_request_bytes=table.rocegen.metrics["request_wire_bytes"],
+                recirculation_passes=table.metrics["recirculation_passes"],
                 median_latency_us=(
                     to_usec(percentile(latencies, 50)) if latencies else 0.0
                 ),
@@ -436,10 +435,10 @@ def run_drop_ablation(
                     counted_remotely=store.read_counter_via_control_plane(
                         store.index_of(store.key_of(packet))
                     ),
-                    naks_seen=store.stats.naks_received,
+                    naks_seen=store.metrics["naks_received"],
                     retransmissions=(
-                        store.stats.retransmissions
-                        + store.stats.requeued_after_nak
+                        store.metrics["retransmissions"]
+                        + store.metrics["requeued_after_nak"]
                     ),
                 )
             )
@@ -548,10 +547,10 @@ def run_priority_ablation(
         results.append(
             PriorityResult(
                 protected=protected,
-                lookups=table.stats.remote_lookups,
-                resolved=table.stats.remote_hits,
+                lookups=table.metrics["remote_lookups"],
+                resolved=table.metrics["remote_hits"],
                 delivered=sink.packets,
-                bounce_naks=table.rocegen.stats.naks_received,
+                bounce_naks=table.rocegen.metrics["naks_received"],
                 background_drops=tb.switch.port_queue(
                     tb.server_port
                 ).dropped_packets,

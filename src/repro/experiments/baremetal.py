@@ -142,9 +142,8 @@ def run_baremetal(
     cache_hit_rate = 0.0
     remote_lookups = 0
     if table is not None:
-        remote_lookups = table.stats.remote_lookups
-        total = table.stats.local_hits + table.stats.remote_lookups
-        cache_hit_rate = table.stats.local_hits / total if total else 0.0
+        remote_lookups = table.metrics["remote_lookups"]
+        cache_hit_rate = table.metrics["hit_rate"]
     return BaremetalResult(
         mode=mode,
         vips=vips,

@@ -173,7 +173,7 @@ def run_chaos_point(
     # under a shared registry a second sweep point's scope is renamed
     # ("...#2") and a name-based snapshot reads the wrong run.
     dropped = wire.dropped if wire is not None else 0
-    gen_stats = store.rocegen.stats
+    roce = store.rocegen.metrics
     return ChaosRow(
         loss_rate=loss_rate,
         seed=seed,
@@ -184,9 +184,9 @@ def run_chaos_point(
             1 for index, value in expected.items() if recovered[index] != value
         ),
         link_drops=int(dropped),
-        retransmissions=store.stats.retransmissions,
-        naks=gen_stats.naks_received,
-        timeouts=gen_stats.timeouts,
+        retransmissions=store.metrics["retransmissions"],
+        naks=roce["naks_received"],
+        timeouts=roce["timeouts"],
         duration_ms=tb.sim.now / 1e6,
     )
 
@@ -471,7 +471,7 @@ def run_chaos_recovery(
     )
     gen.start()
     tb2.sim.run()  # store phase: the whole burst lands in the remote ring
-    buffered = primitive.stats.stored_packets
+    buffered = primitive.metrics["stored_packets"]
 
     # Black the link out exactly as draining starts: the read chain
     # stalls, the breaker opens, and the ring is stranded until the
@@ -502,9 +502,9 @@ def run_chaos_recovery(
         counters_wrong=sum(
             1 for index, value in expected.items() if recovered[index] != value
         ),
-        degraded_updates=store.metrics.counter("degraded_updates").value,
-        reconcile_reads=store.metrics.counter("reconcile_reads").value,
-        reconciled_reissued=store.metrics.counter("reconciled_reissued").value,
+        degraded_updates=store.metrics["degraded_updates"],
+        reconcile_reads=store.metrics["reconcile_reads"],
+        reconciled_reissued=store.metrics["reconciled_reissued"],
         store_breaker_opens=store_breaker.opens,
         store_breaker_closes=store_breaker.closes,
         store_probe_failures=store_breaker.probe_failures,
@@ -514,8 +514,8 @@ def run_chaos_recovery(
         buffered_packets=buffered,
         delivered_packets=sink.packets,
         out_of_order=sink.out_of_order,
-        lost_in_transit=primitive.stats.lost_in_transit,
-        lost_to_failover=primitive.stats.lost_to_failover,
+        lost_in_transit=primitive.metrics["lost_in_transit"],
+        lost_to_failover=primitive.metrics["lost_to_failover"],
         buffer_breaker_opens=buf_guard.breaker.opens,
         buffer_breaker_closes=buf_guard.breaker.closes,
         buffer_probe_failures=buf_guard.breaker.probe_failures,

@@ -93,7 +93,7 @@ def _run_lookup(packet_size: int, probes: int) -> float:
     )
     pingpong.start()
     tb.sim.run()
-    if table.stats.remote_lookups == 0:
+    if table.metrics["remote_lookups"] == 0:
         raise RuntimeError("fig3a: no remote lookups happened; setup broken")
     return pingpong.median_oneway_ns() / 1000.0
 

@@ -170,7 +170,7 @@ def run_incast(
     tb.sim.run()
 
     report = workload.report()
-    remote_stored = primitive.stats.stored_packets if primitive else 0
+    remote_stored = primitive.metrics["stored_packets"] if primitive else 0
     pause_events = pfc.stats.pause_events if pfc else 0
     return IncastResult(
         variant=variant,

@@ -474,7 +474,7 @@ def run_l4lb_soak(
         delivered_total=sum(delivered_by_backend.values()),
         forwarded_by_backend=forwarded_by_backend,
         delivered_by_backend=delivered_by_backend,
-        lookups_lost=table.stats.lookups_lost,
+        lookups_lost=table.metrics["lookups_lost"],
         no_backend_drops=program.no_backend_drops,
         stale_cached=len(table.stale_cached()),
         expected=expected,

@@ -250,10 +250,10 @@ def _run_lookup(
         )
         gen.start()
         tb.sim.run()
-        stats = table.rocegen.stats
+        roce = table.rocegen.metrics
         return _row(
             variant, "lookup", seed, corrupt_rate, packets, sink, wire,
-            guard, healer, stats.naks_received, stats.timeouts,
+            guard, healer, roce["naks_received"], roce["timeouts"],
             tb.sim.now / 1e6,
         )
 
@@ -307,7 +307,7 @@ def _run_pktbuf(
         )
         gen.start()
         tb.sim.run()  # store phase: the burst lands in the remote ring
-        stored = primitive.stats.stored_packets
+        stored = primitive.metrics["stored_packets"]
 
         wire = _corrupt(variant, tb, tb.sim.now, corrupt_rate, seed)
         drain_start = tb.sim.now
@@ -316,10 +316,10 @@ def _run_pktbuf(
         # The drain's recovery cost lives in two places: NAK replays on
         # the READ requesters and the primitive's own go-back-N watchdog.
         gens = {id(g): g for g in (*primitive.rocegens, *primitive.read_rocegens)}
-        naks = sum(g.stats.naks_received for g in gens.values())
+        naks = sum(g.metrics["naks_received"] for g in gens.values())
         timeouts = (
-            sum(g.stats.timeouts for g in gens.values())
-            + primitive.stats.read_recoveries
+            sum(g.metrics["timeouts"] for g in gens.values())
+            + primitive.metrics["read_recoveries"]
         )
         return _row(
             variant, "pktbuf", seed, corrupt_rate, stored, sink, wire,

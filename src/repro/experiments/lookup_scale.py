@@ -142,18 +142,14 @@ def _install_zipf_flows(table, tb, traffic) -> List[FiveTuple]:
     return flows
 
 
-def _reads_issued(tb, tables) -> int:
+def _reads_issued(tables) -> int:
     """Sum READs issued on each table's RoCE generator.
 
-    Resolved via each generator's own (uniquified) metric scope — a
+    Read through each generator's own (uniquified) metric scope — a
     shared registry across runs renames colliding ``roce[...]`` scopes,
     so looking the counter up by channel name would read a stale run.
     """
-    snapshot = tb.sim.obs.registry.snapshot()
-    return sum(
-        snapshot.get(f"{table.rocegen.metrics.name}.reads_issued", 0)
-        for table in tables
-    )
+    return sum(table.rocegen.metrics["reads_issued"] for table in tables)
 
 
 def run_policy_point(
@@ -202,27 +198,25 @@ def run_policy_point(
     traffic.start()
     tb.sim.run()
 
-    stats = table.stats
-    if stats.remote_lookups == 0:
+    metrics = table.metrics
+    if metrics["remote_lookups"] == 0:
         raise RuntimeError("lookup-scale: no remote lookups; setup broken")
-    latency = table.metrics.histogram("remote_latency_ns")
-    pins = tb.sim.obs.registry.snapshot().get(
-        f"{table.metrics.name}.cache.pins", 0
-    )
+    latency = metrics.histogram("remote_latency_ns")
+    pins = metrics["cache.pins"] if table.cache is not None else 0
     return PolicyPoint(
         policy=policy,
         cache_entries=cache_entries,
         population=population,
         distinct_flows=len(flows),
         packets=traffic.packets_sent,
-        local_hits=stats.local_hits,
-        remote_lookups=stats.remote_lookups,
-        hit_rate=stats.hit_rate,
+        local_hits=metrics["local_hits"],
+        remote_lookups=metrics["remote_lookups"],
+        hit_rate=metrics["hit_rate"],
         p99_bounce_ns=latency.percentile(0.99),
         pins=pins,
         one_read=OneReadCheck(
-            remote_lookups=stats.remote_lookups,
-            reads_issued=_reads_issued(tb, [table]),
+            remote_lookups=metrics["remote_lookups"],
+            reads_issued=_reads_issued([table]),
         ),
     )
 
@@ -306,11 +300,13 @@ def run_lookup_scaleout_point(
     traffic.start()
     tb.sim.run()
 
-    stats = table.stats
-    if stats.remote_lookups == 0:
+    remote_lookups = table.total("remote_lookups")
+    if remote_lookups == 0:
         raise RuntimeError("lookup-scale: no remote lookups; setup broken")
     completed = (
-        stats.remote_hits + stats.fingerprint_mismatches + stats.remote_invalid
+        table.total("remote_hits")
+        + table.total("fingerprint_mismatches")
+        + table.total("remote_invalid")
     )
     # Aggregate p99 across shards: merge the per-shard histograms by
     # taking the worst shard's estimate (log2 buckets make a true merge
@@ -326,12 +322,12 @@ def run_lookup_scaleout_point(
         offered_mlps=offered_per_server_mlps * servers,
         packets_sent=traffic.packets_sent,
         misses_completed=completed,
-        lookups_lost=stats.lookups_lost,
+        lookups_lost=table.lookups_lost,
         duration_ms=tb.sim.now / 1e6,
         p99_bounce_ns=p99,
         one_read=OneReadCheck(
-            remote_lookups=stats.remote_lookups,
-            reads_issued=_reads_issued(tb, table.shards.values()),
+            remote_lookups=remote_lookups,
+            reads_issued=_reads_issued(table.shards.values()),
         ),
     )
 

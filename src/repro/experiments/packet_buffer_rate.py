@@ -107,13 +107,13 @@ def run_store_load_point(
     tb.sim.run()  # store phase completes (no loads yet)
 
     store_window_ns = gen.report.duration_ns
-    stored = primitive.stats.stored_packets
+    stored = primitive.metrics["stored_packets"]
     server_rnic = tb.memory_server.rnic
     lossless = (
         stored == packets
-        and server_rnic.stats.writes_executed == packets
-        and server_rnic.stats.rx_overflow_drops == 0
-        and primitive.stats.ring_full_drops == 0
+        and server_rnic.metrics["writes_executed"] == packets
+        and server_rnic.metrics["rx_overflow_drops"] == 0
+        and primitive.metrics["ring_full_drops"] == 0
         and tb.switch.tm.total_dropped_packets == 0
     )
     store_rate = (

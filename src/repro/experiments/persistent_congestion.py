@@ -172,7 +172,7 @@ def run_persistent_congestion(
     tb.sim.schedule(0.0, sample_ring)
     tb.sim.run(max_events=30_000_000)
 
-    ce_marked = primitive.stats.ecn_marked + sum(
+    ce_marked = primitive.metrics["ecn_marked"] + sum(
         q.ecn_marked for q in tb.switch.tm.queues.values()
     )
     return PersistentCongestionResult(
@@ -180,7 +180,7 @@ def run_persistent_congestion(
         duration_ms=duration_ms,
         packets_sent=sum(s.packets_sent for s in dctcp_senders),
         packets_received=dctcp_receiver.packets,
-        ring_full_drops=primitive.stats.ring_full_drops,
+        ring_full_drops=primitive.metrics["ring_full_drops"],
         switch_drops=tb.switch.tm.total_dropped_packets,
         peak_ring_entries=peak[0],
         final_ring_entries=primitive.stored_entries,

@@ -150,21 +150,22 @@ def run_scaleout_point(
         sender.start()
     tb.sim.run()
 
-    stats = table.stats
     sent = hosts * lookups_per_host
-    if stats.remote_lookups == 0:
+    if table.total("remote_lookups") == 0:
         raise RuntimeError("scaleout: no remote lookups happened; setup broken")
     # A completed miss is a finished WRITE+READ round trip; flows whose
     # slot collided fall back to the default action but still complete.
     completed = (
-        stats.remote_hits + stats.fingerprint_mismatches + stats.remote_invalid
+        table.total("remote_hits")
+        + table.total("fingerprint_mismatches")
+        + table.total("remote_invalid")
     )
     return ScaleoutRow(
         servers=servers,
         offered_mlps=offered_mlps,
         lookups_sent=sent,
         lookups_completed=completed,
-        lookups_lost=stats.lookups_lost,
+        lookups_lost=table.lookups_lost,
         duration_ms=tb.sim.now / 1e6,
         health=pool.health.snapshot(),
     )

@@ -139,7 +139,7 @@ def _run_backend(
         hh_precision=report.precision,
         hh_recall=report.recall,
         hh_f1=report.f1,
-        fa_operations=(store.stats.operations_issued if store else 0),
+        fa_operations=(store.metrics["operations_issued"] if store else 0),
         server_cpu_packets=(
             tb.memory_server.cpu_packets if tb.memory_server else 0
         ),

@@ -1,12 +1,9 @@
 """Unified observability: one metric registry + opt-in wire tracing.
 
-Before this subsystem every layer grew its own ad-hoc surface
-(``LookupTableStats``, ``StateStoreStats``, ``PacketBufferStats``,
-``RnicStats``, health snapshots) and experiments deep-imported and
-hand-aggregated them.  Now every component emits into a shared
-:class:`MetricRegistry` under hierarchical names, and an optional
-:class:`WireTrace` records the per-QP wire timeline.  The pair travels
-as one :class:`Observability` handle.
+Every component emits into a shared :class:`MetricRegistry` under
+hierarchical names (read one back as ``component.metrics["leaf"]``), and
+an optional :class:`WireTrace` records the per-QP wire timeline.  The
+pair travels as one :class:`Observability` handle.
 
 **Where the handle lives.**  Each :class:`~repro.sim.simulator.Simulator`
 owns one (``sim.obs``), created at construction, so everything sharing a

@@ -24,9 +24,10 @@ Design constraints, in order:
   registry becomes ``lookup#2`` rather than silently sharing (and
   corrupting) the first table's counters.
 
-The legacy per-component ``stats`` dataclasses survive as thin property
-shims that read these metrics back, so existing experiments keep working
-while new code reads the registry.
+* **One read path.**  Components expose their scope as ``metrics``;
+  callers read a counter as ``table.metrics["local_hits"]``.  A read
+  never registers: a name nobody registered raises ``KeyError`` instead
+  of creating a zero counter that would move every later digest.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ Metric = Union[Counter, Gauge, Histogram]
 class MetricScope:
     """A name prefix bound to a registry; components hold one of these.
 
-    ``scope.counter("naks")`` is ``registry.counter(f"{prefix}.naks")``.
+    ``scope.counter("naks")`` is ``registry.counter(f"{prefix}.naks")``;
+    ``scope["naks"]`` reads its value.
     """
 
     __slots__ = ("registry", "name")
@@ -191,6 +193,10 @@ class MetricScope:
 
     def child(self, leaf: str) -> "MetricScope":
         return MetricScope(self.registry, self._full(leaf))
+
+    def __getitem__(self, leaf: str) -> Any:
+        """The value of the registered metric *leaf*; ``KeyError`` if none."""
+        return self.registry._metrics[self._full(leaf)].value
 
     def __repr__(self) -> str:
         return f"<MetricScope {self.name!r}>"
@@ -233,11 +239,6 @@ class MetricRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)
 
-    def scope(self, prefix: str) -> MetricScope:
-        """A (possibly shared) scope under *prefix*."""
-        self._claimed_scopes.add(prefix)
-        return MetricScope(self, prefix)
-
     def unique_scope(self, base: str) -> MetricScope:
         """Claim an unclaimed scope: ``base``, else ``base#2``, ``base#3``…
 
@@ -252,10 +253,6 @@ class MetricRegistry:
             name = f"{base}#{n}"
         self._claimed_scopes.add(name)
         return MetricScope(self, name)
-
-    def remove(self, name: str) -> None:
-        """Drop one metric (e.g. the gauges of a destroyed queue pair)."""
-        self._metrics.pop(name, None)
 
     def remove_scope(self, prefix: str) -> None:
         """Drop every metric under ``prefix.`` and release the scope."""

@@ -2,12 +2,10 @@
 
 One protocol family, three kinds, one construction convention::
 
-    from repro.api import (
-        make_policy,          # generic factory: make_policy("cache", "lru", ...)
-        CachePolicy,          # SRAM eviction (fifo/lru/lfu/pin)
-        PlacementPolicy,      # tier placement (static/frequency/watermark)
-        BreakerPolicy,        # circuit-breaker thresholds + probe seeding
-    )
+    make_policy           # generic factory: make_policy("cache", "lru", ...)
+    .cache.CachePolicy    # SRAM eviction (fifo/lru/lfu/pin)
+    .placement.PlacementPolicy   # tier placement (static/frequency/watermark)
+    .breaker.BreakerPolicy       # circuit-breaker thresholds + probe seeding
 
 Every policy is built with ``(seed, metrics_scope)`` and consumed through
 a ``policy=`` / ``policy_seed=`` kwarg pair on the owning component.

@@ -40,7 +40,7 @@ class CachePolicy(Policy):
 
     ``lookup`` returns the cached action (counting a hit) or ``None``
     (counting a miss); ``admit`` offers a fetched entry and reports
-    ``(inserted, evicted)`` so the owning table can keep its legacy
+    ``(inserted, evicted)`` so the owning table can keep its own
     ``cache_inserts`` / ``cache_evictions`` counters in lockstep.
     Policies are deterministic: no wall clock, no unseeded randomness.
     """

@@ -167,30 +167,6 @@ class RnicConfig:
     tier_profiles: Optional[Dict[str, TierProfile]] = None
 
 
-@dataclass
-class RnicStats:
-    """Counters exposed for experiments and assertions."""
-
-    requests_received: int = 0
-    writes_executed: int = 0
-    reads_executed: int = 0
-    atomics_executed: int = 0
-    responses_sent: int = 0
-    acks_sent: int = 0
-    naks_sent: int = 0
-    duplicates: int = 0
-    rx_overflow_drops: int = 0
-    atomic_overflow_drops: int = 0
-    unknown_qp_drops: int = 0
-    access_errors: int = 0
-    sequence_errors: int = 0
-    bytes_written: int = 0
-    bytes_read: int = 0
-    retransmissions: int = 0
-    retries_exhausted: int = 0
-    icrc_drops: int = 0
-
-
 class Rnic:
     """An RDMA-capable NIC bound to one interface and one DRAM."""
 
@@ -256,30 +232,6 @@ class Rnic:
         self._outstanding: "OrderedDict[tuple, WorkRequest]" = OrderedDict()
         self._pending: Deque[WorkRequest] = deque()
         self._retx: Dict[int, _RetxState] = {}
-
-    @property
-    def stats(self) -> RnicStats:
-        """Legacy stats shim: a snapshot of this RNIC's metrics."""
-        return RnicStats(
-            requests_received=self._m_requests.value,
-            writes_executed=self._m_writes.value,
-            reads_executed=self._m_reads.value,
-            atomics_executed=self._m_atomics.value,
-            responses_sent=self._m_responses.value,
-            acks_sent=self._m_acks.value,
-            naks_sent=self._m_naks.value,
-            duplicates=self._m_duplicates.value,
-            rx_overflow_drops=self._m_rx_overflow.value,
-            atomic_overflow_drops=self._m_atomic_overflow.value,
-            unknown_qp_drops=self._m_unknown_qp.value,
-            access_errors=self._m_access_errors.value,
-            sequence_errors=self._m_sequence_errors.value,
-            bytes_written=self._m_bytes_written.value,
-            bytes_read=self._m_bytes_read.value,
-            retransmissions=self._m_retransmissions.value,
-            retries_exhausted=self._m_retries_exhausted.value,
-            icrc_drops=self._m_icrc_drops.value,
-        )
 
     # ------------------------------------------------------------------ setup
 

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,24 @@ def test_dir_lists_every_export():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="NoSuchName"):
         api.NoSuchName
+
+
+def test_every_export_has_an_importer():
+    """An export stays only while a file takes it from the facade: ``from
+    repro.api import X`` (README.md's too) or ``api.X``, this file aside."""
+    readme = re.findall(r"from repro\.api import ([\w, ]+)", (ROOT / "README.md").read_text())
+    used = {name.strip() for names in readme for name in names.split(",")}
+    for top in ("src", "tests", "examples", "benchmarks", "bench_e2e"):
+        for path in (ROOT / top).rglob("*.py"):
+            text = path.read_text()
+            if "api" not in text or path == Path(__file__).resolve():
+                continue
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.ImportFrom) and node.module == "repro.api":
+                    used.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "api":
+                    used.add(node.attr)
+    assert sorted(set(api.__all__) - used) == []
 
 
 # -- import closure: a fresh interpreter loads only what it uses ---------------

@@ -68,8 +68,8 @@ class TestRemoteMode:
         send_to_vip(tb, "172.16.0.1", received)
         tb.sim.run()
         assert len(received) == 2
-        assert program.lookup_table.stats.remote_lookups == 1
-        assert program.lookup_table.stats.local_hits == 1
+        assert program.lookup_table.metrics["remote_lookups"] == 1
+        assert program.lookup_table.metrics["local_hits"] == 1
 
     def test_vip_keying_ignores_ports(self):
         """Different flows to the same VIP share one table entry."""
@@ -84,7 +84,7 @@ class TestRemoteMode:
             tb.hosts[0].send(packet)
             tb.sim.run()
         assert len(received) == 3
-        assert program.lookup_table.stats.remote_lookups == 1
+        assert program.lookup_table.metrics["remote_lookups"] == 1
 
     def test_non_vip_traffic_forwards_normally(self):
         tb, program, mappings = build("remote")

@@ -137,20 +137,16 @@ class TestMetrics:
         from repro.obs.registry import MetricRegistry
 
         registry = MetricRegistry()
-        scope = registry.scope("lookup.cache")
+        scope = registry.unique_scope("lookup.cache")
         policy = make_cache_policy("lru", 2, metrics_scope=scope)
         policy.lookup(_flow(1))  # miss
         policy.admit(_flow(1), _action(1))
         policy.lookup(_flow(1))  # hit
         policy.admit(_flow(2), _action(2))
         policy.admit(_flow(3), _action(3))  # evicts
-        snap = registry.snapshot()
-        assert snap["lookup.cache.hits"] == 1
-        assert snap["lookup.cache.misses"] == 1
-        assert snap["lookup.cache.inserts"] == 3
-        assert snap["lookup.cache.evictions"] == 1
-        assert snap["lookup.cache.size"] == 2
-        assert snap["lookup.cache.hit_rate"] == pytest.approx(0.5)
+        assert (scope["hits"], scope["misses"], scope["inserts"]) == (1, 1, 3)
+        assert (scope["evictions"], scope["size"]) == (1, 2)
+        assert scope["hit_rate"] == pytest.approx(0.5)
 
     def test_standalone_counters_without_scope(self):
         policy = make_cache_policy("fifo", 2)

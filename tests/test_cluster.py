@@ -280,6 +280,16 @@ class TestMemoryPool:
         pool.release_drain(member)
         assert channel not in tb.controller.channels
 
+    def test_failing_an_unknown_member_raises_and_tracks_no_phantom(self):
+        # Regression: fail_server("nosuch") returned silently, and the
+        # monitor's mark_down tracked a phantom "nosuch" member (health
+        # record and registry counters) as a side effect.
+        tb, pool = build_pool(servers=2)
+        health, metrics = pool.health.snapshot(), len(tb.sim.obs.registry)
+        with pytest.raises(KeyError, match="nosuch"):
+            pool.fail_server("nosuch")
+        assert (pool.health.snapshot(), len(tb.sim.obs.registry)) == (health, metrics)
+
     def test_placement_skips_dead_members(self):
         tb, pool = build_pool(servers=3)
         pool.fail_server("memserver1")
@@ -314,7 +324,7 @@ def lookup_flow(src, dst, src_port):
     )
 
 
-def build_sharded_lookup(servers=2, flows=24, entries=1 << 12):
+def build_sharded_lookup(servers=2, flows=24, entries=1 << 12, default_action=None):
     tb = build_testbed(n_hosts=2, n_memory_servers=servers)
     pool = MemoryPool(tb.controller, seed=1)
     for server, port in zip(tb.memory_servers, tb.server_ports):
@@ -327,6 +337,7 @@ def build_sharded_lookup(servers=2, flows=24, entries=1 << 12):
         tb.switch,
         pool,
         config=LookupTableConfig(entries=entries, cache_entries=0),
+        default_action=default_action,
     )
     program.use_lookup_table(table)
     installed = []
@@ -367,15 +378,10 @@ class TestShardedLookupTable:
         tb, pool, table, installed = build_sharded_lookup(servers=3)
         blast_lookups(tb, count=120, flows=len(installed))
         tb.sim.run()
-        stats = table.stats
-        assert stats.remote_lookups == 120
-        assert stats.remote_hits == 120
-        assert stats.lookups_lost == 0
+        assert (table.total("remote_lookups"), table.total("remote_hits")) == (120, 120)
+        assert table.lookups_lost == 0
         # The load genuinely spread: more than one server saw requests.
-        busy = [
-            s for s in tb.memory_servers
-            if s.rnic.stats.requests_received > 0
-        ]
+        busy = [s for s in tb.memory_servers if s.rnic.metrics["requests_received"] > 0]
         assert len(busy) > 1
 
     def test_join_migrates_only_moved_flows(self):
@@ -419,9 +425,7 @@ class TestShardedLookupTable:
 
         tb.sim.schedule_at(2_000.0, leave)
         tb.sim.run()
-        stats = table.stats
-        assert stats.remote_hits == 80
-        assert stats.lookups_lost == 0
+        assert (table.total("remote_hits"), table.lookups_lost) == (80, 0)
         assert table.cluster_stats.drains_completed == 1
         assert len(table.shards) == 1
         # The leaver's channels closed once the drain finished.
@@ -439,14 +443,25 @@ class TestShardedLookupTable:
 
         tb.sim.schedule_at(2_000.0, die)
         tb.sim.run()
-        stats = table.stats
         assert table.cluster_stats.members_failed == 1
-        assert stats.remote_hits + stats.lookups_lost >= 60
+        hits_before, lost_before = table.total("remote_hits"), table.lookups_lost
+        assert hits_before + lost_before == 60
         # Flows re-homed onto the survivor keep resolving.
         blast_lookups(tb, count=40, flows=len(installed))
-        hits_before = stats.remote_hits
         tb.sim.run()
-        assert table.stats.remote_hits >= hits_before + 40 - stats.lookups_lost
+        assert table.total("remote_hits") >= hits_before + 40 - lost_before
+
+    def test_default_action_lookups_on_an_empty_pool_are_not_lost(self):
+        # Regression: the shard aggregate added lookups_unplaced into
+        # lookups_lost, though the default action forwarded every packet.
+        tb, pool, table, installed = build_sharded_lookup(
+            servers=1, default_action=RemoteAction(ACTION_SET_DSCP, 0)
+        )
+        pool.fail_server("memserver")
+        blast_lookups(tb, count=50, flows=len(installed))
+        tb.sim.run()
+        assert (tb.switch.stats.tx_packets, tb.switch.stats.dropped_by_program) == (50, 0)
+        assert (table.cluster_stats.lookups_unplaced, table.lookups_lost) == (50, 0)
 
 
 # -- replicated state store ---------------------------------------------------
@@ -614,13 +629,10 @@ class TestPacketBufferPoolMode:
         tb, pool, primitive = build_pool_buffer(servers=2)
         sink = blast_buffer(tb, count=120)
         tb.sim.run()
-        assert primitive.stats.stored_packets > 0
+        assert primitive.metrics["stored_packets"] > 0
         assert sink.packets == 240  # nothing lost
         assert tb.switch.tm.total_dropped_packets == 0
-        busy = [
-            s for s in tb.memory_servers
-            if s.rnic.stats.requests_received > 0
-        ]
+        busy = [s for s in tb.memory_servers if s.rnic.metrics["requests_received"] > 0]
         assert len(busy) == 2
 
     def test_capacity_scales_with_members(self):

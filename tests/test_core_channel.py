@@ -94,7 +94,7 @@ class TestRoceRequestGenerator:
         tb.sim.run()
         assert channel.region.read(channel.base_address + 8, 11) == b"switch-data"
         assert tb.memory_server.cpu_packets == 0
-        assert gen.stats.writes_issued == 1
+        assert gen.metrics["writes_issued"] == 1
 
     def test_read_response_returns_to_switch(self):
         tb, channel, gen = self.make()
@@ -110,7 +110,7 @@ class TestRoceRequestGenerator:
         tb.sim.run()
         value = int.from_bytes(channel.region.read(channel.base_address, 8), "big")
         assert value == 41
-        assert gen.stats.fetch_adds_issued == 1
+        assert gen.metrics["fetch_adds_issued"] == 1
 
     def test_out_of_range_rejected_locally(self):
         tb, channel, gen = self.make()
@@ -122,7 +122,7 @@ class TestRoceRequestGenerator:
     def test_request_bytes_accounted(self):
         tb, channel, gen = self.make()
         request = gen.write(channel.base_address, b"abc")
-        assert gen.stats.request_wire_bytes == request.wire_len
+        assert gen.metrics["request_wire_bytes"] == request.wire_len
 
     def test_owns_response_matches_qpn(self):
         tb, channel, gen = self.make()

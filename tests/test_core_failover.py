@@ -60,8 +60,8 @@ class TestStriping:
         tb, program, primitive, channels = build_striped()
         sink = blast(tb)
         tb.sim.run()
-        assert primitive.stats.stored_packets > 0
-        writes = [s.rnic.stats.writes_executed for s in tb.memory_servers]
+        assert primitive.metrics["stored_packets"] > 0
+        writes = [s.rnic.metrics["writes_executed"] for s in tb.memory_servers]
         assert all(w > 0 for w in writes)
         # Round-robin striping keeps the split near 50/50.
         assert abs(writes[0] - writes[1]) <= 2
@@ -74,7 +74,7 @@ class TestStriping:
         tb.sim.run()
         assert sink.packets == 600
         assert sink.out_of_order == 0
-        assert primitive.stats.reorder_peak >= 1
+        assert primitive.metrics["reorder_peak"] >= 1
 
 
 class TestFailover:
@@ -87,21 +87,21 @@ class TestFailover:
             lambda: setattr(tb.server_links[1], "loss_probability", 1.0),
         )
         tb.sim.run(max_events=5_000_000)
-        assert primitive.stats.channels_failed == 1
+        assert primitive.metrics["channels_failed"] == 1
         assert 1 in primitive._failed_channels
         assert primitive.alive_channels == [0]
         # The system keeps working: everything is delivered or accounted
         # as a loss — never wedged, never duplicated.
         accounted = (
             sink.packets
-            + primitive.stats.lost_to_failover
-            + primitive.stats.lost_in_transit
-            + primitive.stats.ring_full_drops
+            + primitive.metrics["lost_to_failover"]
+            + primitive.metrics["lost_in_transit"]
+            + primitive.metrics["ring_full_drops"]
             + tb.switch.tm.total_dropped_packets
         )
         assert accounted == 800
         assert sink.out_of_order == 0
-        assert primitive.stats.lost_to_failover > 0
+        assert primitive.metrics["lost_to_failover"] > 0
         # Fully drained afterwards.
         assert primitive.stored_entries == 0
         assert not primitive.is_buffering
@@ -114,12 +114,12 @@ class TestFailover:
             lambda: setattr(tb.server_links[1], "loss_probability", 1.0),
         )
         tb.sim.run(max_events=5_000_000)
-        writes_before = tb.memory_servers[1].rnic.stats.writes_executed
+        writes_before = tb.memory_servers[1].rnic.metrics["writes_executed"]
         # Second burst: all stores must go to the surviving server.
         sink2 = blast(tb, count=150)
         tb.sim.run(max_events=5_000_000)
         assert (
-            tb.memory_servers[1].rnic.stats.writes_executed == writes_before
+            tb.memory_servers[1].rnic.metrics["writes_executed"] == writes_before
         )
         assert sink2.packets > 0
 
@@ -131,23 +131,23 @@ class TestFailover:
                 usec(10), lambda l=link: setattr(l, "loss_probability", 1.0)
             )
         tb.sim.run(max_events=5_000_000)
-        assert primitive.stats.channels_failed == 2
+        assert primitive.metrics["channels_failed"] == 2
         assert primitive.alive_channels == []
         # The system quiesced (no wedged buffering mode)...
         assert primitive.stored_entries == 0
         # ...and a fresh overload now behaves like a plain drop-tail ToR:
         # nothing new reaches any memory server, overflow is dropped.
         writes_before = sum(
-            s.rnic.stats.writes_executed for s in tb.memory_servers
+            s.rnic.metrics["writes_executed"] for s in tb.memory_servers
         )
         sink2 = blast(tb, count=300)
         tb.sim.run(max_events=5_000_000)
         writes_after = sum(
-            s.rnic.stats.writes_executed for s in tb.memory_servers
+            s.rnic.metrics["writes_executed"] for s in tb.memory_servers
         )
         assert writes_after == writes_before
         drops = (
-            primitive.stats.ring_full_drops
+            primitive.metrics["ring_full_drops"]
             + tb.switch.tm.total_dropped_packets
         )
         assert drops > 0
@@ -163,8 +163,8 @@ class TestFailover:
         # Without failover the primitive retries the dead channel forever;
         # a bounded window is enough to observe that no channel is failed.
         tb.sim.run(until_ns=usec(2000), max_events=1_000_000)
-        assert primitive.stats.channels_failed == 0
-        assert primitive.stats.read_recoveries > 0  # still retrying
+        assert primitive.metrics["channels_failed"] == 0
+        assert primitive.metrics["read_recoveries"] > 0  # still retrying
 
     def test_transient_outage_does_not_trigger_failover(self):
         tb, program, primitive, channels = build_striped(failover_strikes=10)
@@ -178,7 +178,7 @@ class TestFailover:
             lambda: setattr(tb.server_links[1], "loss_probability", 0.0),
         )
         tb.sim.run(max_events=5_000_000)
-        assert primitive.stats.channels_failed == 0
-        assert primitive.stats.read_recoveries >= 1
+        assert primitive.metrics["channels_failed"] == 0
+        assert primitive.metrics["read_recoveries"] >= 1
         assert sink.out_of_order == 0
         assert primitive.stored_entries == 0

@@ -63,8 +63,8 @@ class TestRemoteLookup:
         tb.sim.run()
         assert len(received) == 1
         assert received[0].ipv4.dscp == 46
-        assert table.stats.remote_lookups == 1
-        assert table.stats.remote_hits == 1
+        assert table.metrics["remote_lookups"] == 1
+        assert table.metrics["remote_hits"] == 1
         assert tb.memory_server.cpu_packets == 0
 
     def test_bounce_stores_packet_remotely(self):
@@ -101,8 +101,8 @@ class TestRemoteLookup:
         )
         tb.sim.run()
         assert len(received) == 2
-        assert table.stats.remote_lookups == 1  # only the first missed
-        assert table.stats.local_hits == 1
+        assert table.metrics["remote_lookups"] == 1  # only the first missed
+        assert table.metrics["local_hits"] == 1
         assert received[1].ipv4.dscp == 46
 
     def test_cache_disabled_every_packet_goes_remote(self):
@@ -123,8 +123,8 @@ class TestRemoteLookup:
         )
         tb.sim.run()
         assert len(received) == 2
-        assert table.stats.remote_lookups == 2
-        assert table.stats.local_hits == 0
+        assert table.metrics["remote_lookups"] == 2
+        assert table.metrics["local_hits"] == 0
 
     def test_unpopulated_entry_uses_default_action(self):
         tb, program, table, channel = build(
@@ -134,7 +134,7 @@ class TestRemoteLookup:
         tb.sim.run()
         assert len(received) == 1
         assert received[0].ipv4.dscp == 7
-        assert table.stats.remote_invalid == 1
+        assert table.metrics["remote_invalid"] == 1
 
     def test_drop_action_drops(self):
         tb, program, table, channel = build()
@@ -169,7 +169,7 @@ class TestRemoteLookup:
         tb.sim.run()
         assert len(received) == 1
         assert received[0].ipv4.dscp == 0  # action NOT applied
-        assert table.stats.fingerprint_mismatches == 1
+        assert table.metrics["fingerprint_mismatches"] == 1
 
     def test_cache_eviction_fifo(self):
         config = LookupTableConfig(entries=1 << 10, cache_entries=2)
@@ -192,8 +192,8 @@ class TestRemoteLookup:
                 )
             )
             tb.sim.run()
-        assert table.stats.cache_inserts == 3
-        assert table.stats.cache_evictions == 1
+        assert table.metrics["cache_inserts"] == 3
+        assert table.metrics["cache_evictions"] == 1
         assert len(table.cache) == 2
 
     def test_payload_survives_bounce(self):
@@ -272,11 +272,11 @@ class TestCuckooLayout:
         tb.sim.run()
         assert len(received) == 50
         assert all(p.ipv4.dscp == (p.udp.src_port % 64) for p in received)
-        assert table.stats.remote_lookups == 50
-        assert table.stats.remote_hits == 50
+        assert table.metrics["remote_lookups"] == 50
+        assert table.metrics["remote_hits"] == 50
         # The one-READ property at the wire: one bucket-pair READ per
         # miss, never a bounce-retry second READ.
-        assert channel.region.reads == table.stats.remote_lookups
+        assert channel.region.reads == table.metrics["remote_lookups"]
 
     def test_kicked_flows_stay_readable(self):
         """Install enough flows to force kicks; every flow must still
@@ -361,13 +361,13 @@ class TestCachePolicyIntegration:
             self._install(tb, table, sport)
             self._send(tb, sport)
         self._send(tb, 100)  # touch 100: now most recent
-        assert table.stats.local_hits == 1
+        assert table.metrics["local_hits"] == 1
         self._install(tb, table, 300)
         self._send(tb, 300)  # evicts 200 (LRU), not 100
         self._send(tb, 100)
-        assert table.stats.local_hits == 2
+        assert table.metrics["local_hits"] == 2
         self._send(tb, 200)
-        assert table.stats.remote_lookups == 4  # 100, 200, 300, 200-again
+        assert table.metrics["remote_lookups"] == 4  # 100, 200, 300, 200-again
 
     def test_fifo_policy_matches_legacy_eviction(self):
         """The default policy reproduces the original FIFO behavior."""
@@ -382,10 +382,10 @@ class TestCachePolicyIntegration:
         self._install(tb, table, 300)
         self._send(tb, 300)
         self._send(tb, 100)  # evicted despite the touch: goes remote
-        assert table.stats.remote_lookups == 4
+        assert table.metrics["remote_lookups"] == 4
         # Two evictions: 300 pushed 100 out, then 100's re-fetch pushed
         # out the next-oldest resident.
-        assert table.stats.cache_evictions == 2
+        assert table.metrics["cache_evictions"] == 2
 
     def test_hit_rate_snapshot_matches_counters(self):
         config = LookupTableConfig(entries=1 << 10, cache_entries=4)
@@ -394,11 +394,11 @@ class TestCachePolicyIntegration:
         self._send(tb, 100)
         self._send(tb, 100)
         self._send(tb, 100)
-        stats = table.stats
-        assert stats.hit_rate == pytest.approx(
-            stats.local_hits / (stats.local_hits + stats.remote_lookups)
+        metrics = table.metrics
+        assert metrics["hit_rate"] == pytest.approx(
+            metrics["local_hits"] / (metrics["local_hits"] + metrics["remote_lookups"])
         )
-        assert stats.hit_rate == pytest.approx(2 / 3)
+        assert metrics["hit_rate"] == pytest.approx(2 / 3)
 
 
 class TestRecirculateMode:
@@ -424,7 +424,7 @@ class TestRecirculateMode:
         assert received[0].ipv4.dscp == 12
         # Recirculate mode never WRITEs the packet (only the install wrote).
         assert channel.region.writes == 1
-        assert table.stats.recirculation_passes >= 1
+        assert table.metrics["recirculation_passes"] >= 1
 
     def test_recirculate_saves_remote_bandwidth(self):
         tb_b, _, table_b, _ = build()
@@ -440,6 +440,6 @@ class TestRecirculateMode:
             table.install(flow, RemoteAction(ACTION_SET_DSCP, 1))
             send_flow_packet(tb)
             tb.sim.run()
-        bounce_bytes = table_b.rocegen.stats.request_wire_bytes
-        recirc_bytes = table_r.rocegen.stats.request_wire_bytes
+        bounce_bytes = table_b.rocegen.metrics["request_wire_bytes"]
+        recirc_bytes = table_r.rocegen.metrics["request_wire_bytes"]
         assert recirc_bytes < bounce_bytes

@@ -77,15 +77,15 @@ class TestNormalOperation:
         sink, _ = blast(tb, count=5, senders=(0,))
         tb.sim.run()
         assert sink.packets == 5
-        assert primitive.stats.stored_packets == 0
-        assert tb.memory_server.rnic.stats.requests_received == 0
+        assert primitive.metrics["stored_packets"] == 0
+        assert tb.memory_server.rnic.metrics["requests_received"] == 0
 
     def test_overload_diverts_instead_of_dropping(self):
         tb, program, primitive, channel = build()
         sink, gens = blast(tb, count=100)
         tb.sim.run()
-        assert primitive.stats.stored_packets > 0
-        assert primitive.stats.loaded_packets == primitive.stats.stored_packets
+        assert primitive.metrics["stored_packets"] > 0
+        assert primitive.metrics["loaded_packets"] == primitive.metrics["stored_packets"]
         assert sink.packets == 200  # every packet eventually delivered
         assert tb.switch.tm.total_dropped_packets == 0
 
@@ -93,7 +93,7 @@ class TestNormalOperation:
         tb, program, primitive, channel = build()
         sink, _ = blast(tb, count=150)
         tb.sim.run()
-        assert primitive.stats.stored_packets > 0
+        assert primitive.metrics["stored_packets"] > 0
         assert sink.packets == 300
         assert sink.out_of_order == 0
 
@@ -103,7 +103,7 @@ class TestNormalOperation:
         tb.sim.run()
         assert primitive.stored_entries == 0
         assert not primitive.is_buffering
-        assert primitive.stats.buffering_episodes >= 1
+        assert primitive.metrics["buffering_episodes"] >= 1
 
     def test_zero_cpu_on_memory_server(self):
         tb, program, primitive, channel = build()
@@ -119,7 +119,7 @@ class TestNormalOperation:
         )
         sink, _ = blast(tb, count=250, packet_size=700)
         tb.sim.run()
-        assert primitive.stats.stored_packets > 0
+        assert primitive.metrics["stored_packets"] > 0
         assert all(p.ipv4.dst == tb.hosts[RECEIVER].eth.ip for p in received)
         assert {p.buffer_len for p in received} == {700}
 
@@ -128,8 +128,8 @@ class TestNormalOperation:
         blast(tb, count=100)
         tb.sim.run()
         # The server region saw one WRITE and one READ per diverted packet.
-        assert channel.region.writes == primitive.stats.stored_packets
-        assert channel.region.reads == primitive.stats.stored_packets
+        assert channel.region.writes == primitive.metrics["stored_packets"]
+        assert channel.region.reads == primitive.metrics["stored_packets"]
 
 
 class TestEdgeCases:
@@ -138,16 +138,16 @@ class TestEdgeCases:
         assert primitive.capacity_entries == 4
         sink, _ = blast(tb, count=200)
         tb.sim.run()
-        assert primitive.stats.ring_full_drops > 0
+        assert primitive.metrics["ring_full_drops"] > 0
         assert sink.packets < 400
 
     def test_oversize_packet_dropped_not_corrupted(self):
         tb, program, primitive, channel = build(entry_bytes=256)
         sink, _ = blast(tb, count=60, packet_size=1500)
         tb.sim.run()
-        assert primitive.stats.oversize_drops > 0
+        assert primitive.metrics["oversize_drops"] > 0
         # Nothing undersized was ever loaded back corrupted.
-        assert primitive.stats.loaded_packets == primitive.stats.stored_packets
+        assert primitive.metrics["loaded_packets"] == primitive.metrics["stored_packets"]
 
     def test_protected_port_cannot_be_server_port(self):
         tb = build_testbed()
@@ -179,11 +179,11 @@ class TestEdgeCases:
         tb, program, primitive, channel = build(ring_entries=8)
         sink, _ = blast(tb, count=100)
         tb.sim.run()
-        assert primitive.stats.stored_packets > 8  # wrapped at least once
+        assert primitive.metrics["stored_packets"] > 8  # wrapped at least once
         assert sink.out_of_order == 0
         assert (
             sink.packets
-            + primitive.stats.ring_full_drops
+            + primitive.metrics["ring_full_drops"]
             + tb.switch.tm.total_dropped_packets
             == 200
         )
@@ -203,8 +203,8 @@ class TestLossRecovery:
         tb.sim.run(max_events=2_000_000)
         total_accounted = (
             sink.packets
-            + primitive.stats.lost_in_transit
-            + primitive.stats.ring_full_drops
+            + primitive.metrics["lost_in_transit"]
+            + primitive.metrics["ring_full_drops"]
             + tb.switch.tm.total_dropped_packets
         )
         # Every sent packet is either delivered or accounted as a loss —
@@ -224,7 +224,7 @@ class TestLossRecovery:
             usec(60), lambda: setattr(tb.server_link, "loss_probability", 0.0)
         )
         tb.sim.run(max_events=2_000_000)
-        assert primitive.stats.read_recoveries >= 1
+        assert primitive.metrics["read_recoveries"] >= 1
         # After healing, the ring drains completely.
         assert primitive.stored_entries == 0
         assert not primitive.is_buffering

@@ -99,8 +99,8 @@ class TestCounting:
         tb, program, store, channel = build(config=config, rnic_config=rnic)
         send_n(tb, 300)
         tb.sim.run()
-        assert store.stats.updates_combined > 0
-        assert store.stats.operations_issued < 300
+        assert store.metrics["updates_combined"] > 0
+        assert store.metrics["operations_issued"] < 300
         packet = udp_between(tb.hosts[0], tb.hosts[1], 256, src_port=7000)
         assert store.read_counter_via_control_plane(store.index_of(store.key_of(packet))) == 300
 
@@ -110,7 +110,7 @@ class TestCounting:
         tb, program, store, channel = build(config=config, rnic_config=rnic)
         send_n(tb, 500)
         tb.sim.run()
-        assert tb.memory_server.rnic.stats.atomic_overflow_drops == 0
+        assert tb.memory_server.rnic.metrics["atomic_overflow_drops"] == 0
 
     def test_bytes_mode(self):
         config = StateStoreConfig(counters=1 << 12, count_mode="bytes")
@@ -129,14 +129,14 @@ class TestCounting:
         send_n(tb, 20, sport=7000)
         send_n(tb, 20, sport=7001)
         tb.sim.run()
-        assert store.stats.sampled_packets == 20
+        assert store.metrics["sampled_packets"] == 20
 
     def test_batching_reduces_operations(self):
         config = StateStoreConfig(counters=1 << 12, batch_size=10)
         tb, program, store, channel = build(config=config)
         send_n(tb, 100)
         tb.sim.run()
-        assert store.stats.operations_issued <= 10
+        assert store.metrics["operations_issued"] <= 10
         packet = udp_between(tb.hosts[0], tb.hosts[1], 256, src_port=7000)
         # Batched mode may hold back a partial batch (update delay, §7)...
         counted = store.read_counter_via_control_plane(store.index_of(store.key_of(packet)))
@@ -168,7 +168,7 @@ class TestCounting:
         send_n(tb, 123)
         tb.sim.run()
         assert (
-            store.stats.value_issued + store.pending_value
-            == store.stats.sampled_packets
+            store.metrics["value_issued"] + store.pending_value
+            == store.metrics["sampled_packets"]
             == 123
         )

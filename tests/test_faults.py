@@ -324,7 +324,7 @@ class TestIcrc:
         assert region.read(region.base_address, 8) == b"exact!!!"
         assert wire.effects["corrupted"] == 1
         assert (
-            server.rnic.stats.icrc_drops + client.rnic.stats.icrc_drops >= 1
+            server.rnic.metrics["icrc_drops"] + client.rnic.metrics["icrc_drops"] >= 1
         )
 
 
@@ -354,7 +354,7 @@ class TestGoBackN:
             stored = region.read(region.base_address + i * 8, 8)
             assert int.from_bytes(stored, "big") == i
         assert wire.dropped == 1
-        assert client.rnic.stats.retransmissions >= 1
+        assert client.rnic.metrics["retransmissions"] >= 1
 
     def test_timeouts_back_off_exponentially(self):
         obs = Observability(trace=WireTrace())
@@ -402,7 +402,7 @@ class TestGoBackN:
         rdma.write(region.base_address, region.rkey, b"x", done.append)
         sim.run()
         assert done and not done[0].success
-        assert client.rnic.stats.retries_exhausted == 1
+        assert client.rnic.metrics["retries_exhausted"] == 1
         assert len(exhausted) == 1  # the QP whose window died
 
     def test_exhaustion_escalates_into_health_monitor(self, sim):
@@ -433,7 +433,7 @@ class TestGoBackN:
         rdma.write(region.base_address, region.rkey, b"x", done.append)
         sim.run()
         assert done == []  # no recovery machinery, no completion
-        assert client.rnic.stats.retransmissions == 0
+        assert client.rnic.metrics["retransmissions"] == 0
 
 
 # -- RNIC-side faults ---------------------------------------------------------

@@ -139,7 +139,7 @@ def test_remote_lookup_bounce_makes_no_garbage():
     with no_cyclic_garbage():
         tb.sim.run()
     assert len(delivered) == PACKETS
-    assert table.stats.remote_lookups == PACKETS  # cache off: every packet bounced
+    assert table.metrics["remote_lookups"] == PACKETS  # cache off: every packet bounced
 
 
 def test_counting_program_makes_no_garbage():
@@ -156,7 +156,7 @@ def test_counting_program_makes_no_garbage():
         store.flush_all()
         tb.sim.run()
     assert len(delivered) == PACKETS
-    assert store.stats.acks_received > 0
+    assert store.metrics["acks_received"] > 0
 
 
 def test_remote_buffer_store_and_drain_make_no_garbage():
@@ -179,7 +179,7 @@ def test_remote_buffer_store_and_drain_make_no_garbage():
     zipf_traffic(tb, packet_size=frame_bytes, rate_pps=4e6, arrival="paced").start()
     with no_cyclic_garbage():
         tb.sim.run()
-    assert delivered == [] and buffer.stats.stored_packets == PACKETS
+    assert delivered == [] and buffer.metrics["stored_packets"] == PACKETS
     buffer.start_draining()
     with no_cyclic_garbage():
         tb.sim.run()
@@ -238,7 +238,7 @@ def test_l4lb_program_makes_no_garbage():
         store.flush_all()
         tb.sim.run()
     assert len(reached) == PACKETS
-    assert table.stats.remote_lookups > 0 and store.stats.acks_received > 0
+    assert table.metrics["remote_lookups"] > 0 and store.total("acks_received") > 0
 
 
 # -- (ii) the call budget ----------------------------------------------------------------
@@ -447,15 +447,15 @@ def test_a_retired_shards_responses_still_reach_it():
     at_leave = {}
 
     def leave():
-        at_leave.update(hits=leaver.stats.remote_hits, pending=len(leaver._pending))
+        at_leave.update(hits=leaver.metrics["remote_hits"], pending=len(leaver._pending))
         pool.remove_server("memserver1")
 
     tb.sim.schedule_at(20_000.0, leave)
     tb.sim.run()
     assert at_leave["pending"] > 0, "the leave must catch lookups in flight"
     assert leaver in table._retired
-    assert leaver.stats.remote_hits == at_leave["hits"] + at_leave["pending"]
-    assert len(delivered) == 200 and table.stats.lookups_lost == 0
+    assert leaver.metrics["remote_hits"] == at_leave["hits"] + at_leave["pending"]
+    assert len(delivered) == 200 and table.lookups_lost == 0
 
 
 def test_steering_follows_a_qp_reconnect():
@@ -476,7 +476,7 @@ def test_steering_follows_a_qp_reconnect():
     assert table._steering.owners == brute_force_owners(table.shards.values(), [])
     traffic.start()
     tb.sim.run()
-    assert len(delivered) == 100 and table.stats.remote_hits == 100
+    assert len(delivered) == 100 and table.total("remote_hits") == 100
 
 
 def test_replicated_store_and_striped_buffer_steer_by_qp():

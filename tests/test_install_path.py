@@ -546,11 +546,11 @@ def test_a_reinstall_refreshes_the_sram_copy(policy, layout):
     tb, table, flow, send = _cached_table(policy, layout)
     table.install(flow, RemoteAction(ACTION_SET_DSCP, 10))
     assert send() == 10 and send() == 10  # the second from SRAM
-    assert table.cache.contains(flow) and table.stats.local_hits >= 1
-    hits, remote = table.stats.local_hits, table.stats.remote_lookups
+    assert table.cache.contains(flow) and table.metrics["local_hits"] >= 1
+    hits, remote = table.metrics["local_hits"], table.metrics["remote_lookups"]
     table.install(flow, RemoteAction(ACTION_SET_DSCP, 20))
     assert send() == 20
-    assert (table.stats.local_hits, table.stats.remote_lookups) == (hits + 1, remote)
+    assert (table.metrics["local_hits"], table.metrics["remote_lookups"]) == (hits + 1, remote)
     assert table.stale_cached() == []
 
 
@@ -579,7 +579,7 @@ def test_a_read_that_raced_a_reinstall_never_fills_the_sram_copy(policy, layout)
     assert send() == 20
     assert table.cache.peek(flow) == RemoteAction(ACTION_SET_DSCP, 20)
     assert table.stale_cached() == []
-    assert send() == 20 and table.stats.local_hits >= 1
+    assert send() == 20 and table.metrics["local_hits"] >= 1
     # The check reports a stale SRAM copy wherever one comes from.
     table.cache.admit(flow, RemoteAction(ACTION_SET_DSCP, 10))
     assert table.stale_cached() == [flow]

@@ -265,11 +265,11 @@ class TestTransportMasking:
                 store.flush_all()
                 tb.sim.run()
 
-            stats = store.rocegen.stats
+            roce = store.rocegen.metrics
             assert guard.counts["masked_losses"] > 0
-            assert stats.naks_received == 0
-            assert stats.timeouts == 0
-            assert store.stats.retransmissions == 0
+            assert roce["naks_received"] == 0
+            assert roce["timeouts"] == 0
+            assert store.metrics["retransmissions"] == 0
 
 
 class TestBufferExhaustion:
@@ -347,7 +347,5 @@ class TestMetricsAndTrace:
 
     def test_counts_match_registry(self):
         tb, guard, injector, sink, gen = _guarded_run(count=100)
-        scope_prefix = f"linkguard[{guard.name}]"
-        snapshot = tb.sim.obs.registry.snapshot(scope_prefix)
         for leaf in ("protected", "masked_losses", "resent", "shim_bytes"):
-            assert snapshot[f"{scope_prefix}.{leaf}"] == guard.counts[leaf]
+            assert guard.metrics[leaf] == guard.counts[leaf]

@@ -159,11 +159,11 @@ def policy_point(types, layout, mode, cache_entries=0, policy="fifo", cache_fill
     tb.program.use_lookup_table(table)
     traffic = offer(tb, table, traffic_type)
     cut, end = run_with_cut(tb, lambda: [table], traffic)
-    stats = table.stats
-    assert stats.remote_hits and stats.remote_invalid + stats.fingerprint_mismatches
-    assert len(tb.delivered) == 500 and stats.lookups_lost == 0
-    assert bool(stats.local_hits) == bool(cache_entries and cache_fill)
-    assert bool(stats.recirculation_passes) == (mode == "recirculate")
+    metrics = table.metrics
+    assert metrics["remote_hits"] and metrics["remote_invalid"] + metrics["fingerprint_mismatches"]
+    assert len(tb.delivered) == 500 and metrics["lookups_lost"] == 0
+    assert bool(metrics["local_hits"]) == bool(cache_entries and cache_fill)
+    assert bool(metrics["recirculation_passes"]) == (mode == "recirculate")
     return cut, end
 
 
@@ -191,8 +191,8 @@ def tiered(types):
     cut, end = run_with_cut(tb, lambda: [table], traffic, cut_ns=usec(1_000))
     assert cut["in_flight"][0][2], "no block was held at the cut"
     assert end["in_flight"][0] == ([], [], {})
-    fast_reads = tb.sim.obs.registry.value(f"{table._fastgen.metrics.name}.reads_issued")
-    assert 0 < fast_reads < table.stats.remote_lookups == 800
+    fast_reads = table._fastgen.metrics["reads_issued"]
+    assert 0 < fast_reads < table.metrics["remote_lookups"] == 800
     assert len(tb.delivered) == 800
     return cut, end
 
@@ -248,10 +248,10 @@ def lossy_link(types):
     tb.server_links[0].loss_probability = 0.03
     traffic = offer(tb, table, traffic_type, count=1500)
     cut, end = run_with_cut(tb, lambda: [table], traffic)
-    roce = table.rocegen.stats
-    assert roce.strikes > 0 and roce.naks_received > roce.strikes, "no echo NAK was ignored"
-    assert table.stats.lookups_lost > 0
-    assert len(tb.delivered) + table.stats.lookups_lost == 1500
+    roce = table.rocegen.metrics
+    assert 0 < roce["strikes"] < roce["naks_received"], "no echo NAK was ignored"
+    assert table.metrics["lookups_lost"] > 0
+    assert len(tb.delivered) + table.metrics["lookups_lost"] == 1500
     return cut, end
 
 
@@ -283,10 +283,10 @@ def breaker_opens_and_recovers(types):
     plan.install(tb.sim)
     traffic = offer(tb, table, traffic_type, count=1200)
     cut, end = run_with_cut(tb, lambda: [table], traffic)
-    degraded = table.metrics.counter("degraded_defaults").value
+    degraded = table.metrics["degraded_defaults"]
     assert guard.breaker.opens >= 1 and guard.reconnects >= 1 and guard.breaker.is_closed
-    assert degraded > 0 and table.metrics.counter("degraded_hits").value > 0
-    assert table.stats.remote_lookups + table.stats.local_hits + degraded == 1200
+    assert degraded > 0 and table.metrics["degraded_hits"] > 0
+    assert table.metrics["remote_lookups"] + table.metrics["local_hits"] + degraded == 1200
     return cut, end
 
 
@@ -311,7 +311,7 @@ def qp_reconnect(types):
     tb.sim.schedule_at(usec(100), reconnect)
     cut, end = run_with_cut(tb, lambda: list(table.shards.values()), traffic)
     assert not set(before) & set(table._steering.owners), "steering never rescanned"
-    assert table.stats.remote_hits + table.stats.lookups_lost == 500
+    assert table.total("remote_hits") + table.lookups_lost == 500
     end["steering"] = sorted(table._steering.owners)
     return cut, end
 
@@ -341,7 +341,7 @@ def both_buckets_the_same(types):
         table.install(flow_of_rank(tb, traffic, rank), RemoteAction(ACTION_SET_DSCP, rank % 64))
     traffic.start()
     cut, end = run_with_cut(tb, lambda: [table], traffic)
-    assert table.stats.remote_hits == len(tb.delivered) == 240
+    assert table.metrics["remote_hits"] == len(tb.delivered) == 240
     assert {record[3] for record in tb.delivered} == {rank % 64 for rank in twins}
     return cut, end
 
@@ -422,11 +422,11 @@ def test_the_one_pass_scan_matches_a_slot_by_slot_decode(layout, slots, fingerpr
     wins), a match in the last slot, whatever frame bytes follow."""
     table = scan_table(layout)
     entry = b"".join(_SLOT.pack(*slot) for slot in slots)[: table._action_bytes] + tail
-    before = {name: table.metrics.counter(name).value for name in _SCAN_COUNTERS}
+    before = {name: table.metrics[name] for name in _SCAN_COUNTERS}
     action = table._resolve_entry(entry, FiveTuple(1, 2, 17, 3, 4), fingerprint)
     expected, counted = slot_by_slot(table, entry, fingerprint)
     assert action == expected
-    after = {name: table.metrics.counter(name).value for name in _SCAN_COUNTERS}
+    after = {name: table.metrics[name] for name in _SCAN_COUNTERS}
     assert after == {name: before[name] + (name == counted) for name in _SCAN_COUNTERS}
 
 
@@ -485,7 +485,7 @@ def _bounced_lookups(packets: int):
     tb.program.use_lookup_table(table)
     offer(tb, table, OpenLoopZipfTraffic, installed=1.0, flows=2048, count=packets, rate_pps=5e6)
     entries, garbage = profiled(tb.sim.run)
-    assert table.stats.remote_hits == len(tb.delivered) == packets
+    assert table.total("remote_hits") == len(tb.delivered) == packets
     calls = sum(
         entry.callcount for entry in entries
         if getattr(entry.code, "co_filename", "").endswith(LOOKUP_FILES)
@@ -536,11 +536,11 @@ def test_a_read_response_shorter_than_the_action_field_is_a_lost_lookup(layout):
     table.install(FiveTuple.of(packet), RemoteAction(ACTION_SET_DSCP, 7))
     tb.hosts[0].send(packet)
     tb.sim.run()
-    stats = table.stats
-    assert (stats.remote_lookups, stats.lookups_lost, stats.remote_hits) == (1, 1, 0)
+    metrics = table.metrics
+    assert (metrics["remote_lookups"], metrics["lookups_lost"], metrics["remote_hits"]) == (1, 1, 0)
     assert not tb.delivered and not table._pending
     # The next lookup is untouched by the loss.
     eth.deliver = deliver
     tb.hosts[0].send(udp_between(tb.hosts[0], tb.hosts[1], 128, src_port=5000, dst_port=6000))
     tb.sim.run()
-    assert table.stats.remote_hits == 1 and [r[3] for r in tb.delivered] == [7]
+    assert table.metrics["remote_hits"] == 1 and [r[3] for r in tb.delivered] == [7]

@@ -141,8 +141,8 @@ class TestRoceGenMisc:
             syndrome=AethSyndrome.NAK_PSN_SEQUENCE_ERROR,
         )
         gen.classify_response(nak)
-        assert gen.stats.naks_received == 1
-        assert gen.stats.responses_handled == 1
+        assert gen.metrics["naks_received"] == 1
+        assert gen.metrics["responses_handled"] == 1
 
     def test_owns_response_rejects_other_qpns(self):
         tb, channel, gen = self.build()

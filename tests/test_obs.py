@@ -1,6 +1,5 @@
 """Tests for the unified observability layer (registry + wire trace)."""
 
-import dataclasses
 import json
 
 import pytest
@@ -82,13 +81,16 @@ def test_unique_scope_never_aliases():
     b = reg.unique_scope("lookup")
     assert a.name == "lookup" and b.name == "lookup#2"
     a.counter("hits").inc()
-    assert reg.value("lookup.hits") == 1
+    assert reg.value("lookup.hits") == a["hits"] == 1
     assert reg.value("lookup#2.hits") is None
+    with pytest.raises(KeyError, match="lookup#2.hits"):
+        b["hits"]  # a read never registers: no fresh zero counter
+    assert reg.names() == ["lookup.hits"]
 
 
 def test_scope_children_and_prefix_snapshot():
     reg = MetricRegistry()
-    rnic = reg.scope("rnic[r0]")
+    rnic = reg.unique_scope("rnic[r0]")
     qp = rnic.child("qp[7]")
     qp.counter("requests_received").inc(3)
     rnic.counter("acks_sent").inc()
@@ -209,7 +211,7 @@ def test_end_to_end_trace_records_qp_timeline(tmp_path):
         assert times == sorted(times)
 
 
-# -- metrics parity with legacy stats ---------------------------------------
+# -- fixed-seed runs ----------------------------------------------------------
 
 
 def _run_fixed_seed_lookup():
@@ -252,18 +254,6 @@ def _run_fixed_seed_lookup():
     return table, tb.sim.obs.registry
 
 
-def test_registry_matches_legacy_stats_on_fixed_seed_run():
-    table, registry = _run_fixed_seed_lookup()
-    stats = dataclasses.asdict(table.stats)
-    assert stats["remote_lookups"] > 0
-    scope = table.metrics.name
-    for field, value in stats.items():
-        assert registry.value(f"{scope}.{field}") == value, field
-    # hit_rate is a derived property mirrored by a function gauge, not a
-    # summable field — assert it separately.
-    assert registry.value(f"{scope}.hit_rate") == table.stats.hit_rate
-
-
 def test_registry_is_deterministic_across_runs():
     # QP numbers come from a process-global allocator, so mask the per-QP
     # gauge names; everything else must be byte-identical run to run.
@@ -302,11 +292,7 @@ def test_statestore_registry_counts_packets():
     )
     gen.start()
     tb.sim.run()
-    stats = dataclasses.asdict(store.stats)
-    assert stats["sampled_packets"] == 50
-    scope = store.metrics.name
-    for field, value in stats.items():
-        assert tb.sim.obs.registry.value(f"{scope}.{field}") == value, field
+    assert store.metrics["sampled_packets"] == 50
 
 
 # -- renderers ---------------------------------------------------------------

@@ -153,7 +153,7 @@ def single_channel(buffer_type):
     blast(tb, 150)
     blast(tb, 60, at_ns=usec(400))  # a second episode over the recycled slots
     tb.sim.run()
-    assert buffer.stats.buffering_episodes >= 2 and len(tb.delivered) == 420
+    assert buffer.metrics["buffering_episodes"] >= 2 and len(tb.delivered) == 420
     return observe(tb, buffer)
 
 
@@ -161,7 +161,7 @@ def striped_over_three(buffer_type):
     tb, buffer = buffer_rig(buffer_type, servers=3, max_outstanding_reads=2)
     blast(tb, 200)
     tb.sim.run()
-    assert buffer.stats.reorder_peak >= 1 and len(tb.delivered) == 400
+    assert buffer.metrics["reorder_peak"] >= 1 and len(tb.delivered) == 400
     return observe(tb, buffer)
 
 
@@ -186,9 +186,9 @@ def loss_with_go_back_n(buffer_type):
     tb.server_links[0].loss_probability = 0.03
     blast(tb, 150)
     tb.sim.run(max_events=2_000_000)
-    stats = buffer.stats
-    assert stats.read_recoveries > 0 and stats.lost_in_transit > 0
-    assert len(tb.delivered) + stats.lost_in_transit + tb.switch.tm.total_dropped_packets == 300
+    lost = buffer.metrics["lost_in_transit"]
+    assert buffer.metrics["read_recoveries"] > 0 and lost > 0
+    assert len(tb.delivered) + lost + tb.switch.tm.total_dropped_packets == 300
     return observe(tb, buffer)
 
 
@@ -200,7 +200,7 @@ def failover_on_strikes(buffer_type):
     tb.sim.schedule_at(usec(20), setattr, tb.server_links[1], "loss_probability", 1.0)
     blast(tb, 80, at_ns=usec(2_000))  # re-stripes over the survivor
     tb.sim.run(max_events=2_000_000)
-    assert buffer.stats.channels_failed == 1 and buffer.stats.lost_to_failover > 0
+    assert buffer.metrics["channels_failed"] == 1 and buffer.metrics["lost_to_failover"] > 0
     return observe(tb, buffer)
 
 
@@ -218,8 +218,7 @@ def breaker_degrade_and_recover(buffer_type):
     tb.sim.schedule_at(usec(170), buffer.recover)
     blast(tb, 40, at_ns=usec(180))
     tb.sim.run(max_events=2_000_000)
-    registry = tb.sim.obs.registry.snapshot()
-    assert registry["pktbuf[1].degraded_passthrough"] > 0 and buffer.stored_entries == 0
+    assert buffer.metrics["degraded_passthrough"] > 0 and buffer.stored_entries == 0
     return observe(tb, buffer)
 
 
@@ -233,7 +232,7 @@ def pool_join_leave_and_death(buffer_type):
     tb.sim.schedule_at(usec(95), pool.fail_server, "memserver1")
     blast(tb, 60, at_ns=usec(1_500))
     tb.sim.run(max_events=2_000_000)
-    assert buffer.alive_channels == [2] and buffer.stats.channels_failed == 1
+    assert buffer.alive_channels == [2] and buffer.metrics["channels_failed"] == 1
     return observe(tb, buffer)
 
 
@@ -241,8 +240,8 @@ def ecn_from_ring_occupancy(buffer_type):
     tb, buffer = buffer_rig(buffer_type, ecn_ring_threshold_entries=20)
     blast(tb, 150, ecn=2)
     tb.sim.run()
-    assert 0 < buffer.stats.ecn_marked < buffer.stats.stored_packets
-    assert sum(1 for record in tb.delivered if record[3] == 3) == buffer.stats.ecn_marked
+    assert 0 < buffer.metrics["ecn_marked"] < buffer.metrics["stored_packets"]
+    assert sum(1 for record in tb.delivered if record[3] == 3) == buffer.metrics["ecn_marked"]
     return observe(tb, buffer)
 
 
@@ -250,7 +249,7 @@ def ring_too_small_for_the_burst(buffer_type):
     tb, buffer = buffer_rig(buffer_type, ring_entries=24)
     blast(tb, 100)
     tb.sim.run()
-    assert buffer.stats.ring_full_drops > 0
+    assert buffer.metrics["ring_full_drops"] > 0
     return observe(tb, buffer)
 
 
@@ -259,7 +258,7 @@ def frames_too_big_for_an_entry(buffer_type):
     blast(tb, 100, senders=(0,), size=1400)
     blast(tb, 100, senders=(2,), size=1500)
     tb.sim.run()
-    assert buffer.stats.oversize_drops > 0 and buffer.stats.loaded_packets > 0
+    assert buffer.metrics["oversize_drops"] > 0 and buffer.metrics["loaded_packets"] > 0
     return observe(tb, buffer)
 
 
@@ -379,7 +378,7 @@ def test_state_store_matches_on_a_clean_run(reliable, tiered):
         tb, store = store_rig(store_type, reliable, tiered)
         ledger = bursty_updates(tb, store)
         drain(tb, store)
-        assert store.stats.updates_combined > 0  # the window filled and accumulated
+        assert store.metrics["updates_combined"] > 0  # the window filled and accumulated
         return observe_store(tb, store, ledger)
 
     assert_same(run(RemoteStateStore), run(ReferenceStateStore))
@@ -395,10 +394,9 @@ def test_state_store_matches_under_loss_naks_and_timeouts(reliable, tiered):
         tb.server_links[0].loss_probability = 0.03
         ledger = bursty_updates(tb, store)
         drain(tb, store)
-        stats = store.stats
-        assert stats.naks_received > 0
+        assert store.metrics["naks_received"] > 0
         if reliable:
-            assert stats.retransmissions > 0 and stats.requeued_after_nak > 0
+            assert store.metrics["retransmissions"] > 0 and store.metrics["requeued_after_nak"] > 0
         return observe_store(tb, store, ledger if reliable else None)
 
     assert_same(run(RemoteStateStore), run(ReferenceStateStore))
@@ -425,10 +423,9 @@ def test_state_store_matches_through_degrade_and_reconcile(reliable):
         tb.sim.schedule_at(usec(152), store.probe)
         tb.sim.schedule_at(usec(160), store.recover)
         drain(tb, store)
-        snapshot = tb.sim.obs.registry.snapshot()
-        assert snapshot["statestore.degraded_updates"] > 0
+        assert store.metrics["degraded_updates"] > 0
         if reliable:
-            assert snapshot["statestore.reconcile_reads"] > 0
+            assert store.metrics["reconcile_reads"] > 0
         return observe_store(tb, store, ledger if reliable else None)
 
     assert_same(run(RemoteStateStore), run(ReferenceStateStore))
@@ -545,7 +542,7 @@ def _buffered_frames(frames: int):
         tb.sim.run()
 
     entries, garbage = profiled(run)
-    assert buffer.stats.loaded_packets == frames and buffer.stored_entries == 0
+    assert buffer.metrics["loaded_packets"] == frames and buffer.stored_entries == 0
     return _calls_in(entries, BUFFER_FILES), buffer._regs.reads + buffer._regs.writes, garbage
 
 
@@ -585,9 +582,8 @@ def _acknowledged_fetch_adds(window: int, operations: int):
             1_000.0 + burst * 10_000.0 * window + k * 10.0, store.update, n % 1024, 1
         )
     entries, garbage = profiled(tb.sim.run)
-    stats = store.stats
-    assert stats.acks_received == operations and stats.updates_combined == 0
-    assert stats.retransmissions == 0 and store.outstanding == 0
+    assert store.metrics["acks_received"] == operations and store.metrics["updates_combined"] == 0
+    assert store.metrics["retransmissions"] == 0 and store.outstanding == 0
     psn_distance_calls = sum(
         entry.callcount for entry in entries
         if getattr(entry.code, "co_name", "") == "psn_distance"
@@ -672,10 +668,9 @@ def test_a_corrupted_buffered_frame_is_a_counted_loss_not_an_exception():
     tb.sim.run()
     buffer.start_draining()
     tb.sim.run()
-    stats = buffer.stats
-    assert stats.stored_packets == frames and buffer.stored_entries == 0
-    assert stats.lost_in_transit > 0
-    assert len(delivered) == stats.loaded_packets == frames - stats.lost_in_transit
+    lost = buffer.metrics["lost_in_transit"]
+    assert buffer.metrics["stored_packets"] == frames and buffer.stored_entries == 0 and lost > 0
+    assert len(delivered) == buffer.metrics["loaded_packets"] == frames - lost
 
 
 def test_a_flip_in_a_stored_frames_ip_header_loses_exactly_that_frame():
@@ -689,7 +684,7 @@ def test_a_flip_in_a_stored_frames_ip_header_loses_exactly_that_frame():
     buffer.start_draining()
     tb.sim.run()
     assert wire.effects["corrupted"] == 1
-    assert buffer.stats.lost_in_transit == 1 and buffer.stats.loaded_packets == 4
+    assert buffer.metrics["lost_in_transit"] == 1 and buffer.metrics["loaded_packets"] == 4
     sent = list(tb.traffic.schedule)
     assert [packet.meta["flow_rank"] for packet in delivered] == sent[:2] + sent[3:]
     assert buffer.stored_entries == 0 and not buffer.is_buffering
@@ -724,7 +719,7 @@ def test_a_corrupted_bounced_frame_is_a_lost_lookup_not_an_exception():
     traffic.start()
     tb.sim.run()
     assert wire.effects["corrupted"] == 1
-    assert table.stats.remote_lookups == 4 and table.stats.lookups_lost == 1
+    assert table.metrics["remote_lookups"] == 4 and table.metrics["lookups_lost"] == 1
     assert len(delivered) == 3
 
 
@@ -740,7 +735,7 @@ def test_a_store_whose_write_leaves_at_once_does_not_end_the_episode_under_it():
     )
     tb.sim.run()
     assert seen[0] == (True, 1)  # at the WRITE's dequeue, inside the store
-    assert len(delivered) == 1 and buffer.stats.buffering_episodes == 1
+    assert len(delivered) == 1 and buffer.metrics["buffering_episodes"] == 1
     assert buffer.stored_entries == 0 and not buffer.is_buffering
 
 

@@ -198,7 +198,7 @@ class TestPsnWraparound:
         tb.sim.run()
         packet = udp_between(tb.hosts[0], tb.hosts[1], 256)
         assert store.read_counter_via_control_plane(store.index_of(store.key_of(packet))) == 50
-        assert tb.memory_server.rnic.stats.sequence_errors == 0
+        assert tb.memory_server.rnic.metrics["sequence_errors"] == 0
 
     def test_packet_buffer_across_wrap(self):
         from tests.test_core_packet_buffer import blast, build
@@ -211,4 +211,4 @@ class TestPsnWraparound:
         tb.sim.run()
         assert sink.packets == 200
         assert sink.out_of_order == 0
-        assert tb.memory_server.rnic.stats.sequence_errors == 0
+        assert tb.memory_server.rnic.metrics["sequence_errors"] == 0

@@ -58,7 +58,7 @@ class TestWrite:
         assert len(done) == 1
         assert not done[0].success
         assert done[0].syndrome == AethSyndrome.NAK_REMOTE_ACCESS_ERROR
-        assert server.rnic.stats.access_errors == 1
+        assert server.rnic.metrics["access_errors"] == 1
 
     def test_write_out_of_bounds_naks(self, sim, host_pair):
         client, server, region = make_channel(host_pair)
@@ -148,7 +148,7 @@ class TestResponderRobustness:
         region = server.lend_memory(4096)
         RdmaClient(client_host.rnic, qp).write(region.base_address, region.rkey, b"x")
         sim.run()
-        assert server.rnic.stats.unknown_qp_drops == 1
+        assert server.rnic.metrics["unknown_qp_drops"] == 1
 
     def test_psn_gap_naks_sequence_error(self, sim, host_pair):
         client, server, region = make_channel(host_pair)
@@ -159,7 +159,7 @@ class TestResponderRobustness:
         sim.run()
         assert not done[0].success
         assert done[0].syndrome == AethSyndrome.NAK_PSN_SEQUENCE_ERROR
-        assert server.rnic.stats.sequence_errors == 1
+        assert server.rnic.metrics["sequence_errors"] == 1
 
     def test_duplicate_write_is_acked_not_reapplied(self, sim, host_pair):
         client, server, region = make_channel(host_pair)
@@ -173,7 +173,7 @@ class TestResponderRobustness:
         client.write(region.base_address, region.rkey, b"A", done.append)
         sim.run()
         assert done[0].success
-        assert server.rnic.stats.duplicates == 1
+        assert server.rnic.metrics["duplicates"] == 1
         # The duplicate must NOT have overwritten the newer value.
         assert region.read(region.base_address, 1) == b"B"
 
@@ -200,7 +200,7 @@ class TestResponderRobustness:
         link.loss_probability = 0.0  # heal before first retry fires
         sim.run()
         assert done and done[0].success
-        assert client_host.rnic.stats.retransmissions >= 1
+        assert client_host.rnic.metrics["retransmissions"] >= 1
         assert region.read(region.base_address, 8) == b"retry me"
 
 

@@ -155,7 +155,7 @@ class TestCircuitBreaker:
         breaker.record("strike")
         breaker.record("progress")  # a late pre-trip response
         assert breaker.is_open
-        assert breaker.metrics.counter("events_while_open").value == 1
+        assert breaker.metrics["events_while_open"] == 1
         assert breaker.opens == 1
 
     def test_disarm_cancels_pending_half_open(self, sim):
@@ -630,7 +630,7 @@ class TestStoreDegradedMode:
         store.degrade()
         store.update(1, 4)
         store.update(1, 2)
-        assert store.metrics.counter("degraded_updates").value == 2
+        assert store.metrics["degraded_updates"] == 2
         assert store.pending_value == 6
         assert store.outstanding == 0  # watchdog stood down
         store.recover()
@@ -645,21 +645,21 @@ class TestStoreDegradedMode:
         # Exactly-once: whatever part of the suspended op the reconcile
         # READ found already applied is credited, the rest re-issued —
         # together they account for the full suspended value, once.
-        assert store.metrics.counter("reconcile_reads").value == 1
-        applied = store.metrics.counter("reconciled_applied").value
-        reissued = store.metrics.counter("reconciled_reissued").value
+        assert store.metrics["reconcile_reads"] == 1
+        applied = store.metrics["reconciled_applied"]
+        reissued = store.metrics["reconciled_reissued"]
         assert applied + reissued == 3
 
     def test_updates_while_degraded_never_drive_the_wire(self):
         tb, store = self.build()
         store.degrade()
-        writes_before = tb.memory_server.rnic.stats.atomics_executed
+        writes_before = tb.memory_server.rnic.metrics["atomics_executed"]
         for i in range(20):
             store.update(i, 1)
         store.flush_all()  # must be a no-op while degraded
         tb.sim.run()
         assert (
-            tb.memory_server.rnic.stats.atomics_executed == writes_before
+            tb.memory_server.rnic.metrics["atomics_executed"] == writes_before
         )
         assert store.pending_value == 20
 
@@ -713,17 +713,17 @@ class TestLookupDegradedMode:
         assert len(received) == 3
         assert received[1].ipv4.dscp == 46
         assert received[2].ipv4.dscp == 0  # default is a NOP, still forwarded
-        assert table.metrics.counter("degraded_hits").value == 1
-        assert table.metrics.counter("degraded_defaults").value == 1
+        assert table.metrics["degraded_hits"] == 1
+        assert table.metrics["degraded_defaults"] == 1
         # Degraded mode never touched the wire.
-        assert table.stats.remote_lookups == 1
+        assert table.metrics["remote_lookups"] == 1
 
         table.recover()
         table.install(self.flow(tb, 5002), RemoteAction(ACTION_SET_DSCP, 9))
         self.send(tb, 5002)
         tb.sim.run()
         assert received[-1].ipv4.dscp == 9  # remote lookups bounce again
-        assert table.stats.remote_lookups == 2
+        assert table.metrics["remote_lookups"] == 2
 
     def test_degrade_writes_off_inflight_bounces(self):
         tb, table, received = self.build()
@@ -734,7 +734,7 @@ class TestLookupDegradedMode:
         assert len(table._pending) >= 1
         table.degrade()
         assert len(table._pending) == 0
-        assert table.metrics.counter("lookups_lost").value >= 1
+        assert table.metrics["lookups_lost"] >= 1
 
 
 # -- full-scenario determinism ---------------------------------------------------

@@ -531,15 +531,15 @@ def test_a_read_for_more_than_one_packet_is_refused_before_executing():
     r = _one_request(
         lambda r: build_read_request(r.requester, r.region.base_address, r.region.rkey, 65_488)
     )
-    stats = r.rnic.stats
+    metrics = r.rnic.metrics
     assert _syndromes(r) == [AethSyndrome.NAK_INVALID_REQUEST]
-    assert (stats.reads_executed, stats.bytes_read, stats.naks_sent) == (0, 0, 1)
+    assert (metrics["reads_executed"], metrics["bytes_read"], metrics["naks_sent"]) == (0, 0, 1)
     assert r.region.reads == 0 and r.qp.expected_psn == 0 and r.rnic._rx_backlog_bytes == 0
     # The largest READ that fits is served.
     r = _one_request(
         lambda r: build_read_request(r.requester, r.region.base_address, r.region.rkey, 65_487)
     )
-    assert r.rnic.stats.bytes_read == 65_487 and len(r.responses[0][1]) == 14 + 65_535
+    assert r.rnic.metrics["bytes_read"] == 65_487 and len(r.responses[0][1]) == 14 + 65_535
 
 
 def test_a_replayed_oversize_read_is_refused_too():
@@ -558,10 +558,10 @@ def test_the_request_generator_rejects_an_oversize_read_at_issue_time():
     gen = RoceRequestGenerator(tb.switch, channel)
     with pytest.raises(ValueError, match="65487"):
         gen.read(channel.base_address, 100_000)
-    assert gen.stats.reads_issued == 0 and channel.switch_qp.next_psn == 0
+    assert gen.metrics["reads_issued"] == 0 and channel.switch_qp.next_psn == 0
     gen.read(channel.base_address, 65_487)
     tb.sim.run()  # the full-size response crosses the link without raising
-    assert tb.memory_server.rnic.stats.bytes_read == 65_487
+    assert tb.memory_server.rnic.metrics["bytes_read"] == 65_487
 
 
 @pytest.mark.parametrize("dma_length", [4096, 8, 0], ids=["longer", "shorter", "zero"])
@@ -572,9 +572,9 @@ def test_a_write_whose_reth_length_is_not_its_payload_length_is_naked(dma_length
         return request
 
     r = _one_request(build)
-    stats = r.rnic.stats
+    metrics = r.rnic.metrics
     assert _syndromes(r) == [AethSyndrome.NAK_INVALID_REQUEST]
-    assert (stats.writes_executed, stats.bytes_written, stats.naks_sent) == (0, 0, 1)
+    assert (metrics["writes_executed"], metrics["bytes_written"], metrics["naks_sent"]) == (0, 0, 1)
     assert r.region.writes == 0 and r.region.resident_bytes == 0
     assert r.qp.expected_psn == 0 and r.rnic._rx_backlog_bytes == 0
 
@@ -587,7 +587,7 @@ def test_an_unsupported_request_opcode_is_one_nak():
 
     r = _one_request(build)
     assert _syndromes(r) == [AethSyndrome.NAK_INVALID_REQUEST]
-    assert r.rnic.stats.naks_sent == 1 and r.rnic.stats.atomics_executed == 0
+    assert r.rnic.metrics["naks_sent"] == 1 and r.rnic.metrics["atomics_executed"] == 0
 
 
 # -- (v) a bounded, exactly repeatable number of calls per round trip ----------------------
@@ -623,7 +623,7 @@ def _round_trip_calls(operations: int) -> int:
     profiler.enable()
     tb.sim.run()
     profiler.disable()
-    assert program.acks == operations == tb.memory_server.rnic.stats.atomics_executed
+    assert program.acks == operations == tb.memory_server.rnic.metrics["atomics_executed"]
     return sum(
         entry.callcount
         for entry in profiler.getstats()

@@ -97,8 +97,8 @@ class TestRdmaPriority:
         sink = run_contended(tb)
         # The RDMA leg itself suffered: fewer lookups resolved than issued
         # (bounce WRITEs/READs were dropped in the TM, triggering NAKs).
-        assert table.stats.remote_hits < table.stats.remote_lookups
-        assert table.rocegen.stats.naks_received > 0
+        assert table.metrics["remote_hits"] < table.metrics["remote_lookups"]
+        assert table.rocegen.metrics["naks_received"] > 0
         assert sink.packets < 200
 
     def test_priority_and_reserve_protect_bounces(self):
@@ -110,8 +110,8 @@ class TestRdmaPriority:
         tb, program, table = build_contended(tm_config=tm)
         sink = run_contended(tb)
         # Every bounce survived the RDMA path: no NAKs, all lookups hit.
-        assert table.stats.remote_hits == 200
-        assert table.rocegen.stats.naks_received == 0
+        assert table.metrics["remote_hits"] == 200
+        assert table.rocegen.metrics["naks_received"] == 0
         # Any residual loss is the *resolved original* competing for the
         # shared pool at the destination port — accounted, not leaked.
         host_queue = tb.switch.port_queue(tb.host_ports[1])

@@ -183,8 +183,7 @@ class TestTieredMemoryPool:
         assert channel.tier == TIER_FAST
         assert channel.region.tier == TIER_FAST
         assert pool.fast_free_bytes == kib(1) - 512
-        snap = tb.sim.obs.registry.snapshot("tiering")
-        assert snap["tiering.tier[fast].occupancy"] == 512
+        assert pool.metrics["tier[fast].occupancy"] == 512
         tb.controller.close_channel(channel)
         assert pool.fast_free_bytes == kib(1)
         with pytest.raises(ValueError):
@@ -200,9 +199,8 @@ class TestTieredMemoryPool:
         pool.tick()
         assert geometry.tier_of_block(0) == TIER_FAST
         assert geometry.tier_of_block(3) == TIER_DRAM
-        snap = tb.sim.obs.registry.snapshot("tiering")
-        assert snap["tiering.tier[fast].promotions"] == 1
-        assert snap["tiering.ticks"] == 1
+        assert pool.metrics["tier[fast].promotions"] == 1
+        assert pool.metrics["ticks"] == 1
 
     def test_tick_is_self_arming_and_simulation_terminates(self):
         tb, pool = build_tiered(tick_ns=5_000.0)
@@ -256,8 +254,7 @@ class TestTieredMemoryPool:
         pool.fail_server("memserver0")
         assert geometry.fast_used == 0 and geometry.abandoned == 1
         assert not geometry.fast_enabled
-        snap = tb.sim.obs.registry.snapshot("tiering")
-        assert snap["tiering.blocks_abandoned"] == 1
+        assert pool.metrics["blocks_abandoned"] == 1
 
     def test_dedicated_fast_member_hosts_the_window(self):
         tb = build_testbed(n_hosts=2, n_memory_servers=2)
@@ -334,14 +331,13 @@ class TestTieredStateStore:
             assert store.read_counter_via_control_plane(index) == value
         # The hot block ended up fast and some operations rode it there.
         assert geometry.tier_of_block(0) == TIER_FAST
-        snap = tb.sim.obs.registry.snapshot("tiering")
-        assert snap["tiering.tier[fast].promotions"] >= 1
-        assert snap["tiering.tier[fast].hits"] > 0
-        assert snap["tiering.tier[dram].hits"] > 0
+        assert pool.metrics["tier[fast].promotions"] >= 1
+        assert pool.metrics["tier[fast].hits"] > 0
+        assert pool.metrics["tier[dram].hits"] > 0
         assert (
-            snap["tiering.tier[fast].hits"] + snap["tiering.tier[fast].misses"]
-            == snap["tiering.tier[dram].hits"]
-            + snap["tiering.tier[dram].misses"]
+            pool.metrics["tier[fast].hits"] + pool.metrics["tier[fast].misses"]
+            == pool.metrics["tier[dram].hits"]
+            + pool.metrics["tier[dram].misses"]
         )
 
     def test_fast_occupancy_never_exceeds_the_bound(self):
@@ -352,9 +348,8 @@ class TestTieredStateStore:
         tb.sim.run()
         store.flush_all()
         tb.sim.run()
-        snap = tb.sim.obs.registry.snapshot("tiering")
-        assert 0 < snap["tiering.tier[fast].occupancy_peak"] <= 256
-        assert snap["tiering.tier[fast].occupancy"] <= 256
+        assert 0 < pool.metrics["tier[fast].occupancy_peak"] <= 256
+        assert pool.metrics["tier[fast].occupancy"] <= 256
 
     def test_degrade_fast_demotes_and_stays_live_on_dram(self):
         tb, pool, geometry, store = self.build_store()
