@@ -17,11 +17,7 @@ Run:  python examples/l4_migration.py  [--connections 100000]
 
 import argparse
 
-from repro.experiments.l4lb import (
-    assert_l4lb,
-    format_l4lb,
-    run_l4lb_soak,
-)
+from repro.experiments.l4lb import EXPERIMENT, format_l4lb, run_l4lb_soak
 
 
 def main() -> None:
@@ -48,7 +44,8 @@ def main() -> None:
     print()
     print(format_l4lb(result))
     print()
-    assert_l4lb(result)
+    failed = EXPERIMENT.failures(EXPERIMENT.record(result))
+    assert not failed, f"acceptance bar failed: {failed}"
 
     detect = result.kill_detect_latency_ns
     print(

@@ -1,24 +1,84 @@
 """Experiment harnesses regenerating the paper's tables and figures.
 
-One module per result:
-
-* :mod:`.fig3a`              — latency overhead of the lookup primitive
-* :mod:`.fig3b`              — bandwidth overhead of the state store
-* :mod:`.packet_buffer_rate` — §5 lossless store/forward rates
-* :mod:`.incast`             — §2.1 / Fig. 1a incast comparison
-* :mod:`.overhead`           — §4 RoCE header overhead table
-* :mod:`.baremetal`          — §2.2 / Fig. 1b VIP→PIP translation
-* :mod:`.telemetry`          — §2.3 / Fig. 1c sketch/counter scaling
-* :mod:`.kv_cache`           — §2.2/§6 in-network KV cache study
-* :mod:`.persistent_congestion` — §2.1 bursts-vs-persistence with ECN
-* :mod:`.ablations`          — §7 design-choice ablations
-* :mod:`.scaleout`           — cluster sharding / failover studies
-* :mod:`.chaos`              — lossy-link soak (fault injection + recovery)
-* :mod:`.linkguard`          — link protection: guard vs breaker goodput (§14)
-* :mod:`.lookup_scale`       — EMOMA-scale cuckoo/cache/Zipf lookup study
-* :mod:`.tiering`            — tiered-memory placement-policy study (§13)
-
-Each ``run_*`` harness has a matching ``format_*`` text renderer in the
-same module; import both from there.  The library surface itself
-(primitives, testbed, observability) lives in :mod:`repro.api`.
+Every module here defines one :class:`Experiment`, ``EXPERIMENT``, next to
+its ``run_*`` harnesses and ``format_*`` renderers.  :data:`REGISTRY`
+names them for ``repro-experiments``; :func:`load` imports only the module
+a command needs.  The library surface itself (primitives, testbed,
+observability) lives in :mod:`repro.api`.
 """
+
+from __future__ import annotations
+
+import importlib
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Dict, List, Mapping, Tuple
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: two scales, a text table, a record, its checks.
+
+    ``run(**quick)`` or ``run(**full)`` returns a result; ``table`` renders
+    it, ``record`` turns it into the JSON-ready ``results`` dict, and
+    ``checks`` maps each named bar to whether the record holds it.  The
+    checks read only the record, so a written record can be re-checked
+    without re-running anything.
+    """
+
+    name: str
+    run: Callable[..., Any]
+    table: Callable[[Any], str]
+    record: Callable[[Any], Dict[str, Any]]
+    checks: Callable[[Dict[str, Any]], Dict[str, bool]]
+    quick: Mapping[str, Any]
+    full: Mapping[str, Any]
+
+    def failures(self, record: Dict[str, Any]) -> List[str]:
+        """Names of the checks *record* fails."""
+        return [name for name, ok in self.checks(record).items() if not ok]
+
+
+def pick(obj: Any, names: str) -> Dict[str, Any]:
+    """``{name: obj.name}`` for each space-separated attribute name."""
+    return {name: getattr(obj, name) for name in names.split()}
+
+
+def row(obj: Any) -> Dict[str, Any]:
+    """Every dataclass field and property of *obj*, by name."""
+    names = [f.name for f in fields(obj)]
+    names += [name for name, v in vars(type(obj)).items() if isinstance(v, property)]
+    return {name: getattr(obj, name) for name in names}
+
+
+def rows_by(key: str) -> Callable[[Any], Dict[str, Any]]:
+    """A ``record`` holding each result row whole, keyed by its *key* field."""
+    return lambda rows: {str(getattr(r, key)): row(r) for r in rows}
+
+
+#: Command name -> (module, one-line help), in the order ``all`` runs them.
+REGISTRY: Dict[str, Tuple[str, str]] = {
+    "overhead": ("overhead", "§4 RoCE header overhead table"),
+    "fig3a": ("fig3a", "Fig. 3a: latency overhead of the lookup primitive"),
+    "fig3b": ("fig3b", "Fig. 3b: bandwidth overhead of the state store"),
+    "packet-buffer": ("packet_buffer_rate", "§5 store/forward rate sweep"),
+    "incast": ("incast", "§2.1 incast: drop-tail vs remote buffer vs PFC"),
+    "baremetal": ("baremetal", "§2.2 bare-metal VIP→PIP translation"),
+    "telemetry": ("telemetry", "§2.3 SRAM vs remote-memory sketch"),
+    "kv-cache": ("kv_cache", "§6 in-network KV cache study"),
+    "l4lb": ("l4lb", "L4LB soak: kill, drain and link corruption at once"),
+    "lookup-scale": ("lookup_scale", "cuckoo lookup: cache policies, miss scale-out"),
+    "sequencer": ("sequencer", "§6 in-network sequencer throughput"),
+    "persistent-congestion": (
+        "persistent_congestion", "§2.1 persistent overload: buffer vs buffer+ECN"
+    ),
+    "scaleout": ("scaleout", "sharded lookups over N servers; replica failover"),
+    "chaos": ("chaos", "reliable counters over a lossy link; self-healing"),
+    "linkguard": ("linkguard", "goodput over a corrupting link: guard vs breaker"),
+    "tiering": ("tiering", "tiered-memory placement policies over Zipf FAA"),
+    "ablations": ("ablations", "§7 design-choice ablations"),
+}
+
+
+def load(name: str) -> Experiment:
+    """The registered experiment *name*, importing only its module."""
+    return importlib.import_module(f"{__name__}.{REGISTRY[name][0]}").EXPERIMENT

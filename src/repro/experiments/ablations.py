@@ -23,15 +23,14 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..analysis.reporting import format_table
-from ..apps.programs import CountingProgram, RemoteLookupProgram
+from ..apps.programs import RemoteLookupProgram
 from ..core.lookup_table import (
     ACTION_SET_DSCP,
     LookupTableConfig,
     RemoteAction,
     RemoteLookupTable,
 )
-from ..core.state_store import RemoteStateStore, StateStoreConfig
-from ..rdma.constants import ATOMIC_OPERAND_BYTES
+from ..core.state_store import StateStoreConfig
 from ..rdma.rnic import RnicConfig
 from ..sim.units import gbps, to_usec
 from ..switches.hashing import FiveTuple
@@ -39,6 +38,8 @@ from ..workloads.factory import udp_between
 from ..workloads.flows import ZipfFlowWorkload
 from ..workloads.perftest import RawEthernetBw
 from ..testbed import build_testbed
+from . import Experiment, row
+from .scaleout import counting_store
 
 
 # -- 1. Fetch-and-Add batching -------------------------------------------------
@@ -64,17 +65,9 @@ def run_batching_ablation(
     results = []
     for batch in batch_sizes:
         tb = build_testbed(n_hosts=2)
-        program = CountingProgram()
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
-        config = StateStoreConfig(counters=1 << 12, batch_size=batch)
-        channel = tb.controller.open_channel(
-            tb.memory_server, tb.server_port,
-            config.counters * ATOMIC_OPERAND_BYTES,
+        store = counting_store(
+            tb, StateStoreConfig(counters=1 << 12, batch_size=batch)
         )
-        store = RemoteStateStore(tb.switch, channel, config=config)
-        program.use_state_store(store)
         gen = RawEthernetBw(
             tb.sim, tb.hosts[0], tb.hosts[1],
             packet_size=256, rate_bps=gbps(40), count=packets,
@@ -147,17 +140,9 @@ def run_window_ablation(
             n_hosts=2,
             rnic_config=RnicConfig(max_outstanding_atomics=rnic_limit),
         )
-        program = CountingProgram()
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
-        config = StateStoreConfig(counters=1 << 12, max_outstanding=window)
-        channel = tb.controller.open_channel(
-            tb.memory_server, tb.server_port,
-            config.counters * ATOMIC_OPERAND_BYTES,
+        store = counting_store(
+            tb, StateStoreConfig(counters=1 << 12, max_outstanding=window)
         )
-        store = RemoteStateStore(tb.switch, channel, config=config)
-        program.use_state_store(store)
         gen = RawEthernetBw(
             tb.sim, tb.hosts[0], tb.hosts[1],
             packet_size=256, rate_bps=gbps(40), count=packets,
@@ -223,10 +208,7 @@ def run_cache_ablation(
     results = []
     for cache_entries in cache_sizes:
         tb = build_testbed(n_hosts=2)
-        program = RemoteLookupProgram()
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
+        program = tb.bind(RemoteLookupProgram())
         config = LookupTableConfig(
             entries=1 << 15, cache_entries=cache_entries
         )
@@ -312,10 +294,7 @@ def run_mode_ablation(
     results = []
     for mode in ("bounce", "recirculate"):
         tb = build_testbed(n_hosts=2)
-        program = RemoteLookupProgram()
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
+        program = tb.bind(RemoteLookupProgram())
         config = LookupTableConfig(
             entries=1 << 12, cache_entries=0, mode=mode
         )
@@ -409,17 +388,9 @@ def run_drop_ablation(
         for loss in loss_probabilities:
             tb = build_testbed(n_hosts=2)
             tb.server_link.loss_probability = loss
-            program = CountingProgram()
-            for host, port in zip(tb.hosts, tb.host_ports):
-                program.install(host.eth.mac, port)
-            tb.switch.bind_program(program)
-            config = StateStoreConfig(counters=1 << 12, reliable=reliable)
-            channel = tb.controller.open_channel(
-                tb.memory_server, tb.server_port,
-                config.counters * ATOMIC_OPERAND_BYTES,
+            store = counting_store(
+                tb, StateStoreConfig(counters=1 << 12, reliable=reliable)
             )
-            store = RemoteStateStore(tb.switch, channel, config=config)
-            program.use_state_store(store)
             gen = RawEthernetBw(
                 tb.sim, tb.hosts[0], tb.hosts[1],
                 packet_size=256, rate_bps=gbps(40), count=packets,
@@ -575,3 +546,87 @@ def format_priority(results: Sequence["PriorityResult"]) -> str:
         ],
         title="§7 ablation — prioritizing RDMA packets under congestion",
     )
+
+
+#: ablation -> (harness, renderer), in presentation order.
+_ABLATIONS = {
+    "batching": (run_batching_ablation, format_batching),
+    "window": (run_window_ablation, format_window),
+    "cache": (run_cache_ablation, format_cache),
+    "mode": (run_mode_ablation, format_mode),
+    "drops": (run_drop_ablation, format_drops),
+    "priority": (run_priority_ablation, format_priority),
+}
+
+
+def _checks(record) -> dict:
+    batching, window, cache = record["batching"], record["window"], record["cache"]
+    (bounce, recirc), (unprotected, protected) = record["mode"], record["priority"]
+    best_effort = [r["count_error_rate"] for r in record["drops"] if not r["reliable"]]
+    return {
+        "batching halves operations and bytes": (
+            batching[-1]["operations"] < batching[0]["operations"] / 2
+            and batching[-1]["request_bytes"] < batching[0]["request_bytes"] / 2
+        ),
+        "batching never loses a count": all(
+            r["counted_remotely"] + r["pending_locally"] == r["packets"] for r in batching
+        ),
+        "window: exact within the RNIC limit, lossy beyond": all(
+            r["accurate"] == (r["window"] <= r["rnic_limit"]) for r in window
+        ),
+        "cache: hit rate grows with size": (
+            [r["hit_rate"] for r in cache] == sorted(r["hit_rate"] for r in cache)
+        ),
+        "cache: the largest cache lowers median latency": (
+            cache[-1]["median_latency_us"] < cache[0]["median_latency_us"]
+        ),
+        "recirculation halves remote bytes": (
+            recirc["remote_request_bytes"] < bounce["remote_request_bytes"] / 2
+        ),
+        "recirculation pays passes, bounce none": (
+            recirc["recirculation_passes"] >= recirc["packets"]
+            and bounce["recirculation_passes"] == 0
+        ),
+        "best-effort error grows with loss": (
+            best_effort[0] == 0.0 and best_effort[-1] > best_effort[1]
+        ),
+        "reliable mode is exact at every loss": all(
+            r["count_error_rate"] == 0.0 for r in record["drops"] if r["reliable"]
+        ),
+        "unprotected RDMA loses lookups": (
+            unprotected["resolution_rate"] < 0.8 and unprotected["bounce_naks"] > 0
+        ),
+        "priority makes lookups loss-free": (
+            protected["resolution_rate"] == 1.0 and protected["bounce_naks"] == 0
+        ),
+        "priority delivers more": protected["delivered"] > unprotected["delivered"],
+    }
+
+
+EXPERIMENT = Experiment(
+    name="ablations",
+    run=lambda **scales: {
+        name: _ABLATIONS[name][0](**kwargs) for name, kwargs in scales.items()
+    },
+    table=lambda runs: "\n\n".join(
+        _ABLATIONS[name][1](results) for name, results in runs.items()
+    ),
+    record=lambda runs: {
+        name: [row(r) for r in results] for name, results in runs.items()
+    },
+    checks=_checks,
+    quick={
+        "batching": {"packets": 1500}, "window": {"packets": 1500},
+        "cache": {"packets": 1500}, "mode": {"packets": 500},
+        "drops": {"packets": 1500},
+        "priority": {"lookups": 100, "background_packets": 1500},
+    },
+    full={
+        "batching": {"batch_sizes": (1, 2, 4, 8, 16, 32), "packets": 4000},
+        "window": {"windows": (1, 4, 16, 64), "packets": 3000},
+        "cache": {"cache_sizes": (0, 64, 256, 1024, 4096), "packets": 4000},
+        "mode": {"packets": 1500},
+        "drops": {"loss_probabilities": (0.0, 0.001, 0.01, 0.05), "packets": 3000},
+        "priority": {"lookups": 200, "background_packets": 3000},
+    },
+)

@@ -31,6 +31,7 @@ from ..sim.units import SEC, gbps, to_usec
 from ..workloads.factory import udp_between
 from ..workloads.flows import ZipfSampler
 from ..testbed import build_testbed
+from . import Experiment, rows_by
 
 MODES = ("slowpath", "remote")
 
@@ -197,3 +198,26 @@ def format_baremetal(results: Sequence[BaremetalResult]) -> str:
         ],
         title="§2.2 / Fig. 1b — bare-metal VIP→PIP translation at the ToR",
     )
+
+
+def _checks(record) -> dict:
+    slow, remote = record["slowpath"], record["remote"]
+    return {
+        "both modes deliver everything": slow["delivery_rate"] == 1.0
+        and remote["delivery_rate"] == 1.0,
+        "the baseline uses its CPU slow path": slow["slow_path_translations"] > 0,
+        "the remote table never does": remote["slow_path_translations"] == 0,
+        "remote p99 under a third of the slow path's": (
+            remote["p99_latency_us"] < slow["p99_latency_us"] / 3
+        ),
+        "SRAM cache hits over 40%": remote["cache_hit_rate"] > 0.4,
+    }
+
+
+EXPERIMENT = Experiment(
+    name="baremetal", run=run_baremetal_comparison, table=format_baremetal,
+    checks=_checks,
+    record=rows_by("mode"),
+    quick={"vips": 2000, "packets": 1500},
+    full={"vips": 20_000, "sram_entries": 256, "packets": 6000},
+)

@@ -24,28 +24,27 @@ row reproduces byte-for-byte from ``(seed, loss_rate)`` — the committed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..analysis.reporting import format_table
-from ..apps.programs import CountingProgram, RemoteBufferProgram
+from ..apps.programs import RemoteBufferProgram
 from ..core.packet_buffer import (
     ENTRY_SEQ_BYTES,
     PacketBufferConfig,
     RemotePacketBuffer,
 )
-from ..core.state_store import RemoteStateStore, StateStoreConfig
+from ..core.state_store import StateStoreConfig
 from ..faults.models import Blackout, IidLoss
 from ..faults.plan import FaultPlan
-from ..net.headers import UdpHeader
 from ..policies.breaker import BreakerPolicy
-from ..rdma.constants import ATOMIC_OPERAND_BYTES
 from ..resilience.breaker import CircuitBreakerConfig
 from ..resilience.guard import SelfHealingChannel
 from ..sim.rng import SeedSequence
 from ..sim.units import usec
-from ..switches.hashing import FiveTuple
 from ..workloads.perftest import PacketSink, RawEthernetBw
 from ..testbed import build_testbed
+from . import Experiment, pick
+from .scaleout import count_schedule, counter_schedule, counting_store
 
 #: Root seed for every chaos run; one number pins the whole timeline.
 CHAOS_SEED = 42
@@ -53,7 +52,6 @@ CHAOS_SEED = 42
 #: The swept per-packet loss probabilities (both link directions).
 LOSS_RATES = (0.0, 0.001, 0.01, 0.05)
 
-_BASE_SRC_PORT = 10_000
 _DST_PORT = 20_000
 
 
@@ -103,23 +101,12 @@ def run_chaos_point(
     fire-and-forget counters actually lose.
     """
     tb = build_testbed(n_hosts=2, with_memory_server=True)
-    program = CountingProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
-
-    config = StateStoreConfig(
-        counters=counters,
-        reliable=reliable,
-        retry_timeout_ns=retry_timeout_ns,
+    store = counting_store(
+        tb,
+        StateStoreConfig(
+            counters=counters, reliable=reliable, retry_timeout_ns=retry_timeout_ns
+        ),
     )
-    channel = tb.controller.open_channel(
-        tb.memory_server,
-        tb.server_port,
-        counters * ATOMIC_OPERAND_BYTES,
-    )
-    store = RemoteStateStore(tb.switch, channel, config=config)
-    program.use_state_store(store)
 
     plan = FaultPlan(seed=seed)
     wire = None
@@ -128,43 +115,8 @@ def run_chaos_point(
         plan.at(0.0, wire, IidLoss(loss_rate))
     plan.install(tb.sim)
 
-    src, dst = tb.hosts
-    expected: Dict[int, int] = {}
-    for seq in range(packets):
-        flow = FiveTuple(
-            src_ip=src.eth.ip.value,
-            dst_ip=dst.eth.ip.value,
-            protocol=17,
-            src_port=_BASE_SRC_PORT + (seq % flows),
-            dst_port=_DST_PORT,
-        )
-        index = flow.hash() % counters
-        expected[index] = expected.get(index, 0) + 1
-
-    def stamp(packet, seq) -> None:
-        packet.require(UdpHeader).src_port = _BASE_SRC_PORT + (seq % flows)
-
-    sender = RawEthernetBw(
-        tb.sim,
-        src,
-        dst,
-        packet_size=128,
-        rate_bps=1e9,
-        count=packets,
-        dst_port=_DST_PORT,
-        stamp=stamp,
-    )
-    sender.start()
-    tb.sim.run()
-
-    # Quiesce: force out everything still accumulated switch-side and let
-    # the retransmission machinery drain the in-flight window.
-    for _ in range(64):
-        if store.pending_value == 0 and store.outstanding == 0:
-            break
-        store.flush_all()
-        tb.sim.run()
-
+    expected = counter_schedule(tb, packets, flows, counters)
+    count_schedule(tb, store, packets, flows)
     recovered = {
         index: store.read_counter_via_control_plane(index)
         for index in expected
@@ -310,8 +262,9 @@ class RecoveryReport:
         return (self.expected_total - self.degraded_updates) / healthy_ms
 
 
-def _recovery_breaker_config() -> CircuitBreakerConfig:
-    """Pacing tuned to the scenario's 50 µs retry/read watchdogs."""
+def breaker_config() -> CircuitBreakerConfig:
+    """Breaker pacing tuned to 50 µs retry/read watchdogs; the linkguard
+    and L4LB scenarios use the same."""
     return CircuitBreakerConfig(
         fail_threshold=3,
         close_threshold=1,
@@ -348,27 +301,15 @@ def run_chaos_recovery(
 
     # ---- phase A: state store under blackout -------------------------------
     tb = build_testbed(n_hosts=2, with_memory_server=True)
-    program = CountingProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
-    channel = tb.controller.open_channel(
-        tb.memory_server, tb.server_port, counters * ATOMIC_OPERAND_BYTES
+    store = counting_store(
+        tb, StateStoreConfig(counters=counters, reliable=True, retry_timeout_ns=usec(50))
     )
-    store = RemoteStateStore(
-        tb.switch,
-        channel,
-        config=StateStoreConfig(
-            counters=counters, reliable=True, retry_timeout_ns=usec(50)
-        ),
-    )
-    program.use_state_store(store)
     guard = SelfHealingChannel(
         tb.controller,
-        channel,
+        store.channel,
         store,
         policy=BreakerPolicy(
-            config=_recovery_breaker_config(),
+            config=breaker_config(),
             rng=seeds.stream("breaker[store]"),
         ),
     )
@@ -382,40 +323,8 @@ def run_chaos_recovery(
     )
     plan.install(tb.sim)
 
-    src, dst = tb.hosts
-    expected: Dict[int, int] = {}
-    for seq in range(packets):
-        flow = FiveTuple(
-            src_ip=src.eth.ip.value,
-            dst_ip=dst.eth.ip.value,
-            protocol=17,
-            src_port=_BASE_SRC_PORT + (seq % flows),
-            dst_port=_DST_PORT,
-        )
-        expected_index = flow.hash() % counters
-        expected[expected_index] = expected.get(expected_index, 0) + 1
-
-    def stamp(packet, seq) -> None:
-        packet.require(UdpHeader).src_port = _BASE_SRC_PORT + (seq % flows)
-
-    sender = RawEthernetBw(
-        tb.sim,
-        src,
-        dst,
-        packet_size=128,
-        rate_bps=1e9,
-        count=packets,
-        dst_port=_DST_PORT,
-        stamp=stamp,
-    )
-    sender.start()
-    tb.sim.run()
-    for _ in range(64):
-        if store.pending_value == 0 and store.outstanding == 0:
-            break
-        store.flush_all()
-        tb.sim.run()
-
+    expected = counter_schedule(tb, packets, flows, counters)
+    count_schedule(tb, store, packets, flows)
     recovered = {
         index: store.read_counter_via_control_plane(index)
         for index in expected
@@ -425,10 +334,7 @@ def run_chaos_recovery(
 
     # ---- phase B: packet buffer ring stranded behind a blackout ------------
     tb2 = build_testbed(n_hosts=2, with_memory_server=True)
-    buf_program = RemoteBufferProgram()
-    for host, port in zip(tb2.hosts, tb2.host_ports):
-        buf_program.install(host.eth.mac, port)
-    tb2.switch.bind_program(buf_program)
+    buf_program = tb2.bind(RemoteBufferProgram())
     frame_bytes = 128
     entry_bytes = frame_bytes + ENTRY_SEQ_BYTES
     buf_packets = max(64, packets // 8)
@@ -454,7 +360,7 @@ def run_chaos_recovery(
         buf_channel,
         primitive,
         policy=BreakerPolicy(
-            config=_recovery_breaker_config(),
+            config=breaker_config(),
             rng=seeds.stream("breaker[pktbuf]"),
         ),
     )
@@ -487,13 +393,6 @@ def run_chaos_recovery(
     primitive.start_draining()
     tb2.sim.run()
 
-    _publish_recovery_metrics(
-        tb.sim.obs.registry,
-        expected_total=sum(expected.values()),
-        recovered_total=sum(recovered.values()),
-        buffered=buffered,
-        delivered=sink.packets,
-    )
     return RecoveryReport(
         seed=seed,
         packets_sent=packets,
@@ -523,46 +422,6 @@ def run_chaos_recovery(
         buffer_degraded_ns=buf_guard.breaker.degraded_ns,
         buffer_duration_ms=tb2.sim.now / 1e6,
     )
-
-
-def _publish_recovery_metrics(
-    registry, expected_total: int, recovered_total: int,
-    buffered: int, delivered: int,
-) -> None:
-    """Surface the acceptance numbers under ``chaos.recovery`` so a CI
-    metrics artifact can assert on them without re-parsing stdout."""
-    scope = registry.unique_scope("chaos.recovery")
-    scope.counter("expected_total").inc(expected_total)
-    scope.counter("recovered_total").inc(recovered_total)
-    scope.counter("lost_updates").inc(expected_total - recovered_total)
-    scope.counter("buffered_packets").inc(buffered)
-    scope.counter("delivered_packets").inc(delivered)
-    scope.counter("lost_buffered").inc(buffered - delivered)
-
-
-def assert_recovery(report: RecoveryReport) -> None:
-    """The acceptance bar for the self-healing scenario."""
-    if report.lost_updates != 0 or report.counters_wrong != 0:
-        raise AssertionError(
-            f"lost {report.lost_updates} updates, "
-            f"{report.counters_wrong} counters wrong"
-        )
-    if report.lost_buffered != 0 or report.out_of_order != 0:
-        raise AssertionError(
-            f"buffer lost {report.lost_buffered} packets, "
-            f"{report.out_of_order} out of order"
-        )
-    if report.store_breaker_opens == 0 or report.buffer_breaker_opens == 0:
-        raise AssertionError("a breaker never opened — no outage exercised")
-    if (
-        report.store_breaker_closes == 0
-        or report.buffer_breaker_closes == 0
-    ):
-        raise AssertionError("a breaker never re-closed after the outage")
-    if report.store_probe_failures == 0:
-        raise AssertionError(
-            "the blackout should outlive the first half-open probe"
-        )
 
 
 def format_chaos_recovery(report: RecoveryReport) -> str:
@@ -603,3 +462,79 @@ def format_chaos_recovery(report: RecoveryReport) -> str:
             f"(seed={report.seed})"
         ),
     )
+
+
+def _run(packets: int):
+    return (
+        run_chaos_sweep(packets=packets),
+        run_chaos_recovery(packets=packets),
+    )
+
+
+def _record(run) -> dict:
+    rows, recovery = run
+    record = {
+        f"loss[{row.loss_rate:g}]": pick(
+            row,
+            "seed loss_rate packets_sent duration_ms expected_total "
+            "recovered_total lost_updates counters_wrong link_drops "
+            "retransmissions naks timeouts goodput_updates_per_ms",
+        )
+        for row in rows
+    }
+    record["recovery"] = dict(
+        **pick(
+            recovery,
+            "seed packets_sent store_duration_ms buffer_duration_ms "
+            "expected_total recovered_total lost_updates counters_wrong "
+            "degraded_updates degraded_ms",
+        ),
+        goodput_degraded_per_ms=recovery.degraded_goodput_per_ms,
+        goodput_healthy_per_ms=recovery.healthy_goodput_per_ms,
+        **pick(
+            recovery,
+            "store_breaker_opens store_probe_failures store_reconnects "
+            "buffered_packets delivered_packets lost_buffered out_of_order "
+            "buffer_reconnects store_breaker_closes buffer_breaker_opens "
+            "buffer_breaker_closes",
+        ),
+    )
+    return record
+
+
+def _checks(record) -> dict:
+    sweep = [r for name, r in record.items() if name.startswith("loss[")]
+    lossless, lossy = record["loss[0]"], record["loss[0.01]"]
+    recovery = record["recovery"]
+    return {
+        "zero lost updates at every loss rate": all(
+            r["lost_updates"] == 0 for r in sweep
+        ),
+        "every counter exact at every loss rate": all(
+            r["counters_wrong"] == 0 for r in sweep
+        ),
+        "1% loss actually drops frames": lossy["link_drops"] > 0,
+        "goodput at 1% loss within 10% of lossless": (
+            lossy["goodput_updates_per_ms"]
+            >= 0.9 * lossless["goodput_updates_per_ms"]
+        ),
+        "recovery: no lost update": recovery["lost_updates"] == 0,
+        "recovery: every counter exact": recovery["counters_wrong"] == 0,
+        "recovery: no buffered packet lost": recovery["lost_buffered"] == 0,
+        "recovery: buffer drains in order": recovery["out_of_order"] == 0,
+        "recovery: buffered packets drained": recovery["delivered_packets"] > 0,
+        "recovery: both breakers open": recovery["store_breaker_opens"] > 0
+        and recovery["buffer_breaker_opens"] > 0,
+        "recovery: both breakers re-close": recovery["store_breaker_closes"] > 0
+        and recovery["buffer_breaker_closes"] > 0,
+        "recovery: the blackout outlives the first probe": (
+            recovery["store_probe_failures"] > 0
+        ),
+    }
+
+
+EXPERIMENT = Experiment(
+    name="chaos", run=_run, record=_record, checks=_checks,
+    table=lambda run: f"{format_chaos(run[0])}\n\n{format_chaos_recovery(run[1])}",
+    quick={"packets": 1000}, full={"packets": 3000},
+)

@@ -26,6 +26,7 @@ from ..api import (
 )
 from ..apps.programs import RemoteLookupProgram, StaticL2Program
 from ..workloads.netpipe import PROBE_PORT, PingPong
+from . import Experiment, rows_by
 
 PACKET_SIZES = (64, 128, 256, 512, 1024)
 
@@ -45,10 +46,7 @@ class Fig3aRow:
 
 def _run_baseline(packet_size: int, probes: int) -> float:
     tb = build_testbed(n_hosts=2, with_memory_server=False)
-    program = StaticL2Program()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(StaticL2Program())
     pingpong = PingPong(
         tb.sim, tb.hosts[0], tb.hosts[1], packet_size=packet_size, probes=probes
     )
@@ -59,10 +57,7 @@ def _run_baseline(packet_size: int, probes: int) -> float:
 
 def _run_lookup(packet_size: int, probes: int) -> float:
     tb = build_testbed(n_hosts=2)
-    program = RemoteLookupProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(RemoteLookupProgram())
     config = LookupTableConfig(entries=1 << 12, cache_entries=0)
     channel = tb.controller.open_channel(
         tb.memory_server, tb.server_port, config.entries * config.entry_bytes
@@ -123,3 +118,19 @@ def format_fig3a(rows: Sequence[Fig3aRow]) -> str:
         ],
         title="Figure 3a — median end-to-end latency (lookup table primitive)",
     )
+
+
+def _checks(record) -> dict:
+    deltas = [r["delta_us"] for r in record.values()]
+    return {
+        "the primitive always adds latency": min(deltas) > 0,
+        "mean overhead within 1-2.5 us": 1.0 <= sum(deltas) / len(deltas) <= 2.5,
+        "no size adds more than 3 us": max(deltas) <= 3.0,
+    }
+
+
+EXPERIMENT = Experiment(
+    name="fig3a", run=run_fig3a, table=format_fig3a, checks=_checks,
+    record=rows_by("packet_size"),
+    quick={"probes": 10}, full={"probes": 30},
+)

@@ -16,12 +16,13 @@ from typing import List, Sequence
 
 from ..analysis.monitors import LinkBandwidthMonitor
 from ..analysis.reporting import format_table
-from ..api import RemoteStateStore, StateStoreConfig, build_testbed
-from ..apps.programs import CountingProgram, StaticL2Program
-from ..rdma.constants import ATOMIC_OPERAND_BYTES
+from ..api import StateStoreConfig, build_testbed
+from ..apps.programs import StaticL2Program
 from ..rdma.headers import BthHeader
 from ..workloads.factory import udp_between
 from ..workloads.perftest import PacketSink, RawEthernetBw
+from . import Experiment, rows_by
+from .scaleout import counting_store
 
 PACKET_SIZES = (64, 128, 256, 512, 1024)
 
@@ -47,10 +48,7 @@ class Fig3bRow:
 
 def _run_baseline_goodput(packet_size: int, packets: int) -> float:
     tb = build_testbed(n_hosts=2, with_memory_server=False)
-    program = StaticL2Program()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(StaticL2Program())
     sink = PacketSink(tb.hosts[1], dst_port=20_000)
     gen = RawEthernetBw(
         tb.sim, tb.hosts[0], tb.hosts[1],
@@ -63,18 +61,7 @@ def _run_baseline_goodput(packet_size: int, packets: int) -> float:
 
 def run_fig3b_point(packet_size: int, packets: int = 4000) -> Fig3bRow:
     tb = build_testbed(n_hosts=2)
-    program = CountingProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
-    config = StateStoreConfig(counters=1 << 16, max_outstanding=16)
-    channel = tb.controller.open_channel(
-        tb.memory_server,
-        tb.server_port,
-        config.counters * ATOMIC_OPERAND_BYTES,
-    )
-    store = RemoteStateStore(tb.switch, channel, config=config)
-    program.use_state_store(store)
+    store = counting_store(tb, StateStoreConfig(counters=1 << 16, max_outstanding=16))
 
     roce_only = lambda packet: packet.find(BthHeader) is not None
     monitor = LinkBandwidthMonitor(tb.sim, tb.server_link, accept=roce_only)
@@ -135,3 +122,25 @@ def format_fig3b(rows: Sequence[Fig3bRow]) -> str:
         ],
         title="Figure 3b — state-store bandwidth overhead (per packet size)",
     )
+
+
+def _checks(record) -> dict:
+    rates = [r["fa_request_gbps"] for r in record.values()]
+    return {
+        "F&A stream within 1.6-2.8 Gbps": all(1.6 <= x <= 2.8 for x in rates),
+        "F&A stream flat across sizes": max(rates) - min(rates) < 0.6,
+        "counter 100% accurate": all(
+            r["counter_value"] == r["packets_sent"] for r in record.values()
+        ),
+        "no goodput loss vs L2 baseline": all(
+            r["goodput_gbps"] >= 0.99 * r["baseline_goodput_gbps"]
+            for r in record.values()
+        ),
+    }
+
+
+EXPERIMENT = Experiment(
+    name="fig3b", run=run_fig3b, table=format_fig3b, checks=_checks,
+    record=rows_by("packet_size"),
+    quick={"packets": 2000}, full={"packets": 4000},
+)

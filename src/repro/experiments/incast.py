@@ -39,6 +39,7 @@ from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.incast import IncastWorkload
 from ..workloads.perftest import PacketSink, RawEthernetBw
 from ..testbed import build_testbed
+from . import Experiment, rows_by
 
 VARIANTS = ("droptail", "remote_buffer", "pfc")
 
@@ -101,12 +102,9 @@ def run_incast(
     victim_receiver = tb.hosts[senders + 1]
     sender_hosts = tb.hosts[:senders]
 
-    program = (
+    program = tb.bind(
         RemoteBufferProgram() if variant == "remote_buffer" else StaticL2Program()
     )
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
 
     primitive = None
     pfc = None
@@ -234,3 +232,26 @@ def format_incast(results: Sequence[IncastResult]) -> str:
         ],
         title="§2.1 / Fig. 1a — 8-to-1 line-rate incast at the last hop",
     )
+
+
+def _checks(record) -> dict:
+    droptail, remote, pfc = (record[v] for v in VARIANTS)
+    line_ms = remote["burst_bytes"] * 8 / gbps(40) * 1e3
+    return {
+        "drop-tail loses most of the burst": droptail["loss_rate"] > 0.5,
+        "remote buffer lossless and in order": remote["lossless"]
+        and remote["out_of_order"] == 0
+        and remote["switch_drops"] == 0,
+        "the burst takes its 40 Gbps line time": remote["completion_ms"] >= line_ms,
+        "PFC is lossless": pfc["lossless"],
+        "PFC stalls the victim, the remote buffer does not": (
+            pfc["victim_completion_ms"] > 2 * remote["victim_completion_ms"]
+        ),
+    }
+
+
+EXPERIMENT = Experiment(
+    name="incast", run=run_incast_comparison, table=format_incast, checks=_checks,
+    record=rows_by("variant"),
+    quick={"scale": 0.1}, full={"scale": 1.0},
+)

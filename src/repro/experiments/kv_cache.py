@@ -38,6 +38,7 @@ from ..switches.tables import ActionEntry
 from ..workloads.factory import udp_between
 from ..workloads.flows import ZipfSampler
 from ..testbed import build_testbed
+from . import Experiment, rows_by
 
 MODES = ("server", "sram", "sram+remote")
 
@@ -223,3 +224,25 @@ def format_kv_cache(results: Sequence[KvResult]) -> str:
         ],
         title="§2.2/§6 — in-network KV cache: SRAM vs remote-memory miss path",
     )
+
+
+def _checks(record) -> dict:
+    server, sram, remote = (record[mode] for mode in MODES)
+    return {
+        "every query answered": all(r["reply_rate"] == 1.0 for r in record.values()),
+        "server-only never bypasses the server": server["server_bypass_rate"] == 0.0,
+        "SRAM bypasses over 30%": sram["server_bypass_rate"] > 0.3,
+        "SRAM + remote bypasses over 95%": remote["server_bypass_rate"] > 0.95,
+        "remote median under a fifth of the server's": (
+            remote["median_latency_us"] < server["median_latency_us"] / 5
+        ),
+    }
+
+
+EXPERIMENT = Experiment(
+    name="kv-cache", run=run_kv_cache_comparison, table=format_kv_cache,
+    checks=_checks,
+    record=rows_by("mode"),
+    quick={"keys": 2000, "queries": 1500},
+    full={"keys": 10_000, "sram_entries": 64, "queries": 5000},
+)

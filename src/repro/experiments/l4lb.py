@@ -20,7 +20,7 @@ harness throws every failure PRs 4-9 built machinery for — at once:
 * **New connections** admitted after the churn, which must land only on
   backends that are still active.
 
-The acceptance bar (:func:`assert_l4lb`): **zero lost counter updates**
+The acceptance bar (``EXPERIMENT``'s checks): **zero lost counter updates**
 — every per-backend connection/byte counter read back from the
 replicated store equals the program's independent expected-counts
 ledger, exactly — and **zero affinity breaks** — every packet delivered
@@ -57,16 +57,16 @@ from ..hosts.server import MemoryServer
 from ..linkguard.guard import LinkGuard
 from ..net.addresses import Ipv4Address
 from ..net.headers import Ipv4Header, UdpHeader
-from ..obs import Observability
 from ..policies.breaker import BreakerPolicy
 from ..rdma.packets import integrity_protected
-from ..resilience.breaker import CircuitBreakerConfig
 from ..sim.rng import SeedSequence
 from ..sim.units import SEC, usec
 from ..switches.hashing import FiveTuple
 from ..workloads.zipf import OpenLoopZipfTraffic
 from ..testbed import build_testbed
-from .scaleout import RING_SEED, RING_VNODES
+from . import Experiment, pick
+from .chaos import breaker_config
+from .scaleout import RING_SEED, RING_VNODES, quiesce
 
 #: Root seed: one number pins every schedule in the soak.
 L4LB_SEED = 42
@@ -212,18 +212,6 @@ class L4LbSoakResult:
         return self.kill_detect_ns - self.kill_at_ns
 
 
-def _breaker_config() -> CircuitBreakerConfig:
-    """Same pacing the chaos/linkguard scenarios tune for 50 µs watchdogs."""
-    return CircuitBreakerConfig(
-        fail_threshold=3,
-        close_threshold=1,
-        open_timeout_ns=usec(100),
-        probe_timeout_ns=usec(60),
-        probe_jitter_ns=usec(10),
-        backoff=2.0,
-    )
-
-
 def table_entries_for(connections: int) -> int:
     """Cuckoo sizing: next power of two past ``connections / 0.75``.
 
@@ -289,10 +277,7 @@ def run_l4lb_soak(
         for i, (server, port) in enumerate(zip(backend_servers, backend_ports)):
             pool.add_server(server, port, name=f"backend{i}")
 
-        program = L4LbProgram(vip)
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
+        program = tb.bind(L4LbProgram(vip))
 
         table_config = LookupTableConfig(
             entries=table_entries_for(connections + new_connections),
@@ -332,7 +317,7 @@ def run_l4lb_soak(
             )
         healers = controller.enable_self_healing(
             policy_for=lambda member: BreakerPolicy(
-                config=_breaker_config(),
+                config=breaker_config(),
                 rng=seeds.stream(f"breaker[{member.name}]"),
             ),
             give_up_probes=2,
@@ -403,12 +388,7 @@ def run_l4lb_soak(
         wave_new.start(resume_at_ns)
         tb.sim.run()
 
-        # Quiesce: push every switch-side accumulation out, let it land.
-        for _ in range(64):
-            if store.pending_value == 0 and store.outstanding == 0:
-                break
-            store.flush_all()
-            tb.sim.run()
+        quiesce(tb.sim, store)
 
         # -- audits --------------------------------------------------------------
         expected = dict(program.expected_counts)
@@ -460,7 +440,7 @@ def run_l4lb_soak(
     victim_healer = healers[kill_backend]
     guard_counts = guard.counts
 
-    result = L4LbSoakResult(
+    return L4LbSoakResult(
         seed=seed,
         connections=connections,
         new_connections=len(new_flows),
@@ -508,7 +488,6 @@ def run_l4lb_soak(
         new_placements=new_placements,
         new_on_inactive=new_on_inactive,
     )
-    publish_l4lb_metrics(Observability.adopt().registry, result)
     return result
 
 
@@ -577,91 +556,50 @@ def format_l4lb(result: L4LbSoakResult) -> str:
     return "\n".join(summary)
 
 
-def publish_l4lb_metrics(registry, result: L4LbSoakResult) -> None:
-    """Surface the acceptance numbers under ``l4lb.soak`` so the CI
-    metrics artifact can re-assert the bar without re-parsing stdout."""
-    scope = registry.unique_scope("l4lb.soak")
-    scope.counter("lost_updates").inc(result.lost_updates)
-    scope.counter("affinity_breaks").inc(result.affinity_breaks)
-    scope.counter("delivered").inc(result.delivered_total)
-    scope.counter("connections_migrated").inc(result.connections_migrated)
-    scope.counter("masked_losses").inc(result.masked_losses)
-    scope.counter("corrupted_frames").inc(result.corrupted_frames)
-    scope.counter("breaker_opens").inc(result.breaker_opens)
-    scope.counter("kills_detected").inc(1 if result.kill_detected else 0)
-    scope.counter("drains_completed").inc(result.drains_completed)
-    scope.counter("new_on_inactive").inc(result.new_on_inactive)
-    scope.counter("stale_cached").inc(result.stale_cached)
-    scope.gauge("expected_total").set(result.expected_total)
-    scope.gauge("recovered_total").set(result.recovered_total)
-    scope.gauge("connections").set(result.connections)
-    scope.gauge("counters_exact").set(1 if result.all_counters_exact else 0)
+def _checks(record) -> dict:
+    soak = record["l4lb_soak"]
+    return {
+        "no lost counter update": soak["lost_updates"] == 0,
+        "every counter exact": soak["all_counters_exact"],
+        "no affinity break": soak["affinity_breaks"] == 0,
+        "no migration off a healthy backend": soak["unsanctioned_migrations"] == 0,
+        "no cached connection on a superseded backend": soak["stale_cached"] == 0,
+        "the killed backend is declared dead": soak["kill_detected"],
+        "the victim's breaker trips": soak["breaker_opens"] >= 1,
+        "self-healing tries a reconnect": soak["reconnect_attempts"] >= 1,
+        "the kill escalates to one failed member": soak["kill_escalations"] >= 1
+        and soak["members_failed"] == 1,
+        "the drain completes": soak["drains_completed"] == 1,
+        "the drain quiesces, never forced": soak["drains_forced"] == 0,
+        "the corruption fires and is masked": soak["corrupted_frames"] > 0
+        and soak["masked_losses"] > 0,
+        "no lookup lost": soak["lookups_lost"] == 0,
+        "no loss on healthy backend links": soak["other_wire_loss"] == 0,
+        "new connections land on active backends": soak["new_on_inactive"] == 0,
+        "traffic delivered": soak["delivered_total"] > 0 and soak["flows_delivered"] > 0,
+        "connections migrated": soak["connections_migrated"] > 0,
+    }
 
 
-def assert_l4lb(result: L4LbSoakResult) -> None:
-    """The acceptance bar for the combined-failure soak.
-
-    Zero lost counter updates (exact, per index), zero affinity breaks
-    for established connections, no SRAM-cached connection left on a
-    superseded backend (DESIGN.md §15.4), the kill actually absorbed by the §11
-    stack, the drain actually graceful, and the corruption actually
-    masked — a soak where a failure leg silently failed to fire would
-    pass a weaker bar while testing nothing.
-    """
-    if result.lost_updates != 0 or not result.all_counters_exact:
-        diff = {
-            index: (result.expected.get(index), result.recovered.get(index))
-            for index in set(result.expected) | set(result.recovered)
-            if result.expected.get(index) != result.recovered.get(index)
-        }
-        raise AssertionError(
-            f"lost {result.lost_updates} counter updates; divergent: {diff}"
+EXPERIMENT = Experiment(
+    name="l4lb", run=run_l4lb_soak, table=format_l4lb, checks=_checks,
+    record=lambda result: {
+        "l4lb_soak": pick(
+            result,
+            "seed connections new_connections backends table_entries corrupt_rate "
+            "packets_offered duration_ms vip_packets forwarded_packets "
+            "delivered_total expected_total recovered_total lost_updates "
+            "all_counters_exact affinity_breaks flows_delivered "
+            "connections_migrated unsanctioned_migrations killed_backend "
+            "kill_detect_latency_ns breaker_opens reconnect_attempts "
+            "kill_escalations members_failed victim_wire_loss other_wire_loss "
+            "drained_backend drains_completed drains_forced counters_repaired "
+            "corrupted_frames masked_losses lookups_lost new_on_inactive "
+            "stale_cached kill_detected",
         )
-    if result.affinity_breaks != 0:
-        raise AssertionError(
-            f"{result.affinity_breaks} packets broke connection affinity"
-        )
-    if result.unsanctioned_migrations != 0:
-        raise AssertionError(
-            f"{result.unsanctioned_migrations} connections migrated off "
-            "healthy backends"
-        )
-    if result.stale_cached != 0:
-        raise AssertionError(f"{result.stale_cached} cached connections on a superseded backend")
-    if not result.kill_detected:
-        raise AssertionError("the killed backend was never declared dead")
-    if result.breaker_opens < 1:
-        raise AssertionError("the victim's breaker never tripped")
-    if result.reconnect_attempts < 1:
-        raise AssertionError("the self-healing stack never tried a reconnect")
-    if result.kill_escalations < 1 or result.members_failed != 1:
-        raise AssertionError(
-            f"kill escalation path untraveled (escalations="
-            f"{result.kill_escalations}, failed={result.members_failed})"
-        )
-    if result.drains_completed != 1:
-        raise AssertionError("the graceful drain never completed")
-    if result.drains_forced != 0:
-        raise AssertionError("the drain hit its deadline instead of quiescing")
-    if result.corrupted_frames == 0 or result.masked_losses == 0:
-        raise AssertionError(
-            f"the corruption leg never fired (corrupted="
-            f"{result.corrupted_frames}, masked={result.masked_losses})"
-        )
-    if result.lookups_lost != 0:
-        raise AssertionError(
-            f"{result.lookups_lost} lookups lost despite the guard"
-        )
-    if result.other_wire_loss != 0:
-        raise AssertionError(
-            f"{result.other_wire_loss} packets lost on healthy backend links"
-        )
-    if result.new_on_inactive != 0:
-        raise AssertionError(
-            f"{result.new_on_inactive} new connections placed on "
-            "killed/drained backends"
-        )
-    if result.delivered_total == 0 or result.flows_delivered == 0:
-        raise AssertionError("no traffic was delivered — the soak ran empty")
-    if result.connections_migrated == 0:
-        raise AssertionError("no connections migrated — kill/drain were no-ops")
+    },
+    quick=dict(connections=2_000, packets=4_000, new_connections=200, new_packets=600),
+    full=dict(
+        connections=100_000, packets=20_000, new_connections=2_000, new_packets=3_000
+    ),
+)

@@ -57,16 +57,16 @@ from ..core.packet_buffer import (
 from ..faults.models import Corrupt
 from ..faults.plan import FaultPlan
 from ..linkguard.guard import LinkGuard
-from ..obs import Observability
 from ..policies.breaker import BreakerPolicy
 from ..rdma.packets import integrity_protected
-from ..resilience.breaker import CircuitBreakerConfig
 from ..resilience.guard import SelfHealingChannel
 from ..sim.rng import SeedSequence
 from ..sim.units import gbps, usec
 from ..switches.hashing import FiveTuple
 from ..workloads.perftest import PacketSink, RawEthernetBw
 from ..testbed import build_testbed
+from . import Experiment, pick
+from .chaos import breaker_config
 
 #: Root seed: one number pins every variant's timeline.
 LINKGUARD_SEED = 42
@@ -120,18 +120,6 @@ class LinkGuardRow:
         return self.delivered / self.duration_ms
 
 
-def _breaker_config() -> CircuitBreakerConfig:
-    """Same pacing the chaos recovery scenario tunes for 50 µs watchdogs."""
-    return CircuitBreakerConfig(
-        fail_threshold=3,
-        close_threshold=1,
-        open_timeout_ns=usec(100),
-        probe_timeout_ns=usec(60),
-        probe_jitter_ns=usec(10),
-        backoff=2.0,
-    )
-
-
 def _protect(variant: str, tb, channel, primitive, seeds: SeedSequence):
     """Install the variant's protection; returns ``(guard, healer)``."""
     guard = healer = None
@@ -143,7 +131,7 @@ def _protect(variant: str, tb, channel, primitive, seeds: SeedSequence):
             channel,
             primitive,
             policy=BreakerPolicy(
-                config=_breaker_config(),
+                config=breaker_config(),
                 rng=seeds.stream(f"breaker[{variant}]"),
             ),
         )
@@ -215,10 +203,7 @@ def _run_lookup(
     seeds = SeedSequence(seed)
     with integrity_protected():
         tb = build_testbed(n_hosts=2, with_memory_server=True)
-        program = RemoteLookupProgram()
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
+        program = tb.bind(RemoteLookupProgram())
         config = LookupTableConfig(entries=1 << 10, cache_entries=0)
         channel = tb.controller.open_channel(
             tb.memory_server,
@@ -270,10 +255,7 @@ def _run_pktbuf(
     seeds = SeedSequence(seed)
     with integrity_protected():
         tb = build_testbed(n_hosts=2, with_memory_server=True)
-        program = RemoteBufferProgram()
-        for host, port in zip(tb.hosts, tb.host_ports):
-            program.install(host.eth.mac, port)
-        tb.switch.bind_program(program)
+        program = tb.bind(RemoteBufferProgram())
         frame_bytes = 128
         entry_bytes = frame_bytes + ENTRY_SEQ_BYTES
         channel = tb.controller.open_channel(
@@ -336,7 +318,7 @@ def run_linkguard_sweep(
     workloads: Sequence[str] = WORKLOADS,
 ) -> List[LinkGuardRow]:
     """The full grid: every workload under every protection variant."""
-    rows = [
+    return [
         run_linkguard_point(
             variant, workload,
             packets=packets, corrupt_rate=corrupt_rate, seed=seed,
@@ -344,8 +326,6 @@ def run_linkguard_sweep(
         for workload in workloads
         for variant in variants
     ]
-    publish_linkguard_metrics(Observability.adopt().registry, rows)
-    return rows
 
 
 def format_linkguard(rows: Sequence[LinkGuardRow]) -> str:
@@ -396,87 +376,62 @@ def format_linkguard(rows: Sequence[LinkGuardRow]) -> str:
     )
 
 
-def publish_linkguard_metrics(registry, rows: Sequence[LinkGuardRow]) -> None:
-    """Surface the acceptance numbers under ``linkguard.sweep`` so a CI
-    metrics artifact can assert on them without re-parsing stdout."""
-    scope = registry.unique_scope("linkguard.sweep")
-    for row in rows:
-        child = scope.child(f"{row.workload}[{row.variant}]")
-        child.counter("delivered").inc(row.delivered)
-        child.counter("lost").inc(row.lost)
-        child.counter("masked_losses").inc(row.masked_losses)
-        child.gauge("goodput_per_ms").set(row.goodput_per_ms)
-
-
-def assert_linkguard(rows: Sequence[LinkGuardRow]) -> None:
-    """The acceptance bar for the link-protection sweep.
-
-    * ``pktbuf``: zero lost updates and zero reordering in *every*
-      variant (the ring's watchdog always recovers — at a price).
-    * ``guard-on``: goodput within 5 % of lossless on both workloads,
-      zero lost anywhere, and losses actually masked.
-    * ``guard-off``: measurably worse — the pktbuf drain loses ≥ 5 % of
-      its goodput to transport timeouts, and the lookup bounce loses
-      packets outright.
-    * ``breaker-only``: the breaker never opens — scattered corruption
-      is invisible to it, which is exactly why the guard exists.
-    """
-    by = {(r.workload, r.variant): r for r in rows}
-
-    def need(workload, variant):
-        row = by.get((workload, variant))
-        if row is None:
-            raise AssertionError(f"missing row {workload}[{variant}]")
-        return row
-
-    for workload in WORKLOADS:
-        lossless = need(workload, "lossless")
-        if lossless.lost != 0:
-            raise AssertionError(f"{workload}: lossless baseline lost packets")
-        guard_on = need(workload, "guard-on")
-        if guard_on.lost != 0 or guard_on.out_of_order != 0:
-            raise AssertionError(
-                f"{workload}[guard-on]: lost {guard_on.lost}, "
-                f"ooo {guard_on.out_of_order}"
-            )
-        if guard_on.goodput_per_ms < 0.95 * lossless.goodput_per_ms:
-            raise AssertionError(
-                f"{workload}[guard-on]: goodput {guard_on.goodput_per_ms:.0f} "
-                f"< 95% of lossless {lossless.goodput_per_ms:.0f}"
-            )
-        if guard_on.masked_losses == 0:
-            raise AssertionError(
-                f"{workload}[guard-on]: nothing masked — corruption never hit"
-            )
-        if guard_on.transport_naks != 0 or guard_on.transport_timeouts != 0:
-            raise AssertionError(
-                f"{workload}[guard-on]: transport saw the loss "
-                f"(naks={guard_on.transport_naks}, "
-                f"timeouts={guard_on.transport_timeouts})"
-            )
-    for variant in VARIANTS:
-        pktbuf = need("pktbuf", variant)
-        if pktbuf.lost != 0 or pktbuf.out_of_order != 0:
-            raise AssertionError(
-                f"pktbuf[{variant}]: lost {pktbuf.lost} updates, "
-                f"ooo {pktbuf.out_of_order}"
-            )
-    off = need("pktbuf", "guard-off")
-    lossless = need("pktbuf", "lossless")
-    if off.goodput_per_ms >= 0.95 * lossless.goodput_per_ms:
-        raise AssertionError(
-            "pktbuf[guard-off]: transport-only recovery should be "
-            f"measurably worse ({off.goodput_per_ms:.0f} vs lossless "
-            f"{lossless.goodput_per_ms:.0f})"
+def _record(rows: Sequence[LinkGuardRow]) -> dict:
+    """One entry per ``workload[variant]``, goodput also as a fraction of
+    the workload's lossless run."""
+    lossless = {r.workload: r.goodput_per_ms for r in rows if r.variant == "lossless"}
+    return {
+        f"{r.workload}[{r.variant}]": dict(
+            **pick(
+                r,
+                "seed variant workload corrupt_rate packets_sent duration_ms "
+                "delivered lost out_of_order corrupted_frames transport_naks "
+                "transport_timeouts masked_losses guard_resent shim_bytes "
+                "breaker_opens goodput_per_ms",
+            ),
+            goodput_vs_lossless=(
+                r.goodput_per_ms / lossless[r.workload]
+                if lossless.get(r.workload, 0) > 0
+                else None
+            ),
         )
-    if need("lookup", "guard-off").lost == 0:
-        raise AssertionError(
-            "lookup[guard-off]: expected bounced packets lost to corruption"
-        )
-    for workload in WORKLOADS:
-        breaker = need(workload, "breaker-only")
-        if breaker.breaker_opens != 0:
-            raise AssertionError(
-                f"{workload}[breaker-only]: breaker opened on scattered "
-                "corruption — it should be blind to this failure mode"
-            )
+        for r in rows
+    }
+
+
+def _checks(record) -> dict:
+    def rows(workloads=WORKLOADS, variants=VARIANTS):
+        return [record[f"{w}[{v}]"] for w in workloads for v in variants]
+
+    guarded = rows(variants=("guard-on",))
+    return {
+        "lossless baselines lose nothing": all(
+            r["lost"] == 0 for r in rows(variants=("lossless",))
+        ),
+        "guard-on loses nothing, in order": all(
+            r["lost"] == 0 and r["out_of_order"] == 0 for r in guarded
+        ),
+        "guard-on within 5% of lossless goodput": all(
+            r["goodput_vs_lossless"] >= 0.95 for r in guarded
+        ),
+        "guard-on masks the corruption": all(r["masked_losses"] > 0 for r in guarded),
+        "guard-on hides every loss from the transport": all(
+            r["transport_naks"] == 0 and r["transport_timeouts"] == 0 for r in guarded
+        ),
+        "pktbuf loses nothing, in order, in every variant": all(
+            r["lost"] == 0 and r["out_of_order"] == 0 for r in rows(("pktbuf",))
+        ),
+        "pktbuf guard-off measurably worse": (
+            record["pktbuf[guard-off]"]["goodput_vs_lossless"] < 0.95
+        ),
+        "lookup guard-off loses bounced packets": record["lookup[guard-off]"]["lost"] > 0,
+        "no breaker opens on scattered corruption": all(
+            r["breaker_opens"] == 0 for r in rows()
+        ),
+    }
+
+
+EXPERIMENT = Experiment(
+    name="linkguard", run=run_linkguard_sweep, table=format_linkguard,
+    record=_record, checks=_checks, quick={"packets": 800}, full={"packets": 1500},
+)

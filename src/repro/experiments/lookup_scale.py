@@ -27,7 +27,7 @@ jitter, same cuckoo layout, same numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..analysis.reporting import format_table
 from ..apps.programs import RemoteLookupProgram
@@ -43,6 +43,7 @@ from ..switches.hashing import FiveTuple
 from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.zipf import OpenLoopZipfTraffic
 from ..testbed import build_testbed
+from . import Experiment, pick
 from .scaleout import OFFERED_PER_SERVER_MLPS, RING_SEED, RING_VNODES
 
 #: Policies compared by the study, in presentation order.
@@ -164,10 +165,7 @@ def run_policy_point(
 ) -> PolicyPoint:
     """Hit rate + p99 bounce latency for one policy at one cache size."""
     tb = build_testbed(n_hosts=2)
-    program = RemoteLookupProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(RemoteLookupProgram())
 
     config = LookupTableConfig(
         entries=entries,
@@ -271,10 +269,7 @@ def run_lookup_scaleout_point(
     for server, port in zip(tb.memory_servers, tb.server_ports):
         pool.add_server(server, port)
 
-    program = RemoteLookupProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(RemoteLookupProgram())
 
     config = LookupTableConfig(
         entries=entries,
@@ -436,3 +431,65 @@ def format_lookup_scaleout(rows: Sequence[ScaleMissRow]) -> str:
             "(cuckoo layout, cache off, open-loop Zipf)"
         ),
     )
+
+
+def _record(study: LookupScaleStudy) -> dict:
+    record = {}
+    for p in study.policy_curve:
+        record[f"policy_{p.policy}_{p.cache_entries}"] = dict(
+            **pick(p, "policy cache_entries population distinct_flows"),
+            hit_rate=round(p.hit_rate, 4),
+            p99_bounce_ns=round(p.p99_bounce_ns, 1),
+            pins=p.pins,
+            **pick(p.one_read, "remote_lookups reads_issued bounce_retries"),
+            one_read=p.one_read.holds,
+        )
+    for r in study.scaleout:
+        record[f"scaleout_{r.servers}_servers"] = dict(
+            **pick(r, "servers population offered_mlps"),
+            mmisses_per_sec=round(r.mmisses_per_sec, 3),
+            lookups_lost=r.lookups_lost,
+            p99_bounce_ns=round(r.p99_bounce_ns, 1),
+            bounce_retries=r.one_read.bounce_retries,
+            one_read=r.one_read.holds,
+        )
+    rows = study.scaleout
+    record[f"scaleout_{rows[-1].servers}_servers"]["speedup_vs_1_server"] = round(
+        rows[-1].mmisses_per_sec / rows[0].mmisses_per_sec, 3
+    )
+    return record
+
+
+def _checks(record) -> dict:
+    hit = {
+        (r["policy"], r["cache_entries"]): r["hit_rate"]
+        for name, r in record.items()
+        if name.startswith("policy_")
+    }
+    sweep = [r for name, r in record.items() if name.startswith("scaleout_")]
+    return {
+        "one READ per miss in every run": all(r["one_read"] for r in record.values()),
+        "zero bounce-retry READs": all(
+            r["bounce_retries"] == 0 for r in record.values()
+        ),
+        "LRU and LFU beat FIFO at every cache size": all(
+            hit["lru", cache] > rate and hit["lfu", cache] > rate
+            for (policy, cache), rate in hit.items()
+            if policy == "fifo"
+        ),
+        "lossless at every pool size": all(r["lookups_lost"] == 0 for r in sweep),
+        ">= 3x sustained misses at 4 servers": (
+            record["scaleout_4_servers"]["speedup_vs_1_server"] >= 3.0
+        ),
+    }
+
+
+EXPERIMENT = Experiment(
+    name="lookup-scale", run=run_lookup_scale, record=_record, checks=_checks,
+    table=lambda study: (
+        f"{format_policy_curve(study.policy_curve)}\n\n"
+        f"{format_lookup_scaleout(study.scaleout)}"
+    ),
+    quick=dict(cache_sizes=(128, 256), population=100_000, count=3_000, entries=1 << 12),
+    full=dict(population=1_000_000, count=20_000, entries=1 << 14),
+)

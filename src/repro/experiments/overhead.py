@@ -28,6 +28,7 @@ from ..rdma.packets import (
 )
 from ..rdma.qp import QueuePair
 from ..rdma.verbs import connect_qps
+from . import Experiment, rows_by
 
 
 @dataclass
@@ -127,3 +128,25 @@ def format_overhead(rows: List[OverheadRow]) -> str:
         ],
         title="§4 — RoCE protocol overhead per operation",
     )
+
+
+def _checks(record) -> dict:
+    write, read, fa = (record[op] for op in ("RDMA WRITE", "RDMA READ", "Fetch-and-Add"))
+    return {
+        "every operation matches §4": all(
+            r["measured_total"] == r["paper_total"] for r in record.values()
+        ),
+        "RoCEv2 adds 56 B to WRITE/READ, 68 B to F&A": (
+            write["measured_total"], read["measured_total"], fa["measured_total"]
+        ) == (56, 56, 68),
+        "RoCEv1 adds 68 B to WRITE, 80 B to F&A": (
+            write["rocev1_total"], fa["rocev1_total"]
+        ) == (68, 80),
+    }
+
+
+EXPERIMENT = Experiment(
+    name="overhead", run=run_overhead, table=format_overhead, checks=_checks,
+    record=rows_by("operation"),
+    quick={}, full={},
+)

@@ -28,6 +28,7 @@ from ..sim.units import SEC, gbps
 from ..baselines.native_rdma import NativeRdmaStreamer
 from ..workloads.perftest import PacketSink, RawEthernetBw
 from ..testbed import build_testbed
+from . import Experiment, pick, rows_by
 
 
 @dataclass
@@ -73,10 +74,7 @@ def run_store_load_point(
 ) -> StoreLoadResult:
     """One offered-rate point: store-all phase, then manual drain phase."""
     tb = build_testbed(n_hosts=2)
-    program = RemoteBufferProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(RemoteBufferProgram())
     # Entries exactly fit the frames under test (the paper sizes entries to
     # "full-sized Ethernet frame"; reading slack bytes would waste return
     # bandwidth since each load fetches the whole entry).
@@ -202,3 +200,35 @@ def format_packet_buffer_rate(report: PacketBufferRateReport) -> str:
         "\n(paper: store 34.1, forward 37.4, native only 4.4% faster)"
     )
     return table + summary
+
+
+def _record(report: PacketBufferRateReport) -> dict:
+    record = rows_by("offered_gbps")(report.points)
+    record["rates"] = pick(
+        report,
+        "max_lossless_store_gbps forward_rate_gbps native_write_gbps "
+        "native_read_gbps native_advantage_pct",
+    )
+    return record
+
+
+def _checks(record) -> dict:
+    rates = record["rates"]
+    store, forward = rates["max_lossless_store_gbps"], rates["forward_rate_gbps"]
+    return {
+        "lossless store within 32-36.5 Gbps": 32.0 <= store <= 36.5,
+        "forward within 35-39 Gbps": 35.0 <= forward <= 39.0,
+        "forward faster than store": forward > store,
+        "native WRITE within 8% of the store": abs(rates["native_advantage_pct"]) <= 8.0,
+        "the RNIC drops past the knee": any(
+            not p["lossless"] for name, p in record.items() if name != "rates"
+        ),
+    }
+
+
+EXPERIMENT = Experiment(
+    name="packet-buffer", run=run_packet_buffer_rate,
+    table=format_packet_buffer_rate, record=_record, checks=_checks,
+    quick={"offered_rates_gbps": (33, 34, 35, 36, 40), "packets": 4000},
+    full={"offered_rates_gbps": (32, 33, 34, 35, 36, 38, 40), "packets": 8000},
+)

@@ -21,16 +21,18 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..analysis.reporting import format_table
+from ..analysis.stats import jain_fairness
 from ..apps.programs import RemoteBufferProgram
 from ..core.packet_buffer import (
     ENTRY_SEQ_BYTES,
     PacketBufferConfig,
     RemotePacketBuffer,
 )
-from ..sim.units import gbps, kib, msec, to_msec
+from ..sim.units import gbps, kib, msec
 from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.dctcp import DctcpConfig, DctcpReceiver, DctcpSender
 from ..testbed import build_testbed
+from . import Experiment, rows_by
 
 MODES = ("buffer_only", "buffer+ecn")
 
@@ -102,10 +104,7 @@ def run_persistent_congestion(
         ),
     )
     receiver = tb.hosts[senders]
-    program = RemoteBufferProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(RemoteBufferProgram())
 
     entry_bytes = 1500 + ENTRY_SEQ_BYTES
     channels = tb.open_channels(ring_entries_per_server * entry_bytes)
@@ -222,3 +221,28 @@ def format_persistent_congestion(
         ],
         title="§2.1 — persistent congestion: remote buffer alone vs with ECN",
     )
+
+
+def _checks(record) -> dict:
+    alone, ecn = record["buffer_only"], record["buffer+ecn"]
+    return {
+        "the buffer alone fills and drops": alone["ring_full_drops"] > 0
+        and alone["loss_rate"] > 0.15,
+        "the buffer alone fills all 9000 ring entries": alone["peak_ring_entries"] >= 9000,
+        "with ECN, loss-free": ecn["loss_rate"] == 0.0 and ecn["ring_full_drops"] == 0,
+        "with ECN, the ring peaks under a quarter": (
+            ecn["peak_ring_entries"] < alone["peak_ring_entries"] / 4
+        ),
+        "senders converge to 20-45 Gbps": (
+            20.0 <= ecn["aggregate_final_rate_gbps"] <= 45.0
+        ),
+        "senders share fairly (Jain > 0.9)": jain_fairness(ecn["final_rates_gbps"]) > 0.9,
+    }
+
+
+EXPERIMENT = Experiment(
+    name="persistent-congestion", run=run_persistent_congestion_comparison,
+    table=format_persistent_congestion, checks=_checks,
+    record=rows_by("mode"),
+    quick={"duration_ms": 4.0}, full={"duration_ms": 6.0},
+)

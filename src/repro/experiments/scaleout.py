@@ -35,13 +35,18 @@ from ..core.lookup_table import (
     LookupTableConfig,
     RemoteAction,
 )
-from ..core.state_store import StateStoreConfig
+from ..core.state_store import (
+    ATOMIC_OPERAND_BYTES,
+    RemoteStateStore,
+    StateStoreConfig,
+)
 from ..net.headers import UdpHeader
 from ..switches.hashing import FiveTuple
 from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.factory import udp_between
 from ..workloads.perftest import RawEthernetBw
 from ..testbed import build_testbed
+from . import Experiment, pick
 
 #: Ring salt for every scale-out run (placement, hence the load split, is
 #: deterministic and reproducible — satellite of the cluster subsystem).
@@ -86,6 +91,57 @@ def _rotate_src_port(flows: int):
     return stamp
 
 
+def counting_store(tb, config: StateStoreConfig) -> RemoteStateStore:
+    """A state store on the testbed's memory server, fed by a switch
+    running :class:`CountingProgram`."""
+    program = tb.bind(CountingProgram())
+    channel = tb.controller.open_channel(
+        tb.memory_server, tb.server_port, config.counters * ATOMIC_OPERAND_BYTES
+    )
+    store = RemoteStateStore(tb.switch, channel, config=config)
+    program.use_state_store(store)
+    return store
+
+
+def counter_schedule(tb, packets: int, flows: int, counters: int) -> Dict[int, int]:
+    """Per-counter totals that *packets* rotating over *flows* must land.
+
+    The send schedule (flow rotation, counter hash) fixes them exactly, so
+    correctness is exact, not statistical.
+    """
+    src, dst = tb.hosts
+    expected: Dict[int, int] = {}
+    for seq in range(packets):
+        flow = FiveTuple(
+            src_ip=src.eth.ip.value, dst_ip=dst.eth.ip.value, protocol=17,
+            src_port=_BASE_SRC_PORT + (seq % flows), dst_port=_DST_PORT,
+        )
+        index = flow.hash() % counters
+        expected[index] = expected.get(index, 0) + 1
+    return expected
+
+
+def count_schedule(tb, store, packets: int, flows: int) -> None:
+    """Send that schedule at 1 Gb/s through the counting switch; quiesce."""
+    src, dst = tb.hosts
+    RawEthernetBw(
+        tb.sim, src, dst, packet_size=128, rate_bps=1e9, count=packets,
+        dst_port=_DST_PORT, stamp=_rotate_src_port(flows),
+    ).start()
+    tb.sim.run()
+    quiesce(tb.sim, store)
+
+
+def quiesce(sim, store) -> None:
+    """Force out everything still accumulated switch-side and let the
+    retransmission machinery drain the in-flight window."""
+    for _ in range(64):
+        if store.pending_value == 0 and store.outstanding == 0:
+            break
+        store.flush_all()
+        sim.run()
+
+
 def run_scaleout_point(
     servers: int,
     hosts: int = 8,
@@ -111,10 +167,7 @@ def run_scaleout_point(
     for server, port in zip(tb.memory_servers, tb.server_ports):
         pool.add_server(server, port)
 
-    program = RemoteLookupProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(RemoteLookupProgram())
 
     config = LookupTableConfig(entries=entries, cache_entries=0)
     table = ShardedLookupTable(tb.switch, pool, config=config)
@@ -276,10 +329,7 @@ def run_failover_counters(
     for server, port in zip(tb.memory_servers, tb.server_ports):
         pool.add_server(server, port)
 
-    program = CountingProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(CountingProgram())
 
     config = StateStoreConfig(
         counters=counters, reliable=True, retry_timeout_ns=50_000.0
@@ -289,19 +339,7 @@ def run_failover_counters(
     )
     program.use_state_store(store)
 
-    src, dst = tb.hosts
-    # The send schedule fixes the expected per-counter totals exactly.
-    expected: Dict[int, int] = {}
-    for seq in range(packets):
-        flow = FiveTuple(
-            src_ip=src.eth.ip.value,
-            dst_ip=dst.eth.ip.value,
-            protocol=17,
-            src_port=_BASE_SRC_PORT + (seq % flows),
-            dst_port=_DST_PORT,
-        )
-        index = flow.hash() % counters
-        expected[index] = expected.get(index, 0) + 1
+    expected = counter_schedule(tb, packets, flows, counters)
 
     # Kill the replica holding the most of the workload's counters — the
     # hardest case for the survivors.
@@ -318,26 +356,7 @@ def run_failover_counters(
 
     tb.sim.schedule_at(kill_at_ns, crash)
 
-    sender = RawEthernetBw(
-        tb.sim,
-        src,
-        dst,
-        packet_size=128,
-        rate_bps=1e9,
-        count=packets,
-        dst_port=_DST_PORT,
-        stamp=_rotate_src_port(flows),
-    )
-    sender.start()
-    tb.sim.run()
-
-    # Quiesce: push out everything still accumulated switch-side.
-    for _ in range(64):
-        if store.pending_value == 0 and store.outstanding == 0:
-            break
-        store.flush_all()
-        tb.sim.run()
-
+    count_schedule(tb, store, packets, flows)
     recovered = {index: store.read_counter(index) for index in expected}
     return FailoverCountersResult(
         packets_sent=packets,
@@ -371,3 +390,57 @@ def format_failover(result: FailoverCountersResult) -> str:
         rows,
         title="Failover — replicated counters under server death (K=2)",
     )
+
+
+def _run(lookups_per_host: int, packets: int, kill_at_ns: float):
+    return (
+        run_scaleout(lookups_per_host=lookups_per_host),
+        run_failover_counters(packets=packets, kill_at_ns=kill_at_ns),
+    )
+
+
+def _record(run) -> dict:
+    rows, failover = run
+    record = {
+        f"scaleout_{r.servers}_servers": dict(
+            servers=r.servers,
+            mlookups_per_sec=round(r.mlookups_per_sec, 3),
+            **pick(r, "lookups_lost lookups_sent lookups_completed"),
+        )
+        for r in rows
+    }
+    record["scaleout_4_servers"]["speedup_vs_1_server"] = round(
+        rows[-1].mlookups_per_sec / rows[0].mlookups_per_sec, 3
+    )
+    record["failover_replicated_counters"] = pick(
+        failover,
+        "killed_member lost_updates all_counters_exact counters_repaired "
+        "detected members_failed",
+    )
+    return record
+
+
+def _checks(record) -> dict:
+    sweep = [r for name, r in record.items() if name.startswith("scaleout_")]
+    failover = record["failover_replicated_counters"]
+    return {
+        "lossless at every pool size": all(r["lookups_lost"] == 0 for r in sweep),
+        "every lookup completes": all(
+            r["lookups_completed"] == r["lookups_sent"] for r in sweep
+        ),
+        ">= 3x miss throughput at 4 servers": (
+            record["scaleout_4_servers"]["speedup_vs_1_server"] >= 3.0
+        ),
+        "the killed replica is declared dead": failover["detected"],
+        "exactly one member failed": failover["members_failed"] == 1,
+        "no counter update lost": failover["lost_updates"] == 0,
+        "every counter exact": failover["all_counters_exact"],
+    }
+
+
+EXPERIMENT = Experiment(
+    name="scaleout", run=_run, record=_record, checks=_checks,
+    table=lambda run: f"{format_scaleout(run[0])}\n\n{format_failover(run[1])}",
+    quick={"lookups_per_host": 400, "packets": 1500, "kill_at_ns": 600_000.0},
+    full={"lookups_per_host": 1200, "packets": 4000, "kill_at_ns": 1_500_000.0},
+)

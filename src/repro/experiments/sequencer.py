@@ -18,6 +18,7 @@ from ..net.headers import UdpHeader
 from ..sim.units import SEC, gbps
 from ..workloads.perftest import RawEthernetBw
 from ..testbed import build_testbed
+from . import Experiment, rows_by
 
 
 @dataclass
@@ -36,10 +37,7 @@ def run_sequencer_point(
 ) -> SequencerResult:
     """One offered-rate point of the sequencing-throughput sweep."""
     tb = build_testbed(n_hosts=2)
-    program = SequencerProgram(max_parked=1 << 16)
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(SequencerProgram(max_parked=1 << 16))
     channel = tb.controller.open_channel(tb.memory_server, tb.server_port, 4096)
     program.use_channel(tb.switch, channel)
 
@@ -116,3 +114,29 @@ def format_sequencer(results: Sequence[SequencerResult]) -> str:
         ],
         title="§6 — in-network sequencer over a remote Fetch-and-Add counter",
     )
+
+
+def _checks(record) -> dict:
+    rows = record.values()
+    return {
+        "gap-free, arrival-ordered, no server CPU": all(
+            r["gap_free"] and r["arrival_ordered"] and r["server_cpu_packets"] == 0
+            for r in rows
+        ),
+        "linear up to 2 Mpps": all(
+            abs(r["achieved_mops"] - r["offered_mpps"]) <= 0.05 * r["offered_mpps"]
+            for r in rows
+            if r["offered_mpps"] <= 2.0
+        ),
+        "saturates at 2.2-2.6 Mops from 3 Mpps": all(
+            2.2 <= r["achieved_mops"] <= 2.6 for r in rows if r["offered_mpps"] >= 3.0
+        ),
+    }
+
+
+EXPERIMENT = Experiment(
+    name="sequencer", run=run_sequencer_throughput, table=format_sequencer,
+    checks=_checks,
+    record=rows_by("offered_mpps"),
+    quick={"packets": 1000}, full={"packets": 3000},
+)

@@ -35,6 +35,7 @@ from ..sim.units import gbps, kib
 from ..switches.hashing import FiveTuple
 from ..workloads.flows import ZipfFlowWorkload
 from ..testbed import build_testbed
+from . import Experiment, rows_by
 
 
 @dataclass
@@ -67,10 +68,7 @@ def _run_backend(
     if sketch_kind not in ("countmin", "countsketch"):
         raise ValueError(f"unknown sketch kind {sketch_kind!r}")
     tb = build_testbed(n_hosts=2, with_memory_server=backend == "remote")
-    program = SketchTelemetryProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    program = tb.bind(SketchTelemetryProgram())
 
     depth = 4
     store: Optional[RemoteStateStore] = None
@@ -205,3 +203,40 @@ def format_telemetry(results: Sequence[TelemetryResult]) -> str:
             f"sketch ({results[0].sketch_kind})"
         ),
     )
+
+
+def _run(**scale):
+    # The configured counter count goes into the record: the size check
+    # compares the remote sketch against it, not against a fixed ratio.
+    return scale["remote_counters"], run_telemetry(**scale)
+
+
+def _record(run) -> dict:
+    configured, results = run
+    record = rows_by("backend")(results)
+    record["remote"]["configured_counters"] = configured
+    return record
+
+
+def _checks(record) -> dict:
+    local, remote = record["local"], record["remote"]
+    return {
+        "remote sketch holds its configured counters, more than SRAM": (
+            remote["sketch_counters"] == remote["configured_counters"]
+            > local["sketch_counters"]
+        ),
+        "remote error under a fifth of SRAM's": (
+            remote["mean_relative_error"] < local["mean_relative_error"] / 5
+        ),
+        "heavy hitters found at least as well": remote["hh_f1"] >= local["hh_f1"],
+        "heavy-hitter F1 over 0.9": remote["hh_f1"] > 0.9,
+        "no server CPU involved": remote["server_cpu_packets"] == 0,
+    }
+
+
+EXPERIMENT = Experiment(
+    name="telemetry", run=_run, table=lambda run: format_telemetry(run[1]),
+    record=_record, checks=_checks,
+    quick={"flows": 3000, "packets": 4000, "remote_counters": 1 << 16},
+    full={"flows": 20_000, "packets": 20_000, "remote_counters": 1 << 20},
+)

@@ -61,6 +61,7 @@ from ..sim.units import usec
 from ..tiering.pool import TieredMemoryPool
 from ..workloads.zipf import ZipfGenerator
 from ..testbed import build_testbed
+from . import Experiment, pick
 
 #: Placement policies compared by the sweep, in presentation order.
 #: ``dram`` is the all-DRAM baseline every speedup is quoted against.
@@ -168,10 +169,7 @@ def _drive(tb, store, timed) -> Dict[int, int]:
 
 def _build_counting_testbed(**testbed_kwargs):
     tb = build_testbed(n_hosts=2, **testbed_kwargs)
-    program = CountingProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
+    tb.bind(CountingProgram())
     return tb
 
 
@@ -477,3 +475,72 @@ def format_tiering_chaos(point: TieringChaosPoint) -> str:
             f"(population {point.flows:,})"
         ),
     )
+
+
+def _run(sweep: dict, chaos: dict):
+    return run_tiering_sweep(**sweep), run_tiering_chaos_point(**chaos)
+
+
+def _record(run) -> dict:
+    points, chaos = run
+    record = {
+        f"tiering_{p.policy}": dict(
+            **pick(
+                p,
+                "policy flows counters fast_blocks total_blocks "
+                "fast_capacity_bytes fast_occupancy_peak occupancy_bounded",
+            ),
+            mean_latency_ns=round(p.mean_latency_ns, 1),
+            p99_latency_ns=round(p.p99_latency_ns, 1),
+            fast_hit_fraction=round(p.fast_hit_fraction, 4),
+            **pick(p, "promotions demotions lost_updates"),
+        )
+        for p in points
+    }
+    by_policy = {p.policy: p for p in points}
+    record["tiering_frequency"]["speedup_vs_dram"] = round(
+        by_policy["dram"].mean_latency_ns / by_policy["frequency"].mean_latency_ns, 3
+    )
+    record["tiering_chaos_blackout"] = pick(
+        chaos,
+        "flows updates blackout_ns members_alive promotions abandoned_blocks "
+        "lost_updates updates_unreplicated zero_lost",
+    )
+    return record
+
+
+def _checks(record) -> dict:
+    sweep = [r for r in record.values() if "policy" in r]
+    chaos = record["tiering_chaos_blackout"]
+    return {
+        "zero lost updates under every policy": all(
+            r["lost_updates"] == 0 for r in sweep
+        ),
+        "fast occupancy never exceeds its budget": all(
+            r["fast_occupancy_peak"] <= r["fast_capacity_bytes"] for r in sweep
+        ),
+        "all-DRAM never hits the fast tier": (
+            record["tiering_dram"]["fast_hit_fraction"] == 0.0
+        ),
+        "frequency >= 1.5x faster than all-DRAM": (
+            record["tiering_frequency"]["speedup_vs_dram"] >= 1.5
+        ),
+        "a blackout mid-promotion loses nothing": (
+            chaos["lost_updates"] == 0 and chaos["updates_unreplicated"] == 0
+        ),
+        "promotions were underway at the blackout": chaos["promotions"] > 0,
+    }
+
+
+EXPERIMENT = Experiment(
+    name="tiering", run=_run, record=_record, checks=_checks,
+    table=lambda run: f"{format_tiering_sweep(run[0])}\n\n{format_tiering_chaos(run[1])}",
+    quick={
+        "sweep": dict(flows=100_000, counters=1 << 11, updates=4_000, seed=42),
+        "chaos": dict(flows=100_000, counters=1 << 10, updates=3_000, seed=42),
+    },
+    full={
+        "sweep": dict(flows=1_000_000, counters=1 << 12, updates=20_000, seed=42),
+        "chaos": dict(flows=1_000_000, counters=1 << 10, updates=6_000, seed=42),
+    },
+)

@@ -58,6 +58,14 @@ class Testbed:
     def server_link(self) -> Optional[Link]:
         return self.server_links[0] if self.server_links else None
 
+    def bind(self, program):
+        """Route every host's MAC to its port in *program*, then run
+        *program* on the switch; returns *program*."""
+        for host, port in zip(self.hosts, self.host_ports):
+            program.install(host.eth.mac, port)
+        self.switch.bind_program(program)
+        return program
+
     def open_channels(self, size_bytes: int) -> list:
         """Open one channel of *size_bytes* to every memory server."""
         return [

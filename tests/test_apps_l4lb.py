@@ -23,7 +23,7 @@ from repro.cluster.replicated_store import ReplicatedStateStore
 from repro.core.lookup_table import LookupTableConfig, RemoteLookupTable
 from repro.core.state_store import StateStoreConfig
 from repro.experiments.l4lb import (
-    assert_l4lb,
+    EXPERIMENT,
     format_l4lb,
     run_l4lb_soak,
     table_entries_for,
@@ -298,7 +298,7 @@ class TestSoakReducedScale:
             corrupt_rate=3e-3,
             cache_entries=512,
         )
-        assert_l4lb(result)
+        assert EXPERIMENT.failures(EXPERIMENT.record(result)) == []
         assert result.table_entries == table_entries_for(1_650)
         text = format_l4lb(result)
         assert "counter audit" in text and "lost 0" in text

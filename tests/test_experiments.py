@@ -217,9 +217,9 @@ class TestLinkGuard:
         return run_linkguard_sweep(packets=600)
 
     def test_acceptance_bar_holds_at_reduced_scale(self, rows):
-        from repro.experiments.linkguard import assert_linkguard
+        from repro.experiments.linkguard import EXPERIMENT
 
-        assert_linkguard(rows)
+        assert EXPERIMENT.failures(EXPERIMENT.record(rows)) == []
 
     def test_guard_on_loses_nothing_guard_off_does(self, rows):
         by = {(r.workload, r.variant): r for r in rows}
