@@ -12,10 +12,8 @@ Run:  python examples/baremetal_gateway.py  [--vips 20000]
 
 import argparse
 
-from repro.experiments.baremetal import (
-    format_baremetal,
-    run_baremetal_comparison,
-)
+from repro.analysis.reporting import format_record
+from repro.experiments.baremetal import EXPERIMENT, run_baremetal_comparison
 
 
 def main() -> None:
@@ -35,7 +33,7 @@ def main() -> None:
         vips=args.vips, sram_entries=args.sram, packets=args.packets
     )
     print()
-    print(format_baremetal(results))
+    print(format_record(EXPERIMENT.record(results)))
     print()
 
     slow, remote = results

@@ -16,9 +16,9 @@ the primitives across them:
 Run:  python examples/cluster_scaleout.py
 """
 
+from repro.analysis.reporting import format_record
 from repro.experiments.scaleout import (
-    format_failover,
-    format_scaleout,
+    EXPERIMENT,
     run_failover_counters,
     run_scaleout,
     run_scaleout_point,
@@ -30,9 +30,8 @@ def main() -> None:
     # Every configuration runs at its own maximum lossless rate (the §5
     # methodology); per-server region size is identical everywhere.
     rows = run_scaleout(server_counts=(1, 2, 4), lookups_per_host=400)
-    print(format_scaleout(rows))
     speedup = rows[-1].mlookups_per_sec / rows[0].mlookups_per_sec
-    print(f"\n4 servers sustain {speedup:.2f}x the single-server miss "
+    print(f"4 servers sustain {speedup:.2f}x the single-server miss "
           "throughput (zero losses in every row).")
 
     # The ceiling is real: overdrive ONE server at the 4-server offered
@@ -47,7 +46,7 @@ def main() -> None:
     # -- 3. kill a replica mid-count -------------------------------------
     result = run_failover_counters(packets=1500, kill_at_ns=600_000.0)
     print()
-    print(format_failover(result))
+    print(format_record(EXPERIMENT.record((rows, result))))
 
     # -- the punchline ----------------------------------------------------
     assert speedup >= 3.0, "sharded lookups must scale at least 3x at N=4"

@@ -13,7 +13,8 @@ Run:  python examples/incast_rescue.py  [--scale 0.25]
 
 import argparse
 
-from repro.experiments.incast import format_incast, run_incast_comparison
+from repro.analysis.reporting import format_record
+from repro.experiments.incast import EXPERIMENT, run_incast_comparison
 
 
 def main() -> None:
@@ -38,7 +39,7 @@ def main() -> None:
         scale=args.scale, senders=args.senders, n_memory_servers=8
     )
     print()
-    print(format_incast(results))
+    print(format_record(EXPERIMENT.record(results)))
     print()
 
     by_variant = {r.variant: r for r in results}

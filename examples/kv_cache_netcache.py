@@ -15,7 +15,8 @@ Run:  python examples/kv_cache_netcache.py  [--keys 10000]
 
 import argparse
 
-from repro.experiments.kv_cache import format_kv_cache, run_kv_cache_comparison
+from repro.analysis.reporting import format_record
+from repro.experiments.kv_cache import EXPERIMENT, run_kv_cache_comparison
 
 
 def main() -> None:
@@ -33,7 +34,7 @@ def main() -> None:
         keys=args.keys, sram_entries=args.sram, queries=args.queries
     )
     print()
-    print(format_kv_cache(results))
+    print(format_record(EXPERIMENT.record(results)))
     print()
     by_mode = {r.mode: r for r in results}
     remote = by_mode["sram+remote"]

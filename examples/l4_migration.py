@@ -17,7 +17,8 @@ Run:  python examples/l4_migration.py  [--connections 100000]
 
 import argparse
 
-from repro.experiments.l4lb import EXPERIMENT, format_l4lb, run_l4lb_soak
+from repro.analysis.reporting import format_record
+from repro.experiments.l4lb import EXPERIMENT, run_l4lb_soak
 
 
 def main() -> None:
@@ -42,9 +43,10 @@ def main() -> None:
         seed=args.seed,
     )
     print()
-    print(format_l4lb(result))
+    record = EXPERIMENT.record(result)
+    print(format_record(record))
     print()
-    failed = EXPERIMENT.failures(EXPERIMENT.record(result))
+    failed = EXPERIMENT.failures(record)
     assert not failed, f"acceptance bar failed: {failed}"
 
     detect = result.kill_detect_latency_ns

@@ -16,8 +16,9 @@ Run:  python examples/persistent_congestion_ecn.py  [--duration-ms 6]
 
 import argparse
 
+from repro.analysis.reporting import format_record
 from repro.experiments.persistent_congestion import (
-    format_persistent_congestion,
+    EXPERIMENT,
     run_persistent_congestion_comparison,
 )
 
@@ -33,7 +34,7 @@ def main() -> None:
     )
     results = run_persistent_congestion_comparison(duration_ms=args.duration_ms)
     print()
-    print(format_persistent_congestion(results))
+    print(format_record(EXPERIMENT.record(results)))
     print()
     buffer_only, with_ecn = results
     print(

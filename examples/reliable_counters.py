@@ -14,7 +14,9 @@ link, best-effort vs reliable.
 Run:  python examples/reliable_counters.py
 """
 
-from repro.experiments.ablations import format_drops, run_drop_ablation
+from repro.analysis.reporting import format_record
+from repro.experiments import row
+from repro.experiments.ablations import run_drop_ablation
 
 
 def main() -> None:
@@ -22,7 +24,7 @@ def main() -> None:
     results = run_drop_ablation(
         loss_probabilities=(0.0, 0.001, 0.01, 0.05), packets=3000
     )
-    print(format_drops(results))
+    print(format_record({"drops": [row(r) for r in results]}))
     print()
     worst_best_effort = max(
         r.count_error_rate for r in results if not r.reliable

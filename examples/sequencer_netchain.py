@@ -13,16 +13,14 @@ rate sweep, and verifies the gap-free / total-order / zero-CPU properties.
 Run:  python examples/sequencer_netchain.py
 """
 
-from repro.experiments.sequencer import (
-    format_sequencer,
-    run_sequencer_throughput,
-)
+from repro.analysis.reporting import format_record
+from repro.experiments.sequencer import EXPERIMENT, run_sequencer_throughput
 
 
 def main() -> None:
     print("Sweeping offered load through the remote-memory sequencer...\n")
     results = run_sequencer_throughput(packets=2000)
-    print(format_sequencer(results))
+    print(format_record(EXPERIMENT.record(results)))
     print()
     saturation = max(r.achieved_mops for r in results)
     assert all(r.gap_free and r.arrival_ordered for r in results)

@@ -13,7 +13,9 @@ Run:  python examples/telemetry_sketches.py
 
 import argparse
 
-from repro.experiments.telemetry import format_telemetry, run_telemetry
+from repro.analysis.reporting import format_record
+from repro.experiments import rows_by
+from repro.experiments.telemetry import run_telemetry
 from repro.sim.units import kib
 
 
@@ -36,7 +38,7 @@ def main() -> None:
         remote_counters=1 << 20,
     )
     print()
-    print(format_telemetry(results))
+    print(format_record(rows_by("backend")(results)))
     print()
 
     local, remote = results

@@ -21,11 +21,9 @@ updates) and a fast-occupancy peak that never exceeded the budget.
 Run:  python examples/tiered_memory.py
 """
 
-from repro.experiments.tiering import (
-    TIERING_POLICIES,
-    format_tiering_sweep,
-    run_tiering_sweep,
-)
+from repro.analysis.reporting import format_record
+from repro.experiments import rows_by
+from repro.experiments.tiering import TIERING_POLICIES, run_tiering_sweep
 
 
 def main() -> None:
@@ -40,7 +38,7 @@ def main() -> None:
         updates=4_000,
         seed=42,
     )
-    print(format_tiering_sweep(points))
+    print(format_record(rows_by("policy")(points)))
     print()
 
     by_policy = {p.policy: p for p in points}

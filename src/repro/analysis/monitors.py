@@ -1,14 +1,13 @@
-"""Live measurement instruments: link bandwidth, latency, queue depth.
+"""Live measurement instruments: link bandwidth.
 
-These attach non-intrusively (interface taps, periodic sampling events) so
-experiments measure what actually crossed the wire rather than what the
-sender intended.
+A monitor attaches non-intrusively (an interface tap), so experiments
+measure what actually crossed the wire rather than what the sender
+intended.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..net.link import Link
 from ..net.node import Interface
@@ -62,67 +61,3 @@ class LinkBandwidthMonitor:
     def total_bytes(self) -> int:
         return self.bytes["a2b"] + self.bytes["b2a"]
 
-
-class LatencyRecorder:
-    """Records per-packet one-way latency at a receiving host.
-
-    Requires senders to stamp ``meta['sent_at']`` (the workload generators
-    all do).
-    """
-
-    def __init__(self, host) -> None:
-        self.host = host
-        self.latencies_ns: List[float] = []
-        host.packet_handlers.append(self._handle)
-
-    def _handle(self, packet: Packet, interface: Interface) -> None:
-        sent_at = packet.meta.get("sent_at")
-        if sent_at is None:
-            return
-        self.latencies_ns.append(self.host.sim.now - sent_at)
-
-
-@dataclass
-class DepthSample:
-    time_ns: float
-    depth_bytes: int
-    depth_packets: int
-
-
-class QueueDepthSampler:
-    """Samples a port queue's depth on a fixed period."""
-
-    def __init__(
-        self, sim: Simulator, queue, period_ns: float = 10_000.0
-    ) -> None:
-        self.sim = sim
-        self.queue = queue
-        self.period_ns = period_ns
-        self.samples: List[DepthSample] = []
-        self._stopped = False
-
-    def start(self) -> None:
-        self.sim.schedule(0.0, self._sample)
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _sample(self) -> None:
-        if self._stopped:
-            return
-        self.samples.append(
-            DepthSample(self.sim.now, self.queue.depth_bytes, len(self.queue))
-        )
-        self.sim.schedule(self.period_ns, self._sample)
-
-    def peak_depth_bytes(self) -> int:
-        if not self.samples:
-            return 0
-        return max(s.depth_bytes for s in self.samples)
-
-    def time_to_reach(self, depth_bytes: int) -> Optional[float]:
-        """First sampled time the queue was at or above *depth_bytes*."""
-        for sample in self.samples:
-            if sample.depth_bytes >= depth_bytes:
-                return sample.time_ns
-        return None

@@ -1,10 +1,10 @@
-"""Plain-text tables for benchmark output (the "rows the paper reports"),
+"""Plain-text tables for experiment records (the "rows the paper reports"),
 plus text/JSON renderers for the metric registry (``--metrics``)."""
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..obs.registry import Histogram, MetricRegistry
 
@@ -24,11 +24,72 @@ def format_table(
     lines: List[str] = []
     if title:
         lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
     lines.append("  ".join("-" * w for w in widths))
     for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
+
+
+def _cell(value: Any) -> str:
+    """A record value as text: the one number format every record shares."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_cell, value)) + "]"
+    return str(value)
+
+
+def _rows_table(rows: Sequence[Mapping[str, Any]], names: Sequence[str] = ()) -> str:
+    """One table over *rows*: a column per field any row has, ``-`` where
+    a row lacks it, led by a column of row *names* unless the first
+    column already holds them."""
+    columns = list(dict.fromkeys(field for row in rows for field in row))
+    cells = [[_cell(row.get(field)) for field in columns] for row in rows]
+    if any(name != str(next(iter(row.values()), None)) for name, row in zip(names, rows)):
+        return format_table(["", *columns], [[n, *c] for n, c in zip(names, cells)])
+    return format_table(columns, cells)
+
+
+def format_record(record: Mapping[str, Any], title: str = "") -> str:
+    """Render an experiment's results record as aligned text.
+
+    Consecutive entries whose field sets nest, one inside the other,
+    share a table; an entry alone prints as ``field  value`` lines under
+    its name; a list of rows prints as a table of its own under its name.
+    The record goes through JSON first, so a record and the copy
+    ``--record`` wrote of it render byte for byte alike.
+    """
+    blocks = [title] if title else []
+    group: Dict[str, Dict[str, Any]] = {}
+
+    def close_group() -> None:
+        if len(group) == 1:
+            (name, fields), = group.items()
+            width = max(map(len, fields), default=0)
+            blocks.append("\n".join(
+                [name] + [f"  {k.ljust(width)}  {_cell(v)}" for k, v in fields.items()]
+            ))
+        elif group:
+            blocks.append(_rows_table(list(group.values()), list(group)))
+        group.clear()
+
+    for name, entry in json.loads(json.dumps(record)).items():
+        if isinstance(entry, list) and entry and all(isinstance(r, dict) for r in entry):
+            close_group()
+            blocks.append(f"{name}\n{_rows_table(entry)}")
+            continue
+        fields = entry if isinstance(entry, dict) else {"value": entry}
+        seen = {field for row in group.values() for field in row}
+        if not (fields.keys() <= seen or fields.keys() >= seen):
+            close_group()
+        group[name] = fields
+    close_group()
+    return "\n\n".join(blocks)
 
 
 def _metric_cell(metric: Any) -> str:
@@ -94,10 +155,3 @@ def write_metrics_json(
                   sort_keys=True)
         fh.write("\n")
 
-
-def format_gbps(rate_bps: float) -> str:
-    return f"{rate_bps / 1e9:.2f} Gbps"
-
-
-def format_usec(time_ns: float) -> str:
-    return f"{time_ns / 1000:.2f} us"

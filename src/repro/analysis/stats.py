@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -44,30 +42,3 @@ def jain_fairness(values: Sequence[float]) -> float:
     squares = sum(v * v for v in values)
     return total * total / (len(values) * squares)
 
-
-@dataclass
-class Summary:
-    """Five-number-ish summary of a sample."""
-
-    count: int
-    mean: float
-    median: float
-    p99: float
-    minimum: float
-    maximum: float
-    stdev: float
-
-    @classmethod
-    def of(cls, values: Iterable[float]) -> "Summary":
-        data: List[float] = list(values)
-        if not data:
-            raise ValueError("cannot summarise an empty sample")
-        return cls(
-            count=len(data),
-            mean=statistics.fmean(data),
-            median=statistics.median(data),
-            p99=percentile(data, 99),
-            minimum=min(data),
-            maximum=max(data),
-            stdev=statistics.stdev(data) if len(data) > 1 else 0.0,
-        )

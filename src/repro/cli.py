@@ -7,8 +7,9 @@ Installed as ``repro-experiments`` (see pyproject.toml).  Examples::
     repro-experiments verify lookup.json
     repro-experiments all --quick
 
-Every run checks its experiment's bars and exits 1 if one fails;
-``verify`` re-checks a written record without running anything.
+Every run prints its experiment's record as a table, checks its bars and
+exits 1 if one fails; ``verify`` prints and re-checks a written record
+without running anything.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 from typing import Dict, List
 
-from .analysis.reporting import write_metrics_json
+from .analysis.reporting import format_record, write_metrics_json
 from .experiments import REGISTRY, load
 from .obs import Observability
 from .obs.trace import WireTrace
@@ -62,6 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _table(name: str, record: Dict, first: bool) -> None:
+    """Print *name*'s record as its table, after a blank line unless *first*."""
+    print(("" if first else "\n") + format_record(record, REGISTRY[name][1]), flush=True)
+
+
 def _report(name: str, checks: Dict[str, bool]) -> int:
     """Print *name*'s check verdicts to stderr; returns how many failed."""
     failed = [f"[check] {name}: FAILED {check}" for check, ok in checks.items() if not ok]
@@ -83,13 +89,14 @@ def _verify(path: str, error) -> int:
         error(f"verify: {path}: the record has no results to check")
     records = results if experiment == "all" else {str(experiment): results}
     failed = 0
-    for name, record in records.items():
+    for i, (name, record) in enumerate(records.items()):
         if name not in REGISTRY:
             error(f"verify: {path}: unknown experiment {name!r}")
         try:
             checks = load(name).checks(record)
         except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
             error(f"verify: {path}: {name} record: missing or malformed field {exc}")
+        _table(name, record, first=not i)
         failed += _report(name, checks)
     return 1 if failed else 0
 
@@ -106,12 +113,18 @@ def main(argv: List[str] = None) -> int:
         return _verify(args.path, parser.error)
 
     # Fail before the (possibly long) run, not after it.
+    outputs = {}
     for flag in ("record", "metrics", "trace"):
         path = getattr(args, flag)
         if path:
-            out_dir = os.path.dirname(os.path.abspath(path))
-            if not os.path.isdir(out_dir):
-                parser.error(f"--{flag}: directory does not exist: {out_dir}")
+            out = os.path.abspath(path)
+            if os.path.isdir(out):
+                parser.error(f"--{flag}: {path} is a directory, not a file")
+            if not os.path.isdir(os.path.dirname(out)):
+                parser.error(f"--{flag}: directory does not exist: {os.path.dirname(out)}")
+            if out in outputs:
+                parser.error(f"--{flag} and --{outputs[out]} both write {path}")
+            outputs[out] = flag
 
     names = list(REGISTRY) if args.command == "all" else [args.command]
     records, failed = {}, 0
@@ -122,8 +135,8 @@ def main(argv: List[str] = None) -> int:
         for i, name in enumerate(names):
             experiment = load(name)
             result = experiment.run(**(experiment.quick if args.quick else experiment.full))
-            print(("\n" if i else "") + experiment.table(result), flush=True)
             records[name] = experiment.record(result)
+            _table(name, records[name], first=not i)
             failed += _report(name, experiment.checks(records[name]))
 
     if args.record:

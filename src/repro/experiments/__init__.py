@@ -1,10 +1,12 @@
 """Experiment harnesses regenerating the paper's tables and figures.
 
 Every module here defines one :class:`Experiment`, ``EXPERIMENT``, next to
-its ``run_*`` harnesses and ``format_*`` renderers.  :data:`REGISTRY`
-names them for ``repro-experiments``; :func:`load` imports only the module
-a command needs.  The library surface itself (primitives, testbed,
-observability) lives in :mod:`repro.api`.
+its ``run_*`` harnesses.  An experiment's table is its record:
+:func:`repro.analysis.reporting.format_record` prints any record, so no
+module renders its own.  :data:`REGISTRY` names the experiments for
+``repro-experiments``; :func:`load` imports only the module a command
+needs.  The library surface itself (primitives, testbed, observability)
+lives in :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -16,18 +18,17 @@ from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: two scales, a text table, a record, its checks.
+    """One experiment: two scales, a record, its checks.
 
-    ``run(**quick)`` or ``run(**full)`` returns a result; ``table`` renders
-    it, ``record`` turns it into the JSON-ready ``results`` dict, and
-    ``checks`` maps each named bar to whether the record holds it.  The
-    checks read only the record, so a written record can be re-checked
-    without re-running anything.
+    ``run(**quick)`` or ``run(**full)`` returns a result; ``record`` turns
+    it into the JSON-ready ``results`` dict, which is also the table the
+    CLI prints, and ``checks`` maps each named bar to whether the record
+    holds it.  The checks read only the record, so a written record can be
+    re-checked, and re-printed, without re-running anything.
     """
 
     name: str
     run: Callable[..., Any]
-    table: Callable[[Any], str]
     record: Callable[[Any], Dict[str, Any]]
     checks: Callable[[Dict[str, Any]], Dict[str, bool]]
     quick: Mapping[str, Any]

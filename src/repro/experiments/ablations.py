@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..analysis.reporting import format_table
 from ..apps.programs import RemoteLookupProgram
 from ..core.lookup_table import (
     ACTION_SET_DSCP,
@@ -89,24 +88,6 @@ def run_batching_ablation(
     return results
 
 
-def format_batching(results: Sequence[BatchingResult]) -> str:
-    return format_table(
-        ["batch", "F&A ops", "ops/packet", "request bytes", "remote count", "pending"],
-        [
-            [
-                r.batch_size,
-                r.operations,
-                f"{r.ops_per_packet:.3f}",
-                r.request_bytes,
-                r.counted_remotely,
-                r.pending_locally,
-            ]
-            for r in results
-        ],
-        title="§7 ablation — combining counter updates per Fetch-and-Add",
-    )
-
-
 # -- 2. outstanding-atomics window ----------------------------------------------
 
 @dataclass
@@ -165,24 +146,6 @@ def run_window_ablation(
             )
         )
     return results
-
-
-def format_window(results: Sequence[WindowResult]) -> str:
-    return format_table(
-        ["window", "RNIC limit", "remote count", "pending", "RNIC drops", "accurate"],
-        [
-            [
-                r.window,
-                r.rnic_limit,
-                r.counted_remotely,
-                r.pending_locally,
-                r.rnic_overflow_drops,
-                "yes" if r.accurate else "NO",
-            ]
-            for r in results
-        ],
-        title="§7 ablation — outstanding-atomics window vs RNIC limit",
-    )
 
 
 # -- 3. lookup cache size ----------------------------------------------------------
@@ -259,22 +222,6 @@ def run_cache_ablation(
     return results
 
 
-def format_cache(results: Sequence[CacheResult]) -> str:
-    return format_table(
-        ["cache entries", "hit rate", "remote lookups", "median latency (us)"],
-        [
-            [
-                r.cache_entries,
-                f"{r.hit_rate * 100:.1f}%",
-                r.remote_lookups,
-                f"{r.median_latency_us:.2f}",
-            ]
-            for r in results
-        ],
-        title="§2.2 ablation — local SRAM cache size for the remote table",
-    )
-
-
 # -- 4. bounce vs recirculate ---------------------------------------------------------
 
 @dataclass
@@ -338,22 +285,6 @@ def run_mode_ablation(
     return results
 
 
-def format_mode(results: Sequence[ModeResult]) -> str:
-    return format_table(
-        ["mode", "remote request bytes", "recirc passes", "median latency (us)"],
-        [
-            [
-                r.mode,
-                r.remote_request_bytes,
-                r.recirculation_passes,
-                f"{r.median_latency_us:.2f}",
-            ]
-            for r in results
-        ],
-        title="§7 ablation — packet bounce vs local recirculation",
-    )
-
-
 # -- 5. drop sensitivity ----------------------------------------------------------------
 
 @dataclass
@@ -414,25 +345,6 @@ def run_drop_ablation(
                 )
             )
     return results
-
-
-def format_drops(results: Sequence[DropResult]) -> str:
-    return format_table(
-        ["mode", "loss prob", "sent", "remote count", "count error", "NAKs", "retx"],
-        [
-            [
-                "reliable" if r.reliable else "best-effort",
-                f"{r.loss_probability:.3f}",
-                r.packets,
-                r.counted_remotely,
-                f"{r.count_error_rate * 100:.2f}%",
-                r.naks_seen,
-                r.retransmissions,
-            ]
-            for r in results
-        ],
-        title="§7 ablation — RDMA packet drops vs counter accuracy",
-    )
 
 
 # -- 6. RDMA prioritization ----------------------------------------------------------
@@ -530,32 +442,14 @@ def run_priority_ablation(
     return results
 
 
-def format_priority(results: Sequence["PriorityResult"]) -> str:
-    return format_table(
-        ["RDMA priority", "lookups", "resolved", "delivered", "bounce NAKs", "bg drops"],
-        [
-            [
-                "on" if r.protected else "off",
-                r.lookups,
-                r.resolved,
-                r.delivered,
-                r.bounce_naks,
-                r.background_drops,
-            ]
-            for r in results
-        ],
-        title="§7 ablation — prioritizing RDMA packets under congestion",
-    )
-
-
-#: ablation -> (harness, renderer), in presentation order.
+#: ablation -> harness, in presentation order.
 _ABLATIONS = {
-    "batching": (run_batching_ablation, format_batching),
-    "window": (run_window_ablation, format_window),
-    "cache": (run_cache_ablation, format_cache),
-    "mode": (run_mode_ablation, format_mode),
-    "drops": (run_drop_ablation, format_drops),
-    "priority": (run_priority_ablation, format_priority),
+    "batching": run_batching_ablation,
+    "window": run_window_ablation,
+    "cache": run_cache_ablation,
+    "mode": run_mode_ablation,
+    "drops": run_drop_ablation,
+    "priority": run_priority_ablation,
 }
 
 
@@ -606,11 +500,8 @@ def _checks(record) -> dict:
 EXPERIMENT = Experiment(
     name="ablations",
     run=lambda **scales: {
-        name: _ABLATIONS[name][0](**kwargs) for name, kwargs in scales.items()
+        name: _ABLATIONS[name](**kwargs) for name, kwargs in scales.items()
     },
-    table=lambda runs: "\n\n".join(
-        _ABLATIONS[name][1](results) for name, results in runs.items()
-    ),
     record=lambda runs: {
         name: [row(r) for r in results] for name, results in runs.items()
     },

@@ -16,9 +16,8 @@ covers most packets — the case the paper's design banks on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
-from ..analysis.reporting import format_table
 from ..analysis.stats import percentile
 from ..apps.virtual_switch import VipMapping, VirtualSwitchProgram
 from ..baselines.cpu_slowpath import CpuSlowPath, CpuSlowPathConfig
@@ -169,37 +168,6 @@ def run_baremetal_comparison(**kwargs) -> List[BaremetalResult]:
     return [run_baremetal(mode, **kwargs) for mode in MODES]
 
 
-def format_baremetal(results: Sequence[BaremetalResult]) -> str:
-    return format_table(
-        [
-            "mode",
-            "delivered",
-            "median lat (us)",
-            "p99 lat (us)",
-            "fast xlate",
-            "slow-path xlate",
-            "slow-path drops",
-            "remote lookups",
-            "cache hit rate",
-        ],
-        [
-            [
-                r.mode,
-                f"{r.packets_received}/{r.packets_sent}",
-                f"{r.median_latency_us:.2f}",
-                f"{r.p99_latency_us:.2f}",
-                r.fast_translations,
-                r.slow_path_translations,
-                r.slow_path_drops,
-                r.remote_lookups,
-                f"{r.cache_hit_rate * 100:.1f}%",
-            ]
-            for r in results
-        ],
-        title="§2.2 / Fig. 1b — bare-metal VIP→PIP translation at the ToR",
-    )
-
-
 def _checks(record) -> dict:
     slow, remote = record["slowpath"], record["remote"]
     return {
@@ -215,8 +183,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="baremetal", run=run_baremetal_comparison, table=format_baremetal,
-    checks=_checks,
+    name="baremetal", run=run_baremetal_comparison, checks=_checks,
     record=rows_by("mode"),
     quick={"vips": 2000, "packets": 1500},
     full={"vips": 20_000, "sram_entries": 256, "packets": 6000},

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..analysis.reporting import format_table
 from ..apps.programs import RemoteBufferProgram
 from ..core.packet_buffer import (
     ENTRY_SEQ_BYTES,
@@ -154,45 +153,6 @@ def run_chaos_sweep(
         run_chaos_point(rate, packets=packets, seed=seed, reliable=reliable)
         for rate in loss_rates
     ]
-
-
-def format_chaos(rows: Sequence[ChaosRow]) -> str:
-    base = rows[0].goodput_updates_per_ms if rows else 0.0
-    return format_table(
-        [
-            "loss rate",
-            "sent",
-            "recovered",
-            "lost",
-            "wrong ctrs",
-            "link drops",
-            "naks",
-            "timeouts",
-            "time (ms)",
-            "goodput (upd/ms)",
-            "vs lossless",
-        ],
-        [
-            [
-                f"{r.loss_rate:.3%}",
-                r.packets_sent,
-                r.recovered_total,
-                r.lost_updates,
-                r.counters_wrong,
-                r.link_drops,
-                r.naks,
-                r.timeouts,
-                f"{r.duration_ms:.2f}",
-                f"{r.goodput_updates_per_ms:,.0f}",
-                f"{r.goodput_updates_per_ms / base:.1%}" if base > 0 else "-",
-            ]
-            for r in rows
-        ],
-        title=(
-            "Chaos — reliable counters over a lossy link "
-            f"(i.i.d. loss both directions, seed={rows[0].seed if rows else '-'})"
-        ),
-    )
 
 
 @dataclass
@@ -424,46 +384,6 @@ def run_chaos_recovery(
     )
 
 
-def format_chaos_recovery(report: RecoveryReport) -> str:
-    rows = [
-        ["state store: expected / recovered",
-         f"{report.expected_total} / {report.recovered_total}"],
-        ["state store: lost / wrong counters",
-         f"{report.lost_updates} / {report.counters_wrong}"],
-        ["state store: degraded updates (local)",
-         f"{report.degraded_updates}"],
-        ["state store: reconcile READs / reissued value",
-         f"{report.reconcile_reads} / {report.reconciled_reissued}"],
-        ["store breaker: opens / probe fails / closes",
-         f"{report.store_breaker_opens} / {report.store_probe_failures} / "
-         f"{report.store_breaker_closes}"],
-        ["store: QP reconnects", f"{report.store_reconnects}"],
-        ["store: degraded time (ms)", f"{report.degraded_ms:.3f}"],
-        ["store: goodput degraded vs healthy (upd/ms)",
-         f"{report.degraded_goodput_per_ms:,.0f} vs "
-         f"{report.healthy_goodput_per_ms:,.0f}"],
-        ["pkt buffer: buffered / delivered / out-of-order",
-         f"{report.buffered_packets} / {report.delivered_packets} / "
-         f"{report.out_of_order}"],
-        ["pkt buffer: lost in transit / to failover",
-         f"{report.lost_in_transit} / {report.lost_to_failover}"],
-        ["buffer breaker: opens / probe fails / closes",
-         f"{report.buffer_breaker_opens} / {report.buffer_probe_failures} / "
-         f"{report.buffer_breaker_closes}"],
-        ["buffer: QP reconnects", f"{report.buffer_reconnects}"],
-        ["buffer: degraded time (ms)",
-         f"{report.buffer_degraded_ns / 1e6:.3f}"],
-    ]
-    return format_table(
-        ["self-healing recovery", "value"],
-        rows,
-        title=(
-            "Chaos recovery — blackout → degrade → reconnect → reconcile "
-            f"(seed={report.seed})"
-        ),
-    )
-
-
 def _run(packets: int):
     return (
         run_chaos_sweep(packets=packets),
@@ -496,7 +416,9 @@ def _record(run) -> dict:
             "store_breaker_opens store_probe_failures store_reconnects "
             "buffered_packets delivered_packets lost_buffered out_of_order "
             "buffer_reconnects store_breaker_closes buffer_breaker_opens "
-            "buffer_breaker_closes",
+            "buffer_breaker_closes reconcile_reads reconciled_reissued "
+            "lost_in_transit lost_to_failover buffer_probe_failures "
+            "buffer_degraded_ns",
         ),
     )
     return record
@@ -535,6 +457,5 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="chaos", run=_run, record=_record, checks=_checks,
-    table=lambda run: f"{format_chaos(run[0])}\n\n{format_chaos_recovery(run[1])}",
     quick={"packets": 1000}, full={"packets": 3000},
 )

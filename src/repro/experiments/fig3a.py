@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..analysis.reporting import format_table
 from ..api import (
     ACTION_SET_DSCP,
     FiveTuple,
@@ -109,17 +108,6 @@ def run_fig3a(
     return rows
 
 
-def format_fig3a(rows: Sequence[Fig3aRow]) -> str:
-    return format_table(
-        ["pkt size (B)", "baseline (us)", "lookup primitive (us)", "delta (us)"],
-        [
-            [r.packet_size, f"{r.baseline_us:.2f}", f"{r.lookup_us:.2f}", f"{r.delta_us:.2f}"]
-            for r in rows
-        ],
-        title="Figure 3a — median end-to-end latency (lookup table primitive)",
-    )
-
-
 def _checks(record) -> dict:
     deltas = [r["delta_us"] for r in record.values()]
     return {
@@ -130,7 +118,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="fig3a", run=run_fig3a, table=format_fig3a, checks=_checks,
+    name="fig3a", run=run_fig3a, checks=_checks,
     record=rows_by("packet_size"),
     quick={"probes": 10}, full={"probes": 30},
 )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..analysis.monitors import LinkBandwidthMonitor
-from ..analysis.reporting import format_table
 from ..api import StateStoreConfig, build_testbed
 from ..apps.programs import StaticL2Program
 from ..rdma.headers import BthHeader
@@ -98,32 +97,6 @@ def run_fig3b(
     return [run_fig3b_point(size, packets) for size in packet_sizes]
 
 
-def format_fig3b(rows: Sequence[Fig3bRow]) -> str:
-    return format_table(
-        [
-            "pkt size (B)",
-            "F&A req (Gbps)",
-            "F&A total (Gbps)",
-            "counter accurate",
-            "goodput (Gbps)",
-            "baseline (Gbps)",
-        ],
-        [
-            [
-                r.packet_size,
-                f"{r.fa_request_gbps:.2f}",
-                f"{r.fa_total_gbps:.2f}",
-                "100%" if r.counter_accurate else
-                f"{r.counter_value}/{r.packets_sent}",
-                f"{r.goodput_gbps:.2f}",
-                f"{r.baseline_goodput_gbps:.2f}",
-            ]
-            for r in rows
-        ],
-        title="Figure 3b — state-store bandwidth overhead (per packet size)",
-    )
-
-
 def _checks(record) -> dict:
     rates = [r["fa_request_gbps"] for r in record.values()]
     return {
@@ -140,7 +113,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="fig3b", run=run_fig3b, table=format_fig3b, checks=_checks,
+    name="fig3b", run=run_fig3b, checks=_checks,
     record=rows_by("packet_size"),
     quick={"packets": 2000}, full={"packets": 4000},
 )

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..analysis.reporting import format_table
 from ..apps.programs import RemoteBufferProgram, StaticL2Program
 from ..baselines.pfc import PfcConfig, PfcManager
 from ..core.packet_buffer import (
@@ -200,40 +199,6 @@ def run_incast_comparison(
     return [run_incast(variant, scale=scale, **kwargs) for variant in variants]
 
 
-def format_incast(results: Sequence[IncastResult]) -> str:
-    def fmt_ms(value: Optional[float]) -> str:
-        return f"{value:.2f}" if value is not None else "-"
-
-    return format_table(
-        [
-            "variant",
-            "recv/sent",
-            "loss",
-            "drops",
-            "reorder",
-            "remote stored",
-            "pauses",
-            "incast done (ms)",
-            "victim done (ms)",
-        ],
-        [
-            [
-                r.variant,
-                f"{r.packets_received}/{r.packets_sent}",
-                f"{r.loss_rate * 100:.1f}%",
-                r.switch_drops,
-                r.out_of_order,
-                r.remote_stored,
-                r.pause_events,
-                fmt_ms(r.completion_ms),
-                fmt_ms(r.victim_completion_ms),
-            ]
-            for r in results
-        ],
-        title="§2.1 / Fig. 1a — 8-to-1 line-rate incast at the last hop",
-    )
-
-
 def _checks(record) -> dict:
     droptail, remote, pfc = (record[v] for v in VARIANTS)
     line_ms = remote["burst_bytes"] * 8 / gbps(40) * 1e3
@@ -251,7 +216,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="incast", run=run_incast_comparison, table=format_incast, checks=_checks,
+    name="incast", run=run_incast_comparison, checks=_checks,
     record=rows_by("variant"),
     quick={"scale": 0.1}, full={"scale": 1.0},
 )

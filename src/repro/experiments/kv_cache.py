@@ -16,9 +16,8 @@ Modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
-from ..analysis.reporting import format_table
 from ..analysis.stats import percentile
 from ..apps.kv_cache import (
     ENTRY_BYTES,
@@ -197,35 +196,6 @@ def run_kv_cache_comparison(**kwargs) -> List[KvResult]:
     return [run_kv_cache(mode, **kwargs) for mode in MODES]
 
 
-def format_kv_cache(results: Sequence[KvResult]) -> str:
-    return format_table(
-        [
-            "mode",
-            "replies",
-            "hit replies",
-            "median (us)",
-            "p99 (us)",
-            "switch answered",
-            "server CPU GETs",
-            "server bypass",
-        ],
-        [
-            [
-                r.mode,
-                f"{r.replies}/{r.queries}",
-                r.hits,
-                f"{r.median_latency_us:.2f}",
-                f"{r.p99_latency_us:.2f}",
-                r.switch_answered,
-                r.server_cpu_queries,
-                f"{r.server_bypass_rate * 100:.1f}%",
-            ]
-            for r in results
-        ],
-        title="§2.2/§6 — in-network KV cache: SRAM vs remote-memory miss path",
-    )
-
-
 def _checks(record) -> dict:
     server, sram, remote = (record[mode] for mode in MODES)
     return {
@@ -240,8 +210,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="kv-cache", run=run_kv_cache_comparison, table=format_kv_cache,
-    checks=_checks,
+    name="kv-cache", run=run_kv_cache_comparison, checks=_checks,
     record=rows_by("mode"),
     quick={"keys": 2000, "queries": 1500},
     full={"keys": 10_000, "sram_entries": 64, "queries": 5000},

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..analysis.reporting import format_table
 from ..apps.l4lb import (
     BACKEND_ACTIVE,
     Backend,
@@ -491,71 +490,6 @@ def run_l4lb_soak(
     return result
 
 
-def format_l4lb(result: L4LbSoakResult) -> str:
-    rows = []
-    for slot in range(result.backends):
-        name = f"backend{slot}"
-        rows.append(
-            [
-                name,
-                "killed" if name == result.killed_backend
-                else "drained" if name == result.drained_backend
-                else "active",
-                result.recovered.get(2 * slot, 0),
-                result.recovered.get(2 * slot + 1, 0),
-                result.forwarded_by_backend.get(name, 0),
-                result.delivered_by_backend.get(name, 0),
-                result.forwarded_by_backend.get(name, 0)
-                - result.delivered_by_backend.get(name, 0),
-                result.new_placements.get(name, 0),
-            ]
-        )
-    table = format_table(
-        [
-            "backend",
-            "fate",
-            "conns",
-            "bytes",
-            "forwarded",
-            "delivered",
-            "wire lost",
-            "new conns",
-        ],
-        rows,
-        title=(
-            f"L4LB soak — {result.connections:,} connections, "
-            f"kill + drain + {result.corrupt_rate:g} corruption "
-            f"(seed={result.seed})"
-        ),
-    )
-    detect = result.kill_detect_latency_ns
-    summary = [
-        table,
-        "",
-        f"counter audit : {len(result.expected)} counters, "
-        f"expected {result.expected_total:,} == recovered "
-        f"{result.recovered_total:,} -> lost {result.lost_updates}",
-        f"affinity      : {result.flows_delivered:,} connections delivered, "
-        f"{result.connections_migrated:,} migrated, "
-        f"{result.affinity_breaks} breaks",
-        f"kill          : {result.killed_backend} at "
-        f"{result.kill_at_ns / 1e6:.2f} ms, detected in "
-        + (f"{detect / 1e3:.0f} us" if detect is not None else "-")
-        + f" (breaker opens={result.breaker_opens}, "
-        f"reconnects={result.reconnect_attempts}, "
-        f"escalations={result.kill_escalations})",
-        f"drain         : {result.drained_backend} at "
-        f"{result.drain_at_ns / 1e6:.2f} ms, completed="
-        f"{result.drains_completed} forced={result.drains_forced} "
-        f"(repaired {result.counters_repaired} counters over "
-        f"{result.reconciliations} reconciliations)",
-        f"link          : {result.corrupted_frames} frames corrupted, "
-        f"{result.masked_losses} masked by the guard, "
-        f"{result.lookups_lost} lookups lost",
-    ]
-    return "\n".join(summary)
-
-
 def _checks(record) -> dict:
     soak = record["l4lb_soak"]
     return {
@@ -581,23 +515,44 @@ def _checks(record) -> dict:
     }
 
 
-EXPERIMENT = Experiment(
-    name="l4lb", run=run_l4lb_soak, table=format_l4lb, checks=_checks,
-    record=lambda result: {
-        "l4lb_soak": pick(
-            result,
-            "seed connections new_connections backends table_entries corrupt_rate "
-            "packets_offered duration_ms vip_packets forwarded_packets "
-            "delivered_total expected_total recovered_total lost_updates "
-            "all_counters_exact affinity_breaks flows_delivered "
-            "connections_migrated unsanctioned_migrations killed_backend "
-            "kill_detect_latency_ns breaker_opens reconnect_attempts "
-            "kill_escalations members_failed victim_wire_loss other_wire_loss "
-            "drained_backend drains_completed drains_forced counters_repaired "
-            "corrupted_frames masked_losses lookups_lost new_on_inactive "
-            "stale_cached kill_detected",
+def _record(result: L4LbSoakResult) -> dict:
+    """The soak's totals, then one row per backend: its fate, its two
+    recovered counters, its traffic and its post-churn admissions."""
+    record = {
+        "l4lb_soak": dict(
+            **pick(
+                result,
+                "seed connections new_connections backends table_entries corrupt_rate "
+                "packets_offered duration_ms vip_packets forwarded_packets "
+                "delivered_total expected_total recovered_total lost_updates "
+                "all_counters_exact affinity_breaks flows_delivered "
+                "connections_migrated unsanctioned_migrations killed_backend "
+                "kill_detect_latency_ns breaker_opens reconnect_attempts "
+                "kill_escalations members_failed victim_wire_loss other_wire_loss "
+                "drained_backend drains_completed drains_forced counters_repaired "
+                "corrupted_frames masked_losses lookups_lost new_on_inactive "
+                "stale_cached kill_detected kill_at_ns drain_at_ns reconciliations",
+            ),
+            counters=len(result.expected),
         )
-    },
+    }
+    for slot in range(result.backends):
+        name = f"backend{slot}"
+        record[name] = {
+            "fate": "killed" if name == result.killed_backend
+            else "drained" if name == result.drained_backend
+            else "active",
+            "conns": result.recovered.get(2 * slot, 0),
+            "bytes": result.recovered.get(2 * slot + 1, 0),
+            "forwarded": result.forwarded_by_backend.get(name, 0),
+            "delivered": result.delivered_by_backend.get(name, 0),
+            "new_conns": result.new_placements.get(name, 0),
+        }
+    return record
+
+
+EXPERIMENT = Experiment(
+    name="l4lb", run=run_l4lb_soak, record=_record, checks=_checks,
     quick=dict(connections=2_000, packets=4_000, new_connections=200, new_packets=600),
     full=dict(
         connections=100_000, packets=20_000, new_connections=2_000, new_packets=3_000

@@ -39,9 +39,8 @@ from ``(seed, variant, workload)``, and the committed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from ..analysis.reporting import format_table
 from ..apps.programs import RemoteBufferProgram, RemoteLookupProgram
 from ..core.lookup_table import (
     ACTION_SET_DSCP,
@@ -328,54 +327,6 @@ def run_linkguard_sweep(
     ]
 
 
-def format_linkguard(rows: Sequence[LinkGuardRow]) -> str:
-    base: Dict[str, float] = {
-        r.workload: r.goodput_per_ms for r in rows if r.variant == "lossless"
-    }
-    return format_table(
-        [
-            "workload",
-            "variant",
-            "sent",
-            "delivered",
-            "lost",
-            "ooo",
-            "corrupted",
-            "naks",
-            "timeouts",
-            "masked",
-            "time (ms)",
-            "goodput (pkt/ms)",
-            "vs lossless",
-        ],
-        [
-            [
-                r.workload,
-                r.variant,
-                r.packets_sent,
-                r.delivered,
-                r.lost,
-                r.out_of_order,
-                r.corrupted_frames,
-                r.transport_naks,
-                r.transport_timeouts,
-                r.masked_losses,
-                f"{r.duration_ms:.3f}",
-                f"{r.goodput_per_ms:,.0f}",
-                f"{r.goodput_per_ms / base[r.workload]:.1%}"
-                if base.get(r.workload, 0) > 0
-                else "-",
-            ]
-            for r in rows
-        ],
-        title=(
-            "Link protection — goodput over a "
-            f"{rows[0].corrupt_rate:g}-corrupting link "
-            f"(seed={rows[0].seed if rows else '-'})"
-        ),
-    )
-
-
 def _record(rows: Sequence[LinkGuardRow]) -> dict:
     """One entry per ``workload[variant]``, goodput also as a fraction of
     the workload's lossless run."""
@@ -432,6 +383,6 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="linkguard", run=run_linkguard_sweep, table=format_linkguard,
-    record=_record, checks=_checks, quick={"packets": 800}, full={"packets": 1500},
+    name="linkguard", run=run_linkguard_sweep, record=_record, checks=_checks,
+    quick={"packets": 800}, full={"packets": 1500},
 )

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from ..analysis.reporting import format_table
 from ..apps.programs import RemoteLookupProgram
 from ..cluster.pool import MemoryPool
 from ..cluster.sharded_lookup import ShardedLookupTable
@@ -364,75 +363,6 @@ def run_lookup_scale(
     return study
 
 
-def format_policy_curve(points: Sequence[PolicyPoint]) -> str:
-    return format_table(
-        [
-            "policy",
-            "cache",
-            "flows seen",
-            "packets",
-            "hit rate",
-            "p99 bounce (us)",
-            "pins",
-            "one-READ",
-        ],
-        [
-            [
-                p.policy,
-                p.cache_entries,
-                p.distinct_flows,
-                p.packets,
-                f"{p.hit_rate:.3f}",
-                f"{p.p99_bounce_ns / 1e3:.2f}",
-                p.pins,
-                "yes" if p.one_read.holds else "NO",
-            ]
-            for p in points
-        ],
-        title=(
-            "SRAM cache policies under Zipf traffic "
-            f"(population {points[0].population:,}, cuckoo layout)"
-            if points
-            else "SRAM cache policies"
-        ),
-    )
-
-
-def format_lookup_scaleout(rows: Sequence[ScaleMissRow]) -> str:
-    base = rows[0].mmisses_per_sec if rows else 0.0
-    return format_table(
-        [
-            "servers",
-            "offered (M/s)",
-            "misses done",
-            "lost",
-            "time (ms)",
-            "misses/s (M)",
-            "speedup",
-            "p99 bounce (us)",
-            "one-READ",
-        ],
-        [
-            [
-                r.servers,
-                f"{r.offered_mlps:.2f}",
-                r.misses_completed,
-                r.lookups_lost,
-                f"{r.duration_ms:.2f}",
-                f"{r.mmisses_per_sec:.2f}",
-                f"{r.mmisses_per_sec / base:.2f}x" if base > 0 else "-",
-                f"{r.p99_bounce_ns / 1e3:.2f}",
-                "yes" if r.one_read.holds else "NO",
-            ]
-            for r in rows
-        ],
-        title=(
-            "Sustained remote-miss throughput vs pool size "
-            "(cuckoo layout, cache off, open-loop Zipf)"
-        ),
-    )
-
-
 def _record(study: LookupScaleStudy) -> dict:
     record = {}
     for p in study.policy_curve:
@@ -443,6 +373,7 @@ def _record(study: LookupScaleStudy) -> dict:
             pins=p.pins,
             **pick(p.one_read, "remote_lookups reads_issued bounce_retries"),
             one_read=p.one_read.holds,
+            packets=p.packets,
         )
     for r in study.scaleout:
         record[f"scaleout_{r.servers}_servers"] = dict(
@@ -452,6 +383,7 @@ def _record(study: LookupScaleStudy) -> dict:
             p99_bounce_ns=round(r.p99_bounce_ns, 1),
             bounce_retries=r.one_read.bounce_retries,
             one_read=r.one_read.holds,
+            **pick(r, "misses_completed duration_ms"),
         )
     rows = study.scaleout
     record[f"scaleout_{rows[-1].servers}_servers"]["speedup_vs_1_server"] = round(
@@ -486,10 +418,6 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="lookup-scale", run=run_lookup_scale, record=_record, checks=_checks,
-    table=lambda study: (
-        f"{format_policy_curve(study.policy_curve)}\n\n"
-        f"{format_lookup_scaleout(study.scaleout)}"
-    ),
     quick=dict(cache_sizes=(128, 256), population=100_000, count=3_000, entries=1 << 12),
     full=dict(population=1_000_000, count=20_000, entries=1 << 14),
 )

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..analysis.reporting import format_table
 from ..net.headers import EthernetHeader, Ipv4Header, UdpHeader
 from ..net.addresses import Ipv4Address, MacAddress
 from ..rdma.constants import Opcode
@@ -103,33 +102,6 @@ def run_overhead() -> List[OverheadRow]:
     return rows
 
 
-def format_overhead(rows: List[OverheadRow]) -> str:
-    return format_table(
-        [
-            "operation",
-            "routing+transport (B)",
-            "op-specific (B)",
-            "paper total (B)",
-            "measured (B)",
-            "RoCEv1 total (B)",
-            "match",
-        ],
-        [
-            [
-                r.operation,
-                r.transport_bytes,
-                r.extension_bytes,
-                r.paper_total,
-                r.measured_total,
-                r.rocev1_total,
-                "yes" if r.matches_paper else "NO",
-            ]
-            for r in rows
-        ],
-        title="§4 — RoCE protocol overhead per operation",
-    )
-
-
 def _checks(record) -> dict:
     write, read, fa = (record[op] for op in ("RDMA WRITE", "RDMA READ", "Fetch-and-Add"))
     return {
@@ -146,7 +118,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="overhead", run=run_overhead, table=format_overhead, checks=_checks,
+    name="overhead", run=run_overhead, checks=_checks,
     record=rows_by("operation"),
     quick={}, full={},
 )

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..analysis.reporting import format_table
 from ..apps.programs import RemoteBufferProgram
 from ..core.packet_buffer import (
     ENTRY_SEQ_BYTES,
@@ -176,32 +175,6 @@ def run_packet_buffer_rate(
     )
 
 
-def format_packet_buffer_rate(report: PacketBufferRateReport) -> str:
-    table = format_table(
-        ["offered (Gbps)", "stored", "lossless", "store rate (Gbps)", "forward rate (Gbps)"],
-        [
-            [
-                f"{p.offered_gbps:.1f}",
-                f"{p.stored}/{p.packets}",
-                "yes" if p.lossless else "no",
-                f"{p.store_rate_gbps:.2f}",
-                f"{p.forward_rate_gbps:.2f}",
-            ]
-            for p in report.points
-        ],
-        title="§5 packet buffer — store/forward rate sweep (1500 B frames)",
-    )
-    summary = (
-        f"\nmax lossless store rate : {report.max_lossless_store_gbps:.1f} Gbps"
-        f"\nforward rate            : {report.forward_rate_gbps:.1f} Gbps"
-        f"\nnative RDMA WRITE       : {report.native_write_gbps:.1f} Gbps"
-        f"\nnative RDMA READ        : {report.native_read_gbps:.1f} Gbps"
-        f"\nnative WRITE advantage  : {report.native_advantage_pct:.1f}%"
-        "\n(paper: store 34.1, forward 37.4, native only 4.4% faster)"
-    )
-    return table + summary
-
-
 def _record(report: PacketBufferRateReport) -> dict:
     record = rows_by("offered_gbps")(report.points)
     record["rates"] = pick(
@@ -227,8 +200,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="packet-buffer", run=run_packet_buffer_rate,
-    table=format_packet_buffer_rate, record=_record, checks=_checks,
+    name="packet-buffer", run=run_packet_buffer_rate, record=_record, checks=_checks,
     quick={"offered_rates_gbps": (33, 34, 35, 36, 40), "packets": 4000},
     full={"offered_rates_gbps": (32, 33, 34, 35, 36, 38, 40), "packets": 8000},
 )

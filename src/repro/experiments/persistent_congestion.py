@@ -18,9 +18,8 @@ overload (two senders at line rate, forever) and compares:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
-from ..analysis.reporting import format_table
 from ..analysis.stats import jain_fairness
 from ..apps.programs import RemoteBufferProgram
 from ..core.packet_buffer import (
@@ -194,35 +193,6 @@ def run_persistent_congestion_comparison(
     return [run_persistent_congestion(mode, **kwargs) for mode in MODES]
 
 
-def format_persistent_congestion(
-    results: Sequence[PersistentCongestionResult],
-) -> str:
-    return format_table(
-        [
-            "mode",
-            "recv/sent",
-            "loss",
-            "ring-full drops",
-            "peak ring",
-            "CE marks",
-            "final rates (Gbps)",
-        ],
-        [
-            [
-                r.mode,
-                f"{r.packets_received}/{r.packets_sent}",
-                f"{r.loss_rate * 100:.1f}%",
-                r.ring_full_drops,
-                r.peak_ring_entries,
-                r.ce_marked,
-                " + ".join(f"{rate:.1f}" for rate in r.final_rates_gbps),
-            ]
-            for r in results
-        ],
-        title="§2.1 — persistent congestion: remote buffer alone vs with ECN",
-    )
-
-
 def _checks(record) -> dict:
     alone, ecn = record["buffer_only"], record["buffer+ecn"]
     return {
@@ -242,7 +212,6 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="persistent-congestion", run=run_persistent_congestion_comparison,
-    table=format_persistent_congestion, checks=_checks,
-    record=rows_by("mode"),
+    checks=_checks, record=rows_by("mode"),
     quick={"duration_ms": 4.0}, full={"duration_ms": 6.0},
 )

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from ..analysis.reporting import format_table
 from ..apps.programs import CountingProgram, RemoteLookupProgram
 from ..cluster.pool import MemoryPool
 from ..cluster.replicated_store import ReplicatedStateStore
@@ -242,37 +241,6 @@ def run_scaleout(
     ]
 
 
-def format_scaleout(rows: Sequence[ScaleoutRow]) -> str:
-    base = rows[0].mlookups_per_sec if rows else 0.0
-    return format_table(
-        [
-            "servers",
-            "offered (M/s)",
-            "completed",
-            "lost",
-            "time (ms)",
-            "throughput (M/s)",
-            "speedup",
-        ],
-        [
-            [
-                r.servers,
-                f"{r.offered_mlps:.2f}",
-                r.lookups_completed,
-                r.lookups_lost,
-                f"{r.duration_ms:.2f}",
-                f"{r.mlookups_per_sec:.2f}",
-                f"{r.mlookups_per_sec / base:.2f}x" if base > 0 else "-",
-            ]
-            for r in rows
-        ],
-        title=(
-            "Scale-out — aggregate lookup miss throughput vs pool size "
-            "(equal per-server region)"
-        ),
-    )
-
-
 # -- replicated counters under server death -----------------------------------
 
 
@@ -370,28 +338,6 @@ def run_failover_counters(
     )
 
 
-def format_failover(result: FailoverCountersResult) -> str:
-    rows = [
-        ["packets counted", result.packets_sent],
-        ["replica killed", result.killed_member],
-        ["killed at (ms)", f"{result.kill_at_ns / 1e6:.2f}"],
-        ["death detected by health monitor", "yes" if result.detected else "no"],
-        ["counters repaired on takeover", result.counters_repaired],
-        ["expected total", result.expected_total],
-        ["recovered total", result.recovered_total],
-        ["updates lost", result.lost_updates],
-        [
-            "all counters exact",
-            "yes" if result.all_counters_exact else "NO",
-        ],
-    ]
-    return format_table(
-        ["metric", "value"],
-        rows,
-        title="Failover — replicated counters under server death (K=2)",
-    )
-
-
 def _run(lookups_per_host: int, packets: int, kill_at_ns: float):
     return (
         run_scaleout(lookups_per_host=lookups_per_host),
@@ -405,7 +351,10 @@ def _record(run) -> dict:
         f"scaleout_{r.servers}_servers": dict(
             servers=r.servers,
             mlookups_per_sec=round(r.mlookups_per_sec, 3),
-            **pick(r, "lookups_lost lookups_sent lookups_completed"),
+            **pick(
+                r,
+                "lookups_lost lookups_sent lookups_completed offered_mlps duration_ms",
+            ),
         )
         for r in rows
     }
@@ -415,7 +364,8 @@ def _record(run) -> dict:
     record["failover_replicated_counters"] = pick(
         failover,
         "killed_member lost_updates all_counters_exact counters_repaired "
-        "detected members_failed",
+        "detected members_failed packets_sent kill_at_ns expected_total "
+        "recovered_total",
     )
     return record
 
@@ -440,7 +390,6 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="scaleout", run=_run, record=_record, checks=_checks,
-    table=lambda run: f"{format_scaleout(run[0])}\n\n{format_failover(run[1])}",
     quick={"lookups_per_host": 400, "packets": 1500, "kill_at_ns": 600_000.0},
     full={"lookups_per_host": 1200, "packets": 4000, "kill_at_ns": 1_500_000.0},
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..analysis.reporting import format_table
 from ..apps.sequencer import SEQUENCER_PORT, SeqHeader, SequencerProgram
 from ..net.headers import UdpHeader
 from ..sim.units import SEC, gbps
@@ -91,31 +90,6 @@ def run_sequencer_throughput(
     return [run_sequencer_point(rate, packets) for rate in offered_mpps]
 
 
-def format_sequencer(results: Sequence[SequencerResult]) -> str:
-    return format_table(
-        [
-            "offered (Mpps)",
-            "sequenced",
-            "achieved (Mops)",
-            "gap-free",
-            "in order",
-            "server CPU",
-        ],
-        [
-            [
-                f"{r.offered_mpps:.1f}",
-                r.sequenced,
-                f"{r.achieved_mops:.2f}",
-                "yes" if r.gap_free else "NO",
-                "yes" if r.arrival_ordered else "NO",
-                r.server_cpu_packets,
-            ]
-            for r in results
-        ],
-        title="§6 — in-network sequencer over a remote Fetch-and-Add counter",
-    )
-
-
 def _checks(record) -> dict:
     rows = record.values()
     return {
@@ -135,8 +109,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="sequencer", run=run_sequencer_throughput, table=format_sequencer,
-    checks=_checks,
+    name="sequencer", run=run_sequencer_throughput, checks=_checks,
     record=rows_by("offered_mpps"),
     quick={"packets": 1000}, full={"packets": 3000},
 )

@@ -14,9 +14,8 @@ Two results the section argues for:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..analysis.reporting import format_table
 from ..apps.sketch import (
     CountMinSketch,
     CountSketch,
@@ -169,42 +168,6 @@ def run_telemetry(
     ]
 
 
-def format_telemetry(results: Sequence[TelemetryResult]) -> str:
-    return format_table(
-        [
-            "backend",
-            "counters",
-            "memory",
-            "flows",
-            "mean rel err",
-            "HH precision",
-            "HH recall",
-            "HH F1",
-            "F&A ops",
-            "server CPU pkts",
-        ],
-        [
-            [
-                r.backend,
-                r.sketch_counters,
-                f"{r.sketch_bytes / 1024:.0f} KiB",
-                r.distinct_flows,
-                f"{r.mean_relative_error:.3f}",
-                f"{r.hh_precision:.2f}",
-                f"{r.hh_recall:.2f}",
-                f"{r.hh_f1:.2f}",
-                r.fa_operations,
-                r.server_cpu_packets,
-            ]
-            for r in results
-        ],
-        title=(
-            "§2.3 / Fig. 1c — telemetry: SRAM sketch vs remote-memory "
-            f"sketch ({results[0].sketch_kind})"
-        ),
-    )
-
-
 def _run(**scale):
     # The configured counter count goes into the record: the size check
     # compares the remote sketch against it, not against a fixed ratio.
@@ -235,8 +198,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="telemetry", run=_run, table=lambda run: format_telemetry(run[1]),
-    record=_record, checks=_checks,
+    name="telemetry", run=_run, record=_record, checks=_checks,
     quick={"flows": 3000, "packets": 4000, "remote_counters": 1 << 16},
     full={"flows": 20_000, "packets": 20_000, "remote_counters": 1 << 20},
 )

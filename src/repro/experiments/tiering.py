@@ -45,7 +45,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..analysis.reporting import format_table
 from ..apps.programs import CountingProgram
 from ..cluster.replicated_store import ReplicatedStateStore
 from ..core.state_store import (
@@ -402,81 +401,6 @@ def run_tiering_chaos_point(
     )
 
 
-def format_tiering_sweep(points: Sequence[TieringPoint]) -> str:
-    base = next(
-        (p.mean_latency_ns for p in points if p.policy == "dram"), 0.0
-    )
-    return format_table(
-        [
-            "policy",
-            "fast blocks",
-            "fast hits",
-            "promo",
-            "demo",
-            "mean FAA (us)",
-            "p99 (us)",
-            "speedup",
-            "lost",
-            "peak<=bound",
-        ],
-        [
-            [
-                p.policy,
-                f"{p.fast_blocks}/{p.total_blocks}",
-                f"{p.fast_hit_fraction:.3f}",
-                p.promotions,
-                p.demotions,
-                f"{p.mean_latency_ns / 1e3:.2f}",
-                f"{p.p99_latency_ns / 1e3:.2f}",
-                (
-                    f"{base / p.mean_latency_ns:.2f}x"
-                    if p.mean_latency_ns > 0
-                    else "-"
-                ),
-                p.lost_updates,
-                "yes" if p.occupancy_bounded else "NO",
-            ]
-            for p in points
-        ],
-        title=(
-            "Placement policies over bursty Zipf FAA traffic "
-            f"(population {points[0].flows:,}, fast window "
-            f"{points[0].fast_blocks}/{points[0].total_blocks} blocks)"
-            if points
-            else "Placement policies"
-        ),
-    )
-
-
-def format_tiering_chaos(point: TieringChaosPoint) -> str:
-    return format_table(
-        [
-            "updates",
-            "blackout (us)",
-            "members alive",
-            "promotions",
-            "abandoned",
-            "lost",
-            "unreplicated",
-        ],
-        [
-            [
-                point.updates,
-                f"{point.blackout_ns / 1e3:.0f}",
-                point.members_alive,
-                point.promotions,
-                point.abandoned_blocks,
-                point.lost_updates,
-                point.updates_unreplicated,
-            ]
-        ],
-        title=(
-            "Tiering chaos: RNIC blackout mid-promotion, K=2 replicas "
-            f"(population {point.flows:,})"
-        ),
-    )
-
-
 def _run(sweep: dict, chaos: dict):
     return run_tiering_sweep(**sweep), run_tiering_chaos_point(**chaos)
 
@@ -534,7 +458,6 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="tiering", run=_run, record=_record, checks=_checks,
-    table=lambda run: f"{format_tiering_sweep(run[0])}\n\n{format_tiering_chaos(run[1])}",
     quick={
         "sweep": dict(flows=100_000, counters=1 << 11, updates=4_000, seed=42),
         "chaos": dict(flows=100_000, counters=1 << 10, updates=3_000, seed=42),

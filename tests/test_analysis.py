@@ -4,16 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.monitors import (
-    LatencyRecorder,
-    LinkBandwidthMonitor,
-    QueueDepthSampler,
-)
-from repro.analysis.reporting import format_gbps, format_table, format_usec
-from repro.analysis.stats import Summary, percentile
+from repro.analysis.monitors import LinkBandwidthMonitor
+from repro.analysis.reporting import format_record, format_table
+from repro.analysis.stats import percentile
 from repro.apps.programs import StaticL2Program
 from repro.testbed import build_testbed
-from repro.sim.units import gbps, usec
+from repro.sim.units import gbps
 from repro.workloads.perftest import RawEthernetBw
 
 
@@ -44,23 +40,6 @@ class TestPercentile:
         assert min(data) <= value <= max(data)
 
 
-class TestSummary:
-    def test_basic(self):
-        summary = Summary.of([1, 2, 3, 4, 5])
-        assert summary.count == 5
-        assert summary.mean == 3
-        assert summary.median == 3
-        assert summary.minimum == 1
-        assert summary.maximum == 5
-
-    def test_single_sample_stdev_zero(self):
-        assert Summary.of([7]).stdev == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Summary.of([])
-
-
 class TestReporting:
     def test_table_alignment(self):
         table = format_table(["a", "bbb"], [[1, 2], [333, 4]])
@@ -71,9 +50,31 @@ class TestReporting:
     def test_title_included(self):
         assert format_table(["x"], [[1]], title="T").startswith("T\n")
 
-    def test_format_units(self):
-        assert format_gbps(2.5e9) == "2.50 Gbps"
-        assert format_usec(1500.0) == "1.50 us"
+    def test_record_layout(self):
+        record = {
+            "1": {"n": 1, "rate": 0.5},
+            "2": {"n": 2, "rate": 2 / 3, "ok": True},
+            "summary": {"lost": 0, "rates": [1.0, None]},
+            "sweep": [{"a": 1}, {"a": 2}],
+        }
+        assert format_record(record, "T") == "\n".join([
+            "T",
+            "",
+            "n  rate      ok",
+            "-  --------  ---",
+            "1  0.5       -",
+            "2  0.666667  yes",
+            "",
+            "summary",
+            "  lost   0",
+            "  rates  [1, -]",
+            "",
+            "sweep",
+            "a",
+            "-",
+            "1",
+            "2",
+        ])
 
 
 def forwarding_testbed():
@@ -125,42 +126,6 @@ class TestMonitors:
         gen.start()
         tb.sim.run()
         assert monitor.total_bytes() == 0
-
-    def test_latency_recorder(self):
-        tb = forwarding_testbed()
-        recorder = LatencyRecorder(tb.hosts[1])
-        gen = RawEthernetBw(
-            tb.sim, tb.hosts[0], tb.hosts[1],
-            packet_size=256, rate_bps=gbps(10), count=10,
-        )
-        gen.start()
-        tb.sim.run()
-        assert len(recorder.latencies_ns) == 10
-        assert all(lat > 0 for lat in recorder.latencies_ns)
-
-    def test_queue_depth_sampler(self):
-        tb = forwarding_testbed()
-        queue = tb.switch.port_queue(tb.host_ports[1])
-        sampler = QueueDepthSampler(tb.sim, queue, period_ns=usec(1))
-        sampler.start()
-        gen = RawEthernetBw(
-            tb.sim, tb.hosts[0], tb.hosts[1],
-            packet_size=1500, rate_bps=gbps(40), count=100,
-        )
-        gen.start()
-        tb.sim.run(until_ns=usec(50))
-        sampler.stop()
-        tb.sim.run()
-        assert len(sampler.samples) >= 10
-        assert sampler.peak_depth_bytes() >= 0
-
-    def test_sampler_time_to_reach(self):
-        tb = forwarding_testbed()
-        queue = tb.switch.port_queue(tb.host_ports[1])
-        sampler = QueueDepthSampler(tb.sim, queue, period_ns=100.0)
-        sampler.start()
-        tb.sim.run(until_ns=usec(1))
-        assert sampler.time_to_reach(1) is None  # queue never filled
 
 
 class TestJainFairness:

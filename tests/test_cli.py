@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro import cli
+from repro.analysis.reporting import format_record
 from repro.cli import build_parser, main
 from repro.experiments import REGISTRY, load
 
@@ -80,8 +81,8 @@ class TestExecution:
     def test_fig3a_small(self, capsys):
         assert main(["fig3a", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "baseline (us)" in out
-        assert "64" in out
+        assert re.search(r"^packet_size +baseline_us +lookup_us +delta_us$", out, re.M)
+        assert re.search(r"^64 +\d", out, re.M)
 
     def test_incast_tiny(self, capsys, monkeypatch):
         _tiny(monkeypatch, "incast", scale=0.02)
@@ -94,7 +95,10 @@ class TestExecution:
     def test_ablations_single(self):
         ablations = load("ablations")
         runs = ablations.run(batching={"packets": 1000})
-        assert "Fetch-and-Add" in ablations.table(runs)
+        text = format_record(ablations.record(runs))
+        # One row per batch size, with its Fetch-and-Add operation count.
+        assert text.startswith("batching\nbatch_size  packets  operations")
+        assert re.search(r"^32 +1000 +\d+", text, re.M)
 
     def test_l4lb_tiny_passes_check(self, capsys, monkeypatch):
         _tiny(
@@ -104,23 +108,45 @@ class TestExecution:
         )
         assert main(["l4lb", "--quick"]) == 0
         captured = capsys.readouterr()
-        assert "counter audit" in captured.out
-        assert "lost 0" in captured.out
-        assert "0 breaks" in captured.out
+        assert re.search(r"^  expected_total +(\d+)\n  recovered_total +\1$", captured.out, re.M)
+        assert re.search(r"^  lost_updates +0$", captured.out, re.M)
+        assert re.search(r"^  affinity_breaks +0$", captured.out, re.M)
         assert "[check] l4lb: 17/17 passed" in captured.err
 
     def test_record_round_trips_through_verify(self, tmp_path, capsys):
         path = tmp_path / "fig3a.json"
         assert main(["fig3a", "--quick", "--record", str(path)]) == 0
+        table = capsys.readouterr().out
         doc = json.loads(path.read_text())
         assert (doc["experiment"], doc["scale"]) == ("fig3a", "quick")
         assert doc["results"]["64"]["delta_us"] > 0
         assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out == table
 
     def test_record_directory_checked_before_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "load", lambda name: pytest.fail("ran anyway"))
         with pytest.raises(SystemExit):
             main(["tiering", "--quick", "--record", str(tmp_path / "no" / "x.json")])
+
+    def test_directory_as_output_rejected_before_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "load", lambda name: pytest.fail("ran anyway"))
+        for flag in ("--record", "--metrics", "--trace"):
+            with pytest.raises(SystemExit) as exc:
+                main(["overhead", flag, str(tmp_path)])
+            assert exc.value.code == 2
+            assert "is a directory" in capsys.readouterr().err
+
+    def test_one_path_for_two_outputs_rejected_before_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "load", lambda name: pytest.fail("ran anyway"))
+        path = str(tmp_path / "x.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["overhead", "--record", path, "--metrics", path])
+        assert exc.value.code == 2
+        assert "both write" in capsys.readouterr().err
 
     def test_failed_check_exits_nonzero(self, monkeypatch, capsys):
         failing = dataclasses.replace(load("overhead"), checks=lambda r: {"bar": False})

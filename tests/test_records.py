@@ -2,15 +2,19 @@
 
 No simulation runs here: ``repro-experiments verify`` re-derives every
 check from a record alone, and each check is shown to read the field it
-names by pushing that field past its bound in a copy of the record.
+names by pushing that field past its bound in a copy of the record.  The
+printed table is a function of the record alone, and shows every field a
+check reads.
 """
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.reporting import format_record
 from repro.cli import main
 from repro.experiments import load
 
@@ -145,3 +149,13 @@ def test_each_check_reads_its_field(name):
         assert field in results[entry], (check, entry, field)
         results[entry][field] = value
         assert experiment.failures(results) == [check]
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_table_depends_only_on_the_record(name):
+    results = _doc(name)["results"]
+    text = format_record(results)
+    assert text == format_record(json.loads(json.dumps(results)))
+    for check, (entry, field, _) in MUTATIONS[name].items():
+        for word in (entry, field):
+            assert re.search(rf"(^|\s){re.escape(word)}(\s|$)", text, re.M), (check, word)
