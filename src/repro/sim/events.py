@@ -13,7 +13,8 @@ therefore compares entries with the C implementation of list comparison
 reaches the callback), and scheduling allocates exactly one object.
 Cancellation nulls the callback slot in place — a single store, no
 simulator bookkeeping on the hot path — and the simulator purges cancelled
-entries lazily when they surface at the top of the heap.
+entries lazily when they surface at the top of the near heap.  An event due
+far ahead waits in the far heap until the far tier's sentinel moves it over.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ ARGS = 3
 
 
 class Event(list):
-    """A scheduled callback; also the simulator's heap entry.
+    """A scheduled callback; also its entry in the simulator's near or far heap.
 
     Instances are created by :meth:`repro.sim.simulator.Simulator.schedule`;
     user code normally only keeps a reference in order to :meth:`cancel`.
@@ -62,7 +63,7 @@ class Event(list):
         """Mark the event so the simulator skips it when it is popped.
 
         Cancelling is O(1) — a single in-place store; the entry stays in
-        the heap until its time comes (lazy deletion) but is excluded from
+        its heap until its time comes (lazy deletion) but is excluded from
         :attr:`~repro.sim.simulator.Simulator.active_events`, which counts
         live callbacks.  Cancelling an already-cancelled event is a no-op;
         cancelling an already-fired event has no effect on the simulation

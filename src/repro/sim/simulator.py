@@ -26,6 +26,15 @@ simulated packet costs several events):
   :attr:`active_events` counts only live callbacks, so cancelled events
   never inflate it; the count is computed on demand (a cold-path scan)
   to keep scheduling and dispatch free of bookkeeping.
+* A pre-scheduled backlog stays out of the hot heap: ``schedule`` and
+  ``schedule_at`` put an event due more than ``_FAR_NS`` ahead into a
+  second heap, ``_far``, all of it due at or after ``_bound``, where one
+  sentinel ``[bound, -1, _promote, ()]`` waits in the near heap.  Its seq
+  of -1 fires it before every event of that instant; it moves the next
+  ``_BATCH`` far events over and re-arms at the new far head.  So every
+  far event is in the near heap before it is due, and the firing order is
+  one heap's ``(time, seq)``.  The sentinel is not an event: it takes no
+  seq, sets no clock and is not counted.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional
 
-from .events import ARGS, CALLBACK, TIME, Event
+from .events import ARGS, CALLBACK, SEQ, TIME, Event
 from ..obs import Observability
 
 _heappush = heapq.heappush
@@ -55,10 +64,18 @@ class Simulator:
         sim.run()
     """
 
-    __slots__ = ("_heap", "_now", "_seq", "_events_processed", "_running", "obs")
+    __slots__ = ("_heap", "_far", "_bound", "_now", "_seq", "_events_processed", "_running", "obs")
+
+    #: An event due more than this ahead is far: longer than any hop, DMA or
+    #: pipeline delay, shorter than the 15 µs tier tick and 50 µs retry timers.
+    _FAR_NS = 5_000.0
+    #: Far events one firing of the sentinel moves into the near heap.
+    _BATCH = 16
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
+        self._far: List[Event] = []
+        self._bound: float = 0.0
         self._now: float = 0.0
         self._seq: int = 0
         #: Observability handle shared by everything in this simulation
@@ -88,10 +105,11 @@ class Simulator:
 
         Cancelled entries stay in the heap until their time comes (lazy
         deletion) but are excluded here, so this is the true amount of
-        outstanding work.  Computed by scanning the heap: introspection is
-        the cold path; scheduling and dispatch pay for no bookkeeping.
+        outstanding work; the far tier's sentinel is left out.  Computed by
+        scanning both heaps: introspection is the cold path.
         """
-        return sum(1 for event in self._heap if event[CALLBACK] is not None)
+        entries = self._heap + self._far
+        return sum(1 for event in entries if event[CALLBACK] is not None and event[SEQ] >= 0)
 
     # -- scheduling ------------------------------------------------------------
     #
@@ -111,7 +129,8 @@ class Simulator:
     # C.  Firing order is the same for all three.  A callback is resolved
     # when its entry is pushed: a link posts ``dst.deliver``, bound when
     # the frame leaves, so a LinkGuard attached or detached mid-flight
-    # changes only the frames sent after it.
+    # changes only the frames sent after it.  ``schedule``/``schedule_at``
+    # route far events inline: set-up schedules whole workloads through them.
 
     def schedule(
         self, delay_ns: float, callback: Callable[..., Any], *args: Any
@@ -128,7 +147,15 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event((self._now + delay_ns, seq, callback, args))
+        time_ns = self._now + delay_ns
+        event = Event((time_ns, seq, callback, args))
+        if delay_ns > self._FAR_NS and time_ns >= self._bound:
+            far = self._far
+            if not far:
+                self._bound = time_ns
+                _heappush(self._heap, [time_ns, -1, self._promote, ()])
+            _heappush(far, event)
+            return event
         _heappush(self._heap, event)
         return event
 
@@ -143,6 +170,13 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event((time_ns, seq, callback, args))
+        if time_ns - self._now > self._FAR_NS and time_ns >= self._bound:
+            far = self._far
+            if not far:
+                self._bound = time_ns
+                _heappush(self._heap, [time_ns, -1, self._promote, ()])
+            _heappush(far, event)
+            return event
         _heappush(self._heap, event)
         return event
 
@@ -155,6 +189,17 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         _heappush(self._heap, [self._now + delay_ns, seq, callback, args])
+
+    def _promote(self) -> None:
+        """The sentinel: move the next ``_BATCH`` far events into the near
+        heap and re-arm at the new far head, if any is left."""
+        far, heap = self._far, self._heap
+        for _ in range(self._BATCH):
+            _heappush(heap, _heappop(far))
+            if not far:
+                return
+        self._bound = bound = far[0][TIME]
+        _heappush(heap, [bound, -1, self._promote, ()])
 
     # -- execution -------------------------------------------------------------
 
@@ -173,6 +218,9 @@ class Simulator:
             callback = event[CALLBACK]
             if callback is None:
                 continue
+            if event[SEQ] < 0:
+                callback()
+                continue
             self._now = event[TIME]
             self._events_processed += 1
             self._running = True
@@ -190,17 +238,19 @@ class Simulator:
     ) -> None:
         """Run until the heap is empty, a deadline, or an event budget.
 
-        :param until_ns: absolute stop time; events scheduled strictly after
+        :param until_ns: finite stop time; events scheduled strictly after
             it remain pending and the clock is advanced to ``until_ns``.
             Cancelled events surfacing at the deadline boundary are purged,
             never left pending.
-        :param max_events: stop after firing this many events (a safety
-            valve for runaway feedback loops in experiments).
+        :param max_events: stop after firing this many (>= 0) events (a
+            safety valve for runaway feedback loops in experiments).
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        if until_ns is not None and until_ns != until_ns:
-            raise SimulationError("the deadline is NaN")
+        if until_ns is not None and not until_ns < _INF:
+            raise SimulationError(f"the deadline must be finite, got {until_ns}ns")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"the event budget must be >= 0, got {max_events}")
         self._running = True
         heap = self._heap
         heappop = _heappop
@@ -209,9 +259,10 @@ class Simulator:
             if until_ns is None and max_events is None:
                 # Tightest drain loop: pop unconditionally (IndexError is
                 # the empty-heap exit), no peeking, no deadline checks.
-                # Event layout indices are inlined: 0=TIME 2=CALLBACK 3=ARGS.
-                # The except guards only the pop, so a callback raising
-                # IndexError still propagates.
+                # Event layout indices are inlined: 0=TIME 1=SEQ 2=CALLBACK
+                # 3=ARGS.  The except guards only the pop, so a callback
+                # raising IndexError still propagates.  The sentinel has no
+                # args, so only argument-less entries test for it.
                 while True:
                     try:
                         event = heappop(heap)
@@ -220,12 +271,16 @@ class Simulator:
                     callback = event[2]
                     if callback is None:
                         continue
-                    self._now = event[0]
-                    fired += 1
                     args = event[3]
                     if args:
+                        self._now = event[0]
+                        fired += 1
                         callback(*args)
+                    elif event[1] < 0:
+                        callback()
                     else:
+                        self._now = event[0]
+                        fired += 1
                         callback()
             else:
                 while heap:
@@ -240,6 +295,9 @@ class Simulator:
                     if max_events is not None and fired >= max_events:
                         break
                     heappop(heap)
+                    if head[1] < 0:
+                        head[2]()
+                        continue
                     self._now = head[0]
                     fired += 1
                     head[2](*head[3])

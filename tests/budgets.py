@@ -1,10 +1,10 @@
-"""Every call and byte budget the repo holds itself to: one table.
+"""Every call, byte and heap-length budget the repo holds itself to: one table.
 
 Counts, not timings: cProfile call counts repeat exactly on any machine,
 and tracemalloc byte counts on any machine running one CPython version.
 The tier-1 guards (``test_packet_model``, ``test_hop_path``,
 ``test_roce_round_trip``, ``test_install_path``, ``test_primitive_path``,
-``test_lookup_path``, ``test_workloads_zipf``)
+``test_lookup_path``, ``test_workloads_zipf``, ``test_sim_far_tier``)
 import their ceilings from here, and CI's ``bench-e2e-quick`` step runs
 ``python -m tests.budgets bench_e2e_quick.json`` to hold the quick-run
 record to :data:`BENCH_BUDGETS`.  Each comment gives the measured value
@@ -66,6 +66,13 @@ SCHEDULE_BYTES_PER_PACKET = 5
 #: uniform flows over 10**6 ranks (measured 0.06; was 55.4, the per-rank
 #: ledger's dict and counts).
 SOURCE_BYTES_PER_SENT_PACKET = 1
+
+# -- tier-1 guard: the kernel's near heap -------------------------------------------------
+
+#: Peak near-heap length while 20 000 pre-scheduled far events drain beside
+#: eight in-flight chains (measured 24, the chains and one promoted batch,
+#: for 2 000 events as for 20 000; was 20 007, the whole backlog).
+NEAR_HEAP_PEAK = 32
 
 # -- tier-1 guard: import closure ----------------------------------------------------------
 

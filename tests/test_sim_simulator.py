@@ -236,6 +236,40 @@ def test_nan_deadline_rejected(sim):
     assert fired == [] and sim.now == 0.0
 
 
+def test_infinite_deadline_rejected(sim):
+    # An infinite deadline would set ``sim.now`` to infinity, after which
+    # ``schedule(1.0, ...)`` puts an event at t = inf.
+    fired = []
+    sim.schedule(10.0, fired.append, 1)
+    with pytest.raises(SimulationError):
+        sim.run(until_ns=float("inf"))
+    with pytest.raises(SimulationError):
+        sim.run_for(float("inf"))
+    assert fired == [] and sim.now == 0.0
+    sim.run()
+    assert fired == [1] and sim.now == 10.0
+
+
+def test_negative_event_budget_rejected(sim):
+    # A negative budget would return having fired nothing, silently.
+    fired = []
+    sim.schedule(10.0, fired.append, 1)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=-1)
+    assert fired == [] and sim.now == 0.0 and sim.active_events == 1
+
+
+def test_past_deadline_is_a_no_op(sim):
+    fired = []
+    sim.schedule(10.0, fired.append, 1)
+    sim.schedule(20.0, fired.append, 2)
+    sim.run(until_ns=10.0)
+    sim.run(until_ns=5.0)
+    sim.run(until_ns=float("-inf"))
+    assert fired == [1] and sim.now == 10.0 and sim.active_events == 1
+    assert sim.events_processed == 1
+
+
 def test_infinite_times_rejected(sim):
     # An event at +inf would become ``sim.now`` once the heap drained to it.
     inf = float("inf")
