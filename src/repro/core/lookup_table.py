@@ -308,11 +308,6 @@ class RemoteLookupTable:
         # that name).
         self._pending: Deque[tuple] = deque()
         self._pending_fast: Deque[tuple] = deque()
-        # Guard against the NAK bursts one loss event produces: a resync
-        # is acted on once per stream; echoes within the guard window are
-        # ignored so they cannot kill lookups issued after the resync.
-        self._last_resync: Dict[RoceRequestGenerator, tuple] = {}
-        self._resync_guard_ns = 20_000.0
         #: Program-supplied forwarding policy applied after the action
         #: mutates the packet.  The default understands ACTION_SET_EGRESS
         #: and drops everything else.
@@ -714,19 +709,12 @@ class RemoteLookupTable:
         The NAK names the responder's expected PSN ``e`` (*expected*, the
         NAK's own PSN); every in-flight lookup whose READ carries
         ``psn >= e`` was rejected and (in bounce mode) its packet is gone.
-        Echo NAKs from the same event arrive for a while; the guard window
-        keeps them from touching lookups issued after the resync (which
-        legitimately reuse PSNs >= e).
+        Echo NAKs from the same event arrive for a while; the generator's
+        echo guard keeps them from touching lookups issued after the
+        resync (which legitimately reuse PSNs >= e).
         """
-        now = self.switch.sim.now
-        last = self._last_resync.get(gen)
-        if (
-            last is not None
-            and last[0] == expected
-            and now - last[1] < self._resync_guard_ns
-        ):
+        if not gen.fresh_nak(expected):
             return  # echo of an already-handled loss event
-        self._last_resync[gen] = (expected, now)
         gen.record_strike()  # one loss event = one strike
         gen.maybe_resync(packet)
         while fifo and psn_distance(expected, fifo[-1][0]) < _PSN_HALF:

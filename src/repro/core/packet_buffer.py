@@ -41,6 +41,7 @@ most once, before any call that can re-enter the primitive.
 from __future__ import annotations
 
 import struct
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -63,8 +64,16 @@ if TYPE_CHECKING:  # cluster imports core; break the cycle for typing
 
 #: Register indices for the ring state.
 _WRITE_PTR, _READ_PTR, _NEXT_LOAD_PTR, _BUFFERING = range(4)
-#: Fields of one per-entry record (``RemotePacketBuffer._entries``).
-_CHANNEL, _ADDRESS, _META, _FLUSHED = range(4)
+#: States of one ring slot (``RemotePacketBuffer._state``): free; holding
+#: an entry whose WRITE has not left the switch; flushed (its READ may be
+#: issued); holding an entry whose WRITE the switch refused (a loss).  A
+#: refused entry waits for the load pass like any other: parked in the
+#: reorder stage at once, the release pass could retire it ahead of the
+#: load pointer, which would then sweep a freed slot.
+_FREE, _WAITING, _FLUSHED, _REFUSED = range(4)
+#: Slot columns start this long, then double with the occupancy high-water
+#: mark, never beyond the ring's capacity.
+_MIN_SLOTS = 16
 _PASS, _CONSUMED = HookVerdict.PASS, HookVerdict.CONSUMED
 _STAMP = struct.Struct("!Q")
 #: The largest entry one WRITE can store and one READ response can return.
@@ -231,16 +240,26 @@ class RemotePacketBuffer:
         self._inflight: List[Deque[Tuple[int, int]]] = [
             deque() for _ in self.channels
         ]
-        # Cross-channel reorder stage: completed entries by ring pointer.
+        # Cross-channel reorder stage: completed entries by ring pointer,
+        # at most one per unreleased entry (bounded by the occupancy).
         self._reorder: Dict[int, Optional[Packet]] = {}
-        # One record per ring entry, alive from store to release: ``ptr ->
-        # [channel, address, meta, flushed]``.  Channel and address are
-        # fixed at store time (on hardware: an epoch register plus pointer
-        # arithmetic, reconfigured by the control plane on failover); meta
-        # is the packet's simulation metadata (on the wire the frame
-        # carries it); flushed turns True once the entry's WRITE has left
-        # the switch (see _store).  ``len(_entries)`` is the occupancy.
-        self._entries: Dict[int, list] = {}
+        # One fixed-width record per ring slot, alive from store to
+        # release, in columns indexed by ``pointer % _slots``: the entry's
+        # channel and remote address, fixed at store time (on hardware: an
+        # epoch register plus pointer arithmetic, reconfigured by the
+        # control plane on failover), and its slot state (see _store).
+        # ``_meta`` is simulation-only: the packet's metadata, which on the
+        # wire the frame itself would carry.  The columns grow with the
+        # occupancy high-water mark and never beyond ``capacity_entries``.
+        self._slots = 0
+        self._channel_of = array("H")
+        self._address_of = array("Q")
+        self._state = bytearray()
+        self._meta: List[Optional[dict]] = []
+        # WRITE_PTR - READ_PTR, mirrored on the host so a pass can test
+        # for an empty ring without reading both registers; it always
+        # equals sum(_channel_unread).
+        self._occupancy = 0
         # Stripe targets, recomputed at every membership change.
         self._targets: List[int] = list(range(len(self.channels)))
         self._rr_cursor = 0
@@ -395,12 +414,16 @@ class RemotePacketBuffer:
         """Fail a channel outside the recovery path (member death)."""
         if index in self._failed_channels:
             return
-        self._outstanding_reads = max(
-            0, self._outstanding_reads - len(self._inflight[index])
-        )
+        inflight = self._inflight[index]
+        self._outstanding_reads = max(0, self._outstanding_reads - len(inflight))
+        # Its READs in flight are behind the load pointer, which will not
+        # sweep them again: they are clean losses now.
+        for pointer, _ in inflight:
+            self._reorder[pointer] = None
+            self._m_lost_to_failover.inc()
         self._fail_channel(index)
-        # Entries stranded on the dead channel resolve as clean losses as
-        # the read pointer sweeps them; kick the sweep now.
+        # Its other entries resolve as clean losses as the load pointer
+        # sweeps them; kick the sweep now.
         self._maybe_start_loading(self._queue)
 
     def _drain_channel(
@@ -501,7 +524,14 @@ class RemotePacketBuffer:
         # The entry is on the books before its WRITE is handed over: an
         # idle server port serializes synchronously, and the dequeue pass
         # that re-enters from there must see a ring that holds it.
-        self._entries[write_ptr] = [channel_idx, address, dict(packet.meta), False]
+        if self._occupancy == self._slots:
+            self._grow(write_ptr)
+        index = write_ptr % self._slots
+        self._channel_of[index] = channel_idx
+        self._address_of[index] = address
+        self._meta[index] = dict(packet.meta)
+        self._state[index] = _WAITING
+        self._occupancy += 1
         unread[channel_idx] += 1
         regs.write(_WRITE_PTR, write_ptr + 1)
         self._m_stored_packets.inc()
@@ -510,15 +540,39 @@ class RemotePacketBuffer:
         # jumps the server-port queue (e.g. under read prioritization)
         # would fetch the slot before its WRITE left the box.  The tag
         # lets the TM dequeue listener mark the entry flushed.
-        self.rocegens[channel_idx].write(
+        if self.rocegens[channel_idx].write(
             address,
             _STAMP.pack(write_ptr) + frame,
             ack_request=config.ack_writes,
             meta={"pktbuf_write_ptr": write_ptr},
-        )
+        ) is None:
+            # The server port's queue refused the WRITE: it will never be
+            # dequeued, so the frame is lost here and now.  The load pass
+            # retires the entry without a READ.
+            self._state[index] = _REFUSED
+            self._m_lost_in_transit.inc()
         # If the local queue already drained below the low watermark the
         # dequeue trigger will never fire again — kick loading from here.
         self._maybe_start_loading(queue)
+
+    def _grow(self, write_ptr: int) -> None:
+        """Double the slot columns, capped at the ring's capacity, and
+        re-place the live entries ``[write_ptr - occupancy, write_ptr)``."""
+        old = self._slots
+        slots = min(max(2 * old, _MIN_SLOTS), self.capacity_entries)
+        channel_of = array("H", bytes(2 * slots))
+        address_of = array("Q", bytes(8 * slots))
+        state, meta = bytearray(slots), [None] * slots
+        for pointer in range(write_ptr - self._occupancy, write_ptr):
+            i, j = pointer % old, pointer % slots
+            channel_of[j] = self._channel_of[i]
+            address_of[j] = self._address_of[i]
+            state[j] = self._state[i]
+            meta[j] = self._meta[i]
+        self._slots = slots
+        self._channel_of, self._address_of, self._state, self._meta = (
+            channel_of, address_of, state, meta
+        )
 
     # -- load path ------------------------------------------------------------------
 
@@ -526,9 +580,9 @@ class RemotePacketBuffer:
         flushed_ptr = packet.meta.get("pktbuf_write_ptr")
         if flushed_ptr is not None:
             # This entry's WRITE is on the wire; its READ may now be issued.
-            record = self._entries.get(flushed_ptr)
-            if record is not None:
-                record[_FLUSHED] = True
+            # (No entry is released before its WRITE leaves: the load pass
+            # stops at a waiting one.)
+            self._state[flushed_ptr % self._slots] = _FLUSHED
             if flushed_ptr == self._regs.read(_NEXT_LOAD_PTR):
                 self._maybe_start_loading(self._queue)
         elif port == self.protected_port:
@@ -555,13 +609,14 @@ class RemotePacketBuffer:
             - self._outstanding_reads
         )
         reorder = self._reorder
-        entries = self._entries
-        if credit <= 0 and entries and not reorder:
+        occupancy = self._occupancy
+        if credit <= 0 and occupancy and not reorder:
             return  # nothing to issue, to release, or to end
         regs = self._regs
         if not regs.read(_BUFFERING):
             return
-        if credit > 0 and entries:
+        if credit > 0 and occupancy:
+            slots, state = self._slots, self._state
             load_ptr = next_load = regs.read(_NEXT_LOAD_PTR)
             write_ptr = regs.read(_WRITE_PTR)
             # The guard keeps every re-entrant dequeue out of the loop, so
@@ -569,15 +624,19 @@ class RemotePacketBuffer:
             self._loading = True
             try:
                 while credit > 0 and load_ptr < write_ptr:
-                    record = entries[load_ptr]
-                    if not record[_FLUSHED]:
+                    index = load_ptr % slots
+                    slot_state = state[index]
+                    if slot_state == _WAITING:
                         break  # this entry's WRITE hasn't left the switch yet
                     pointer = load_ptr
                     load_ptr += 1
                     if pointer in reorder:
                         # Completed before a go-back-N recovery; no wire work.
                         continue
-                    channel_idx = record[_CHANNEL]
+                    if slot_state == _REFUSED:
+                        reorder[pointer] = None  # counted lost at the refusal
+                        continue
+                    channel_idx = self._channel_of[index]
                     if channel_idx in self._failed_channels:
                         reorder[pointer] = None
                         self._m_lost_to_failover.inc()
@@ -585,7 +644,7 @@ class RemotePacketBuffer:
                     # §4: "each load operation fetches a single entire entry
                     # regardless of the original packet size".
                     request = self.read_rocegens[channel_idx].read(
-                        record[_ADDRESS], config.entry_bytes
+                        self._address_of[index], config.entry_bytes
                     )
                     self._inflight[channel_idx].append(
                         (pointer, request.require(BthHeader).psn)
@@ -601,7 +660,7 @@ class RemotePacketBuffer:
         # Entries marked lost (failed channel) or kept across a recovery
         # may already be releasable without any wire round trip, and an
         # episode that stored nothing ends here.
-        if reorder or not entries:
+        if reorder or not occupancy:
             self._drain_reorder()
 
     # -- loss recovery (optional, §7 reliability extension) ----------------------
@@ -731,7 +790,7 @@ class RemotePacketBuffer:
         self._retarget()
         if self._degraded_channels:
             return
-        if self._entries or self._reorder:
+        if self._occupancy or self._reorder:
             self._outstanding_reads = 0
             for inflight in self._inflight:
                 inflight.clear()
@@ -757,12 +816,19 @@ class RemotePacketBuffer:
         opcode, is_nak, psn = rocegen.accept_response(packet)
         ctx.drop()  # the response itself never leaves the switch
         if is_nak:
+            # Act once per loss event: its echoes would rewind the PSNs a
+            # restart has just reissued.
+            if not rocegen.fresh_nak(psn):
+                return True
             # A request was lost: resynchronize that QP's PSN stream.  The
-            # read chain needs a go-back-N restart only when the loss hit
-            # the read QP with reads in flight; lost WRITEs surface later
-            # as stale entry stamps and must not thrash the load path.
-            rocegen.maybe_resync(packet)
-            if is_read_qp and self._inflight[channel_idx]:
+            # read chain needs a go-back-N restart when the loss hit reads
+            # in flight: any NAK on a read QP, or a sequence error on a
+            # shared QP (the responder discarded every request behind the
+            # gap).  Lost WRITEs surface later as stale entry stamps.
+            resynced = rocegen.maybe_resync(packet)
+            if self._inflight[channel_idx] and (
+                is_read_qp or (resynced and self.read_channels is self.channels)
+            ):
                 self._recover_reads()
         elif opcode is Opcode.RDMA_READ_RESPONSE_ONLY:
             self._complete_load(channel_idx, psn, packet.payload)
@@ -789,15 +855,15 @@ class RemotePacketBuffer:
         if self._outstanding_reads > 0:
             self._outstanding_reads -= 1
         self._channel_strikes[channel_idx] = 0  # the channel is alive
-        record = self._entries.get(pointer)
-        if record is None:
+        index = pointer % self._slots
+        if self._state[index] == _FREE:
             # A pre-recovery duplicate of an already-released entry.
             return
         original = None
         try:
             if _STAMP.unpack_from(entry)[0] == pointer:
                 original = Packet.parse(entry, ENTRY_SEQ_BYTES)
-                original.meta = record[_META]
+                original.meta = self._meta[index]
         except HeaderError:
             pass  # corrupted beyond decoding, in the ring or on the wire
         if original is None:
@@ -810,7 +876,7 @@ class RemotePacketBuffer:
         if len(reorder) > self._m_reorder_peak.value:
             self._m_reorder_peak.set(len(reorder))
         self._drain_reorder()
-        if self._entries:
+        if self._occupancy:
             # §4: the received READ response triggers the next READ.
             self._maybe_start_loading(self._queue)
 
@@ -825,14 +891,16 @@ class RemotePacketBuffer:
         """
         regs = self._regs
         reorder = self._reorder
-        entries = self._entries
         queue = self._queue
         read_ptr = committed = regs.read(_READ_PTR)
         released = False
         while read_ptr in reorder:
             original = reorder.pop(read_ptr)
             # The ring slot is reusable once its entry is retired.
-            self._channel_unread[entries.pop(read_ptr)[_CHANNEL]] -= 1
+            index = read_ptr % self._slots
+            self._channel_unread[self._channel_of[index]] -= 1
+            self._state[index] = _FREE
+            self._meta[index] = None
             read_ptr += 1
             if original is not None:
                 self._m_loaded_packets.inc()
@@ -843,7 +911,8 @@ class RemotePacketBuffer:
                 released = True
         if read_ptr != committed:
             regs.write(_READ_PTR, read_ptr)
-        if not entries and not reorder:
+            self._occupancy -= read_ptr - committed
+        if not self._occupancy and not reorder:
             # Rings fully drained: leave buffering mode (order preserved).
             regs.write(_BUFFERING, 0)
         if released:

@@ -28,7 +28,7 @@ from ..obs.trace import (
     KIND_READ_RESP,
     KIND_WRITE,
 )
-from ..rdma.constants import OPCODES, AethSyndrome, Opcode
+from ..rdma.constants import OPCODES, PSN_MODULO, AethSyndrome, Opcode, psn_distance
 from ..rdma.headers import AethHeader, AtomicAckEthHeader, BthHeader
 from ..rdma.packets import (
     MAX_READ_BYTES,
@@ -48,6 +48,9 @@ from .channel import RemoteMemoryChannel
 HealthListener = Callable[["RoceRequestGenerator", str], None]
 
 _NAK_MASK = AethSyndrome.NAK_MASK
+#: How long after a loss event was acted on a NAK naming the same expected
+#: PSN can still be one of its echoes (see RoceRequestGenerator.fresh_nak).
+NAK_ECHO_WINDOW_NS = 20_000.0
 
 _RESPONSE_KINDS = {
     Opcode.ACKNOWLEDGE: KIND_ACK,
@@ -131,6 +134,11 @@ class RoceRequestGenerator:
         self._m_strikes = self.metrics.counter("strikes")
         self._m_timeouts = self.metrics.counter("timeouts")
         self._m_icrc_drops = self.metrics.counter("icrc_drops")
+        # The loss event last acted on (see fresh_nak): the expected PSN
+        # its NAK named, when, and how many echoes it can still draw.
+        self._nak_psn = -1
+        self._nak_at = 0.0
+        self._nak_echoes = 0
 
     # -- health signal ------------------------------------------------------------
 
@@ -156,8 +164,10 @@ class RoceRequestGenerator:
         data: bytes,
         ack_request: bool = False,
         meta: Optional[dict] = None,
-    ) -> Packet:
-        """Issue an RDMA WRITE of *data*; returns the transmitted packet.
+    ) -> Optional[Packet]:
+        """Issue an RDMA WRITE of *data*; returns the transmitted packet,
+        or None when the switch's traffic manager refused it (its PSN is
+        spent all the same, as on hardware: the responder sees a gap).
 
         ``meta`` entries are attached to the request *before* it is handed
         to the port (an idle port serializes synchronously, so tagging the
@@ -172,8 +182,7 @@ class RoceRequestGenerator:
         if meta:
             request.meta.update(meta)
         self._m_writes.inc()
-        self._transmit(request, KIND_WRITE)
-        return request
+        return request if self._transmit(request, KIND_WRITE) else None
 
     def read(self, remote_address: int, length: int) -> Packet:
         """Issue an RDMA READ of *length* bytes — at most ``MAX_READ_BYTES``,
@@ -215,7 +224,8 @@ class RoceRequestGenerator:
             f"outside channel {self.channel.name!r}"
         )
 
-    def _transmit(self, request: Packet, kind: str) -> None:
+    def _transmit(self, request: Packet, kind: str) -> bool:
+        """Hand *request* to the server port; False if its queue refused it."""
         self._m_request_bytes.inc(request.wire_len)
         if self._trace is not None:
             self._trace.emit(
@@ -227,7 +237,7 @@ class RoceRequestGenerator:
                 wire_bytes=request.wire_len,
                 channel=self.channel.name,
             )
-        self.switch.transmit(request, self.channel.server_port)
+        return self.switch.transmit(request, self.channel.server_port)
 
     # -- response handling ----------------------------------------------------------
 
@@ -297,6 +307,32 @@ class RoceRequestGenerator:
     def is_nak(packet: Packet) -> bool:
         aeth = packet.find(AethHeader)
         return aeth is not None and aeth.syndrome & _NAK_MASK == _NAK_MASK
+
+    def fresh_nak(self, psn: int) -> bool:
+        """Whether a NAK naming expected PSN *psn* reports a loss event not
+        yet acted on; the owning primitive acts on fresh NAKs only.
+
+        The responder NAKs every request that reaches it behind a gap, so
+        one lost request draws a NAK per request sent past it, all naming
+        the same PSN.  The first is fresh.  Each later one within
+        ``NAK_ECHO_WINDOW_NS`` is an echo while the requests sent past the
+        gap before it was acted on can still account for it.  Past that
+        count it answers a request sent since (a reissued request lost
+        again), so it is a fresh event.
+        """
+        now = self.switch.sim.now
+        if (
+            psn == self._nak_psn
+            and self._nak_echoes
+            and now - self._nak_at < NAK_ECHO_WINDOW_NS
+        ):
+            self._nak_echoes -= 1
+            return False
+        self._nak_psn, self._nak_at = psn, now
+        # Requests psn+1 .. next_psn-1 can each draw one; this is one.
+        sent_past = psn_distance(psn, self.channel.switch_qp.next_psn) - 1
+        self._nak_echoes = sent_past - 1 if 0 < sent_past < PSN_MODULO // 2 else 0
+        return True
 
     def maybe_resync(self, packet: Packet) -> bool:
         """Resynchronize the soft QP after a PSN-sequence-error NAK.

@@ -20,6 +20,8 @@ import sys
 import tracemalloc
 from typing import Callable, List, Tuple
 
+import pytest
+
 # -- tier-1 guards: Python calls per unit of work -----------------------------------------
 
 #: ``net/packet.py`` + ``net/headers.py`` calls per forwarded 64 B frame
@@ -66,6 +68,21 @@ SCHEDULE_BYTES_PER_PACKET = 5
 #: uniform flows over 10**6 ranks (measured 0.06; was 55.4, the per-rank
 #: ledger's dict and counts).
 SOURCE_BYTES_PER_SENT_PACKET = 1
+
+#: Host bytes the packet buffer keeps per stored entry, the traffic
+#: source's meta copy included and the remote pages (1 507 B) excluded:
+#: 1 500 against 500 stored 1 500 B frames (measured 295 on CPython 3.11,
+#: 297 at 3 000 against 1 000: the meta dict and its values, about 240,
+#: the slot columns' 19 and their power-of-two slack; was 479 and 481, a
+#: dict of four-element lists).
+#: The ceiling adds the 48 B a two-key dict costs more on 3.9; the 3.9
+#: and 3.12 values are unmeasured.
+RING_BYTES_PER_ENTRY = 360
+#: Bytes a buffer over a 2**20-entry ring keeps, constructor included,
+#: once it stores 100 frames (measured 51 851 on 3.11; 65 548 with the
+#: per-entry dict).  Bookkeeping grows with occupancy, never capacity:
+#: slot columns sized to the ring would take 19 MiB.
+SPARSE_RING_BYTES = 64 * 1024
 
 # -- tier-1 guard: the kernel's near heap -------------------------------------------------
 
@@ -134,6 +151,12 @@ def retained(build: Callable[[], object]) -> Tuple[object, int]:
         tracemalloc.stop()
         gc.enable()
     return kept, after - before
+
+
+#: Marks a byte-budget test: skipped under a trace already running.
+byte_budget = pytest.mark.skipif(
+    tracemalloc.is_tracing(), reason="the byte budgets count a trace of their own"
+)
 
 
 def check_bench_record(records: List[dict]) -> None:

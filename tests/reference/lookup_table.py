@@ -245,15 +245,8 @@ class ReferenceLookupTable(RemoteLookupTable):
 
     def _handle_nak(self, gen: RoceRequestGenerator, packet: Packet) -> None:
         expected = packet.require(BthHeader).psn
-        now = self.switch.sim.now
-        last = self._last_resync.get(gen)
-        if (
-            last is not None
-            and last[0] == expected
-            and now - last[1] < self._resync_guard_ns
-        ):
+        if not gen.fresh_nak(expected):
             return
-        self._last_resync[gen] = (expected, now)
         gen.record_strike()
         gen.maybe_resync(packet)
         fifo = self._pending_of(gen)

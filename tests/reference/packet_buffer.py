@@ -24,7 +24,10 @@ class ReferencePacketBuffer(RemotePacketBuffer):
     pointer is wanted (22 reads and 3 writes per buffered frame), the
     stripe targets rebuilt per use, the drained frame sliced then parsed —
     every data-plane method as it stood, over the live class's control
-    plane."""
+    plane, with the three liveness fixes the live class took later: a
+    refused WRITE is a loss at send time, a sequence-error NAK restarts a
+    shared QP's read chain (once per loss event), and a dead member's
+    in-flight entries are written off."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -32,6 +35,7 @@ class ReferencePacketBuffer(RemotePacketBuffer):
         self._entry_channel: Dict[int, int] = {}
         self._entry_address: Dict[int, int] = {}
         self._flushed: set = set()
+        self._refused: set = set()
 
     @property
     def stored_entries(self) -> int:
@@ -104,12 +108,15 @@ class ReferencePacketBuffer(RemotePacketBuffer):
             + slot * self.config.entry_bytes
         )
         entry = struct.pack("!Q", write_ptr) + frame
-        self.rocegens[channel_idx].write(
+        if self.rocegens[channel_idx].write(
             address,
             entry,
             ack_request=self.config.ack_writes,
             meta={"pktbuf_write_ptr": write_ptr},
-        )
+        ) is None:
+            self._refused.add(write_ptr)
+            self._flushed.add(write_ptr)
+            self._m_lost_in_transit.inc()
         self._entry_channel[write_ptr] = channel_idx
         self._entry_address[write_ptr] = address
         self._channel_unread[channel_idx] += 1
@@ -172,6 +179,9 @@ class ReferencePacketBuffer(RemotePacketBuffer):
         self._regs.write(_NEXT_LOAD_PTR, load_ptr + 1)
         if load_ptr in self._reorder:
             return True
+        if load_ptr in self._refused:
+            self._reorder[load_ptr] = None
+            return True
         if channel_idx in self._failed_channels:
             self._reorder[load_ptr] = None
             self._m_lost_to_failover.inc()
@@ -225,6 +235,9 @@ class ReferencePacketBuffer(RemotePacketBuffer):
         self._outstanding_reads = max(
             0, self._outstanding_reads - len(self._inflight[index])
         )
+        for pointer, _ in self._inflight[index]:
+            self._reorder[pointer] = None
+            self._m_lost_to_failover.inc()
         self._fail_channel(index)
         self._maybe_start_loading(self.switch.port_queue(self.protected_port))
 
@@ -268,8 +281,11 @@ class ReferencePacketBuffer(RemotePacketBuffer):
         opcode = rocegen.classify_response(packet)
         ctx.drop()
         if rocegen.is_nak(packet):
-            rocegen.maybe_resync(packet)
-            if is_read_qp and self._inflight[channel_idx]:
+            if not rocegen.fresh_nak(packet.require(BthHeader).psn):
+                return True
+            resynced = rocegen.maybe_resync(packet)
+            shared = self.read_channels is self.channels
+            if self._inflight[channel_idx] and (is_read_qp or (resynced and shared)):
                 self._recover_reads()
             return True
         if opcode == Opcode.RDMA_READ_RESPONSE_ONLY:
@@ -313,6 +329,7 @@ class ReferencePacketBuffer(RemotePacketBuffer):
             original = self._reorder.pop(read_ptr)
             self._meta_by_index.pop(read_ptr, None)
             self._flushed.discard(read_ptr)
+            self._refused.discard(read_ptr)
             channel_idx = self._entry_channel.pop(read_ptr, None)
             self._entry_address.pop(read_ptr, None)
             if channel_idx is not None:

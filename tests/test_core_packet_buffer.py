@@ -228,3 +228,26 @@ class TestLossRecovery:
         # After healing, the ring drains completely.
         assert primitive.stored_entries == 0
         assert not primitive.is_buffering
+
+
+class TestRefusedRequests:
+    def test_a_write_the_switch_refuses_does_not_strand_the_ring(self):
+        """A 2:1 incast at 40 Gbps into a 256 KiB switch: the server port's
+        queue refuses ring WRITEs.  A refused WRITE was never marked
+        flushed, so the load pass stopped at its entry for good, and on
+        the shared QP the NAK for the PSN gap never restarted the read
+        chain: 907 of 1 000 frames stranded, still buffering."""
+        tb, program, primitive, channel = build()
+        sink, _ = blast(tb, count=500)
+        tb.sim.run()
+        assert tb.switch.port_queue(tb.server_port).dropped_packets > 0
+        assert primitive.metrics["lost_in_transit"] > 0
+        assert primitive.stored_entries == 0 and not primitive.is_buffering
+        lost = primitive.metrics["lost_in_transit"] + primitive.metrics["ring_full_drops"]
+        assert sink.packets + lost == 1000
+        assert sink.out_of_order == 0
+        # One restart per loss event: the responder NAKs every request
+        # behind a gap, and acting on each echo made 177 restarts here.
+        # There are 42 loss events: a reissued request the queue refuses
+        # again is a new one.
+        assert primitive.metrics["read_recoveries"] <= 50

@@ -10,11 +10,13 @@ decodes a drained frame in place.  Five angles:
       identical registry, event count, clock and delivery order;
 (ii)  ``Packet.parse(data, offset)`` against slice-then-parse;
 (iii) count guards — register accesses and calls per buffered frame,
-      calls per acknowledged Fetch-and-Add whatever the window, no
-      ``psn_distance`` on the ACK path, no cyclic garbage;
+      host bytes per stored entry, calls per acknowledged Fetch-and-Add
+      whatever the window, no ``psn_distance`` on the ACK path, no cyclic
+      garbage;
 (iv)  the regressions that rode along: a corrupted buffered (or bounced)
       frame is a counted loss, not an exception out of ``sim.run()``; a
       store whose WRITE leaves at once does not end the episode under it;
+      a refused WRITE or a lost READ does not strand the ring;
 (v)   construction-time validation of ``PacketBufferConfig``.
 """
 
@@ -44,7 +46,7 @@ from repro.api import (
     build_testbed,
 )
 from repro.core.packet_buffer import ENTRY_SEQ_BYTES
-from repro.faults.models import Corrupt
+from repro.faults.models import Corrupt, IidLoss
 from repro.faults.plan import FaultPlan
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.headers import (
@@ -65,8 +67,12 @@ from repro.workloads.perftest import RawEthernetBw
 from .budgets import (
     BUFFER_CALLS_PER_FRAME,
     BUFFER_REGISTER_ACCESSES_PER_FRAME,
+    RING_BYTES_PER_ENTRY,
+    SPARSE_RING_BYTES,
     STATE_STORE_CALLS_PER_OP,
+    byte_budget,
     profiled,
+    retained,
 )
 from .reference import ReferencePacketBuffer, ReferenceStateStore, reference_parse
 from .test_hop_path import bind
@@ -135,7 +141,10 @@ def blast(tb, count, senders=(0, 2), at_ns=0.0, size=1500, ecn=0):
 
 def observe(tb, buffer):
     """Everything a run leaves behind that the two data planes must agree on."""
-    assert type(buffer) is not RemotePacketBuffer or len(buffer._entries) == buffer.stored_entries
+    if type(buffer) is RemotePacketBuffer:  # one live slot per stored entry, within capacity
+        live = len(buffer._state) - buffer._state.count(0)
+        assert buffer._occupancy == live == buffer.stored_entries == sum(buffer._channel_unread)
+        assert len(buffer._state) <= buffer.capacity_entries
     tm = tb.switch.tm
     return {
         "registry": tb.sim.obs.registry.snapshot(),
@@ -566,6 +575,54 @@ def test_a_buffered_frame_costs_a_bounded_number_of_register_accesses_and_calls(
     assert garbage == 0
 
 
+def _parked(frames: int, ring_entries: int, count_build: bool):
+    """Host bytes kept with *frames* 1500 B frames stored in a buffer over a
+    *ring_entries* ring, less the remote pages; with *count_build*, the
+    buffer's constructor is counted too."""
+    tb = build_testbed(n_hosts=2, seed=1)
+    program = bind(tb, RemoteBufferProgram())
+    channel = tb.controller.open_channel(
+        tb.memory_server, tb.server_port, ring_entries * ENTRY_BYTES
+    )
+    traffic = OpenLoopZipfTraffic(
+        tb.sim, tb.hosts[0], tb.hosts[1], flows=60_000, alpha=0.0, packet_size=1500,
+        rate_pps=30e9 / ((1500 + 24) * 8), count=frames, seed=1, arrival="paced",
+    )
+
+    def build():
+        buffer = RemotePacketBuffer(
+            tb.switch, channel, protected_port=tb.host_ports[1],
+            config=PacketBufferConfig(
+                entry_bytes=ENTRY_BYTES, high_watermark_bytes=0, low_watermark_bytes=1 << 30,
+                manual_load=True,
+            ),
+        )
+        program.use_packet_buffer(buffer)
+        traffic.start()
+        if count_build:
+            tb.sim.run()
+        return buffer
+
+    buffer, kept = retained(build)
+    if not count_build:
+        _, kept = retained(tb.sim.run)
+    assert buffer.stored_entries == frames
+    return kept - channel.region.resident_bytes
+
+
+@byte_budget
+def test_a_stored_entry_costs_a_bounded_number_of_host_bytes():
+    few, many = _parked(500, 1_516, False), _parked(1_500, 1_516, False)
+    measured = (many - few) / 1_000
+    assert 0 < measured <= RING_BYTES_PER_ENTRY, f"{measured:.0f} B per stored entry"
+
+
+@byte_budget
+def test_the_ring_bookkeeping_grows_with_occupancy_not_capacity():
+    kept = _parked(100, 1 << 20, True)
+    assert 0 < kept <= SPARSE_RING_BYTES, f"{kept} B for 100 entries of a 2**20-entry ring"
+
+
 def _acknowledged_fetch_adds(window: int, operations: int):
     """*operations* updates of distinct counters in bursts of *window*, a
     burst per round trip, so exactly *window* ops are in flight at an ACK."""
@@ -628,19 +685,23 @@ class FlipHeaderBit(Corrupt):
         return mutant
 
 
-def _store_all_rig(frames, frame_bytes=1500, seed=7, **config):
+def _store_all_rig(frames, frame_bytes=1500, seed=7, read_qp=False, **config):
     tb = build_testbed(n_hosts=2, seed=seed)
     program = bind(tb, RemoteBufferProgram())
     entry_bytes = frame_bytes + ENTRY_SEQ_BYTES
     channel = tb.controller.open_channel(
         tb.memory_server, tb.server_port, (frames + 16) * entry_bytes
     )
+    read_channels = [
+        tb.controller.open_channel(tb.memory_server, tb.server_port, share_region_with=channel)
+    ] if read_qp else None
     buffer = RemotePacketBuffer(
         tb.switch, channel, protected_port=tb.host_ports[1],
         config=PacketBufferConfig(
             entry_bytes=entry_bytes, high_watermark_bytes=0, low_watermark_bytes=1 << 30,
             **config,
         ),
+        read_channels=read_channels,
     )
     program.use_packet_buffer(buffer)
     delivered = []
@@ -721,6 +782,44 @@ def test_a_corrupted_bounced_frame_is_a_lost_lookup_not_an_exception():
     assert wire.effects["corrupted"] == 1
     assert table.metrics["remote_lookups"] == 4 and table.metrics["lookups_lost"] == 1
     assert len(delivered) == 3
+
+
+def test_a_refused_write_on_its_own_qp_is_a_loss_known_at_send_time():
+    """Separate read QPs, so only the WRITE side can jam: the refused
+    WRITE's entry is lost when the switch refuses it, and the load pass
+    retires it without a READ (it used to wait for a dequeue that never
+    came)."""
+    tb, buffer = buffer_rig(RemotePacketBuffer, read_qps=True, ring_entries=2048)
+    blast(tb, 500)
+    tb.sim.run()
+    refused = tb.switch.port_queue(tb.server_ports[0]).dropped_packets
+    assert refused > 0 and buffer.metrics["lost_in_transit"] >= refused
+    assert buffer.stored_entries == 0 and not buffer.is_buffering
+    lost = buffer.metrics["lost_in_transit"] + buffer.metrics["ring_full_drops"]
+    assert len(tb.delivered) + lost == 1000
+
+
+@pytest.mark.parametrize("read_qp", [False, True], ids=["shared-qp", "read-qp"])
+@pytest.mark.parametrize("drops", [(7,), (7, 14)], ids=["read", "read-and-reissue"])
+def test_a_lost_read_restarts_the_chain_at_its_nak(drops, read_qp):
+    """No watchdog; the second READ (the 7th packet on the link) is lost,
+    and in one case its reissue after the restart (the 14th) too.  The
+    responder NAKs the READs behind the gap.  On a shared QP that NAK did
+    not restart the read chain; and a guard that took every NAK naming
+    the same PSN within a time window for an echo swallowed the NAKs of
+    the lost reissue.  Either way the head READ waited forever."""
+    tb, buffer, delivered = _store_all_rig(5, manual_load=True, read_qp=read_qp)
+    plan = FaultPlan(seed=1)
+    wire = plan.on_link(tb.server_links[0], name="wire")
+    for nth in drops:
+        plan.on_packet(wire, IidLoss(1.0), nth=nth, count=1)
+    plan.install(tb.sim)
+    tb.sim.run()
+    buffer.start_draining()
+    tb.sim.run()
+    assert wire.effects["dropped"] == buffer.metrics["read_recoveries"] == len(drops)
+    assert len(delivered) == buffer.metrics["loaded_packets"] == 5
+    assert buffer.stored_entries == 0 and not buffer.is_buffering
 
 
 def test_a_store_whose_write_leaves_at_once_does_not_end_the_episode_under_it():

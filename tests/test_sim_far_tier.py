@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.sim.simulator import Simulator
 
 from .budgets import NEAR_HEAP_PEAK
+from .conftest import examples
 
 FAR = Simulator._FAR_NS
 BATCH = Simulator._BATCH
@@ -181,7 +182,7 @@ def _assert_same(sim: Simulator, oracle: Oracle, real: Program, model: Program) 
     assert sim.active_events == oracle.active_events
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(phases=st.lists(phase, max_size=6))
 def test_kernel_fires_in_the_oracles_order(phases):
     sim, oracle = Simulator(), Oracle()

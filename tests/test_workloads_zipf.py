@@ -14,7 +14,6 @@ schedule's sent prefix.
 import hashlib
 import random
 import struct
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,12 @@ from repro.testbed import build_testbed
 from repro.workloads.flows import ZipfSampler
 from repro.workloads.zipf import OpenLoopZipfTraffic, ZipfGenerator
 
-from .budgets import SCHEDULE_BYTES_PER_PACKET, SOURCE_BYTES_PER_SENT_PACKET, retained
+from .budgets import (
+    SCHEDULE_BYTES_PER_PACKET,
+    SOURCE_BYTES_PER_SENT_PACKET,
+    byte_budget,
+    retained,
+)
 
 
 def _forwarding_testbed():
@@ -279,11 +283,6 @@ def test_the_l2_forward_schedule_is_frozen():
 
 
 # -- bytes, not calls ------------------------------------------------------------------------
-
-byte_budget = pytest.mark.skipif(
-    tracemalloc.is_tracing(), reason="the byte budgets count a trace of their own"
-)
-
 
 def _schedule_bytes_per_packet(count=20_000):
     tb = build_testbed(n_hosts=2, with_memory_server=False, seed=1)
