@@ -546,7 +546,13 @@ class RemoteLookupTable:
         self, ctx: PipelineContext, packet: Packet, flow: FiveTuple, packed: bytes
     ) -> None:
         """Bounce (or park) *packet*; the READ index and the fingerprint the
-        response is matched by both derive from *packed*, the key's bytes."""
+        response is matched by both derive from *packed*, the key's bytes.
+        A frame too large for the entry's packet slot is dropped first, as
+        a lost lookup: no request, so one READ per miss still holds."""
+        if self._bounce and packet.buffer_len > self._slot_space:
+            self._m_lookups_lost.inc()
+            ctx.drop()
+            return
         self._m_remote_lookups.inc()
         dataplane = self.dataplane
         if dataplane is not None:
@@ -567,11 +573,6 @@ class RemoteLookupTable:
             # (1) deposit the packet in the entry's slot, (2) read the
             # whole (actions, packet) entry back.
             frame = packet.pack()
-            if len(frame) > self._slot_space:
-                raise ValueError(
-                    f"packet of {len(frame)} B exceeds the "
-                    f"{self._slot_space} B packet slot"
-                )
             gen.write(address + action_bytes, frame)
             request = gen.read(address, action_bytes + len(frame))
             parked = None

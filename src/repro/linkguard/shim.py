@@ -20,16 +20,16 @@ in a link RTT instead of a transport RTO.  The shim here is that tag:
   inner frame behind it.
 
 The codec follows the repo's header idiom (:mod:`repro.net.headers`):
-a slotted :class:`~repro.net.headers.Header`, a module-level precompiled
-:class:`struct.Struct`, byte-exact ``pack``/``unpack``.
+a slotted :class:`~repro.net.headers.Header` whose one
+:class:`~repro.net.headers.Wire` statement compiles to byte-exact
+``pack``/``unpack``.
 """
 
 from __future__ import annotations
 
-import struct
 import zlib
 
-from ..net.headers import Header, HeaderError
+from ..net.headers import Header, HeaderError, Wire
 
 #: EtherType claimed by guarded frames (IEEE 802 local experimental 2).
 ETHERTYPE_LINKGUARD = 0x88B6
@@ -52,8 +52,6 @@ _KINDS = (GUARD_DATA, GUARD_ACK, GUARD_NAK, GUARD_RESYNC)
 FLAG_RESENT = 0x01
 #: Flag bit: the ``ack`` field is meaningful (piggybacked cumulative ack).
 FLAG_ACK_VALID = 0x02
-
-_SHIM_STRUCT = struct.Struct("!BBIIIHH")
 
 
 def guard_checksum(frame_bytes: bytes) -> int:
@@ -85,7 +83,13 @@ class GuardShimHeader(Header):
         "checksum",
         "inner_ethertype",
     )
-    LENGTH = byte_len = 18
+    WIRE = Wire(
+        "BBIIIHH",
+        "kind flags seq ack extent checksum inner_ethertype",
+        spill="h.kind not in KINDS",
+        unpack=("if kind not in KINDS: raise HeaderError('bad guard shim kind: %d' % kind)",),
+        env={"KINDS": _KINDS},
+    )
 
     def __init__(
         self,
@@ -120,37 +124,3 @@ class GuardShimHeader(Header):
         self.extent = extent
         self.checksum = checksum
         self.inner_ethertype = inner_ethertype
-
-    def pack(self) -> bytes:
-        if self.kind not in _KINDS:
-            raise HeaderError(f"bad guard shim kind: {self.kind}")
-        try:
-            return _SHIM_STRUCT.pack(
-                self.kind,
-                self.flags,
-                self.seq,
-                self.ack,
-                self.extent,
-                self.checksum,
-                self.inner_ethertype,
-            )
-        except struct.error as exc:
-            raise self._pack_error(exc) from None
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "GuardShimHeader":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short guard shim: {len(data)} bytes")
-        header = object.__new__(cls)
-        (
-            header.kind,
-            header.flags,
-            header.seq,
-            header.ack,
-            header.extent,
-            header.checksum,
-            header.inner_ethertype,
-        ) = _SHIM_STRUCT.unpack_from(data)
-        if header.kind not in _KINDS:
-            raise HeaderError(f"bad guard shim kind: {header.kind}")
-        return header

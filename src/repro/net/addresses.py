@@ -1,19 +1,45 @@
 """MAC and IPv4 address value types.
 
 Addresses are thin immutable wrappers around integers with parsing and
-formatting, so they hash cheaply (table keys), compare naturally, and
-serialize without string munging at packet-codec call sites.
+formatting, so they hash cheaply (table keys) and compare naturally.  Each
+also keeps its wire bytes in the ``packed`` slot, set once at construction:
+the header codecs emit an address without converting it, and
+``from_bytes`` hands back the one interned instance for bytes it has seen
+(:data:`MACS`, :data:`IPV4S`).
 """
 
 from __future__ import annotations
 
 from typing import Union
 
+#: Entries an intern table holds before it starts over (deterministically:
+#: a full table is cleared, never sampled), so a stream of distinct
+#: addresses costs bounded memory.
+INTERN_LIMIT = 4096
+
+
+class _InternTable(dict):
+    """Key to the one address made for it: a hit is a plain subscript, and
+    a miss makes the address, clearing the table first when it is full."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        address = self.make(key)
+        if len(self) >= INTERN_LIMIT:
+            self.clear()
+        self[key] = address
+        return address
+
 
 class MacAddress:
     """A 48-bit Ethernet MAC address."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "packed")
 
     BROADCAST_VALUE = (1 << 48) - 1
 
@@ -36,6 +62,7 @@ class MacAddress:
             raise ValueError(f"MAC address out of range: {value:#x}")
         self = object.__new__(cls)
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "packed", value.to_bytes(6, "big"))
         return self
 
     def __setattr__(self, name: str, val: object) -> None:
@@ -55,12 +82,14 @@ class MacAddress:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MacAddress":
+        """The interned address of six wire bytes (``bytes``, ``bytearray``
+        or ``memoryview``)."""
         if len(data) != 6:
             raise ValueError(f"MAC address needs 6 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
+        return MACS[bytes(data)]
 
     def to_bytes(self) -> bytes:
-        return self.value.to_bytes(6, "big")
+        return self.packed
 
     @property
     def is_broadcast(self) -> bool:
@@ -85,8 +114,7 @@ class MacAddress:
         return hash(("mac", self.value))
 
     def __str__(self) -> str:
-        octets = self.to_bytes()
-        return ":".join(f"{b:02x}" for b in octets)
+        return ":".join(f"{b:02x}" for b in self.packed)
 
     def __repr__(self) -> str:
         return f"MacAddress('{self}')"
@@ -95,7 +123,7 @@ class MacAddress:
 class Ipv4Address:
     """A 32-bit IPv4 address."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "packed")
 
     def __new__(cls, value: Union[int, str, "Ipv4Address"]) -> "Ipv4Address":
         if type(value) is cls:
@@ -116,6 +144,7 @@ class Ipv4Address:
             raise ValueError(f"IPv4 address out of range: {value:#x}")
         self = object.__new__(cls)
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "packed", value.to_bytes(4, "big"))
         return self
 
     def __setattr__(self, name: str, val: object) -> None:
@@ -130,12 +159,14 @@ class Ipv4Address:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Ipv4Address":
+        """The interned address of four wire bytes (``bytes``,
+        ``bytearray`` or ``memoryview``)."""
         if len(data) != 4:
             raise ValueError(f"IPv4 address needs 4 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
+        return IPV4S[int.from_bytes(data, "big")]
 
     def to_bytes(self) -> bytes:
-        return self.value.to_bytes(4, "big")
+        return self.packed
 
     def __eq__(self, other: object) -> bool:
         if type(other) is Ipv4Address:
@@ -151,8 +182,14 @@ class Ipv4Address:
         return hash(("ipv4", self.value))
 
     def __str__(self) -> str:
-        octets = self.to_bytes()
-        return ".".join(str(b) for b in octets)
+        return ".".join(str(b) for b in self.packed)
 
     def __repr__(self) -> str:
         return f"Ipv4Address('{self}')"
+
+
+#: The intern tables: MACs by their six wire bytes, IPv4 addresses by
+#: value (the IPv4 codec moves an address as one 32-bit word, because the
+#: header checksum sums it as two).
+MACS = _InternTable(lambda packed: MacAddress(int.from_bytes(packed, "big")))
+IPV4S = _InternTable(Ipv4Address)

@@ -7,22 +7,28 @@ serialized bytes always come from these codecs, so bandwidth accounting is
 grounded in the real formats rather than hard-coded constants.
 
 The model is a fixed layout, the way a switch pipeline holds a packet
-header vector: a header is a ``__slots__`` class with one slot per wire
-field, its ``byte_len`` is a class constant, and ``pack()`` serialises the
-*current* slot values through a module-level precompiled
-:class:`struct.Struct`.  There is no cached serialisation to invalidate —
-assigning a field is a plain slot store and the next ``pack()`` reflects
-it by construction, which is what ICRC and guard-CRC corruption detection
-rely on.  Constructors range-check every field; a field driven out of
-range afterwards makes ``pack()`` raise :class:`HeaderError`.
+header vector: a header is a ``__slots__`` class with one slot per field,
+and it states its wire format once, as a :class:`Wire`: the
+:class:`struct.Struct` format, the statements that compute each wire field
+from the slots (with the checks that a narrow field cannot spill into its
+neighbour) and the statements that check the wire fields and fill the
+slots back.  ``Header.__init_subclass__`` compiles ``pack``/``unpack`` and
+``byte_len`` from it; :mod:`repro.net.packet` compiles the same statements
+into one ``struct`` call per frame.  There is no cached serialisation to
+invalidate: assigning a field is a plain slot store and the next ``pack()``
+reflects it by construction, which is what ICRC and guard-CRC corruption
+detection rely on.  Constructors range-check every field; a field driven
+out of range afterwards makes ``pack()`` raise :class:`HeaderError`.
 """
 
 from __future__ import annotations
 
+import re
 import struct
-from typing import Optional, Tuple
+import sys
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .addresses import Ipv4Address, MacAddress
+from .addresses import IPV4S, MACS, Ipv4Address, MacAddress
 
 #: EtherType for IPv4.
 ETHERTYPE_IPV4 = 0x0800
@@ -44,12 +50,6 @@ ETHERNET_WIRE_OVERHEAD = (
 #: Minimum Ethernet frame size (header + payload + FCS), excluding preamble/IFG.
 ETHERNET_MIN_FRAME = 64
 
-# Precompiled wire formats (struct.Struct avoids per-call format parsing).
-_ETH_STRUCT = struct.Struct("!6s6sH")
-_IPV4_STRUCT = struct.Struct("!BBHHHBBH4s4s")
-_UDP_STRUCT = struct.Struct("!HHHH")
-_WORDS_10 = struct.Struct("!10H")
-
 _new = object.__new__
 
 
@@ -57,13 +57,91 @@ class HeaderError(ValueError):
     """Raised when a header cannot be decoded, built or serialised."""
 
 
+#: A quoted string (kept as is) or a name that is not an attribute.
+_NAME = re.compile(r"'[^']*'|\"[^\"]*\"|(?<![.\w])[A-Za-z_]\w*")
+#: A statement that binds a name.
+_BINDING = re.compile(r"([A-Za-z_]\w*) = ")
+
+
+def _bound(statements: Iterable[str]) -> Set[str]:
+    """The names *statements* bind."""
+    return {m[1] for m in map(_BINDING.match, statements) if m}
+
+
+class Wire:
+    """One header's wire format, stated once.
+
+    * *fmt* — the :mod:`struct` format of the wire fields (network order);
+    * *names* — one name per wire field, space-separated;
+    * *pack* — statements ``name = expression`` computing the wire fields
+      that are not a slot of the same name from the header ``h``;
+    * *spill* — an expression over ``h``, true when a field narrower than
+      its wire word would spill into a neighbour (``struct`` range-checks
+      the full-width ones);
+    * *unpack* — statements that check the wire fields (raising
+      :class:`HeaderError`; ``name = expression`` binds a local for a
+      check) and fill the slots that are not a wire field of the same name
+      into ``h``;
+    * *env* — the names these statements use beyond ``HeaderError``.
+
+    Statements are one line each and format messages with ``%``, not
+    f-strings: a frame codec compiles them for several headers at once,
+    each under its own suffix (:meth:`rename`).
+    """
+
+    def __init__(
+        self,
+        fmt: str,
+        names: str,
+        pack: Sequence[str] = (),
+        spill: Optional[str] = None,
+        unpack: Sequence[str] = (),
+        env: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.fmt = fmt
+        self.struct = struct.Struct("!" + fmt)
+        self.names = tuple(names.split())
+        self.pack = tuple(pack)
+        self.spill = spill
+        self.unpack = tuple(unpack)
+        self.env = {"HeaderError": HeaderError, **(env or {})}
+        self.computed = _bound(self.pack)
+        self.filled = _bound(line[2:] for line in self.unpack if line.startswith("h."))
+        self.locals = {"h", *self.names, *self.computed, *_bound(self.unpack)}
+
+    def rename(self, text: str, suffix: str) -> str:
+        """*text* with ``h`` and every wire field name given *suffix*."""
+        names = self.locals
+        return _NAME.sub(lambda m: m[0] + suffix if m[0] in names else m[0], text)
+
+    def encoder(self, slots: Sequence[str], suffix: str = "") -> Tuple[List[str], str]:
+        """Statements that bind every wire field from ``h``, and the
+        ``struct`` arguments."""
+        lines = [f"{n} = h.{n}" for n in self.names if n not in self.computed and n in slots]
+        lines += self.pack
+        return [self.rename(line, suffix) for line in lines], ", ".join(n + suffix for n in self.names)
+
+    def decoder(self, slots: Sequence[str], suffix: str = "") -> List[str]:
+        """Statements that check the bound wire fields and fill ``h``."""
+        lines = list(self.unpack)
+        lines += [f"h.{n} = {n}" for n in self.names if n in slots and n not in self.filled]
+        return [self.rename(line, suffix) for line in lines]
+
+
+def _compile(source: str, namespace: dict, name: str, filename: str = __file__):
+    # Compiled under a source file's name so profiles charge it to its layer.
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
 class Header:
     """Shared base of every fixed-layout header (and trailer).
 
-    A subclass declares its wire fields as ``__slots__``, its size as the
-    class constants ``LENGTH``/``byte_len``, a range-checking ``__init__``,
-    ``pack()`` and ``unpack()``.  The base supplies value equality, a
-    ``repr`` and :meth:`copy`; field values are all immutable (ints,
+    A subclass declares its fields as ``__slots__``, a range-checking
+    ``__init__`` and its wire format as the class constant ``WIRE`` (a
+    :class:`Wire`); the base compiles ``pack``/``unpack`` and
+    ``LENGTH``/``byte_len`` from it, and supplies value equality, a
+    ``repr`` and :meth:`copy`.  Field values are all immutable (ints,
     bools, bytes, addresses), so a slot-for-slot copy is fully independent.
     """
 
@@ -72,9 +150,10 @@ class Header:
     byte_len = 0
     #: Every wire field, in declaration order (inherited slots included).
     _fields: Tuple[str, ...] = ()
+    WIRE: Optional[Wire] = None
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(
+        cls._fields = fields = tuple(
             name
             for base in reversed(cls.__mro__)
             for name in base.__dict__.get("__slots__", ())
@@ -82,14 +161,50 @@ class Header:
         # One straight-line slot-to-slot copy per class (the dataclass
         # technique): a generic getattr/setattr loop costs four times as
         # much, and every packet stamped from a template pays it.
-        body = "".join(f" dup.{name} = self.{name}\n" for name in cls._fields)
-        source = f"def copy(self):\n dup = new(cls)\n{body} return dup"
-        namespace = {"new": _new, "cls": cls}
-        # Compiled under this file's name so profiles charge it to this layer.
-        exec(compile(source, __file__, "exec"), namespace)
-        cls.copy = namespace["copy"]
+        body = "".join(f" dup.{name} = self.{name}\n" for name in fields)
+        cls.copy = _compile(
+            f"def copy(self):\n dup = new(cls)\n{body} return dup", {"new": _new, "cls": cls}, "copy"
+        )
         cls.copy.__qualname__ = f"{cls.__qualname__}.copy"
         cls.copy.__doc__ = "An independent header holding the same field values."
+        wire = cls.__dict__.get("WIRE")
+        if wire is None:
+            return
+        cls.LENGTH = cls.byte_len = size = wire.struct.size
+        namespace = {**wire.env, "S": wire.struct, "new": _new, "error": struct.error}
+        # Charged to the stating module's layer, as a hand-written body was.
+        filename = getattr(sys.modules.get(cls.__module__), "__file__", None) or __file__
+        binds, args = wire.encoder(fields)
+        spill = f" if {wire.spill}: raise h._pack_error()\n" if wire.spill else ""
+        cls.pack = _compile(
+            f"def pack(h):\n{spill}"
+            + "".join(f" {line}\n" for line in binds)
+            + f" try: return S.pack({args})\n"
+            " except error as exc: raise h._pack_error(exc) from None",
+            namespace,
+            "pack",
+            filename,
+        )
+        fills = wire.decoder(fields)
+        if fills == [f"h.{n} = {n}" for n in wire.names]:  # every wire field is a slot
+            fills, targets = [], ", ".join(f"h.{n}" for n in wire.names) + ","
+        else:
+            targets = ", ".join(wire.names) + ","
+        unpack = _compile(
+            "def unpack(cls, data, offset=0):\n"
+            f" if len(data) - offset < {size}: raise HeaderError("
+            f"'short {cls.__name__}: %d bytes' % (len(data) - offset))\n"
+            " h = new(cls)\n"
+            f" {targets} = S.unpack_from(data, offset)\n"
+            + "".join(f" {line}\n" for line in fills)
+            + " return h",
+            namespace,
+            "unpack",
+            filename,
+        )
+        cls.unpack = classmethod(unpack)
+        cls.pack.__qualname__ = f"{cls.__qualname__}.pack"
+        unpack.__qualname__ = f"{cls.__qualname__}.unpack"
 
     def _pack_error(self, cause: Optional[struct.error] = None) -> "HeaderError":
         detail = f": {cause}" if cause is not None else ""
@@ -113,7 +228,13 @@ class EthernetHeader(Header):
     """IEEE 802.3 Ethernet II header (14 bytes, no VLAN tag)."""
 
     __slots__ = ("dst", "src", "ethertype")
-    LENGTH = byte_len = 14
+    WIRE = Wire(
+        "6s6sH",
+        "dst src ethertype",
+        pack=("dst = h.dst.packed", "src = h.src.packed"),
+        unpack=("h.dst = MACS[dst]", "h.src = MACS[src]"),
+        env={"MACS": MACS},
+    )
 
     def __init__(
         self, dst: MacAddress, src: MacAddress, ethertype: int = ETHERTYPE_IPV4
@@ -123,27 +244,6 @@ class EthernetHeader(Header):
         self.dst = MacAddress(dst)
         self.src = MacAddress(src)
         self.ethertype = ethertype
-
-    def pack(self) -> bytes:
-        try:
-            return _ETH_STRUCT.pack(
-                self.dst.to_bytes(), self.src.to_bytes(), self.ethertype
-            )
-        except struct.error as exc:
-            raise self._pack_error(exc) from None
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int = 0) -> "EthernetHeader":
-        if len(data) - offset < cls.LENGTH:
-            raise HeaderError(f"short Ethernet header: {len(data) - offset} bytes")
-        dst, src, ethertype = _ETH_STRUCT.unpack_from(data, offset)
-        # Straight slot fill: every field is width-limited by the wire
-        # format itself, so the constructor's range checks cannot fail.
-        header = _new(cls)
-        header.dst = MacAddress.from_bytes(dst)
-        header.src = MacAddress.from_bytes(src)
-        header.ethertype = ethertype
-        return header
 
 
 def ipv4_checksum(header_bytes: bytes) -> int:
@@ -159,6 +259,17 @@ def ipv4_checksum(header_bytes: bytes) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
+
+
+#: The nine 16-bit words of an IPv4 header other than its checksum, from
+#: the wire fields of :attr:`Ipv4Header.WIRE`, and their RFC 1071 checksum
+#: in one expression: a positive sum folds (end-around carry) to
+#: ``(sum - 1) % 0xFFFF + 1``, and the checksum is its complement.
+_IPV4_SUM = (
+    "(version_ihl << 8 | tos) + total_length + identification + frag + (ttl << 8 | protocol)"
+    " + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)"
+)
+_IPV4_CHECKSUM = f"0xFFFE - ({_IPV4_SUM} - 1) % 0xFFFF"
 
 
 class Ipv4Header(Header):
@@ -180,9 +291,34 @@ class Ipv4Header(Header):
         "flags",
         "fragment_offset",
     )
-    LENGTH = byte_len = 20
     PROTO_UDP = 17
     PROTO_TCP = 6
+    WIRE = Wire(
+        "BBHHHBBHII",
+        "version_ihl tos total_length identification frag ttl protocol checksum src dst",
+        pack=(
+            "version_ihl = 0x45",
+            "tos = h.dscp << 2 | h.ecn",
+            "frag = h.flags << 13 | h.fragment_offset",
+            "src = h.src.value",
+            "dst = h.dst.value",
+            f"checksum = {_IPV4_CHECKSUM}",
+        ),
+        spill="h.ecn >> 2 or h.fragment_offset >> 13",
+        unpack=(
+            "if version_ihl >> 4 != 4: raise HeaderError('not an IPv4 header (version=%d)' % (version_ihl >> 4))",
+            "if version_ihl & 0xF != 5: raise HeaderError('IPv4 options unsupported (ihl=%d)' % (version_ihl & 0xF))",
+            f"expected = {_IPV4_CHECKSUM}",
+            "if checksum != expected: raise HeaderError('bad IPv4 checksum: %#06x != %#06x' % (checksum, expected))",
+            "h.src = IPV4S[src]",
+            "h.dst = IPV4S[dst]",
+            "h.dscp = tos >> 2",
+            "h.ecn = tos & 0x3",
+            "h.flags = frag >> 13",
+            "h.fragment_offset = frag & 0x1FFF",
+        ),
+        env={"IPV4S": IPV4S},
+    )
 
     def __init__(
         self,
@@ -220,91 +356,6 @@ class Ipv4Header(Header):
         self.flags = flags
         self.fragment_offset = fragment_offset
 
-    def pack(self) -> bytes:
-        # The low halves of the two shared words would spill into their
-        # neighbours silently; struct range-checks everything else.
-        if self.ecn >> 2 or self.fragment_offset >> 13:
-            raise self._pack_error()
-        version_ihl = (4 << 4) | 5
-        tos = (self.dscp << 2) | self.ecn
-        flags_frag = (self.flags << 13) | self.fragment_offset
-        src = self.src.value
-        dst = self.dst.value
-        # RFC 1071 checksum computed arithmetically from the fields — no
-        # intermediate zero-checksum serialization.
-        total = (
-            (version_ihl << 8 | tos)
-            + self.total_length
-            + self.identification
-            + flags_frag
-            + (self.ttl << 8 | self.protocol)
-            + (src >> 16)
-            + (src & 0xFFFF)
-            + (dst >> 16)
-            + (dst & 0xFFFF)
-        )
-        # Nine 16-bit words sum below 2**20: two folds always suffice.
-        total = (total & 0xFFFF) + (total >> 16)
-        total = (total & 0xFFFF) + (total >> 16)
-        try:
-            return _IPV4_STRUCT.pack(
-                version_ihl,
-                tos,
-                self.total_length,
-                self.identification,
-                flags_frag,
-                self.ttl,
-                self.protocol,
-                (~total) & 0xFFFF,
-                self.src.to_bytes(),
-                self.dst.to_bytes(),
-            )
-        except struct.error as exc:
-            raise self._pack_error(exc) from None
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int = 0) -> "Ipv4Header":
-        if len(data) - offset < cls.LENGTH:
-            raise HeaderError(f"short IPv4 header: {len(data) - offset} bytes")
-        (
-            version_ihl,
-            tos,
-            total_length,
-            identification,
-            flags_frag,
-            ttl,
-            protocol,
-            checksum,
-            src,
-            dst,
-        ) = _IPV4_STRUCT.unpack_from(data, offset)
-        version = version_ihl >> 4
-        ihl = version_ihl & 0xF
-        if version != 4:
-            raise HeaderError(f"not an IPv4 header (version={version})")
-        if ihl != 5:
-            raise HeaderError(f"IPv4 options unsupported (ihl={ihl})")
-        total = sum(_WORDS_10.unpack_from(data, offset)) - checksum
-        total = (total & 0xFFFF) + (total >> 16)
-        total = (total & 0xFFFF) + (total >> 16)
-        expected = (~total) & 0xFFFF
-        if checksum != expected:
-            raise HeaderError(
-                f"bad IPv4 checksum: {checksum:#06x} != {expected:#06x}"
-            )
-        header = _new(cls)
-        header.src = Ipv4Address.from_bytes(src)
-        header.dst = Ipv4Address.from_bytes(dst)
-        header.protocol = protocol
-        header.total_length = total_length
-        header.ttl = ttl
-        header.dscp = tos >> 2
-        header.ecn = tos & 0x3
-        header.identification = identification
-        header.flags = flags_frag >> 13
-        header.fragment_offset = flags_frag & 0x1FFF
-        return header
-
 
 class UdpHeader(Header):
     """UDP header (8 bytes).
@@ -314,7 +365,7 @@ class UdpHeader(Header):
     """
 
     __slots__ = ("src_port", "dst_port", "length", "checksum")
-    LENGTH = byte_len = 8
+    WIRE = Wire("HHHH", "src_port dst_port length checksum")
 
     def __init__(
         self, src_port: int, dst_port: int, length: int = 8, checksum: int = 0
@@ -331,24 +382,3 @@ class UdpHeader(Header):
         self.dst_port = dst_port
         self.length = length
         self.checksum = checksum
-
-    def pack(self) -> bytes:
-        try:
-            return _UDP_STRUCT.pack(
-                self.src_port, self.dst_port, self.length, self.checksum
-            )
-        except struct.error as exc:
-            raise self._pack_error(exc) from None
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int = 0) -> "UdpHeader":
-        if len(data) - offset < cls.LENGTH:
-            raise HeaderError(f"short UDP header: {len(data) - offset} bytes")
-        header = _new(cls)
-        (
-            header.src_port,
-            header.dst_port,
-            header.length,
-            header.checksum,
-        ) = _UDP_STRUCT.unpack_from(data, offset)
-        return header

@@ -17,7 +17,11 @@ the :class:`Packet` methods that keep the sizes right; and everything
 that depends only on the *sequence of header types* — where the first
 header of a type sits, how many bytes precede each IPv4/UDP length field —
 lives in one :class:`_Layout` shared by every packet of that shape, which
-makes ``find``/``require``/``eth``/``ipv4``/``udp`` a dict lookup.
+makes ``find``/``require``/``eth``/``ipv4``/``udp`` a dict lookup.  The
+layout also owns the byte codec: it compiles its headers'
+:class:`~repro.net.headers.Wire` statements into one frame packer, so a
+frame packs in one ``struct`` call, and :meth:`Packet.parse` reads
+Ethernet/IPv4/UDP with one ``unpack_from``.
 ``clone()`` copies each header slot for slot (field values are all
 immutable) and shares the payload bytes, which is what a switch mirror
 semantically needs at a fraction of the cost of a deep copy.
@@ -27,7 +31,8 @@ from __future__ import annotations
 
 import copy
 import itertools
-from typing import Any, Dict, Iterable, Optional, Tuple, Type, TypeVar
+import struct
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Type, TypeVar
 
 from .headers import (
     ETHERNET_FCS_BYTES,
@@ -38,6 +43,7 @@ from .headers import (
     HeaderError,
     Ipv4Header,
     UdpHeader,
+    _compile,
 )
 
 H = TypeVar("H")
@@ -70,7 +76,7 @@ class _Layout(dict):
     matching costs nothing per packet.
     """
 
-    __slots__ = ("types", "header_len", "length_fields")
+    __slots__ = ("types", "header_len", "length_fields", "pack")
 
     def __init__(self, types: Tuple[type, ...]) -> None:
         self.types = types
@@ -87,6 +93,8 @@ class _Layout(dict):
                 fields.append((index, before, "length"))
             before += header_type.byte_len
         self.length_fields = tuple(fields)
+        #: ``pack(headers, payload, trailers, buffer_len)``: the frame's bytes.
+        self.pack = _frame_packer(types, self.length_fields)
 
     def __missing__(self, header_type: type) -> int:
         index = -1
@@ -96,6 +104,63 @@ class _Layout(dict):
                 break
         self[header_type] = index
         return index
+
+
+def _pack_each(headers: Tuple[Any, ...], payload: bytes, trailers: Tuple[Any, ...], size: int = 0) -> bytes:
+    """The frame packed header by header: what a layout packs when one of
+    its types states no wire format, and how a spill or a failed ``struct``
+    call is redone so that the first bad header raises its own error."""
+    return (
+        b"".join([h.pack() for h in headers])
+        + payload
+        + b"".join([t.pack() for t in trailers])
+    )
+
+
+def _too_long(header: Any, field: str, value: int) -> HeaderError:
+    return HeaderError(
+        f"{type(header).__name__}.{field} cannot hold {value}: the field is 16 bits wide"
+    )
+
+
+def _frame_packer(types: Tuple[type, ...], length_fields: Tuple[Tuple[int, int, str], ...]):
+    """Compile the layout's packer: set the length fields from the size,
+    bind every wire field of every header (the IPv4 checksum arithmetically)
+    and emit the stack in one ``Struct.pack``; payload and trailers follow."""
+    if not types:
+        return _pack_each
+    namespace = {"pack_each": _pack_each, "too_long": _too_long, "error": struct.error}
+    lines = ["def pack(headers, payload, trailers, size):", f" {', '.join(f'h_{i}' for i in range(len(types)))}, = headers"]
+    for index, before, field in length_fields:
+        lines += [
+            f" n = size - {before}",
+            f" if n > 0xFFFF: raise too_long(h_{index}, {field!r}, n)",
+            f" h_{index}.{field} = n",
+        ]
+    wires = [getattr(t, "WIRE", None) for t in types]
+    if None in wires:
+        lines.append(" return pack_each(headers, payload, trailers)")
+        return _compile("\n".join(lines), namespace, "pack", __file__)
+    spills = [f"({w.rename(w.spill, f'_{i}')})" for i, w in enumerate(wires) if w.spill]
+    if spills:
+        lines.append(f" if {' or '.join(spills)}: return pack_each(headers, payload, trailers)")
+    lines.append(" try:")
+    args = []
+    for i, (header_type, wire) in enumerate(zip(types, wires)):
+        namespace.update(wire.env)
+        binds, arg = wire.encoder(header_type._fields, f"_{i}")
+        lines += [f"  {line}" for line in binds]
+        args.append(arg)
+    namespace["S"] = struct.Struct("!" + "".join(w.fmt for w in wires))
+    lines += [
+        f"  head = S.pack({', '.join(args)})",
+        " except error:",
+        "  return pack_each(headers, payload, trailers)",
+        " if trailers:",
+        "  return head + payload + b''.join([t.pack() for t in trailers])",
+        " return head + payload",
+    ]
+    return _compile("\n".join(lines), namespace, "pack", __file__)
 
 
 _layouts: Dict[Tuple[type, ...], _Layout] = {}
@@ -116,10 +181,58 @@ def _layout_of(headers: Tuple[Any, ...]) -> _Layout:
     return packet_layout(*types) if layout is None else layout
 
 
-#: The three shapes :meth:`Packet.parse` decodes.
-_PARSED_ETH = packet_layout(EthernetHeader)
-_PARSED_IP = packet_layout(EthernetHeader, Ipv4Header)
-_PARSED_UDP = packet_layout(EthernetHeader, Ipv4Header, UdpHeader)
+def _frame_decoder():
+    """Compile :meth:`Packet.parse` from the Ethernet, IPv4 and UDP
+    statements: one ``unpack_from`` reads all three (a frame shorter than
+    that is zero-padded first, and ``end`` still marks its real end), each
+    header's checks run only once the stack is known to reach it, and the
+    length rules between them are stated here, once."""
+    types = (EthernetHeader, Ipv4Header, UdpHeader)
+    namespace = {"HeaderError": HeaderError, "new": _new}
+    fills = []
+    for i, header_type in enumerate(types):
+        wire = header_type.WIRE
+        namespace.update(wire.env)
+        namespace[f"T_{i}"] = header_type
+        namespace[f"L_{i}"] = packet_layout(*types[: i + 1])
+        fills.append([f" h_{i} = new(T_{i})"] + [f" {line}" for line in wire.decoder(header_type._fields, f"_{i}")])
+    decoder = struct.Struct("!" + "".join(t.WIRE.fmt for t in types))
+    namespace["S"] = decoder
+    targets = ", ".join(f"{name}_{i}" for i, t in enumerate(types) for name in t.WIRE.names)
+    eth_end, ip_end, size = (sum(t.byte_len for t in types[:depth]) for depth in (1, 2, 3))
+
+    def stamp(depth: int, start: int) -> List[str]:
+        return [
+            f" payload = data[offset + {start}:end]",
+            " if type(payload) is not bytes: payload = bytes(payload)",
+            f" return cls.stamped(L_{depth - 1}, ({''.join(f'h_{i}, ' for i in range(depth))}), payload, (), {start} + len(payload))",
+        ]
+
+    lines = [
+        "def parse(cls, data, offset=0):",
+        " end = len(data)",
+        f" if end - offset < {size}:",
+        f"  if end - offset < {eth_end}: raise HeaderError('short EthernetHeader: %d bytes' % (end - offset))",
+        f"  data = bytes(data[offset:]) + bytes({size} - end + offset)",
+        "  end -= offset",
+        "  offset = 0",
+        f" {targets}, = S.unpack_from(data, offset)",
+        *fills[0],
+        f" if ethertype_0 != {ETHERTYPE_IPV4} or end < offset + {ip_end}:",
+        *[" " + line for line in stamp(1, eth_end)],
+        *fills[1],
+        f" if total_length_1 < {Ipv4Header.byte_len}:",
+        "  raise HeaderError('IPv4 total_length %d is shorter than its header' % total_length_1)",
+        f" if end > offset + {eth_end} + total_length_1: end = offset + {eth_end} + total_length_1",
+        f" if protocol_1 != {Ipv4Header.PROTO_UDP} or end < offset + {size}:",
+        *[" " + line for line in stamp(2, ip_end)],
+        *fills[2],
+        f" room = total_length_1 - {Ipv4Header.byte_len}",
+        f" if length_2 < {UdpHeader.byte_len} or length_2 > room:",
+        "  raise HeaderError('UDP length %d does not fit the IPv4 payload of %d B' % (length_2, room))",
+        *stamp(3, size),
+    ]
+    return _compile("\n".join(lines), namespace, "parse", __file__)
 
 
 class Packet:
@@ -345,43 +458,23 @@ class Packet:
             setattr(header, field, size - before)
 
     def pack(self) -> bytes:
-        """Serialize the packet to bytes (without FCS/preamble/IFG)."""
-        self.fixup_lengths()
-        return (
-            b"".join([h.pack() for h in self._headers])
-            + self._payload
-            + b"".join([t.pack() for t in self._trailers])
-        )
+        """Serialize the packet to bytes (without FCS/preamble/IFG), first
+        making the IPv4/UDP length fields consistent (:meth:`fixup_lengths`)."""
+        return self._layout.pack(self._headers, self._payload, self._trailers, self.buffer_len)
 
-    @classmethod
-    def parse(cls, data: bytes, offset: int = 0) -> "Packet":
-        """Parse Ethernet → IPv4 → UDP from the frame at ``data[offset:]``.
+    parse = classmethod(_frame_decoder())
+    parse.__func__.__doc__ = """Parse Ethernet → IPv4 → UDP from the frame at ``data[offset:]``.
 
-        Decoded in place: the headers are unpacked at the running offset
-        and the only bytes copied are the payload's.  Anything below UDP
-        (or a non-IPv4/non-UDP stack) is kept as opaque payload; protocol
-        modules such as :mod:`repro.rdma.headers` provide their own
-        continuation parsers over that payload.
+        Decoded in place (``bytes``, ``bytearray`` or ``memoryview``): the
+        only bytes copied are the payload's.  Anything below UDP (or a
+        non-IPv4/non-UDP stack) is kept as opaque payload; protocol modules
+        such as :mod:`repro.rdma.headers` provide their own continuation
+        parsers over that payload.  The IPv4 length bounds the payload
+        (Ethernet padding, or the stale tail of a reused ring slot, is not
+        the packet's) and must cover the IPv4 header; a UDP length must
+        cover the UDP header and fit the IPv4 payload.  Anything else raises
+        :class:`HeaderError`.
         """
-        end = len(data)
-        eth = EthernetHeader.unpack(data, offset)
-        offset += EthernetHeader.LENGTH
-        headers, layout = (eth,), _PARSED_ETH
-        if eth.ethertype == ETHERTYPE_IPV4 and end >= offset + Ipv4Header.LENGTH:
-            ip = Ipv4Header.unpack(data, offset)
-            headers, layout = (eth, ip), _PARSED_IP
-            # Honour the IP length: Ethernet frames may carry padding (or,
-            # for packets read back from a reused ring-buffer slot, stale
-            # bytes of a previous longer frame).
-            end = min(end, offset + ip.total_length)
-            offset += Ipv4Header.LENGTH
-            if ip.protocol == Ipv4Header.PROTO_UDP and end >= offset + UdpHeader.LENGTH:
-                headers, layout = (eth, ip, UdpHeader.unpack(data, offset)), _PARSED_UDP
-                offset += UdpHeader.LENGTH
-        payload = data[offset:end]
-        if type(payload) is not bytes:
-            payload = bytes(payload)
-        return cls.stamped(layout, headers, payload, (), layout.header_len + len(payload))
 
     # -- copying -----------------------------------------------------------------
 

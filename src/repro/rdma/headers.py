@@ -8,30 +8,18 @@ round-trip byte-exactly.  Sizes match the paper's overhead analysis: BTH is
 
 Like the L2/L3 codecs in :mod:`repro.net.headers`, every header here is a
 fixed-layout :class:`~repro.net.headers.Header`: ``__slots__`` fields, a
-range-checking constructor, a class-constant ``byte_len`` and a ``pack()``
-that serialises the current field values through a module-level
-precompiled :class:`struct.Struct`.
+range-checking constructor and one :class:`~repro.net.headers.Wire`
+statement from which ``pack``/``unpack`` and ``byte_len`` are compiled.
 """
 
 from __future__ import annotations
 
-import struct
 import zlib
 from typing import Dict, Optional, Tuple
 
-from ..net.headers import Header, HeaderError
+from ..net.headers import Header, HeaderError, Wire
 from ..net.packet import Packet
 from .constants import Opcode
-
-# Precompiled wire formats (struct.Struct avoids per-call format parsing).
-_GRH_STRUCT = struct.Struct("!IHBB16s16s")
-_BTH_STRUCT = struct.Struct("!BBHII")
-_RETH_STRUCT = struct.Struct("!QII")
-_ATOMIC_ETH_STRUCT = struct.Struct("!QIQQ")
-_U32_STRUCT = struct.Struct("!I")
-_U64_STRUCT = struct.Struct("!Q")
-
-_new = object.__new__
 
 
 class GrhHeader(Header):
@@ -52,7 +40,18 @@ class GrhHeader(Header):
         "traffic_class",
         "flow_label",
     )
-    LENGTH = byte_len = 40
+    WIRE = Wire(
+        "IHBB16s16s",
+        "word0 payload_length next_header hop_limit src_gid dst_gid",
+        pack=("word0 = 6 << 28 | h.traffic_class << 20 | h.flow_label",),
+        # ``16s`` would pad a short GID silently.
+        spill="h.traffic_class >> 8 or h.flow_label >> 20 or len(h.src_gid) != 16 or len(h.dst_gid) != 16",
+        unpack=(
+            "if word0 >> 28 != 6: raise HeaderError('bad GRH IP version: %d' % (word0 >> 28))",
+            "h.traffic_class = word0 >> 20 & 0xFF",
+            "h.flow_label = word0 & 0xFFFFF",
+        ),
+    )
 
     def __init__(
         self,
@@ -78,50 +77,6 @@ class GrhHeader(Header):
         self.traffic_class = traffic_class
         self.flow_label = flow_label
 
-    def pack(self) -> bytes:
-        # Fields narrower than their word would spill into a neighbour;
-        # struct range-checks the full-width ones.
-        if (
-            self.traffic_class >> 8
-            or self.flow_label >> 20
-            or len(self.src_gid) != 16
-            or len(self.dst_gid) != 16
-        ):
-            raise self._pack_error()
-        word0 = (6 << 28) | (self.traffic_class << 20) | self.flow_label
-        try:
-            return _GRH_STRUCT.pack(
-                word0,
-                self.payload_length,
-                self.next_header,
-                self.hop_limit,
-                self.src_gid,
-                self.dst_gid,
-            )
-        except struct.error as exc:
-            raise self._pack_error(exc) from None
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "GrhHeader":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short GRH: {len(data)} bytes")
-        word0, payload_length, next_header, hop_limit, src_gid, dst_gid = (
-            _GRH_STRUCT.unpack_from(data)
-        )
-        if word0 >> 28 != 6:
-            raise HeaderError(f"bad GRH IP version: {word0 >> 28}")
-        # Straight slot fill: every field is width-limited by the wire
-        # format itself (the same pattern as repro.net.headers).
-        header = _new(cls)
-        header.src_gid = src_gid
-        header.dst_gid = dst_gid
-        header.payload_length = payload_length
-        header.next_header = next_header
-        header.hop_limit = hop_limit
-        header.traffic_class = (word0 >> 20) & 0xFF
-        header.flow_label = word0 & 0xFFFFF
-        return header
-
 
 def gid_from_ipv4(ip) -> bytes:
     """Build an IPv4-mapped GID (::ffff:a.b.c.d), as RoCEv1 NICs do."""
@@ -141,7 +96,25 @@ class BthHeader(Header):
         "pad_count",
         "partition_key",
     )
-    LENGTH = byte_len = 12
+    WIRE = Wire(
+        # The high byte of ``dest_qp``'s word is reserved; the transport
+        # header version is 0 in the low nibble of ``flags``.
+        "BBHII",
+        "opcode flags partition_key dest_qp word3",
+        pack=(
+            "flags = (0x80 if h.solicited_event else 0) | (0x40 if h.migration_request else 0) | h.pad_count << 4",
+            "word3 = (0x80000000 if h.ack_request else 0) | h.psn",
+        ),
+        spill="h.pad_count >> 2 or h.dest_qp >> 24 or h.psn >> 24",
+        unpack=(
+            "h.dest_qp = dest_qp & 0xFFFFFF",
+            "h.psn = word3 & 0xFFFFFF",
+            "h.ack_request = word3 >= 0x80000000",
+            "h.solicited_event = flags & 0x80 != 0",
+            "h.migration_request = flags & 0x40 != 0",
+            "h.pad_count = flags >> 4 & 0x3",
+        ),
+    )
 
     def __init__(
         self,
@@ -173,49 +146,12 @@ class BthHeader(Header):
         self.pad_count = pad_count
         self.partition_key = partition_key
 
-    def pack(self) -> bytes:
-        # The 24-bit fields share a word with reserved/flag bits.
-        if self.pad_count >> 2 or self.dest_qp >> 24 or self.psn >> 24:
-            raise self._pack_error()
-        flags = (
-            (bool(self.solicited_event) << 7)
-            | (bool(self.migration_request) << 6)
-            | (self.pad_count << 4)
-            # transport header version = 0 in low nibble
-        )
-        try:
-            return _BTH_STRUCT.pack(
-                self.opcode,
-                flags,
-                self.partition_key,
-                self.dest_qp,  # high byte reserved
-                (bool(self.ack_request) << 31) | self.psn,
-            )
-        except struct.error as exc:
-            raise self._pack_error(exc) from None
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "BthHeader":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short BTH: {len(data)} bytes")
-        opcode, flags, pkey, word2, word3 = _BTH_STRUCT.unpack_from(data)
-        header = _new(cls)
-        header.opcode = opcode
-        header.dest_qp = word2 & 0x00FFFFFF
-        header.psn = word3 & 0x00FFFFFF
-        header.ack_request = bool(word3 >> 31)
-        header.solicited_event = bool(flags >> 7 & 1)
-        header.migration_request = bool(flags >> 6 & 1)
-        header.pad_count = (flags >> 4) & 0x3
-        header.partition_key = pkey
-        return header
-
 
 class RethHeader(Header):
     """RDMA Extended Transport Header (16 bytes) — WRITE and READ requests."""
 
     __slots__ = ("virtual_address", "rkey", "dma_length")
-    LENGTH = byte_len = 16
+    WIRE = Wire("QII", "virtual_address rkey dma_length")
 
     def __init__(self, virtual_address: int, rkey: int, dma_length: int) -> None:
         if not 0 <= virtual_address < (1 << 64):
@@ -228,28 +164,12 @@ class RethHeader(Header):
         self.rkey = rkey
         self.dma_length = dma_length
 
-    def pack(self) -> bytes:
-        try:
-            return _RETH_STRUCT.pack(self.virtual_address, self.rkey, self.dma_length)
-        except struct.error as exc:
-            raise self._pack_error(exc) from None
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "RethHeader":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short RETH: {len(data)} bytes")
-        header = _new(cls)
-        header.virtual_address, header.rkey, header.dma_length = (
-            _RETH_STRUCT.unpack_from(data)
-        )
-        return header
-
 
 class AtomicEthHeader(Header):
     """Atomic Extended Transport Header (28 bytes) — Fetch-and-Add / CAS."""
 
     __slots__ = ("virtual_address", "rkey", "swap_add", "compare")
-    LENGTH = byte_len = 28
+    WIRE = Wire("QIQQ", "virtual_address rkey swap_add compare")
 
     def __init__(
         self, virtual_address: int, rkey: int, swap_add: int, compare: int = 0
@@ -267,33 +187,18 @@ class AtomicEthHeader(Header):
         self.swap_add = swap_add
         self.compare = compare
 
-    def pack(self) -> bytes:
-        try:
-            return _ATOMIC_ETH_STRUCT.pack(
-                self.virtual_address, self.rkey, self.swap_add, self.compare
-            )
-        except struct.error as exc:
-            raise self._pack_error(exc) from None
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "AtomicEthHeader":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short AtomicETH: {len(data)} bytes")
-        header = _new(cls)
-        (
-            header.virtual_address,
-            header.rkey,
-            header.swap_add,
-            header.compare,
-        ) = _ATOMIC_ETH_STRUCT.unpack_from(data)
-        return header
-
 
 class AethHeader(Header):
     """ACK Extended Transport Header (4 bytes) — responses and ACK/NAK."""
 
     __slots__ = ("syndrome", "msn")
-    LENGTH = byte_len = 4
+    WIRE = Wire(
+        "I",
+        "word",
+        pack=("word = h.syndrome << 24 | h.msn",),
+        spill="h.msn >> 24",
+        unpack=("h.syndrome = word >> 24", "h.msn = word & 0xFFFFFF"),
+    )
 
     def __init__(self, syndrome: int, msn: int = 0) -> None:
         if not 0 <= syndrome <= 0xFF:
@@ -303,49 +208,17 @@ class AethHeader(Header):
         self.syndrome = syndrome
         self.msn = msn
 
-    def pack(self) -> bytes:
-        if self.msn >> 24:
-            raise self._pack_error()
-        try:
-            return _U32_STRUCT.pack((self.syndrome << 24) | self.msn)
-        except struct.error as exc:
-            raise self._pack_error(exc) from None
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "AethHeader":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short AETH: {len(data)} bytes")
-        (word,) = _U32_STRUCT.unpack_from(data)
-        header = _new(cls)
-        header.syndrome = word >> 24
-        header.msn = word & 0x00FFFFFF
-        return header
-
 
 class AtomicAckEthHeader(Header):
     """Atomic ACK ETH (8 bytes): the value read before the atomic applied."""
 
     __slots__ = ("original_data",)
-    LENGTH = byte_len = 8
+    WIRE = Wire("Q", "original_data")
 
     def __init__(self, original_data: int) -> None:
         if not 0 <= original_data < (1 << 64):
             raise HeaderError(f"AtomicAckETH data out of range: {original_data}")
         self.original_data = original_data
-
-    def pack(self) -> bytes:
-        try:
-            return _U64_STRUCT.pack(self.original_data)
-        except struct.error as exc:
-            raise self._pack_error(exc) from None
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "AtomicAckEthHeader":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short AtomicAckETH: {len(data)} bytes")
-        header = _new(cls)
-        (header.original_data,) = _U64_STRUCT.unpack_from(data)
-        return header
 
 
 class IcrcTrailer(Header):
@@ -357,21 +230,10 @@ class IcrcTrailer(Header):
     """
 
     __slots__ = ("value",)
-    LENGTH = byte_len = 4
+    WIRE = Wire("I", "value", pack=("value = h.value & 0xFFFFFFFF",))
 
     def __init__(self, value: int = 0) -> None:
         self.value = value
-
-    def pack(self) -> bytes:
-        return _U32_STRUCT.pack(self.value & 0xFFFFFFFF)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "IcrcTrailer":
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short ICRC: {len(data)} bytes")
-        trailer = _new(cls)
-        (trailer.value,) = _U32_STRUCT.unpack_from(data)
-        return trailer
 
     @classmethod
     def compute(cls, roce_bytes: bytes) -> "IcrcTrailer":
@@ -421,12 +283,13 @@ def parse_roce(
     headers = [bth]
     offset = BthHeader.LENGTH
     for ext_type in _EXTENSIONS_BY_RAW_OPCODE.get(bth.opcode, ()):
-        headers.append(ext_type.unpack(data[offset:]))
+        headers.append(ext_type.unpack(data, offset))
         offset += ext_type.LENGTH
-    if len(data) < offset + IcrcTrailer.LENGTH:
+    end = len(data) - IcrcTrailer.LENGTH
+    if end < offset:
         raise HeaderError("RoCE packet too short for ICRC trailer")
-    payload = data[offset : len(data) - IcrcTrailer.LENGTH]
-    icrc = IcrcTrailer.unpack(data[len(data) - IcrcTrailer.LENGTH :])
+    payload = data[offset:end]
+    icrc = IcrcTrailer.unpack(data, end)
     return tuple(headers), payload, icrc
 
 

@@ -54,6 +54,12 @@ STATE_STORE_CALLS_PER_OP = 9
 #: (PR 24; measured 17, was 34).
 LOOKUP_CALLS_PER_MISS = 18
 
+#: Calls, C functions included, per ``Packet.parse(packet.pack())`` of one
+#: 128 B Eth/IPv4/UDP frame (measured 13: one ``struct`` call each way,
+#: the three headers' slots filled inline; was 71, eleven header-by-header
+#: ``pack``/``unpack`` calls and four address constructions).
+CODEC_CALLS_PER_FRAME = 15
+
 # -- tier-1 guards: bytes, not calls ------------------------------------------------------
 # tracemalloc counts taken with the collector off (``retained``): they repeat
 # exactly on any machine running one CPython version.
@@ -111,6 +117,10 @@ BENCH_BUDGETS = {
     # A bounced lookup in the generator, the sharded front and the table
     # (22 measured; was 39).
     "bounced lookup": ("lookup_miss_x4", ("core.lookup", "cluster", "workloads"), 24),
+    # The packet model per bounced lookup, the bounce's one-``struct`` pack
+    # and parse included (51.1 measured at --quick, 51.0 traced at full
+    # scale; was 71.0 with the header-by-header codecs).
+    "bounce codec": ("lookup_miss_x4", ("net.model",), 53),
 }
 
 

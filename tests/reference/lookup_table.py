@@ -129,6 +129,10 @@ class ReferenceLookupTable(RemoteLookupTable):
         return False
 
     def _remote_lookup(self, ctx: PipelineContext, packet: Packet, flow: FiveTuple) -> None:
+        if self.config.mode == "bounce" and packet.buffer_len > self.config.packet_slot_bytes:
+            self._m_lookups_lost.inc()
+            ctx.drop()
+            return
         self._m_remote_lookups.inc()
         index = self.index_of(flow)
         gen, address, block = self._locate(index)
@@ -146,12 +150,6 @@ class ReferenceLookupTable(RemoteLookupTable):
         }
         if self.config.mode == "bounce":
             frame = packet.pack()
-            slot_space = self.config.packet_slot_bytes
-            if len(frame) > slot_space:
-                raise ValueError(
-                    f"packet of {len(frame)} B exceeds the "
-                    f"{slot_space} B packet slot"
-                )
             gen.write(address + action_bytes, frame)
             request = gen.read(address, action_bytes + len(frame))
         else:

@@ -443,3 +443,22 @@ class TestRecirculateMode:
         bounce_bytes = table_b.rocegen.metrics["request_wire_bytes"]
         recirc_bytes = table_r.rocegen.metrics["request_wire_bytes"]
         assert recirc_bytes < bounce_bytes
+
+
+def test_a_frame_larger_than_the_packet_slot_is_dropped_as_a_lost_lookup():
+    """A frame the entry's slot cannot hold is dropped in the pipeline:
+    counted lost, no request issued, and ``sim.run()`` does not raise."""
+    tb, program, table, channel = build(
+        LookupTableConfig(entries=1 << 10, cache_entries=64, packet_slot_bytes=256)
+    )
+    _, received = send_flow_packet(tb, size=1000)
+    tb.sim.run()
+    assert received == []
+    assert table.metrics["lookups_lost"] == 1
+    assert table.metrics["remote_lookups"] == 0
+    assert table.rocegen.metrics["writes_issued"] == table.rocegen.metrics["reads_issued"] == 0
+    # A frame that fits still bounces, one READ for its one miss.
+    send_flow_packet(tb, size=200)
+    tb.sim.run()
+    assert table.metrics["remote_lookups"] == 1
+    assert table.rocegen.metrics["reads_issued"] == 1
