@@ -9,7 +9,8 @@ HotNets 2018 (Kim, Zhu, Kim, Lee, Seshan).  The package provides:
 * the motivating applications, baselines, workloads and experiment
   harnesses that regenerate every table and figure in the paper.
 
-Start with :mod:`repro.experiments` or the ``examples/`` scripts.
+Start with ``examples/quickstart.py``; every experiment in
+:mod:`repro.experiments` runs, checked, as ``repro-experiments <name> --quick``.
 """
 
 __version__ = "0.1.0"

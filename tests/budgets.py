@@ -85,10 +85,20 @@ SOURCE_BYTES_PER_SENT_PACKET = 1
 #: and 3.12 values are unmeasured.
 RING_BYTES_PER_ENTRY = 360
 #: Bytes a buffer over a 2**20-entry ring keeps, constructor included,
-#: once it stores 100 frames (measured 51 851 on 3.11; 65 548 with the
-#: per-entry dict).  Bookkeeping grows with occupancy, never capacity:
+#: once it stores 100 frames (measured 51 899 on 3.11; 51 851 when a
+#: page's first write committed all of it, 65 548 with the per-entry
+#: dict).  Bookkeeping grows with occupancy, never capacity:
 #: slot columns sized to the ring would take 19 MiB.
 SPARSE_RING_BYTES = 64 * 1024
+
+#: Remote host bytes (``region.resident_bytes``) per touched bucket pair of
+#: a 4 096-slot cuckoo table with the default 1 600 B packet slot, once
+#: 1 000 flows are installed and one 128 B frame per flow has bounced off
+#: it (measured 448: the 256 B an install and a bounce write, 1.75
+#: sub-chunks of 256 B on average; was 1 728, the whole pair, when a first
+#: write committed the whole 4 KiB page).  A count, not a trace: it
+#: repeats exactly on any machine.
+REMOTE_BYTES_PER_LOOKUP_PAIR = 512
 
 # -- tier-1 guard: the kernel's near heap -------------------------------------------------
 

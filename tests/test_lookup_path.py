@@ -18,7 +18,9 @@ Four angles:
       table, no cyclic garbage;
 (iv)  the regression that rode along: a READ response shorter than the
       action field is a counted loss, not a ``struct.error`` out of
-      ``sim.run()``.
+      ``sim.run()``;
+(v)   the byte guard — remote host memory per touched bucket pair holds
+      what installs and bounces wrote, not the pair's pages.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from repro.sim.rng import SeedSequence
 from repro.sim.units import usec
 from repro.workloads.factory import stamp_ports, udp_between
 
-from .budgets import LOOKUP_CALLS_PER_MISS, profiled
+from .budgets import LOOKUP_CALLS_PER_MISS, REMOTE_BYTES_PER_LOOKUP_PAIR, profiled
 from .reference import (
     ReferenceLookupTable,
     ReferenceShardedLookup,
@@ -544,3 +546,36 @@ def test_a_read_response_shorter_than_the_action_field_is_a_lost_lookup(layout):
     tb.hosts[0].send(udp_between(tb.hosts[0], tb.hosts[1], 128, src_port=5000, dst_port=6000))
     tb.sim.run()
     assert table.metrics["remote_hits"] == 1 and [r[3] for r in tb.delivered] == [7]
+
+
+# -- (v) remote bytes per bucket pair ---------------------------------------------------------
+
+
+def _remote_bytes_per_pair(flows: int) -> float:
+    """Install *flows* flows into a cuckoo table with the default packet
+    slot, bounce one 128 B frame per flow, and divide the region's resident
+    bytes by the bucket pairs holding any non-zero byte."""
+    tb = rig()
+    config = LookupTableConfig(entries=1 << 12, cache_entries=0, layout="cuckoo", hash_seed=1)
+    channel = tb.controller.open_channel(tb.memory_server, tb.server_port, config.region_bytes)
+    table = RemoteLookupTable(tb.switch, channel, config=config)
+    tb.program.use_lookup_table(table)
+    for i in range(flows):
+        packet = udp_between(tb.hosts[0], tb.hosts[1], 128, src_port=5000 + i, dst_port=6000)
+        table.install(FiveTuple.of(packet), RemoteAction(ACTION_SET_DSCP, i % 64))
+        tb.sim.schedule_at(1_000.0 * i, tb.hosts[0].send, packet)
+    tb.sim.run()
+    assert len(tb.delivered) == table.metrics["remote_hits"] == flows
+    region, pair = channel.region, config.pair_bytes
+    touched = sum(
+        any(region.read(channel.base_address + i * pair, pair)) for i in range(config.pairs)
+    )
+    return region.resident_bytes / touched
+
+
+def test_remote_memory_holds_what_a_lookup_pair_was_written():
+    per_pair = _remote_bytes_per_pair(1000)
+    assert per_pair == _remote_bytes_per_pair(1000), "the count must repeat exactly"
+    assert 0 < per_pair <= REMOTE_BYTES_PER_LOOKUP_PAIR, (
+        f"{per_pair:.0f} resident bytes per touched bucket pair"
+    )

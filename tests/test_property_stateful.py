@@ -7,6 +7,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 
@@ -20,27 +21,74 @@ class SparseBufferMachine(RuleBasedStateMachine):
     """SparseBuffer must behave exactly like a plain bytearray."""
 
     SIZE = 2000
+    PAGE = 128
+    SUB = PAGE // 16
+    PAGES = -(-SIZE // PAGE)
 
     @initialize()
     def setup(self):
-        self.buffer = SparseBuffer(self.SIZE, page_size=64)
+        self.buffer = SparseBuffer(self.SIZE, page_size=self.PAGE)
         self.reference = bytearray(self.SIZE)
+
+    def _write(self, offset, data):
+        self.buffer.write(offset, data)
+        self.reference[offset : offset + len(data)] = data
+
+    def _same(self, offset, size):
+        assert self.buffer.read(offset, size) == bytes(
+            self.reference[offset : offset + size]
+        )
+
+    def _kind(self, page):
+        if page in self.buffer._pages:
+            return "full"
+        return "sparse" if page in self.buffer._sparse else "absent"
 
     @rule(
         offset=st.integers(0, SIZE - 1),
         data=st.binary(min_size=0, max_size=300),
     )
     def write(self, offset, data):
-        data = data[: self.SIZE - offset]
-        self.buffer.write(offset, data)
-        self.reference[offset : offset + len(data)] = data
+        self._write(offset, data[: self.SIZE - offset])
 
     @rule(offset=st.integers(0, SIZE - 1), size=st.integers(0, 300))
     def read(self, offset, size):
-        size = min(size, self.SIZE - offset)
-        assert self.buffer.read(offset, size) == bytes(
-            self.reference[offset : offset + size]
+        self._same(offset, min(size, self.SIZE - offset))
+
+    @rule(page=st.integers(0, PAGES - 2), order=st.permutations(range(16)))
+    def promotion_across_half_full_keeps_every_byte(self, page, order):
+        """One byte into each sub-chunk in *order* until the page is full:
+        insertions land between present sub-chunks, then the promotion."""
+        base = page * self.PAGE
+        for step, sub_chunk in enumerate(order):
+            if self._kind(page) == "full":
+                break
+            self._write(base + sub_chunk * self.SUB + step % self.SUB, bytes([step + 1]))
+            self._same(base, self.PAGE)
+        assert self._kind(page) == "full"
+        self._same(0, self.SIZE)
+
+    @precondition(
+        lambda self: any(
+            self._kind(p) == "absent" and self._kind(p + 1) != "full"
+            for p in range(self.PAGES - 3)
         )
+    )
+    @rule(data=st.data())
+    def read_straddles_absent_sparse_and_full_pages(self, data):
+        page = data.draw(st.sampled_from([
+            p for p in range(self.PAGES - 3)
+            if self._kind(p) == "absent" and self._kind(p + 1) != "full"
+        ]))
+        # Page + 1 gets (or keeps) its first present sub-chunk only; page + 2
+        # is filled to half, so promoted.
+        sparse = self.buffer._sparse.get(page + 1, (1, None))[0]
+        at = (page + 1) * self.PAGE + (sparse & -sparse).bit_length() * self.SUB - self.SUB
+        self._write(at, data.draw(st.binary(min_size=1, max_size=self.SUB)))
+        for j in range(8):
+            self._write((page + 2) * self.PAGE + j * self.SUB, bytes([j + 1]))
+        assert [self._kind(p) for p in range(page, page + 3)] == ["absent", "sparse", "full"]
+        self._same(page * self.PAGE + 3, 2 * self.PAGE + 5)
 
     @rule(offset=st.integers(SIZE, SIZE + 100), size=st.integers(1, 10))
     def out_of_range_read_rejected(self, offset, size):
@@ -49,7 +97,7 @@ class SparseBufferMachine(RuleBasedStateMachine):
 
     @invariant()
     def residency_bounded(self):
-        assert self.buffer.resident_bytes <= self.SIZE + 64
+        assert self.buffer.resident_bytes <= self.SIZE + self.PAGE
 
 
 TestSparseBufferModel = SparseBufferMachine.TestCase

@@ -10,6 +10,7 @@ from repro.rdma.memory import (
     MemoryAccessError,
     MemoryRegion,
     SparseBuffer,
+    _POPCOUNT,
 )
 from repro.sim.units import gib, mib
 
@@ -26,10 +27,10 @@ class TestSparseBuffer:
         assert buf.read(4999, 7) == b"\x00hello\x00"
 
     def test_write_spanning_pages(self):
-        buf = SparseBuffer(1024, page_size=16)
-        data = bytes(range(64))
-        buf.write(8, data)
-        assert buf.read(8, 64) == data
+        buf = SparseBuffer(1024, page_size=128)
+        data = bytes(range(256))
+        buf.write(100, data)
+        assert buf.read(100, 256) == data
 
     def test_out_of_range_rejected(self):
         buf = SparseBuffer(100)
@@ -43,14 +44,40 @@ class TestSparseBuffer:
     def test_sparse_residency(self):
         buf = SparseBuffer(gib(10), page_size=4096)
         buf.write(gib(5), b"x")
-        assert buf.resident_bytes == 4096  # one page, not 10 GiB
+        assert buf.resident_bytes == 256  # one sub-chunk, not a page or 10 GiB
+        buf.write(gib(5) + 3 * 256, bytes(2 * 256))  # two more, not adjacent
+        assert buf.resident_bytes == 3 * 256
+        buf.write(gib(5) + 8 * 256, bytes(5 * 256))  # half the page: promoted
+        assert buf.resident_bytes == 4096
+        assert buf.read(gib(5), 1) == b"x"
+
+    @pytest.mark.parametrize("page_size", [0, 64, 4000])
+    def test_page_size_is_a_multiple_of_128(self, page_size):
+        with pytest.raises(ValueError):
+            SparseBuffer(4096, page_size=page_size)
+
+    def test_held_pages_carry_no_growth_slack(self):
+        """``resident_bytes`` counts lengths, so every held ``bytearray``
+        must be allocated to its exact length (plus CPython's NUL byte)."""
+        for page_size in (128, 4096):
+            buf = SparseBuffer(page_size, page_size=page_size)
+            sub = page_size // 16
+            for j in range(0, 16, 2):  # one sub-chunk at a time, up to promotion
+                buf.write(j * sub + 1, b"\xff")
+                pages = list(buf._pages.values()) + [c for _, c in buf._sparse.values()]
+                assert [p.__alloc__() for p in pages] == [len(p) + 1 for p in pages]
+            assert buf.resident_bytes == page_size
+
+    def test_popcount_table_counts_every_mask(self):
+        assert len(_POPCOUNT) == 1 << 16
+        assert all(_POPCOUNT[m] == bin(m).count("1") for m in range(1 << 16))
 
     @given(
         offset=st.integers(0, 900),
         data=st.binary(min_size=0, max_size=100),
     )
     def test_round_trip_property(self, offset, data):
-        buf = SparseBuffer(1000, page_size=64)
+        buf = SparseBuffer(1000, page_size=128)
         buf.write(offset, data)
         assert buf.read(offset, len(data)) == data
 
@@ -148,6 +175,24 @@ class TestDram:
         a = dram.register(1000)
         b = dram.register(1000)
         assert a.end_address <= b.base_address
+
+    def test_va_alignment_is_the_server_page(self):
+        dram = Dram(mib(64))
+        a = dram.register(1000)
+        b = dram.register(4097)
+        c = dram.register(1)
+        assert (b.base_address - a.base_address, c.base_address - b.base_address) == (4096, 8192)
+
+    @pytest.mark.parametrize("refused", [{"tier": "nvme"}, {"length": -1}])
+    def test_a_refused_register_draws_no_rkey(self, refused):
+        clean, refusing = Dram(mib(64)), Dram(mib(64))
+        clean.register(4096)
+        refusing.register(4096)
+        with pytest.raises(ValueError):
+            refusing.register(**{"length": 4096, **refused})
+        after, expected = refusing.register(4096), clean.register(4096)
+        assert (after.rkey, after.base_address) == (expected.rkey, expected.base_address)
+        assert after.rkey == 0x1001
 
     def test_rkeys_unique(self):
         dram = Dram(mib(64))

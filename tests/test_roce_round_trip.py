@@ -4,7 +4,7 @@ Five groups, one per mechanism of the budgeted round trip (DESIGN.md §5.1):
 
 (i)   ``SparseBuffer`` against a flat ``bytearray`` — single-slice accesses,
       page-straddling ones and the in-place word add give the same bytes
-      and touch the same pages;
+      and hold the written sub-chunks, or the page once half is written;
 (ii)  every builder against header-by-header assembly with the checked
       constructors (the reference of ``test_packet_model.py``, extended to
       explicit PSNs and every syndrome), caller-supplied fields still
@@ -79,12 +79,23 @@ _ops = st.one_of(
 )
 
 
-def _pages(offset: int, size: int, page_size: int) -> set:
-    return set(range(offset // page_size, (offset + size - 1) // page_size + 1)) if size else set()
+def _sub_chunks(offset: int, size: int, page_size: int) -> set:
+    sub = page_size // 16
+    return set(range(offset // sub, (offset + size - 1) // sub + 1)) if size else set()
+
+
+def _held(touched: set, page_size: int) -> int:
+    """Promoted pages x page plus present sub-chunks x sub-chunk: a page is
+    promoted once 8 of its 16 sub-chunks have been written."""
+    per_page: dict = {}
+    for chunk in touched:
+        per_page[chunk // 16] = per_page.get(chunk // 16, 0) + 1
+    sub = page_size // 16
+    return sum(page_size if count >= 8 else count * sub for count in per_page.values())
 
 
 @settings(max_examples=120, deadline=None)
-@given(page_size=st.sampled_from([64, 4096]), ops=st.lists(_ops, max_size=25))
+@given(page_size=st.sampled_from([128, 4096]), ops=st.lists(_ops, max_size=25))
 def test_sparse_buffer_matches_a_flat_bytearray(page_size, ops):
     buffer = SparseBuffer(LENGTH, page_size=page_size)
     flat = bytearray(LENGTH)
@@ -103,7 +114,7 @@ def test_sparse_buffer_matches_a_flat_bytearray(page_size, ops):
         if kind == "write":
             buffer.write(offset, arg)
             flat[offset : offset + size] = arg
-            touched |= _pages(offset, size, page_size)
+            touched |= _sub_chunks(offset, size, page_size)
         elif kind == "read":
             got = buffer.read(offset, size)
             assert type(got) is bytes and got == bytes(flat[offset : offset + size])
@@ -111,10 +122,10 @@ def test_sparse_buffer_matches_a_flat_bytearray(page_size, ops):
             before = int.from_bytes(flat[offset : offset + 8], "big")
             assert buffer.fetch_add(offset, arg) == before
             flat[offset : offset + 8] = ((before + arg) % (1 << 64)).to_bytes(8, "big")
-            touched |= _pages(offset, 8, page_size)
-    # Reads (untouched pages included) never make a page resident.
+            touched |= _sub_chunks(offset, 8, page_size)
+    # Reads (untouched pages included) never make a sub-chunk resident.
     assert buffer.read(0, LENGTH) == bytes(flat)
-    assert buffer.resident_bytes == len(touched) * page_size
+    assert buffer.resident_bytes == _held(touched, page_size)
 
 
 def test_rkeys_are_a_per_server_namespace():
