@@ -34,7 +34,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..cluster.pool import MemoryPool, PoolMember
 from ..cluster.replicated_store import ReplicatedStateStore
@@ -43,6 +43,7 @@ from ..core.lookup_table import (
     RemoteAction,
     RemoteLookupTable,
 )
+from ..cuckoo.layout import CuckooFullError
 from ..net.addresses import Ipv4Address, MacAddress
 from ..net.headers import EthernetHeader, Ipv4Header
 from ..net.packet import Packet
@@ -91,16 +92,20 @@ class Backend:
         return RemoteAction(ACTION_SET_DST_IP, self.pip.value)
 
 
-@dataclass(frozen=True)
-class MigrationRecord:
-    """One journal entry: a connection re-pointed between backends."""
+class MigrationRecord(NamedTuple):
+    """One journal entry: a connection re-pointed between backends (a
+    named tuple: no per-record ``__dict__``)."""
 
     time_ns: float
     flow: FiveTuple
+    #: The backend it left ("" if it had none).
     source: str
     target: str
     #: "drain" (controller-ordered graceful move) or "kill" (failover).
     reason: str
+    #: The same connection's previous record (``None`` on its first
+    #: migration): the journal carries each connection's history.
+    prior: Optional["MigrationRecord"] = None
 
 
 @dataclass
@@ -108,6 +113,9 @@ class L4LbStats:
     """Control-plane counters for one controller's lifetime."""
 
     connections_admitted: int = 0
+    #: Admissions the connection table had no room for (the cuckoo insert
+    #: failed and rolled back); the connection is not placed.
+    connections_refused: int = 0
     connections_migrated: int = 0
     drains_started: int = 0
     drains_completed: int = 0
@@ -266,12 +274,12 @@ class L4LbController:
         self._score_suffix: Dict[str, bytes] = {}
         #: Current backend per established connection.
         self.placement: Dict[FiveTuple, str] = {}
-        #: Full assignment history, kept only for migrated connections
-        #: (the common case — never migrated — stays out of memory).
-        self._history: Dict[FiveTuple, List[str]] = {}
         self.flows_by_backend: Dict[str, Set[FiveTuple]] = {}
         #: Journal of every re-install (the drain/kill audit trail).
         self.journal: List[MigrationRecord] = []
+        #: Each migrated connection's latest record, the head of its chain
+        #: of ``prior`` records (a never-migrated one has none).
+        self._last_move: Dict[FiveTuple, MigrationRecord] = {}
         self.healers: Dict[str, SelfHealingChannel] = {}
         self.stats = L4LbStats()
         pool.listeners.append(self)
@@ -338,14 +346,22 @@ class L4LbController:
         return best
 
     def admit(self, flow: FiveTuple) -> Optional[Backend]:
-        """Install *flow*'s connection-table entry (idempotent)."""
+        """Install *flow*'s connection-table entry (idempotent).
+
+        Returns ``None`` when no backend is active, or when the table has
+        no room for the entry: the connection is refused and counted, and
+        the table is as it was."""
         current = self.placement.get(flow)
         if current is not None:
             return self.backends[current]
         backend = self.place(flow)
         if backend is None:
             return None
-        self.table.install(flow, backend.action)
+        try:
+            self.table.install(flow, backend.action)
+        except CuckooFullError:
+            self.stats.connections_refused += 1
+            return None
         self.placement[flow] = backend.name
         self.flows_by_backend[backend.name].add(flow)
         self.stats.connections_admitted += 1
@@ -353,11 +369,20 @@ class L4LbController:
 
     def assignment_history(self, flow: FiveTuple) -> List[str]:
         """Every backend this connection was ever sanctioned to reach."""
-        history = self._history.get(flow)
-        if history is not None:
-            return list(history)
-        current = self.placement.get(flow)
-        return [current] if current is not None else []
+        record = self._last_move.get(flow)
+        if record is None:
+            current = self.placement.get(flow)
+            return [current] if current is not None else []
+        history = []
+        while True:
+            history.append(record.target)
+            if record.prior is None:
+                break
+            record = record.prior
+        if record.source:
+            history.append(record.source)
+        history.reverse()
+        return history
 
     def migrate(self, flow: FiveTuple, target: Backend, reason: str) -> None:
         """Journaled re-install: re-point *flow* at *target* live.
@@ -369,24 +394,16 @@ class L4LbController:
         """
         source = self.placement.get(flow)
         self.table.install(flow, target.action)
-        history = self._history.get(flow)
-        if history is None:
-            history = [source] if source is not None else []
-            self._history[flow] = history
-        history.append(target.name)
         if source is not None:
             self.flows_by_backend[source].discard(flow)
         self.placement[flow] = target.name
         self.flows_by_backend[target.name].add(flow)
-        self.journal.append(
-            MigrationRecord(
-                time_ns=self.sim.now,
-                flow=flow,
-                source=source if source is not None else "",
-                target=target.name,
-                reason=reason,
-            )
+        record = MigrationRecord(
+            self.sim.now, flow, source if source is not None else "",
+            target.name, reason, self._last_move.get(flow),
         )
+        self.journal.append(record)
+        self._last_move[flow] = record
         self.stats.connections_migrated += 1
 
     def _repoint(self, backend: Backend, reason: str) -> int:

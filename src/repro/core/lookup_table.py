@@ -479,7 +479,7 @@ class RemoteLookupTable:
         if len(moves) <= 1:
             # One write: a fresh slot with nothing displaced (the common
             # insert), or a re-install rewriting its entry in place.
-            ref = moves[0].dst if moves else directory.location[flow]
+            ref = moves[0].dst if moves else directory.slot_ref(directory.location[flow])
             self._write_slot(ref, action.pack_with(flow_fingerprint(packed)))
             if not moves:
                 self._refresh_cached(flow, action)
@@ -495,7 +495,7 @@ class RemoteLookupTable:
             src = move.src
             if src is not None and directory.slot_key(src) is None:
                 self._write_slot(src, _EMPTY_SLOT)
-        return directory.location[flow].index
+        return directory.slot_ref(directory.location[flow]).index
 
     # -- data plane ---------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 import struct
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -41,6 +42,11 @@ from .filter import ChoiceFilter
 #: Subtable identifiers.
 T0 = 0
 T1 = 1
+
+#: T0-column word flag: the cell has more T0 residents than the one the
+#: word names (its flat slot + 1 in the low bits; zero is none), and the
+#: overflow map holds the others.
+_MORE = 0x80000000
 
 
 class CuckooFullError(RuntimeError):
@@ -185,6 +191,12 @@ class CuckooDirectory:
     cells, then ``h0`` and (only when T0 is closed to it) ``h1`` — once,
     and hands it down to every step that needs it; nothing per key is
     kept between calls (a resident digest would outweigh the table).
+
+    A placed key costs one ``location`` entry whose value is one int, its
+    flat slot ``(table * pairs + index) * slots_per_bucket + slot``
+    (:meth:`slot_ref` decodes it).  The cell → T0-residents index is a
+    column of one ``array("I")`` word per filter cell plus an overflow
+    map for the cells two or more T0 residents share (DESIGN.md §12.1).
     """
 
     def __init__(
@@ -206,17 +218,21 @@ class CuckooDirectory:
             self.filter,
         )
         self._rng = random.Random(self.config.derived_seed("cuckoo-victim"))
-        #: key → its current slot.
-        self.location: Dict[Any, SlotRef] = {}
+        #: key → its current flat slot (insertion order: the order keys
+        #: were first placed, kept through moves).
+        self.location: Dict[Any, int] = {}
         # Geometry is fixed at construction (the data plane's is too).
         self._pairs = self.config.pairs
         self._bucket = self.config.slots_per_bucket
         #: Slot occupancy, one flat list: the key (or None) of slot
         #: ``(table * pairs + index) * slots_per_bucket + slot``.
         self._slots: List[Optional[Any]] = [None] * self.config.capacity
-        #: filter cell → T0 residents probing that cell (invariant index):
-        #: a lone key itself, a list (each key once) only on a collision.
-        self._t0_cells: Dict[int, Any] = {}
+        #: filter cell → the T0 residents probing it (invariant index), by
+        #: flat slot, each listed once: the column word names one (slot + 1,
+        #: 0 for none) and, flagged ``_MORE``, ``_t0_more`` the others — one
+        #: int, or a tuple of two or more.
+        self._t0_column = array("I", [0]) * self.config.filter_cells
+        self._t0_more: Dict[int, Any] = {}
         #: Every eviction/relocation, in order — the deterministic kick
         #: trace the property tests compare across same-seed runs.
         self.kick_log: List[Tuple[str, Any, SlotRef]] = []
@@ -238,6 +254,11 @@ class CuckooDirectory:
             return self._slots[(table * self._pairs + index) * self._bucket + slot]
         return None
 
+    def slot_ref(self, at: int) -> SlotRef:
+        """The slot a flat index *at* (a ``location`` value) names."""
+        pair = at // self._bucket  # operators, not divmod: no C call per re-install
+        return SlotRef(pair // self._pairs, pair % self._pairs, at % self._bucket)
+
     @property
     def load(self) -> float:
         return len(self.location) / self.config.capacity
@@ -253,34 +274,60 @@ class CuckooDirectory:
         bookkeeping faults follow as ``(what, ...)`` tuples: the slot
         array and ``location`` must be a bijection, and the T0 index must
         list every T0 resident under each of its cells exactly once and
-        nothing else (no stale key, no emptied entry left behind).
+        nothing else (no stale slot, no overflow entry left for a cell
+        with fewer than two residents).
         """
         bad: List[Any] = []
         faults: List[Any] = []
-        expected: Dict[int, List[Any]] = {}
-        for key, ref in self.location.items():
+        expected: Dict[int, set] = {}
+        t1_start = self._pairs * self._bucket
+        slots = self._slots
+        for key, at in self.location.items():
             cells = self.filter.indices(self.packer(key))
-            if self.filter.query_cells(cells) != (ref.table == T1):
+            if self.filter.query_cells(cells) != (at >= t1_start):
                 bad.append(key)
-            if self.slot_key(ref) is not key:
-                faults.append(("slot", key, ref))
-            if ref.table == T0:
-                for cell in set(cells):
-                    expected.setdefault(cell, []).append(key)
-        occupied = len(self._slots) - self._slots.count(None)
+            if not 0 <= at < len(slots) or slots[at] is not key:
+                faults.append(("slot", key, at))
+            if at < t1_start:
+                for cell in cells:
+                    expected.setdefault(cell, set()).add(at)
+        occupied = len(slots) - slots.count(None)
         if occupied != len(self.location):
             faults.append(("occupancy", occupied, len(self.location)))
-        listed = {c: keys if type(keys) is list else [keys] for c, keys in self._t0_cells.items()}
+        column, more = self._t0_column, self._t0_more
+        listed = self._t0_listed()
+        faults += [
+            ("t0-more", cell, more.get(cell))
+            for cell in {cell for cell, word in enumerate(column) if word & _MORE} ^ more.keys()
+        ] + [
+            ("t0-more", cell, extra)
+            for cell, extra in more.items()
+            if type(extra) is tuple and len(extra) < 2
+        ]
         have, want = (
-            {cell: (len(keys), set(keys)) for cell, keys in index.items()}
-            for index in (listed, expected)
+            {cell: (len(residents), set(residents)) for cell, residents in listed.items()},
+            {cell: (len(residents), residents) for cell, residents in expected.items()},
         )
         faults += [
-            ("t0-index", cell, self._t0_cells.get(cell))
+            ("t0-index", cell, listed.get(cell))
             for cell in have.keys() | want.keys()
             if have.get(cell) != want.get(cell)
         ]
         return bad + faults
+
+    def _t0_listed(self) -> Dict[int, Tuple[int, ...]]:
+        """The T0 index as cell → flat slots listed, column word first.  Which
+        resident the word names depends on arrival order (a rolled-back
+        insert may leave another one there); the set listed does not."""
+        more = self._t0_more
+        listed: Dict[int, Tuple[int, ...]] = {}
+        for cell, word in enumerate(self._t0_column):
+            if word:
+                extra = more.get(cell, ()) if word & _MORE else ()
+                listed[cell] = ((word & ~_MORE) - 1,) + (
+                    extra if type(extra) is tuple else (extra,)
+                )
+        return listed
 
     # -- journaled mutations (so a failed insert rolls back cleanly) ----------
     #
@@ -290,43 +337,66 @@ class CuckooDirectory:
     # so _rollback recomputes nothing and insert snapshots nothing on entry:
     # kick log, counters and victim RNG are restored from the journal too.
 
-    def _arrive(self, key: Any, table: int, cells: Sequence[int]) -> Sequence[int]:
-        """*key* now sits in *table*: add it to the filter (T1; returns the
-        cells that flipped 0 → 1, the cascade's input) or index it (T0)."""
+    def _arrive(self, at: int, table: int, cells: Sequence[int]) -> Sequence[int]:
+        """A key now sits at flat slot *at* of *table*: add it to the filter
+        (T1; returns the cells that flipped 0 → 1, the cascade's input) or
+        index the slot under its cells (T0)."""
         if table == T1:
             return self.filter.add_cells(cells)
-        index = self._t0_cells
+        column = self._t0_column
+        word = at + 1
         for cell in cells:
-            residents = index.setdefault(cell, key)  # a lone resident: the key itself
-            if type(residents) is list:
-                if key not in residents:  # both probes on one cell: listed once
-                    residents.append(key)
-            elif residents != key:
-                index[cell] = [residents, key]  # a collision: now a list
+            held = column[cell]
+            if not held:
+                column[cell] = word  # a lone resident
+            elif held & ~_MORE != word:  # (both probes on one cell: listed once)
+                more = self._t0_more
+                extra = more.get(cell)
+                if extra is None:  # a second resident: the common collision
+                    column[cell] = held | _MORE
+                    more[cell] = at
+                elif type(extra) is int:
+                    if extra != at:
+                        more[cell] = (extra, at)
+                elif at not in extra:
+                    more[cell] = extra + (at,)
         return ()
 
-    def _leave(self, key: Any, table: int, cells: Sequence[int]) -> None:
+    def _leave(self, at: int, table: int, cells: Sequence[int]) -> None:
         if table == T1:
             self.filter.remove_cells(cells)
             return
-        index = self._t0_cells
+        column, more = self._t0_column, self._t0_more
+        word = at + 1
         for cell in cells:
-            residents = index.get(cell)
-            if type(residents) is not list:
-                if residents == key:
-                    del index[cell]
-            elif key in residents:
-                residents.remove(key)
-                if len(residents) == 1:
-                    index[cell] = residents[0]  # back to the lone key
+            held = column[cell]
+            extra = more.get(cell) if held & _MORE else None
+            if held & ~_MORE == word:  # the word's resident: promote an extra
+                if extra is None:
+                    column[cell] = 0
+                elif type(extra) is int:
+                    column[cell] = extra + 1
+                    del more[cell]
+                else:
+                    column[cell] = (extra[0] + 1) | _MORE
+                    more[cell] = extra[1:] if len(extra) > 2 else extra[1]
+            elif extra is None:
+                continue
+            elif type(extra) is int:
+                if extra == at:
+                    column[cell] = held & ~_MORE
+                    del more[cell]
+            elif at in extra:
+                rest = tuple(other for other in extra if other != at)
+                more[cell] = rest if len(rest) > 1 else rest[0]
 
     def _set_slot(self, key, ref: SlotRef, at: int, cells, journal) -> Sequence[int]:
         """Seat *key* at *ref* (flat index *at*); returns the flipped cells."""
         location = self.location
         journal.append(("set", key, ref, at, cells, location.get(key)))
         self._slots[at] = key
-        location[key] = ref
-        return self._arrive(key, ref.table, cells)
+        location[key] = at
+        return self._arrive(at, ref.table, cells)
 
     def _evict(self, why: str, key, ref: SlotRef, at: int, cells, journal) -> None:
         """Vacate *ref* — a ``"kick"`` or a ``"relocate"`` — and log it."""
@@ -337,7 +407,7 @@ class CuckooDirectory:
             self.relocations += 1
         self.kick_log.append((why, key, ref))
         self._slots[at] = None
-        self._leave(key, ref.table, cells)
+        self._leave(at, ref.table, cells)
 
     def _rollback(self, journal: List[tuple]) -> None:
         slots = self._slots
@@ -346,17 +416,17 @@ class CuckooDirectory:
                 self._rng.setstate(op[1])
                 continue
             kind, key, ref, at, cells, extra = op
-            if kind == "set":  # extra: the key's previous slot
+            if kind == "set":  # extra: the key's previous flat slot
                 if slots[at] is key:
                     slots[at] = None
-                self._leave(key, ref.table, cells)
+                self._leave(at, ref.table, cells)
                 if extra is None:
                     self.location.pop(key, None)
                 else:
                     self.location[key] = extra
             else:  # "evict"; extra: why
                 slots[at] = key
-                self._arrive(key, ref.table, cells)
+                self._arrive(at, ref.table, cells)
                 self.kick_log.pop()
                 if extra == "kick":
                     self.kicks -= 1
@@ -381,11 +451,11 @@ class CuckooDirectory:
         cells = self.filter.indices(kb)
         _, index, slot = self._t0_home(kb, cells)
         if slot is not None:  # the common insert: it cannot fail, so it journals nothing
-            ref = SlotRef(T0, index, slot)
-            self._slots[index * self._bucket + slot] = key
-            location[key] = ref
-            self._arrive(key, T0, cells)
-            return [Move(key, None, ref)]
+            at = index * self._bucket + slot
+            self._slots[at] = key
+            location[key] = at
+            self._arrive(at, T0, cells)
+            return [Move(key, None, SlotRef(T0, index, slot))]
         config = self.config
         if len(location) >= len(self._slots):
             self.failed_inserts += 1
@@ -503,21 +573,25 @@ class CuckooDirectory:
 
     def _cascade(self, flipped_cells: Sequence[int], pending: deque, journal) -> None:
         """Queue T0 residents the filter add just flipped positive."""
-        suspects: set = set()
+        column, more = self._t0_column, self._t0_more
+        suspects: set = set()  # flat T0 slots
         for cell in flipped_cells:
-            residents = self._t0_cells.get(cell)
-            if residents is not None:
-                suspects.update(residents if type(residents) is list else (residents,))
+            held = column[cell]
+            if held:
+                suspects.add((held & ~_MORE) - 1)
+                if held & _MORE:
+                    extra = more[cell]
+                    suspects.update(extra if type(extra) is tuple else (extra,))
         # Deterministic order: sort by packed key bytes, never set order.
-        packer = self.packer
-        for kb, suspect in sorted(
-            ((packer(suspect), suspect) for suspect in suspects), key=itemgetter(0)
+        packer, slots, bucket = self.packer, self._slots, self._bucket
+        for kb, at in sorted(
+            ((packer(slots[at]), at) for at in suspects), key=itemgetter(0)
         ):
             cells = self.filter.indices(kb)
             if not self.filter.query_cells(cells):
                 continue  # still negative; invariant holds
-            ref = self.location[suspect]  # in T0: the index lists no one else
-            at = ref.index * self._bucket + ref.slot
+            suspect = slots[at]
+            ref = SlotRef(T0, at // bucket, at % bucket)
             self._evict("relocate", suspect, ref, at, cells, journal)
             pending.append((suspect, ref, kb, cells))
 
@@ -531,12 +605,12 @@ class CuckooDirectory:
 
     def remove(self, key: Any) -> Optional[SlotRef]:
         """Forget *key*; returns the slot the table must zero remotely."""
-        ref = self.location.pop(key, None)
-        if ref is None:
+        at = self.location.pop(key, None)
+        if at is None:
             return None
-        table, index, slot = ref
-        self._slots[(table * self._pairs + index) * self._bucket + slot] = None
-        self._leave(key, table, self.filter.indices(self.packer(key)))
+        self._slots[at] = None
+        ref = self.slot_ref(at)
+        self._leave(at, ref.table, self.filter.indices(self.packer(key)))
         return ref
 
     def __repr__(self) -> str:

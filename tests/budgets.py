@@ -34,9 +34,10 @@ HOP_CALLS_PER_FRAME = 28
 #: (PR 19; measured 23, was 56).
 ROUND_TRIP_CALLS_PER_OP = 25
 #: Every call, C functions included, per ``RemoteLookupTable.install``
-#: (measured 31; 41 with the two-CRC16 fingerprint and rollback scaffolding
-#: on every insert, 113 before digest-once placement) and per
-#: ``L4LbController.admit`` (42; was 52 and 136).
+#: (measured 31; 33 with a ``dict.setdefault`` per filter cell into the T0
+#: index, 41 with the two-CRC16 fingerprint and rollback scaffolding on
+#: every insert, 113 before digest-once placement) and per
+#: ``L4LbController.admit`` (42; was 44, 52 and 136).
 INSTALL_CALLS = 34
 ADMIT_CALLS = 45
 #: Ring-register reads + writes per stored-and-drained frame (PR 23;
@@ -99,6 +100,20 @@ SPARSE_RING_BYTES = 64 * 1024
 #: write committed the whole 4 KiB page).  A count, not a trace: it
 #: repeats exactly on any machine.
 REMOTE_BYTES_PER_LOOKUP_PAIR = 512
+
+#: Host bytes an admitted L4LB connection keeps, the directory, the table,
+#: the controller and the remote pages together: 2 400 against 800 admits
+#: into the 4 096-slot table of ``tests/test_apps_l4lb.py``'s
+#: ``build_l4lb()`` (measured 185 on CPython 3.11: directory 94, controller
+#: 54, table 23, remote pages 14; was 320 with the directory at 229, a
+#: ``SlotRef`` and its boxed bucket index per key and a dict of boxed
+#: filter cells for the T0 index).  The 3.9 and 3.12 values are unmeasured.
+CONNECTION_BYTES = 200
+#: Host bytes one L4LB migration keeps: one ``_repoint`` of a backend's 600
+#: connections in the same world (measured 137 on 3.11: the 88 B journal
+#: record, its journal slot and the per-flow pointer to it; was 277, a
+#: record with a ``__dict__`` plus a per-flow history list).
+MIGRATION_BYTES = 150
 
 # -- tier-1 guard: the kernel's near heap -------------------------------------------------
 

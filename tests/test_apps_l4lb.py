@@ -135,6 +135,29 @@ class TestPlacementAndAdmission:
         assert controller.admit(vip_flow(tb, 2)) is None
         assert controller.stats.connections_admitted == 0
 
+    def test_admissions_past_capacity_inside_the_sim_are_refused(self):
+        """Admitting more connections than the 4 096-slot table holds, from
+        an event, refuses the overflow: ``CuckooFullError`` never escapes
+        ``sim.run()``, and a refused connection leaves no trace."""
+        tb, pool, program, table, store, controller = build_l4lb()
+        flows = [vip_flow(tb, i) for i in range(4_596)]
+        admitted = []
+
+        def admit_all():
+            admitted.extend(controller.admit(flow) for flow in flows)
+
+        tb.sim.schedule(0.0, admit_all)
+        tb.sim.run()
+        refused = [flow for flow, backend in zip(flows, admitted) if backend is None]
+        stats = controller.stats
+        assert len(admitted) == len(flows) and refused
+        assert stats.connections_refused == len(refused)
+        assert stats.connections_admitted == len(flows) - len(refused)
+        assert stats.connections_admitted == len(table.directory) == len(controller.placement)
+        assert all(flow not in controller.placement for flow in refused)
+        assert all(flow not in table.directory for flow in refused)
+        assert table.directory.check_invariant() == []
+
     def test_add_backend_rejects_duplicates_and_counter_overflow(self):
         tb, pool, program, table, store, controller = build_l4lb(backends=3)
         with pytest.raises(ValueError, match="already registered"):

@@ -286,7 +286,7 @@ class TestCuckooLayout:
         for flow in flows:
             table.install(flow, RemoteAction(ACTION_SET_DSCP, 5))
         for flow in flows:
-            ref = table.directory.location[flow]
+            ref = table.directory.slot_ref(table.directory.location[flow])
             assert table.dataplane.read_index(flow.pack()) == ref.index
 
     def test_install_hash_seeds_requires_cuckoo_layout(self):

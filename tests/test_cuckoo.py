@@ -109,7 +109,7 @@ class TestDeterminism:
         assert len(moves) == 1
         assert moves[0].key == _flow(0)
         assert moves[0].src is None
-        assert d.location[_flow(0)] == moves[0].dst
+        assert d.slot_ref(d.location[_flow(0)]) == moves[0].dst
 
     def test_reinstall_of_resident_key_is_a_noop(self):
         d = _build(seed=2)
@@ -155,7 +155,7 @@ class TestInvariant:
             d.insert(_flow(rank))
         for rank in ranks:
             flow = _flow(rank)
-            ref = d.location[flow]
+            ref = d.slot_ref(d.location[flow])
             assert d.dataplane.read_index(flow.pack()) == ref.index
 
     def test_remove_restores_filter_and_allows_reinsert(self):
@@ -198,7 +198,7 @@ class TestOverload:
         assert d.check_invariant() == []
         for rank in inserted:
             flow = _flow(rank)
-            assert d.dataplane.read_index(flow.pack()) == d.location[flow].index
+            assert d.dataplane.read_index(flow.pack()) == d.slot_ref(d.location[flow]).index
         assert d.failed_inserts == 1
 
     def test_failed_insert_rolls_back_to_identical_state(self):

@@ -11,7 +11,8 @@ around a call budget with **placement frozen**.  Five angles:
 (ii)  the three benchmark-shaped populations, hashed — remote bytes,
       ``location``, ``kick_log`` — and pinned from the parent commit;
 (iii) the ``FiveTuple`` contract (a named tuple that hashes like its fields);
-(iv)  cProfile budget guards on calls per install / per admit;
+(iv)  cProfile budget guards on calls per install / per admit, and
+      tracemalloc guards on host bytes per admit / per migration;
 (v)   regressions: sharded install bookkeeping, the stale SRAM copy (and
       its refill by a READ that raced the re-install), the T0-index leak,
       the wider ``check_invariant()`` and the stale remote slot a
@@ -45,8 +46,10 @@ from repro.api import (
     StateStoreConfig,
     build_testbed,
 )
+from repro.apps.l4lb import BACKEND_DRAINING
 from repro.core.lookup_table import ACTION_BYTES, fingerprint_of
 from repro.cuckoo.layout import (
+    _MORE,
     CuckooConfig,
     CuckooDirectory,
     CuckooFullError,
@@ -59,8 +62,17 @@ from repro.policies.cache import make_cache_policy
 from repro.switches.hashing import crc32
 from repro.workloads.factory import udp_between
 
-from .budgets import ADMIT_CALLS, INSTALL_CALLS, profiled
+from .budgets import (
+    ADMIT_CALLS,
+    CONNECTION_BYTES,
+    INSTALL_CALLS,
+    MIGRATION_BYTES,
+    byte_budget,
+    profiled,
+    retained,
+)
 from .reference import ReferenceDirectory
+from .test_apps_l4lb import build_l4lb, vip_flow
 
 # -- (i) differential: new pair == replaced pair --------------------------------------
 
@@ -70,8 +82,10 @@ def _key(n: int) -> bytes:
 
 
 def _same_state(new: CuckooDirectory, ref: ReferenceDirectory, keys) -> None:
-    assert new.location == ref.location
-    assert list(new.location) == list(ref.location), "location order"
+    # ``location`` holds flat slot ints; the reference's holds ``SlotRef``s.
+    decoded = {key: new.slot_ref(at) for key, at in new.location.items()}
+    assert decoded == ref.location
+    assert list(decoded) == list(ref.location), "location order"
     assert new.kick_log == ref.kick_log
     assert (new.kicks, new.relocations, new.failed_inserts) == (
         ref.kicks, ref.relocations, ref.failed_inserts,
@@ -208,7 +222,10 @@ def test_a_failed_insert_leaves_no_trace_even_in_the_victim_stream():
     assert tried._rng.getstate() == clean._rng.getstate()
     assert tried.location == clean.location and tried.kick_log == clean.kick_log
     assert (tried.kicks, tried.relocations) == (clean.kicks, clean.relocations)
-    assert tried._slots == clean._slots and tried._t0_cells.keys() == clean._t0_cells.keys()
+    assert tried._slots == clean._slots
+    assert {cell: set(at) for cell, at in tried._t0_listed().items()} == {
+        cell: set(at) for cell, at in clean._t0_listed().items()
+    }
     assert tried.check_invariant() == []
 
 
@@ -219,13 +236,15 @@ _REF = struct.Struct("!BIB")
 
 
 def _placement_digest(tables) -> str:
-    """SHA-256 over each table's remote bytes, ``location`` and ``kick_log``."""
+    """SHA-256 over each table's remote bytes, ``location`` (decoded to
+    ``SlotRef``s, as the pins were taken) and ``kick_log``."""
     digest = hashlib.sha256()
     for table in tables:
         channel = table.channel
         digest.update(channel.region.read(channel.base_address, table.config.region_bytes))
         directory = table.directory
-        for flow, ref in directory.location.items():
+        for flow, at in directory.location.items():
+            ref = directory.slot_ref(at)
             digest.update(flow.pack() + _REF.pack(ref.table, ref.index, ref.slot))
         for why, flow, ref in directory.kick_log:
             digest.update(why.encode() + flow.pack())
@@ -440,9 +459,10 @@ def test_a_table_install_costs_a_bounded_number_of_calls():
     # _write_slot), 2 to pack the flow, 1 table-driven fingerprint, 2 to
     # pack the action, 6 in the region write, 9 in the directory and filter
     # (insert, indices, _t0_home, query_cells, _free_slot, _arrive, 3
-    # CRC32s), 4 to build the SlotRef and the Move, and 4 len/setdefault:
-    # 31.  It was 41 with two pure-Python CRC16s and the rollback
-    # scaffolding built for every insert, 113 with the per-step re-hashing.
+    # CRC32s), the SlotRef and the Move, and the len checks: 31.  It was 33
+    # with a dict.setdefault per filter cell into the T0 index, 41 with two
+    # pure-Python CRC16s and the rollback scaffolding built for every
+    # insert, 113 with the per-step re-hashing.
     assert 0 < calls <= INSTALL_CALLS * installs, f"{calls / installs:.1f} calls per install"
 
 
@@ -467,9 +487,49 @@ def test_an_admit_costs_a_bounded_number_of_calls():
     calls = _admit_calls(admits)
     assert calls == _admit_calls(admits), "the count must repeat exactly"
     # The install's 31 plus admit, place, a second pack of the flow (2), one
-    # running CRC32 and one per backend (4), and get/items/add: 42.  Was 52,
-    # and 136 before that.
+    # running CRC32 and one per backend (4), and get/items/add: 42.  Was 44
+    # with the T0 index's setdefaults, 52 before, and 136 before that.
     assert 0 < calls <= ADMIT_CALLS * admits, f"{calls / admits:.1f} calls per admit"
+
+
+def _admitted_bytes(admits: int) -> int:
+    """Bytes *admits* admissions leave allocated in ``build_l4lb()``'s world
+    (4 096 slots), the ``FiveTuple``s built before the trace."""
+    tb, _, _, _, _, controller = build_l4lb()
+    flows = [vip_flow(tb, rank) for rank in range(admits)]
+
+    def admit_all() -> None:
+        for flow in flows:
+            controller.admit(flow)
+
+    _, kept = retained(admit_all)
+    assert controller.stats.connections_admitted == admits
+    return kept
+
+
+def _migration_bytes(admits: int) -> float:
+    """Bytes per migration one ``_repoint`` of ``backend0`` leaves allocated,
+    once *admits* connections are placed."""
+    tb, _, _, _, _, controller = build_l4lb()
+    for rank in range(admits):
+        controller.admit(vip_flow(tb, rank))
+    backend = controller.backends["backend0"]
+    backend.state = BACKEND_DRAINING
+    moved, kept = retained(lambda: controller._repoint(backend, "drain"))
+    assert moved == len(controller.journal) > 0
+    return kept / moved
+
+
+@byte_budget
+def test_an_admitted_connection_costs_a_bounded_number_of_bytes():
+    measured = (_admitted_bytes(2_400) - _admitted_bytes(800)) / 1_600
+    assert 0 < measured <= CONNECTION_BYTES, f"{measured:.0f} B per admitted connection"
+
+
+@byte_budget
+def test_a_migration_costs_a_bounded_number_of_bytes():
+    measured = _migration_bytes(2_400)
+    assert 0 < measured <= MIGRATION_BYTES, f"{measured:.0f} B per migration"
 
 
 # -- (v) regressions --------------------------------------------------------------------
@@ -631,12 +691,16 @@ def test_churn_leaves_no_emptied_index_entries_behind():
     assert directory.check_invariant() == []
     live_cells = {
         cell
-        for key, ref in directory.location.items()
-        if ref.table == T0
+        for key, at in directory.location.items()
+        if directory.slot_ref(at).table == T0
         for cell in directory.filter.indices(key)
     }
-    assert set(directory._t0_cells) == live_cells
-    assert all(directory._t0_cells.values()), "no emptied entry left behind"
+    column, more = directory._t0_column, directory._t0_more
+    assert {cell for cell, word in enumerate(column) if word} == live_cells
+    assert {cell for cell, word in enumerate(column) if word & _MORE} == set(more)
+    assert all(type(extra) is int or len(extra) > 1 for extra in more.values()), (
+        "no emptied entry left behind"
+    )
 
 
 def test_check_invariant_audits_the_bookkeeping_too():
@@ -647,10 +711,10 @@ def test_check_invariant_audits_the_bookkeeping_too():
         assert directory.check_invariant() == []
         return directory
 
-    key, ref = next(
-        (key, ref) for key, ref in populated().location.items() if ref.table == T0
+    clean = populated()
+    key, at = next(
+        (key, at) for key, at in clean.location.items() if clean.slot_ref(at).table == T0
     )
-    at = ref.index * 2 + ref.slot
 
     broken = populated()
     broken._slots[at] = None  # location names a slot the array says is free
@@ -661,27 +725,46 @@ def test_check_invariant_audits_the_bookkeeping_too():
     broken._slots[free] = b"ghost"  # an occupant location does not know
     assert broken.check_invariant()
 
-    # A cell's entry is its one resident itself, or a list on a collision.
+    # A cell's word is one resident's flat slot + 1, flagged _MORE when the
+    # overflow map holds the others: one int, or a tuple of two or more.
     def listed(directory, cell):
-        residents = directory._t0_cells[cell]
-        return list(residents) if type(residents) is list else [residents]
+        return list(directory._t0_listed().get(cell, ()))
+
+    def relist(directory, cell, residents):
+        directory._t0_more.pop(cell, None)
+        directory._t0_column[cell] = residents[0] + 1 if residents else 0
+        if len(residents) > 1:
+            directory._t0_column[cell] |= _MORE
+            extra = residents[1:]
+            directory._t0_more[cell] = tuple(extra) if len(extra) > 1 else extra[0]
 
     broken = populated()
     cell = broken.filter.indices(key)[0]
-    others = [k for k in listed(broken, cell) if k != key]
-    if others:  # a T0 resident missing from its cell
-        broken._t0_cells[cell] = others if len(others) > 1 else others[0]
-    else:
-        del broken._t0_cells[cell]
+    relist(broken, cell, [s for s in listed(broken, cell) if s != at])  # a T0 resident missing
     assert broken.check_invariant()
 
     broken = populated()
-    broken._t0_cells[cell] = listed(broken, cell) + [key]  # ... or listed twice
+    relist(broken, cell, listed(broken, cell) + [at])  # ... or listed twice
     assert broken.check_invariant()
 
     broken = populated()
-    unused = next(c for c in range(broken.filter.cells) if c not in broken._t0_cells)
-    broken._t0_cells[unused] = []  # an emptied entry left behind
+    unused = next(c for c in range(broken.filter.cells) if not broken._t0_column[c])
+    broken._t0_column[unused] = at + 1  # a stale slot under a cell the key never probes
+    assert broken.check_invariant()
+
+    broken = populated()
+    broken._t0_more[unused] = ()  # an emptied overflow entry left behind
+    assert broken.check_invariant()
+
+    broken = populated()
+    broken._t0_column[cell] |= _MORE  # flagged, with nothing in the overflow map
+    broken._t0_more.pop(cell, None)
+    assert broken.check_invariant()
+
+    broken = populated()
+    relist(broken, cell, listed(broken, cell))
+    broken._t0_column[cell] |= _MORE
+    broken._t0_more[cell] = (at,)  # one extra as a tuple, not an int
     assert broken.check_invariant()
     assert broken.slot_key(SlotRef(T0, 99, 0)) is None
     assert broken.slot_key(SlotRef(2, 0, 0)) is None and broken.slot_key(SlotRef(T1, 0, 9)) is None
