@@ -134,8 +134,9 @@ def main(argv: List[str] = None) -> int:
     with obs.activate():
         for i, name in enumerate(names):
             experiment = load(name)
-            result = experiment.run(**(experiment.quick if args.quick else experiment.full))
-            records[name] = experiment.record(result)
+            records[name] = experiment.run(
+                **(experiment.quick if args.quick else experiment.full)
+            )
             _table(name, records[name], first=not i)
             failed += _report(name, experiment.checks(records[name]))
 

@@ -1,9 +1,9 @@
 """Experiment harnesses regenerating the paper's tables and figures.
 
 Every module here defines one :class:`Experiment`, ``EXPERIMENT``, next to
-its ``run_*`` harnesses.  An experiment's table is its record:
-:func:`repro.analysis.reporting.format_record` prints any record, so no
-module renders its own.  :data:`REGISTRY` names the experiments for
+its ``run_*`` harnesses, which build their rows as plain dicts.  An
+experiment's table is its record: :func:`repro.analysis.reporting.format_record`
+prints any record, so no module renders its own.  :data:`REGISTRY` names the experiments for
 ``repro-experiments``; :func:`load` imports only the module a command
 needs.  The library surface itself (primitives, testbed, observability)
 lives in :mod:`repro.api`.
@@ -12,24 +12,23 @@ lives in :mod:`repro.api`.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: two scales, a record, its checks.
+    """One experiment: two scales, a run, its checks.
 
-    ``run(**quick)`` or ``run(**full)`` returns a result; ``record`` turns
-    it into the JSON-ready ``results`` dict, which is also the table the
-    CLI prints, and ``checks`` maps each named bar to whether the record
+    ``run(**quick)`` or ``run(**full)`` returns the results record: the
+    JSON-ready ``results`` dict, which is also the table the CLI prints.
+    ``checks`` reads it and maps each named bar to whether the record
     holds it.  The checks read only the record, so a written record can be
     re-checked, and re-printed, without re-running anything.
     """
 
     name: str
-    run: Callable[..., Any]
-    record: Callable[[Any], Dict[str, Any]]
+    run: Callable[..., Dict[str, Any]]
     checks: Callable[[Dict[str, Any]], Dict[str, bool]]
     quick: Mapping[str, Any]
     full: Mapping[str, Any]
@@ -37,23 +36,6 @@ class Experiment:
     def failures(self, record: Dict[str, Any]) -> List[str]:
         """Names of the checks *record* fails."""
         return [name for name, ok in self.checks(record).items() if not ok]
-
-
-def pick(obj: Any, names: str) -> Dict[str, Any]:
-    """``{name: obj.name}`` for each space-separated attribute name."""
-    return {name: getattr(obj, name) for name in names.split()}
-
-
-def row(obj: Any) -> Dict[str, Any]:
-    """Every dataclass field and property of *obj*, by name."""
-    names = [f.name for f in fields(obj)]
-    names += [name for name, v in vars(type(obj)).items() if isinstance(v, property)]
-    return {name: getattr(obj, name) for name in names}
-
-
-def rows_by(key: str) -> Callable[[Any], Dict[str, Any]]:
-    """A ``record`` holding each result row whole, keyed by its *key* field."""
-    return lambda rows: {str(getattr(r, key)): row(r) for r in rows}
 
 
 #: Command name -> (module, one-line help), in the order ``all`` runs them.

@@ -19,7 +19,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..apps.programs import RemoteLookupProgram
@@ -37,30 +36,16 @@ from ..workloads.factory import udp_between
 from ..workloads.flows import ZipfFlowWorkload
 from ..workloads.perftest import RawEthernetBw
 from ..testbed import build_testbed
-from . import Experiment, row
+from . import Experiment
 from .scaleout import counting_store
 
 
 # -- 1. Fetch-and-Add batching -------------------------------------------------
 
-@dataclass
-class BatchingResult:
-    batch_size: int
-    packets: int
-    operations: int
-    request_bytes: int
-    counted_remotely: int
-    pending_locally: int
-
-    @property
-    def ops_per_packet(self) -> float:
-        return self.operations / self.packets if self.packets else 0.0
-
-
 def run_batching_ablation(
     batch_sizes: Sequence[int] = (1, 2, 4, 8, 16, 32),
     packets: int = 4000,
-) -> List[BatchingResult]:
+) -> List[dict]:
     results = []
     for batch in batch_sizes:
         tb = build_testbed(n_hosts=2)
@@ -75,40 +60,26 @@ def run_batching_ablation(
         tb.sim.run()
         packet = udp_between(tb.hosts[0], tb.hosts[1], 256)
         counted = store.read_counter_via_control_plane(store.index_of(store.key_of(packet)))
-        results.append(
-            BatchingResult(
-                batch_size=batch,
-                packets=packets,
-                operations=store.metrics["operations_issued"],
-                request_bytes=store.rocegen.metrics["request_wire_bytes"],
-                counted_remotely=counted,
-                pending_locally=store.pending_value,
-            )
-        )
+        operations = store.metrics["operations_issued"]
+        results.append({
+            "batch_size": batch,
+            "packets": packets,
+            "operations": operations,
+            "request_bytes": store.rocegen.metrics["request_wire_bytes"],
+            "counted_remotely": counted,
+            "pending_locally": store.pending_value,
+            "ops_per_packet": operations / packets if packets else 0.0,
+        })
     return results
 
 
 # -- 2. outstanding-atomics window ----------------------------------------------
 
-@dataclass
-class WindowResult:
-    window: int
-    rnic_limit: int
-    packets: int
-    counted_remotely: int
-    pending_locally: int
-    rnic_overflow_drops: int
-
-    @property
-    def accurate(self) -> bool:
-        return self.counted_remotely + self.pending_locally == self.packets
-
-
 def run_window_ablation(
     windows: Sequence[int] = (1, 4, 16, 64),
     rnic_limit: int = 16,
     packets: int = 3000,
-) -> List[WindowResult]:
+) -> List[dict]:
     """Sweep the switch's outstanding cap across the RNIC's real limit.
 
     Beyond ``rnic_limit`` the RNIC atomic engine overflows and silently
@@ -131,33 +102,20 @@ def run_window_ablation(
         gen.start()
         tb.sim.run()
         packet = udp_between(tb.hosts[0], tb.hosts[1], 256)
-        results.append(
-            WindowResult(
-                window=window,
-                rnic_limit=rnic_limit,
-                packets=packets,
-                counted_remotely=store.read_counter_via_control_plane(
-                    store.index_of(store.key_of(packet))
-                ),
-                pending_locally=store.pending_value,
-                rnic_overflow_drops=(
-                    tb.memory_server.rnic.metrics["atomic_overflow_drops"]
-                ),
-            )
-        )
+        counted = store.read_counter_via_control_plane(store.index_of(store.key_of(packet)))
+        results.append({
+            "window": window,
+            "rnic_limit": rnic_limit,
+            "packets": packets,
+            "counted_remotely": counted,
+            "pending_locally": store.pending_value,
+            "rnic_overflow_drops": tb.memory_server.rnic.metrics["atomic_overflow_drops"],
+            "accurate": counted + store.pending_value == packets,
+        })
     return results
 
 
 # -- 3. lookup cache size ----------------------------------------------------------
-
-@dataclass
-class CacheResult:
-    cache_entries: int
-    packets: int
-    hit_rate: float
-    remote_lookups: int
-    median_latency_us: float
-
 
 def run_cache_ablation(
     cache_sizes: Sequence[int] = (0, 64, 256, 1024, 4096),
@@ -165,7 +123,7 @@ def run_cache_ablation(
     packets: int = 4000,
     alpha: float = 1.0,
     seed: int = 0,
-) -> List[CacheResult]:
+) -> List[dict]:
     from ..analysis.stats import percentile
 
     results = []
@@ -208,34 +166,21 @@ def run_cache_ablation(
         )
         workload.start()
         tb.sim.run()
-        results.append(
-            CacheResult(
-                cache_entries=cache_entries,
-                packets=packets,
-                hit_rate=table.metrics["hit_rate"],
-                remote_lookups=table.metrics["remote_lookups"],
-                median_latency_us=(
-                    to_usec(percentile(latencies, 50)) if latencies else 0.0
-                ),
-            )
-        )
+        results.append({
+            "cache_entries": cache_entries,
+            "packets": packets,
+            "hit_rate": table.metrics["hit_rate"],
+            "remote_lookups": table.metrics["remote_lookups"],
+            "median_latency_us": to_usec(percentile(latencies, 50)) if latencies else 0.0,
+        })
     return results
 
 
 # -- 4. bounce vs recirculate ---------------------------------------------------------
 
-@dataclass
-class ModeResult:
-    mode: str
-    packets: int
-    remote_request_bytes: int
-    recirculation_passes: int
-    median_latency_us: float
-
-
 def run_mode_ablation(
     packets: int = 1500, packet_size: int = 512, seed: int = 0
-) -> List[ModeResult]:
+) -> List[dict]:
     from ..analysis.stats import percentile
 
     results = []
@@ -271,43 +216,23 @@ def run_mode_ablation(
         )
         gen.start()
         tb.sim.run()
-        results.append(
-            ModeResult(
-                mode=mode,
-                packets=packets,
-                remote_request_bytes=table.rocegen.metrics["request_wire_bytes"],
-                recirculation_passes=table.metrics["recirculation_passes"],
-                median_latency_us=(
-                    to_usec(percentile(latencies, 50)) if latencies else 0.0
-                ),
-            )
-        )
+        results.append({
+            "mode": mode,
+            "packets": packets,
+            "remote_request_bytes": table.rocegen.metrics["request_wire_bytes"],
+            "recirculation_passes": table.metrics["recirculation_passes"],
+            "median_latency_us": to_usec(percentile(latencies, 50)) if latencies else 0.0,
+        })
     return results
 
 
 # -- 5. drop sensitivity ----------------------------------------------------------------
 
-@dataclass
-class DropResult:
-    loss_probability: float
-    reliable: bool
-    packets: int
-    counted_remotely: int
-    naks_seen: int
-    retransmissions: int
-
-    @property
-    def count_error_rate(self) -> float:
-        if self.packets == 0:
-            return 0.0
-        return abs(self.packets - self.counted_remotely) / self.packets
-
-
 def run_drop_ablation(
     loss_probabilities: Sequence[float] = (0.0, 0.001, 0.01, 0.05),
     packets: int = 3000,
     modes: Sequence[bool] = (False, True),
-) -> List[DropResult]:
+) -> List[dict]:
     """State-store accuracy under a lossy switch↔server link (§7).
 
     Runs best-effort mode (the paper's prototype: a drop "would affect the
@@ -329,43 +254,28 @@ def run_drop_ablation(
             gen.start()
             tb.sim.run(max_events=5_000_000)
             packet = udp_between(tb.hosts[0], tb.hosts[1], 256)
-            results.append(
-                DropResult(
-                    loss_probability=loss,
-                    reliable=reliable,
-                    packets=packets,
-                    counted_remotely=store.read_counter_via_control_plane(
-                        store.index_of(store.key_of(packet))
-                    ),
-                    naks_seen=store.metrics["naks_received"],
-                    retransmissions=(
-                        store.metrics["retransmissions"]
-                        + store.metrics["requeued_after_nak"]
-                    ),
-                )
+            counted = store.read_counter_via_control_plane(
+                store.index_of(store.key_of(packet))
             )
+            results.append({
+                "loss_probability": loss,
+                "reliable": reliable,
+                "packets": packets,
+                "counted_remotely": counted,
+                "naks_seen": store.metrics["naks_received"],
+                "retransmissions": (
+                    store.metrics["retransmissions"] + store.metrics["requeued_after_nak"]
+                ),
+                "count_error_rate": abs(packets - counted) / packets if packets else 0.0,
+            })
     return results
 
 
 # -- 6. RDMA prioritization ----------------------------------------------------------
 
-@dataclass
-class PriorityResult:
-    protected: bool
-    lookups: int
-    resolved: int
-    delivered: int
-    bounce_naks: int
-    background_drops: int
-
-    @property
-    def resolution_rate(self) -> float:
-        return self.resolved / self.lookups if self.lookups else 0.0
-
-
 def run_priority_ablation(
     lookups: int = 200, background_packets: int = 3000
-) -> List["PriorityResult"]:
+) -> List[dict]:
     """§7 RDMA prioritization under a congested memory-server port.
 
     Bounced lookups (packet-sized RDMA WRITEs) share the server port with
@@ -427,18 +337,16 @@ def run_priority_ablation(
                 src_port=31_000 + i, dst_port=31_001,
             ).start()
         tb.sim.run(max_events=4_000_000)
-        results.append(
-            PriorityResult(
-                protected=protected,
-                lookups=table.metrics["remote_lookups"],
-                resolved=table.metrics["remote_hits"],
-                delivered=sink.packets,
-                bounce_naks=table.rocegen.metrics["naks_received"],
-                background_drops=tb.switch.port_queue(
-                    tb.server_port
-                ).dropped_packets,
-            )
-        )
+        issued, resolved = table.metrics["remote_lookups"], table.metrics["remote_hits"]
+        results.append({
+            "protected": protected,
+            "lookups": issued,
+            "resolved": resolved,
+            "delivered": sink.packets,
+            "bounce_naks": table.rocegen.metrics["naks_received"],
+            "background_drops": tb.switch.port_queue(tb.server_port).dropped_packets,
+            "resolution_rate": resolved / issued if issued else 0.0,
+        })
     return results
 
 
@@ -501,9 +409,6 @@ EXPERIMENT = Experiment(
     name="ablations",
     run=lambda **scales: {
         name: _ABLATIONS[name](**kwargs) for name, kwargs in scales.items()
-    },
-    record=lambda runs: {
-        name: [row(r) for r in results] for name, results in runs.items()
     },
     checks=_checks,
     quick={

@@ -15,8 +15,7 @@ covers most packets — the case the paper's design banks on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from ..analysis.stats import percentile
 from ..apps.virtual_switch import VipMapping, VirtualSwitchProgram
@@ -30,31 +29,9 @@ from ..sim.units import SEC, gbps, to_usec
 from ..workloads.factory import udp_between
 from ..workloads.flows import ZipfSampler
 from ..testbed import build_testbed
-from . import Experiment, rows_by
+from . import Experiment
 
 MODES = ("slowpath", "remote")
-
-
-@dataclass
-class BaremetalResult:
-    mode: str
-    vips: int
-    sram_entries: int
-    packets_sent: int
-    packets_received: int
-    median_latency_us: float
-    p99_latency_us: float
-    fast_translations: int
-    slow_path_translations: int
-    slow_path_drops: int
-    remote_lookups: int
-    cache_hit_rate: float
-
-    @property
-    def delivery_rate(self) -> float:
-        if self.packets_sent == 0:
-            return 0.0
-        return self.packets_received / self.packets_sent
 
 
 def run_baremetal(
@@ -66,7 +43,7 @@ def run_baremetal(
     rate_bps: float = gbps(5),
     packet_size: int = 512,
     seed: int = 0,
-) -> BaremetalResult:
+) -> dict:
     """One mode of the bare-metal translation experiment."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; pick from {MODES}")
@@ -144,28 +121,30 @@ def run_baremetal(
     if table is not None:
         remote_lookups = table.metrics["remote_lookups"]
         cache_hit_rate = table.metrics["hit_rate"]
-    return BaremetalResult(
-        mode=mode,
-        vips=vips,
-        sram_entries=sram_entries,
-        packets_sent=state["sent"],
-        packets_received=received[0],
-        median_latency_us=(
+    sent = state["sent"]
+    return {
+        "mode": mode,
+        "vips": vips,
+        "sram_entries": sram_entries,
+        "packets_sent": sent,
+        "packets_received": received[0],
+        "median_latency_us": (
             to_usec(percentile(latencies, 50)) if latencies else float("nan")
         ),
-        p99_latency_us=(
+        "p99_latency_us": (
             to_usec(percentile(latencies, 99)) if latencies else float("nan")
         ),
-        fast_translations=program.fast_translations,
-        slow_path_translations=program.slow_path_translations,
-        slow_path_drops=program.slow_path_drops,
-        remote_lookups=remote_lookups,
-        cache_hit_rate=cache_hit_rate,
-    )
+        "fast_translations": program.fast_translations,
+        "slow_path_translations": program.slow_path_translations,
+        "slow_path_drops": program.slow_path_drops,
+        "remote_lookups": remote_lookups,
+        "cache_hit_rate": cache_hit_rate,
+        "delivery_rate": received[0] / sent if sent else 0.0,
+    }
 
 
-def run_baremetal_comparison(**kwargs) -> List[BaremetalResult]:
-    return [run_baremetal(mode, **kwargs) for mode in MODES]
+def run_baremetal_comparison(**kwargs) -> Dict[str, dict]:
+    return {mode: run_baremetal(mode, **kwargs) for mode in MODES}
 
 
 def _checks(record) -> dict:
@@ -184,7 +163,6 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="baremetal", run=run_baremetal_comparison, checks=_checks,
-    record=rows_by("mode"),
     quick={"vips": 2000, "packets": 1500},
     full={"vips": 20_000, "sram_entries": 256, "packets": 6000},
 )

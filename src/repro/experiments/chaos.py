@@ -23,8 +23,7 @@ row reproduces byte-for-byte from ``(seed, loss_rate)`` — the committed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Sequence
 
 from ..apps.programs import RemoteBufferProgram
 from ..core.packet_buffer import (
@@ -42,7 +41,7 @@ from ..sim.rng import SeedSequence
 from ..sim.units import usec
 from ..workloads.perftest import PacketSink, RawEthernetBw
 from ..testbed import build_testbed
-from . import Experiment, pick
+from . import Experiment
 from .scaleout import count_schedule, counter_schedule, counting_store
 
 #: Root seed for every chaos run; one number pins the whole timeline.
@@ -54,34 +53,6 @@ LOSS_RATES = (0.0, 0.001, 0.01, 0.05)
 _DST_PORT = 20_000
 
 
-@dataclass
-class ChaosRow:
-    """One point of the lossy-link sweep."""
-
-    loss_rate: float
-    seed: int
-    packets_sent: int
-    expected_total: int
-    recovered_total: int
-    #: Counters whose recovered value differs from the schedule.
-    counters_wrong: int
-    link_drops: int
-    retransmissions: int
-    naks: int
-    timeouts: int
-    duration_ms: float
-
-    @property
-    def lost_updates(self) -> int:
-        return self.expected_total - self.recovered_total
-
-    @property
-    def goodput_updates_per_ms(self) -> float:
-        if self.duration_ms <= 0:
-            return 0.0
-        return self.recovered_total / self.duration_ms
-
-
 def run_chaos_point(
     loss_rate: float,
     packets: int = 3000,
@@ -90,7 +61,7 @@ def run_chaos_point(
     seed: int = CHAOS_SEED,
     reliable: bool = True,
     retry_timeout_ns: float = 50_000.0,
-) -> ChaosRow:
+) -> dict:
     """Count *packets* through a link losing each packet with *loss_rate*.
 
     The expected per-counter totals are fixed by the send schedule (the
@@ -124,22 +95,27 @@ def run_chaos_point(
     # under a shared registry a second sweep point's scope is renamed
     # ("...#2") and a name-based snapshot reads the wrong run.
     dropped = wire.dropped if wire is not None else 0
+    expected_total, recovered_total = sum(expected.values()), sum(recovered.values())
+    duration_ms = tb.sim.now / 1e6
     roce = store.rocegen.metrics
-    return ChaosRow(
-        loss_rate=loss_rate,
-        seed=seed,
-        packets_sent=packets,
-        expected_total=sum(expected.values()),
-        recovered_total=sum(recovered.values()),
-        counters_wrong=sum(
+    return {
+        "seed": seed,
+        "loss_rate": loss_rate,
+        "packets_sent": packets,
+        "duration_ms": duration_ms,
+        "expected_total": expected_total,
+        "recovered_total": recovered_total,
+        "lost_updates": expected_total - recovered_total,
+        # Counters whose recovered value differs from the schedule.
+        "counters_wrong": sum(
             1 for index, value in expected.items() if recovered[index] != value
         ),
-        link_drops=int(dropped),
-        retransmissions=store.metrics["retransmissions"],
-        naks=roce["naks_received"],
-        timeouts=roce["timeouts"],
-        duration_ms=tb.sim.now / 1e6,
-    )
+        "link_drops": int(dropped),
+        "retransmissions": store.metrics["retransmissions"],
+        "naks": roce["naks_received"],
+        "timeouts": roce["timeouts"],
+        "goodput_updates_per_ms": recovered_total / duration_ms if duration_ms > 0 else 0.0,
+    }
 
 
 def run_chaos_sweep(
@@ -147,79 +123,14 @@ def run_chaos_sweep(
     packets: int = 3000,
     seed: int = CHAOS_SEED,
     reliable: bool = True,
-) -> List[ChaosRow]:
+) -> Dict[str, dict]:
     """The soak: one row per loss rate, identical workload and seed."""
-    return [
-        run_chaos_point(rate, packets=packets, seed=seed, reliable=reliable)
+    return {
+        f"loss[{rate:g}]": run_chaos_point(
+            rate, packets=packets, seed=seed, reliable=reliable
+        )
         for rate in loss_rates
-    ]
-
-
-@dataclass
-class RecoveryReport:
-    """Outcome of the blackout → degrade → reconnect → reconcile scenario.
-
-    Phase A drives the reliable state store through a blackout longer
-    than its retry machinery tolerates; Phase B strands a full remote
-    packet-buffer ring behind the same kind of outage and drains it
-    after reconnect.  Both phases run under one seed and must land on
-    *exact* totals.
-    """
-
-    seed: int
-    # -- phase A: state store ------------------------------------------------
-    packets_sent: int
-    expected_total: int
-    recovered_total: int
-    counters_wrong: int
-    degraded_updates: int
-    reconcile_reads: int
-    reconciled_reissued: int
-    store_breaker_opens: int
-    store_breaker_closes: int
-    store_probe_failures: int
-    store_reconnects: int
-    store_degraded_ns: float
-    store_duration_ms: float
-    # -- phase B: packet buffer ----------------------------------------------
-    buffered_packets: int
-    delivered_packets: int
-    out_of_order: int
-    lost_in_transit: int
-    lost_to_failover: int
-    buffer_breaker_opens: int
-    buffer_breaker_closes: int
-    buffer_probe_failures: int
-    buffer_reconnects: int
-    buffer_degraded_ns: float
-    buffer_duration_ms: float
-
-    @property
-    def lost_updates(self) -> int:
-        return self.expected_total - self.recovered_total
-
-    @property
-    def lost_buffered(self) -> int:
-        return self.buffered_packets - self.delivered_packets
-
-    @property
-    def degraded_ms(self) -> float:
-        return self.store_degraded_ns / 1e6
-
-    @property
-    def degraded_goodput_per_ms(self) -> float:
-        """Updates absorbed per ms while the store breaker was open."""
-        if self.degraded_ms <= 0:
-            return 0.0
-        return self.degraded_updates / self.degraded_ms
-
-    @property
-    def healthy_goodput_per_ms(self) -> float:
-        """Updates per ms over the healthy remainder of the run."""
-        healthy_ms = self.store_duration_ms - self.degraded_ms
-        if healthy_ms <= 0:
-            return 0.0
-        return (self.expected_total - self.degraded_updates) / healthy_ms
+    }
 
 
 def breaker_config() -> CircuitBreakerConfig:
@@ -242,7 +153,7 @@ def run_chaos_recovery(
     seed: int = CHAOS_SEED,
     blackout_start_ns: float = usec(300),
     blackout_ns: float = usec(400),
-) -> RecoveryReport:
+) -> dict:
     """Blackout → degrade → reconnect → reconcile, at one fixed seed.
 
     **Phase A** counts a fixed schedule into a reliable state store while
@@ -255,7 +166,8 @@ def run_chaos_recovery(
     **Phase B** stores a burst into a remote packet-buffer ring, blacks
     the link out as draining starts, and requires every stranded entry to
     be delivered in order after the breaker re-closes: zero dropped
-    buffered packets.
+    buffered packets.  Both phases run under one seed and must land on
+    *exact* totals.
     """
     seeds = SeedSequence(seed)
 
@@ -353,75 +265,49 @@ def run_chaos_recovery(
     primitive.start_draining()
     tb2.sim.run()
 
-    return RecoveryReport(
-        seed=seed,
-        packets_sent=packets,
-        expected_total=sum(expected.values()),
-        recovered_total=sum(recovered.values()),
-        counters_wrong=sum(
+    expected_total, recovered_total = sum(expected.values()), sum(recovered.values())
+    degraded_updates = store.metrics["degraded_updates"]
+    degraded_ms = store_breaker.degraded_ns / 1e6
+    healthy_ms = store_duration_ms - degraded_ms
+    return {
+        "seed": seed,
+        "packets_sent": packets,
+        "store_duration_ms": store_duration_ms,
+        "buffer_duration_ms": tb2.sim.now / 1e6,
+        "expected_total": expected_total,
+        "recovered_total": recovered_total,
+        "lost_updates": expected_total - recovered_total,
+        "counters_wrong": sum(
             1 for index, value in expected.items() if recovered[index] != value
         ),
-        degraded_updates=store.metrics["degraded_updates"],
-        reconcile_reads=store.metrics["reconcile_reads"],
-        reconciled_reissued=store.metrics["reconciled_reissued"],
-        store_breaker_opens=store_breaker.opens,
-        store_breaker_closes=store_breaker.closes,
-        store_probe_failures=store_breaker.probe_failures,
-        store_reconnects=guard.reconnects,
-        store_degraded_ns=store_breaker.degraded_ns,
-        store_duration_ms=store_duration_ms,
-        buffered_packets=buffered,
-        delivered_packets=sink.packets,
-        out_of_order=sink.out_of_order,
-        lost_in_transit=primitive.metrics["lost_in_transit"],
-        lost_to_failover=primitive.metrics["lost_to_failover"],
-        buffer_breaker_opens=buf_guard.breaker.opens,
-        buffer_breaker_closes=buf_guard.breaker.closes,
-        buffer_probe_failures=buf_guard.breaker.probe_failures,
-        buffer_reconnects=buf_guard.reconnects,
-        buffer_degraded_ns=buf_guard.breaker.degraded_ns,
-        buffer_duration_ms=tb2.sim.now / 1e6,
-    )
-
-
-def _run(packets: int):
-    return (
-        run_chaos_sweep(packets=packets),
-        run_chaos_recovery(packets=packets),
-    )
-
-
-def _record(run) -> dict:
-    rows, recovery = run
-    record = {
-        f"loss[{row.loss_rate:g}]": pick(
-            row,
-            "seed loss_rate packets_sent duration_ms expected_total "
-            "recovered_total lost_updates counters_wrong link_drops "
-            "retransmissions naks timeouts goodput_updates_per_ms",
-        )
-        for row in rows
+        "degraded_updates": degraded_updates,
+        "degraded_ms": degraded_ms,
+        # Updates absorbed per ms while the store breaker was open, and
+        # per ms over the healthy remainder of the run.
+        "goodput_degraded_per_ms": (
+            degraded_updates / degraded_ms if degraded_ms > 0 else 0.0
+        ),
+        "goodput_healthy_per_ms": (
+            (expected_total - degraded_updates) / healthy_ms if healthy_ms > 0 else 0.0
+        ),
+        "store_breaker_opens": store_breaker.opens,
+        "store_probe_failures": store_breaker.probe_failures,
+        "store_reconnects": guard.reconnects,
+        "buffered_packets": buffered,
+        "delivered_packets": sink.packets,
+        "lost_buffered": buffered - sink.packets,
+        "out_of_order": sink.out_of_order,
+        "buffer_reconnects": buf_guard.reconnects,
+        "store_breaker_closes": store_breaker.closes,
+        "buffer_breaker_opens": buf_guard.breaker.opens,
+        "buffer_breaker_closes": buf_guard.breaker.closes,
+        "reconcile_reads": store.metrics["reconcile_reads"],
+        "reconciled_reissued": store.metrics["reconciled_reissued"],
+        "lost_in_transit": primitive.metrics["lost_in_transit"],
+        "lost_to_failover": primitive.metrics["lost_to_failover"],
+        "buffer_probe_failures": buf_guard.breaker.probe_failures,
+        "buffer_degraded_ns": buf_guard.breaker.degraded_ns,
     }
-    record["recovery"] = dict(
-        **pick(
-            recovery,
-            "seed packets_sent store_duration_ms buffer_duration_ms "
-            "expected_total recovered_total lost_updates counters_wrong "
-            "degraded_updates degraded_ms",
-        ),
-        goodput_degraded_per_ms=recovery.degraded_goodput_per_ms,
-        goodput_healthy_per_ms=recovery.healthy_goodput_per_ms,
-        **pick(
-            recovery,
-            "store_breaker_opens store_probe_failures store_reconnects "
-            "buffered_packets delivered_packets lost_buffered out_of_order "
-            "buffer_reconnects store_breaker_closes buffer_breaker_opens "
-            "buffer_breaker_closes reconcile_reads reconciled_reissued "
-            "lost_in_transit lost_to_failover buffer_probe_failures "
-            "buffer_degraded_ns",
-        ),
-    )
-    return record
 
 
 def _checks(record) -> dict:
@@ -456,6 +342,11 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="chaos", run=_run, record=_record, checks=_checks,
+    name="chaos",
+    run=lambda packets: {
+        **run_chaos_sweep(packets=packets),
+        "recovery": run_chaos_recovery(packets=packets),
+    },
+    checks=_checks,
     quick={"packets": 1000}, full={"packets": 3000},
 )

@@ -12,8 +12,7 @@ prototype: ``cache_entries=0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Sequence
 
 from ..api import (
     ACTION_SET_DSCP,
@@ -25,22 +24,9 @@ from ..api import (
 )
 from ..apps.programs import RemoteLookupProgram, StaticL2Program
 from ..workloads.netpipe import PROBE_PORT, PingPong
-from . import Experiment, rows_by
+from . import Experiment
 
 PACKET_SIZES = (64, 128, 256, 512, 1024)
-
-
-@dataclass
-class Fig3aRow:
-    """One x-axis point of Figure 3a."""
-
-    packet_size: int
-    baseline_us: float
-    lookup_us: float
-
-    @property
-    def delta_us(self) -> float:
-        return self.lookup_us - self.baseline_us
 
 
 def _run_baseline(packet_size: int, probes: int) -> float:
@@ -94,17 +80,17 @@ def _run_lookup(packet_size: int, probes: int) -> float:
 
 def run_fig3a(
     packet_sizes: Sequence[int] = PACKET_SIZES, probes: int = 30
-) -> List[Fig3aRow]:
-    """Regenerate Figure 3a's two series; returns one row per packet size."""
-    rows = []
+) -> Dict[str, dict]:
+    """Regenerate Figure 3a's two series; one row per packet size."""
+    rows = {}
     for size in packet_sizes:
-        rows.append(
-            Fig3aRow(
-                packet_size=size,
-                baseline_us=_run_baseline(size, probes),
-                lookup_us=_run_lookup(size, probes),
-            )
-        )
+        baseline_us, lookup_us = _run_baseline(size, probes), _run_lookup(size, probes)
+        rows[str(size)] = {
+            "packet_size": size,
+            "baseline_us": baseline_us,
+            "lookup_us": lookup_us,
+            "delta_us": lookup_us - baseline_us,
+        }
     return rows
 
 
@@ -119,6 +105,5 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="fig3a", run=run_fig3a, checks=_checks,
-    record=rows_by("packet_size"),
     quick={"probes": 10}, full={"probes": 30},
 )

@@ -11,8 +11,7 @@ L2 baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Sequence
 
 from ..analysis.monitors import LinkBandwidthMonitor
 from ..api import StateStoreConfig, build_testbed
@@ -20,29 +19,10 @@ from ..apps.programs import StaticL2Program
 from ..rdma.headers import BthHeader
 from ..workloads.factory import udp_between
 from ..workloads.perftest import PacketSink, RawEthernetBw
-from . import Experiment, rows_by
+from . import Experiment
 from .scaleout import counting_store
 
 PACKET_SIZES = (64, 128, 256, 512, 1024)
-
-
-@dataclass
-class Fig3bRow:
-    """One x-axis point of Figure 3b."""
-
-    packet_size: int
-    #: Fetch-and-Add request stream, switch → RNIC (the figure's metric).
-    fa_request_gbps: float
-    #: Request + atomic-ACK traffic both ways on the memory-server link.
-    fa_total_gbps: float
-    counter_value: int
-    packets_sent: int
-    goodput_gbps: float
-    baseline_goodput_gbps: float
-
-    @property
-    def counter_accurate(self) -> bool:
-        return self.counter_value == self.packets_sent
 
 
 def _run_baseline_goodput(packet_size: int, packets: int) -> float:
@@ -58,7 +38,8 @@ def _run_baseline_goodput(packet_size: int, packets: int) -> float:
     return sink.goodput_bps() / 1e9
 
 
-def run_fig3b_point(packet_size: int, packets: int = 4000) -> Fig3bRow:
+def run_fig3b_point(packet_size: int, packets: int = 4000) -> dict:
+    """One x-axis point of Figure 3b."""
     tb = build_testbed(n_hosts=2)
     store = counting_store(tb, StateStoreConfig(counters=1 << 16, max_outstanding=16))
 
@@ -79,22 +60,25 @@ def run_fig3b_point(packet_size: int, packets: int = 4000) -> Fig3bRow:
     counter = store.read_counter_via_control_plane(
         store.index_of(store.key_of(udp_between(tb.hosts[0], tb.hosts[1], packet_size)))
     )
-    return Fig3bRow(
-        packet_size=packet_size,
-        fa_request_gbps=request_gbps,
-        fa_total_gbps=request_gbps + response_gbps,
-        counter_value=counter,
-        packets_sent=gen.report.packets_sent,
-        goodput_gbps=sink.goodput_bps() / 1e9,
-        baseline_goodput_gbps=_run_baseline_goodput(packet_size, packets),
-    )
+    return {
+        "packet_size": packet_size,
+        # Fetch-and-Add request stream, switch → RNIC (the figure's metric).
+        "fa_request_gbps": request_gbps,
+        # Request + atomic-ACK traffic both ways on the memory-server link.
+        "fa_total_gbps": request_gbps + response_gbps,
+        "counter_value": counter,
+        "packets_sent": gen.report.packets_sent,
+        "goodput_gbps": sink.goodput_bps() / 1e9,
+        "baseline_goodput_gbps": _run_baseline_goodput(packet_size, packets),
+        "counter_accurate": counter == gen.report.packets_sent,
+    }
 
 
 def run_fig3b(
     packet_sizes: Sequence[int] = PACKET_SIZES, packets: int = 4000
-) -> List[Fig3bRow]:
-    """Regenerate Figure 3b; returns one row per packet size."""
-    return [run_fig3b_point(size, packets) for size in packet_sizes]
+) -> Dict[str, dict]:
+    """Regenerate Figure 3b; one row per packet size."""
+    return {str(size): run_fig3b_point(size, packets) for size in packet_sizes}
 
 
 def _checks(record) -> dict:
@@ -114,6 +98,5 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="fig3b", run=run_fig3b, checks=_checks,
-    record=rows_by("packet_size"),
     quick={"packets": 2000}, full={"packets": 4000},
 )

@@ -23,8 +23,7 @@ burst : rates) while keeping unit-test runtimes sane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..apps.programs import RemoteBufferProgram, StaticL2Program
 from ..baselines.pfc import PfcConfig, PfcManager
@@ -38,38 +37,9 @@ from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.incast import IncastWorkload
 from ..workloads.perftest import PacketSink, RawEthernetBw
 from ..testbed import build_testbed
-from . import Experiment, rows_by
+from . import Experiment
 
 VARIANTS = ("droptail", "remote_buffer", "pfc")
-
-
-@dataclass
-class IncastResult:
-    """Outcome of one incast variant."""
-
-    variant: str
-    senders: int
-    packets_sent: int
-    packets_received: int
-    burst_bytes: int
-    completion_ms: Optional[float]
-    out_of_order: int
-    switch_drops: int
-    remote_stored: int
-    pause_events: int
-    victim_packets_sent: int
-    victim_packets_received: int
-    victim_completion_ms: Optional[float]
-
-    @property
-    def loss_rate(self) -> float:
-        if self.packets_sent == 0:
-            return 0.0
-        return 1.0 - self.packets_received / self.packets_sent
-
-    @property
-    def lossless(self) -> bool:
-        return self.packets_received == self.packets_sent
 
 
 def run_incast(
@@ -81,7 +51,7 @@ def run_incast(
     scale: float = 1.0,
     n_memory_servers: int = 8,
     with_victim: bool = True,
-) -> IncastResult:
+) -> dict:
     """Run one incast variant; see module docstring for the scenario."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
@@ -169,34 +139,37 @@ def run_incast(
     report = workload.report()
     remote_stored = primitive.metrics["stored_packets"] if primitive else 0
     pause_events = pfc.stats.pause_events if pfc else 0
-    return IncastResult(
-        variant=variant,
-        senders=senders,
-        packets_sent=report.packets_sent,
-        packets_received=report.packets_received,
-        burst_bytes=burst,
-        completion_ms=(
+    sent, received = report.packets_sent, report.packets_received
+    return {
+        "variant": variant,
+        "senders": senders,
+        "packets_sent": sent,
+        "packets_received": received,
+        "burst_bytes": burst,
+        "completion_ms": (
             to_msec(report.completion_ns) if report.completion_ns else None
         ),
-        out_of_order=report.out_of_order,
-        switch_drops=tb.switch.tm.total_dropped_packets,
-        remote_stored=remote_stored,
-        pause_events=pause_events,
-        victim_packets_sent=victim_gen.report.packets_sent if victim_gen else 0,
-        victim_packets_received=victim_sink.packets if victim_sink else 0,
-        victim_completion_ms=(
+        "out_of_order": report.out_of_order,
+        "switch_drops": tb.switch.tm.total_dropped_packets,
+        "remote_stored": remote_stored,
+        "pause_events": pause_events,
+        "victim_packets_sent": victim_gen.report.packets_sent if victim_gen else 0,
+        "victim_packets_received": victim_sink.packets if victim_sink else 0,
+        "victim_completion_ms": (
             to_msec(victim_sink.last_arrival_ns)
             if victim_sink and victim_sink.packets
             else None
         ),
-    )
+        "loss_rate": 1.0 - received / sent if sent else 0.0,
+        "lossless": received == sent,
+    }
 
 
 def run_incast_comparison(
     variants: Sequence[str] = VARIANTS, scale: float = 0.1, **kwargs
-) -> List[IncastResult]:
+) -> Dict[str, dict]:
     """Run all variants of the §2.1 scenario at the given scale."""
-    return [run_incast(variant, scale=scale, **kwargs) for variant in variants]
+    return {variant: run_incast(variant, scale=scale, **kwargs) for variant in variants}
 
 
 def _checks(record) -> dict:
@@ -217,6 +190,5 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="incast", run=run_incast_comparison, checks=_checks,
-    record=rows_by("variant"),
     quick={"scale": 0.1}, full={"scale": 1.0},
 )

@@ -15,8 +15,7 @@ Modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from ..analysis.stats import percentile
 from ..apps.kv_cache import (
@@ -37,34 +36,9 @@ from ..switches.tables import ActionEntry
 from ..workloads.factory import udp_between
 from ..workloads.flows import ZipfSampler
 from ..testbed import build_testbed
-from . import Experiment, rows_by
+from . import Experiment
 
 MODES = ("server", "sram", "sram+remote")
-
-
-@dataclass
-class KvResult:
-    mode: str
-    keys: int
-    sram_entries: int
-    queries: int
-    replies: int
-    hits: int
-    median_latency_us: float
-    p99_latency_us: float
-    server_cpu_queries: int
-    server_drops: int
-    switch_answered: int
-
-    @property
-    def reply_rate(self) -> float:
-        return self.replies / self.queries if self.queries else 0.0
-
-    @property
-    def server_bypass_rate(self) -> float:
-        if self.queries == 0:
-            return 0.0
-        return 1.0 - self.server_cpu_queries / self.queries
 
 
 def _value_for(key_id: int) -> bytes:
@@ -83,7 +57,7 @@ def run_kv_cache(
     alpha: float = 1.1,
     rate_bps: float = gbps(2),
     seed: int = 0,
-) -> KvResult:
+) -> dict:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; pick from {MODES}")
     tb = build_testbed(n_hosts=2, with_memory_server=mode == "sram+remote")
@@ -172,28 +146,30 @@ def run_kv_cache(
     tb.sim.schedule(0.0, send_next)
     tb.sim.run()
 
-    switch_answered = program.stats.sram_hits + program.stats.remote_hits
-    return KvResult(
-        mode=mode,
-        keys=keys,
-        sram_entries=sram_entries,
-        queries=state["sent"],
-        replies=replies[0],
-        hits=hits[0],
-        median_latency_us=(
+    sent = state["sent"]
+    return {
+        "mode": mode,
+        "keys": keys,
+        "sram_entries": sram_entries,
+        "queries": sent,
+        "replies": replies[0],
+        "hits": hits[0],
+        "median_latency_us": (
             to_usec(percentile(latencies, 50)) if latencies else float("nan")
         ),
-        p99_latency_us=(
+        "p99_latency_us": (
             to_usec(percentile(latencies, 99)) if latencies else float("nan")
         ),
-        server_cpu_queries=server.cpu_queries,
-        server_drops=server.dropped_queries,
-        switch_answered=switch_answered,
-    )
+        "server_cpu_queries": server.cpu_queries,
+        "server_drops": server.dropped_queries,
+        "switch_answered": program.stats.sram_hits + program.stats.remote_hits,
+        "reply_rate": replies[0] / sent if sent else 0.0,
+        "server_bypass_rate": 1.0 - server.cpu_queries / sent if sent else 0.0,
+    }
 
 
-def run_kv_cache_comparison(**kwargs) -> List[KvResult]:
-    return [run_kv_cache(mode, **kwargs) for mode in MODES]
+def run_kv_cache_comparison(**kwargs) -> Dict[str, dict]:
+    return {mode: run_kv_cache(mode, **kwargs) for mode in MODES}
 
 
 def _checks(record) -> dict:
@@ -211,7 +187,6 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="kv-cache", run=run_kv_cache_comparison, checks=_checks,
-    record=rows_by("mode"),
     quick={"keys": 2000, "queries": 1500},
     full={"keys": 10_000, "sram_entries": 64, "queries": 5000},
 )

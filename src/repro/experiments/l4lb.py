@@ -37,8 +37,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..apps.l4lb import (
     BACKEND_ACTIVE,
@@ -63,7 +62,7 @@ from ..sim.units import SEC, usec
 from ..switches.hashing import FiveTuple
 from ..workloads.zipf import OpenLoopZipfTraffic
 from ..testbed import build_testbed
-from . import Experiment, pick
+from . import Experiment
 from .chaos import breaker_config
 from .scaleout import RING_SEED, RING_VNODES, quiesce
 
@@ -133,84 +132,6 @@ class _BackendSink:
         per_backend[self.backend.name] = per_backend.get(self.backend.name, 0) + 1
 
 
-@dataclass
-class L4LbSoakResult:
-    """Everything the audit measured in one combined-failure soak."""
-
-    seed: int
-    connections: int
-    new_connections: int
-    backends: int
-    corrupt_rate: float
-    table_entries: int
-    packets_offered: int
-    duration_ms: float
-    # -- data-plane accounting --
-    vip_packets: int
-    forwarded_packets: int
-    delivered_total: int
-    forwarded_by_backend: Dict[str, int]
-    delivered_by_backend: Dict[str, int]
-    lookups_lost: int
-    no_backend_drops: int
-    stale_cached: int
-    # -- counter audit (the zero-lost-updates bar) --
-    expected: Dict[int, int]
-    recovered: Dict[int, int]
-    # -- affinity audit --
-    affinity_breaks: int
-    flows_delivered: int
-    connections_migrated: int
-    unsanctioned_migrations: int
-    # -- the kill --
-    killed_backend: str
-    kill_at_ns: float
-    kill_detected: bool
-    kill_detect_ns: Optional[float]
-    breaker_opens: int
-    reconnect_attempts: int
-    kill_escalations: int
-    members_failed: int
-    victim_wire_loss: int
-    other_wire_loss: int
-    # -- the drain --
-    drained_backend: str
-    drain_at_ns: float
-    drains_completed: int
-    drains_forced: int
-    counters_repaired: int
-    reconciliations: int
-    # -- the corrupting link --
-    corrupted_frames: int
-    masked_losses: int
-    guard_resent: int
-    # -- post-churn admissions --
-    new_placements: Dict[str, int] = field(default_factory=dict)
-    new_on_inactive: int = 0
-
-    @property
-    def expected_total(self) -> int:
-        return sum(self.expected.values())
-
-    @property
-    def recovered_total(self) -> int:
-        return sum(self.recovered.values())
-
-    @property
-    def lost_updates(self) -> int:
-        return self.expected_total - self.recovered_total
-
-    @property
-    def all_counters_exact(self) -> bool:
-        return self.expected == self.recovered
-
-    @property
-    def kill_detect_latency_ns(self) -> Optional[float]:
-        if self.kill_detect_ns is None:
-            return None
-        return self.kill_detect_ns - self.kill_at_ns
-
-
 def table_entries_for(connections: int) -> int:
     """Cuckoo sizing: next power of two past ``connections / 0.75``.
 
@@ -234,7 +155,7 @@ def run_l4lb_soak(
     kill_backend: str = "backend1",
     drain_backend: str = "backend2",
     seed: int = L4LB_SEED,
-) -> L4LbSoakResult:
+) -> Dict[str, dict]:
     """One combined-failure soak; see the module docstring for the plot.
 
     Timeline: wave 1 of established traffic starts at t=0 with the
@@ -244,6 +165,10 @@ def run_l4lb_soak(
     *scheduled* handoff — the controller picks a calm moment, which is
     precisely what distinguishes it from the kill); wave 2 plus the
     new-connection wave then run to completion.
+
+    The record holds the soak's totals, then one row per backend: its
+    fate, its two recovered counters, its traffic and its post-churn
+    admissions.
     """
     if backends < 3:
         raise ValueError("need >= 3 backends to kill one and drain another")
@@ -437,57 +362,66 @@ def run_l4lb_soak(
 
     kill_times = [r.time_ns for r in controller.journal if r.reason == "kill"]
     victim_healer = healers[kill_backend]
-    guard_counts = guard.counts
-
-    return L4LbSoakResult(
-        seed=seed,
-        connections=connections,
-        new_connections=len(new_flows),
-        backends=backends,
-        corrupt_rate=corrupt_rate,
-        table_entries=table_config.entries,
-        packets_offered=w1_count + w2_count + new_packets,
-        duration_ms=tb.sim.now / 1e6,
-        vip_packets=program.vip_packets,
-        forwarded_packets=program.forwarded_packets,
-        delivered_total=sum(delivered_by_backend.values()),
-        forwarded_by_backend=forwarded_by_backend,
-        delivered_by_backend=delivered_by_backend,
-        lookups_lost=table.metrics["lookups_lost"],
-        no_backend_drops=program.no_backend_drops,
-        stale_cached=len(table.stale_cached()),
-        expected=expected,
-        recovered=recovered,
-        affinity_breaks=affinity_breaks,
-        flows_delivered=len(deliveries),
-        connections_migrated=controller.stats.connections_migrated,
-        unsanctioned_migrations=unsanctioned,
-        killed_backend=kill_backend,
-        kill_at_ns=kill_at_ns,
-        kill_detected=controller.stats.kills_detected >= 1
-        and not pool.health.is_alive(kill_backend),
-        kill_detect_ns=min(kill_times) if kill_times else None,
-        breaker_opens=victim_healer.breaker.opens,
-        reconnect_attempts=victim_healer.reconnects,
-        kill_escalations=controller.stats.kill_escalations,
-        members_failed=store.cluster_stats.members_failed,
-        victim_wire_loss=victim_wire_loss,
-        other_wire_loss=other_wire_loss,
-        drained_backend=drain_backend,
-        drain_at_ns=drain_at_ns,
-        drains_completed=controller.stats.drains_completed,
-        drains_forced=controller.stats.drains_forced,
-        counters_repaired=store.cluster_stats.counters_repaired,
-        reconciliations=store.cluster_stats.reconciliations,
-        corrupted_frames=(
-            wire.effects.get("corrupted", 0) if wire is not None else 0
-        ),
-        masked_losses=guard_counts.get("masked_losses", 0),
-        guard_resent=guard_counts.get("resent", 0),
-        new_placements=new_placements,
-        new_on_inactive=new_on_inactive,
-    )
-    return result
+    expected_total, recovered_total = sum(expected.values()), sum(recovered.values())
+    record = {
+        "l4lb_soak": {
+            "seed": seed,
+            "connections": connections,
+            "new_connections": len(new_flows),
+            "backends": backends,
+            "table_entries": table_config.entries,
+            "corrupt_rate": corrupt_rate,
+            "packets_offered": w1_count + w2_count + new_packets,
+            "duration_ms": tb.sim.now / 1e6,
+            "vip_packets": program.vip_packets,
+            "forwarded_packets": program.forwarded_packets,
+            "delivered_total": sum(delivered_by_backend.values()),
+            "expected_total": expected_total,
+            "recovered_total": recovered_total,
+            "lost_updates": expected_total - recovered_total,
+            "all_counters_exact": expected == recovered,
+            "affinity_breaks": affinity_breaks,
+            "flows_delivered": len(deliveries),
+            "connections_migrated": controller.stats.connections_migrated,
+            "unsanctioned_migrations": unsanctioned,
+            "killed_backend": kill_backend,
+            "kill_detect_latency_ns": min(kill_times) - kill_at_ns if kill_times else None,
+            "breaker_opens": victim_healer.breaker.opens,
+            "reconnect_attempts": victim_healer.reconnects,
+            "kill_escalations": controller.stats.kill_escalations,
+            "members_failed": store.cluster_stats.members_failed,
+            "victim_wire_loss": victim_wire_loss,
+            "other_wire_loss": other_wire_loss,
+            "drained_backend": drain_backend,
+            "drains_completed": controller.stats.drains_completed,
+            "drains_forced": controller.stats.drains_forced,
+            "counters_repaired": store.cluster_stats.counters_repaired,
+            "corrupted_frames": wire.effects.get("corrupted", 0) if wire is not None else 0,
+            "masked_losses": guard.counts.get("masked_losses", 0),
+            "lookups_lost": table.metrics["lookups_lost"],
+            "new_on_inactive": new_on_inactive,
+            "stale_cached": len(table.stale_cached()),
+            "kill_detected": controller.stats.kills_detected >= 1
+            and not pool.health.is_alive(kill_backend),
+            "kill_at_ns": kill_at_ns,
+            "drain_at_ns": drain_at_ns,
+            "reconciliations": store.cluster_stats.reconciliations,
+            "counters": len(expected),
+        }
+    }
+    for slot in range(backends):
+        name = f"backend{slot}"
+        record[name] = {
+            "fate": "killed" if name == kill_backend
+            else "drained" if name == drain_backend
+            else "active",
+            "conns": recovered.get(2 * slot, 0),
+            "bytes": recovered.get(2 * slot + 1, 0),
+            "forwarded": forwarded_by_backend.get(name, 0),
+            "delivered": delivered_by_backend.get(name, 0),
+            "new_conns": new_placements.get(name, 0),
+        }
+    return record
 
 
 def _checks(record) -> dict:
@@ -515,44 +449,8 @@ def _checks(record) -> dict:
     }
 
 
-def _record(result: L4LbSoakResult) -> dict:
-    """The soak's totals, then one row per backend: its fate, its two
-    recovered counters, its traffic and its post-churn admissions."""
-    record = {
-        "l4lb_soak": dict(
-            **pick(
-                result,
-                "seed connections new_connections backends table_entries corrupt_rate "
-                "packets_offered duration_ms vip_packets forwarded_packets "
-                "delivered_total expected_total recovered_total lost_updates "
-                "all_counters_exact affinity_breaks flows_delivered "
-                "connections_migrated unsanctioned_migrations killed_backend "
-                "kill_detect_latency_ns breaker_opens reconnect_attempts "
-                "kill_escalations members_failed victim_wire_loss other_wire_loss "
-                "drained_backend drains_completed drains_forced counters_repaired "
-                "corrupted_frames masked_losses lookups_lost new_on_inactive "
-                "stale_cached kill_detected kill_at_ns drain_at_ns reconciliations",
-            ),
-            counters=len(result.expected),
-        )
-    }
-    for slot in range(result.backends):
-        name = f"backend{slot}"
-        record[name] = {
-            "fate": "killed" if name == result.killed_backend
-            else "drained" if name == result.drained_backend
-            else "active",
-            "conns": result.recovered.get(2 * slot, 0),
-            "bytes": result.recovered.get(2 * slot + 1, 0),
-            "forwarded": result.forwarded_by_backend.get(name, 0),
-            "delivered": result.delivered_by_backend.get(name, 0),
-            "new_conns": result.new_placements.get(name, 0),
-        }
-    return record
-
-
 EXPERIMENT = Experiment(
-    name="l4lb", run=run_l4lb_soak, record=_record, checks=_checks,
+    name="l4lb", run=run_l4lb_soak, checks=_checks,
     quick=dict(connections=2_000, packets=4_000, new_connections=200, new_packets=600),
     full=dict(
         connections=100_000, packets=20_000, new_connections=2_000, new_packets=3_000

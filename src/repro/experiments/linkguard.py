@@ -38,8 +38,7 @@ from ``(seed, variant, workload)``, and the committed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Sequence
 
 from ..apps.programs import RemoteBufferProgram, RemoteLookupProgram
 from ..core.lookup_table import (
@@ -64,7 +63,7 @@ from ..sim.units import gbps, usec
 from ..switches.hashing import FiveTuple
 from ..workloads.perftest import PacketSink, RawEthernetBw
 from ..testbed import build_testbed
-from . import Experiment, pick
+from . import Experiment
 from .chaos import breaker_config
 
 #: Root seed: one number pins every variant's timeline.
@@ -80,43 +79,6 @@ VARIANTS = ("lossless", "guard-off", "breaker-only", "guard-on")
 WORKLOADS = ("lookup", "pktbuf")
 
 _DST_PORT = 20_000
-
-
-@dataclass
-class LinkGuardRow:
-    """One (variant, workload) point of the link-protection sweep."""
-
-    variant: str
-    workload: str
-    seed: int
-    corrupt_rate: float
-    packets_sent: int
-    delivered: int
-    out_of_order: int
-    #: Frames the fault injector corrupted on the wire.
-    corrupted_frames: int
-    #: Transport-level recovery the variant paid (go-back-N NAK replays
-    #: plus watchdog timeouts) — zero when the guard masks below it.
-    transport_naks: int
-    transport_timeouts: int
-    #: Losses the guard repaired before the transport could see them.
-    masked_losses: int
-    guard_resent: int
-    shim_bytes: int
-    breaker_opens: int
-    #: The measurement window: total run for ``lookup``, the drain phase
-    #: for ``pktbuf`` (its store phase is identical across variants).
-    duration_ms: float
-
-    @property
-    def lost(self) -> int:
-        return self.packets_sent - self.delivered
-
-    @property
-    def goodput_per_ms(self) -> float:
-        if self.duration_ms <= 0:
-            return 0.0
-        return self.delivered / self.duration_ms
 
 
 def _protect(variant: str, tb, channel, primitive, seeds: SeedSequence):
@@ -154,7 +116,7 @@ def run_linkguard_point(
     packets: int = 1500,
     corrupt_rate: float = CORRUPT_RATE,
     seed: int = LINKGUARD_SEED,
-) -> LinkGuardRow:
+) -> dict:
     """One protection variant driving one primitive over the bad link."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected {VARIANTS}")
@@ -168,35 +130,42 @@ def run_linkguard_point(
 def _row(
     variant, workload, seed, corrupt_rate, sent, sink, wire, guard, healer,
     transport_naks, transport_timeouts, duration_ms,
-) -> LinkGuardRow:
+) -> dict:
     # Read effect totals off the injector/guard objects, not a registry
     # snapshot: under a shared registry a later variant's scope is
     # renamed ("...#2") and a name-based snapshot reads the wrong run.
     counts = guard.counts if guard is not None else {}
-    return LinkGuardRow(
-        variant=variant,
-        workload=workload,
-        seed=seed,
-        corrupt_rate=corrupt_rate,
-        packets_sent=sent,
-        delivered=sink.packets,
-        out_of_order=sink.out_of_order,
-        corrupted_frames=(
-            wire.effects.get("corrupted", 0) if wire is not None else 0
-        ),
-        transport_naks=transport_naks,
-        transport_timeouts=transport_timeouts,
-        masked_losses=counts.get("masked_losses", 0),
-        guard_resent=counts.get("resent", 0),
-        shim_bytes=counts.get("shim_bytes", 0),
-        breaker_opens=healer.breaker.opens if healer is not None else 0,
-        duration_ms=duration_ms,
-    )
+    return {
+        "seed": seed,
+        "variant": variant,
+        "workload": workload,
+        "corrupt_rate": corrupt_rate,
+        "packets_sent": sent,
+        # The measurement window: total run for ``lookup``, the drain
+        # phase for ``pktbuf`` (its store phase is identical across
+        # variants).
+        "duration_ms": duration_ms,
+        "delivered": sink.packets,
+        "lost": sent - sink.packets,
+        "out_of_order": sink.out_of_order,
+        # Frames the fault injector corrupted on the wire.
+        "corrupted_frames": wire.effects.get("corrupted", 0) if wire is not None else 0,
+        # Transport-level recovery the variant paid (go-back-N NAK replays
+        # plus watchdog timeouts) — zero when the guard masks below it.
+        "transport_naks": transport_naks,
+        "transport_timeouts": transport_timeouts,
+        # Losses the guard repaired before the transport could see them.
+        "masked_losses": counts.get("masked_losses", 0),
+        "guard_resent": counts.get("resent", 0),
+        "shim_bytes": counts.get("shim_bytes", 0),
+        "breaker_opens": healer.breaker.opens if healer is not None else 0,
+        "goodput_per_ms": sink.packets / duration_ms if duration_ms > 0 else 0.0,
+    }
 
 
 def _run_lookup(
     variant: str, packets: int, corrupt_rate: float, seed: int
-) -> LinkGuardRow:
+) -> dict:
     """Bounce-mode lookups with the cache off: four bad-link crossings
     per packet, and a deposited packet a transport retry cannot recover."""
     seeds = SeedSequence(seed)
@@ -244,7 +213,7 @@ def _run_lookup(
 
 def _run_pktbuf(
     variant: str, packets: int, corrupt_rate: float, seed: int
-) -> LinkGuardRow:
+) -> dict:
     """Store a burst cleanly, then drain it while the link corrupts.
 
     The drain is self-clocked (chained READs, bounded outstanding), so
@@ -315,39 +284,26 @@ def run_linkguard_sweep(
     seed: int = LINKGUARD_SEED,
     variants: Sequence[str] = VARIANTS,
     workloads: Sequence[str] = WORKLOADS,
-) -> List[LinkGuardRow]:
-    """The full grid: every workload under every protection variant."""
-    return [
-        run_linkguard_point(
+) -> Dict[str, dict]:
+    """The full grid: one entry per ``workload[variant]``, goodput also as
+    a fraction of the workload's lossless run."""
+    record = {
+        f"{workload}[{variant}]": run_linkguard_point(
             variant, workload,
             packets=packets, corrupt_rate=corrupt_rate, seed=seed,
         )
         for workload in workloads
         for variant in variants
-    ]
-
-
-def _record(rows: Sequence[LinkGuardRow]) -> dict:
-    """One entry per ``workload[variant]``, goodput also as a fraction of
-    the workload's lossless run."""
-    lossless = {r.workload: r.goodput_per_ms for r in rows if r.variant == "lossless"}
-    return {
-        f"{r.workload}[{r.variant}]": dict(
-            **pick(
-                r,
-                "seed variant workload corrupt_rate packets_sent duration_ms "
-                "delivered lost out_of_order corrupted_frames transport_naks "
-                "transport_timeouts masked_losses guard_resent shim_bytes "
-                "breaker_opens goodput_per_ms",
-            ),
-            goodput_vs_lossless=(
-                r.goodput_per_ms / lossless[r.workload]
-                if lossless.get(r.workload, 0) > 0
-                else None
-            ),
-        )
-        for r in rows
     }
+    lossless = {
+        r["workload"]: r["goodput_per_ms"]
+        for r in record.values()
+        if r["variant"] == "lossless"
+    }
+    for r in record.values():
+        base = lossless.get(r["workload"], 0)
+        r["goodput_vs_lossless"] = r["goodput_per_ms"] / base if base > 0 else None
+    return record
 
 
 def _checks(record) -> dict:
@@ -383,6 +339,6 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="linkguard", run=run_linkguard_sweep, record=_record, checks=_checks,
+    name="linkguard", run=run_linkguard_sweep, checks=_checks,
     quick={"packets": 800}, full={"packets": 1500},
 )

@@ -6,7 +6,7 @@ Three questions, answered end to end on the simulated testbed:
   With ``layout="cuckoo"`` the data plane picks the single bucket pair
   to fetch from the choice filter (repro.cuckoo); a correct run issues
   exactly one RDMA READ per remote lookup — zero bounce-retries — which
-  :class:`OneReadCheck` asserts straight from the RoCE counters.
+  every row's ``one_read`` field records straight from the RoCE counters.
 
 * **How do the SRAM cache policies compare under a heavy-tailed
   population?**  :func:`run_policy_point` drives an open-loop Zipf
@@ -26,8 +26,7 @@ jitter, same cuckoo layout, same numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from ..apps.programs import RemoteLookupProgram
 from ..cluster.pool import MemoryPool
@@ -42,8 +41,8 @@ from ..switches.hashing import FiveTuple
 from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.zipf import OpenLoopZipfTraffic
 from ..testbed import build_testbed
-from . import Experiment, pick
-from .scaleout import OFFERED_PER_SERVER_MLPS, RING_SEED, RING_VNODES
+from . import Experiment
+from .scaleout import OFFERED_PER_SERVER_MLPS, RING_SEED, RING_VNODES, mega_per_sec
 
 #: Policies compared by the study, in presentation order.
 POLICIES = ("fifo", "lru", "lfu", "pin")
@@ -53,74 +52,6 @@ CACHE_SIZES = (256, 1024, 4096)
 
 #: Zipf skew for the headline runs (≈ real DC flow popularity).
 DEFAULT_ALPHA = 1.0
-
-
-@dataclass
-class OneReadCheck:
-    """Wire-trace accounting for the cuckoo one-READ invariant."""
-
-    remote_lookups: int
-    reads_issued: int
-
-    @property
-    def bounce_retries(self) -> int:
-        """READs beyond the first per miss (must be zero for cuckoo)."""
-        return self.reads_issued - self.remote_lookups
-
-    @property
-    def holds(self) -> bool:
-        return self.remote_lookups > 0 and self.bounce_retries == 0
-
-
-@dataclass
-class PolicyPoint:
-    """One (policy, cache size) point of the hit-rate curve."""
-
-    policy: str
-    cache_entries: int
-    population: int
-    distinct_flows: int
-    packets: int
-    local_hits: int
-    remote_lookups: int
-    hit_rate: float
-    p99_bounce_ns: float
-    pins: int
-    one_read: OneReadCheck
-
-
-@dataclass
-class ScaleMissRow:
-    """One pool size of the sustained-miss-throughput sweep."""
-
-    servers: int
-    population: int
-    distinct_flows: int
-    offered_mlps: float
-    packets_sent: int
-    misses_completed: int
-    lookups_lost: int
-    duration_ms: float
-    p99_bounce_ns: float
-    one_read: OneReadCheck
-
-    @property
-    def mmisses_per_sec(self) -> float:
-        if self.duration_ms <= 0:
-            return 0.0
-        return self.misses_completed / (self.duration_ms * 1e3)
-
-
-@dataclass
-class LookupScaleStudy:
-    """Everything ``BENCH_lookup.json`` records for one (seed, population)."""
-
-    population: int
-    alpha: float
-    count: int
-    seed: int
-    policy_curve: List[PolicyPoint] = field(default_factory=list)
-    scaleout: List[ScaleMissRow] = field(default_factory=list)
 
 
 def _install_zipf_flows(table, tb, traffic) -> List[FiveTuple]:
@@ -142,14 +73,14 @@ def _install_zipf_flows(table, tb, traffic) -> List[FiveTuple]:
     return flows
 
 
-def _reads_issued(tables) -> int:
-    """Sum READs issued on each table's RoCE generator.
+def _bounce_retries(tables, remote_lookups: int) -> int:
+    """READs beyond the first per miss (must be zero for cuckoo).
 
     Read through each generator's own (uniquified) metric scope — a
     shared registry across runs renames colliding ``roce[...]`` scopes,
     so looking the counter up by channel name would read a stale run.
     """
-    return sum(table.rocegen.metrics["reads_issued"] for table in tables)
+    return sum(table.rocegen.metrics["reads_issued"] for table in tables) - remote_lookups
 
 
 def run_policy_point(
@@ -161,7 +92,7 @@ def run_policy_point(
     seed: int = 3,
     entries: int = 1 << 14,
     rate_pps: float = 2e6,
-) -> PolicyPoint:
+) -> dict:
     """Hit rate + p99 bounce latency for one policy at one cache size."""
     tb = build_testbed(n_hosts=2)
     program = tb.bind(RemoteLookupProgram())
@@ -198,24 +129,22 @@ def run_policy_point(
     metrics = table.metrics
     if metrics["remote_lookups"] == 0:
         raise RuntimeError("lookup-scale: no remote lookups; setup broken")
-    latency = metrics.histogram("remote_latency_ns")
-    pins = metrics["cache.pins"] if table.cache is not None else 0
-    return PolicyPoint(
-        policy=policy,
-        cache_entries=cache_entries,
-        population=population,
-        distinct_flows=len(flows),
-        packets=traffic.packets_sent,
-        local_hits=metrics["local_hits"],
-        remote_lookups=metrics["remote_lookups"],
-        hit_rate=metrics["hit_rate"],
-        p99_bounce_ns=latency.percentile(0.99),
-        pins=pins,
-        one_read=OneReadCheck(
-            remote_lookups=metrics["remote_lookups"],
-            reads_issued=_reads_issued([table]),
-        ),
-    )
+    remote_lookups = metrics["remote_lookups"]
+    retries = _bounce_retries([table], remote_lookups)
+    return {
+        "policy": policy,
+        "cache_entries": cache_entries,
+        "population": population,
+        "distinct_flows": len(flows),
+        "hit_rate": round(metrics["hit_rate"], 4),
+        "p99_bounce_ns": round(metrics.histogram("remote_latency_ns").percentile(0.99), 1),
+        "pins": metrics["cache.pins"] if table.cache is not None else 0,
+        "remote_lookups": remote_lookups,
+        "reads_issued": remote_lookups + retries,
+        "bounce_retries": retries,
+        "one_read": remote_lookups > 0 and retries == 0,
+        "packets": traffic.packets_sent,
+    }
 
 
 def run_policy_curve(
@@ -226,10 +155,10 @@ def run_policy_curve(
     alpha: float = DEFAULT_ALPHA,
     seed: int = 3,
     entries: int = 1 << 14,
-) -> List[PolicyPoint]:
+) -> Dict[str, dict]:
     """The full policy × cache-size grid (one fresh testbed per point)."""
-    return [
-        run_policy_point(
+    return {
+        f"policy_{policy}_{cache}": run_policy_point(
             policy,
             cache,
             population=population,
@@ -240,7 +169,7 @@ def run_policy_curve(
         )
         for policy in policies
         for cache in cache_sizes
-    ]
+    }
 
 
 def run_lookup_scaleout_point(
@@ -251,7 +180,7 @@ def run_lookup_scaleout_point(
     seed: int = 3,
     entries: int = 1 << 14,
     offered_per_server_mlps: float = OFFERED_PER_SERVER_MLPS,
-) -> ScaleMissRow:
+) -> dict:
     """Sustained miss throughput with the cuckoo table sharded N ways.
 
     Cache disabled: every packet is a remote miss, so completed misses
@@ -309,21 +238,20 @@ def run_lookup_scaleout_point(
         shard.metrics.histogram("remote_latency_ns").percentile(0.99)
         for shard in table.shards.values()
     )
-    return ScaleMissRow(
-        servers=servers,
-        population=population,
-        distinct_flows=len(flows),
-        offered_mlps=offered_per_server_mlps * servers,
-        packets_sent=traffic.packets_sent,
-        misses_completed=completed,
-        lookups_lost=table.lookups_lost,
-        duration_ms=tb.sim.now / 1e6,
-        p99_bounce_ns=p99,
-        one_read=OneReadCheck(
-            remote_lookups=remote_lookups,
-            reads_issued=_reads_issued(table.shards.values()),
-        ),
-    )
+    retries = _bounce_retries(table.shards.values(), remote_lookups)
+    duration_ms = tb.sim.now / 1e6
+    return {
+        "servers": servers,
+        "population": population,
+        "offered_mlps": offered_per_server_mlps * servers,
+        "mmisses_per_sec": round(mega_per_sec(completed, duration_ms), 3),
+        "lookups_lost": table.lookups_lost,
+        "p99_bounce_ns": round(p99, 1),
+        "bounce_retries": retries,
+        "one_read": remote_lookups > 0 and retries == 0,
+        "misses_completed": completed,
+        "duration_ms": duration_ms,
+    }
 
 
 def run_lookup_scale(
@@ -335,12 +263,10 @@ def run_lookup_scale(
     alpha: float = DEFAULT_ALPHA,
     seed: int = 3,
     entries: int = 1 << 14,
-) -> LookupScaleStudy:
-    """The whole study: policy curves plus the miss-throughput sweep."""
-    study = LookupScaleStudy(
-        population=population, alpha=alpha, count=count, seed=seed
-    )
-    study.policy_curve = run_policy_curve(
+) -> Dict[str, dict]:
+    """The whole study: policy curves plus the miss-throughput sweep; the
+    largest pool's row also carries its speedup over the first."""
+    record = run_policy_curve(
         policies=policies,
         cache_sizes=cache_sizes,
         population=population,
@@ -349,7 +275,7 @@ def run_lookup_scale(
         seed=seed,
         entries=entries,
     )
-    study.scaleout = [
+    rows = [
         run_lookup_scaleout_point(
             n,
             population=population,
@@ -360,35 +286,9 @@ def run_lookup_scale(
         )
         for n in server_counts
     ]
-    return study
-
-
-def _record(study: LookupScaleStudy) -> dict:
-    record = {}
-    for p in study.policy_curve:
-        record[f"policy_{p.policy}_{p.cache_entries}"] = dict(
-            **pick(p, "policy cache_entries population distinct_flows"),
-            hit_rate=round(p.hit_rate, 4),
-            p99_bounce_ns=round(p.p99_bounce_ns, 1),
-            pins=p.pins,
-            **pick(p.one_read, "remote_lookups reads_issued bounce_retries"),
-            one_read=p.one_read.holds,
-            packets=p.packets,
-        )
-    for r in study.scaleout:
-        record[f"scaleout_{r.servers}_servers"] = dict(
-            **pick(r, "servers population offered_mlps"),
-            mmisses_per_sec=round(r.mmisses_per_sec, 3),
-            lookups_lost=r.lookups_lost,
-            p99_bounce_ns=round(r.p99_bounce_ns, 1),
-            bounce_retries=r.one_read.bounce_retries,
-            one_read=r.one_read.holds,
-            **pick(r, "misses_completed duration_ms"),
-        )
-    rows = study.scaleout
-    record[f"scaleout_{rows[-1].servers}_servers"]["speedup_vs_1_server"] = round(
-        rows[-1].mmisses_per_sec / rows[0].mmisses_per_sec, 3
-    )
+    rates = [mega_per_sec(r["misses_completed"], r["duration_ms"]) for r in rows]
+    rows[-1]["speedup_vs_1_server"] = round(rates[-1] / rates[0], 3)
+    record.update((f"scaleout_{r['servers']}_servers", r) for r in rows)
     return record
 
 
@@ -417,7 +317,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="lookup-scale", run=run_lookup_scale, record=_record, checks=_checks,
+    name="lookup-scale", run=run_lookup_scale, checks=_checks,
     quick=dict(cache_sizes=(128, 256), population=100_000, count=3_000, entries=1 << 12),
     full=dict(population=1_000_000, count=20_000, entries=1 << 14),
 )

@@ -12,8 +12,7 @@ data-plane generator — both must agree with the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import Dict
 
 from ..net.headers import EthernetHeader, Ipv4Header, UdpHeader
 from ..net.addresses import Ipv4Address, MacAddress
@@ -27,22 +26,7 @@ from ..rdma.packets import (
 )
 from ..rdma.qp import QueuePair
 from ..rdma.verbs import connect_qps
-from . import Experiment, rows_by
-
-
-@dataclass
-class OverheadRow:
-    operation: str
-    opcode: Opcode
-    transport_bytes: int          # IPv4 + UDP + BTH (40 B for RoCEv2)
-    extension_bytes: int          # RETH / AtomicETH
-    paper_total: int              # what §4 quotes
-    measured_total: int           # from a serialized packet
-    rocev1_total: int
-
-    @property
-    def matches_paper(self) -> bool:
-        return self.measured_total == self.paper_total
+from . import Experiment
 
 
 def _build_request(opcode: Opcode, payload_bytes: int):
@@ -72,9 +56,9 @@ def _measured_overhead_v1(opcode: Opcode, payload_bytes: int) -> int:
     return _overhead_of(convert_to_rocev1(_build_request(opcode, payload_bytes)))
 
 
-def run_overhead() -> List[OverheadRow]:
-    """Regenerate the §4 overhead accounting."""
-    rows = []
+def run_overhead() -> Dict[str, dict]:
+    """Regenerate the §4 overhead accounting: one row per operation."""
+    rows = {}
     cases = [
         ("RDMA WRITE", Opcode.RDMA_WRITE_ONLY, 16),
         ("RDMA READ", Opcode.RDMA_READ_REQUEST, 16),
@@ -88,17 +72,17 @@ def run_overhead() -> List[OverheadRow]:
                 f"RoCEv1 framing of {name} measures {measured_v1} B, "
                 f"expected {roce_packet_overhead(opcode, rocev1=True)} B"
             )
-        rows.append(
-            OverheadRow(
-                operation=name,
-                opcode=opcode,
-                transport_bytes=transport,
-                extension_bytes=extension,
-                paper_total=40 + extension,
-                measured_total=_measured_overhead(opcode, 64),
-                rocev1_total=measured_v1,
-            )
-        )
+        paper, measured = 40 + extension, _measured_overhead(opcode, 64)
+        rows[name] = {
+            "operation": name,
+            "opcode": opcode,
+            "transport_bytes": transport,  # IPv4 + UDP + BTH (40 B for RoCEv2)
+            "extension_bytes": extension,  # RETH / AtomicETH
+            "paper_total": paper,          # what §4 quotes
+            "measured_total": measured,    # from a serialized packet
+            "rocev1_total": measured_v1,
+            "matches_paper": measured == paper,
+        }
     return rows
 
 
@@ -118,7 +102,5 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="overhead", run=run_overhead, checks=_checks,
-    record=rows_by("operation"),
-    quick={}, full={},
+    name="overhead", run=run_overhead, checks=_checks, quick={}, full={},
 )

@@ -13,8 +13,7 @@ Paper results (1500 B MTU frames, 40 GbE):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Sequence
 
 from ..apps.programs import RemoteBufferProgram
 from ..core.packet_buffer import (
@@ -27,50 +26,12 @@ from ..sim.units import SEC, gbps
 from ..baselines.native_rdma import NativeRdmaStreamer
 from ..workloads.perftest import PacketSink, RawEthernetBw
 from ..testbed import build_testbed
-from . import Experiment, pick, rows_by
-
-
-@dataclass
-class StoreLoadResult:
-    """Outcome of one offered-rate point."""
-
-    offered_gbps: float
-    packets: int
-    stored: int
-    lossless: bool
-    store_rate_gbps: float
-    forward_rate_gbps: float
-    delivered: int
-
-
-@dataclass
-class PacketBufferRateReport:
-    points: List[StoreLoadResult]
-    native_write_gbps: float
-    native_read_gbps: float
-
-    @property
-    def max_lossless_store_gbps(self) -> float:
-        lossless = [p.store_rate_gbps for p in self.points if p.lossless]
-        return max(lossless) if lossless else 0.0
-
-    @property
-    def forward_rate_gbps(self) -> float:
-        lossless = [p for p in self.points if p.lossless]
-        return lossless[-1].forward_rate_gbps if lossless else 0.0
-
-    @property
-    def native_advantage_pct(self) -> float:
-        """How much faster native RDMA WRITE is than the lossless store."""
-        store = self.max_lossless_store_gbps
-        if store <= 0:
-            return float("inf")
-        return (self.native_write_gbps - store) / store * 100.0
+from . import Experiment
 
 
 def run_store_load_point(
     offered_gbps: float, packets: int = 2000, packet_size: int = 1500
-) -> StoreLoadResult:
+) -> dict:
     """One offered-rate point: store-all phase, then manual drain phase."""
     tb = build_testbed(n_hosts=2)
     program = tb.bind(RemoteBufferProgram())
@@ -124,15 +85,15 @@ def run_store_load_point(
     tb.sim.run()
     forward_rate = sink.goodput_bps()
 
-    return StoreLoadResult(
-        offered_gbps=offered_gbps,
-        packets=packets,
-        stored=stored,
-        lossless=lossless,
-        store_rate_gbps=store_rate / 1e9,
-        forward_rate_gbps=forward_rate / 1e9,
-        delivered=sink.packets,
-    )
+    return {
+        "offered_gbps": offered_gbps,
+        "packets": packets,
+        "stored": stored,
+        "lossless": lossless,
+        "store_rate_gbps": store_rate / 1e9,
+        "forward_rate_gbps": forward_rate / 1e9,
+        "delivered": sink.packets,
+    }
 
 
 def run_native_baseline(
@@ -165,23 +126,25 @@ def run_native_baseline(
 def run_packet_buffer_rate(
     offered_rates_gbps: Sequence[float] = (30, 32, 33, 34, 35, 36, 37, 38, 39, 40),
     packets: int = 2000,
-) -> PacketBufferRateReport:
-    """Regenerate the §5 store/forward rate result."""
-    points = [run_store_load_point(rate, packets) for rate in offered_rates_gbps]
-    return PacketBufferRateReport(
-        points=points,
-        native_write_gbps=run_native_baseline(Opcode.RDMA_WRITE_ONLY, packets),
-        native_read_gbps=run_native_baseline(Opcode.RDMA_READ_REQUEST, packets),
-    )
-
-
-def _record(report: PacketBufferRateReport) -> dict:
-    record = rows_by("offered_gbps")(report.points)
-    record["rates"] = pick(
-        report,
-        "max_lossless_store_gbps forward_rate_gbps native_write_gbps "
-        "native_read_gbps native_advantage_pct",
-    )
+) -> Dict[str, dict]:
+    """Regenerate the §5 store/forward rate result: one row per offered
+    rate, then the headline ``rates``."""
+    record = {
+        str(rate): run_store_load_point(rate, packets) for rate in offered_rates_gbps
+    }
+    lossless = [p for p in record.values() if p["lossless"]]
+    store = max((p["store_rate_gbps"] for p in lossless), default=0.0)
+    native_write = run_native_baseline(Opcode.RDMA_WRITE_ONLY, packets)
+    record["rates"] = {
+        "max_lossless_store_gbps": store,
+        "forward_rate_gbps": lossless[-1]["forward_rate_gbps"] if lossless else 0.0,
+        "native_write_gbps": native_write,
+        "native_read_gbps": run_native_baseline(Opcode.RDMA_READ_REQUEST, packets),
+        # How much faster native RDMA WRITE is than the lossless store.
+        "native_advantage_pct": (
+            (native_write - store) / store * 100.0 if store > 0 else float("inf")
+        ),
+    }
     return record
 
 
@@ -200,7 +163,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="packet-buffer", run=run_packet_buffer_rate, record=_record, checks=_checks,
+    name="packet-buffer", run=run_packet_buffer_rate, checks=_checks,
     quick={"offered_rates_gbps": (33, 34, 35, 36, 40), "packets": 4000},
     full={"offered_rates_gbps": (32, 33, 34, 35, 36, 38, 40), "packets": 8000},
 )

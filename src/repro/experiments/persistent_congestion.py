@@ -17,8 +17,7 @@ overload (two senders at line rate, forever) and compares:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from ..analysis.stats import jain_fairness
 from ..apps.programs import RemoteBufferProgram
@@ -31,33 +30,9 @@ from ..sim.units import gbps, kib, msec
 from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.dctcp import DctcpConfig, DctcpReceiver, DctcpSender
 from ..testbed import build_testbed
-from . import Experiment, rows_by
+from . import Experiment
 
 MODES = ("buffer_only", "buffer+ecn")
-
-
-@dataclass
-class PersistentCongestionResult:
-    mode: str
-    duration_ms: float
-    packets_sent: int
-    packets_received: int
-    ring_full_drops: int
-    switch_drops: int
-    peak_ring_entries: int
-    final_ring_entries: int
-    ce_marked: int
-    final_rates_gbps: List[float]
-
-    @property
-    def loss_rate(self) -> float:
-        if self.packets_sent == 0:
-            return 0.0
-        return 1.0 - self.packets_received / self.packets_sent
-
-    @property
-    def aggregate_final_rate_gbps(self) -> float:
-        return sum(self.final_rates_gbps)
 
 
 def run_persistent_congestion(
@@ -67,7 +42,7 @@ def run_persistent_congestion(
     ecn_threshold_entries: int = 256,
     n_memory_servers: int = 3,
     senders: int = 2,
-) -> PersistentCongestionResult:
+) -> dict:
     """One mode of the persistent-congestion study.
 
     Sizing notes, each load-bearing:
@@ -173,24 +148,26 @@ def run_persistent_congestion(
     ce_marked = primitive.metrics["ecn_marked"] + sum(
         q.ecn_marked for q in tb.switch.tm.queues.values()
     )
-    return PersistentCongestionResult(
-        mode=mode,
-        duration_ms=duration_ms,
-        packets_sent=sum(s.packets_sent for s in dctcp_senders),
-        packets_received=dctcp_receiver.packets,
-        ring_full_drops=primitive.metrics["ring_full_drops"],
-        switch_drops=tb.switch.tm.total_dropped_packets,
-        peak_ring_entries=peak[0],
-        final_ring_entries=primitive.stored_entries,
-        ce_marked=ce_marked,
-        final_rates_gbps=[s.rate_bps / 1e9 for s in dctcp_senders],
-    )
+    sent = sum(s.packets_sent for s in dctcp_senders)
+    final_rates_gbps = [s.rate_bps / 1e9 for s in dctcp_senders]
+    return {
+        "mode": mode,
+        "duration_ms": duration_ms,
+        "packets_sent": sent,
+        "packets_received": dctcp_receiver.packets,
+        "ring_full_drops": primitive.metrics["ring_full_drops"],
+        "switch_drops": tb.switch.tm.total_dropped_packets,
+        "peak_ring_entries": peak[0],
+        "final_ring_entries": primitive.stored_entries,
+        "ce_marked": ce_marked,
+        "final_rates_gbps": final_rates_gbps,
+        "loss_rate": 1.0 - dctcp_receiver.packets / sent if sent else 0.0,
+        "aggregate_final_rate_gbps": sum(final_rates_gbps),
+    }
 
 
-def run_persistent_congestion_comparison(
-    **kwargs,
-) -> List[PersistentCongestionResult]:
-    return [run_persistent_congestion(mode, **kwargs) for mode in MODES]
+def run_persistent_congestion_comparison(**kwargs) -> Dict[str, dict]:
+    return {mode: run_persistent_congestion(mode, **kwargs) for mode in MODES}
 
 
 def _checks(record) -> dict:
@@ -212,6 +189,6 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="persistent-congestion", run=run_persistent_congestion_comparison,
-    checks=_checks, record=rows_by("mode"),
+    checks=_checks,
     quick={"duration_ms": 4.0}, full={"duration_ms": 6.0},
 )

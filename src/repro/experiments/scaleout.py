@@ -22,8 +22,7 @@ Two claims from the cluster subsystem, measured end to end:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..apps.programs import CountingProgram, RemoteLookupProgram
 from ..cluster.pool import MemoryPool
@@ -45,7 +44,7 @@ from ..switches.traffic_manager import TrafficManagerConfig
 from ..workloads.factory import udp_between
 from ..workloads.perftest import RawEthernetBw
 from ..testbed import build_testbed
-from . import Experiment, pick
+from . import Experiment
 
 #: Ring salt for every scale-out run (placement, hence the load split, is
 #: deterministic and reproducible — satellite of the cluster subsystem).
@@ -62,23 +61,9 @@ _BASE_SRC_PORT = 10_000
 _DST_PORT = 20_000
 
 
-@dataclass
-class ScaleoutRow:
-    """One point of the lookup-table scale-out sweep."""
-
-    servers: int
-    offered_mlps: float
-    lookups_sent: int
-    lookups_completed: int
-    lookups_lost: int
-    duration_ms: float
-    health: Dict[str, dict] = field(default_factory=dict)
-
-    @property
-    def mlookups_per_sec(self) -> float:
-        if self.duration_ms <= 0:
-            return 0.0
-        return self.lookups_completed / (self.duration_ms * 1e3)
+def mega_per_sec(count: int, duration_ms: float) -> float:
+    """*count* events per second of a *duration_ms* run, in millions."""
+    return count / (duration_ms * 1e3) if duration_ms > 0 else 0.0
 
 
 def _rotate_src_port(flows: int):
@@ -148,7 +133,7 @@ def run_scaleout_point(
     flows_per_host: int = 32,
     entries: int = 1 << 16,
     offered_per_server_mlps: float = OFFERED_PER_SERVER_MLPS,
-) -> ScaleoutRow:
+) -> dict:
     """Measure aggregate lookup miss throughput with *servers* pool members.
 
     Every packet is a remote miss (``cache_entries=0``, §5's per-packet
@@ -212,15 +197,16 @@ def run_scaleout_point(
         + table.total("fingerprint_mismatches")
         + table.total("remote_invalid")
     )
-    return ScaleoutRow(
-        servers=servers,
-        offered_mlps=offered_mlps,
-        lookups_sent=sent,
-        lookups_completed=completed,
-        lookups_lost=table.lookups_lost,
-        duration_ms=tb.sim.now / 1e6,
-        health=pool.health.snapshot(),
-    )
+    duration_ms = tb.sim.now / 1e6
+    return {
+        "servers": servers,
+        "mlookups_per_sec": round(mega_per_sec(completed, duration_ms), 3),
+        "lookups_lost": table.lookups_lost,
+        "lookups_sent": sent,
+        "lookups_completed": completed,
+        "offered_mlps": offered_mlps,
+        "duration_ms": duration_ms,
+    }
 
 
 def run_scaleout(
@@ -228,9 +214,10 @@ def run_scaleout(
     hosts: int = 8,
     lookups_per_host: int = 1200,
     flows_per_host: int = 32,
-) -> List[ScaleoutRow]:
-    """The scale-out sweep: one row per pool size, same total work."""
-    return [
+) -> Dict[str, dict]:
+    """The scale-out sweep: one row per pool size, same total work; the
+    largest pool's row also carries its speedup over the first."""
+    rows = [
         run_scaleout_point(
             n,
             hosts=hosts,
@@ -239,41 +226,12 @@ def run_scaleout(
         )
         for n in server_counts
     ]
+    rates = [mega_per_sec(r["lookups_completed"], r["duration_ms"]) for r in rows]
+    rows[-1]["speedup_vs_1_server"] = round(rates[-1] / rates[0], 3)
+    return {f"scaleout_{r['servers']}_servers": r for r in rows}
 
 
 # -- replicated counters under server death -----------------------------------
-
-
-@dataclass
-class FailoverCountersResult:
-    """Outcome of killing one replica server mid-count."""
-
-    packets_sent: int
-    #: Expected per-counter totals (index -> value) from the send schedule.
-    expected: Dict[int, int]
-    #: Recovered per-counter totals read back after the death.
-    recovered: Dict[int, int]
-    killed_member: str
-    kill_at_ns: float
-    detected: bool
-    counters_repaired: int
-    members_failed: int
-
-    @property
-    def expected_total(self) -> int:
-        return sum(self.expected.values())
-
-    @property
-    def recovered_total(self) -> int:
-        return sum(self.recovered.values())
-
-    @property
-    def lost_updates(self) -> int:
-        return self.expected_total - self.recovered_total
-
-    @property
-    def all_counters_exact(self) -> bool:
-        return self.expected == self.recovered
 
 
 def run_failover_counters(
@@ -283,7 +241,7 @@ def run_failover_counters(
     replication: int = 2,
     kill_at_ns: float = 1_500_000.0,
     counters: int = 1 << 12,
-) -> FailoverCountersResult:
+) -> dict:
     """Kill one replica server mid-run; verify no counter update is lost.
 
     The victim's switch link goes fully lossy at ``kill_at_ns`` (a crash,
@@ -326,48 +284,19 @@ def run_failover_counters(
 
     count_schedule(tb, store, packets, flows)
     recovered = {index: store.read_counter(index) for index in expected}
-    return FailoverCountersResult(
-        packets_sent=packets,
-        expected=expected,
-        recovered=recovered,
-        killed_member=victim,
-        kill_at_ns=kill_at_ns,
-        detected=not pool.health.is_alive(victim),
-        counters_repaired=store.cluster_stats.counters_repaired,
-        members_failed=store.cluster_stats.members_failed,
-    )
-
-
-def _run(lookups_per_host: int, packets: int, kill_at_ns: float):
-    return (
-        run_scaleout(lookups_per_host=lookups_per_host),
-        run_failover_counters(packets=packets, kill_at_ns=kill_at_ns),
-    )
-
-
-def _record(run) -> dict:
-    rows, failover = run
-    record = {
-        f"scaleout_{r.servers}_servers": dict(
-            servers=r.servers,
-            mlookups_per_sec=round(r.mlookups_per_sec, 3),
-            **pick(
-                r,
-                "lookups_lost lookups_sent lookups_completed offered_mlps duration_ms",
-            ),
-        )
-        for r in rows
+    expected_total, recovered_total = sum(expected.values()), sum(recovered.values())
+    return {
+        "killed_member": victim,
+        "lost_updates": expected_total - recovered_total,
+        "all_counters_exact": expected == recovered,
+        "counters_repaired": store.cluster_stats.counters_repaired,
+        "detected": not pool.health.is_alive(victim),
+        "members_failed": store.cluster_stats.members_failed,
+        "packets_sent": packets,
+        "kill_at_ns": kill_at_ns,
+        "expected_total": expected_total,
+        "recovered_total": recovered_total,
     }
-    record["scaleout_4_servers"]["speedup_vs_1_server"] = round(
-        rows[-1].mlookups_per_sec / rows[0].mlookups_per_sec, 3
-    )
-    record["failover_replicated_counters"] = pick(
-        failover,
-        "killed_member lost_updates all_counters_exact counters_repaired "
-        "detected members_failed packets_sent kill_at_ns expected_total "
-        "recovered_total",
-    )
-    return record
 
 
 def _checks(record) -> dict:
@@ -389,7 +318,14 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="scaleout", run=_run, record=_record, checks=_checks,
+    name="scaleout",
+    run=lambda lookups_per_host, packets, kill_at_ns: {
+        **run_scaleout(lookups_per_host=lookups_per_host),
+        "failover_replicated_counters": run_failover_counters(
+            packets=packets, kill_at_ns=kill_at_ns
+        ),
+    },
+    checks=_checks,
     quick={"lookups_per_host": 400, "packets": 1500, "kill_at_ns": 600_000.0},
     full={"lookups_per_host": 1200, "packets": 4000, "kill_at_ns": 1_500_000.0},
 )

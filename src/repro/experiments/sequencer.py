@@ -9,31 +9,19 @@ switches, versus a local register's line-rate stamping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from ..apps.sequencer import SEQUENCER_PORT, SeqHeader, SequencerProgram
 from ..net.headers import UdpHeader
 from ..sim.units import SEC, gbps
 from ..workloads.perftest import RawEthernetBw
 from ..testbed import build_testbed
-from . import Experiment, rows_by
-
-
-@dataclass
-class SequencerResult:
-    offered_mpps: float
-    sequenced: int
-    dropped: int
-    achieved_mops: float
-    gap_free: bool
-    arrival_ordered: bool
-    server_cpu_packets: int
+from . import Experiment
 
 
 def run_sequencer_point(
     offered_mpps: float, packets: int = 3000, packet_size: int = 64
-) -> SequencerResult:
+) -> dict:
     """One offered-rate point of the sequencing-throughput sweep."""
     tb = build_testbed(n_hosts=2)
     program = tb.bind(SequencerProgram(max_parked=1 << 16))
@@ -72,22 +60,22 @@ def run_sequencer_point(
             achieved = (len(stamped) - 1) * SEC / window / 1e6
     numbers = [s for _, s, _ in stamped]
     sender_order = [m for _, _, m in stamped]
-    return SequencerResult(
-        offered_mpps=offered_mpps,
-        sequenced=program.stats.sequenced,
-        dropped=program.stats.dropped_window_full,
-        achieved_mops=achieved,
-        gap_free=sorted(numbers) == list(range(len(numbers))),
-        arrival_ordered=sender_order == sorted(sender_order),
-        server_cpu_packets=tb.memory_server.cpu_packets,
-    )
+    return {
+        "offered_mpps": offered_mpps,
+        "sequenced": program.stats.sequenced,
+        "dropped": program.stats.dropped_window_full,
+        "achieved_mops": achieved,
+        "gap_free": sorted(numbers) == list(range(len(numbers))),
+        "arrival_ordered": sender_order == sorted(sender_order),
+        "server_cpu_packets": tb.memory_server.cpu_packets,
+    }
 
 
 def run_sequencer_throughput(
     offered_mpps: Sequence[float] = (0.5, 1.0, 2.0, 3.0, 5.0, 10.0),
     packets: int = 3000,
-) -> List[SequencerResult]:
-    return [run_sequencer_point(rate, packets) for rate in offered_mpps]
+) -> Dict[str, dict]:
+    return {str(rate): run_sequencer_point(rate, packets) for rate in offered_mpps}
 
 
 def _checks(record) -> dict:
@@ -110,6 +98,5 @@ def _checks(record) -> dict:
 
 EXPERIMENT = Experiment(
     name="sequencer", run=run_sequencer_throughput, checks=_checks,
-    record=rows_by("offered_mpps"),
     quick={"packets": 1000}, full={"packets": 3000},
 )

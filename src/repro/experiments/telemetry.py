@@ -13,8 +13,7 @@ Two results the section argues for:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..apps.sketch import (
     CountMinSketch,
@@ -34,23 +33,7 @@ from ..sim.units import gbps, kib
 from ..switches.hashing import FiveTuple
 from ..workloads.flows import ZipfFlowWorkload
 from ..testbed import build_testbed
-from . import Experiment, rows_by
-
-
-@dataclass
-class TelemetryResult:
-    backend: str
-    sketch_kind: str
-    sketch_counters: int
-    sketch_bytes: int
-    packets: int
-    distinct_flows: int
-    mean_relative_error: float
-    hh_precision: float
-    hh_recall: float
-    hh_f1: float
-    fa_operations: int
-    server_cpu_packets: int
+from . import Experiment
 
 
 def _run_backend(
@@ -63,7 +46,7 @@ def _run_backend(
     hh_threshold: int,
     seed: int,
     sketch_kind: str = "countmin",
-) -> TelemetryResult:
+) -> dict:
     if sketch_kind not in ("countmin", "countsketch"):
         raise ValueError(f"unknown sketch kind {sketch_kind!r}")
     tb = build_testbed(n_hosts=2, with_memory_server=backend == "remote")
@@ -125,22 +108,20 @@ def _run_backend(
 
     detector = HeavyHitterDetector(sketch)
     report = detector.detect(keys, hh_threshold, sent_by_rank)
-    return TelemetryResult(
-        backend=backend,
-        sketch_kind=sketch_kind,
-        sketch_counters=geometry.counters,
-        sketch_bytes=geometry.bytes,
-        packets=workload.packets_sent,
-        distinct_flows=workload.distinct_flows_sent(),
-        mean_relative_error=mean_relative_error(estimates),
-        hh_precision=report.precision,
-        hh_recall=report.recall,
-        hh_f1=report.f1,
-        fa_operations=(store.metrics["operations_issued"] if store else 0),
-        server_cpu_packets=(
-            tb.memory_server.cpu_packets if tb.memory_server else 0
-        ),
-    )
+    return {
+        "backend": backend,
+        "sketch_kind": sketch_kind,
+        "sketch_counters": geometry.counters,
+        "sketch_bytes": geometry.bytes,
+        "packets": workload.packets_sent,
+        "distinct_flows": workload.distinct_flows_sent(),
+        "mean_relative_error": mean_relative_error(estimates),
+        "hh_precision": report.precision,
+        "hh_recall": report.recall,
+        "hh_f1": report.f1,
+        "fa_operations": store.metrics["operations_issued"] if store else 0,
+        "server_cpu_packets": tb.memory_server.cpu_packets if tb.memory_server else 0,
+    }
 
 
 def run_telemetry(
@@ -152,32 +133,23 @@ def run_telemetry(
     hh_threshold: int = 50,
     seed: int = 0,
     sketch_kind: str = "countmin",
-) -> List[TelemetryResult]:
+) -> Dict[str, dict]:
     """Local-SRAM sketch vs remote-DRAM sketch on the same Zipf stream.
 
     ``sketch_kind`` picks the algorithm: Count-Min, or the paper's cited
     Count Sketch [11] (whose signed ±1 updates ride Fetch-and-Add as
     two's-complement deltas).
     """
-    return [
-        _run_backend(
+    record = {
+        backend: _run_backend(
             backend, flows, packets, sram_budget_bytes, remote_counters,
             alpha, hh_threshold, seed, sketch_kind=sketch_kind,
         )
         for backend in ("local", "remote")
-    ]
-
-
-def _run(**scale):
+    }
     # The configured counter count goes into the record: the size check
     # compares the remote sketch against it, not against a fixed ratio.
-    return scale["remote_counters"], run_telemetry(**scale)
-
-
-def _record(run) -> dict:
-    configured, results = run
-    record = rows_by("backend")(results)
-    record["remote"]["configured_counters"] = configured
+    record["remote"]["configured_counters"] = remote_counters
     return record
 
 
@@ -198,7 +170,7 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="telemetry", run=_run, record=_record, checks=_checks,
+    name="telemetry", run=run_telemetry, checks=_checks,
     quick={"flows": 3000, "packets": 4000, "remote_counters": 1 << 16},
     full={"flows": 20_000, "packets": 20_000, "remote_counters": 1 << 20},
 )

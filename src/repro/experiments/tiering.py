@@ -42,7 +42,6 @@ same promotions, same numbers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..apps.programs import CountingProgram
@@ -60,7 +59,7 @@ from ..sim.units import usec
 from ..tiering.pool import TieredMemoryPool
 from ..workloads.zipf import ZipfGenerator
 from ..testbed import build_testbed
-from . import Experiment, pick
+from . import Experiment
 
 #: Placement policies compared by the sweep, in presentation order.
 #: ``dram`` is the all-DRAM baseline every speedup is quoted against.
@@ -77,53 +76,6 @@ FAST_FRACTION = 0.05
 #: no PCIe/DRAM round trip on READs, and a Fetch-and-Add engine that
 #: cycles at cache speed instead of the 2.4 Mops DRAM path.
 FAST_PROFILE = TierProfile(read_latency_ns=60.0, atomic_rate_ops=40e6)
-
-
-@dataclass
-class TieringPoint:
-    """One placement policy's end-to-end numbers for the fixed workload."""
-
-    policy: str
-    flows: int
-    counters: int
-    updates: int
-    total_blocks: int
-    fast_blocks: int
-    fast_capacity_bytes: int
-    fast_occupancy_peak: int
-    mean_latency_ns: float  # post-warmup mean issue→ACK FAA latency
-    p99_latency_ns: float  # whole-run p99 (log2-bucket estimate)
-    fast_hit_fraction: float
-    promotions: int
-    demotions: int
-    moves_skipped: int
-    lost_updates: int
-    duration_ms: float
-
-    @property
-    def occupancy_bounded(self) -> bool:
-        """Did fast occupancy ever exceed the configured budget?"""
-        return self.fast_occupancy_peak <= self.fast_capacity_bytes
-
-
-@dataclass
-class TieringChaosPoint:
-    """The chaos variant: blackout mid-promotion on a K=2 replica set."""
-
-    flows: int
-    counters: int
-    updates: int
-    blackout_at_ns: float
-    blackout_ns: float
-    members_alive: int
-    lost_updates: int
-    updates_unreplicated: int
-    promotions: int
-    abandoned_blocks: int
-
-    @property
-    def zero_lost(self) -> bool:
-        return self.lost_updates == 0 and self.updates_unreplicated == 0
 
 
 def zipf_burst_schedule(
@@ -186,7 +138,7 @@ def run_tiering_point(
     quiet_ns: float = 20_000.0,
     tick_ns: float = 15_000.0,
     warmup_fraction: float = 0.3,
-) -> TieringPoint:
+) -> dict:
     """Mean/p99 FAA latency + safety checks for one placement policy.
 
     The latency mean is **post-warmup** (the first *warmup_fraction* of
@@ -270,31 +222,39 @@ def run_tiering_point(
     served = fast_hits + dram_hits
     steady_count = latency.count - mark.get("count", 0)
     steady_total = latency.total - mark.get("total", 0)
-    return TieringPoint(
-        policy=policy,
-        flows=flows,
-        counters=counters,
-        updates=updates,
-        total_blocks=total_blocks,
-        fast_blocks=fast_blocks,
-        fast_capacity_bytes=pool.fast_capacity_bytes,
-        fast_occupancy_peak=snap.get(f"{scope}.tier[fast].occupancy_peak", 0),
-        mean_latency_ns=steady_total / steady_count if steady_count else 0.0,
-        p99_latency_ns=latency.percentile(0.99),
-        fast_hit_fraction=fast_hits / served if served else 0.0,
-        promotions=snap.get(f"{scope}.tier[fast].promotions", 0),
-        demotions=snap.get(f"{scope}.tier[dram].demotions", 0),
-        moves_skipped=snap.get(f"{scope}.moves_skipped", 0),
-        lost_updates=lost,
-        duration_ms=tb.sim.now / 1e6,
-    )
+    peak = snap.get(f"{scope}.tier[fast].occupancy_peak", 0)
+    return {
+        "policy": policy,
+        "flows": flows,
+        "counters": counters,
+        "fast_blocks": fast_blocks,
+        "total_blocks": total_blocks,
+        "fast_capacity_bytes": pool.fast_capacity_bytes,
+        "fast_occupancy_peak": peak,
+        # Did fast occupancy ever exceed the configured budget?
+        "occupancy_bounded": peak <= pool.fast_capacity_bytes,
+        # Post-warmup mean issue→ACK FAA latency; whole-run p99 (log2-bucket
+        # estimate).
+        "mean_latency_ns": round(steady_total / steady_count if steady_count else 0.0, 1),
+        "p99_latency_ns": round(latency.percentile(0.99), 1),
+        "fast_hit_fraction": round(fast_hits / served if served else 0.0, 4),
+        "promotions": snap.get(f"{scope}.tier[fast].promotions", 0),
+        "demotions": snap.get(f"{scope}.tier[dram].demotions", 0),
+        "lost_updates": lost,
+    }
 
 
 def run_tiering_sweep(
     policies: Sequence[str] = TIERING_POLICIES, **dims
-) -> List[TieringPoint]:
-    """All policies over the identical seeded workload (fresh testbeds)."""
-    return [run_tiering_point(policy, **dims) for policy in policies]
+) -> Dict[str, dict]:
+    """All policies over the identical seeded workload (fresh testbeds);
+    the frequency row also carries its speedup over all-DRAM."""
+    record = {f"tiering_{policy}": run_tiering_point(policy, **dims) for policy in policies}
+    dram, frequency = record["tiering_dram"], record["tiering_frequency"]
+    frequency["speedup_vs_dram"] = round(
+        dram["mean_latency_ns"] / frequency["mean_latency_ns"], 3
+    )
+    return record
 
 
 def run_tiering_chaos_point(
@@ -306,7 +266,7 @@ def run_tiering_chaos_point(
     units_per_block: int = 64,
     fast_blocks: int = 2,
     tick_ns: float = 10_000.0,
-) -> TieringChaosPoint:
+) -> dict:
     """Blackout mid-promotion on a K=2 replica set: zero lost updates.
 
     Both members host a tiered replica of the counter array; an RNIC
@@ -387,50 +347,18 @@ def run_tiering_chaos_point(
     )
     snap = tb.sim.obs.registry.snapshot()
     scope = pool.metrics.name
-    return TieringChaosPoint(
-        flows=flows,
-        counters=counters,
-        updates=updates,
-        blackout_at_ns=blackout_at,
-        blackout_ns=blackout_ns,
-        members_alive=len(rep.stores),
-        lost_updates=lost,
-        updates_unreplicated=rep.cluster_stats.updates_unreplicated,
-        promotions=snap.get(f"{scope}.tier[fast].promotions", 0),
-        abandoned_blocks=snap.get(f"{scope}.blocks_abandoned", 0),
-    )
-
-
-def _run(sweep: dict, chaos: dict):
-    return run_tiering_sweep(**sweep), run_tiering_chaos_point(**chaos)
-
-
-def _record(run) -> dict:
-    points, chaos = run
-    record = {
-        f"tiering_{p.policy}": dict(
-            **pick(
-                p,
-                "policy flows counters fast_blocks total_blocks "
-                "fast_capacity_bytes fast_occupancy_peak occupancy_bounded",
-            ),
-            mean_latency_ns=round(p.mean_latency_ns, 1),
-            p99_latency_ns=round(p.p99_latency_ns, 1),
-            fast_hit_fraction=round(p.fast_hit_fraction, 4),
-            **pick(p, "promotions demotions lost_updates"),
-        )
-        for p in points
+    unreplicated = rep.cluster_stats.updates_unreplicated
+    return {
+        "flows": flows,
+        "updates": updates,
+        "blackout_ns": blackout_ns,
+        "members_alive": len(rep.stores),
+        "promotions": snap.get(f"{scope}.tier[fast].promotions", 0),
+        "abandoned_blocks": snap.get(f"{scope}.blocks_abandoned", 0),
+        "lost_updates": lost,
+        "updates_unreplicated": unreplicated,
+        "zero_lost": lost == 0 and unreplicated == 0,
     }
-    by_policy = {p.policy: p for p in points}
-    record["tiering_frequency"]["speedup_vs_dram"] = round(
-        by_policy["dram"].mean_latency_ns / by_policy["frequency"].mean_latency_ns, 3
-    )
-    record["tiering_chaos_blackout"] = pick(
-        chaos,
-        "flows updates blackout_ns members_alive promotions abandoned_blocks "
-        "lost_updates updates_unreplicated zero_lost",
-    )
-    return record
 
 
 def _checks(record) -> dict:
@@ -457,7 +385,12 @@ def _checks(record) -> dict:
 
 
 EXPERIMENT = Experiment(
-    name="tiering", run=_run, record=_record, checks=_checks,
+    name="tiering",
+    run=lambda sweep, chaos: {
+        **run_tiering_sweep(**sweep),
+        "tiering_chaos_blackout": run_tiering_chaos_point(**chaos),
+    },
+    checks=_checks,
     quick={
         "sweep": dict(flows=100_000, counters=1 << 11, updates=4_000, seed=42),
         "chaos": dict(flows=100_000, counters=1 << 10, updates=3_000, seed=42),

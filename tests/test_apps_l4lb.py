@@ -318,11 +318,12 @@ class TestSoakReducedScale:
             corrupt_rate=3e-3,
             cache_entries=512,
         )
-        assert EXPERIMENT.failures(EXPERIMENT.record(result)) == []
-        assert result.table_entries == table_entries_for(1_650)
-        text = format_record(EXPERIMENT.record(result))
+        assert EXPERIMENT.failures(result) == []
+        soak = result["l4lb_soak"]
+        assert soak["table_entries"] == table_entries_for(1_650)
+        text = format_record(result)
         assert re.search(r"^  expected_total +(\d+)\n  recovered_total +\1$", text, re.M)
         assert re.search(r"^  lost_updates +0$", text, re.M)
-        assert result.lost_updates == 0
-        assert result.affinity_breaks == 0
-        assert result.all_counters_exact is True
+        assert soak["lost_updates"] == 0
+        assert soak["affinity_breaks"] == 0
+        assert soak["all_counters_exact"] is True

@@ -64,6 +64,25 @@ class TestRegistry:
         legs = re.findall(r"- \{experiment: ([\w-]+), args: ", ci)
         assert legs == list(REGISTRY)
 
+    def test_ci_legs_cmp_every_committed_record(self):
+        """Each committed record but the micro-benchmark's is named by
+        exactly one leg, and that leg runs the experiment the record holds."""
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        legs = re.findall(
+            r"- \{experiment: ([\w-]+), args: [^,}]*(?:, record: ([^,}]+))?\}", ci
+        )
+        assert len(legs) == ci.count("- {experiment: ")
+        named = [(record, experiment) for experiment, record in legs if record]
+        committed = sorted(
+            path.name
+            for path in (ROOT / "benchmarks").glob("BENCH_*.json")
+            if path.name != "BENCH_micro.json"
+        )
+        assert sorted(record for record, _ in named) == committed
+        for record, experiment in named:
+            doc = json.loads((ROOT / "benchmarks" / record).read_text())
+            assert doc["experiment"] == experiment, record
+
 
 def _tiny(monkeypatch, name, **quick):
     """Make ``name --quick`` run at *quick*, below its registered scale."""
@@ -94,8 +113,7 @@ class TestExecution:
 
     def test_ablations_single(self):
         ablations = load("ablations")
-        runs = ablations.run(batching={"packets": 1000})
-        text = format_record(ablations.record(runs))
+        text = format_record(ablations.run(batching={"packets": 1000}))
         # One row per batch size, with its Fetch-and-Add operation count.
         assert text.startswith("batching\nbatch_size  packets  operations")
         assert re.search(r"^32 +1000 +\d+", text, re.M)

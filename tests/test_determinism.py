@@ -10,7 +10,6 @@ The seed-42 chaos run's wire trace is pinned by its SHA-256.
 
 import hashlib
 import random
-from dataclasses import asdict
 
 from repro.experiments.baremetal import run_baremetal
 from repro.experiments.fig3b import run_fig3b_point
@@ -88,13 +87,13 @@ def test_run_in_slices_matches_run_to_completion():
 def test_fig3b_point_deterministic():
     a = run_fig3b_point(256, packets=800)
     b = run_fig3b_point(256, packets=800)
-    assert asdict(a) == asdict(b)
+    assert a == b
 
 
 def test_incast_deterministic():
     a = run_incast("remote_buffer", scale=0.02, n_memory_servers=2)
     b = run_incast("remote_buffer", scale=0.02, n_memory_servers=2)
-    assert asdict(a) == asdict(b)
+    assert a == b
 
 
 def test_chaos_run_is_pinned_and_repeats():
@@ -114,8 +113,8 @@ def test_chaos_run_is_pinned_and_repeats():
             )
             recovery = run_chaos_recovery(seed=42)
         return (
-            asdict(point),
-            asdict(recovery),
+            point,
+            recovery,
             obs.trace.to_jsonl(),
             obs.registry.snapshot(),
         )
@@ -131,7 +130,7 @@ def test_chaos_run_is_pinned_and_repeats():
 def test_baremetal_deterministic_per_seed():
     a = run_baremetal("remote", vips=500, packets=400, seed=3)
     b = run_baremetal("remote", vips=500, packets=400, seed=3)
-    assert asdict(a) == asdict(b)
+    assert a == b
 
 
 def test_baremetal_seed_changes_draws():
@@ -149,4 +148,4 @@ def test_baremetal_seed_changes_draws():
 def test_kv_cache_deterministic():
     a = run_kv_cache("sram+remote", keys=300, queries=200)
     b = run_kv_cache("sram+remote", keys=300, queries=200)
-    assert asdict(a) == asdict(b)
+    assert a == b

@@ -760,17 +760,17 @@ class TestRecoveryDeterminism:
 
     def test_breaker_cycle_and_metrics_scope(self):
         report = run_chaos_recovery(packets=600)
-        assert report.lost_updates == 0
-        assert report.counters_wrong == 0
-        assert report.lost_buffered == 0
-        assert report.out_of_order == 0
-        assert report.store_breaker_opens >= 2  # probe failure re-opened it
-        assert report.store_probe_failures >= 1
-        assert report.store_breaker_closes >= 1
-        assert report.buffer_breaker_opens >= 1
-        assert report.buffer_breaker_closes >= 1
-        assert report.degraded_ms > 0
-        assert report.degraded_goodput_per_ms > 0
+        assert report["lost_updates"] == 0
+        assert report["counters_wrong"] == 0
+        assert report["lost_buffered"] == 0
+        assert report["out_of_order"] == 0
+        assert report["store_breaker_opens"] >= 2  # probe failure re-opened it
+        assert report["store_probe_failures"] >= 1
+        assert report["store_breaker_closes"] >= 1
+        assert report["buffer_breaker_opens"] >= 1
+        assert report["buffer_breaker_closes"] >= 1
+        assert report["degraded_ms"] > 0
+        assert report["goodput_degraded_per_ms"] > 0
 
 
 # -- guard construction ------------------------------------------------------------

@@ -133,17 +133,18 @@ class TestPersistentCongestionExperiment:
             run_persistent_congestion_comparison,
         )
 
-        buffer_only, with_ecn = run_persistent_congestion_comparison(
+        results = run_persistent_congestion_comparison(
             duration_ms=2.0, ring_entries_per_server=1200
         )
+        buffer_only, with_ecn = results["buffer_only"], results["buffer+ecn"]
         # Without congestion control the ring fills and drops.
-        assert buffer_only.ring_full_drops > 0
-        assert buffer_only.aggregate_final_rate_gbps == pytest.approx(80.0)
+        assert buffer_only["ring_full_drops"] > 0
+        assert buffer_only["aggregate_final_rate_gbps"] == pytest.approx(80.0)
         # With the co-designed ECN signal the senders back off...
-        assert with_ecn.ce_marked > 0
-        assert with_ecn.aggregate_final_rate_gbps < 60.0
+        assert with_ecn["ce_marked"] > 0
+        assert with_ecn["aggregate_final_rate_gbps"] < 60.0
         # ...and the system loses (far) less.
-        assert with_ecn.loss_rate < buffer_only.loss_rate
+        assert with_ecn["loss_rate"] < buffer_only["loss_rate"]
 
 
 class TestFairness:
