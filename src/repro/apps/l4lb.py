@@ -296,6 +296,11 @@ class L4LbController:
     ) -> Backend:
         if name in self.backends:
             raise ValueError(f"backend {name!r} already registered")
+        pip = pip if isinstance(pip, Ipv4Address) else Ipv4Address(pip)
+        if pip in self.program.backends_by_pip:
+            # The data plane maps a PIP to one backend: a second one would
+            # take over the first one's connections.
+            raise ValueError(f"PIP {pip} already registered")
         slot = len(self.backends)
         limit = self.store.config.counters
         if 2 * slot + 1 >= limit:
@@ -305,7 +310,7 @@ class L4LbController:
             )
         backend = Backend(
             name=name,
-            pip=pip if isinstance(pip, Ipv4Address) else Ipv4Address(pip),
+            pip=pip,
             mac=mac if isinstance(mac, MacAddress) else MacAddress(mac),
             port=port,
             member=member.name if member is not None else None,

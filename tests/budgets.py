@@ -115,6 +115,14 @@ CONNECTION_BYTES = 200
 #: record with a ``__dict__`` plus a per-flow history list).
 MIGRATION_BYTES = 150
 
+#: Host bytes one pre-scheduled far event keeps: 20 000 against 4 000 calls
+#: of ``sim.schedule(t, store.update, i, 1)`` with ``t`` and ``i`` built
+#: beforehand, as a workload's schedule holds them (measured 185 on CPython
+#: 3.11: the event, its args tuple and its heap slot; was 273 with a
+#: private copy of the bound method, 64 B, and a fresh float equal to the
+#: delay, 24 B, per event).  The 3.9 and 3.12 values are unmeasured.
+FAR_EVENT_BYTES = 200
+
 # -- tier-1 guard: the kernel's near heap -------------------------------------------------
 
 #: Peak near-heap length while 20 000 pre-scheduled far events drain beside

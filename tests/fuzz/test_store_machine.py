@@ -1,0 +1,218 @@
+"""A state machine over one reliable ``RemoteStateStore``: pre-scheduled
+update bursts and link faults on the server link, run to quiescence.
+
+One testbed, one memory server, ICRC drawn on or off.  Each update burst
+is scheduled through ``sim.schedule`` before the run, so it waits in the
+kernel's far tier, as a workload's backlog does.  A fault step is a window
+on the server link (loss, duplication, reordering, a blackout, and bit
+corruption only with ICRC on, where the receivers can detect it); the
+round's windows go into one :class:`FaultPlan`, installed when the round
+runs.  Quiescence is ``flush_all`` and ``sim.run()`` until nothing is
+outstanding or accumulated.
+
+The model is a dict ledger counter → updates scheduled.  At every
+quiescence:
+
+* every counter read through the control plane equals the ledger, so no
+  Fetch-and-Add was lost or applied twice;
+* nothing raised out of ``sim.run()`` and the round left no cyclic garbage;
+* the round ended within :data:`RECOVERY_NS` of its last update or fault
+  window: a NAK is answered by retransmitting what it rejected, not left
+  to the retry watchdog, which re-sends one operation per period.
+
+After the last step, the drawn schedule replayed on a fresh testbed must
+leave the same registry snapshot.
+"""
+
+from __future__ import annotations
+
+import gc
+
+from hypothesis import currently_in_test_context, event, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+
+from repro.api import (
+    Blackout,
+    CountingProgram,
+    Corrupt,
+    FaultPlan,
+    IidLoss,
+    RemoteStateStore,
+    StateStoreConfig,
+    build_testbed,
+    integrity_protected,
+)
+from repro.faults.models import Duplicate, Reorder
+from repro.rdma.constants import ATOMIC_OPERAND_BYTES
+
+from ..conftest import examples
+
+COUNTERS = 32
+WINDOW = 4
+RETRY_NS = 30_000.0
+#: Longest a round may run past its last update or fault window.  A tail
+#: the fault swallowed draws no NAK (no later request follows it), so the
+#: retry watchdog re-sends it: the stalled head after at most one period,
+#: then one operation per two periods, up to the ``WINDOW`` in flight
+#: (at most 210 µs plus round trips).  A NAK left unanswered costs two
+#: periods for every later operation too, and overruns this.
+RECOVERY_NS = 2 * WINDOW * RETRY_NS + 50_000.0
+
+#: Each fault model by name, built from the drawn probability.
+_FAULTS = {
+    "loss": IidLoss,
+    "duplicate": Duplicate,
+    "reorder": Reorder,
+    "blackout": lambda probability: Blackout(),
+    "corrupt": Corrupt,
+}
+#: Registry counters whose being non-zero says what a round exercised.
+_EFFECTS = ("naks_received", "retransmissions", "duplicates")
+
+
+class World:
+    """The testbed a drawn schedule plays against; two worlds fed the same
+    steps end in the same state."""
+
+    def __init__(self, icrc: bool, seed: int) -> None:
+        self.icrc = icrc
+        self.tb = tb = build_testbed(n_hosts=2, seed=seed)
+        program = tb.bind(CountingProgram())
+        config = StateStoreConfig(
+            counters=COUNTERS, max_outstanding=WINDOW, reliable=True, retry_timeout_ns=RETRY_NS
+        )
+        channel = tb.controller.open_channel(
+            tb.memory_server, tb.server_port, COUNTERS * ATOMIC_OPERAND_BYTES
+        )
+        self.store = RemoteStateStore(tb.switch, channel, config=config)
+        program.use_state_store(self.store)
+        self.seed = seed
+        self.rounds = 0
+        self.plan = None
+        self.horizon = 0.0  # the round's last update or fault window end
+
+    def apply(self, step) -> None:
+        kind, sim = step[0], self.tb.sim
+        if kind == "burst":
+            _, start_ns, gap_ns, indices = step
+            for n, index in enumerate(indices):
+                sim.schedule(start_ns + n * gap_ns, self.store.update, index, 1)
+            self.horizon = max(self.horizon, sim.now + start_ns + len(indices) * gap_ns)
+        elif kind == "fault":
+            _, name, start_ns, duration_ns, probability = step
+            if self.plan is None:
+                self.plan = FaultPlan(seed=self.seed + self.rounds)
+            wire = self.plan.on_link(self.tb.server_link, name="server-link")
+            self.plan.at(sim.now + start_ns, wire, _FAULTS[name](probability), duration_ns)
+            self.horizon = max(self.horizon, sim.now + start_ns + duration_ns)
+        else:
+            self.quiesce()
+
+    def quiesce(self) -> None:
+        sim, store = self.tb.sim, self.store
+        with integrity_protected(self.icrc):
+            if self.plan is not None:
+                self.plan.install(sim)
+            for _ in range(8):
+                store.flush_all()
+                sim.run()
+                if not store.outstanding and not store._accumulators:
+                    break
+            else:
+                raise AssertionError("the store never drained")
+        self.rounds += 1
+        self.plan = None
+
+    def counters(self):
+        return [self.store.read_counter_via_control_plane(index) for index in range(COUNTERS)]
+
+
+#: A burst: its first update 6 µs or more ahead (so in the far tier), a gap
+#: between updates, and the counters it adds one to.
+_BURST = dict(
+    start_ns=st.floats(6_000.0, 100_000.0),
+    gap_ns=st.sampled_from([50.0, 400.0, 2_000.0]),
+    indices=st.lists(st.integers(0, COUNTERS - 1), min_size=1, max_size=32),
+)
+#: A fault window on the server link, over the bursts' span.
+_FAULT = dict(
+    name=st.sampled_from(sorted(_FAULTS)),
+    fault_start_ns=st.floats(0.0, 100_000.0),
+    duration_ns=st.floats(1_000.0, 100_000.0),
+    probability=st.sampled_from([0.1, 0.3, 0.5]),
+)
+
+
+class StoreMachine(RuleBasedStateMachine):
+    # Every example opens with a burst under a fault window, so that each
+    # one puts faults on the wire whichever rules it then draws.
+    @initialize(
+        icrc=st.booleans(),
+        seed=st.integers(0, 2**16),
+        burst=st.fixed_dictionaries(_BURST),
+        fault=st.fixed_dictionaries(_FAULT),
+    )
+    def build(self, icrc, seed, burst, fault):
+        self.world = World(icrc, seed)
+        self.steps = []
+        self.ledger = [0] * COUNTERS
+        self.settled = True  # nothing scheduled since the last quiescence
+        self.burst(**burst)
+        self.fault(**fault)
+
+    def _apply(self, step) -> None:
+        self.steps.append(step)
+        self.world.apply(step)
+
+    @rule(**_BURST)
+    def burst(self, start_ns, gap_ns, indices):
+        self._apply(("burst", start_ns, gap_ns, tuple(indices)))
+        for index in indices:
+            self.ledger[index] += 1
+        self.settled = False
+
+    @rule(**_FAULT)
+    def fault(self, name, fault_start_ns, duration_ns, probability):
+        if name == "corrupt" and not self.world.icrc:
+            return  # undetectable without ICRC: it would change the counts
+        self._apply(("fault", name, fault_start_ns, duration_ns, probability))
+        self.settled = False
+
+    @rule()
+    def quiesce(self):
+        horizon = self.world.horizon
+        gc.collect()
+        gc.disable()
+        try:
+            self._apply(("quiesce",))
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0, f"the round left {garbage} objects of cyclic garbage"
+        self.settled = True
+        if currently_in_test_context():  # what the runs exercised, for the statistics
+            for name, value in self.world.tb.sim.obs.registry.snapshot().items():
+                effect = name.rsplit(".", 1)[1]
+                if value and (name.startswith("faults.") or effect in _EFFECTS):
+                    event(effect)
+        assert self.world.counters() == self.ledger, "an update was lost or applied twice"
+        late = self.world.tb.sim.now - horizon
+        assert late <= RECOVERY_NS, f"the round ran {late:.0f} ns past its last step"
+
+    def teardown(self):
+        if not hasattr(self, "world"):
+            return
+        if not self.settled:
+            self.quiesce()
+        replay = World(self.world.icrc, self.world.seed)
+        for step in self.steps:
+            replay.apply(step)
+        registry = self.world.tb.sim.obs.registry
+        assert replay.tb.sim.obs.registry.snapshot() == registry.snapshot()
+
+
+TestStoreMachine = StoreMachine.TestCase
+TestStoreMachine.settings = settings(
+    max_examples=examples(15), stateful_step_count=12, deadline=None
+)

@@ -168,6 +168,23 @@ class TestPlacementAndAdmission:
         with pytest.raises(ValueError, match="counters"):
             controller.add_backend("backend3", "10.1.0.10", 0x9A, 10)
 
+    def test_add_backend_refuses_a_pip_already_registered(self):
+        # The data plane maps a PIP to one backend: registering a second
+        # one would hand it the first one's connections.
+        tb, pool, program, table, store, controller = build_l4lb(backends=3)
+        backend0 = controller.backends["backend0"]
+        owners = dict(program.backends_by_pip)
+        second = L4LbController(program, table, store, pool, seed=1)
+        with pytest.raises(ValueError, match="already registered"):
+            second.add_backend("spare", str(backend0.pip), 0x9B, 11)
+        spare = second.add_backend("spare", "10.1.0.11", 0x9B, 11)
+        with pytest.raises(ValueError, match="already registered"):
+            second.add_backend("twin", "10.1.0.11", 0x9C, 12)
+        assert program.backends_by_pip[backend0.pip] is backend0
+        assert program.backends_by_pip[spare.pip] is spare
+        assert program.backends_by_pip == {**owners, spare.pip: spare}
+        assert list(second.backends) == ["spare"] and list(second.flows_by_backend) == ["spare"]
+
     def test_connection_key_translates_pip_back_to_vip(self):
         tb, pool, program, table, store, controller = build_l4lb()
         backend = controller.backends["backend0"]

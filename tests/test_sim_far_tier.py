@@ -9,6 +9,12 @@ leaves the list.  ``run()`` fires until the list is empty;
 clock up to ``t``; ``run(max_events=k)`` fires at most ``k``; ``step()``
 fires one.  The clock is the time of the last event fired, or a deadline.
 There is no heap, no far tier and no lazy deletion in it.
+
+The scripts schedule bound methods of several objects that share one
+function next to a plain function, so a far event fired on the wrong
+object, or with the wrong arguments, shows in the log; the far tier keeps
+one copy of each equal bound method, and that copy must be the caller's
+object's.
 """
 
 from __future__ import annotations
@@ -18,15 +24,19 @@ from hypothesis import strategies as st
 
 from repro.sim.simulator import Simulator
 
-from .budgets import NEAR_HEAP_PEAK
+from .budgets import FAR_EVENT_BYTES, NEAR_HEAP_PEAK, byte_budget, retained
 from .conftest import examples
+from .test_core_state_store import build
 
 FAR = Simulator._FAR_NS
 BATCH = Simulator._BATCH
 
-#: Zero, short, either side of the far threshold, far and huge; equal times
-#: come from drawing one delay twice.
-DELAYS = (0.0, 1.0, 250.0, FAR - 1e-3, FAR, FAR + 1e-3, 2 * FAR, 3 * FAR + 7.0, 1e12)
+#: Zero, short, either side of the far threshold, far and huge, and one far
+#: int; equal times come from drawing one delay twice.
+DELAYS = (0.0, 1.0, 250.0, FAR - 1e-3, FAR, FAR + 1e-3, 2 * FAR, 3 * FAR + 7.0, 1e12, 4 * int(FAR))
+#: Objects whose ``fire`` methods a script schedules; ``who == RECEIVERS``
+#: schedules the plain function :func:`_plain` instead.
+RECEIVERS = 3
 
 
 class _Pending:
@@ -96,16 +106,45 @@ class Oracle:
         return True
 
 
+class _Receiver:
+    """One of a script's objects: each one's ``fire`` is a bound method of
+    the same function, equal only to another bound to the same object."""
+
+    __slots__ = ("program", "index")
+
+    def __init__(self, program, index) -> None:
+        self.program, self.index = program, index
+
+    def fire(self, tag, nested) -> None:
+        self.program.fired(self.index, tag, nested)
+
+
+def _plain(program, tag, nested) -> None:
+    program.fired(RECEIVERS, tag, nested)
+
+
 class Program:
     """One script played against a target: every scheduled event gets the
-    next tag, logs ``(now, tag)`` when it fires and then plays its own
-    nested operations against the same target."""
+    next tag, logs ``(now, tag, who)`` when it fires — ``who`` the index of
+    the object whose method fired, or ``RECEIVERS`` for the plain function
+    — and then plays its own nested operations against the same target."""
 
     def __init__(self, target) -> None:
         self.target = target
         self.log = []
         self.handles = []
+        self.receivers = [_Receiver(self, index) for index in range(RECEIVERS)]
         self._tags = 0
+
+    def _callback(self, who):
+        """A fresh callback for *who* (a new bound method object each time)
+        and the arguments it leads with."""
+        if who < RECEIVERS:
+            return self.receivers[who].fire, ()
+        return _plain, (self,)
+
+    def scheduled(self, handle, kind, now, delay, callback) -> None:
+        """Called with every handle ``schedule``/``schedule_at`` return."""
 
     def play(self, op) -> None:
         kind = op[0]
@@ -114,37 +153,59 @@ class Program:
             if self.handles:
                 self.handles[op[1] % len(self.handles)].cancel()
             return
-        if kind == "burst":
-            for _ in range(op[3]):
-                self.play((op[1], op[2], ()))
+        if kind == "burst":  # every callback in turn, each one several times
+            for n in range(op[3]):
+                self.play((op[1], op[2], (), n % (RECEIVERS + 1)))
             return
         if kind == "chain":  # in flight: each hop posts the next
             if op[2]:
-                self.play(("post", op[1], (("chain", op[1], op[2] - 1),)))
+                self.play(("post", op[1], (("chain", op[1], op[2] - 1),), op[2] % (RECEIVERS + 1)))
             return
         tag = self._tags
         self._tags += 1
         delay, nested = op[1], op[2]
+        callback, lead = self._callback(op[3])
+        now = target.now
         if kind == "post":
-            target.post(delay, self._fire, tag, nested)
-        elif kind == "schedule":
-            self.handles.append(target.schedule(delay, self._fire, tag, nested))
+            target.post(delay, callback, *lead, tag, nested)
+            return
+        if kind == "schedule":
+            handle = target.schedule(delay, callback, *lead, tag, nested)
         else:
-            self.handles.append(target.schedule_at(target.now + delay, self._fire, tag, nested))
+            handle = target.schedule_at(now + delay, callback, *lead, tag, nested)
+        self.handles.append(handle)
+        self.scheduled(handle, kind, now, delay, callback)
 
-    def _fire(self, tag, nested) -> None:
-        self.log.append((self.target.now, tag))
+    def fired(self, who, tag, nested) -> None:
+        self.log.append((self.target.now, tag, who))
         for op in nested:
             self.play(op)
 
 
+class SimProgram(Program):
+    """A script against the simulator, checking each handle as it is made:
+    its callback equals the one passed, and its time is the caller's float
+    delay itself for a far ``schedule`` at ``now == 0.0``, else ``now +
+    delay``, a float either way."""
+
+    def scheduled(self, handle, kind, now, delay, callback) -> None:
+        assert handle.callback == callback
+        assert type(handle.time) is float
+        far = any(event is handle for event in self.target._far)
+        if kind == "schedule" and far and now == 0.0 and type(delay) is float:
+            assert handle.time is delay
+        else:
+            assert handle.time == now + delay
+
+
 delays = st.sampled_from(DELAYS)
 scheduling = st.sampled_from(["post", "schedule", "schedule_at"])
+who = st.integers(0, RECEIVERS)
 cancel = st.tuples(st.just("cancel"), st.integers(0, 10_000))
-inner = st.one_of(st.tuples(scheduling, delays, st.just(())), cancel)
+inner = st.one_of(st.tuples(scheduling, delays, st.just(()), who), cancel)
 chain = st.tuples(st.just("chain"), st.sampled_from([250.0, FAR / 2, FAR]), st.integers(0, 30))
 calls = st.one_of(
-    st.tuples(scheduling, delays, st.lists(inner, max_size=3)),
+    st.tuples(scheduling, delays, st.lists(inner, max_size=3), who),
     cancel,
     chain,
     st.tuples(st.just("burst"), scheduling, delays, st.integers(BATCH + 1, 3 * BATCH)),
@@ -180,13 +241,15 @@ def _assert_same(sim: Simulator, oracle: Oracle, real: Program, model: Program) 
     assert sim.now == oracle.now
     assert sim.events_processed == oracle.events_processed
     assert sim.active_events == oracle.active_events
+    if not sim._far:
+        assert not sim._bound_methods  # a drained far tier holds no callback
 
 
 @settings(max_examples=examples(150), deadline=None)
 @given(phases=st.lists(phase, max_size=6))
 def test_kernel_fires_in_the_oracles_order(phases):
     sim, oracle = Simulator(), Oracle()
-    real, model = Program(sim), Program(oracle)
+    real, model = SimProgram(sim), Program(oracle)
     script = [op for ticker, made, driver in phases for op in (ticker, *made, driver)]
     for op in script + [("run",)]:
         until = None
@@ -258,6 +321,33 @@ def test_the_sentinel_is_not_an_event():
     assert sim.events_processed == 4 and sim.now == 2 * FAR + 3
 
 
+def test_far_events_share_one_copy_of_an_equal_bound_method():
+    sim = Simulator()
+    program = Program(sim)
+    first, second = program.receivers[:2]
+    events = [
+        sim.schedule(2 * FAR + n, receiver.fire, n, ())
+        for n, receiver in enumerate((first, first, second))
+    ]
+    assert events[0].callback is events[1].callback  # one copy, bound to the same object
+    assert events[2].callback == second.fire and events[2].callback.__self__ is second
+    assert len(sim._bound_methods) == 2
+    sim.run()
+    assert program.log == [(2 * FAR, 0, 0), (2 * FAR + 1, 1, 0), (2 * FAR + 2, 2, 1)]
+    assert not sim._far and not sim._bound_methods
+
+
+def test_a_far_delay_at_time_zero_is_its_own_due_time():
+    sim = Simulator()
+    delay = 2 * FAR + 0.5
+    assert sim.schedule(delay, _plain, None, 0, ()).time is delay
+    whole = sim.schedule(4 * int(FAR), _plain, None, 1, ())  # an int delay: a float time
+    assert type(whole.time) is float and whole.time == 4 * FAR
+    sim.run(until_ns=1.0)
+    later = sim.schedule(delay, _plain, None, 2, ())
+    assert later.time == 1.0 + delay and later.time is not delay
+
+
 # -- count guard ------------------------------------------------------------------------
 
 
@@ -287,3 +377,25 @@ def _near_heap_peak(backlog: int) -> int:
 def test_a_far_backlog_stays_out_of_the_near_heap():
     assert _near_heap_peak(20_000) <= NEAR_HEAP_PEAK
     assert _near_heap_peak(2_000) <= NEAR_HEAP_PEAK
+
+
+# -- byte guard -------------------------------------------------------------------------
+
+
+def _far_event_bytes(events: int) -> int:
+    """Bytes *events* pre-scheduled counter updates keep, ``t`` and ``i``
+    built outside the trace, as a workload's schedule holds them."""
+    tb, _, store, _ = build()
+    work = [(10_000.0 + 10.0 * n, n) for n in range(events)]
+
+    def schedule_all() -> None:
+        for t_ns, index in work:
+            tb.sim.schedule(t_ns, store.update, index, 1)
+
+    return retained(schedule_all)[1]
+
+
+@byte_budget
+def test_a_pre_scheduled_event_keeps_only_its_own_bytes():
+    measured = (_far_event_bytes(20_000) - _far_event_bytes(4_000)) / 16_000
+    assert 0 < measured <= FAR_EVENT_BYTES, f"{measured:.0f} B per pre-scheduled event"
