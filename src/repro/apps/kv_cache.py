@@ -30,9 +30,8 @@ Three modes, compared by :mod:`repro.experiments.kv_cache`:
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Dict, Optional
 
 from ..baselines.cpu_slowpath import CpuSlowPath
 from ..core.channel import RemoteMemoryChannel
@@ -173,14 +172,13 @@ class KvCacheProgram(StaticL2Program):
         self.value_store: Optional[RemoteValueStore] = None
         self.rocegen: Optional[RoceRequestGenerator] = None
         self.server_port: Optional[int] = None
-        # Remote fetches complete in issue order (RC): carry the query
-        # context to the response handler.
-        self._pending: Deque[dict] = deque()
 
     # -- wiring -----------------------------------------------------------------
 
     def use_remote_store(self, switch, store: RemoteValueStore) -> None:
         self.value_store = store
+        # Each READ carries its (query, key) in the requester's window; a
+        # fetch that draws no response loses its query with it.
         self.rocegen = RoceRequestGenerator(switch, store.channel)
 
     def use_server_port(self, port: int) -> None:
@@ -211,9 +209,8 @@ class KvCacheProgram(StaticL2Program):
             # flight.
             self.stats.remote_fetches += 1
             self.rocegen.read(
-                self.value_store.address_of(query.key), ENTRY_BYTES
+                self.value_store.address_of(query.key), ENTRY_BYTES, (packet, query.key)
             )
-            self._pending.append({"query": packet, "key": query.key})
             ctx.drop()
             return
         if self.server_port is not None:
@@ -235,22 +232,18 @@ class KvCacheProgram(StaticL2Program):
 
     def _handle_remote_value(self, ctx: PipelineContext, packet: Packet) -> None:
         assert self.rocegen is not None
-        opcode = self.rocegen.classify_response(packet)
+        opcode, _is_nak, pending = self.rocegen.accept_response(packet)
         ctx.drop()
-        if opcode != Opcode.RDMA_READ_RESPONSE_ONLY or self.rocegen.is_nak(packet):
-            self.rocegen.maybe_resync(packet)
-            if self._pending:
-                self._pending.popleft()  # query lost with the fetch
-            return
-        pending = self._pending.popleft()
+        if opcode != Opcode.RDMA_READ_RESPONSE_ONLY or pending is None:
+            return  # a NAK, or the response to a fetch already written off
+        query, key = pending
         valid, stored_key, value = unpack_entry(packet.payload)
-        key = pending["key"]
         hit = valid and stored_key == normalize_key(key)
         if hit:
             self.stats.remote_hits += 1
             if self.cache_fill:
                 self._fill_sram(key, value)
-            reply = self._make_reply(pending["query"], key, value, hit=True)
+            reply = self._make_reply(query, key, value, hit=True)
             self._send_reply(ctx, reply)
             return
         # Bucket collision or unpopulated key: fall back to the storage
@@ -258,11 +251,9 @@ class KvCacheProgram(StaticL2Program):
         self.stats.remote_misses += 1
         if self.server_port is not None:
             self.stats.server_forwards += 1
-            ctx.emit(pending["query"], self.server_port)
+            ctx.emit(query, self.server_port)
         else:
-            reply = self._make_reply(
-                pending["query"], key, b"\x00" * VALUE_BYTES, hit=False
-            )
+            reply = self._make_reply(query, key, b"\x00" * VALUE_BYTES, hit=False)
             self._send_reply(ctx, reply)
 
     def _fill_sram(self, key: bytes, value: bytes) -> None:

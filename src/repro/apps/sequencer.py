@@ -12,11 +12,13 @@ Data-plane flow per eligible packet:
 
 1. park the packet in a FIFO (order = arrival order),
 2. issue ``Fetch-and-Add(counter, 1)`` (bounded outstanding window),
-3. on the atomic ACK, pop the FIFO head, prepend a :class:`SeqHeader`
-   with the returned value, and forward.
+3. on the atomic ACK, take the packet its PSN carried, prepend a
+   :class:`SeqHeader` with the returned value, and forward.
 
-RC executes atomics in PSN order and the responder answers in request
-order, so FIFO parking yields arrival-ordered, gap-free stamping.
+RC executes atomics in PSN order, so issue-order parking yields
+arrival-ordered stamping, gap-free while nothing is lost.  A packet whose
+Fetch-and-Add draws no ACK of its own is dropped rather than stamped with
+a guess: a sequencer must never emit a duplicate.
 
 The sequencing rate is capped by the RNIC atomic engine (2.4 Mops/s in
 this model) — the honest cost of moving the counter off-switch, measured
@@ -28,7 +30,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Any, Deque, List, Optional, Tuple
 
 from ..core.channel import RemoteMemoryChannel
 from ..core.rocegen import RoceRequestGenerator
@@ -36,7 +38,6 @@ from ..net.headers import HeaderError, UdpHeader
 from ..net.packet import Packet
 from ..rdma.constants import Opcode
 from ..switches.pipeline import PipelineContext
-from ..switches.registers import RegisterArray
 from .programs import StaticL2Program
 
 #: UDP destination port whose packets get sequenced.
@@ -72,6 +73,8 @@ class SequencerStats:
     parked_peak: int = 0
     dropped_window_full: int = 0
     naks: int = 0
+    #: Packets dropped because their Fetch-and-Add drew no ACK of its own.
+    lost: int = 0
 
 
 class SequencerProgram(StaticL2Program):
@@ -91,16 +94,19 @@ class SequencerProgram(StaticL2Program):
         self.stats = SequencerStats()
         self.rocegen: Optional[RoceRequestGenerator] = None
         self.counter_address: Optional[int] = None
-        self._outstanding = RegisterArray("sequencer.outstanding", 1, width_bits=16)
-        # Parked packets awaiting their sequence numbers, arrival order.
-        self._parked: Deque[Packet] = deque()
-        # Parked but not yet issued (outstanding window was full).
+        # Packets awaiting their sequence numbers ride the requester's
+        # window (psn -> packet); these wait for room in it, arrival order.
         self._unissued: Deque[Packet] = deque()
 
     def use_channel(self, switch, channel: RemoteMemoryChannel) -> None:
         """Bind the remote counter (first 8 bytes of the region)."""
-        self.rocegen = RoceRequestGenerator(switch, channel)
+        self.rocegen = RoceRequestGenerator(switch, channel, self._on_loss)
         self.counter_address = channel.base_address
+
+    @property
+    def parked(self) -> int:
+        """Packets held: awaiting an ACK or room to issue."""
+        return len(self._unissued) + (len(self.rocegen.window) if self.rocegen else 0)
 
     # -- data plane -----------------------------------------------------------
 
@@ -116,49 +122,38 @@ class SequencerProgram(StaticL2Program):
         ):
             self.forward_by_mac(ctx, packet)
             return
-        if len(self._parked) + len(self._unissued) >= self.max_parked:
+        if self.parked >= self.max_parked:
             self.stats.dropped_window_full += 1
             ctx.drop()
             return
         ctx.drop()  # the packet resumes once its sequence number returns
-        if self._outstanding.read(0) < self.max_outstanding:
-            self._issue(packet)
-        else:
-            self._unissued.append(packet)
+        self._unissued.append(packet)
+        self.stats.parked_peak = max(self.stats.parked_peak, self.parked)
+        self._issue()
 
-    def _issue(self, packet: Packet) -> None:
-        self._parked.append(packet)
-        self.stats.parked_peak = max(
-            self.stats.parked_peak, len(self._parked) + len(self._unissued)
-        )
-        self._outstanding.add(0, 1)
-        self.rocegen.fetch_add(self.counter_address, 1)
+    def _issue(self) -> None:
+        """Issue waiting packets while the outstanding window has room."""
+        window, unissued = self.rocegen.window, self._unissued
+        while unissued and len(window) < self.max_outstanding:
+            self.rocegen.fetch_add(self.counter_address, 1, context=unissued.popleft())
+
+    def _on_loss(self, gen: RoceRequestGenerator, lost: List[Tuple[int, Any]], cause: str) -> None:
+        self.stats.lost += len(lost)
 
     def _handle_atomic_ack(self, ctx: PipelineContext, packet: Packet) -> None:
-        opcode = self.rocegen.classify_response(packet)
+        opcode, is_nak, original = self.rocegen.accept_response(packet)
         ctx.drop()
-        if self.rocegen.is_nak(packet):
-            # The parked head's sequence is lost; drop the packet rather
-            # than stamp a guess (sequencers must never emit duplicates).
+        if is_nak:
             self.stats.naks += 1
-            self.rocegen.maybe_resync(packet)
-            if self._parked:
-                self._parked.popleft()
-            self._retire_one()
-            return
-        if opcode != Opcode.ATOMIC_ACKNOWLEDGE or not self._parked:
-            return
-        sequence = self.rocegen.atomic_result(packet)
-        original = self._parked.popleft()
-        original.payload = SeqHeader(sequence).pack() + original.payload
-        original.fixup_lengths()
-        self.stats.sequenced += 1
-        self._retire_one()
-        port = self.mac_to_port.get(original.eth.dst)
-        if port is not None:
-            ctx.emit(original, port)
-
-    def _retire_one(self) -> None:
-        self._outstanding.write(0, max(0, self._outstanding.read(0) - 1))
-        if self._unissued and self._outstanding.read(0) < self.max_outstanding:
-            self._issue(self._unissued.popleft())
+        if opcode is not Opcode.ATOMIC_ACKNOWLEDGE:
+            original = None
+        if original is not None:
+            sequence = self.rocegen.atomic_result(packet)
+            original.payload = SeqHeader(sequence).pack() + original.payload
+            original.fixup_lengths()
+            self.stats.sequenced += 1
+        self._issue()
+        if original is not None:
+            port = self.mac_to_port.get(original.eth.dst)
+            if port is not None:
+                ctx.emit(original, port)

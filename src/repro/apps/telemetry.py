@@ -85,9 +85,6 @@ class HeavyHitterDetector:
     def __init__(self, sketch: CountMinSketch) -> None:
         self.sketch = sketch
 
-    def estimate_flow(self, flow_key: bytes) -> int:
-        return self.sketch.estimate(flow_key)
-
     def detect(
         self,
         candidate_flows: Dict[int, bytes],

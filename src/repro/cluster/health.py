@@ -55,7 +55,6 @@ class HealthMonitor:
         self.fail_after = fail_after
         self.members: Dict[str, MemberHealth] = {}
         self.on_member_down: List[MemberCallback] = []
-        self.on_member_up: List[MemberCallback] = []
         # When given a registry (the pool passes the simulation's), every
         # member's health surfaces under cluster.member[<name>].* — the
         # event counters plus alive/consecutive_stalls sampled live.
@@ -193,16 +192,6 @@ class HealthMonitor:
             return
         health.alive = False
         for callback in list(self.on_member_down):
-            callback(member)
-
-    def mark_up(self, member: str) -> None:
-        """Re-admit a member (operator action after repair)."""
-        health = self.track(member)
-        if health.alive:
-            return
-        health.alive = True
-        health.consecutive_stalls = 0
-        for callback in list(self.on_member_up):
             callback(member)
 
     def snapshot(self) -> Dict[str, dict]:

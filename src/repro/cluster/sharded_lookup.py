@@ -247,8 +247,7 @@ class ShardedLookupTable:
             self.cluster_stats.members_failed += 1
             # Bounce mode parked the packets in the dead member's DRAM;
             # they are gone (§7's clean-loss semantics).
-            self.cluster_stats.lookups_lost_on_failure += len(shard._pending)
-            shard._pending.clear()
+            self._lose_in_flight(shard)
         # The leaver's flows have no placement until migration re-homes
         # them (or, with an empty pool, until the next join).
         for flow, owner in list(self._placement.items()):
@@ -260,18 +259,22 @@ class ShardedLookupTable:
         self, member: PoolMember, shard: RemoteLookupTable, deadline: float
     ) -> None:
         """Poll until the leaver's in-flight lookups complete, then close."""
-        if not shard._pending:
+        if not shard.rocegen.window:
             self.cluster_stats.drains_completed += 1
             self.pool.release_drain(member)
             return
         if self.switch.sim.now >= deadline:
-            self.cluster_stats.lookups_lost_on_failure += len(shard._pending)
-            shard._pending.clear()
+            self._lose_in_flight(shard)
             self.pool.release_drain(member)
             return
         self.switch.sim.schedule(
             self.drain_poll_ns, self._drain, member, shard, deadline
         )
+
+    def _lose_in_flight(self, shard: RemoteLookupTable) -> None:
+        window = shard.rocegen.window
+        self.cluster_stats.lookups_lost_on_failure += len(window)
+        window.clear()
 
     def _migrate_moved_flows(self) -> None:
         """Re-install journaled flows whose ring owner changed.

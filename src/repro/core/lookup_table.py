@@ -35,17 +35,16 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import methodcaller
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..cuckoo.layout import CuckooConfig, CuckooDirectory
 from ..net.addresses import Ipv4Address
 from ..net.headers import HeaderError, Ipv4Header
 from ..net.packet import Packet
 from ..policies.cache import CachePolicy, make_cache_policy
-from ..rdma.constants import Opcode, psn_distance
+from ..rdma.constants import Opcode
 from ..rdma.headers import BthHeader
 from ..rdma.memory import TIER_FAST
 from ..switches.hashing import FiveTuple, flow_fingerprint
@@ -63,7 +62,6 @@ _PACK_ACTION = _ACTION.pack
 _UNPACK_ACTION = _ACTION.unpack_from
 _EMPTY_SLOT = bytes(ACTION_BYTES)
 _READ_RESPONSE = Opcode.RDMA_READ_RESPONSE_ONLY
-_PSN_HALF = 1 << 23
 
 #: Well-known remote actions.
 ACTION_NOP = 0
@@ -245,20 +243,25 @@ class RemoteLookupTable:
         self._m_degraded_hits = self.metrics.counter("degraded_hits")
         self._m_degraded_defaults = self.metrics.counter("degraded_defaults")
         self._m_latency = self.metrics.histogram("remote_latency_ns")
-        self.rocegen = RoceRequestGenerator(switch, channel)
-        # Tiered tables run one PSN stream per tier: fast-resident bucket
-        # pairs ride the fast channel's generator.
+        # In-flight lookups live in the requester's window, one per PSN
+        # stream: psn -> (flow, fingerprint, tier block, ``meta`` copy, issue
+        # time, parked packet).  A READ that drew no response is a lost
+        # lookup; a re-install blanks the flow (no cache fill).  Tiered
+        # tables run one PSN stream per tier: fast-resident bucket pairs
+        # ride the fast channel's generator.
+        self.rocegen = RoceRequestGenerator(switch, channel, self._on_loss)
         self._fastgen: Optional[RoceRequestGenerator] = None
         self._fast_degraded = False
         self._busy_blocks: Dict[int, int] = {}
         if tiering is not None:
-            self._fastgen = RoceRequestGenerator(switch, tiering.fast_channel)
+            self._fastgen = RoceRequestGenerator(switch, tiering.fast_channel, self._on_loss)
             tiering.busy_check = (
                 lambda block: self._busy_blocks.get(block, 0) > 0
             )
-        self.metrics.gauge(
-            "pending", fn=lambda: len(self._pending) + len(self._pending_fast)
-        )
+        self._windows = [self.rocegen.window]
+        if self._fastgen is not None:
+            self._windows.append(self._fastgen.window)
+        self.metrics.gauge("pending", fn=lambda: sum(map(len, self._windows)))
         # Degraded mode (DESIGN.md §11): serve SRAM-cache hits and the
         # default action instead of bouncing packets into a dead channel.
         self._degraded = False
@@ -297,17 +300,6 @@ class RemoteLookupTable:
             cuckoo_scope.gauge(
                 "failed_inserts", fn=lambda: self.directory.failed_inserts
             )
-        # In-flight lookups, issue order, one FIFO per PSN stream.  Each
-        # record is one tuple — (READ PSN, flow, fingerprint, tier block,
-        # ``meta`` copy, issue time, parked packet) — whose PSN matches
-        # responses exactly (a FIFO popleft would misalign after go-back-N
-        # losses discard a window of lookups; a re-install blanks the flow:
-        # no cache fill).  ``_pending`` is the
-        # DRAM/home stream — the only one a non-tiered table has, which is
-        # why it keeps its pre-tiering name (the sharded table drains it by
-        # that name).
-        self._pending: Deque[tuple] = deque()
-        self._pending_fast: Deque[tuple] = deque()
         #: Program-supplied forwarding policy applied after the action
         #: mutates the packet.  The default understands ACTION_SET_EGRESS
         #: and drops everything else.
@@ -346,16 +338,13 @@ class RemoteLookupTable:
         """
         return self.channel.base_address + index * self._unit_bytes
 
-    def _locate_tiered(
-        self, index: int
-    ) -> "Tuple[RoceRequestGenerator, Deque[tuple], int, int]":
-        """(generator, its FIFO, address, block) serving *index* right now."""
+    def _locate_tiered(self, index: int) -> "Tuple[RoceRequestGenerator, int, int]":
+        """(generator, address, block) serving *index* right now."""
         tiering = self._tiering
         tier, address = tiering.resolve(index)
         tiering.record_access(index, tier)
-        if tier == TIER_FAST:
-            return self._fastgen, self._pending_fast, address, tiering.block_of(index)
-        return self.rocegen, self._pending, address, tiering.block_of(index)
+        gen = self._fastgen if tier == TIER_FAST else self.rocegen
+        return gen, address, tiering.block_of(index)
 
     def _entry_target(self, index: int) -> "Tuple[object, int]":
         """(region, address) the control plane must write for *index*.
@@ -379,10 +368,21 @@ class RemoteLookupTable:
 
     def _write_off(self, record: tuple) -> None:
         """Account one in-flight lookup as lost (§7's clean loss)."""
-        block = record[3]  # the tier block it held, if any
+        block = record[2]  # the tier block it held, if any
         if block is not None:
             self._release_block(block)
         self._m_lookups_lost.inc()
+
+    def _on_loss(self, gen: RoceRequestGenerator, lost: List[Tuple[int, Any]], cause: str) -> None:
+        """READs that drew no response: their lookups are lost (in bounce
+        mode the packet is gone with them)."""
+        for _psn, record in lost:
+            self._write_off(record)
+
+    def _write_off_window(self, window: Dict[int, tuple]) -> None:
+        for record in window.values():
+            self._write_off(record)
+        window.clear()
 
     def _build_directory(self, seed: int) -> None:
         self.directory = CuckooDirectory(
@@ -448,10 +448,10 @@ class RemoteLookupTable:
         cache = self.cache
         if cache is None:
             return
-        for fifo in (self._pending, self._pending_fast):
-            for at, record in enumerate(fifo):
-                if record[1] == flow:
-                    fifo[at] = record[:1] + (None,) + record[2:]
+        for window in self._windows:
+            for psn, record in window.items():
+                if record[0] == flow:
+                    window[psn] = (None,) + record[1:]
         if cache.contains(flow):
             cache.admit(flow, action)
 
@@ -560,38 +560,30 @@ class RemoteLookupTable:
         else:
             index = zlib.crc32(packed) % self._entries
         if self._tiering is None:
-            gen, fifo, block = self.rocegen, self._pending, None
+            gen, block = self.rocegen, None
             address = self.channel.base_address + index * self._unit_bytes
         else:
-            gen, fifo, address, block = self._locate_tiered(index)
+            gen, address, block = self._locate_tiered(index)
         # Direct layout READs one action; cuckoo READs the whole bucket
         # pair (2 x slots_per_bucket actions) in the same single request —
         # the choice filter already picked the index, so there is never a
         # second READ, collision or not.
         action_bytes = self._action_bytes
+        if block is not None:
+            # Held against tier moves until the lookup is answered or lost.
+            self._busy_blocks[block] = self._busy_blocks.get(block, 0) + 1
         if self._bounce:
             # (1) deposit the packet in the entry's slot, (2) read the
             # whole (actions, packet) entry back.
             frame = packet.pack()
             gen.write(address + action_bytes, frame)
-            request = gen.read(address, action_bytes + len(frame))
-            parked = None
+            length, parked = action_bytes + len(frame), None
         else:
             # §7 alternative: keep the packet recirculating locally and
             # fetch only the action slots.
-            request = gen.read(address, action_bytes)
-            parked = packet
-        if block is not None:
-            # Held against tier moves until the lookup is answered or lost.
-            self._busy_blocks[block] = self._busy_blocks.get(block, 0) + 1
-        fifo.append((
-            request.require(BthHeader).psn,
-            flow,
-            flow_fingerprint(packed),
-            block,
-            dict(packet.meta),
-            self.switch.sim.now,
-            parked,
+            length, parked = action_bytes, packet
+        gen.read(address, length, (
+            flow, flow_fingerprint(packed), block, dict(packet.meta), self.switch.sim.now, parked
         ))
         ctx.drop()  # the original packet no longer proceeds on this pass
 
@@ -617,26 +609,18 @@ class RemoteLookupTable:
             bth = packet.find(BthHeader)
             if bth is None:
                 return False
-        gen, fifo = self.rocegen, self._pending
+        gen = self.rocegen
         if bth.dest_qp != gen.channel.switch_qp.qpn:
             gen = self._fastgen
             if gen is None or bth.dest_qp != gen.channel.switch_qp.qpn:
                 return False
-            fifo = self._pending_fast
         ctx.drop()  # responses never leave the switch
-        opcode, is_nak, psn = gen.accept_response(packet, bth)
-        if is_nak:
-            self._handle_nak(gen, fifo, packet, psn)
-            return True
-        if opcode is not _READ_RESPONSE:
-            return True
-        # Match the response to its lookup by PSN; anything older in the
-        # FIFO was lost to a drop window and never got a response.
-        while fifo and fifo[0][0] != psn:
-            self._write_off(fifo.popleft())
-        if not fifo:
-            return True  # stale response from before a resync
-        _, flow, fingerprint, block, meta, issued_at, original = fifo.popleft()
+        # The requester pairs the response with its lookup by PSN; lookups
+        # it lost on the way reached _on_loss.
+        opcode, _is_nak, record = gen.accept_response(packet, bth)
+        if opcode is not _READ_RESPONSE or record is None:
+            return True  # a NAK, or stale: from before a resync, or a probe
+        flow, fingerprint, block, meta, issued_at, original = record
         if block is not None:
             self._release_block(block)
         now = self.switch.sim.now
@@ -702,25 +686,6 @@ class RemoteLookupTable:
             self._m_remote_invalid.inc()
         return self.default_action
 
-    def _handle_nak(
-        self, gen: RoceRequestGenerator, fifo: "Deque[tuple]", packet: Packet, expected: int
-    ) -> None:
-        """One loss event → one resync: discard the rejected lookup suffix.
-
-        The NAK names the responder's expected PSN ``e`` (*expected*, the
-        NAK's own PSN); every in-flight lookup whose READ carries
-        ``psn >= e`` was rejected and (in bounce mode) its packet is gone.
-        Echo NAKs from the same event arrive for a while; the generator's
-        echo guard keeps them from touching lookups issued after the
-        resync (which legitimately reuse PSNs >= e).
-        """
-        if not gen.fresh_nak(expected):
-            return  # echo of an already-handled loss event
-        gen.record_strike()  # one loss event = one strike
-        gen.maybe_resync(packet)
-        while fifo and psn_distance(expected, fifo[-1][0]) < _PSN_HALF:
-            self._write_off(fifo.pop())
-
     # -- degraded mode & recovery (DESIGN.md §11) --------------------------------
 
     def degrade(self, channel: Optional[RemoteMemoryChannel] = None) -> None:
@@ -736,9 +701,8 @@ class RemoteLookupTable:
         if self._degraded:
             return
         self._degraded = True
-        for fifo in (self._pending, self._pending_fast):
-            while fifo:
-                self._write_off(fifo.popleft())
+        for window in self._windows:
+            self._write_off_window(window)
 
     def degrade_fast(self) -> None:
         """Fast tier unhealthy: spill to DRAM and keep serving (§13).
@@ -753,8 +717,7 @@ class RemoteLookupTable:
         if self._tiering is None or self._fast_degraded:
             return
         self._fast_degraded = True
-        while self._pending_fast:
-            self._write_off(self._pending_fast.popleft())
+        self._write_off_window(self._fastgen.window)
         self._tiering.fast_enabled = False
         self._tiering.demote_all(force=True)
 
@@ -768,9 +731,9 @@ class RemoteLookupTable:
     def probe(self, channel: Optional[RemoteMemoryChannel] = None) -> None:
         """Send one canary READ of entry 0 down the (possibly fresh) QP.
 
-        Not registered in ``_pending``: the response's unknown PSN makes
-        :meth:`try_handle` treat it as stale after reporting progress —
-        exactly what the breaker needs.
+        Untracked: the response's unknown PSN makes :meth:`try_handle`
+        treat it as stale after reporting progress — exactly what the
+        breaker needs.
         """
         self.rocegen.read(self.entry_address(0), ACTION_BYTES)
 

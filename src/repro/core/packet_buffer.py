@@ -42,14 +42,12 @@ from __future__ import annotations
 
 import struct
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..net.headers import HeaderError, Ipv4Header
 from ..net.packet import Packet
 from ..rdma.constants import Opcode
-from ..rdma.headers import BthHeader
 from ..rdma.packets import MAX_READ_BYTES, MAX_WRITE_BYTES
 from ..sim.units import kib, mib
 from ..switches.pipeline import PipelineContext
@@ -57,7 +55,7 @@ from ..switches.registers import RegisterArray
 from ..switches.switch import ProgrammableSwitch
 from ..switches.traffic_manager import HookVerdict, PortQueue
 from .channel import RemoteMemoryChannel
-from .rocegen import ResponseSteering, RoceRequestGenerator
+from .rocegen import ResponseSteering, RetryTimer, RoceRequestGenerator
 
 if TYPE_CHECKING:  # cluster imports core; break the cycle for typing
     from ..cluster.pool import MemoryPool, PoolMember
@@ -75,6 +73,7 @@ _FREE, _WAITING, _FLUSHED, _REFUSED = range(4)
 #: mark, never beyond the ring's capacity.
 _MIN_SLOTS = 16
 _PASS, _CONSUMED = HookVerdict.PASS, HookVerdict.CONSUMED
+_READ_RESPONSE = Opcode.RDMA_READ_RESPONSE_ONLY
 _STAMP = struct.Struct("!Q")
 #: The largest entry one WRITE can store and one READ response can return.
 _MAX_ENTRY_BYTES = min(MAX_WRITE_BYTES, MAX_READ_BYTES)
@@ -102,9 +101,9 @@ class PacketBufferConfig:
     max_outstanding_reads: int = 4
     #: Request ACKs for WRITEs (reverse-path bandwidth vs. §7 reliability).
     ack_writes: bool = False
-    #: Recovery timer for lost READs/responses: if no load progress within
-    #: this window while reads are outstanding, restart the read chain
-    #: (go-back-N).  None disables recovery (the paper's best-effort mode).
+    #: Retry timer period of each read QP: a round with READs outstanding
+    #: and none answered restarts the read chain (go-back-N).  None leaves
+    #: a stuck chain to NAKs alone (the paper's best-effort mode).
     read_timeout_ns: Optional[float] = None
     #: When True, loading never starts automatically; the experiment calls
     #: :meth:`RemotePacketBuffer.start_draining` (§5 "we manually start the
@@ -198,9 +197,10 @@ class RemotePacketBuffer:
         self.metrics.gauge(
             "degraded_channels", fn=lambda: len(self._degraded_channels)
         )
-        self.rocegens = [
-            RoceRequestGenerator(switch, channel) for channel in self.channels
-        ]
+        # Each read QP's requester tracks its READs in flight: psn -> ring
+        # pointer.  A response whose PSN is no longer tracked is stale (from
+        # a chain that has since been restarted).
+        self.rocegens = [self._requester(channel) for channel in self.channels]
         if read_channels is not None:
             read_channels = list(read_channels)
             if len(read_channels) != len(self.channels):
@@ -210,13 +210,11 @@ class RemotePacketBuffer:
                     "read channels must share their write channel's region"
                 )
             self.read_channels = read_channels
-            self.read_rocegens = [
-                RoceRequestGenerator(switch, channel)
-                for channel in read_channels
-            ]
+            self.read_rocegens = [self._requester(channel) for channel in read_channels]
         else:
             self.read_channels = self.channels
             self.read_rocegens = self.rocegens
+        self._windows = [gen.window for gen in self.read_rocegens]
         self._steering = ResponseSteering(self._owned_channels)
         self._steering.refresh()
         self.entries_per_channel = min(
@@ -230,16 +228,7 @@ class RemotePacketBuffer:
         # Ring state in data-plane registers (48-bit: monotonically
         # increasing pointers, slot = ptr % capacity).
         self._regs = RegisterArray(f"pktbuf[{protected_port}]", 4, width_bits=48)
-        self._outstanding_reads = 0
-        self._watchdog_armed = False
-        self._watchdog_snapshot = 0
         self._manual_drain_started = False
-        # Per-channel FIFO of (ring pointer, PSN) for in-flight READs.
-        # Responses must match their channel's head; anything else is a
-        # stale response from a recovered chain.
-        self._inflight: List[Deque[Tuple[int, int]]] = [
-            deque() for _ in self.channels
-        ]
         # Cross-channel reorder stage: completed entries by ring pointer,
         # at most one per unreleased entry (bounded by the occupancy).
         self._reorder: Dict[int, Optional[Packet]] = {}
@@ -286,6 +275,11 @@ class RemotePacketBuffer:
             raise RuntimeError("switch TM already has an egress hook")
         switch.tm.egress_hook = self._egress_hook
         switch.tm.dequeue_listeners.append(self._on_dequeue)
+
+    def _requester(self, channel: RemoteMemoryChannel) -> RoceRequestGenerator:
+        period = self.config.read_timeout_ns
+        timer = None if period is None else RetryTimer(self.switch.sim, period)
+        return RoceRequestGenerator(self.switch, channel, self._on_read_loss, timer)
 
     # -- pool mode (cluster subsystem) ---------------------------------------------
 
@@ -370,13 +364,11 @@ class RemotePacketBuffer:
                 )
         index = len(self.channels)
         self.channels.append(channel)
-        self.rocegens.append(RoceRequestGenerator(self.switch, channel))
+        self.rocegens.append(self._requester(channel))
         if separate:
             self.read_channels.append(read_channel)
-            self.read_rocegens.append(
-                RoceRequestGenerator(self.switch, read_channel)
-            )
-        self._inflight.append(deque())
+            self.read_rocegens.append(self._requester(read_channel))
+        self._windows.append(self.read_rocegens[index].window)
         self._channel_slot_counter.append(0)
         self._channel_unread.append(0)
         self._channel_strikes.append(0)
@@ -414,11 +406,9 @@ class RemotePacketBuffer:
         """Fail a channel outside the recovery path (member death)."""
         if index in self._failed_channels:
             return
-        inflight = self._inflight[index]
-        self._outstanding_reads = max(0, self._outstanding_reads - len(inflight))
         # Its READs in flight are behind the load pointer, which will not
         # sweep them again: they are clean losses now.
-        for pointer, _ in inflight:
+        for pointer in self._windows[index].values():
             self._reorder[pointer] = None
             self._m_lost_to_failover.inc()
         self._fail_channel(index)
@@ -429,7 +419,7 @@ class RemotePacketBuffer:
     def _drain_channel(
         self, member: "PoolMember", index: int, deadline: float
     ) -> None:
-        if self._channel_unread[index] == 0 and not self._inflight[index]:
+        if self._channel_unread[index] == 0 and not self._windows[index]:
             self.pool.release_drain(member)
             return
         if self.switch.sim.now >= deadline:
@@ -604,9 +594,8 @@ class RemotePacketBuffer:
             or queue.depth_bytes > config.low_watermark_bytes
         ):
             return
-        credit = (
-            config.max_outstanding_reads * (len(self._targets) or 1)
-            - self._outstanding_reads
+        credit = config.max_outstanding_reads * (len(self._targets) or 1) - sum(
+            map(len, self._windows)
         )
         reorder = self._reorder
         occupancy = self._occupancy
@@ -643,16 +632,10 @@ class RemotePacketBuffer:
                         continue
                     # §4: "each load operation fetches a single entire entry
                     # regardless of the original packet size".
-                    request = self.read_rocegens[channel_idx].read(
-                        self._address_of[index], config.entry_bytes
+                    self.read_rocegens[channel_idx].read(
+                        self._address_of[index], config.entry_bytes, pointer
                     )
-                    self._inflight[channel_idx].append(
-                        (pointer, request.require(BthHeader).psn)
-                    )
-                    self._outstanding_reads += 1
                     credit -= 1
-                    if config.read_timeout_ns is not None and not self._watchdog_armed:
-                        self._arm_watchdog()
             finally:
                 self._loading = False
                 if load_ptr != next_load:
@@ -663,63 +646,39 @@ class RemotePacketBuffer:
         if reorder or not occupancy:
             self._drain_reorder()
 
-    # -- loss recovery (optional, §7 reliability extension) ----------------------
+    # -- loss recovery (§7 reliability extension) ---------------------------------
 
-    def _arm_watchdog(self) -> None:
-        if self.config.read_timeout_ns is None or self._watchdog_armed:
-            return
-        self._watchdog_armed = True
-        self._watchdog_snapshot = self._regs.read(_READ_PTR)
-        self.switch.sim.schedule(self.config.read_timeout_ns, self._watchdog)
-
-    def _watchdog(self) -> None:
-        self._watchdog_armed = False
-        if self._degraded_channels:
-            # The breaker already judged the channel; recovery restarts
-            # the chain explicitly, so keep the watchdog out of it.
-            return
-        if self._outstanding_reads == 0:
-            return
-        if self._regs.read(_READ_PTR) != self._watchdog_snapshot:
-            # Progress was made; keep watching.
-            self._arm_watchdog()
-            return
-        # No READ completed for a full window: assume the chain is lost and
-        # go back to the last committed read pointer.
-        self._recover_reads()
-
-    def _recover_reads(self) -> None:
-        """Go-back-N: restart the read chain from the committed pointer.
+    def _on_read_loss(self, gen: RoceRequestGenerator, lost: List[Tuple[int, Any]], cause: str) -> None:
+        """READs that left a read QP's window unanswered: go-back-N, the
+        read chain restarts from the committed pointer.
 
         Completed entries already parked in the reorder stage are kept;
-        only in-flight reads are abandoned.  Channels that were stalling
-        accumulate a strike toward failover (§7 robustness).
+        every READ in flight is abandoned (their responses become stale),
+        and the channel takes a strike toward failover (§7 robustness).
         """
+        if self._degraded_channels:
+            # The breaker already judged the channel; recovery restarts
+            # the chain explicitly, so keep out of it.
+            return
+        idx = self.read_rocegens.index(gen)
+        # Pool mode: the health monitor judges the requester's strikes and
+        # timeouts and calls back into on_member_leave; the private count
+        # would judge the same evidence twice.
+        strikes = self.config.failover_strikes
+        if self.pool is None and strikes is not None and idx not in self._failed_channels:
+            self._channel_strikes[idx] += 1
+            if self._channel_strikes[idx] >= strikes:
+                self._fail_channel(idx)
         self._m_read_recoveries.inc()
-        self._outstanding_reads = 0
-        for idx, inflight in enumerate(self._inflight):
-            if inflight:
-                self._strike_channel(idx)
-            inflight.clear()
+        self._restart_reads()
+
+    def _restart_reads(self) -> None:
+        """Go-back-N: abandon every READ in flight, reload from the
+        committed read pointer."""
+        for window in self._windows:
+            window.clear()
         self._regs.write(_NEXT_LOAD_PTR, self._regs.read(_READ_PTR))
         self._maybe_start_loading(self._queue)
-
-    def _strike_channel(self, idx: int) -> None:
-        if idx in self._failed_channels:
-            return
-        # Surface the stall as the uniform channel health signal whether
-        # or not anything is watching (pool monitor, tests, dashboards).
-        self.read_rocegens[idx].record_strike()
-        if self.pool is not None:
-            # Pool mode: the health monitor turns strikes into a member
-            # down verdict and calls back into on_member_leave — the
-            # private counter below would double-judge the same evidence.
-            return
-        if self.config.failover_strikes is None:
-            return
-        self._channel_strikes[idx] += 1
-        if self._channel_strikes[idx] >= self.config.failover_strikes:
-            self._fail_channel(idx)
 
     def _fail_channel(self, idx: int) -> None:
         """Declare channel *idx* dead: exclude it from striping; entries
@@ -727,7 +686,7 @@ class RemotePacketBuffer:
         self._failed_channels.add(idx)
         self._draining_channels.discard(idx)
         self._retarget()
-        self._inflight[idx].clear()
+        self._windows[idx].clear()
         self._m_channels_failed.inc()
 
     # -- degraded mode & recovery (DESIGN.md §11) --------------------------------
@@ -757,18 +716,14 @@ class RemotePacketBuffer:
             return
         self._degraded_channels.add(idx)
         self._retarget()
-        self._outstanding_reads = max(
-            0, self._outstanding_reads - len(self._inflight[idx])
-        )
-        self._inflight[idx].clear()
+        self._windows[idx].clear()
 
     def probe(self, channel: Optional[RemoteMemoryChannel] = None) -> None:
         """Send one canary READ of the ring's first stamp word.
 
-        Rides the channel's read QP so the response flows back through
-        :meth:`try_handle`; with the in-flight queue empty the head-PSN
-        match fails and :meth:`_complete_load` discards it as stale —
-        after the generator reported it as progress to the breaker.
+        Rides the channel's read QP, untracked, so the response flows back
+        through :meth:`try_handle` as progress to the breaker and is then
+        discarded.
         """
         idx = self._channel_index(channel)
         self.read_rocegens[idx].read(
@@ -779,8 +734,8 @@ class RemotePacketBuffer:
         """Leave degraded mode; drain stranded ring contents in order.
 
         Once the last degraded channel recovers, the read chain restarts
-        from the committed read pointer — the same go-back-N restart the
-        watchdog uses — so every entry stranded during the outage is
+        from the committed read pointer — the same go-back-N restart a
+        lost READ causes — so every entry stranded during the outage is
         fetched via RDMA READ and released through the reorder stage in
         ring-pointer order (zero dropped buffered packets, order
         preserved among themselves).
@@ -791,11 +746,7 @@ class RemotePacketBuffer:
         if self._degraded_channels:
             return
         if self._occupancy or self._reorder:
-            self._outstanding_reads = 0
-            for inflight in self._inflight:
-                inflight.clear()
-            self._regs.write(_NEXT_LOAD_PTR, self._regs.read(_READ_PTR))
-            self._maybe_start_loading(self._queue)
+            self._restart_reads()
             self._drain_reorder()
         elif self.is_buffering:
             self._regs.write(_BUFFERING, 0)
@@ -813,25 +764,12 @@ class RemotePacketBuffer:
             return False
         channel_idx, is_read_qp = owner
         rocegen = (self.read_rocegens if is_read_qp else self.rocegens)[channel_idx]
-        opcode, is_nak, psn = rocegen.accept_response(packet)
+        # A NAK that cost READs in flight restarts the read chain through
+        # _on_read_loss; lost WRITEs surface later as stale entry stamps.
+        opcode, _is_nak, pointer = rocegen.accept_response(packet)
         ctx.drop()  # the response itself never leaves the switch
-        if is_nak:
-            # Act once per loss event: its echoes would rewind the PSNs a
-            # restart has just reissued.
-            if not rocegen.fresh_nak(psn):
-                return True
-            # A request was lost: resynchronize that QP's PSN stream.  The
-            # read chain needs a go-back-N restart when the loss hit reads
-            # in flight: any NAK on a read QP, or a sequence error on a
-            # shared QP (the responder discarded every request behind the
-            # gap).  Lost WRITEs surface later as stale entry stamps.
-            resynced = rocegen.maybe_resync(packet)
-            if self._inflight[channel_idx] and (
-                is_read_qp or (resynced and self.read_channels is self.channels)
-            ):
-                self._recover_reads()
-        elif opcode is Opcode.RDMA_READ_RESPONSE_ONLY:
-            self._complete_load(channel_idx, psn, packet.payload)
+        if opcode is _READ_RESPONSE and pointer is not None:
+            self._complete_load(channel_idx, pointer, packet.payload)
         return True
 
     def _owned_channels(
@@ -844,21 +782,11 @@ class RemotePacketBuffer:
         for i, channel in enumerate(self.channels):
             yield channel, (i, False)
 
-    def _complete_load(self, channel_idx: int, psn: int, entry: bytes) -> None:
+    def _complete_load(self, channel_idx: int, pointer: int, entry: bytes) -> None:
         """The response pass: park the fetched entry in the reorder stage,
         release in pointer order, chain the next READ."""
-        inflight = self._inflight[channel_idx]
-        if not inflight or inflight[0][1] != psn:
-            # Stale response from a chain that has since been recovered.
-            return
-        pointer = inflight.popleft()[0]
-        if self._outstanding_reads > 0:
-            self._outstanding_reads -= 1
         self._channel_strikes[channel_idx] = 0  # the channel is alive
         index = pointer % self._slots
-        if self._state[index] == _FREE:
-            # A pre-recovery duplicate of an already-released entry.
-            return
         original = None
         try:
             if _STAMP.unpack_from(entry)[0] == pointer:

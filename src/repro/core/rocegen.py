@@ -15,7 +15,7 @@ time.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..net.packet import Packet
 from ..obs.trace import (
@@ -42,12 +42,23 @@ from .channel import RemoteMemoryChannel
 
 
 #: Health events a channel's request generator can emit: "nak" on every
-#: NAK response, "strike" when the owning primitive's recovery machinery
-#: implicates the channel in a stall, "timeout" when a watchdog fires for
-#: it, and "progress" on every non-NAK response.
+#: NAK response, "strike" on every loss event a fresh NAK reports,
+#: "timeout" on every fruitless timer round, and "progress" on every
+#: non-NAK response.
 HealthListener = Callable[["RoceRequestGenerator", str], None]
+#: ``on_loss(gen, lost, cause)``: tracked ``(psn, context)`` pairs that left
+#: the window without a response of their own, and why (``LOST_*``).
+LossListener = Callable[["RoceRequestGenerator", List[Tuple[int, Any]], str], None]
+#: Why tracked requests left the window unanswered: a fresh NAK rejected
+#: them, timer rounds found the window stuck, or a later response retired
+#: them (they executed; their responses were lost).
+LOST_NAK, LOST_TIMEOUT, LOST_SKIPPED = "nak", "timeout", "skipped"
+#: The rounds a stuck window waits between reports double up to this many.
+RETRY_BACKOFF_CAP = 2
 
 _NAK_MASK = AethSyndrome.NAK_MASK
+_SEQUENCE_ERROR = AethSyndrome.NAK_PSN_SEQUENCE_ERROR
+_PSN_MASK, _PSN_HALF = PSN_MODULO - 1, PSN_MODULO // 2
 #: How long after a loss event was acted on a NAK naming the same expected
 #: PSN can still be one of its echoes (see RoceRequestGenerator.fresh_nak).
 NAK_ECHO_WINDOW_NS = 20_000.0
@@ -107,18 +118,85 @@ class ResponseSteering:
         return entry[1]
 
 
+class RetryTimer:
+    """A retry timer: one round every *period_ns* while any window of the
+    requesters it serves holds a request (DESIGN.md §10.4).  Requesters
+    that share one share its phase, as a tiered store's two QPs do; each
+    judges its own progress in a round."""
+
+    __slots__ = ("sim", "period", "requesters", "armed")
+
+    def __init__(self, sim: Any, period_ns: float) -> None:
+        self.sim = sim
+        self.period = period_ns
+        self.requesters: List["RoceRequestGenerator"] = []
+        self.armed = False
+
+    def arm(self) -> None:
+        """Schedule the next round, snapshotting each requester's progress."""
+        self.armed = True
+        for gen in self.requesters:
+            gen._snapshot = gen._retired if gen.window else None
+        self.sim.schedule(self.period, self._fire)
+
+    def _fire(self) -> None:
+        # Still armed while the rounds run: a re-send arms nothing.
+        for gen in self.requesters:
+            gen._round()
+        self.armed = False
+        if any(gen.window for gen in self.requesters):
+            self.arm()
+
+
 class RoceRequestGenerator:
-    """Craft and transmit RoCE requests for one channel from the data plane."""
+    """The switch's requester for one channel's QP (DESIGN.md §10.4).
+
+    A request issued with a *context* is tracked: :attr:`window` maps its
+    PSN to the context, in issue order.  A response for a tracked PSN
+    retires it and every request tracked before it; one for a PSN not
+    tracked retires nothing.  Tracked requests that leave the window
+    without a response of their own reach ``on_loss(gen, lost, cause)`` as
+    ``(psn, context)`` pairs: after a fresh NAK (``LOST_NAK``: the suffix
+    from a sequence error's PSN, else the one request named; a sequence
+    error at or before the newest acknowledged PSN is stale), timer rounds
+    that retired nothing (``LOST_TIMEOUT``: the whole window; only with a
+    *timer*), or a later response (``LOST_SKIPPED``: they executed, their
+    responses were lost).  Every such round is a health timeout; the
+    first reports the window lost, and the rounds between reports double
+    up to ``RETRY_BACKOFF_CAP`` until one retires something.  An owner
+    re-sends a lost request under its own PSN (``psn=``), which re-tracks
+    it in order, or writes it off.
+    """
 
     def __init__(
-        self, switch: ProgrammableSwitch, channel: RemoteMemoryChannel
+        self,
+        switch: ProgrammableSwitch,
+        channel: RemoteMemoryChannel,
+        on_loss: Optional[LossListener] = None,
+        timer: Optional[RetryTimer] = None,
     ) -> None:
         self.switch = switch
         self.channel = channel
         #: Optional subscriber to this channel's health events (the cluster
-        #: health monitor plugs in here); every primitive reports the same
-        #: signal vocabulary — nak / strike / timeout / progress.
+        #: health monitor plugs in here): nak / strike / timeout / progress.
         self.health_listener: Optional[HealthListener] = None
+        #: The tracked window: PSN -> the owner's context, issue order.
+        self.window: Dict[int, Any] = {}
+        self._on_loss = on_loss
+        self._timer = timer
+        if timer is not None:
+            timer.requesters.append(self)
+        # Retirements so far, and their count when the timer was armed
+        # (None: the window was empty then); fruitless rounds since the
+        # last report or progress, and how many the next report waits for.
+        self._retired = 0
+        self._snapshot: Optional[int] = None
+        self._stuck = 0
+        self._wait = 1
+        # The PSN the last positive response answered, and its QP: RC
+        # answers in order, so the newest but for a reordered copy.
+        self._acked_qpn = -1
+        self._acked_psn = 0
         obs = switch.sim.obs
         #: This generator's scope in the simulation's metric registry.
         self.metrics = obs.registry.unique_scope(f"roce[{channel.name}]")
@@ -147,12 +225,12 @@ class RoceRequestGenerator:
             self.health_listener(self, event)
 
     def record_strike(self) -> None:
-        """The owning primitive implicated this channel in a stall."""
+        """A loss event implicated this channel in a stall."""
         self._m_strikes.inc()
         self._emit_health("strike")
 
     def record_timeout(self) -> None:
-        """A watchdog expired waiting on this channel."""
+        """A timer round expired waiting on this channel."""
         self._m_timeouts.inc()
         self._emit_health("timeout")
 
@@ -165,9 +243,9 @@ class RoceRequestGenerator:
         ack_request: bool = False,
         meta: Optional[dict] = None,
     ) -> Optional[Packet]:
-        """Issue an RDMA WRITE of *data*; returns the transmitted packet,
-        or None when the switch's traffic manager refused it (its PSN is
-        spent all the same, as on hardware: the responder sees a gap).
+        """Issue an RDMA WRITE of *data* (untracked); returns the transmitted
+        packet, or None when the switch's traffic manager refused it (its
+        PSN is spent all the same, as on hardware: the responder sees a gap).
 
         ``meta`` entries are attached to the request *before* it is handed
         to the port (an idle port serializes synchronously, so tagging the
@@ -184,25 +262,48 @@ class RoceRequestGenerator:
         self._m_writes.inc()
         return request if self._transmit(request, KIND_WRITE) else None
 
-    def read(self, remote_address: int, length: int) -> Packet:
+    def read(
+        self,
+        remote_address: int,
+        length: int,
+        context: Any = None,
+        psn: Optional[int] = None,
+    ) -> Packet:
         """Issue an RDMA READ of *length* bytes — at most ``MAX_READ_BYTES``,
-        the response being one packet; returns the request packet."""
+        the response being one packet; returns the request packet.  A
+        *context* tracks it in the window; an explicit *psn* re-sends a
+        lost READ under its own PSN."""
         if length > MAX_READ_BYTES:
             raise ValueError(f"READ of {length} B exceeds one packet ({MAX_READ_BYTES} B)")
         channel = self.channel
         if not 0 <= remote_address - channel.base_address <= channel.length - length:
             raise self._outside_channel(remote_address, length)
-        request = build_read_request(
-            channel.switch_qp, remote_address, channel.rkey, length
-        )
+        qp = channel.switch_qp
+        if psn is None:
+            psn = qp.next_psn  # the builder allocates it
+            request = build_read_request(qp, remote_address, channel.rkey, length)
+        else:
+            request = build_read_request(
+                qp, remote_address, channel.rkey, length, psn=self._reuse(psn)
+            )
         self._m_reads.inc()
+        if context is not None:
+            self.window[psn] = context
+            timer = self._timer
+            if timer is not None and not timer.armed:
+                timer.arm()
         self._transmit(request, KIND_READ)
         return request
 
     def fetch_add(
-        self, remote_address: int, value: int, psn: Optional[int] = None
+        self,
+        remote_address: int,
+        value: int,
+        psn: Optional[int] = None,
+        context: Any = None,
     ) -> Packet:
-        """Issue an atomic Fetch-and-Add of *value*; returns the packet.
+        """Issue an atomic Fetch-and-Add of *value*; returns the packet.  A
+        *context* tracks it in the window.
 
         Pass an explicit *psn* to retransmit a lost request verbatim — the
         responder's atomic replay cache answers duplicates without
@@ -211,12 +312,30 @@ class RoceRequestGenerator:
         channel = self.channel
         if not 0 <= remote_address - channel.base_address <= channel.length - 8:
             raise self._outside_channel(remote_address, 8)
-        request = build_fetch_add_request(
-            channel.switch_qp, remote_address, channel.rkey, value, psn=psn
-        )
+        qp = channel.switch_qp
+        if psn is None:
+            psn = qp.next_psn  # the builder allocates it
+            request = build_fetch_add_request(qp, remote_address, channel.rkey, value)
+        else:
+            request = build_fetch_add_request(
+                qp, remote_address, channel.rkey, value, psn=self._reuse(psn)
+            )
         self._m_fetch_adds.inc()
+        if context is not None:
+            self.window[psn] = context
+            timer = self._timer
+            if timer is not None and not timer.armed:
+                timer.arm()
         self._transmit(request, KIND_ATOMIC)
         return request
+
+    def _reuse(self, psn: int) -> int:
+        """*psn*, for a request re-sent under it: the QP's next PSN stays
+        one past the newest PSN in use (a resync may have rewound it)."""
+        qp = self.channel.switch_qp
+        if (psn - qp.next_psn) & _PSN_MASK < _PSN_HALF:
+            qp.next_psn = (psn + 1) & _PSN_MASK
+        return psn
 
     def _outside_channel(self, remote_address: int, size: int) -> ValueError:
         return ValueError(
@@ -248,18 +367,16 @@ class RoceRequestGenerator:
 
     def accept_response(
         self, packet: Packet, bth: Optional[BthHeader] = None
-    ) -> Tuple[Optional[Opcode], bool, int]:
-        """Account for a response in one pass: ``(opcode, is_nak, psn)`` —
-        everything a primitive's response pass dispatches on, from one
-        look at the BTH (*bth*, when the caller steered by it already) and
-        AETH.  NAKs are counted here.
+    ) -> Tuple[Optional[Opcode], bool, Any]:
+        """Account for a response in one pass: ``(opcode, is_nak, context)``
+        from one look at the BTH (*bth*, when the caller steered by it
+        already) and AETH; *context* is the one tracked at its PSN (None:
+        untracked, stale, or a NAK).
 
         Responses carrying a computed ICRC are verified first: a mismatch
-        means the packet was corrupted in flight, and the data plane must
-        not act on anything inside it — it is dropped, counted under
-        ``icrc_drops``, and the opcode is ``None`` (callers treat it as no
-        response at all; the primitives' watchdogs recover, the same as
-        for a lost packet).
+        means the packet was corrupted in flight, so it is dropped, counted
+        under ``icrc_drops``, and the opcode is ``None`` — no response at
+        all, recovered from like a lost packet.
         """
         if bth is None:
             bth = packet.require(BthHeader)
@@ -277,11 +394,12 @@ class RoceRequestGenerator:
                     wire_bytes=packet.wire_len,
                     channel="icrc",
                 )
-            return None, is_nak, bth.psn
+            return None, is_nak, None
         self._m_responses.inc()
         self._m_response_bytes.inc(packet.wire_len)
         # Every member is truthy; Opcode() raises for a value that is none.
         opcode = OPCODES.get(bth.opcode) or Opcode(bth.opcode)
+        psn = bth.psn
         if is_nak:
             self._m_naks.inc()
         if self.health_listener is not None:
@@ -292,34 +410,59 @@ class RoceRequestGenerator:
                 self._trace_node,
                 self.channel.switch_qp.qpn,
                 KIND_NAK if is_nak else _RESPONSE_KINDS.get(opcode, opcode.name),
-                psn=bth.psn,
+                psn=psn,
                 wire_bytes=packet.wire_len,
                 channel=self.channel.name,
                 syndrome=aeth.syndrome if is_nak else None,
             )
-        return opcode, is_nak, bth.psn
+        if is_nak:
+            # A sequence error naming a PSN the responder has acknowledged
+            # past is a delayed copy: a resync would rewind onto executed
+            # PSNs, whose re-use the atomic replay cache answers unapplied.
+            if (
+                aeth.syndrome == _SEQUENCE_ERROR
+                and bth.dest_qp == self._acked_qpn
+                and (self._acked_psn - psn) & _PSN_MASK < _PSN_HALF
+            ):
+                return opcode, True, None
+            if self.fresh_nak(psn):
+                # A sequence error rejected everything from the PSN it
+                # names; any other NAK refused that one request.
+                if self.maybe_resync(packet):
+                    lost = [p for p in self.window if (p - psn) & _PSN_MASK < _PSN_HALF]
+                else:
+                    lost = [psn] if psn in self.window else []
+                if lost:
+                    self._lose(lost)
+            return opcode, True, None
+        self._acked_qpn, self._acked_psn = bth.dest_qp, psn
+        window = self.window
+        if psn not in window:
+            return opcode, False, None  # untracked or stale: it proves nothing
+        for front in window:
+            break
+        if front != psn:
+            # Requests tracked before it drew no response of their own.
+            skipped = []
+            while front != psn:
+                skipped.append((front, window.pop(front)))
+                for front in window:
+                    break
+            if self._on_loss is not None:
+                self._on_loss(self, skipped, LOST_SKIPPED)
+        self._retired += 1
+        return opcode, False, window.pop(psn, None)  # the owner may have dropped it
 
     def classify_response(self, packet: Packet) -> Optional[Opcode]:
         """:meth:`accept_response` for a caller that only needs the opcode."""
         return self.accept_response(packet)[0]
 
-    @staticmethod
-    def is_nak(packet: Packet) -> bool:
-        aeth = packet.find(AethHeader)
-        return aeth is not None and aeth.syndrome & _NAK_MASK == _NAK_MASK
-
     def fresh_nak(self, psn: int) -> bool:
         """Whether a NAK naming expected PSN *psn* reports a loss event not
-        yet acted on; the owning primitive acts on fresh NAKs only.
-
-        The responder NAKs every request that reaches it behind a gap, so
-        one lost request draws a NAK per request sent past it, all naming
-        the same PSN.  The first is fresh.  Each later one within
-        ``NAK_ECHO_WINDOW_NS`` is an echo while the requests sent past the
-        gap before it was acted on can still account for it.  Past that
-        count it answers a request sent since (a reissued request lost
-        again), so it is a fresh event.
-        """
+        yet acted on, rather than an echo of one (DESIGN.md §10.4): one
+        lost request draws a NAK per request sent past it, all naming the
+        same PSN, and only the first, or one past that count or
+        ``NAK_ECHO_WINDOW_NS``, is fresh."""
         now = self.switch.sim.now
         if (
             psn == self._nak_psn
@@ -335,19 +478,43 @@ class RoceRequestGenerator:
         return True
 
     def maybe_resync(self, packet: Packet) -> bool:
-        """Resynchronize the soft QP after a PSN-sequence-error NAK.
-
-        Lost requests desynchronize the switch's next PSN from the RNIC's
-        expected PSN, after which every request would be NAKed.  The NAK
-        carries the expected PSN in its BTH; adopting it re-establishes the
-        connection (the data-plane analogue of requester retransmission).
-        Returns True when a resync happened.
-        """
+        """Adopt a PSN-sequence-error NAK's expected PSN as the QP's next
+        PSN (lost requests desynchronized the two, after which every
+        request would be NAKed); True when a resync happened."""
         aeth = packet.find(AethHeader)
-        if aeth is None or aeth.syndrome != AethSyndrome.NAK_PSN_SEQUENCE_ERROR:
+        if aeth is None or aeth.syndrome != _SEQUENCE_ERROR:
             return False
         self.channel.switch_qp.next_psn = packet.require(BthHeader).psn
         return True
+
+    def _lose(self, psns: List[int]) -> None:
+        """One loss event a fresh NAK reports: requests *psns* were refused."""
+        # The report may close or degrade the owner, emptying the window.
+        self.record_strike()
+        window = self.window
+        lost = [(psn, window.pop(psn)) for psn in psns if psn in window]
+        if lost and self._on_loss is not None:
+            self._on_loss(self, lost, LOST_NAK)
+
+    # -- the retry timer ------------------------------------------------------------
+
+    def _round(self) -> None:
+        """One round of the retry timer: a window that retired nothing since
+        the last round is a health timeout, and the ``_wait``-th such round
+        in a row reports it lost; progress resets the wait."""
+        if not self.window or self._retired != self._snapshot:
+            self._stuck, self._wait = 0, 1
+            return
+        # The report may close or degrade the owner, emptying the window.
+        self.record_timeout()
+        self._stuck += 1
+        if self._stuck < self._wait or not self.window:
+            return
+        self._stuck, self._wait = 0, min(2 * self._wait, RETRY_BACKOFF_CAP)
+        lost = list(self.window.items())
+        self.window.clear()
+        if self._on_loss is not None:
+            self._on_loss(self, lost, LOST_TIMEOUT)
 
     @staticmethod
     def atomic_result(packet: Packet) -> int:

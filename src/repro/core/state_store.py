@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..net.packet import Packet
-from ..rdma.constants import ATOMIC_OPERAND_BYTES, PSN_MODULO, Opcode
+from ..rdma.constants import ATOMIC_OPERAND_BYTES, Opcode
 from ..rdma.headers import BthHeader
 from ..rdma.memory import TIER_FAST
 from ..switches.hashing import FiveTuple
@@ -31,15 +31,15 @@ from ..switches.pipeline import PipelineContext
 from ..switches.registers import RegisterArray
 from ..switches.switch import ProgrammableSwitch
 from .channel import RemoteMemoryChannel
-from .rocegen import RoceRequestGenerator
+from .rocegen import LOST_NAK, LOST_SKIPPED, RetryTimer, RoceRequestGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tiering uses core)
     from ..tiering.geometry import TieredRegionGeometry
 
 #: Register index of the outstanding-operation count.
 _OUTSTANDING = 0
-_PSN_MASK, _PSN_HALF = PSN_MODULO - 1, PSN_MODULO // 2
 _U64 = 1 << 64
+_READ_RESPONSE = Opcode.RDMA_READ_RESPONSE_ONLY
 
 
 @dataclass
@@ -64,7 +64,8 @@ class StateStoreConfig:
     #: Fetch-and-Add (ours after a lost *response*) is answered from the
     #: cache instead of being applied twice.
     reliable: bool = False
-    #: Retransmission check period in reliable mode.
+    #: Reliable mode's retry timer period: a stuck window times out every
+    #: period and is re-sent after 1, then RETRY_BACKOFF_CAP, periods.
     retry_timeout_ns: float = 100_000.0
 
 
@@ -131,17 +132,29 @@ class RemoteStateStore:
         self._m_reconciled_applied = self.metrics.counter("reconciled_applied")
         self._m_reconciled_reissued = self.metrics.counter("reconciled_reissued")
         self._h_op_latency = self.metrics.histogram("op_latency_ns")
-        self.rocegen = RoceRequestGenerator(switch, channel)
-        # Tiered stores run one PSN stream per tier: a second generator
-        # drives the fast window, and all reliable-mode tracking is keyed
-        # by generator because PSN spaces are per-QP.
+        # Each requester tracks this store's operations on its QP: psn ->
+        # (index, value, address, block, issued_at).  A retired one records
+        # its latency, releases its busy-block hold (a block with operations
+        # on the wire must not change tier) and, in reliable mode, commits;
+        # reliable mode re-sends lost ones verbatim, to the address recorded
+        # at issue time, under their own PSNs (the RNIC's replay cache
+        # answers a duplicate without re-applying it).  Tiered stores run
+        # one PSN stream per tier: a second requester drives the fast window,
+        # on the same retry timer.
+        timer = None
+        if self.config.reliable:
+            timer = RetryTimer(switch.sim, self.config.retry_timeout_ns)
+        self.rocegen = RoceRequestGenerator(switch, channel, self._on_loss, timer)
         self._fastgen: Optional[RoceRequestGenerator] = None
         if tiering is not None:
-            self._fastgen = RoceRequestGenerator(switch, tiering.fast_channel)
+            self._fastgen = RoceRequestGenerator(
+                switch, tiering.fast_channel, self._on_loss, timer
+            )
             tiering.busy_check = self._block_busy
         self._gens: List[RoceRequestGenerator] = [self.rocegen]
         if self._fastgen is not None:
             self._gens.append(self._fastgen)
+        self._windows = [gen.window for gen in self._gens]
         self._regs = RegisterArray("statestore", 1, width_bits=16)
         self.metrics.gauge("outstanding", fn=lambda: self._regs.read(_OUTSTANDING))
         self.metrics.gauge("pending_value", fn=lambda: sum(self._accumulators.values()))
@@ -150,19 +163,6 @@ class RemoteStateStore:
         # On hardware this is a register array indexed by counter index;
         # FIFO order keeps flushing fair.
         self._accumulators: "OrderedDict[int, int]" = OrderedDict()
-        # Operations on the wire, one issue-ordered record per generator
-        # (PSN spaces are per-QP): psn -> (index, value, address, block,
-        # issued_at), oldest first.  It feeds the busy-block refcounts (a
-        # block with operations on the wire must not change tier) and the
-        # op_latency_ns histogram in either reliability mode; reliable
-        # mode also commits from it and retransmits from it, to the address
-        # recorded at issue time (a busy block cannot move, but replaying
-        # the *original* target is cheap to keep by construction).
-        self._ops: Dict[RoceRequestGenerator, Dict[int, tuple]] = {
-            gen: {} for gen in self._gens
-        }
-        self._retry_armed = False
-        self._retry_snapshot: Dict[RoceRequestGenerator, Optional[int]] = {}
         self._busy_blocks: Dict[int, int] = {}
         self._closed = False
         # Degraded mode (DESIGN.md §11): while the channel's breaker is
@@ -279,14 +279,11 @@ class RemoteStateStore:
         # Negative deltas (Count Sketch's ±1 updates) ride as two's
         # complement: Fetch-and-Add is modulo 2^64 on both ends.
         gen, address, block = self._locate(index)
-        request = gen.fetch_add(address, value % _U64)
-        self._ops[gen][request.require(BthHeader).psn] = (
-            index, value, address, block, self.switch.sim.now
+        gen.fetch_add(
+            address, value % _U64, context=(index, value, address, block, self.switch.sim.now)
         )
         if block is not None:
             self._busy_blocks[block] = self._busy_blocks.get(block, 0) + 1
-        if self.config.reliable and not self._retry_armed:
-            self._arm_retry()
         self._regs.add(_OUTSTANDING, 1)
         self._m_ops.inc()
         self._m_value.inc(value)
@@ -304,55 +301,48 @@ class RemoteStateStore:
         else:
             self._busy_blocks[block] = count
 
-    def _retire_through(self, gen: RoceRequestGenerator, psn: int) -> None:
-        """Retire every op of *gen* at or before *psn*, oldest first.
-
-        RC is in order and the record is in issue order, so the retired
-        ops are its front: pop until the first PSN past the acknowledged
-        one — O(retired), whatever the window.  Each retired op records
-        its latency and releases its busy-block hold; in reliable mode
-        its value is now definitely applied.
-        """
-        ops = self._ops[gen]
-        now = self.switch.sim.now
-        committed = self._committed if self.config.reliable else None
-        while ops:
-            for front in ops:
-                break
-            if (psn - front) & _PSN_MASK >= _PSN_HALF:
-                return  # the front op is past psn: nothing (more) to retire
-            index, value, _address, block, issued = ops.pop(front)
-            self._h_op_latency.observe(now - issued)
-            if block is not None:
-                self._release_block(block)
-            if committed is not None:
-                committed[index] = committed.get(index, 0) + value
-            if front == psn:
-                return  # the usual case: the ACK names the front op
-
-    def _drop_ops(self, gen: RoceRequestGenerator) -> None:
-        """Forget a generator's ops on the wire (resync/suspend/close)."""
-        ops = self._ops[gen]
-        for op in ops.values():
-            if op[3] is not None:
-                self._release_block(op[3])
-        ops.clear()
-
-    def _suspend_ops(self, gen: RoceRequestGenerator) -> None:
-        """Park a generator's ops for the post-recovery reconcile, then
-        forget them (best-effort mode forgets them, as it forgets any loss)."""
+    def _retire(self, op: tuple) -> None:
+        """An operation left the wire executed: record its latency, release
+        its busy-block hold, and in reliable mode commit its value."""
+        index, value, _address, block, issued = op
+        self._h_op_latency.observe(self.switch.sim.now - issued)
+        if block is not None:
+            self._release_block(block)
         if self.config.reliable:
-            for op in self._ops[gen].values():
+            self._committed[index] = self._committed.get(index, 0) + value
+
+    def _forget(self, op: tuple) -> None:
+        """An operation left the wire with its fate unknown or lost."""
+        if op[3] is not None:
+            self._release_block(op[3])
+
+    def _drop_window(self, gen: RoceRequestGenerator, suspend: bool = True) -> None:
+        """Forget a generator's ops on the wire, parking them for the
+        post-recovery reconcile when *suspend* (best-effort mode forgets
+        them, as it forgets any loss; so does a closing store)."""
+        suspend = suspend and self.config.reliable
+        for op in gen.window.values():
+            if suspend:
                 self._suspended_ops.append((op[0], op[1]))
-        self._drop_ops(gen)
+            self._forget(op)
+        gen.window.clear()
 
-    def _total_inflight(self) -> int:
-        """Ops held for retransmission (best-effort mode holds none)."""
-        total = 0
-        if self.config.reliable:
-            for ops in self._ops.values():
-                total += len(ops)
-        return total
+    def _on_loss(self, gen: RoceRequestGenerator, lost: List[Tuple[int, Any]], cause: str) -> None:
+        """Operations that left *gen*'s window without their own ACK: a later
+        ACK proved them executed, or reliable mode re-sends them verbatim
+        (one go-back-N per loss event, the whole window per timer round),
+        or best-effort mode forgets them — their values are lost."""
+        if cause == LOST_SKIPPED:
+            for _psn, op in lost:
+                self._retire(op)
+        elif self.config.reliable:
+            counter = self._m_requeued if cause == LOST_NAK else self._m_retx
+            for psn, op in lost:
+                gen.fetch_add(op[2], op[1] % _U64, psn=psn, context=op)
+                counter.inc()
+        else:
+            for _psn, op in lost:
+                self._forget(op)
 
     # -- response path ---------------------------------------------------------------
 
@@ -374,101 +364,25 @@ class RemoteStateStore:
             if gen is None or bth.dest_qp != gen.channel.switch_qp.qpn:
                 return False
         ctx.drop()
-        opcode, is_nak, psn = gen.accept_response(packet)
-        if opcode is Opcode.RDMA_READ_RESPONSE_ONLY:
+        opcode, is_nak, op = gen.accept_response(packet, bth)
+        if opcode is _READ_RESPONSE:
             # Reconcile READ after a recovery (or a breaker probe, whose
             # PSN matches nothing and is ignored here — accept_response
             # already reported it as progress).
-            self._complete_reconcile(gen, psn, packet)
-            return True
-        if opcode is not Opcode.ATOMIC_ACKNOWLEDGE and opcode is not Opcode.ACKNOWLEDGE:
-            return True
-        regs = self._regs
-        reliable = self.config.reliable
-        if not is_nak:
-            self._m_acks.inc()
-            self._retire_through(gen, psn)
-        elif reliable:
-            # Go-back-N: retransmit rejected operations with their
-            # original PSNs (never resync backwards — reusing a PSN for
-            # a *different* operation would let the replay cache
-            # swallow it).
-            self._m_naks.inc()
-            self._handle_nak_reliable(gen, psn)
+            self._complete_reconcile(gen, bth.psn, packet)
+        elif opcode is Opcode.ATOMIC_ACKNOWLEDGE or opcode is Opcode.ACKNOWLEDGE:
+            if is_nak:
+                self._m_naks.inc()
+            else:
+                self._m_acks.inc()
+                if op is not None:
+                    self._retire(op)
         else:
-            # Best-effort: the operation's value is lost; resync the
-            # PSN stream so later operations are not rejected too.
-            # Nothing of ours is left on this stream's wire, so the
-            # busy-block holds release.
-            self._m_naks.inc()
-            gen.maybe_resync(packet)
-            self._drop_ops(gen)
-        if reliable:
-            regs.write(_OUTSTANDING, self._total_inflight())
-        else:
-            outstanding = regs.read(_OUTSTANDING)
-            if outstanding:
-                regs.write(_OUTSTANDING, outstanding - 1)
+            return True
+        # The window may have shrunk by a retirement or a forgotten loss.
+        self._regs.write(_OUTSTANDING, sum(map(len, self._windows)))
         self._flush()
         return True
-
-    # -- reliable-mode machinery (§7 extension) ---------------------------------
-
-    def _handle_nak_reliable(self, gen: RoceRequestGenerator, expected: int) -> None:
-        """A NAK names the first rejected PSN: ops before it executed, ops
-        from it on never did — retransmit them verbatim, in PSN order.
-
-        Retransmission keeps each operation bound to its original PSN, so
-        a stale NAK (several queue up during one loss event) only causes
-        harmless duplicate retransmissions that the responder's replay
-        cache absorbs.
-        """
-        # The executed prefix is done on the wire too (a response may have
-        # been lost, but the count is safely applied) — commit it, release
-        # its busy-block holds and record its latencies.
-        self._retire_through(gen, (expected - 1) & _PSN_MASK)
-        for p, op in self._ops[gen].items():
-            gen.fetch_add(op[2], op[1] % _U64, psn=p)
-            self._m_requeued.inc()
-
-    def _arm_retry(self) -> None:
-        if self._retry_armed or self._closed or self._degraded:
-            return
-        self._retry_armed = True
-        self._retry_snapshot = {
-            gen: next(iter(ops), None) for gen, ops in self._ops.items()
-        }
-        self.switch.sim.schedule(self.config.retry_timeout_ns, self._retry_check)
-
-    def _retry_check(self) -> None:
-        self._retry_armed = False
-        if self._degraded or not self._total_inflight():
-            return
-        stalled = [
-            (gen, head)
-            for gen, ops in self._ops.items()
-            for head in [next(iter(ops), None)]
-            if head is not None and head == self._retry_snapshot.get(gen)
-        ]
-        if not stalled:
-            self._arm_retry()
-            return
-        # The oldest operation on a stream saw no progress for a full
-        # window: its request or response was lost.  Retransmit verbatim
-        # (same PSN, same address); the RNIC's replay cache makes this
-        # idempotent.
-        for gen, head in stalled:
-            gen.record_timeout()
-            if self._closed or self._degraded or head not in self._ops[gen]:
-                # The timeout report tripped the health monitor, which
-                # closed or degraded this store reentrantly — nothing
-                # left to retransmit on this stream.
-                continue
-            _index, value, address, _block, _issued = self._ops[gen][head]
-            gen.fetch_add(address, value % _U64, psn=head)
-            self._m_retx.inc()
-        if not self._closed and not self._degraded:
-            self._arm_retry()
 
     def _flush(self) -> None:
         """Issue accumulated updates while the outstanding window has room.
@@ -513,15 +427,15 @@ class RemoteStateStore:
         Called by the channel's breaker guard when it opens.  In-flight
         operations are *suspended*, not abandoned: whether each executed
         (ACK lost in the outage) or never arrived is unknowable until
-        :meth:`recover` reads the remote counters back.  The watchdog
-        stands down — retransmitting into a dead channel only burns the
-        health budget the breaker already spent.
+        :meth:`recover` reads the remote counters back.  With the windows
+        empty the retry timers stand down — retransmitting into a dead
+        channel only burns the health budget the breaker already spent.
         """
         if self._degraded:
             return
         self._degraded = True
         for gen in self._gens:
-            self._suspend_ops(gen)
+            self._drop_window(gen)
         self._regs.write(_OUTSTANDING, 0)
 
     def degrade_fast(self) -> None:
@@ -539,8 +453,8 @@ class RemoteStateStore:
         if self._tiering is None or self._fast_degraded:
             return
         self._fast_degraded = True
-        self._suspend_ops(self._fastgen)
-        self._regs.write(_OUTSTANDING, self._total_inflight())
+        self._drop_window(self._fastgen)
+        self._regs.write(_OUTSTANDING, sum(map(len, self._windows)))
         self._tiering.fast_enabled = False
         self._tiering.demote_all(force=True)
         if self.config.reliable and self._suspended_ops and not self._degraded:
@@ -628,12 +542,12 @@ class RemoteStateStore:
         """Stop driving the channel (its member failed or left the pool).
 
         Abandons in-flight operations and local accumulators so the
-        reliable-mode watchdog stops retransmitting into a dead channel;
+        reliable-mode timers stop retransmitting into a dead channel;
         replication (the cluster layer) is what keeps the data safe.
         """
         self._closed = True
         for gen in self._gens:
-            self._drop_ops(gen)
+            self._drop_window(gen, suspend=False)
         self._accumulators.clear()
         self._suspended_ops = []
         self._reconcile_reads.clear()
@@ -661,8 +575,8 @@ class RemoteStateStore:
         """
         total = self._accumulators.get(index, 0)
         if self.config.reliable:  # best-effort tracks no value in flight
-            for ops in self._ops.values():
-                for op in ops.values():
+            for window in self._windows:
+                for op in window.values():
                     if op[0] == index:
                         total += op[1]
         for op_index, value in self._suspended_ops:

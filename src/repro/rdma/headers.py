@@ -18,7 +18,6 @@ import zlib
 from typing import Dict, Optional, Tuple
 
 from ..net.headers import Header, HeaderError, Wire
-from ..net.packet import Packet
 from .constants import Opcode
 
 
@@ -309,8 +308,3 @@ def roce_packet_overhead(opcode: int, rocev1: bool = False) -> int:
         if ext in (RethHeader, AtomicEthHeader)
     )
     return transport + extensions
-
-
-def find_bth(packet: Packet) -> Optional[BthHeader]:
-    """Return the packet's BTH header if it carries one."""
-    return packet.find(BthHeader)

@@ -165,10 +165,6 @@ class CircuitBreaker:
         return self.state == BREAKER_OPEN
 
     @property
-    def is_half_open(self) -> bool:
-        return self.state == BREAKER_HALF_OPEN
-
-    @property
     def degraded_ns(self) -> float:
         """Total simulated time spent non-closed (running total)."""
         total = float(self._m_degraded_ns.value)

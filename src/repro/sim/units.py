@@ -24,11 +24,6 @@ MSEC = 1_000_000.0
 SEC = 1_000_000_000.0
 
 
-def nsec(value: float) -> float:
-    """Return *value* nanoseconds, in nanoseconds (identity; for symmetry)."""
-    return value * NSEC
-
-
 def usec(value: float) -> float:
     """Return *value* microseconds, in nanoseconds."""
     return value * USEC

@@ -235,10 +235,6 @@ class TrafficManager:
             self.queues[port] = PortQueue(self, port)
         return self.queues[port]
 
-    @property
-    def free_bytes(self) -> int:
-        return self.config.buffer_bytes - self.used_bytes
-
     def __repr__(self) -> str:
         return (
             f"<TrafficManager {self.used_bytes}/{self.config.buffer_bytes}B "

@@ -41,9 +41,6 @@ class Testbed:
     controller: RdmaChannelController
     seeds: SeedSequence = field(default_factory=lambda: SeedSequence(0))
 
-    def host_port(self, index: int) -> int:
-        return self.host_ports[index]
-
     # Singular accessors for the common one-memory-server topology.
 
     @property

@@ -109,9 +109,6 @@ class TieredRegionGeometry:
     def tier_of_block(self, block: int) -> str:
         return TIER_FAST if block in self._fast_slot else TIER_DRAM
 
-    def tier_of(self, unit: int) -> str:
-        return self.tier_of_block(self.block_of(unit))
-
     def resolve(self, unit: int) -> "tuple[str, int]":
         """The (tier, virtual address) currently serving *unit*."""
         if not 0 <= unit < self.units:

@@ -16,9 +16,14 @@ quiescence:
 * every counter read through the control plane equals the ledger, so no
   Fetch-and-Add was lost or applied twice;
 * nothing raised out of ``sim.run()`` and the round left no cyclic garbage;
+* the round sent at most one Fetch-and-Add per operation issued plus
+  ``WINDOW`` per loss event (a fresh NAK's go-back-N; the requester's
+  ``strikes``) and per fruitless timer round (at most the whole window
+  re-sent; its ``timeouts``): the NAK burst one lost request draws re-sends
+  nothing more;
 * the round ended within :data:`RECOVERY_NS` of its last update or fault
-  window: a NAK is answered by retransmitting what it rejected, not left
-  to the retry watchdog, which re-sends one operation per period.
+  window: a lost tail is re-sent whole by the timer round that reports it,
+  not one operation per round.
 
 After the last step, the drawn schedule replayed on a fresh testbed must
 leave the same registry snapshot.
@@ -43,21 +48,26 @@ from repro.api import (
     build_testbed,
     integrity_protected,
 )
+from repro.core.rocegen import RETRY_BACKOFF_CAP
 from repro.faults.models import Duplicate, Reorder
 from repro.rdma.constants import ATOMIC_OPERAND_BYTES
 
 from ..conftest import examples
 
 COUNTERS = 32
-WINDOW = 4
+WINDOW = 16
 RETRY_NS = 30_000.0
-#: Longest a round may run past its last update or fault window.  A tail
-#: the fault swallowed draws no NAK (no later request follows it), so the
-#: retry watchdog re-sends it: the stalled head after at most one period,
-#: then one operation per two periods, up to the ``WINDOW`` in flight
-#: (at most 210 µs plus round trips).  A NAK left unanswered costs two
-#: periods for every later operation too, and overruns this.
-RECOVERY_NS = 2 * WINDOW * RETRY_NS + 50_000.0
+#: Longest a round may run past its last update or fault window: 140 µs.
+#: A tail the fault swallowed draws no NAK (no later request follows it),
+#: so the retry timer re-sends it.  The timer's rounds come one period
+#: apart.  The round that re-sends a stuck window comes at most
+#: ``RETRY_BACKOFF_CAP`` rounds past the horizon (the wait may have just
+#: doubled), or two when the first finds progress and the wait drops back
+#: to one; the next round finds the window empty and the timer stops:
+#: max(CAP, 2) + 1 periods.  50 µs covers the round trips and NAK-driven
+#: go-back-Ns settling.  A timer that re-sent only the stalled head would
+#: spend a round per further operation of the tail, and overruns this.
+RECOVERY_NS = (max(RETRY_BACKOFF_CAP, 2) + 1) * RETRY_NS + 50_000.0
 
 #: Each fault model by name, built from the drawn probability.
 _FAULTS = {
@@ -109,8 +119,14 @@ class World:
         else:
             self.quiesce()
 
+    def sent(self):
+        """(Fetch-and-Adds sent, operations issued, loss events, timer rounds)."""
+        roce, ops = self.store.rocegen.metrics, self.store.metrics
+        return (roce["fetch_adds_issued"], ops["operations_issued"], roce["strikes"], roce["timeouts"])
+
     def quiesce(self) -> None:
         sim, store = self.tb.sim, self.store
+        before = self.sent()
         with integrity_protected(self.icrc):
             if self.plan is not None:
                 self.plan.install(sim)
@@ -123,6 +139,7 @@ class World:
                 raise AssertionError("the store never drained")
         self.rounds += 1
         self.plan = None
+        self.round = [after - start for start, after in zip(before, self.sent())]
 
     def counters(self):
         return [self.store.read_counter_via_control_plane(index) for index in range(COUNTERS)]
@@ -197,6 +214,11 @@ class StoreMachine(RuleBasedStateMachine):
                 if value and (name.startswith("faults.") or effect in _EFFECTS):
                     event(effect)
         assert self.world.counters() == self.ledger, "an update was lost or applied twice"
+        fetch_adds, issued, losses, rounds = self.world.round
+        assert fetch_adds <= issued + WINDOW * (losses + rounds), (
+            f"{fetch_adds} Fetch-and-Adds for {issued} operations, "
+            f"{losses} loss events and {rounds} timer rounds"
+        )
         late = self.world.tb.sim.now - horizon
         assert late <= RECOVERY_NS, f"the round ran {late:.0f} ns past its last step"
 

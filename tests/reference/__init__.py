@@ -7,28 +7,16 @@ The per-PR guard files import them from here.
 """
 
 from .cuckoo import ReferenceChoiceFilter, ReferenceDirectory
-from .lookup_table import (
-    ReferenceLookupTable,
-    ReferenceShardedLookup,
-    ReferenceZipfTraffic,
-    reference_stamp_ports,
-    reference_unpack,
-)
+from .lookup_table import ReferenceZipfTraffic, reference_stamp_ports, reference_unpack
 from .packet import reference_parse
-from .packet_buffer import ReferencePacketBuffer
 from .port_queue import ReferencePortQueue
 from .rnic import ReferenceRnic
-from .state_store import ReferenceStateStore
 
 __all__ = [
     "ReferenceChoiceFilter",
     "ReferenceDirectory",
-    "ReferenceLookupTable",
-    "ReferencePacketBuffer",
     "ReferencePortQueue",
     "ReferenceRnic",
-    "ReferenceShardedLookup",
-    "ReferenceStateStore",
     "ReferenceZipfTraffic",
     "reference_parse",
     "reference_stamp_ports",

@@ -71,7 +71,7 @@ class TestBounceUnderLoss:
         assert sink.packets > 20
         # Nothing was delivered twice and nothing is left pending.
         assert sink.out_of_order == 0
-        assert len(table._pending) == 0
+        assert len(table.rocegen.window) == 0
         # Accounting: every lookup either hit remotely or was lost.
         assert (
             table.metrics["remote_hits"]

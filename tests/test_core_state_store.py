@@ -6,6 +6,7 @@ from repro.apps.programs import CountingProgram
 from repro.core.state_store import RemoteStateStore, StateStoreConfig
 from repro.testbed import build_testbed
 from repro.rdma.constants import ATOMIC_OPERAND_BYTES
+from repro.rdma.headers import BthHeader
 from repro.rdma.rnic import RnicConfig
 from repro.sim.units import mib, usec
 from repro.workloads.factory import udp_between
@@ -172,3 +173,60 @@ class TestCounting:
             == store.metrics["sampled_packets"]
             == 123
         )
+
+
+def test_a_best_effort_store_under_loss_leaks_no_outstanding_slot():
+    """The wedge: each lost request or ACK leaked one slot of the outstanding
+    window (it counted responses, not requests), until no update could leave
+    the switch — here 1 575 of 3 000 pending, 16 outstanding.  A slot is the
+    requester's window entry now, retired by a later ACK or written off by
+    a NAK."""
+    import random
+
+    from repro.faults.models import IidLoss
+    from repro.faults.plan import FaultPlan
+
+    tb, program, store, channel = build(StateStoreConfig(counters=256))
+    plan = FaultPlan(seed=1)
+    plan.at(0.0, plan.on_link(tb.server_link, name="server-link"), IidLoss(0.01))
+    plan.install(tb.sim)
+    rng = random.Random(3)
+    for n in range(3_000):
+        burst, k = divmod(n, 40)
+        tb.sim.schedule_at(1_000.0 + burst * 20_000.0 + k * 150.0, store.update, rng.randrange(256), 1)
+    tb.sim.run()
+    store.flush_all()
+    tb.sim.run()
+    assert store.metrics["naks_received"] > 0
+    assert store.pending_value == 0 and store.outstanding == 0
+
+
+def test_a_delayed_sequence_error_nak_rewinds_nothing():
+    """A sequence-error NAK that arrives after the responder acknowledged
+    past its PSN (a copy held back or duplicated on the wire) is stale.
+    Resyncing on it rewound the QP onto executed PSNs, and the next
+    Fetch-and-Add, answered from the responder's atomic replay cache, was
+    committed without being applied."""
+    from repro.rdma.constants import AethSyndrome
+    from repro.rdma.packets import build_ack
+
+    tb, program, store, channel = build(StateStoreConfig(counters=64, reliable=True))
+    sent = []
+    transmit = tb.switch.transmit
+    tb.switch.transmit = lambda packet, port: sent.append(packet) or transmit(packet, port)
+    for index in range(8):
+        store.update(index, 1)
+    tb.sim.run()
+    assert store.outstanding == 0
+    stale = sent[2]
+    nak = build_ack(
+        stale, channel.server_qp,
+        syndrome=AethSyndrome.NAK_PSN_SEQUENCE_ERROR,
+        psn_override=stale.require(BthHeader).psn,
+    )
+    tb.switch.receive(nak, tb.switch.port_interface(tb.server_port))
+    tb.sim.run()
+    store.update(8, 1)
+    tb.sim.run()
+    assert store.outstanding == 0
+    assert [store.read_counter_via_control_plane(i) for i in range(9)] == [1] * 9

@@ -447,7 +447,7 @@ def test_a_retired_shards_responses_still_reach_it():
     at_leave = {}
 
     def leave():
-        at_leave.update(hits=leaver.metrics["remote_hits"], pending=len(leaver._pending))
+        at_leave.update(hits=leaver.metrics["remote_hits"], pending=len(leaver.rocegen.window))
         pool.remove_server("memserver1")
 
     tb.sim.schedule_at(20_000.0, leave)

@@ -6,19 +6,19 @@ per pass and hands both to the shard it chose by them; a response is looked
 at once (one BTH find, one in-place scan of the fetched action field).
 Four angles:
 
-(i)   generator, table and sharded front against transcriptions of the
-      code they replaced (``tests/reference``), driven by one seeded
-      schedule: identical registry, event count, clock, delivery order,
-      delivered header fields and ``meta``, and in-flight FIFOs at a cut
-      point mid-run and at the end;
+(i)   the path's semantics over seeded scenarios (layouts, modes,
+      caches, tiers, shards with churn, loss, a breaker, a reconnect):
+      one READ per miss, every lookup delivered or counted lost, empty
+      windows at the end; and the traffic source against its
+      transcription (``tests/reference``);
 (ii)  the one-pass scan against slot-by-slot ``RemoteAction.unpack`` over
       arbitrary bucket-pair bytes, and ``stamp_ports`` against ``clone()``
       plus field stores;
 (iii) the count guard — calls per bounced lookup through a sharded cuckoo
       table, no cyclic garbage;
-(iv)  the regression that rode along: a READ response shorter than the
-      action field is a counted loss, not a ``struct.error`` out of
-      ``sim.run()``;
+(iv)  the regressions: a READ response shorter than the action field is
+      a counted loss, not a ``struct.error`` out of ``sim.run()``; a
+      bounced packet comes back with the ``meta`` it left with;
 (v)   the byte guard — remote host memory per touched bucket pair holds
       what installs and bounces wrote, not the pair's pages.
 """
@@ -59,22 +59,15 @@ from repro.sim.units import usec
 from repro.workloads.factory import stamp_ports, udp_between
 
 from .budgets import LOOKUP_CALLS_PER_MISS, REMOTE_BYTES_PER_LOOKUP_PAIR, profiled
-from .reference import (
-    ReferenceLookupTable,
-    ReferenceShardedLookup,
-    ReferenceZipfTraffic,
-    reference_stamp_ports,
-    reference_unpack,
-)
+from .reference import ReferenceZipfTraffic, reference_stamp_ports, reference_unpack
 from .test_hop_path import bind
 
 LIVE = (RemoteLookupTable, ShardedLookupTable, OpenLoopZipfTraffic)
-REFERENCE = (ReferenceLookupTable, ReferenceShardedLookup, ReferenceZipfTraffic)
 LOOKUP_FILES = ("core/lookup_table.py",)
 LOOKUP_DIRS = ("/repro/cluster/", "/repro/workloads/")
 
 
-# -- (i) old and new, one seeded schedule ----------------------------------------------------
+# -- (i) the lookup path's semantics, at a cut mid-run and at the end -------------------------
 
 
 def flow_of_rank(tb, traffic, rank):
@@ -114,22 +107,16 @@ def offer(tb, table, traffic_type, installed=0.7, **options):
 
 
 def in_flight(shard):
-    """A shard's FIFOs, whichever shape its records have."""
-    def plain(record):
-        if isinstance(record, dict):
-            return (record["read_psn"], record["flow"], record["block"], record["meta"],
-                    record["issued_at"], "parked" in record)
-        psn, flow, _, block, meta, issued_at, parked = record
-        return (psn, flow, block, meta, issued_at, parked is not None)
-
-    return ([plain(r) for r in shard._pending], [plain(r) for r in shard._pending_fast],
-            dict(shard._busy_blocks))
+    """A shard's READ windows (one per PSN stream) and its tier-block holds."""
+    gens = [gen for gen in (shard.rocegen, shard._fastgen) if gen is not None]
+    return [dict(gen.window) for gen in gens] + [{}] * (2 - len(gens)) + [dict(shard._busy_blocks)]
 
 
 def observe(tb, shards, traffic):
     if isinstance(traffic, ReferenceZipfTraffic):
         kept = (traffic._packets_sent, list(traffic._sent_by_rank.items()))
         assert kept == (traffic.packets_sent, list(traffic.sent_by_rank.items()))
+    gens = [gen for shard in shards for gen in (shard.rocegen, shard._fastgen) if gen is not None]
     return {
         "registry": tb.sim.obs.registry.snapshot(),
         "events": tb.sim.events_processed,
@@ -137,6 +124,10 @@ def observe(tb, shards, traffic):
         "delivered": list(tb.delivered),
         "in_flight": [in_flight(shard) for shard in shards],
         "sent": (traffic.packets_sent, dict(traffic.sent_by_rank)),
+        # READs beyond one per miss: the breaker's probes only.
+        "extra_reads": sum(gen.metrics["reads_issued"] for gen in gens)
+        - sum(shard.metrics["remote_lookups"] for shard in shards),
+        "lost": sum(shard.metrics["lookups_lost"] for shard in shards),
     }
 
 
@@ -192,7 +183,6 @@ def tiered(types):
     traffic = offer(tb, table, traffic_type, installed=1.0, count=800, rate_pps=3e5)
     cut, end = run_with_cut(tb, lambda: [table], traffic, cut_ns=usec(1_000))
     assert cut["in_flight"][0][2], "no block was held at the cut"
-    assert end["in_flight"][0] == ([], [], {})
     fast_reads = table._fastgen.metrics["reads_issued"]
     assert 0 < fast_reads < table.metrics["remote_lookups"] == 800
     assert len(tb.delivered) == 800
@@ -215,11 +205,11 @@ def sharded_with_churn(types):
     at_leave = {}
 
     def leave():
-        at_leave["pending"] = len(table.shards["memserver1"]._pending)
+        at_leave["pending"] = len(table.shards["memserver1"].rocegen.window)
         pool.remove_server("memserver1")
 
     def die():
-        at_leave["dying"] = len(table.shards["memserver0"]._pending)
+        at_leave["dying"] = len(table.shards["memserver0"].rocegen.window)
         pool.fail_server("memserver0")
 
     tb.sim.schedule_at(usec(50), pool.add_server, tb.memory_servers[3], tb.server_ports[3])
@@ -232,7 +222,7 @@ def sharded_with_churn(types):
     assert (cluster.members_joined, cluster.members_left, cluster.members_failed) == (1, 1, 1)
     assert cluster.drains_completed == 1 and cluster.flows_migrated > 0
     assert cluster.lookups_lost_on_failure == at_leave["dying"]
-    assert len(tb.delivered) == 900 - at_leave["dying"]
+    assert len(tb.delivered) == 900 - at_leave["dying"] and end["lost"] == 0
     end["cluster"] = (vars(cluster), dict(table._placement), sorted(table.shards))
     return cut, end
 
@@ -254,6 +244,11 @@ def lossy_link(types):
     assert 0 < roce["strikes"] < roce["naks_received"], "no echo NAK was ignored"
     assert table.metrics["lookups_lost"] > 0
     assert len(tb.delivered) + table.metrics["lookups_lost"] == 1500
+    # A lookup is written off only when its READ drew no response: every
+    # response the table received for a tracked READ delivered its packet.
+    assert len(tb.delivered) == table.metrics["remote_hits"] + table.metrics["remote_invalid"] + (
+        table.metrics["fingerprint_mismatches"]
+    )
     return cut, end
 
 
@@ -289,6 +284,8 @@ def breaker_opens_and_recovers(types):
     assert guard.breaker.opens >= 1 and guard.reconnects >= 1 and guard.breaker.is_closed
     assert degraded > 0 and table.metrics["degraded_hits"] > 0
     assert table.metrics["remote_lookups"] + table.metrics["local_hits"] + degraded == 1200
+    assert end["extra_reads"] == guard.reconnects  # one probe down each fresh QP
+    end["extra_reads"] = 0
     return cut, end
 
 
@@ -368,12 +365,21 @@ SCENARIOS = {
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_the_lookup_path_matches_the_one_it_replaced(scenario):
+def test_every_miss_is_one_read_and_every_lookup_lands_or_is_counted(scenario):
+    """One READ per miss, and at the end nothing left in a window or
+    holding a tier block: every lookup was answered or written off."""
     cut, end = SCENARIOS[scenario](LIVE)
-    reference_cut, reference_end = SCENARIOS[scenario](REFERENCE)
-    for mine, theirs in ((cut, reference_cut), (end, reference_end)):
-        for key in theirs:
-            assert mine[key] == theirs[key], f"{scenario}: {key} differs"
+    assert end["extra_reads"] == 0, f"{end['extra_reads']} READs beyond one per miss"
+    assert all(window == {} for shard in end["in_flight"] for window in shard)
+
+
+def test_the_traffic_source_matches_the_one_it_replaced():
+    """Generation alone against its transcription (a ``FlowKey`` and a
+    clone per packet, the ledger kept by the tick): one seeded schedule,
+    the same deliveries, header fields, ``meta`` and clock."""
+    types = (RemoteLookupTable, ShardedLookupTable, ReferenceZipfTraffic)
+    for mine, theirs in zip(SCENARIOS["cuckoo-bounce"](LIVE), SCENARIOS["cuckoo-bounce"](types)):
+        assert mine == theirs
 
 
 # -- (ii) the scan and the stamp, property by property ---------------------------------------
@@ -540,12 +546,35 @@ def test_a_read_response_shorter_than_the_action_field_is_a_lost_lookup(layout):
     tb.sim.run()
     metrics = table.metrics
     assert (metrics["remote_lookups"], metrics["lookups_lost"], metrics["remote_hits"]) == (1, 1, 0)
-    assert not tb.delivered and not table._pending
+    assert not tb.delivered and not table.rocegen.window
     # The next lookup is untouched by the loss.
     eth.deliver = deliver
     tb.hosts[0].send(udp_between(tb.hosts[0], tb.hosts[1], 128, src_port=5000, dst_port=6000))
     tb.sim.run()
     assert table.metrics["remote_hits"] == 1 and [r[3] for r in tb.delivered] == [7]
+
+
+def test_a_bounced_packet_comes_back_with_the_meta_it_left_with():
+    """The in-flight record keeps a copy of ``meta`` taken at the bounce: a
+    sender that re-sends one frame object, restamping its ``meta`` each
+    time (as a retransmitting host does), sees every delivery carry the
+    stamp it was sent with, not the latest."""
+    tb = rig()
+    config = LookupTableConfig(entries=1 << 6, cache_entries=0, layout="cuckoo", hash_seed=5)
+    channel = tb.controller.open_channel(tb.memory_server, tb.server_port, config.region_bytes)
+    table = RemoteLookupTable(tb.switch, channel, config=config)
+    tb.program.use_lookup_table(table)
+    packet = udp_between(tb.hosts[0], tb.hosts[1], 128, src_port=5000, dst_port=6000)
+    table.install(FiveTuple.of(packet), RemoteAction(ACTION_SET_DSCP, 7))
+
+    def send(seq):
+        packet.meta["seq"] = seq
+        tb.hosts[0].send(packet)
+
+    for seq, at_ns in enumerate((0.0, 1_500.0, 3_000.0), start=1):  # each bounce before the last returns
+        tb.sim.schedule_at(at_ns, send, seq)
+    tb.sim.run()
+    assert [record[-1]["seq"] for record in tb.delivered] == [1, 2, 3]
 
 
 # -- (v) remote bytes per bucket pair ---------------------------------------------------------

@@ -111,25 +111,30 @@ class TestRoceGenMisc:
         return tb, channel, RoceRequestGenerator(tb.switch, channel)
 
     def test_resync_only_on_sequence_error(self):
-        tb, channel, gen = self.build()
-        request = gen.read(channel.base_address, 4)
-        # A remote-access NAK must NOT resync.
+        """A sequence-error NAK naming e resyncs and loses the tracked
+        suffix from e on, nothing before it; any other NAK loses the one
+        request it names and does not resync."""
+        tb, channel, _ = self.build()
+        lost = []
+        gen = RoceRequestGenerator(
+            tb.switch, channel, lambda g, entries, cause: lost.append((entries, cause))
+        )
+        requests = [gen.read(channel.base_address, 4, name) for name in "abcd"]
         from repro.rdma.packets import build_ack
 
-        nak = build_ack(
-            request, channel.server_qp,
-            syndrome=AethSyndrome.NAK_REMOTE_ACCESS_ERROR,
+        access = build_ack(
+            requests[3], channel.server_qp, syndrome=AethSyndrome.NAK_REMOTE_ACCESS_ERROR
         )
-        before = channel.switch_qp.next_psn
-        assert not gen.maybe_resync(nak)
-        assert channel.switch_qp.next_psn == before
-        seq_nak = build_ack(
-            request, channel.server_qp,
-            syndrome=AethSyndrome.NAK_PSN_SEQUENCE_ERROR,
-            psn_override=0,
+        assert gen.accept_response(access) == (Opcode.ACKNOWLEDGE, True, None)
+        assert channel.switch_qp.next_psn == 4
+        assert lost == [([(3, "d")], "nak")] and gen.window == {0: "a", 1: "b", 2: "c"}
+        sequence = build_ack(
+            requests[0], channel.server_qp,
+            syndrome=AethSyndrome.NAK_PSN_SEQUENCE_ERROR, psn_override=1,
         )
-        assert gen.maybe_resync(seq_nak)
-        assert channel.switch_qp.next_psn == 0
+        gen.accept_response(sequence)
+        assert channel.switch_qp.next_psn == 1
+        assert lost[1:] == [([(1, "b"), (2, "c")], "nak")] and gen.window == {0: "a"}
 
     def test_classify_counts_nak(self):
         tb, channel, gen = self.build()

@@ -90,8 +90,8 @@ MUTATIONS = {
         "pktbuf loses nothing, in order, in every variant": (
             "pktbuf[guard-off]", "lost", 1
         ),
-        "pktbuf guard-off measurably worse": (
-            "pktbuf[guard-off]", "goodput_vs_lossless", 0.96
+        "pktbuf guard-off falls back on transport recovery": (
+            "pktbuf[guard-off]", "transport_naks", 0
         ),
         "lookup guard-off loses bounced packets": ("lookup[guard-off]", "lost", 0),
         "no breaker opens on scattered corruption": (

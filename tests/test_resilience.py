@@ -731,9 +731,9 @@ class TestLookupDegradedMode:
         tb.server_link.loss_probability = 1.0  # responses never return
         self.send(tb, 5000)
         tb.sim.run(until_ns=usec(50))
-        assert len(table._pending) >= 1
+        assert len(table.rocegen.window) >= 1
         table.degrade()
-        assert len(table._pending) == 0
+        assert len(table.rocegen.window) == 0
         assert table.metrics["lookups_lost"] >= 1
 
 
