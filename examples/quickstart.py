@@ -20,28 +20,10 @@ from repro.api import (
 )
 
 
-class QuickstartProgram(StaticL2Program):
-    """Static L2 forwarding that hands RoCE responses to the data plane.
-
-    This is the dispatch pattern every primitive uses: responses from the
-    RNIC are addressed to the switch's queue pair, so the pipeline claims
-    them before normal forwarding.
-    """
-
-    roce: RoceRequestGenerator = None
-
-    def on_ingress(self, ctx, packet):
-        if self.roce is not None and self.roce.owns_response(packet):
-            self.roce.classify_response(packet)
-            ctx.drop()  # consumed by the data plane, never forwarded
-            return
-        super().on_ingress(ctx, packet)
-
-
 def main() -> None:
     # -- 1. topology: one host, one ToR switch, one memory server --------
     tb = build_testbed(n_hosts=1)
-    program = QuickstartProgram()
+    program = StaticL2Program()
     program.install(tb.hosts[0].eth.mac, tb.host_ports[0])
     program.install(tb.memory_server.eth.mac, tb.server_port)
     tb.switch.bind_program(program)
@@ -55,8 +37,13 @@ def main() -> None:
           f"switch QPN={channel.switch_qp.qpn} server QPN={channel.server_qp.qpn}")
 
     # -- 3. data plane: the switch talks RoCEv2 to the RNIC --------------
-    dataplane = RoceRequestGenerator(tb.switch, channel)
-    program.roce = dataplane
+    # Responses from the RNIC are addressed to the switch's queue pair: the
+    # switch matches them by QPN, accounts for them and hands them to the
+    # requester's owner (here, an owner with nothing more to do) instead of
+    # forwarding them.  Every primitive is wired the same way.
+    dataplane = RoceRequestGenerator(
+        tb.switch, channel, on_response=lambda ctx, packet, opcode, is_nak, context: None
+    )
 
     # RDMA WRITE: 'hello' lands in server DRAM.
     dataplane.write(channel.base_address, b"hello from the data plane")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..baselines.cpu_slowpath import CpuSlowPath
 from ..core.channel import RemoteMemoryChannel
@@ -179,7 +179,9 @@ class KvCacheProgram(StaticL2Program):
         self.value_store = store
         # Each READ carries its (query, key) in the requester's window; a
         # fetch that draws no response loses its query with it.
-        self.rocegen = RoceRequestGenerator(switch, store.channel)
+        self.rocegen = RoceRequestGenerator(
+            switch, store.channel, on_response=self._handle_remote_value
+        )
 
     def use_server_port(self, port: int) -> None:
         """Fallback: forward misses to the storage server on *port*."""
@@ -188,9 +190,6 @@ class KvCacheProgram(StaticL2Program):
     # -- data plane -------------------------------------------------------------
 
     def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
-        if self.rocegen is not None and self.rocegen.owns_response(packet):
-            self._handle_remote_value(ctx, packet)
-            return
         query = self._parse_query(packet)
         if query is None:
             self.forward_by_mac(ctx, packet)
@@ -230,10 +229,14 @@ class KvCacheProgram(StaticL2Program):
             return None
         return header if header.op == KvHeader.OP_GET else None
 
-    def _handle_remote_value(self, ctx: PipelineContext, packet: Packet) -> None:
-        assert self.rocegen is not None
-        opcode, _is_nak, pending = self.rocegen.accept_response(packet)
-        ctx.drop()
+    def _handle_remote_value(
+        self,
+        ctx: PipelineContext,
+        packet: Packet,
+        opcode: Optional[Opcode],
+        is_nak: bool,
+        pending: Any,
+    ) -> None:
         if opcode != Opcode.RDMA_READ_RESPONSE_ONLY or pending is None:
             return  # a NAK, or the response to a fetch already written off
         query, key = pending

@@ -191,11 +191,6 @@ class L4LbProgram(StaticL2Program):
 
     def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
         table = self.connection_table
-        if table is not None and table.try_handle(ctx, packet):
-            return
-        store = self.counter_store
-        if store is not None and store.try_handle(ctx, packet):
-            return
         ip = packet.find(Ipv4Header)
         if ip is not None and ip.dst == self.vip and table is not None:
             self.vip_packets += 1

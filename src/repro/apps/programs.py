@@ -51,8 +51,9 @@ class StaticL2Program(SwitchProgram):
 class RemoteBufferProgram(StaticL2Program):
     """Static L2 forwarding with a remote packet buffer on one egress port.
 
-    The primitive hooks the traffic manager directly; the program's only
-    extra duty is steering the primitive's RoCE responses back to it.
+    The primitive hooks the traffic manager directly, and its RoCE
+    responses reach it through the switch's response table: the program
+    only forwards.
     """
 
     def __init__(self, mac_to_port=None) -> None:
@@ -61,13 +62,6 @@ class RemoteBufferProgram(StaticL2Program):
 
     def use_packet_buffer(self, primitive: RemotePacketBuffer) -> None:
         self.packet_buffer = primitive
-
-    def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
-        if self.packet_buffer is not None and self.packet_buffer.try_handle(
-            ctx, packet
-        ):
-            return
-        self.forward_by_mac(ctx, packet)
 
 
 class RemoteLookupProgram(StaticL2Program):
@@ -99,12 +93,7 @@ class RemoteLookupProgram(StaticL2Program):
 
     def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
         table = self.lookup_table
-        if table is None:
-            self.forward_by_mac(ctx, packet)
-            return
-        if table.try_handle(ctx, packet):
-            return
-        if not self.lookup_filter(packet):
+        if table is None or not self.lookup_filter(packet):
             self.forward_by_mac(ctx, packet)
             return
         # lookup() applies cached actions synchronously (and forwards via
@@ -129,8 +118,6 @@ class CountingProgram(StaticL2Program):
 
     def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
         store = self.state_store
-        if store is not None and store.try_handle(ctx, packet):
-            return
         self.forward_by_mac(ctx, packet)
         if store is not None and not ctx.dropped:
             store.on_packet(ctx, packet)

@@ -100,7 +100,9 @@ class SequencerProgram(StaticL2Program):
 
     def use_channel(self, switch, channel: RemoteMemoryChannel) -> None:
         """Bind the remote counter (first 8 bytes of the region)."""
-        self.rocegen = RoceRequestGenerator(switch, channel, self._on_loss)
+        self.rocegen = RoceRequestGenerator(
+            switch, channel, self._on_loss, on_response=self._handle_atomic_ack
+        )
         self.counter_address = channel.base_address
 
     @property
@@ -111,9 +113,6 @@ class SequencerProgram(StaticL2Program):
     # -- data plane -----------------------------------------------------------
 
     def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
-        if self.rocegen is not None and self.rocegen.owns_response(packet):
-            self._handle_atomic_ack(ctx, packet)
-            return
         udp = packet.find(UdpHeader)
         if (
             self.rocegen is None
@@ -140,9 +139,14 @@ class SequencerProgram(StaticL2Program):
     def _on_loss(self, gen: RoceRequestGenerator, lost: List[Tuple[int, Any]], cause: str) -> None:
         self.stats.lost += len(lost)
 
-    def _handle_atomic_ack(self, ctx: PipelineContext, packet: Packet) -> None:
-        opcode, is_nak, original = self.rocegen.accept_response(packet)
-        ctx.drop()
+    def _handle_atomic_ack(
+        self,
+        ctx: PipelineContext,
+        packet: Packet,
+        opcode: Optional[Opcode],
+        is_nak: bool,
+        original: Any,
+    ) -> None:
         if is_nak:
             self.stats.naks += 1
         if opcode is not Opcode.ATOMIC_ACKNOWLEDGE:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core.state_store import RemoteStateStore
 from ..net.packet import Packet
 from ..switches.hashing import FiveTuple
 from ..switches.pipeline import PipelineContext
@@ -26,28 +25,18 @@ from .sketch import CountMinSketch
 class SketchTelemetryProgram(StaticL2Program):
     """Static L2 forwarding + per-packet sketch updates.
 
-    When the sketch uses a remote backend, the program also steers the
-    state store's atomic acknowledgements back to it.
+    A sketch with a remote backend gets its state store's atomic
+    acknowledgements through the switch's response table.
     """
 
     def __init__(self, mac_to_port=None) -> None:
         super().__init__(mac_to_port)
         self.sketch: Optional[CountMinSketch] = None
-        self.state_store: Optional[RemoteStateStore] = None
 
-    def use_sketch(
-        self,
-        sketch: CountMinSketch,
-        state_store: Optional[RemoteStateStore] = None,
-    ) -> None:
+    def use_sketch(self, sketch: CountMinSketch) -> None:
         self.sketch = sketch
-        self.state_store = state_store
 
     def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
-        if self.state_store is not None and self.state_store.try_handle(
-            ctx, packet
-        ):
-            return
         self.forward_by_mac(ctx, packet)
         if self.sketch is not None and not ctx.dropped:
             self.sketch.add(FiveTuple.of(packet).pack())

@@ -131,10 +131,6 @@ class VirtualSwitchProgram(StaticL2Program):
         return mapping.egress_port
 
     def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
-        if self.lookup_table is not None and self.lookup_table.try_handle(
-            ctx, packet
-        ):
-            return
         ip = packet.find(Ipv4Header)
         if ip is None:
             ctx.drop()

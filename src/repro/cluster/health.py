@@ -89,39 +89,18 @@ class HealthMonitor:
     ) -> Callable[[], None]:
         """Subscribe to *rocegen*'s health events under *member*'s name.
 
-        Chains any listener already installed so several monitors (or a
-        test probe) can observe the same channel.  Returns an *unwatch*
-        callable that detaches the subscription; it is also registered on
-        the channel's ``teardown_callbacks`` so ``close_channel``
-        silences the watch automatically — a closed-then-reopened channel
-        must not keep striking its old member.
+        Several monitors (or a test probe) can observe the same channel.
+        Returns an *unwatch* callable that detaches the subscription; it
+        is also registered on the channel's ``teardown_callbacks`` so
+        ``close_channel`` silences the watch automatically — a
+        closed-then-reopened channel must not keep striking its old member.
         """
-        health = self.track(member)
-        health.watched += 1
-        previous = rocegen.health_listener
-        active = [True]
 
         def listen(gen: RoceRequestGenerator, event: str) -> None:
-            if previous is not None:
-                previous(gen, event)
-            if active[0]:
-                self.record(member, event)
+            self.record(member, event)
 
-        def unwatch() -> None:
-            if not active[0]:
-                return
-            active[0] = False
-            health.watched -= 1
-            # Pop our link out of the chain when still the head; otherwise
-            # the active flag alone mutes us (the chain stays intact for
-            # listeners stacked after this one).
-            if rocegen.health_listener is listen:
-                rocegen.health_listener = previous
-
-        rocegen.health_listener = listen
-        channel = getattr(rocegen, "channel", None)
-        if channel is not None:
-            channel.teardown_callbacks.append(unwatch)
+        unwatch = self._subscribe(member, rocegen.health_listeners, listen)
+        rocegen.channel.teardown_callbacks.append(unwatch)
         return unwatch
 
     def watch_requester(self, member: str, rnic) -> Callable[[], None]:
@@ -130,30 +109,29 @@ class HealthMonitor:
         The requester-side complement of :meth:`watch`: when the RNIC's
         go-back-N machinery gives up on a QP (``max_retries`` fruitless
         timeout rounds — a silent peer, not a NAKing one), that terminal
-        evidence lands here as a ``timeout`` event.  Chains any hook
-        already installed, like :meth:`watch` does, and returns the
-        matching *unwatch* callable.
+        evidence lands here as a ``timeout`` event.  Returns the matching
+        *unwatch* callable.
         """
-        health = self.track(member)
-        health.watched += 1
-        previous = rnic.on_retry_exhausted
-        active = [True]
 
         def escalate(qp) -> None:
-            if previous is not None:
-                previous(qp)
-            if active[0]:
-                self.record(member, "timeout")
+            self.record(member, "timeout")
+
+        return self._subscribe(member, rnic.on_retry_exhausted, escalate)
+
+    def _subscribe(
+        self, member: str, listeners: List[Callable], listener: Callable
+    ) -> Callable[[], None]:
+        """Append *listener* to *listeners* as one of *member*'s watches;
+        returns the idempotent *unwatch*."""
+        health = self.track(member)
+        health.watched += 1
+        listeners.append(listener)
 
         def unwatch() -> None:
-            if not active[0]:
-                return
-            active[0] = False
-            health.watched -= 1
-            if rnic.on_retry_exhausted is escalate:
-                rnic.on_retry_exhausted = previous
+            if listener in listeners:
+                listeners.remove(listener)
+                health.watched -= 1
 
-        rnic.on_retry_exhausted = escalate
         return unwatch
 
     # -- event intake --------------------------------------------------------------

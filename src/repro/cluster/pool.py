@@ -259,24 +259,17 @@ class MemoryPool:
         is marked down regardless of the strike threshold.
         """
         unwatch_monitor = self.health.watch_requester(member.name, rnic)
-        previous = rnic.on_retry_exhausted
-        active = [True]
+        listeners = rnic.on_retry_exhausted
 
         def drain_now(qp) -> None:
-            if previous is not None:
-                previous(qp)
-            if active[0]:
-                self.health.mark_down(member.name)
+            self.health.mark_down(member.name)
 
         def unwatch() -> None:
-            if not active[0]:
-                return
-            active[0] = False
-            if rnic.on_retry_exhausted is drain_now:
-                rnic.on_retry_exhausted = previous
+            if drain_now in listeners:
+                listeners.remove(drain_now)
             unwatch_monitor()
 
-        rnic.on_retry_exhausted = drain_now
+        listeners.append(drain_now)
         return unwatch
 
     # -- placement ----------------------------------------------------------------

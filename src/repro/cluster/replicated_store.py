@@ -27,10 +27,8 @@ restoring K-way redundancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
-from ..core.channel import RemoteMemoryChannel
-from ..core.rocegen import ResponseSteering
 from ..core.state_store import (
     ATOMIC_OPERAND_BYTES,
     RemoteStateStore,
@@ -64,9 +62,10 @@ class ReplicatedStateStore:
     Every update fans out to the key's current replica set
     (``pool.replicas_for(index, k)``); reads take the max over the alive
     replicas.  Exposes the same program-facing surface (``on_packet`` /
-    ``update`` / ``try_handle`` / ``flush_all``), so
+    ``update`` / ``flush_all``), so
     :class:`~repro.apps.programs.CountingProgram`-style programs drive it
-    unchanged.
+    unchanged; each replica's responses reach it through the switch's
+    response table.
     """
 
     def __init__(
@@ -97,9 +96,9 @@ class ReplicatedStateStore:
         self.cluster_stats = ClusterStoreStats()
         #: Active replica stores by member name.
         self.stores: Dict[str, RemoteStateStore] = {}
-        #: Closed stores kept only to consume late in-flight responses.
+        #: Closed stores; their requesters stay in the switch's response
+        #: table, so late in-flight responses still reach them.
         self._retired: List[RemoteStateStore] = []
-        self._steering = ResponseSteering(self._owned_channels)
         #: Every counter index that ever received an update — the
         #: control-plane worklist for reconciliation.
         self._touched: Set[int] = set()
@@ -125,14 +124,7 @@ class ReplicatedStateStore:
             store = RemoteStateStore(self.switch, channel, config=self.config)
         self.pool.watch(member, store.rocegen)
         self.stores[member.name] = store
-        self._steering.refresh()
         return store
-
-    def _owned_channels(self) -> Iterator[Tuple[RemoteMemoryChannel, RemoteStateStore]]:
-        """Every channel a response may still arrive on, with its store."""
-        for store in [*self._retired, *self.stores.values()]:
-            for channel in store.response_channels:
-                yield channel, store
 
     def replica_stores(self, index: int) -> List[RemoteStateStore]:
         """The alive replica stores currently hosting *index*."""
@@ -172,10 +164,6 @@ class ReplicatedStateStore:
         for store in self.replica_stores(index):
             store.update(index, value)
         self.cluster_stats.updates_replicated += 1
-
-    def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:
-        store = self._steering.owner_of(packet)
-        return store is not None and store.try_handle(ctx, packet)
 
     def flush_all(self) -> None:
         for store in self.stores.values():
@@ -269,6 +257,5 @@ class ReplicatedStateStore:
         # is the redundancy replication bought.
         store.close()
         self._retired.append(store)
-        self._steering.refresh()
         if self.stores:
             self.reconcile()

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from ..core.channel import RemoteMemoryChannel
 from ..core.lookup_table import (
     ACTION_DROP,
     LookupTableConfig,
@@ -37,9 +36,7 @@ from ..core.lookup_table import (
     RemoteLookupTable,
     ResolveEgress,
 )
-from ..core.rocegen import ResponseSteering
 from ..net.packet import Packet
-from ..rdma.headers import BthHeader
 from ..switches.hashing import FiveTuple
 from ..switches.pipeline import PipelineContext
 from ..switches.switch import ProgrammableSwitch
@@ -67,9 +64,10 @@ class ClusterLookupStats:
 class ShardedLookupTable:
     """Pool-backed drop-in for :class:`RemoteLookupTable`.
 
-    Exposes the same program-facing surface (``lookup`` / ``try_handle``
-    / ``install`` / ``resolve_egress`` / ``flow_of``), so
-    :class:`~repro.apps.programs.RemoteLookupProgram` drives it unchanged.
+    Exposes the same program-facing surface (``lookup`` / ``install`` /
+    ``resolve_egress`` / ``flow_of``), so
+    :class:`~repro.apps.programs.RemoteLookupProgram` drives it unchanged;
+    each shard's responses reach it through the switch's response table.
     """
 
     def __init__(
@@ -92,9 +90,9 @@ class ShardedLookupTable:
         self._flow_of: Callable[[Packet], FiveTuple] = FiveTuple.of
         #: Active shards by member name (dispatch targets).
         self.shards: Dict[str, RemoteLookupTable] = {}
-        #: Shards draining or dead, kept only to consume late responses.
+        #: Shards draining or dead; their requesters stay in the switch's
+        #: response table, so late responses still reach them.
         self._retired: List[RemoteLookupTable] = []
-        self._steering = ResponseSteering(self._owned_channels)
         #: Control-plane journal: every installed flow → action.
         self._journal: Dict[FiveTuple, RemoteAction] = {}
         #: Current ring owner per journaled flow (migration delta base).
@@ -126,14 +124,7 @@ class ShardedLookupTable:
         shard.flow_of = self._flow_of
         self.pool.watch(member, shard.rocegen)
         self.shards[member.name] = shard
-        self._steering.refresh()
         return shard
-
-    def _owned_channels(self) -> Iterator[Tuple[RemoteMemoryChannel, RemoteLookupTable]]:
-        """Every channel a response may still arrive on, with its shard."""
-        for shard in [*self._retired, *self.shards.values()]:
-            for channel in shard.response_channels:
-                yield channel, shard
 
     def _owner(self, packed: bytes) -> str:
         """The member whose shard holds the flow with key bytes *packed*:
@@ -206,13 +197,6 @@ class ShardedLookupTable:
         packed = flow.pack()
         return self.shards[self._owner(packed)].lookup(ctx, packet, flow, packed)
 
-    def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:
-        bth = packet.find(BthHeader)
-        if bth is None:
-            return False
-        shard = self._steering.owner_of(packet, bth)
-        return shard is not None and shard.try_handle(ctx, packet, bth)
-
     def total(self, leaf: str) -> int:
         """Shard metric *leaf* summed over every shard, retired ones included."""
         return sum(shard.metrics[leaf] for shard in [*self.shards.values(), *self._retired])
@@ -238,7 +222,6 @@ class ShardedLookupTable:
         if shard is None:
             return
         self._retired.append(shard)
-        self._steering.refresh()
         if graceful:
             self.cluster_stats.members_left += 1
             self.pool.hold_for_drain(member)

@@ -84,8 +84,8 @@ class RdmaChannelController:
         self.switch = switch
         self.channels: list[RemoteMemoryChannel] = []
         # Per-controller so switch-QP numbering is deterministic per run;
-        # responses dispatch on dest_qp, which only needs uniqueness
-        # within this controller's switch.
+        # responses dispatch on dest_qp (the switch's ``requesters``),
+        # which only needs uniqueness within this controller's switch.
         self._switch_qpn = itertools.count(0x100)
         obs = switch.sim.obs
         self.metrics = obs.registry.unique_scope(
@@ -254,7 +254,9 @@ class RdmaChannelController:
         on the old QP are never silently replayed: requesters observe
         them as error completions / timeouts and reconcile explicitly
         (DESIGN.md §11).  Teardown callbacks do NOT fire — listeners stay
-        attached because it is still the same logical channel.
+        attached because it is still the same logical channel — and the
+        switch's response table re-keys the channel's requester to the
+        new QPN, so a late response to the old one reaches no owner.
         """
         if channel not in self.channels:
             raise ChannelError(f"channel {channel.name!r} is not open")
@@ -269,6 +271,10 @@ class RdmaChannelController:
             next(self._switch_qpn), port_iface.ip, port_iface.mac
         )
         connect_qps(switch_qp, server_qp)
+        requesters = self.switch.requesters
+        requester = requesters.pop(channel.switch_qp.qpn, None)
+        if requester is not None:
+            requesters[switch_qp.qpn] = requester
         channel.switch_qp = switch_qp
         channel.server_qp = server_qp
         # Re-assert the channel's tier on its region.  The region survives

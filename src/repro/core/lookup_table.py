@@ -45,7 +45,6 @@ from ..net.headers import HeaderError, Ipv4Header
 from ..net.packet import Packet
 from ..policies.cache import CachePolicy, make_cache_policy
 from ..rdma.constants import Opcode
-from ..rdma.headers import BthHeader
 from ..rdma.memory import TIER_FAST
 from ..switches.hashing import FiveTuple, flow_fingerprint
 from ..switches.pipeline import PipelineContext
@@ -249,12 +248,16 @@ class RemoteLookupTable:
         # lookup; a re-install blanks the flow (no cache fill).  Tiered
         # tables run one PSN stream per tier: fast-resident bucket pairs
         # ride the fast channel's generator.
-        self.rocegen = RoceRequestGenerator(switch, channel, self._on_loss)
+        self.rocegen = RoceRequestGenerator(
+            switch, channel, self._on_loss, on_response=self._on_response
+        )
         self._fastgen: Optional[RoceRequestGenerator] = None
         self._fast_degraded = False
         self._busy_blocks: Dict[int, int] = {}
         if tiering is not None:
-            self._fastgen = RoceRequestGenerator(switch, tiering.fast_channel, self._on_loss)
+            self._fastgen = RoceRequestGenerator(
+                switch, tiering.fast_channel, self._on_loss, on_response=self._on_response
+            )
             tiering.busy_check = (
                 lambda block: self._busy_blocks.get(block, 0) > 0
             )
@@ -589,37 +592,19 @@ class RemoteLookupTable:
 
     # -- response path ----------------------------------------------------------------
 
-    @property
-    def response_channels(self) -> Tuple[RemoteMemoryChannel, ...]:
-        """The channels whose responses :meth:`try_handle` consumes."""
-        if self._fastgen is None:
-            return (self.rocegen.channel,)
-        return (self.rocegen.channel, self._fastgen.channel)
-
-    def try_handle(
-        self, ctx: PipelineContext, packet: Packet, bth: Optional[BthHeader] = None
-    ) -> bool:
-        """Consume READ responses for this table; True when handled.
-
-        *bth* is the packet's BTH when the caller already found it (the
-        sharded table steers by it); steering, this pass and
-        ``accept_response`` share that one look.
-        """
-        if bth is None:
-            bth = packet.find(BthHeader)
-            if bth is None:
-                return False
-        gen = self.rocegen
-        if bth.dest_qp != gen.channel.switch_qp.qpn:
-            gen = self._fastgen
-            if gen is None or bth.dest_qp != gen.channel.switch_qp.qpn:
-                return False
-        ctx.drop()  # responses never leave the switch
-        # The requester pairs the response with its lookup by PSN; lookups
-        # it lost on the way reached _on_loss.
-        opcode, _is_nak, record = gen.accept_response(packet, bth)
+    def _on_response(
+        self,
+        ctx: PipelineContext,
+        packet: Packet,
+        opcode: Optional[Opcode],
+        is_nak: bool,
+        record: Any,
+    ) -> None:
+        """A response the switch steered to one of this table's QPs: a READ
+        response completes the lookup the requester paired it with by PSN
+        (lookups it lost on the way reached _on_loss)."""
         if opcode is not _READ_RESPONSE or record is None:
-            return True  # a NAK, or stale: from before a resync, or a probe
+            return  # a NAK, or stale: from before a resync, or a probe
         flow, fingerprint, block, meta, issued_at, original = record
         if block is not None:
             self._release_block(block)
@@ -631,7 +616,7 @@ class RemoteLookupTable:
             # A READ response shorter than the action field it was asked
             # for: nothing in it can be trusted — the clean loss of §7.
             self._m_lookups_lost.inc()
-            return True
+            return
         action = self._resolve_entry(entry, flow, fingerprint)
         if self._bounce:
             try:
@@ -640,7 +625,7 @@ class RemoteLookupTable:
                 # The bounced frame came back undecodable (corrupted in
                 # the slot or on the wire): the clean loss of §7.
                 self._m_lookups_lost.inc()
-                return True
+                return
             original.meta = meta  # the copy taken at the bounce
         else:
             # Account the pipeline passes spent waiting in recirculation.
@@ -652,7 +637,6 @@ class RemoteLookupTable:
             # The original packet resumes its journey out of the resolved
             # port; the response packet itself stays dropped.
             ctx.emit(original, port)
-        return True
 
     def _resolve_entry(
         self, entry: bytes, flow: Optional[FiveTuple], fingerprint: int
@@ -731,9 +715,9 @@ class RemoteLookupTable:
     def probe(self, channel: Optional[RemoteMemoryChannel] = None) -> None:
         """Send one canary READ of entry 0 down the (possibly fresh) QP.
 
-        Untracked: the response's unknown PSN makes :meth:`try_handle`
-        treat it as stale after reporting progress — exactly what the
-        breaker needs.
+        Untracked: the response's unknown PSN makes the response handler
+        treat it as stale after the requester reported progress — exactly
+        what the breaker needs.
         """
         self.rocegen.read(self.entry_address(0), ACTION_BYTES)
 

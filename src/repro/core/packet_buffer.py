@@ -43,7 +43,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..net.headers import HeaderError, Ipv4Header
 from ..net.packet import Packet
@@ -55,7 +55,7 @@ from ..switches.registers import RegisterArray
 from ..switches.switch import ProgrammableSwitch
 from ..switches.traffic_manager import HookVerdict, PortQueue
 from .channel import RemoteMemoryChannel
-from .rocegen import ResponseSteering, RetryTimer, RoceRequestGenerator
+from .rocegen import RetryTimer, RoceRequestGenerator
 
 if TYPE_CHECKING:  # cluster imports core; break the cycle for typing
     from ..cluster.pool import MemoryPool, PoolMember
@@ -215,8 +215,6 @@ class RemotePacketBuffer:
             self.read_channels = self.channels
             self.read_rocegens = self.rocegens
         self._windows = [gen.window for gen in self.read_rocegens]
-        self._steering = ResponseSteering(self._owned_channels)
-        self._steering.refresh()
         self.entries_per_channel = min(
             channel.length // self.config.entry_bytes for channel in self.channels
         )
@@ -279,7 +277,9 @@ class RemotePacketBuffer:
     def _requester(self, channel: RemoteMemoryChannel) -> RoceRequestGenerator:
         period = self.config.read_timeout_ns
         timer = None if period is None else RetryTimer(self.switch.sim, period)
-        return RoceRequestGenerator(self.switch, channel, self._on_read_loss, timer)
+        return RoceRequestGenerator(
+            self.switch, channel, self._on_read_loss, timer, self._on_response
+        )
 
     # -- pool mode (cluster subsystem) ---------------------------------------------
 
@@ -374,7 +374,6 @@ class RemotePacketBuffer:
         self._channel_strikes.append(0)
         self.capacity_entries = self.entries_per_channel * len(self.channels)
         self._retarget()
-        self._steering.refresh()
         return index
 
     def on_member_join(self, member: "PoolMember") -> None:
@@ -721,9 +720,8 @@ class RemotePacketBuffer:
     def probe(self, channel: Optional[RemoteMemoryChannel] = None) -> None:
         """Send one canary READ of the ring's first stamp word.
 
-        Rides the channel's read QP, untracked, so the response flows back
-        through :meth:`try_handle` as progress to the breaker and is then
-        discarded.
+        Rides the channel's read QP, untracked, so the response reaches
+        the breaker as progress and the response handler discards it.
         """
         idx = self._channel_index(channel)
         self.read_rocegens[idx].read(
@@ -753,34 +751,25 @@ class RemotePacketBuffer:
 
     # -- response handling -----------------------------------------------------------
 
-    def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:
-        """Consume RoCE responses belonging to this primitive's channels.
-
-        The switch program calls this first in ``on_ingress``; returns True
-        when the packet was a response this primitive handled.
-        """
-        owner = self._steering.owner_of(packet)
-        if owner is None:
-            return False
-        channel_idx, is_read_qp = owner
-        rocegen = (self.read_rocegens if is_read_qp else self.rocegens)[channel_idx]
-        # A NAK that cost READs in flight restarts the read chain through
-        # _on_read_loss; lost WRITEs surface later as stale entry stamps.
-        opcode, _is_nak, pointer = rocegen.accept_response(packet)
-        ctx.drop()  # the response itself never leaves the switch
-        if opcode is _READ_RESPONSE and pointer is not None:
-            self._complete_load(channel_idx, pointer, packet.payload)
-        return True
-
-    def _owned_channels(
+    def _on_response(
         self,
-    ) -> Iterator[Tuple[RemoteMemoryChannel, Tuple[int, bool]]]:
-        """Every channel of ours, with (channel index, is-the-read-QP)."""
-        if self.read_channels is not self.channels:
-            for i, channel in enumerate(self.read_channels):
-                yield channel, (i, True)
-        for i, channel in enumerate(self.channels):
-            yield channel, (i, False)
+        ctx: PipelineContext,
+        packet: Packet,
+        opcode: Optional[Opcode],
+        is_nak: bool,
+        pointer: Any,
+    ) -> None:
+        """A response the switch steered to one of this buffer's QPs.
+
+        A READ response the requester paired with its ring *pointer* loads
+        that entry, from the channel the pointer's slot was striped to.  A
+        NAK that cost READs in flight restarted the read chain through
+        _on_read_loss; lost WRITEs surface later as stale entry stamps.
+        """
+        if opcode is _READ_RESPONSE and pointer is not None:
+            self._complete_load(
+                self._channel_of[pointer % self._slots], pointer, packet.payload
+            )
 
     def _complete_load(self, channel_idx: int, pointer: int, entry: bytes) -> None:
         """The response pass: park the fetched entry in the reorder stage,

@@ -15,7 +15,7 @@ time.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..net.packet import Packet
 from ..obs.trace import (
@@ -37,6 +37,7 @@ from ..rdma.packets import (
     build_write_request,
     verify_icrc,
 )
+from ..switches.pipeline import PipelineContext
 from ..switches.switch import ProgrammableSwitch
 from .channel import RemoteMemoryChannel
 
@@ -49,6 +50,10 @@ HealthListener = Callable[["RoceRequestGenerator", str], None]
 #: ``on_loss(gen, lost, cause)``: tracked ``(psn, context)`` pairs that left
 #: the window without a response of their own, and why (``LOST_*``).
 LossListener = Callable[["RoceRequestGenerator", List[Tuple[int, Any]], str], None]
+#: ``on_response(ctx, packet, opcode, is_nak, context)``: a response the
+#: switch steered to this requester's owner, already dropped and accounted
+#: (:meth:`RoceRequestGenerator.accept_response`'s three values).
+ResponseHandler = Callable[[PipelineContext, Packet, Optional[Opcode], bool, Any], None]
 #: Why tracked requests left the window unanswered: a fresh NAK rejected
 #: them, timer rounds found the window stuck, or a later response retired
 #: them (they executed; their responses were lost).
@@ -68,54 +73,6 @@ _RESPONSE_KINDS = {
     Opcode.RDMA_READ_RESPONSE_ONLY: KIND_READ_RESP,
     Opcode.ATOMIC_ACKNOWLEDGE: KIND_ATOMIC_ACK,
 }
-
-
-class ResponseSteering:
-    """Steer RoCE responses to their owner by one match on BTH ``dest_qp``.
-
-    A primitive composed over several channels (shards, replicas, ring
-    stripes) passes *scan*, which yields ``(channel, owner)`` for every
-    channel it may still be sent a response on, and calls :meth:`refresh`
-    whenever that set changes.  A QP reconnect renumbers a channel with no
-    such event, so a miss — or a hit on a channel that has since been
-    renumbered — rescans once: the answer is always the one a scan of
-    every channel would give.
-    """
-
-    __slots__ = ("_scan", "_table")
-
-    def __init__(
-        self, scan: Callable[[], Iterable[Tuple[RemoteMemoryChannel, Any]]]
-    ) -> None:
-        self._scan = scan
-        #: The match table: ``dest_qp`` → (channel, owner).
-        self._table: Dict[int, Tuple[RemoteMemoryChannel, Any]] = {}
-
-    def refresh(self) -> None:
-        self._table = {
-            channel.switch_qp.qpn: (channel, owner) for channel, owner in self._scan()
-        }
-
-    @property
-    def owners(self) -> Dict[int, Any]:
-        """``dest_qp → owner`` as currently installed (introspection)."""
-        return {qpn: owner for qpn, (_, owner) in self._table.items()}
-
-    def owner_of(self, packet: Packet, bth: Optional[BthHeader] = None) -> Optional[Any]:
-        """The owner of the queue pair *packet* answers to, or None; *bth*
-        is the packet's BTH when the caller has already found it."""
-        if bth is None:
-            bth = packet.find(BthHeader)
-            if bth is None:
-                return None
-        qpn = bth.dest_qp
-        entry = self._table.get(qpn)
-        if entry is None or entry[0].switch_qp.qpn != qpn:
-            self.refresh()
-            entry = self._table.get(qpn)
-            if entry is None:
-                return None
-        return entry[1]
 
 
 class RetryTimer:
@@ -166,6 +123,10 @@ class RoceRequestGenerator:
     up to ``RETRY_BACKOFF_CAP`` until one retires something.  An owner
     re-sends a lost request under its own PSN (``psn=``), which re-tracks
     it in order, or writes it off.
+
+    A requester built with an owner's *on_response* is the switch's entry
+    for its QPN (:attr:`ProgrammableSwitch.requesters`): every response
+    addressed to that QP reaches the handler, never the program.
     """
 
     def __init__(
@@ -174,12 +135,17 @@ class RoceRequestGenerator:
         channel: RemoteMemoryChannel,
         on_loss: Optional[LossListener] = None,
         timer: Optional[RetryTimer] = None,
+        on_response: Optional[ResponseHandler] = None,
     ) -> None:
+        if on_response is not None:
+            switch.add_requester(channel.switch_qp.qpn, self)
         self.switch = switch
         self.channel = channel
-        #: Optional subscriber to this channel's health events (the cluster
-        #: health monitor plugs in here): nak / strike / timeout / progress.
-        self.health_listener: Optional[HealthListener] = None
+        self.on_response = on_response
+        #: Subscribers to this channel's health events, oldest first (the
+        #: cluster health monitor and the breakers append here): nak /
+        #: strike / timeout / progress.
+        self.health_listeners: List[HealthListener] = []
         #: The tracked window: PSN -> the owner's context, issue order.
         self.window: Dict[int, Any] = {}
         self._on_loss = on_loss
@@ -221,8 +187,8 @@ class RoceRequestGenerator:
     # -- health signal ------------------------------------------------------------
 
     def _emit_health(self, event: str) -> None:
-        if self.health_listener is not None:
-            self.health_listener(self, event)
+        for listener in self.health_listeners:
+            listener(self, event)
 
     def record_strike(self) -> None:
         """A loss event implicated this channel in a stall."""
@@ -360,18 +326,13 @@ class RoceRequestGenerator:
 
     # -- response handling ----------------------------------------------------------
 
-    def owns_response(self, packet: Packet) -> bool:
-        """Is *packet* a RoCE response addressed to this channel's QP?"""
-        bth = packet.find(BthHeader)
-        return bth is not None and bth.dest_qp == self.channel.switch_qp.qpn
-
     def accept_response(
         self, packet: Packet, bth: Optional[BthHeader] = None
     ) -> Tuple[Optional[Opcode], bool, Any]:
         """Account for a response in one pass: ``(opcode, is_nak, context)``
         from one look at the BTH (*bth*, when the caller steered by it
-        already) and AETH; *context* is the one tracked at its PSN (None:
-        untracked, stale, or a NAK).
+        already, as the switch does) and AETH; *context* is the one
+        tracked at its PSN (None: untracked, stale, or a NAK).
 
         Responses carrying a computed ICRC are verified first: a mismatch
         means the packet was corrupted in flight, so it is dropped, counted
@@ -402,8 +363,8 @@ class RoceRequestGenerator:
         psn = bth.psn
         if is_nak:
             self._m_naks.inc()
-        if self.health_listener is not None:
-            self.health_listener(self, "nak" if is_nak else "progress")
+        for listener in self.health_listeners:
+            listener(self, "nak" if is_nak else "progress")
         if self._trace is not None:
             self._trace.emit(
                 self.switch.sim.now,
@@ -452,10 +413,6 @@ class RoceRequestGenerator:
                 self._on_loss(self, skipped, LOST_SKIPPED)
         self._retired += 1
         return opcode, False, window.pop(psn, None)  # the owner may have dropped it
-
-    def classify_response(self, packet: Packet) -> Optional[Opcode]:
-        """:meth:`accept_response` for a caller that only needs the opcode."""
-        return self.accept_response(packet)[0]
 
     def fresh_nak(self, psn: int) -> bool:
         """Whether a NAK naming expected PSN *psn* reports a loss event not

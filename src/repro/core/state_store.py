@@ -144,11 +144,13 @@ class RemoteStateStore:
         timer = None
         if self.config.reliable:
             timer = RetryTimer(switch.sim, self.config.retry_timeout_ns)
-        self.rocegen = RoceRequestGenerator(switch, channel, self._on_loss, timer)
+        self.rocegen = RoceRequestGenerator(
+            switch, channel, self._on_loss, timer, self._on_response
+        )
         self._fastgen: Optional[RoceRequestGenerator] = None
         if tiering is not None:
             self._fastgen = RoceRequestGenerator(
-                switch, tiering.fast_channel, self._on_loss, timer
+                switch, tiering.fast_channel, self._on_loss, timer, self._on_response
             )
             tiering.busy_check = self._block_busy
         self._gens: List[RoceRequestGenerator] = [self.rocegen]
@@ -346,30 +348,21 @@ class RemoteStateStore:
 
     # -- response path ---------------------------------------------------------------
 
-    @property
-    def response_channels(self) -> Tuple[RemoteMemoryChannel, ...]:
-        """The channels whose responses :meth:`try_handle` consumes."""
-        if self._fastgen is None:
-            return (self.rocegen.channel,)
-        return (self.rocegen.channel, self._fastgen.channel)
-
-    def try_handle(self, ctx: PipelineContext, packet: Packet) -> bool:
-        """Consume atomic acknowledgements; True when handled."""
-        bth = packet.find(BthHeader)
-        if bth is None:
-            return False
-        gen = self.rocegen
-        if bth.dest_qp != gen.channel.switch_qp.qpn:
-            gen = self._fastgen
-            if gen is None or bth.dest_qp != gen.channel.switch_qp.qpn:
-                return False
-        ctx.drop()
-        opcode, is_nak, op = gen.accept_response(packet, bth)
+    def _on_response(
+        self,
+        ctx: PipelineContext,
+        packet: Packet,
+        opcode: Optional[Opcode],
+        is_nak: bool,
+        op: Any,
+    ) -> None:
+        """A response the switch steered to one of this store's QPs."""
         if opcode is _READ_RESPONSE:
             # Reconcile READ after a recovery (or a breaker probe, whose
             # PSN matches nothing and is ignored here — accept_response
             # already reported it as progress).
-            self._complete_reconcile(gen, bth.psn, packet)
+            bth = packet.require(BthHeader)
+            self._complete_reconcile(self.switch.requesters[bth.dest_qp], bth.psn, packet)
         elif opcode is Opcode.ATOMIC_ACKNOWLEDGE or opcode is Opcode.ACKNOWLEDGE:
             if is_nak:
                 self._m_naks.inc()
@@ -378,11 +371,10 @@ class RemoteStateStore:
                 if op is not None:
                     self._retire(op)
         else:
-            return True
+            return
         # The window may have shrunk by a retirement or a forgotten loss.
         self._regs.write(_OUTSTANDING, sum(map(len, self._windows)))
         self._flush()
-        return True
 
     def _flush(self) -> None:
         """Issue accumulated updates while the outstanding window has room.
@@ -471,7 +463,7 @@ class RemoteStateStore:
         """Send one canary READ down the (possibly fresh) QP.
 
         Rides this store's own request generator, so the response returns
-        through :meth:`try_handle` and reaches the breaker as progress.
+        to this store's response handler and reaches the breaker as progress.
         The READ is deliberately not registered anywhere: an unknown-PSN
         response is ignored by the reconcile path.
         """

@@ -71,7 +71,7 @@ def _run_backend(
         counters = RemoteCounterBackend(store, depth, width)
     sketch_cls = CountMinSketch if sketch_kind == "countmin" else CountSketch
     sketch = sketch_cls(geometry, counters)
-    program.use_sketch(sketch, state_store=store)
+    program.use_sketch(sketch)
 
     workload = ZipfFlowWorkload(
         tb.sim,

@@ -21,7 +21,7 @@ path (re-ACK for WRITEs, re-read for READs, replay cache for atomics).
 Timeouts back off exponentially (``retransmit_timeout_ns`` doubled by
 ``retransmit_backoff`` per round); ``max_retries`` exhaustion completes
 every outstanding WR with an error status, counts it in the registry
-(``retries_exhausted``), and fires :attr:`Rnic.on_retry_exhausted` so
+(``retries_exhausted``), and calls each :attr:`Rnic.on_retry_exhausted` listener so
 the cluster :class:`~repro.cluster.health.HealthMonitor` can turn silent
 peers into down verdicts.  §5 only *observed* this failure class ("RDMA
 requests were occasionally dropped at the NIC") without a recovery
@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..net.addresses import Ipv4Address, MacAddress
 from ..net.node import Interface
@@ -211,10 +211,11 @@ class Rnic:
         self._m_retransmissions = self.metrics.counter("retransmissions")
         self._m_retries_exhausted = self.metrics.counter("retries_exhausted")
         self._m_icrc_drops = self.metrics.counter("icrc_drops")
-        #: Fired with the QueuePair when go-back-N gives up on it; the
-        #: cluster HealthMonitor subscribes via ``watch_requester`` to
-        #: turn requester-side silence into member down verdicts.
-        self.on_retry_exhausted: Optional[Callable[[QueuePair], None]] = None
+        #: Called, oldest first, with the QueuePair when go-back-N gives
+        #: up on it; the cluster HealthMonitor subscribes via
+        #: ``watch_requester`` to turn requester-side silence into member
+        #: down verdicts.
+        self.on_retry_exhausted: List[Callable[[QueuePair], None]] = []
         self.qps: Dict[int, QueuePair] = {}
         # Responder pipeline.
         self._rx_queue: Deque[Packet] = deque()
@@ -684,8 +685,8 @@ class Rnic:
                     completion_time_ns=self.sim.now, context=wr.context,
                 ),
             )
-        if self.on_retry_exhausted is not None:
-            self.on_retry_exhausted(qp)
+        for listener in self.on_retry_exhausted:
+            listener(qp)
 
     def _note_progress(self, qp: QueuePair) -> None:
         """The responder spoke and work completed: reset recovery state."""

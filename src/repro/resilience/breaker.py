@@ -101,7 +101,7 @@ class CircuitBreakerConfig:
 class CircuitBreaker:
     """Stall-evidence state machine for one RDMA channel.
 
-    Feed it events directly (:meth:`record`) or chain it onto the
+    Feed it events directly (:meth:`record`) or subscribe it to the
     existing health hooks (:meth:`watch` / :meth:`watch_requester`).
     State-change subscribers register on :attr:`on_open`,
     :attr:`on_half_open` and :attr:`on_close`; the
@@ -210,26 +210,18 @@ class CircuitBreaker:
     # -- wiring -----------------------------------------------------------------
 
     def watch(self, rocegen: RoceRequestGenerator) -> None:
-        """Chain onto *rocegen*'s health events (monitor-style chaining)."""
-        previous = rocegen.health_listener
-
-        def listen(gen: RoceRequestGenerator, event: str) -> None:
-            if previous is not None:
-                previous(gen, event)
-            self.record(event)
-
-        rocegen.health_listener = listen
+        """Subscribe to *rocegen*'s health events."""
+        rocegen.health_listeners.append(self._on_health)
 
     def watch_requester(self, rnic) -> None:
-        """Chain onto *rnic*'s retry-exhaustion verdicts."""
-        previous = rnic.on_retry_exhausted
+        """Subscribe to *rnic*'s retry-exhaustion verdicts."""
+        rnic.on_retry_exhausted.append(self._on_retries_exhausted)
 
-        def exhausted(qp) -> None:
-            if previous is not None:
-                previous(qp)
-            self.record("retries_exhausted")
+    def _on_health(self, gen: RoceRequestGenerator, event: str) -> None:
+        self.record(event)
 
-        rnic.on_retry_exhausted = exhausted
+    def _on_retries_exhausted(self, qp) -> None:
+        self.record("retries_exhausted")
 
     # -- event intake -----------------------------------------------------------
 

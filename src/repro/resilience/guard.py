@@ -11,9 +11,9 @@ the glue that makes the decision actionable:
 * breaker goes **half-open** → the controller reconnects the QP pair
   (fresh QPN/PSN on the same region) and the primitive sends one probe
   op (``primitive.probe(channel)``) down the fresh QP.  The probe rides
-  the primitive's own request generator, so its response flows back
-  through the normal ``try_handle`` path and lands in the breaker as a
-  ``progress`` event.
+  the primitive's own request generator, so its response reaches that
+  requester through the switch's response table and lands in the breaker
+  as a ``progress`` event.
 * breaker **closes** → the primitive reconciles and exits degraded mode
   (``primitive.recover(channel)``): the store reconciles suspended ops
   and flushes its backlog, the buffer drains the stranded ring.
@@ -26,10 +26,9 @@ the guard is primitive-agnostic.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from ..core.channel import RdmaChannelController, RemoteMemoryChannel
-from ..core.rocegen import RoceRequestGenerator
 from .breaker import CircuitBreaker
 
 
@@ -46,16 +45,8 @@ class SelfHealingChannel:
     primitive:
         The primitive using the channel; must implement
         ``degrade(channel)`` / ``probe(channel)`` / ``recover(channel)``.
-    generators:
-        Request generators whose health events should feed the breaker.
-        Defaults to every generator the primitive exposes that rides
-        *channel* (``rocegen`` plus ``rocegens`` / ``read_rocegens``
-        entries).
-    reconnect:
-        When True (default), a half-open transition tears down and
-        re-opens the QP pair before probing.  Set False to probe on the
-        existing (possibly wedged) QPs — useful when the outage was in
-        the fabric, not the endpoints.
+        The breaker watches the requester the switch's response table
+        holds for *channel*.
     policy:
         A :class:`~repro.policies.breaker.BreakerPolicy` carrying the
         breaker's thresholds and seeded probe jitter — the unified
@@ -68,8 +59,6 @@ class SelfHealingChannel:
         controller: RdmaChannelController,
         channel: RemoteMemoryChannel,
         primitive,
-        generators: Optional[List[RoceRequestGenerator]] = None,
-        reconnect: bool = True,
         policy=None,
         policy_seed: Optional[int] = None,
     ) -> None:
@@ -84,7 +73,6 @@ class SelfHealingChannel:
         self.controller = controller
         self.channel = channel
         self.primitive = primitive
-        self.reconnect = reconnect
         sim = controller.switch.sim
         if policy is not None:
             # Duck-typed BreakerPolicy (this module must not import
@@ -102,18 +90,10 @@ class SelfHealingChannel:
         self._m_reconnects = self.metrics.counter("reconnects")
         self._m_degrades = self.metrics.counter("degrades")
         self._m_recoveries = self.metrics.counter("recoveries")
-        generators = (
-            generators
-            if generators is not None
-            else self._default_generators(primitive, channel)
-        )
-        if not generators:
-            raise ValueError(
-                "no request generators found on the primitive for this "
-                "channel; pass generators= explicitly"
-            )
-        for gen in generators:
-            self.breaker.watch(gen)
+        requester = controller.switch.requesters.get(channel.switch_qp.qpn)
+        if requester is None:
+            raise ValueError(f"no requester answers for channel {channel.name!r}")
+        self.breaker.watch(requester)
         self.breaker.on_open.append(self._on_open)
         self.breaker.on_half_open.append(self._on_half_open)
         self.breaker.on_close.append(self._on_close)
@@ -121,18 +101,6 @@ class SelfHealingChannel:
         # listeners — same rule the HealthMonitor follows.
         channel.teardown_callbacks.append(self._on_teardown)
         self._active = True
-
-    @staticmethod
-    def _default_generators(primitive, channel) -> List[RoceRequestGenerator]:
-        found: List[RoceRequestGenerator] = []
-        single = getattr(primitive, "rocegen", None)
-        if single is not None and single.channel is channel:
-            found.append(single)
-        for attr in ("rocegens", "read_rocegens"):
-            for gen in getattr(primitive, attr, []) or []:
-                if gen.channel is channel and gen not in found:
-                    found.append(gen)
-        return found
 
     # -- breaker transitions ----------------------------------------------------
 
@@ -145,9 +113,8 @@ class SelfHealingChannel:
     def _on_half_open(self, breaker: CircuitBreaker) -> None:
         if not self._active:
             return
-        if self.reconnect:
-            self.controller.reconnect_channel(self.channel)
-            self._m_reconnects.inc()
+        self.controller.reconnect_channel(self.channel)
+        self._m_reconnects.inc()
         self.primitive.probe(self.channel)
 
     def _on_close(self, breaker: CircuitBreaker) -> None:

@@ -9,14 +9,18 @@ decides forwarding; the paper's primitives plug into the same program API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..net.addresses import Ipv4Address, MacAddress
 from ..net.node import Interface, Node
 from ..net.packet import Packet
+from ..rdma.headers import BthHeader
 from ..sim.simulator import Simulator
 from .pipeline import PipelineContext, SwitchProgram
 from .traffic_manager import TrafficManager, TrafficManagerConfig
+
+if TYPE_CHECKING:  # pragma: no cover - core builds on switches
+    from ..core.rocegen import RoceRequestGenerator
 
 
 @dataclass
@@ -58,6 +62,10 @@ class ProgrammableSwitch(Node):
         self.tm.clock = lambda: self.sim.now
         self.stats = SwitchStats()
         self.program: Optional[SwitchProgram] = None
+        #: The response match table: switch QPN -> the requester whose
+        #: owner consumes every response addressed to that QP (one exact
+        #: match on BTH ``dest_qp``, DESIGN.md §10.4).
+        self.requesters: Dict[int, "RoceRequestGenerator"] = {}
         self._ports: List[Interface] = []
         self._port_of_interface: Dict[Interface, int] = {}
 
@@ -93,6 +101,12 @@ class ProgrammableSwitch(Node):
         self.program = program
         program.attach(self)
 
+    def add_requester(self, qpn: int, requester: "RoceRequestGenerator") -> None:
+        """Steer responses to switch QP *qpn* to *requester*'s owner."""
+        if qpn in self.requesters:
+            raise ValueError(f"{self.name}: QPN {qpn:#x} already has a response handler")
+        self.requesters[qpn] = requester
+
     # -- data path -------------------------------------------------------------------
     #
     # One pipeline pass is receive -> _run_pipeline -> transmit, with a
@@ -124,7 +138,18 @@ class ProgrammableSwitch(Node):
             raise RuntimeError(f"{self.name}: no program bound")
         self.stats.processed += 1
         ctx = PipelineContext(self, in_port, packet)
-        if pass_count == 0:
+        requester = None
+        if self.requesters:
+            bth = packet.find(BthHeader)
+            if bth is not None:
+                requester = self.requesters.get(bth.dest_qp)
+        if requester is not None:
+            # A response to one of the switch's QPs: consumed here, never
+            # forwarded, and its owner acts on it instead of the program.
+            ctx.drop()
+            opcode, is_nak, context = requester.accept_response(packet, bth)
+            requester.on_response(ctx, packet, opcode, is_nak, context)
+        elif pass_count == 0:
             program.on_ingress(ctx, packet)
         else:
             program.on_recirculate(ctx, packet)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.channel import ChannelError
 from repro.core.rocegen import RoceRequestGenerator
+from repro.rdma.constants import Opcode
 from repro.testbed import build_testbed
 from repro.rdma.qp import QpState
 from repro.sim.units import mib
@@ -70,10 +71,13 @@ class TestChannelController:
 class DummyProgram:
     """Minimal program so the switch pipeline can run."""
 
+    seen = 0
+
     def attach(self, switch):
         pass
 
     def on_ingress(self, ctx, packet):
+        self.seen += 1
         ctx.drop()
 
     def on_recirculate(self, ctx, packet):
@@ -124,11 +128,19 @@ class TestRoceRequestGenerator:
         request = gen.write(channel.base_address, b"abc")
         assert gen.metrics["request_wire_bytes"] == request.wire_len
 
-    def test_owns_response_matches_qpn(self):
-        tb, channel, gen = self.make()
-        gen.read(channel.base_address, 4)
-        responses = []
-        tb.memory_server.eth.tx_taps.append(responses.append)
+    def test_a_response_reaches_its_requesters_handler(self):
+        tb = build_testbed()
+        program = DummyProgram()
+        tb.switch.bind_program(program)
+        channel = open_channel(tb)
+        handled = []
+        gen = RoceRequestGenerator(
+            tb.switch, channel,
+            on_response=lambda ctx, packet, *result: handled.append((ctx.dropped, *result)),
+        )
+        assert tb.switch.requesters == {channel.switch_qp.qpn: gen}
+        gen.read(channel.base_address, 4, context="ctx")
         tb.sim.run()
-        assert len(responses) == 1
-        assert gen.owns_response(responses[0])
+        assert handled == [(True, Opcode.RDMA_READ_RESPONSE_ONLY, False, "ctx")]
+        assert program.seen == 0  # the program never saw the response
+        assert tb.switch.stats.dropped_by_program == 1

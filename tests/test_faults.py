@@ -397,7 +397,7 @@ class TestGoBackN:
         plan.at(0.0, plan.on_link(link, name="wire"), Blackout())
         plan.install(sim)
         exhausted = []
-        client.rnic.on_retry_exhausted = exhausted.append
+        client.rnic.on_retry_exhausted.append(exhausted.append)
         done = []
         rdma.write(region.base_address, region.rkey, b"x", done.append)
         sim.run()

@@ -47,6 +47,7 @@ from repro.api import (
     RemotePacketBuffer,
     RemoteStateStore,
     ReplicatedStateStore,
+    RoceRequestGenerator,
     ShardedLookupTable,
     Simulator,
     StateStoreConfig,
@@ -56,7 +57,7 @@ from repro.api import (
 )
 from repro.net.headers import Ipv4Header
 from repro.rdma.headers import BthHeader
-from repro.rdma.packets import build_read_request, build_write_request
+from repro.rdma.packets import build_write_request
 from repro.rdma.qp import QueuePair
 from repro.rdma.verbs import connect_qps
 from repro.sim.simulator import SimulationError
@@ -383,24 +384,22 @@ def test_straight_line_admission_matches_the_helper_chain(
     assert new == old
 
 
-# -- (iv) response steering ----------------------------------------------------------------
+# -- (iv) response steering: the switch's one QPN table -------------------------------------
 
 
-def brute_force_owners(shards, retired):
-    """dest_qp -> shard by asking every shard in turn, as the data path used to."""
-    owners = {}
-    for shard in [*retired, *shards]:
-        gens = [shard.rocegen] + ([shard._fastgen] if shard._fastgen is not None else [])
+def brute_force_requesters(*owners):
+    """dest_qp -> requester by asking every owner for its requesters in turn."""
+    found = {}
+    for owner in owners:
+        gens = [
+            getattr(owner, "rocegen", None), getattr(owner, "_fastgen", None),
+            *getattr(owner, "rocegens", ()), *getattr(owner, "read_rocegens", ()),
+        ]
         for gen in gens:
-            owners[gen.channel.switch_qp.qpn] = shard
-    return owners
-
-
-def response_to(qpn: int):
-    """A RoCE packet whose BTH ``dest_qp`` is *qpn*."""
-    requester = QueuePair(0x300, _A.eth.ip, _A.eth.mac)
-    connect_qps(requester, QueuePair(qpn, _B.eth.ip, _B.eth.mac))
-    return build_read_request(requester, 0x1000, 0x42, 64)
+            if gen is not None:
+                assert gen.on_response.__self__ is owner  # its handler is its owner's
+                found[gen.channel.switch_qp.qpn] = gen
+    return found
 
 
 def sharded_lookup(servers=3):
@@ -420,9 +419,9 @@ def test_steering_map_tracks_join_leave_retire_and_rejoin():
     tb, pool, table = sharded_lookup(servers=3)
 
     def check(expected_qps):
-        owners = table._steering.owners
-        assert owners == brute_force_owners(table.shards.values(), table._retired)
-        assert len(owners) == expected_qps
+        requesters = tb.switch.requesters
+        assert requesters == brute_force_requesters(*table._retired, *table.shards.values())
+        assert len(requesters) == expected_qps
 
     check(3)
     pool.remove_server("memserver2")  # graceful leave: the shard retires
@@ -432,9 +431,8 @@ def test_steering_map_tracks_join_leave_retire_and_rejoin():
     check(3)
     pool.add_server(tb.memory_servers[2], tb.server_ports[2], name="memserver2")
     check(4)  # the re-joined member's fresh QP beside its retired one
-    assert table._steering.owners[table.shards["memserver2"].channel.switch_qp.qpn] is (
-        table.shards["memserver2"]
-    )
+    rejoined = table.shards["memserver2"]
+    assert tb.switch.requesters[rejoined.channel.switch_qp.qpn] is rejoined.rocegen
 
 
 def test_a_retired_shards_responses_still_reach_it():
@@ -454,13 +452,14 @@ def test_a_retired_shards_responses_still_reach_it():
     tb.sim.run()
     assert at_leave["pending"] > 0, "the leave must catch lookups in flight"
     assert leaver in table._retired
+    assert tb.switch.requesters[leaver.channel.switch_qp.qpn] is leaver.rocegen
     assert leaver.metrics["remote_hits"] == at_leave["hits"] + at_leave["pending"]
     assert len(delivered) == 200 and table.lookups_lost == 0
 
 
 def test_steering_follows_a_qp_reconnect():
-    """A reconnect renumbers a channel with no membership event: the first
-    response on the new QP misses the match table, which rescans."""
+    """A reconnect renumbers a channel with no membership event: the
+    controller re-keys its requester, and the old QPN reaches no owner."""
     tb, pool, table = sharded_lookup(servers=2)
     traffic = zipf_traffic(tb, count=100, flows=64)
     install_flows(table, tb, traffic)
@@ -469,11 +468,8 @@ def test_steering_follows_a_qp_reconnect():
     for shard in table.shards.values():
         tb.controller.reconnect_channel(shard.channel)
     assert not set(old_qpns) & {s.channel.switch_qp.qpn for s in table.shards.values()}
-    # A late response to a QP that no longer exists has no owner, although
-    # the match table still lists it: a hit is checked against the channel.
-    assert set(table._steering.owners) == set(old_qpns)
-    assert table._steering.owner_of(response_to(old_qpns[0])) is None
-    assert table._steering.owners == brute_force_owners(table.shards.values(), [])
+    assert not set(old_qpns) & set(tb.switch.requesters)
+    assert tb.switch.requesters == brute_force_requesters(*table.shards.values())
     traffic.start()
     tb.sim.run()
     assert len(delivered) == 100 and table.total("remote_hits") == 100
@@ -485,21 +481,33 @@ def test_replicated_store_and_striped_buffer_steer_by_qp():
     for server, port in zip(tb.memory_servers, tb.server_ports):
         pool.add_server(server, port)
     store = ReplicatedStateStore(tb.switch, pool, replication=2)
-    assert store._steering.owners == brute_force_owners(store.stores.values(), [])
-    pool.remove_server("memserver0")
-    assert store._steering.owners == brute_force_owners(store.stores.values(), store._retired)
-    assert len(store._steering.owners) == 3
+    assert tb.switch.requesters == brute_force_requesters(*store.stores.values())
+    pool.remove_server("memserver0")  # the closed replica keeps its entry
+    stores = [*store._retired, *store.stores.values()]
+    assert tb.switch.requesters == brute_force_requesters(*stores)
+    assert len(tb.switch.requesters) == 3
 
     buffer = RemotePacketBuffer.from_pool(
         tb.switch, pool, protected_port=tb.host_ports[1], bytes_per_member=64 * 1024,
         separate_read_qps=True,
     )
-    expected = {ch.switch_qp.qpn: (i, False) for i, ch in enumerate(buffer.channels)}
-    expected.update({ch.switch_qp.qpn: (i, True) for i, ch in enumerate(buffer.read_channels)})
-    assert buffer._steering.owners == expected and len(expected) == 4
+    assert len(brute_force_requesters(buffer)) == 4  # a write and a read QP per member
+    assert tb.switch.requesters == brute_force_requesters(*stores, buffer)
     pool.add_server(tb.memory_servers[0], tb.server_ports[0], name="late")
-    assert len(buffer._steering.owners) == 6
-    assert buffer._steering.owners[buffer.read_channels[2].switch_qp.qpn] == (2, True)
+    stores.append(store.stores["late"])
+    assert tb.switch.requesters == brute_force_requesters(*stores, buffer)
+    assert len(tb.switch.requesters) == 4 + 6
+    assert tb.switch.requesters[buffer.read_channels[2].switch_qp.qpn] is buffer.read_rocegens[2]
+
+
+def test_a_second_handler_on_one_qpn_raises():
+    tb = build_testbed(n_hosts=1, seed=1)
+    channel = tb.controller.open_channel(tb.memory_server, tb.server_port, 4096)
+    store = RemoteStateStore(tb.switch, channel, config=StateStoreConfig(counters=16))
+    RoceRequestGenerator(tb.switch, channel)  # no handler: never in the table
+    with pytest.raises(ValueError, match="already has a response handler"):
+        RoceRequestGenerator(tb.switch, channel, on_response=store._on_response)
+    assert tb.switch.requesters == {channel.switch_qp.qpn: store.rocegen}
 
 
 # -- regressions that rode along ----------------------------------------------------------

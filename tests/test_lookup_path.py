@@ -291,7 +291,7 @@ def breaker_opens_and_recovers(types):
 
 def qp_reconnect(types):
     """A reconnect renumbers every shard's QP mid-run with no membership
-    event: the first response on a new QP makes steering rescan."""
+    event: the controller re-keys each requester in the switch's table."""
     _, sharded_type, traffic_type = types
     tb = rig(servers=2)
     pool = MemoryPool(tb.controller, seed=1)
@@ -301,7 +301,7 @@ def qp_reconnect(types):
     table = sharded_type(tb.switch, pool, config=config)
     tb.program.use_lookup_table(table)
     traffic = offer(tb, table, traffic_type, installed=1.0)
-    before = sorted(table._steering.owners)
+    before = sorted(tb.switch.requesters)
 
     def reconnect():
         for shard in table.shards.values():
@@ -309,9 +309,9 @@ def qp_reconnect(types):
 
     tb.sim.schedule_at(usec(100), reconnect)
     cut, end = run_with_cut(tb, lambda: list(table.shards.values()), traffic)
-    assert not set(before) & set(table._steering.owners), "steering never rescanned"
+    assert not set(before) & set(tb.switch.requesters), "the table was never re-keyed"
     assert table.total("remote_hits") + table.lookups_lost == 500
-    end["steering"] = sorted(table._steering.owners)
+    end["steering"] = sorted(tb.switch.requesters)
     return cut, end
 
 
@@ -508,9 +508,8 @@ def test_a_bounced_lookup_costs_a_bounded_number_of_calls():
     assert (calls, garbage) == _bounced_lookups(packets), "the counts must repeat exactly"
     # _tick, packet_for, stamp_ports; the front's lookup and _owner, the
     # ring's owner and _hash_key; the shard's lookup and _remote_lookup;
-    # two front try_handle (the packet, then the response), the shard's
-    # try_handle, _resolve_entry and _mutate; three health-monitor calls
-    # per response: 17.  It was 34.
+    # the shard's _on_response, _resolve_entry and _mutate; three
+    # health-monitor calls per response: 15.  It was 34.
     assert 0 < calls <= LOOKUP_CALLS_PER_MISS * packets, (
         f"{calls / packets:.2f} lookup-path calls per bounced lookup"
     )

@@ -145,15 +145,19 @@ class TestRoceGenMisc:
             request, channel.server_qp,
             syndrome=AethSyndrome.NAK_PSN_SEQUENCE_ERROR,
         )
-        gen.classify_response(nak)
+        assert gen.accept_response(nak)[:2] == (Opcode.ACKNOWLEDGE, True)
         assert gen.metrics["naks_received"] == 1
         assert gen.metrics["responses_handled"] == 1
 
-    def test_owns_response_rejects_other_qpns(self):
-        tb, channel, gen = self.build()
+    def test_a_response_to_another_qpn_reaches_no_handler(self):
+        tb, channel, _ = self.build()
+        handled = []
+        RoceRequestGenerator(tb.switch, channel, on_response=lambda *args: handled.append(args))
         packet = make_udp_packet()
         packet.append(BthHeader(opcode=Opcode.ACKNOWLEDGE, dest_qp=0xBEEF, psn=0))
-        assert not gen.owns_response(packet)
+        tb.switch.inject(packet, tb.host_ports[0])
+        tb.sim.run()
+        assert handled == [] and tb.switch.stats.dropped_by_program == 1
 
 
 class TestTxQueuePeek:

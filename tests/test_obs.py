@@ -168,23 +168,13 @@ def test_end_to_end_trace_records_qp_timeline(tmp_path):
         tb = build_testbed(n_hosts=1)
         from repro.apps.programs import StaticL2Program
 
-        class P(StaticL2Program):
-            roce = None
-
-            def on_ingress(self, ctx, packet):
-                if self.roce is not None and self.roce.owns_response(packet):
-                    self.roce.classify_response(packet)
-                    ctx.drop()
-                    return
-                super().on_ingress(ctx, packet)
-
-        program = P()
+        program = StaticL2Program()
         program.install(tb.hosts[0].eth.mac, tb.host_ports[0])
         program.install(tb.memory_server.eth.mac, tb.server_port)
         tb.switch.bind_program(program)
         channel = tb.controller.open_channel(tb.memory_server, tb.server_port, 4096)
-        gen = RoceRequestGenerator(tb.switch, channel)
-        program.roce = gen
+        # The switch accounts each response; this owner needs nothing more.
+        gen = RoceRequestGenerator(tb.switch, channel, on_response=lambda *response: None)
         gen.write(channel.base_address, b"hello")
         gen.read(channel.base_address, 5)
         gen.fetch_add(channel.base_address + 1024, 1)

@@ -325,7 +325,7 @@ def store_rig(store_type, reliable, tiered, counters=256, initial_psn=None, **co
         channel = tb.controller.open_channel(tb.memory_server, tb.server_port, counters * 8)
         store = store_type(tb.switch, channel, config=config)
     if initial_psn is not None:
-        for channel in store.response_channels:
+        for channel in [gen.channel for gen in store._gens]:
             channel.switch_qp.next_psn = channel.server_qp.expected_psn = initial_psn
     program.use_state_store(store)
     return tb, store
@@ -418,7 +418,7 @@ def test_state_store_matches_through_degrade_and_reconcile(reliable):
     tb.sim.schedule_at(usec(106), setattr, link, "loss_probability", 1.0)
     tb.sim.schedule_at(usec(108), store.degrade)
     tb.sim.schedule_at(usec(150), setattr, link, "loss_probability", 0.0)
-    for channel in store.response_channels:  # what the breaker does half-open
+    for channel in [gen.channel for gen in store._gens]:  # what the breaker does half-open
         tb.sim.schedule_at(usec(151), tb.controller.reconnect_channel, channel)
     tb.sim.schedule_at(usec(152), store.probe)
     tb.sim.schedule_at(usec(160), store.recover)
@@ -554,7 +554,7 @@ def test_a_buffered_frame_costs_a_bounded_number_of_register_accesses_and_calls(
         f"{accesses / frames:.2f} register accesses per buffered frame"
     )
     # Those 10, three hook and three dequeue-listener calls (frame, WRITE,
-    # READ), _store, two try_handle, _complete_load, _drain_reorder and
+    # READ), _store, two _on_response, _complete_load, _drain_reorder and
     # three load passes: 24; it was 84.
     assert 0 < calls <= BUFFER_CALLS_PER_FRAME * frames, (
         f"{calls / frames:.2f} calls per buffered frame"
@@ -640,7 +640,7 @@ def test_retiring_an_acknowledged_fetch_add_costs_the_same_whatever_the_window()
     narrow = _acknowledged_fetch_adds(1, operations)
     wide = _acknowledged_fetch_adds(16, operations)
     assert narrow == _acknowledged_fetch_adds(1, operations), "the counts must repeat exactly"
-    # update, _issue, _locate, counter_address; try_handle, _retire_through,
+    # update, _issue, _locate, counter_address; _on_response, _retire_through,
     # _total_inflight, _flush: 8, plus a tenth of a retry timer.  It was 15.4
     # and two psn_distance calls per op *in the window* per ACK.
     assert 0 < narrow[0] <= STATE_STORE_CALLS_PER_OP * operations, (

@@ -21,6 +21,7 @@ from repro.core.lookup_table import (
     RemoteAction,
     RemoteLookupTable,
 )
+from repro.core.rocegen import RoceRequestGenerator
 from repro.core.state_store import RemoteStateStore, StateStoreConfig
 from repro.experiments.chaos import run_chaos_recovery
 from repro.testbed import build_testbed
@@ -237,23 +238,25 @@ class TestCircuitBreaker:
             CircuitBreakerConfig(probe_jitter_ns=-1.0).validate()
 
     def test_watch_chains_the_existing_listener(self, sim):
+        tb = build_testbed(n_hosts=1)
+        channel = tb.controller.open_channel(tb.memory_server, tb.server_port, 4096)
+        gen = RoceRequestGenerator(tb.switch, channel)
         seen = []
-        gen = SimpleNamespace(
-            health_listener=lambda g, e: seen.append(e), channel=None
-        )
+        gen.health_listeners.append(lambda g, e: seen.append(e))
         breaker = self.make(sim)
         breaker.watch(gen)
         for _ in range(3):
-            gen.health_listener(gen, "strike")
-        assert seen == ["strike"] * 3  # the original listener still fires
+            gen.record_strike()
+        assert seen == ["strike"] * 3  # the older listener still fires
         assert breaker.is_open
 
     def test_watch_requester_feeds_retries_exhausted(self, sim):
         seen = []
-        rnic = SimpleNamespace(on_retry_exhausted=seen.append)
+        rnic = SimpleNamespace(on_retry_exhausted=[seen.append])
         breaker = self.make(sim, fail_threshold=1)
         breaker.watch_requester(rnic)
-        rnic.on_retry_exhausted("qp")
+        for listener in rnic.on_retry_exhausted:
+            listener("qp")
         assert seen == ["qp"]
         assert breaker.is_open
 
@@ -393,14 +396,11 @@ class TestTeardownUnsubscribes:
         monitor = HealthMonitor(fail_after=3)
         monitor.watch("s0", store.rocegen)
         assert monitor.members["s0"].watched == 1
-        listener = store.rocegen.health_listener
         tb.controller.close_channel(channel)
         assert monitor.members["s0"].watched == 0
-        # The chain head was ours, so teardown restored it outright...
-        assert store.rocegen.health_listener is None
-        # ...and even a stale reference to the old chain counts nothing.
+        assert store.rocegen.health_listeners == []
         for _ in range(5):
-            listener(store.rocegen, "strike")
+            store.rocegen.record_strike()
         assert monitor.members["s0"].strikes == 0
         assert monitor.is_alive("s0")
 
@@ -408,7 +408,6 @@ class TestTeardownUnsubscribes:
         tb, channel, store = self.build()
         monitor = HealthMonitor(fail_after=3)
         monitor.watch("s0", store.rocegen)
-        old_listener_chain = store.rocegen.health_listener
         tb.controller.close_channel(channel)
 
         channel2 = tb.controller.open_channel(
@@ -422,9 +421,9 @@ class TestTeardownUnsubscribes:
         # The regression: two strikes on the new channel plus one stale
         # event from the old generation used to cross the fail_after=3
         # threshold; with teardown unsubscription the member stays up.
-        old_listener_chain(store.rocegen, "strike")
-        store2.rocegen.health_listener(store2.rocegen, "strike")
-        store2.rocegen.health_listener(store2.rocegen, "strike")
+        store.rocegen.record_strike()
+        store2.rocegen.record_strike()
+        store2.rocegen.record_strike()
         assert monitor.members["s0"].strikes == 2
         assert monitor.is_alive("s0")
 
@@ -516,7 +515,8 @@ class TestPoolRetryExhaustion:
         qp = rnic.create_qp()
         # The RNIC's go-back-N machinery gives up on the QP: despite the
         # sky-high fail_after, the member must be drained at once.
-        rnic.on_retry_exhausted(qp)
+        for listener in rnic.on_retry_exhausted:
+            listener(qp)
         assert not pool.health.is_alive(member.name)
         assert not member.alive
         assert member.name not in pool.ring
@@ -526,11 +526,11 @@ class TestPoolRetryExhaustion:
     def test_unwatch_restores_the_hook(self):
         tb, pool, member = self.build()
         rnic = tb.hosts[0].rnic
-        assert rnic.on_retry_exhausted is None
+        assert rnic.on_retry_exhausted == []
         unwatch = pool.watch_requester(member, rnic)
-        assert rnic.on_retry_exhausted is not None
+        assert len(rnic.on_retry_exhausted) == 2  # the monitor's, then the drain
         unwatch()
-        assert rnic.on_retry_exhausted is None
+        assert rnic.on_retry_exhausted == []
         assert pool.health.is_alive(member.name)
 
 

@@ -609,17 +609,11 @@ ROUND_TRIP_FILES = ("/core/rocegen.py", "/core/channel.py")
 class _AtomicSink(StaticL2Program):
     """Consumes the channel's responses the way the primitives do."""
 
-    gen = None
     acks = 0
 
-    def on_ingress(self, ctx, packet):
-        if self.gen.owns_response(packet):
-            opcode, is_nak, _psn = self.gen.accept_response(packet)
-            if opcode is Opcode.ATOMIC_ACKNOWLEDGE:
-                self.acks += not is_nak
-            ctx.drop()
-            return
-        super().on_ingress(ctx, packet)
+    def on_response(self, ctx, packet, opcode, is_nak, context):
+        if opcode is Opcode.ATOMIC_ACKNOWLEDGE:
+            self.acks += not is_nak
 
 
 def _round_trip_calls(operations: int) -> int:
@@ -627,7 +621,7 @@ def _round_trip_calls(operations: int) -> int:
     program = _AtomicSink()
     tb.switch.bind_program(program)
     channel = tb.controller.open_channel(tb.memory_server, tb.server_port, 4096)
-    program.gen = gen = RoceRequestGenerator(tb.switch, channel)
+    gen = RoceRequestGenerator(tb.switch, channel, on_response=program.on_response)
     for i in range(operations):  # paced under the 2.4 Mops atomic engine
         tb.sim.schedule_at(1_000.0 * i, gen.fetch_add, channel.base_address + 8 * (i % 64), 1)
     profiler = cProfile.Profile()
@@ -650,8 +644,8 @@ def test_a_fetch_add_round_trip_costs_a_bounded_number_of_calls():
     # Per round trip: 2 to issue (fetch_add, transmit), 4 to stamp the request
     # (builder, AtomicETH check, request, stamp), 11 in the responder (entry,
     # ICRC check, process, execute, three in memory, ePSN, emit, retire, the
-    # checked AtomicAckETH constructor), 3 to stamp the response and 3 back at
-    # the switch (owner test, the one-pass accept, ICRC check): 23.  It was 56
+    # checked AtomicAckETH constructor), 3 to stamp the response and 2 back at
+    # the switch (the one-pass accept, ICRC check): 22.  It was 56
     # with the helper chains; the bench bound of 34 (ISSUE 19) adds the
     # tiering moves' READs and WRITEs.
     assert 0 < calls <= ROUND_TRIP_CALLS_PER_OP * operations, (
