@@ -251,6 +251,7 @@ class LinkGuard:
         self._lane_by_dst = {link.b: self._lanes[0], link.a: self._lanes[1]}
         link.carry = self._carry  # type: ignore[method-assign]
         link.guard = self  # type: ignore[attr-defined]
+        link._refresh_fast_path()
 
         # Receiver hooks: shadow each interface's deliver.
         self._inner_deliver: Dict[Interface, Callable[[Packet], None]] = {}
@@ -281,6 +282,7 @@ class LinkGuard:
                 except AttributeError:
                     pass
         self._inner_deliver.clear()
+        self.link._refresh_fast_path()
 
     # -- accounting ------------------------------------------------------------
 

@@ -5,14 +5,19 @@ Serialization happens at the transmitting :class:`~repro.net.node.Interface`
 delay and delivers to the peer.  Links may also inject loss or corruption
 for the §7 drop-sensitivity experiments.
 
-Fast-path note: an idle link (no taps, zero loss, no fault injector) is by
-far the common case, and ``carry`` runs once per packet per hop.  Rather
-than re-checking all three conditions per packet, the link precomputes one
-``_fast`` flag and invalidates it whenever any of the three change —
-``taps`` is an observed list (:class:`_TapList`), and ``loss_probability``
-/ ``fault_injector`` are properties.  The fast path is then a single flag
-test plus a fire-and-forget :meth:`~repro.sim.simulator.Simulator.post`
-of the peer's bound ``deliver``.
+Fast-path note: an idle link (no taps, zero loss, no fault injector, no
+LinkGuard shadowing ``carry``) is by far the common case.  The link keeps
+one ``_fast`` flag and refreshes it whenever any of those change —
+``taps`` is an observed list (:class:`_TapList`), ``loss_probability`` /
+``fault_injector`` are properties, and a guard calls
+:meth:`Link._refresh_fast_path` after it shadows ``carry`` and after it
+detaches.  On the fast path the transmitting interface posts the peer's
+``deliver`` itself when a frame starts, and ``carry`` never runs; off it,
+the interface calls ``carry`` as the frame ends.  A refresh that takes
+the link off its fast path revokes the fused delivery of a frame still
+serializing at either end, so that frame meets the taps, the loss, the
+injector or the guard at its end, as it would have had the link been
+slow when it started.
 """
 
 from __future__ import annotations
@@ -112,11 +117,16 @@ class Link:
     # -- fast-path bookkeeping -------------------------------------------------
 
     def _refresh_fast_path(self) -> None:
-        self._fast = (
+        fast = (
             not self.taps
             and self._loss_probability == 0.0
             and self._fault_injector is None
+            and "carry" not in vars(self)
         )
+        if self._fast and not fast:
+            self.a._revoke()
+            self.b._revoke()
+        self._fast = fast
 
     @property
     def loss_probability(self) -> float:
@@ -151,19 +161,9 @@ class Link:
         raise ValueError(f"{interface} is not attached to {self}")
 
     def carry(self, src: Interface, packet: Packet) -> None:
-        """Propagate *packet* from *src* to the opposite interface."""
-        if self._fast:
-            if src is self.a:
-                dst = self.b
-            elif src is self.b:
-                dst = self.a
-            else:
-                raise ValueError(f"{src} is not attached to {self}")
-            self.sim.post(self.propagation_ns, dst.deliver, packet)
-            return
-        self._carry_slow(src, packet)
-
-    def _carry_slow(self, src: Interface, packet: Packet) -> None:
+        """Propagate *packet* from *src* to the opposite interface: the
+        taps, the loss knob or the fault injector, then the peer's
+        ``deliver`` one propagation delay later."""
         dst = self.peer_of(src)
         for tap in self.taps:
             tap(src, packet)

@@ -2,15 +2,17 @@
 
 A :class:`Node` is anything with interfaces — a host, a memory server, a
 switch.  An :class:`Interface` owns the transmit side of one end of a link:
-it serializes packets one at a time at the link rate, then hands them to the
-link for propagation to the peer.  Receive is a callback into the owning
-node.
+it serializes packets one at a time at the link rate and posts each one's
+arrival at the peer (or, off the link's fast path, hands it to the link as
+its serialization ends).  Receive is a callback into the owning node.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from heapq import heappush as _heappush
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
+from ..sim.events import ARGS, CALLBACK
 from ..sim.simulator import Simulator
 from ..sim.units import SEC
 from .addresses import Ipv4Address, MacAddress
@@ -24,13 +26,30 @@ if TYPE_CHECKING:
 class Interface:
     """One port of a node; transmit queue + serializer for one link end.
 
-    The serializer is one method, :meth:`_transmit_next`, run once per
-    frame: it hands the frame that just finished to the link and starts
-    the next one.  Everything it needs that is fixed for the life of the
-    link (the simulator, the rate) is a plain attribute, resolved when the
-    link attaches.  ``deliver`` and ``link.carry`` are looked up per
-    packet, on the instance, because LinkGuard and the fault injectors
-    shadow them there while the simulation runs.
+    The serializer is one method, :meth:`_transmit_next`.  It starts the
+    next queued frame and keeps the time the frame's serialization ends,
+    ``_free_at``.  A start takes two seqs from the kernel's counter: the
+    first, ``_tx_seq``, is where a tx-complete event posted then would
+    sort, and the second is the frame's delivery's.
+
+    - On a link on its fast path (DESIGN.md §5.1) a frame costs one kernel
+      event: the start pushes the peer's ``deliver`` itself, for
+      ``(now + tx) + propagation``.
+    - A frame offered while ``now < _free_at`` waits in the queue.  The
+      first one to wait pushes the wake, ``_transmit_next`` at
+      ``(_free_at, _tx_seq)``, and a start that leaves frames queued
+      pushes it too.
+    - Off the fast path the start pushes the wake with the frame, and the
+      wake hands the frame to ``link.carry`` before it starts the next.
+    - When the link leaves its fast path mid-frame, :meth:`_revoke` turns
+      the frame's delivery back into that carry (§5.2).
+
+    ``deliver`` and ``link.carry`` are looked up per frame, on the
+    instance, because LinkGuard shadows them there while a simulation
+    runs.  The start reads the kernel's clock and seq counter and pushes
+    the delivery onto its heap directly: it runs once per frame per hop,
+    and the three kernel calls it would make cost 4 % of ``l2_forward``'s
+    bytecodes (DESIGN.md §5.1).
     """
 
     def __init__(
@@ -48,10 +67,22 @@ class Interface:
         self.ip = Ipv4Address(ip) if ip is not None else None
         self.queue = queue if queue is not None else TxQueue()
         self.link: Optional["Link"] = None
-        #: The attached link's rate (0 until a link attaches).
+        #: The attached link's rate (0 until a link attaches) and far end.
         self.rate_bps = 0.0
+        self._peer: Optional["Interface"] = None
+        #: True while a start polls the queue and calls the taps, so a
+        #: dequeue listener that refills the queue and kicks the port does
+        #: not start a second frame inside this one.
         self._busy = False
         self._paused = False
+        #: When the last frame's serialization ends, and the seq its wake
+        #: takes (reserved when it started).
+        self._free_at = 0.0
+        self._tx_seq = 0
+        #: The pending wake's heap entry, or None.
+        self._wake: Optional[List[Any]] = None
+        #: The last frame's fused delivery entry (fast path), or None.
+        self._inflight: Optional[List[Any]] = None
         # Counters for bandwidth monitors.
         self.tx_packets = 0
         self.tx_bytes = 0        # wire bytes, incl. preamble/IFG/FCS
@@ -66,13 +97,12 @@ class Interface:
         already validated the rate)."""
         self.link = link
         self.rate_bps = link.rate_bps
+        self._peer = link.b if link.a is self else link.a
 
     @property
     def peer(self) -> Optional["Interface"]:
         """The interface at the other end of the attached link."""
-        if self.link is None:
-            return None
-        return self.link.peer_of(self)
+        return self._peer
 
     # -- transmit path -------------------------------------------------------------
 
@@ -81,13 +111,13 @@ class Interface:
         if self.link is None:
             raise RuntimeError(f"{self} has no link attached")
         admitted = self.queue.offer(packet)
-        if admitted and not self._busy:
+        if admitted and self._wake is None and not self._busy:
             self._transmit_next()
         return admitted
 
     def kick(self) -> None:
         """(Re)start transmission if idle — used after queue-side refills."""
-        if not self._busy:
+        if self._wake is None and not self._busy:
             self._transmit_next()
 
     @property
@@ -106,16 +136,22 @@ class Interface:
             self.kick()
 
     def _transmit_next(self, sent: Optional[Packet] = None) -> None:
-        """Put *sent* (the frame whose serialization just ended) on the
-        wire, then start serializing the next queued frame, if any."""
+        """Put *sent* (a slow frame whose serialization just ended) on the
+        wire, then start serializing the next queued frame, if any.
+
+        Called by the wake, or by ``send``/``kick`` with no wake pending:
+        mid-frame, that call pushes the wake instead.  The wake stays
+        pending through the carry, so a send from inside it queues."""
         if sent is not None:
             self.link.carry(self, sent)
-        if self._paused:
-            self._busy = False
+        self._wake = None
+        sim = self.sim
+        now = sim._now
+        if now < self._free_at:
+            self._wake = sim.push(self._free_at, self._tx_seq, self._transmit_next, ())
             return
-        # Busy *before* polling: a dequeue listener may refill this queue
-        # and kick() the port, which must not start a second frame inside
-        # this one.
+        if self._paused:
+            return
         self._busy = True
         packet = self.queue.poll()
         if packet is None:
@@ -127,9 +163,39 @@ class Interface:
         wire_len = packet.wire_len
         self.tx_packets += 1
         self.tx_bytes += wire_len
+        link = self.link
+        # The wake's seq (where a tx-complete event posted now would sort)
+        # and the delivery's.
+        self._tx_seq = seq = sim._seq
+        sim._seq = seq + 2
         # transmission_delay_ns() with its rate check already made by Link.
-        # Serializer completions are never cancelled: fire-and-forget.
-        self.sim.post(wire_len * 8 * SEC / self.rate_bps, self._transmit_next, packet)
+        self._free_at = free_at = now + wire_len * 8 * SEC / self.rate_bps
+        if link._fast:
+            self._inflight = entry = [
+                free_at + link.propagation_ns, seq + 1, self._peer.deliver, (packet,)
+            ]
+            _heappush(sim._heap, entry)
+            if self.queue.depth_bytes:
+                self._wake = sim.push(free_at, seq, self._transmit_next, ())
+        else:
+            self._inflight = None
+            self._wake = sim.push(free_at, seq, self._transmit_next, (packet,))
+        self._busy = False
+
+    def _revoke(self) -> None:
+        """The link left its fast path: a frame still serializing meets the
+        link as its serialization ends, through ``link.carry``, as a frame
+        started off the fast path does."""
+        entry = self._inflight
+        self._inflight = None
+        if entry is None or not self.sim.now < self._free_at:
+            return
+        entry[CALLBACK] = None
+        carried = entry[ARGS]
+        if self._wake is not None:
+            self._wake[ARGS] = carried
+        else:
+            self._wake = self.sim.push(self._free_at, self._tx_seq, self._transmit_next, carried)
 
     # -- receive path ----------------------------------------------------------------
 

@@ -29,7 +29,9 @@ class TxQueue:
         self.capacity_bytes = capacity_bytes
         self.capacity_packets = capacity_packets
         self._queue: Deque[Packet] = deque()
-        self._depth_bytes = 0
+        #: Bytes held; a plain attribute, as the serializer reads it at
+        #: every frame start.
+        self.depth_bytes = 0
         self.enqueued_packets = 0
         self.dropped_packets = 0
         self.dropped_bytes = 0
@@ -45,7 +47,7 @@ class TxQueue:
             return False
         if (
             self.capacity_bytes is not None
-            and self._depth_bytes + packet.buffer_len > self.capacity_bytes
+            and self.depth_bytes + packet.buffer_len > self.capacity_bytes
         ):
             return False
         return True
@@ -57,13 +59,13 @@ class TxQueue:
         byte_cap = self.capacity_bytes
         # admits(), inlined: this runs once per packet per host hop.
         if (packet_cap is not None and len(self._queue) + 1 > packet_cap) or (
-            byte_cap is not None and self._depth_bytes + size > byte_cap
+            byte_cap is not None and self.depth_bytes + size > byte_cap
         ):
             self.dropped_packets += 1
             self.dropped_bytes += size
             return False
         self._queue.append(packet)
-        self._depth_bytes += size
+        self.depth_bytes += size
         self.enqueued_packets += 1
         return True
 
@@ -72,17 +74,13 @@ class TxQueue:
         if not self._queue:
             return None
         packet = self._queue.popleft()
-        self._depth_bytes -= packet.buffer_len
+        self.depth_bytes -= packet.buffer_len
         return packet
 
     def peek(self) -> Optional[Packet]:
         return self._queue[0] if self._queue else None
 
     # -- introspection -------------------------------------------------------------
-
-    @property
-    def depth_bytes(self) -> int:
-        return self._depth_bytes
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -94,6 +92,6 @@ class TxQueue:
     def __repr__(self) -> str:
         cap = "inf" if self.capacity_bytes is None else str(self.capacity_bytes)
         return (
-            f"<TxQueue {len(self._queue)}p/{self._depth_bytes}B cap={cap}B "
+            f"<TxQueue {len(self._queue)}p/{self.depth_bytes}B cap={cap}B "
             f"drops={self.dropped_packets}>"
         )

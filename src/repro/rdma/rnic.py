@@ -385,19 +385,23 @@ class Rnic:
             self._rx_backlog_bytes -= packet.buffer_len
             self._send_nak(packet, qp, AethSyndrome.NAK_INVALID_REQUEST, psn)
 
-    def _release_buffer(self, packet: Packet, at_ns: Optional[float] = None) -> None:
-        """Free the packet's receive-buffer bytes, now or at *at_ns*.
+    def _retire_at(self, when_ns: float, packet: Packet, atomic: bool = False) -> None:
+        """Free the request's receive-buffer bytes (and, if *atomic*, its
+        atomic engine slot) at *when_ns*, or now if that has passed.
 
         Buffer space is held until the operation's DMA completes — this is
         what makes sustained overload overflow the NIC, as §5 observes
         ("RDMA requests were occasionally dropped at the NIC").
         """
-        if at_ns is None or at_ns <= self.sim.now:
-            self._rx_backlog_bytes -= packet.buffer_len
+        retire = self._retire_atomic if atomic else self._release_buffer
+        now = self.sim.now
+        if when_ns > now:
+            self.sim.post(when_ns - now, retire, packet)
         else:
-            self.sim.post(
-                at_ns - self.sim.now, self._release_buffer, packet
-            )
+            retire(packet)
+
+    def _release_buffer(self, packet: Packet) -> None:
+        self._rx_backlog_bytes -= packet.buffer_len
 
     def _read_latency_ns(self, region) -> float:
         """The READ fetch latency for *region*'s tier (DESIGN.md §13)."""
@@ -421,10 +425,11 @@ class Rnic:
         self._m_bytes_written.inc(size)
         qp.advance_expected()
         finish = self._reserve_dma(size, self.config.dma_write_bandwidth_bps)
-        self._release_buffer(packet, at_ns=finish)
         if bth.ack_request:
             self._m_acks.inc()
-            self._send_response_at(finish, build_ack(packet, qp), qp)
+            self._send_response_at(finish, build_ack(packet, qp), qp, packet)
+        else:
+            self._retire_at(finish, packet)
 
     def _execute_read(self, packet: Packet, bth: BthHeader, qp: QueuePair) -> None:
         reth = packet.require(RethHeader)
@@ -441,8 +446,7 @@ class Rnic:
             self.config.dma_read_bandwidth_bps,
             extra_ns=self._read_latency_ns(region),
         )
-        self._release_buffer(packet, at_ns=finish)
-        self._send_response_at(finish, build_read_response(packet, qp, data), qp)
+        self._send_response_at(finish, build_read_response(packet, qp, data), qp, packet)
 
     def _execute_fetch_add(self, packet: Packet, bth: BthHeader, qp: QueuePair) -> None:
         config = self.config
@@ -472,8 +476,9 @@ class Rnic:
                 rate = profile.atomic_rate_ops
         now = self.sim.now
         self._atomic_free_at = finish = max(now, self._atomic_free_at) + 1e9 / rate
-        self.sim.post(finish - now, self._retire_atomic, packet)
-        self._send_response_at(finish, build_atomic_ack(packet, qp, original), qp)
+        self._send_response_at(
+            finish, build_atomic_ack(packet, qp, original), qp, packet, atomic=True
+        )
 
     def _retire_atomic(self, packet: Packet) -> None:
         self._atomic_inflight -= 1
@@ -538,7 +543,14 @@ class Rnic:
         self._dma_free_at = start + busy
         return start + busy + extra_ns
 
-    def _send_response_at(self, when_ns: float, response: Packet, qp: QueuePair) -> None:
+    def _send_response_at(
+        self,
+        when_ns: float,
+        response: Packet,
+        qp: QueuePair,
+        request: Optional[Packet] = None,
+        atomic: bool = False,
+    ) -> None:
         """Emit *response* no earlier than ``when_ns``, in request order.
 
         RC responders answer strictly in request order per QP; without the
@@ -547,13 +559,30 @@ class Rnic:
         complete the wrong work requests.  Requests are processed serially,
         so calls arrive here in request order; the floor makes the emission
         times non-decreasing and same-time events fire FIFO.
+
+        With *request*, the request is retired at ``when_ns`` too
+        (:meth:`_retire_at`).  When the response leaves then, one event does
+        both: as two they would take adjacent seqs at one time, so nothing
+        could fire between them.  When the floor holds the response back,
+        the retirement is its own event, posted first.
         """
         qp.responses_sent += 1
         self._m_responses.inc()
         now = self.sim.now
-        when_ns = max(when_ns, now, self._resp_floor.get(qp.qpn, 0.0))
-        self._resp_floor[qp.qpn] = when_ns
-        self.sim.post(when_ns - now, self.interface.send, response)
+        at = max(when_ns, now, self._resp_floor.get(qp.qpn, 0.0))
+        self._resp_floor[qp.qpn] = at
+        if request is not None:
+            if at == when_ns > now:
+                self.sim.post(at - now, self._retire_and_send, request, atomic, response)
+                return
+            self._retire_at(when_ns, request, atomic)
+        self.sim.post(at - now, self.interface.send, response)
+
+    def _retire_and_send(self, request: Packet, atomic: bool, response: Packet) -> None:
+        if atomic:
+            self._atomic_inflight -= 1
+        self._rx_backlog_bytes -= request.buffer_len
+        self.interface.send(response)
 
     def _send_nak(self, packet: Packet, qp: QueuePair, syndrome: int, psn: int) -> None:
         """NAK *packet* now; *psn* is its own, or the expected one (sequence error)."""

@@ -7,7 +7,7 @@ network elements (links, switches, RNICs, hosts) interact only through
 scheduled events, so a simulation is fully reproducible given its seed.
 
 Fast-path notes — this loop is the hottest code in the repository (every
-simulated packet costs several events):
+simulated packet costs an event per hop and one per pipeline pass):
 
 * Heap entries are lists laid out as ``[time, seq, callback, args]``:
   bare ones for fire-and-forget posts, :class:`~repro.sim.events.Event`
@@ -43,6 +43,10 @@ simulated packet costs several events):
   ``now == 0.0`` is itself the due time, as ``x + 0.0 == x``.  Seqs,
   args and firing order are the caller's; ``event.callback`` is equal to
   the callback passed.
+* One caller takes seqs ahead: a frame's start (``net/node.py``) takes two,
+  pushes the frame's delivery with the second and keeps the first for a
+  wake it may :meth:`push` later, the tx-complete event it no longer
+  posts; a wake at that seq sorts where that event would have.
 """
 
 from __future__ import annotations
@@ -142,9 +146,10 @@ class Simulator:
     # never cancel, so ``post`` pushes the bare list: a display instead of
     # a class call, and the heap still compares entries of either kind in
     # C.  Firing order is the same for all three.  A callback is resolved
-    # when its entry is pushed: a link posts ``dst.deliver``, bound when
-    # the frame leaves, so a LinkGuard attached or detached mid-flight
-    # changes only the frames sent after it.  ``schedule``/``schedule_at``
+    # when its entry is pushed: a frame's start pushes the peer's
+    # ``deliver``, so a LinkGuard attached mid-flight governs a frame still
+    # serializing only because the link revokes that entry (DESIGN.md
+    # §5.2).  ``schedule``/``schedule_at``
     # hand a far event to ``_far_event``, the one place one is built: set-up
     # schedules whole workloads through them, one extra call per event.
 
@@ -198,6 +203,27 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         _heappush(self._heap, [self._now + delay_ns, seq, callback, args])
+
+    def push(
+        self, time_ns: float, seq: int, callback: Callable[..., Any], args: Tuple[Any, ...]
+    ) -> List[Any]:
+        """Push *callback(*args)* at ``(time_ns, seq)`` and return its bare
+        heap entry.
+
+        *seq* is one taken from the kernel's counter earlier and not pushed
+        since: it sorts after every event posted before it was taken and
+        before every one posted after.  The one user is the serializer
+        (``net/node.py``), which takes two seqs as a frame starts, pushes
+        the frame's delivery with the second and keeps the first for the
+        wake, the tx-complete event it no longer posts (DESIGN.md §5.1).
+        """
+        if not self._now <= time_ns < _INF:
+            raise SimulationError(
+                f"cannot push at t={time_ns}ns, now is t={self._now}ns"
+            )
+        entry = [time_ns, seq, callback, args]
+        _heappush(self._heap, entry)
+        return entry
 
     def _far_event(
         self, time_ns: float, seq: int, callback: Callable[..., Any], args: Tuple[Any, ...]

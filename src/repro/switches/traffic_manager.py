@@ -87,7 +87,9 @@ class PortQueue:
         self._queue: Deque[Packet] = deque()
         # Strict-priority class for RDMA packets (rdma_priority mode).
         self._rdma_queue: Deque[Packet] = deque()
-        self._depth_bytes = 0
+        #: Bytes held; a plain attribute, as the serializer reads it at
+        #: every frame start.
+        self.depth_bytes = 0
         self.enqueued_packets = 0
         self.dropped_packets = 0
         self.dropped_bytes = 0
@@ -128,7 +130,7 @@ class PortQueue:
                 pool -= config.rdma_reserved_bytes
         limit = config.per_queue_limit_bytes
         if tm.used_bytes + size > pool or (
-            limit is not None and self._depth_bytes + size > limit
+            limit is not None and self.depth_bytes + size > limit
         ):
             self.dropped_packets += 1
             self.dropped_bytes += size
@@ -136,7 +138,7 @@ class PortQueue:
             tm.total_dropped_bytes += size
             return False
         threshold = config.ecn_threshold_bytes
-        if threshold is not None and self._depth_bytes >= threshold:
+        if threshold is not None and self.depth_bytes >= threshold:
             # DCTCP-style step marking: CE when the queue is hot.
             ip = packet.find(Ipv4Header)
             if ip is not None and ip.ecn in (1, 2):  # ECT(1) / ECT(0)
@@ -169,7 +171,7 @@ class PortQueue:
             self._rdma_queue.append(packet)
         else:
             self._queue.append(packet)
-        self._depth_bytes = depth = self._depth_bytes + size
+        self.depth_bytes = depth = self.depth_bytes + size
         tm.used_bytes = used = tm.used_bytes + size
         if used > tm.peak_used_bytes:
             tm.peak_used_bytes = used
@@ -186,7 +188,7 @@ class PortQueue:
             return None
         tm = self.tm
         size = packet.buffer_len
-        self._depth_bytes -= size
+        self.depth_bytes -= size
         tm.used_bytes -= size
         if tm.dequeue_listeners:
             for listener in tm.dequeue_listeners:
@@ -200,10 +202,6 @@ class PortQueue:
 
     # -- introspection --------------------------------------------------------------
 
-    @property
-    def depth_bytes(self) -> int:
-        return self._depth_bytes
-
     def __len__(self) -> int:
         return len(self._queue) + len(self._rdma_queue)
 
@@ -211,7 +209,7 @@ class PortQueue:
         return True
 
     def __repr__(self) -> str:
-        return f"<PortQueue port={self.port} {len(self)}p/{self._depth_bytes}B>"
+        return f"<PortQueue port={self.port} {len(self)}p/{self.depth_bytes}B>"
 
 
 class TrafficManager:

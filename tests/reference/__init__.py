@@ -9,13 +9,11 @@ The per-PR guard files import them from here.
 from .cuckoo import ReferenceChoiceFilter, ReferenceDirectory
 from .lookup_table import ReferenceZipfTraffic, reference_stamp_ports, reference_unpack
 from .packet import reference_parse
-from .port_queue import ReferencePortQueue
 from .rnic import ReferenceRnic
 
 __all__ = [
     "ReferenceChoiceFilter",
     "ReferenceDirectory",
-    "ReferencePortQueue",
     "ReferenceRnic",
     "ReferenceZipfTraffic",
     "reference_parse",

@@ -5,9 +5,9 @@ Four properties of the hop path (DESIGN.md §5.1, "the hop path"):
 * it makes no cyclic garbage — a packet and its pipeline context die by
   reference count, whichever program handled them;
 * it costs a bounded, exactly repeatable number of Python calls per frame;
-* the traffic manager's straight-line admission decides exactly what the
-  helper chain it replaced decided (a transcription of that chain is kept
-  here as the reference);
+* the traffic manager's admission keeps its byte pool, its two FIFO
+  classes and its counters straight under any sequence of offers, polls
+  and clock ticks;
 * composites steer a RoCE response to its shard by one match on
   ``dest_qp``, and the match table tracks membership.
 
@@ -66,7 +66,6 @@ from repro.switches.traffic_manager import HookVerdict, PortQueue, TrafficManage
 from repro.workloads.factory import udp_between
 
 from .budgets import HOP_CALLS_PER_FRAME
-from .reference import ReferencePortQueue
 
 PACKETS = 2_000
 
@@ -277,14 +276,16 @@ def test_forwarding_a_frame_costs_a_bounded_number_of_hop_calls():
     frames = 200
     calls = _hop_calls_forwarding(frames)
     assert calls == _hop_calls_forwarding(frames), "the count must repeat exactly"
-    # Per frame: 10 wire (send, serialiser, carry, deliver on two hops, the
-    # host queue's offer/poll), 5 pipeline, 3 traffic manager, 7 kernel
-    # (six event entries and the generator's clock read) and the hosts'
-    # send/receive: 27, plus start-up.  It was 42 with the helper chains.
+    # Per frame: 8.3 wire (send, serialiser, deliver on two hops, a wake for
+    # about one frame in four, as the source paces at line rate, and the
+    # host queue's offer and poll), 5 pipeline, 3 traffic manager, 3.3
+    # kernel (two posts, the wakes' pushes, the generator's clock read) and
+    # the hosts' send/receive: 21.5, plus start-up.  It was 27 with a
+    # tx-complete and a delivery event per hop, 42 with the helper chains.
     assert 0 < calls <= HOP_CALLS_PER_FRAME * frames, f"{calls / frames:.1f} hop calls per frame"
 
 
-# -- (iii) admission equivalence ---------------------------------------------------------
+# -- (iii) admission -------------------------------------------------------------------
 
 
 _SIM = Simulator()
@@ -325,63 +326,118 @@ configs = st.fixed_dictionaries(dict(
 ))
 
 
-def _drive(queue_type, config, with_hook, with_listeners, with_classifier, ops):
-    """Run *ops* against one queue implementation; return all it decided."""
+def _check_admission(config, with_hook, with_listeners, with_classifier, ops):
+    """Run *ops* against one port queue, checking each step against what
+    admission means: a byte pool, two FIFO classes, a token bucket."""
     clock = [0.0]
     if with_classifier:
         # A finer class than "any RoCE": odd-sized packets, RoCE or not.
         config = dict(config, priority_classifier=lambda packet: packet.buffer_len % 2)
     tm = TrafficManager(TrafficManagerConfig(**config))
     tm.clock = lambda: clock[0]
-    queue = queue_type(tm, 0)
-    log = []
+    queue = PortQueue(tm, 0)
+    cfg = tm.config
+    classified = cfg.rdma_priority or cfg.rdma_rate_cap_bps is not None
+    held = {True: [], False: []}  # by strict-priority class, oldest first
+    seen = [0]
+    calls = []
     if with_hook:
-        # Consumes every third large packet; everything else passes.
-        seen = [0]
-
-        def hook(port, packet, q):
+        def hook(port, packet, q):  # consumes every third large packet
             seen[0] += packet.buffer_len > 700
             consumed = packet.buffer_len > 700 and seen[0] % 3 == 0
-            log.append(("hook", port, packet.buffer_len, q.depth_bytes, consumed))
             return HookVerdict.CONSUMED if consumed else HookVerdict.PASS
 
         tm.egress_hook = hook
     if with_listeners:
         for tag in ("first", "second"):
             tm.dequeue_listeners.append(
-                lambda port, packet, q, tag=tag: log.append(
-                    (tag, port, packet.buffer_len, q.depth_bytes, len(q))
-                )
+                lambda port, packet, q, tag=tag: calls.append((tag, port, packet))
             )
+    tokens, refilled = float(cfg.rdma_cap_burst_bytes), 0.0
+    dropped = [0, 0]  # queue: packets, bytes
+    total = [0, 0]  # TM: packets, bytes
+    policed = marked = enqueued = peak = 0
     for op in ops:
         if op[0] == "offer":
             packet = make_packet(*op[1:])
-            verdict = queue.offer(packet)
-            log.append(("offer", bool(verdict), packet.require(Ipv4Header).ecn))
+            size, ect = packet.buffer_len, packet.require(Ipv4Header).ecn in (1, 2)
+            consumed = with_hook and size > 700 and (seen[0] + 1) % 3 == 0
+            depth = queue.depth_bytes
+            admitted = queue.offer(packet)
+            if consumed:
+                assert admitted and packet not in held[True] + held[False]
+                continue
+            is_rdma = classified and bool(
+                cfg.priority_classifier(packet) if cfg.priority_classifier is not None
+                else packet.find(BthHeader) is not None
+            )
+            refused_by_policer = False
+            if is_rdma and cfg.rdma_rate_cap_bps is not None:
+                now = clock[0]
+                tokens = min(
+                    cfg.rdma_cap_burst_bytes,
+                    tokens + max(0.0, now - refilled) * cfg.rdma_rate_cap_bps / 8e9,
+                )
+                refilled = now
+                refused_by_policer = tokens < size
+                if not refused_by_policer:
+                    tokens -= size
+            pool = cfg.buffer_bytes
+            if cfg.rdma_priority and not is_rdma:
+                pool -= cfg.rdma_reserved_bytes
+            limit = cfg.per_queue_limit_bytes
+            refused_by_pool = not refused_by_policer and (
+                depth + size > pool or (limit is not None and depth + size > limit)
+            )
+            assert admitted is not (refused_by_policer or refused_by_pool)
+            if refused_by_policer:
+                policed += 1
+            if refused_by_pool:
+                dropped = [dropped[0] + 1, dropped[1] + size]
+            if not admitted:
+                total = [total[0] + 1, total[1] + size]
+                continue
+            enqueued += 1
+            threshold = cfg.ecn_threshold_bytes
+            hot = threshold is not None and depth >= threshold
+            assert (packet.require(Ipv4Header).ecn == 3) is (hot and ect or op[3] == 3)
+            marked += hot and ect
+            held[is_rdma and cfg.rdma_priority].append(packet)
         elif op[0] == "poll":
-            packet = queue.poll()
-            log.append(("poll", None if packet is None else (
-                packet.buffer_len, packet.find(BthHeader) is not None
-            )))
+            expected = next((fifo.pop(0) for fifo in (held[True], held[False]) if fifo), None)
+            calls.clear()
+            assert queue.poll() is expected
+            if with_listeners and expected is not None:
+                assert calls == [("first", 0, expected), ("second", 0, expected)]
+            else:
+                assert calls == []
         else:
             clock[0] += op[1]
-        log.append((
-            queue.depth_bytes, len(queue), queue.enqueued_packets, queue.dropped_packets,
-            queue.dropped_bytes, queue.rdma_policer_drops, queue.ecn_marked,
-            queue.peak_depth_bytes, tm.used_bytes, tm.peak_used_bytes,
-            tm.total_dropped_packets, tm.total_dropped_bytes,
-        ))
-    return log
+        held_bytes = sum(p.buffer_len for fifo in held.values() for p in fifo)
+        assert tm.used_bytes == queue.depth_bytes == held_bytes
+        assert len(queue) == len(held[True]) + len(held[False])
+        peak = max(peak, held_bytes)
+        assert queue.peak_depth_bytes == tm.peak_used_bytes == peak
+        assert [queue.dropped_packets, queue.dropped_bytes] == dropped
+        assert [tm.total_dropped_packets, tm.total_dropped_bytes] == total
+        assert (queue.rdma_policer_drops, queue.ecn_marked) == (policed, marked)
+        assert queue.enqueued_packets == enqueued
 
 
 @settings(max_examples=150, deadline=None)
 @given(configs, st.booleans(), st.booleans(), st.booleans(), operations)
-def test_straight_line_admission_matches_the_helper_chain(
+def test_admission_keeps_the_pool_the_classes_and_the_counters(
     config, with_hook, with_listeners, with_classifier, ops
 ):
-    new = _drive(PortQueue, config, with_hook, with_listeners, with_classifier, ops)
-    old = _drive(ReferencePortQueue, config, with_hook, with_listeners, with_classifier, ops)
-    assert new == old
+    """One port's queue alone on its TM: the pool holds exactly the queued
+    bytes; the RDMA class is polled first and each class is FIFO; a packet
+    is refused if and only if the policer, the pool (less the RDMA
+    headroom for other traffic) or the per-queue limit says no, and counted
+    where that refusal is counted; CE is marked if and only if the queue is
+    at its threshold and the packet is ECT; a consumed packet is neither
+    queued nor a drop; every listener sees every poll, in order; the peaks
+    are the maxima."""
+    _check_admission(config, with_hook, with_listeners, with_classifier, ops)
 
 
 # -- (iv) response steering: the switch's one QPN table -------------------------------------

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.faults.injectors import LinkFaultInjector
+from repro.faults.models import IidLoss
+from repro.linkguard.guard import LinkGuard
 from repro.net.link import connect
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.queues import TxQueue
 from repro.sim.simulator import Simulator
-from repro.sim.units import gbps
+from repro.sim.units import SEC, gbps
 from tests.test_net_packet import make_udp_packet
 
 
@@ -209,6 +212,85 @@ class TestFastPath:
         link.taps.append(lambda src, pkt: None)  # force slow path
         with pytest.raises(ValueError):
             link.carry(stranger, make_udp_packet())
+
+
+class TestOneEventPerFrame:
+    """On a fast link a frame's start posts its delivery; a change to the
+    fast path while it serializes revokes that delivery (DESIGN.md §5.2)."""
+
+    FRAME = 1458  # payload of a 1500 B frame: 304 ns on the wire at 40 G
+
+    def _frame_mid_change(self, change, at_ns=100.0):
+        """Send one 1500 B frame at t=0 and run *change(link)* at *at_ns*."""
+        sim = Simulator()
+        _, b, ia, _, link = make_pair(sim)
+        packet = make_udp_packet(payload=b"p" * self.FRAME)
+        ia.send(packet)
+        sim.schedule(at_ns, change, link)
+        sim.run()
+        return b, link, packet
+
+    def test_an_idle_fast_link_fires_one_event_per_frame(self):
+        sim = Simulator()
+        _, b, ia, _, _ = make_pair(sim)
+        for k in range(3):
+            sim.schedule(k * 1_000.0, ia.send, make_udp_packet())
+        sim.run()
+        assert len(b.received) == 3
+        assert sim.events_processed == 3 + 3  # three sends, three deliveries
+
+    def test_a_frame_serializing_when_loss_becomes_certain_is_dropped(self):
+        b, link, _ = self._frame_mid_change(lambda link: setattr(link, "loss_probability", 1.0))
+        assert b.received == [] and link.lost_packets == 1
+
+    def test_a_frame_already_propagating_lands_where_it_was_bound(self):
+        b, link, packet = self._frame_mid_change(
+            lambda link: setattr(link, "loss_probability", 1.0), at_ns=400.0
+        )
+        assert [p for _, p in b.received] == [packet] and link.lost_packets == 0
+
+    def test_a_guard_attached_mid_frame_governs_that_frame(self):
+        guards = []
+        b, _, packet = self._frame_mid_change(lambda link: guards.append(LinkGuard(link)))
+        guard, = guards
+        assert guard.counts["protected"] == 1
+        assert [p.pack() for _, p in b.received] == [packet.pack()]  # unshimmed
+
+    def test_a_fault_injector_attached_mid_frame_governs_that_frame(self):
+        injectors = []
+
+        def attach(link):
+            injector = LinkFaultInjector(link)
+            injector.arm(IidLoss(1.0))
+            injectors.append(injector)
+
+        b, _, _ = self._frame_mid_change(attach)
+        assert b.received == [] and injectors[0].dropped == 1
+
+    def test_a_queued_frame_starts_at_the_free_time_with_the_reserved_seq(self):
+        """The wake sorts where a tx-complete event posted at the first
+        frame's start would: after an event posted before that start for
+        the same instant, before one posted after it."""
+        sim = Simulator()
+        _, b, ia, _, _ = make_pair(sim, propagation_ns=0.0)
+        first = make_udp_packet(payload=b"p" * self.FRAME)
+        tx = first.wire_len * 8 * SEC / gbps(40)  # the serializer's own expression
+        seen = []
+        sim.schedule(tx, lambda: seen.append(("before", ia.tx_packets)))
+        ia.send(first)
+        free_at, reserved = ia._free_at, ia._tx_seq
+        sim.schedule(tx, lambda: seen.append(("after", ia.tx_packets)))
+        second, third = make_udp_packet(), make_udp_packet()
+        ia.send(second)
+        ia.send(third)
+        assert ia._wake[:2] == [free_at, reserved]
+        sim.run()
+        assert seen == [("before", 1), ("after", 2)]
+        # The third frame waited behind the second: its start re-checked the queue.
+        small = second.wire_len * 8 * SEC / gbps(40)
+        t1, t2, t3 = (t for t, _ in b.received)
+        assert t1 == free_at == tx
+        assert (t2, t3) == (pytest.approx(tx + small), pytest.approx(tx + 2 * small))
 
 
 def test_interface_without_link_raises():

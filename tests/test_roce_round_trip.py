@@ -516,7 +516,10 @@ def test_straight_line_responder_matches_the_helper_chain(scenario, config):
     mine, reference = outcomes
     assert mine[0] == reference[0], "response bytes or emission times differ"
     assert mine[1] == reference[1], "registry snapshots differ"
-    assert mine[2:] == reference[2:]
+    assert mine[2:5] == reference[2:5] and mine[6:] == reference[6:]
+    # A request's retirement rides its response's event when the two fall
+    # at one instant, so the responder fires fewer kernel events.
+    assert mine[5] <= reference[5]
     received = [v for k, v in mine[1].items() if k.endswith("rnic].requests_received")]
     assert sum(received) >= 2, "the scenario did not reach the responder"
     assert mine[-1] == 0, "receive-buffer bytes leaked"
