@@ -292,7 +292,7 @@ class KvCacheProgram(StaticL2Program):
 
     def _send_reply(self, ctx: PipelineContext, reply: Packet) -> None:
         eth = reply.require(EthernetHeader)
-        port = self.mac_to_port.get(eth.dst)
+        port = self.mac_to_port.get(eth.dst.value)
         if port is not None:
             ctx.emit(reply, port)
 

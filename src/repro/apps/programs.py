@@ -28,17 +28,21 @@ class StaticL2Program(SwitchProgram):
     """
 
     def __init__(self, mac_to_port: Optional[Dict[MacAddress, int]] = None) -> None:
-        self.mac_to_port: Dict[MacAddress, int] = dict(mac_to_port or {})
+        #: Egress port by the address's int ``value``: an int key hashes in
+        #: C, a ``MacAddress`` key through a Python ``__hash__`` per packet.
+        self.mac_to_port: Dict[int, int] = {}
+        for mac, port in (mac_to_port or {}).items():
+            self.install(mac, port)
 
     def install(self, mac: MacAddress, port: int) -> None:
-        self.mac_to_port[MacAddress(mac)] = port
+        self.mac_to_port[MacAddress(mac).value] = port
 
     def forward_by_mac(self, ctx: PipelineContext, packet: Packet) -> None:
         eth = packet.find(EthernetHeader)
         if eth is None:
             ctx.drop()
             return
-        port = self.mac_to_port.get(eth.dst)
+        port = self.mac_to_port.get(eth.dst.value)
         if port is None:
             ctx.drop()
         else:
@@ -89,7 +93,7 @@ class RemoteLookupProgram(StaticL2Program):
         eth = packet.find(EthernetHeader)
         if eth is None:
             return None
-        return self.mac_to_port.get(eth.dst)
+        return self.mac_to_port.get(eth.dst.value)
 
     def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
         table = self.lookup_table

@@ -158,6 +158,6 @@ class SequencerProgram(StaticL2Program):
             self.stats.sequenced += 1
         self._issue()
         if original is not None:
-            port = self.mac_to_port.get(original.eth.dst)
+            port = self.mac_to_port.get(original.eth.dst.value)
             if port is not None:
                 ctx.emit(original, port)

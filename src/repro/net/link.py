@@ -12,10 +12,11 @@ one ``_fast`` flag and refreshes it whenever any of those change —
 ``fault_injector`` are properties, and a guard calls
 :meth:`Link._refresh_fast_path` after it shadows ``carry`` and after it
 detaches.  On the fast path the transmitting interface posts the peer's
-``deliver`` itself when a frame starts, and ``carry`` never runs; off it,
-the interface calls ``carry`` as the frame ends.  A refresh that takes
-the link off its fast path revokes the fused delivery of a frame still
-serializing at either end, so that frame meets the taps, the loss, the
+``deliver`` (or a switch port's pipeline pass) itself when a frame
+starts, and ``carry`` never runs; off it, the interface calls ``carry``
+as the frame ends.  A refresh that takes the link off its fast path
+revokes the fused delivery or pass of a frame still serializing at
+either end, so that frame meets the taps, the loss, the
 injector or the guard at its end, as it would have had the link been
 slow when it started.
 """

@@ -3,8 +3,9 @@
 A :class:`Node` is anything with interfaces — a host, a memory server, a
 switch.  An :class:`Interface` owns the transmit side of one end of a link:
 it serializes packets one at a time at the link rate and posts each one's
-arrival at the peer (or, off the link's fast path, hands it to the link as
-its serialization ends).  Receive is a callback into the owning node.
+arrival at the peer, or straight into the pipeline pass of a switch port
+(off the link's fast path it hands the frame to the link as its
+serialization ends).  Receive is a callback into the owning node.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ class Interface:
     - On a link on its fast path (DESIGN.md §5.1) a frame costs one kernel
       event: the start pushes the peer's ``deliver`` itself, for
       ``(now + tx) + propagation``.
+    - Into a switch port (one whose ``_pass`` is set) with no rx tap and
+      no ``deliver`` shadowed on the instance, that one event is the
+      switch's pipeline pass, pushed for ``(now + tx) + propagation``
+      plus the pipeline latency at the delivery's seq: the arrival is
+      counted by the pass, not by ``deliver`` as it lands.
     - A frame offered while ``now < _free_at`` waits in the queue.  The
       first one to wait pushes the wake, ``_transmit_next`` at
       ``(_free_at, _tx_seq)``, and a start that leaves frames queued
@@ -42,14 +48,15 @@ class Interface:
     - Off the fast path the start pushes the wake with the frame, and the
       wake hands the frame to ``link.carry`` before it starts the next.
     - When the link leaves its fast path mid-frame, :meth:`_revoke` turns
-      the frame's delivery back into that carry (§5.2).
+      the frame's delivery or pass back into that carry, whose delivery
+      then runs ``deliver`` and the node's ``receive`` (§5.2).
 
-    ``deliver`` and ``link.carry`` are looked up per frame, on the
-    instance, because LinkGuard shadows them there while a simulation
-    runs.  The start reads the kernel's clock and seq counter and pushes
-    the delivery onto its heap directly: it runs once per frame per hop,
-    and the three kernel calls it would make cost 4 % of ``l2_forward``'s
-    bytecodes (DESIGN.md §5.1).
+    ``deliver``, ``rx_taps`` and ``link.carry`` are looked up per frame,
+    on the instance, because LinkGuard shadows ``deliver`` and ``carry``
+    there while a simulation runs.  The start reads the kernel's clock
+    and seq counter and pushes the delivery onto its heap directly: it
+    runs once per frame per hop, and the three kernel calls it would make
+    cost 4 % of ``l2_forward``'s bytecodes (DESIGN.md §5.1).
     """
 
     def __init__(
@@ -81,8 +88,14 @@ class Interface:
         self._tx_seq = 0
         #: The pending wake's heap entry, or None.
         self._wake: Optional[List[Any]] = None
-        #: The last frame's fused delivery entry (fast path), or None.
+        #: The last frame's fused delivery or pass entry (fast path), or None.
         self._inflight: Optional[List[Any]] = None
+        #: Set by a switch on its ports: its pipeline pass and this port's
+        #: number.  A frame bound here is pushed straight to
+        #: ``_pass(packet, _port, 0, self)``, due
+        #: ``node.config.pipeline_latency_ns`` after it lands (§5.1).
+        self._pass: Optional[Callable[..., None]] = None
+        self._port: Optional[int] = None
         # Counters for bandwidth monitors.
         self.tx_packets = 0
         self.tx_bytes = 0        # wire bytes, incl. preamble/IFG/FCS
@@ -171,9 +184,15 @@ class Interface:
         # transmission_delay_ns() with its rate check already made by Link.
         self._free_at = free_at = now + wire_len * 8 * SEC / self.rate_bps
         if link._fast:
-            self._inflight = entry = [
-                free_at + link.propagation_ns, seq + 1, self._peer.deliver, (packet,)
-            ]
+            peer = self._peer
+            if peer._pass is not None and not peer.rx_taps and "deliver" not in peer.__dict__:
+                entry = [
+                    (free_at + link.propagation_ns) + peer.node.config.pipeline_latency_ns,
+                    seq + 1, peer._pass, (packet, peer._port, 0, peer),
+                ]
+            else:
+                entry = [free_at + link.propagation_ns, seq + 1, peer.deliver, (packet,)]
+            self._inflight = entry
             _heappush(sim._heap, entry)
             if self.queue.depth_bytes:
                 self._wake = sim.push(free_at, seq, self._transmit_next, ())
@@ -191,7 +210,7 @@ class Interface:
         if entry is None or not self.sim.now < self._free_at:
             return
         entry[CALLBACK] = None
-        carried = entry[ARGS]
+        carried = entry[ARGS][:1]  # the frame, without a pass's port
         if self._wake is not None:
             self._wake[ARGS] = carried
         else:
@@ -200,7 +219,10 @@ class Interface:
     # -- receive path ----------------------------------------------------------------
 
     def deliver(self, packet: Packet) -> None:
-        """Called by the link when *packet* finishes propagating to this end."""
+        """Called when *packet* finishes propagating to this end: counts it,
+        shows it to the rx taps and hands it to the node.  A frame that
+        lands in a switch's pipeline pass (see the class docstring) skips
+        this method; the pass counts it."""
         self.rx_packets += 1
         self.rx_bytes += packet.wire_len
         if self.rx_taps:

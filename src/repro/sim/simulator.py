@@ -7,7 +7,8 @@ network elements (links, switches, RNICs, hosts) interact only through
 scheduled events, so a simulation is fully reproducible given its seed.
 
 Fast-path notes — this loop is the hottest code in the repository (every
-simulated packet costs an event per hop and one per pipeline pass):
+simulated packet costs an event per hop, the hop into a switch being
+its pipeline pass):
 
 * Heap entries are lists laid out as ``[time, seq, callback, args]``:
   bare ones for fire-and-forget posts, :class:`~repro.sim.events.Event`
@@ -44,9 +45,10 @@ simulated packet costs an event per hop and one per pipeline pass):
   args and firing order are the caller's; ``event.callback`` is equal to
   the callback passed.
 * One caller takes seqs ahead: a frame's start (``net/node.py``) takes two,
-  pushes the frame's delivery with the second and keeps the first for a
-  wake it may :meth:`push` later, the tx-complete event it no longer
-  posts; a wake at that seq sorts where that event would have.
+  pushes the frame's delivery (or, into a switch port, its pipeline pass)
+  with the second and keeps the first for a wake it may :meth:`push`
+  later, the tx-complete event it no longer posts; a wake at that seq
+  sorts where that event would have.
 """
 
 from __future__ import annotations
@@ -147,10 +149,10 @@ class Simulator:
     # a class call, and the heap still compares entries of either kind in
     # C.  Firing order is the same for all three.  A callback is resolved
     # when its entry is pushed: a frame's start pushes the peer's
-    # ``deliver``, so a LinkGuard attached mid-flight governs a frame still
-    # serializing only because the link revokes that entry (DESIGN.md
-    # §5.2).  ``schedule``/``schedule_at``
-    # hand a far event to ``_far_event``, the one place one is built: set-up
+    # ``deliver`` or a switch's pass, so a LinkGuard attached mid-flight
+    # governs a frame still serializing only because the link revokes that
+    # entry (DESIGN.md §5.2).  ``schedule``/``schedule_at`` hand a far
+    # event to ``_far_event``, the one place one is built: set-up
     # schedules whole workloads through them, one extra call per event.
 
     def schedule(

@@ -44,8 +44,9 @@ class PipelineContext:
         self.dropped = False
         self.flooded = False
         self.recirculated = False
-        #: Additional packets to transmit: (packet, egress port).
-        self.emitted: List[Tuple[Packet, int]] = []
+        #: Additional packets to transmit: (packet, egress port); None
+        #: until the first ``emit``, as most passes emit nothing.
+        self.emitted: Optional[List[Tuple[Packet, int]]] = None
 
     def forward(self, port: int) -> None:
         """Send the packet out of *port* (unicast)."""
@@ -72,13 +73,16 @@ class PipelineContext:
         is emitted toward the memory server's port while the original
         packet follows its own verdict.
         """
-        self.emitted.append((packet, port))
+        if self.emitted is None:
+            self.emitted = [(packet, port)]
+        else:
+            self.emitted.append((packet, port))
 
     def clone_to(self, port: int) -> Packet:
         """Mirror the current packet to *port*; returns the clone for
         further modification (truncation, header rewrites)."""
         clone = self.packet.clone()
-        self.emitted.append((clone, port))
+        self.emit(clone, port)
         return clone
 
     def recirculate(self) -> None:

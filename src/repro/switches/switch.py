@@ -80,6 +80,8 @@ class ProgrammableSwitch(Node):
         interface = self.add_interface(f"port{port}", MacAddress(mac), ip=ip, queue=queue)
         self._ports.append(interface)
         self._port_of_interface[interface] = port
+        interface._pass = self._run_pipeline
+        interface._port = port
         return port
 
     @property
@@ -109,12 +111,21 @@ class ProgrammableSwitch(Node):
 
     # -- data path -------------------------------------------------------------------
     #
-    # One pipeline pass is receive -> _run_pipeline -> transmit, with a
-    # fixed amount of work on the unicast path and nothing allocated per
-    # packet that can outlive the pass (no closure, lambda or partial: a
-    # context that referred to one would be cyclic garbage).
+    # One pipeline pass is _run_pipeline -> transmit, with a fixed amount
+    # of work on the unicast path and nothing allocated per packet that
+    # can outlive the pass (no closure, lambda or partial: a context that
+    # referred to one would be cyclic garbage).
 
     def receive(self, packet: Packet, interface: Interface) -> None:
+        """A frame's arrival off the fused path: post its pipeline pass.
+
+        A frame that crosses a link on its fast path into a port with no
+        rx tap and no ``deliver`` shadowed on the instance never comes
+        here: its start pushed the pass itself, for the time this post
+        would fire, and the pass counts the arrival (DESIGN.md §5.1).
+        Every other arrival (a slow link, a fault injector, a LinkGuard
+        receiver, a revoked frame) is counted by ``Interface.deliver``
+        and here, and posts the pass."""
         self.stats.rx_packets += 1
         self.sim.post(
             self.config.pipeline_latency_ns,
@@ -131,8 +142,19 @@ class ProgrammableSwitch(Node):
         )
 
     def _run_pipeline(
-        self, packet: Packet, in_port: Optional[int], pass_count: int
+        self,
+        packet: Packet,
+        in_port: Optional[int],
+        pass_count: int,
+        arrived: Optional[Interface] = None,
     ) -> None:
+        """One pipeline pass.  *arrived* is the ingress interface of a
+        fused arrival, whose pass counts it where ``Interface.deliver``
+        and :meth:`receive` would have (the fused event is the pass)."""
+        if arrived is not None:
+            arrived.rx_packets += 1
+            arrived.rx_bytes += packet.wire_len
+            self.stats.rx_packets += 1
         program = self.program
         if program is None:
             raise RuntimeError(f"{self.name}: no program bound")

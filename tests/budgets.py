@@ -28,9 +28,10 @@ import pytest
 #: (PR 17; measured 10, was 99).
 MODEL_CALLS_PER_FRAME = 30
 #: Wire, pipeline, traffic-manager, kernel and host calls per forwarded
-#: frame (measured 21.5 with one kernel event per hop; 27 with a
+#: frame (measured 18.5 with the switch's arrival fused into its pipeline
+#: pass; 21.5 with a delivery event and a posted pass, 27 with a
 #: tx-complete and a delivery event per hop, 42 with the helper chains).
-HOP_CALLS_PER_FRAME = 22
+HOP_CALLS_PER_FRAME = 19
 #: ``rdma/*`` + request-generator calls per Fetch-and-Add round trip
 #: (PR 19; measured 23, was 56).
 ROUND_TRIP_CALLS_PER_OP = 25
@@ -142,9 +143,10 @@ IMPORT_MODULES = 77
 
 #: ``name: (workload, layers, ceiling)``.
 BENCH_BUDGETS = {
-    # A forwarded frame: 8.3 + 3 + 5 + 4.3 = 20.6 measured with one kernel
-    # event per hop (26 with two, 43 with the helper chains).
-    "hop path": ("l2_forward", ("net.wire", "switches.tm", "switches.pipeline", "sim"), 21),
+    # A forwarded frame: 7.3 + 3 + 4 + 3.3 = 17.6 measured with the switch's
+    # arrival fused into its pipeline pass (20.6 with a delivery event and
+    # a posted pass, 26 with two events per hop, 43 with the helper chains).
+    "hop path": ("l2_forward", ("net.wire", "switches.tm", "switches.pipeline", "sim"), 18),
     # A counted Fetch-and-Add's round trip (22 measured; was 61).
     "RoCE round trip": ("counter_tiered", ("rdma.rnic", "rdma.codec", "core.rocegen"), 34),
     # A buffered frame in the primitive and its registers (36 measured; was 100).

@@ -9,12 +9,10 @@ The per-PR guard files import them from here.
 from .cuckoo import ReferenceChoiceFilter, ReferenceDirectory
 from .lookup_table import ReferenceZipfTraffic, reference_stamp_ports, reference_unpack
 from .packet import reference_parse
-from .rnic import ReferenceRnic
 
 __all__ = [
     "ReferenceChoiceFilter",
     "ReferenceDirectory",
-    "ReferenceRnic",
     "ReferenceZipfTraffic",
     "reference_parse",
     "reference_stamp_ports",

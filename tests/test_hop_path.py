@@ -276,12 +276,15 @@ def test_forwarding_a_frame_costs_a_bounded_number_of_hop_calls():
     frames = 200
     calls = _hop_calls_forwarding(frames)
     assert calls == _hop_calls_forwarding(frames), "the count must repeat exactly"
-    # Per frame: 8.3 wire (send, serialiser, deliver on two hops, a wake for
-    # about one frame in four, as the source paces at line rate, and the
-    # host queue's offer and poll), 5 pipeline, 3 traffic manager, 3.3
-    # kernel (two posts, the wakes' pushes, the generator's clock read) and
-    # the hosts' send/receive: 21.5, plus start-up.  It was 27 with a
-    # tx-complete and a delivery event per hop, 42 with the helper chains.
+    # Per frame: 7.3 wire (send and serialiser on two hops, the host's
+    # deliver, a wake for about one frame in four, as the source paces at
+    # line rate, and the host queue's offer and poll), 4 pipeline (the
+    # pass, which counts the arrival, its context, forward, transmit), 3
+    # traffic manager, 2.3 kernel (the generator's post and clock read,
+    # the wakes' pushes) and the hosts' send/receive: 18.5, plus start-up.
+    # It was 21.5 with a delivery event and a posted pass into the switch,
+    # 27 with a tx-complete and a delivery event per hop, 42 with the
+    # helper chains.
     assert 0 < calls <= HOP_CALLS_PER_FRAME * frames, f"{calls / frames:.1f} hop calls per frame"
 
 

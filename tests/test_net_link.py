@@ -11,6 +11,8 @@ from repro.net.packet import Packet
 from repro.net.queues import TxQueue
 from repro.sim.simulator import Simulator
 from repro.sim.units import SEC, gbps
+from repro.switches.pipeline import SwitchProgram
+from repro.switches.switch import ProgrammableSwitch, SwitchConfig
 from tests.test_net_packet import make_udp_packet
 
 
@@ -214,9 +216,21 @@ class TestFastPath:
             link.carry(stranger, make_udp_packet())
 
 
+class _PassRecorder(SwitchProgram):
+    """Records each pipeline pass as (time, ingress port, packet), then drops."""
+
+    def __init__(self):
+        self.passes = []
+
+    def on_ingress(self, ctx, packet):
+        self.passes.append((self.switch.sim.now, ctx.in_port, packet))
+        ctx.drop()
+
+
 class TestOneEventPerFrame:
-    """On a fast link a frame's start posts its delivery; a change to the
-    fast path while it serializes revokes that delivery (DESIGN.md §5.2)."""
+    """On a fast link a frame's start posts its delivery, or into a switch
+    port its pipeline pass; a change to the fast path while it serializes
+    revokes that event (DESIGN.md §5.1-5.2)."""
 
     FRAME = 1458  # payload of a 1500 B frame: 304 ns on the wire at 40 G
 
@@ -291,6 +305,81 @@ class TestOneEventPerFrame:
         t1, t2, t3 = (t for t, _ in b.received)
         assert t1 == free_at == tx
         assert (t2, t3) == (pytest.approx(tx + small), pytest.approx(tx + 2 * small))
+
+    # -- into a switch port: the start pushes the pipeline pass itself --------
+
+    PROPAGATION = 250.1  # odd values: the pass time's float expression matters
+    LATENCY = 400.3
+
+    def _switch_rig(self):
+        sim = Simulator()
+        host = SinkNode(sim, "a")
+        ia = host.add_interface("eth0", "02:00:00:00:00:0a")
+        switch = ProgrammableSwitch(sim, "sw", SwitchConfig(pipeline_latency_ns=self.LATENCY))
+        port = switch.port_interface(switch.add_port("02:00:00:00:01:00"))
+        link = connect(sim, ia, port, gbps(40), propagation_ns=self.PROPAGATION)
+        program = _PassRecorder()
+        switch.bind_program(program)
+        return sim, ia, port, link, switch, program
+
+    def test_a_frame_into_an_idle_switch_costs_one_event_to_its_pass(self):
+        sim, ia, port, _, switch, program = self._switch_rig()
+        packet = make_udp_packet()
+        ia.send(packet)  # outside the run: the start pushes the pass
+        free_at = ia._free_at
+        sim.run()
+        assert sim.events_processed == 1
+        assert program.passes == [((free_at + self.PROPAGATION) + self.LATENCY, 0, packet)]
+        assert (port.rx_packets, port.rx_bytes) == (1, packet.wire_len)
+        assert switch.stats.rx_packets == 1
+
+    def test_the_fused_pass_fires_where_the_posted_one_did(self):
+        """Against a slow link (a no-op tap), which carries, delivers and
+        posts the pass: the same pass times, two events fewer a frame."""
+
+        def run(slow):
+            sim, ia, _, link, _, program = self._switch_rig()
+            if slow:
+                link.taps.append(lambda src, packet: None)
+            for k in range(3):
+                sim.schedule(k * 1_000.0, ia.send, make_udp_packet(payload=b"p" * 500))
+            sim.run()
+            return [t for t, _, _ in program.passes], sim.events_processed
+
+        (fused, fused_events), (posted, posted_events) = run(False), run(True)
+        assert fused == posted
+        assert (fused_events, posted_events) == (3 + 3, 3 + 3 * 3)
+
+    @pytest.mark.parametrize("hook", ["rx_tap", "shadowed_deliver"])
+    def test_a_hooked_port_sees_the_frame_as_it_lands(self, hook):
+        sim, ia, port, _, switch, program = self._switch_rig()
+        seen = []
+        if hook == "rx_tap":
+            port.rx_taps.append(lambda packet: seen.append((sim.now, packet)))
+        else:
+            deliver = port.deliver
+
+            def shadow(packet):
+                seen.append((sim.now, packet))
+                deliver(packet)
+
+            port.deliver = shadow
+        packet = make_udp_packet()
+        ia.send(packet)
+        arrival = ia._free_at + self.PROPAGATION
+        sim.run()
+        assert seen == [(arrival, packet)]
+        assert program.passes == [(arrival + self.LATENCY, 0, packet)]
+        assert sim.events_processed == 2  # the delivery, then the posted pass
+        assert (port.rx_packets, switch.stats.rx_packets) == (1, 1)
+
+    def test_a_frame_serializing_when_loss_becomes_certain_never_reaches_the_pipeline(self):
+        sim, ia, port, link, switch, program = self._switch_rig()
+        ia.send(make_udp_packet(payload=b"p" * self.FRAME))
+        sim.schedule(100.0, setattr, link, "loss_probability", 1.0)
+        sim.run()
+        assert program.passes == [] and link.lost_packets == 1
+        assert (port.rx_packets, switch.stats.rx_packets, switch.stats.processed) == (0, 0, 0)
 
 
 def test_interface_without_link_raises():

@@ -11,14 +11,15 @@ Five groups, one per mechanism of the budgeted round trip (DESIGN.md §5.1):
       range-checked, templates never stale after a reconnect;
 (iii) the one-pass ICRC against ``zlib.crc32`` of the joined bytes, and a
       flipped bit anywhere from BTH to payload still detected;
-(iv)  the straight-line responder against a transcription of the
-      accept/serve/process/execute helper chain it replaced — same
-      response bytes, same emission times, same registry;
+(iv)  the straight-line responder on ten scenarios, each pinned by a
+      SHA-256 over its response bytes and emission times, its registry,
+      its region bytes, its QP state and its end time;
 (v)   a bounded, exactly repeatable number of Python calls per Fetch-and-Add
       round trip in the files of the three RoCE layers.
 """
 
 import cProfile
+import hashlib
 import zlib
 
 import pytest
@@ -58,14 +59,13 @@ from repro.rdma.packets import (
     verify_icrc,
 )
 from repro.rdma.qp import QpState, QueuePair
-from repro.rdma.rnic import Rnic, RnicConfig, TierProfile
+from repro.rdma.rnic import RnicConfig, TierProfile
 from repro.rdma.verbs import connect_qps
 from repro.sim.simulator import Simulator
 from repro.sim.units import gbps
 from repro.testbed import build_testbed
 
 from .budgets import ROUND_TRIP_CALLS_PER_OP
-from .reference import ReferenceRnic
 from .test_packet_model import _qps, _reference_request, _reference_response, _same
 
 # -- (i) SparseBuffer against a flat bytearray -------------------------------------------
@@ -340,22 +340,20 @@ def test_unprotected_packets_verify_and_carry_a_zero_trailer():
         assert build_write_request(a, 0, 1, b"abc").trailers[0].value != 0
 
 
-# -- (iv) the straight-line responder against the helper chain it replaced -----------------
+# -- (iv) the straight-line responder against its golden pins ------------------------------
 
 
 class Responder:
-    """One server RNIC of *rnic_type* fed hand-built requests at set times."""
+    """One server RNIC fed hand-built requests at set times."""
 
-    def __init__(self, rnic_type, config: RnicConfig) -> None:
+    def __init__(self, config: RnicConfig) -> None:
         self.sim = Simulator()
         client = Host(self.sim, "client", "02:00:00:00:00:01", "10.0.0.1")
         self.server = MemoryServer(
             self.sim, "server", "02:00:00:00:00:02", "10.0.0.2", rnic_config=config
         )
         connect(self.sim, client.eth, self.server.eth, rate_bps=gbps(40))
-        # Same constructor, same registry scope: only the methods differ.
         self.rnic = self.server.rnic
-        self.rnic.__class__ = rnic_type
         self.requester = QueuePair(0x100, client.eth.ip, client.eth.mac)
         self.qp = self.rnic.create_qp()
         connect_qps(self.requester, self.qp)
@@ -380,7 +378,7 @@ class Responder:
         qp_state = (self.qp.expected_psn, self.qp.msn, self.qp.responses_sent, self.qp.naks_sent)
         return (
             self.responses, self.sim.obs.registry.snapshot(), memory, qp_state,
-            self.sim.now, self.sim.events_processed, self.rnic._rx_backlog_bytes,
+            self.sim.now, self.rnic._rx_backlog_bytes,
         )
 
 
@@ -472,6 +470,9 @@ def rx_overflow(r: Responder):
     base, rkey, q = r.region.base_address, r.region.rkey, r.requester
     for i in range(12):  # 4 KiB of buffer holds two 1500 B writes
         r.at(0, build_write_request(q, base + 2048 * i, rkey, bytes([i]) * 1500))
+    # Executed at 300 ns, the first write holds its buffer until its DMA
+    # finishes at 653 ns: a third write arriving between the two is dropped.
+    r.at(400, build_write_request(q, base + 2048 * 12, rkey, b"\xff" * 1500, psn=2))
     for i in range(3):
         r.at(50_000, build_read_request(q, base + 2048 * i, rkey, 1500, psn=i))
 
@@ -490,44 +491,49 @@ def bad_icrc(r: Responder):
         r.at(100, build_read_request(q, base, rkey, 6, psn=1))
 
 
+#: (scenario, config, pin): each pin was read while the responder still
+#: agreed with a transcription of the accept/serve/process/execute helper
+#: chain it replaced, on response bytes, emission times and the whole
+#: registry.  A change that moves one on purpose re-reads it and says why
+#: in CHANGES.md.
 SCENARIOS = [
-    (in_order, {}),
-    (in_order, {"tier_profiles": {"fast": TierProfile(read_latency_ns=40.0, atomic_rate_ops=2e7)}}),
-    (in_order, {"dma_per_message_ns": 0.0}),  # a zero-byte DMA finishes "now"
-    (psn_gap, {}),
-    (duplicates, {}),
-    (access_errors, {}),
-    (atomic_overflow, {}),
-    (unknown_and_errored_qp, {}),
-    (rx_overflow, {"rx_buffer_bytes": 4096}),
-    (bad_icrc, {}),
+    (in_order, {}, "d3445cfc9f05afd4b31ad903738fd868530ccbc9d66bd9b48c1c17e578b8621c"),
+    (
+        in_order,
+        {"tier_profiles": {"fast": TierProfile(read_latency_ns=40.0, atomic_rate_ops=2e7)}},
+        "5182fa618ba40231b7b237ea0a9658313d81fad1dfd90c71ed56812901ea64a3",
+    ),
+    # A zero-byte DMA finishes "now".
+    (in_order, {"dma_per_message_ns": 0.0}, "e462e96e145a6b89af3dec1102046752dc201bfef6947ab8498551aee5524645"),
+    (psn_gap, {}, "6c7ef1f9e602f372c46be7aa4c76f5ddfd45a735b2923b650055680de74a270a"),
+    (duplicates, {}, "b9249669bed3d7fed4b8ab520fe7430af02ab8337884bf5193afa704f10e25df"),
+    (access_errors, {}, "94b18660b82d7322f6909374a2e0c3c2d7e67173b7f31a01f085940343b7432f"),
+    (atomic_overflow, {}, "d9ea16d2841a9d01e6dfd3da306ceaa6d83a542c9ba320f440e6bba39e90cdab"),
+    (unknown_and_errored_qp, {}, "554aa2b11da243f103b07cbb6c02de0af2ae70fd9989cdf71ad5862aeba30316"),
+    (rx_overflow, {"rx_buffer_bytes": 4096}, "dc06a892eb6733b9e401c4d73d97447c93ab507cafb4aa78c644792516e609da"),
+    (bad_icrc, {}, "6788da606d0e2d60084fbebde58921cc9fbbffbdee1fdd0f75c0c357a3981f11"),
 ]
 
 
 @pytest.mark.parametrize(
-    "scenario, config", SCENARIOS, ids=[f"{s.__name__}-{i}" for i, (s, _) in enumerate(SCENARIOS)]
+    "scenario, config, pin", SCENARIOS, ids=[f"{s.__name__}-{i}" for i, (s, _, _) in enumerate(SCENARIOS)]
 )
-def test_straight_line_responder_matches_the_helper_chain(scenario, config):
-    outcomes = []
-    for rnic_type in (Rnic, ReferenceRnic):
-        responder = Responder(rnic_type, RnicConfig(**config))
-        scenario(responder)
-        outcomes.append(responder.outcome())
-    mine, reference = outcomes
-    assert mine[0] == reference[0], "response bytes or emission times differ"
-    assert mine[1] == reference[1], "registry snapshots differ"
-    assert mine[2:5] == reference[2:5] and mine[6:] == reference[6:]
-    # A request's retirement rides its response's event when the two fall
-    # at one instant, so the responder fires fewer kernel events.
-    assert mine[5] <= reference[5]
-    received = [v for k, v in mine[1].items() if k.endswith("rnic].requests_received")]
+def test_straight_line_responder_matches_its_pin(scenario, config, pin):
+    responder = Responder(RnicConfig(**config))
+    scenario(responder)
+    responses, registry, memory, qp_state, now, backlog = responder.outcome()
+    blob = repr((responses, sorted(registry.items()), memory, qp_state, now))
+    assert hashlib.sha256(blob.encode()).hexdigest() == pin, (
+        "response bytes, emission times, registry, region bytes, QP state or end time moved"
+    )
+    received = [v for k, v in registry.items() if k.endswith("rnic].requests_received")]
     assert sum(received) >= 2, "the scenario did not reach the responder"
-    assert mine[-1] == 0, "receive-buffer bytes leaked"
+    assert backlog == 0, "receive-buffer bytes leaked"
 
 
 def _one_request(build, config=None):
     """Feed one request to a fresh responder; returns it after the run."""
-    responder = Responder(Rnic, config or RnicConfig())
+    responder = Responder(config or RnicConfig())
     responder.at(0, build(responder))
     responder.sim.run()
     return responder
@@ -557,7 +563,7 @@ def test_a_read_for_more_than_one_packet_is_refused_before_executing():
 
 
 def test_a_replayed_oversize_read_is_refused_too():
-    r = Responder(Rnic, RnicConfig())
+    r = Responder(RnicConfig())
     base, rkey = r.region.base_address, r.region.rkey
     r.at(0, build_write_request(r.requester, base, rkey, b"x", psn=0))
     r.at(5_000, build_read_request(r.requester, base, rkey, 100_000, psn=(1 << 24) - 1))
