@@ -140,7 +140,7 @@ class HealthMonitor:
         health = self.track(member)
         counters = self._member_counters.get(member)
         if counters is not None and event in counters:
-            counters[event].inc()
+            counters[event].value += 1
         if event == "progress":
             health.progress += 1
             health.consecutive_stalls = 0

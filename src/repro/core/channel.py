@@ -284,7 +284,7 @@ class RdmaChannelController:
         # service until the next full reopen.  The channel's tag is
         # authoritative; restamp unconditionally.
         channel.region.tier = channel.tier
-        self._m_reconnects.inc()
+        self._m_reconnects.value += 1
         if self._trace is not None:
             self._trace.emit(
                 self.switch.sim.now,

@@ -374,7 +374,7 @@ class RemoteLookupTable:
         block = record[2]  # the tier block it held, if any
         if block is not None:
             self._release_block(block)
-        self._m_lookups_lost.inc()
+        self._m_lookups_lost.value += 1
 
     def _on_loss(self, gen: RoceRequestGenerator, lost: List[Tuple[int, Any]], cause: str) -> None:
         """READs that drew no response: their lookups are lost (in bounce
@@ -520,16 +520,16 @@ class RemoteLookupTable:
         if self.cache is not None:
             action = self.cache.lookup(flow)
             if action is not None:
-                self._m_local_hits.inc()
+                self._m_local_hits.value += 1
                 if self._degraded:
-                    self._m_degraded_hits.inc()
+                    self._m_degraded_hits.value += 1
                 self._apply(ctx, packet, action)
                 return True
         if self._degraded:
             # Breaker open: the remote table is unreachable, so a cache
             # miss gets the default action instead of a bounce that would
             # strand the packet in a dead channel.
-            self._m_degraded_defaults.inc()
+            self._m_degraded_defaults.value += 1
             self._apply(ctx, packet, self.default_action)
             return True
         self._remote_lookup(ctx, packet, flow, flow.pack() if packed is None else packed)
@@ -553,10 +553,10 @@ class RemoteLookupTable:
         A frame too large for the entry's packet slot is dropped first, as
         a lost lookup: no request, so one READ per miss still holds."""
         if self._bounce and packet.buffer_len > self._slot_space:
-            self._m_lookups_lost.inc()
+            self._m_lookups_lost.value += 1
             ctx.drop()
             return
-        self._m_remote_lookups.inc()
+        self._m_remote_lookups.value += 1
         dataplane = self.dataplane
         if dataplane is not None:
             index = dataplane.read_index(packed)
@@ -615,7 +615,7 @@ class RemoteLookupTable:
         if len(entry) < action_bytes:
             # A READ response shorter than the action field it was asked
             # for: nothing in it can be trusted — the clean loss of §7.
-            self._m_lookups_lost.inc()
+            self._m_lookups_lost.value += 1
             return
         action = self._resolve_entry(entry, flow, fingerprint)
         if self._bounce:
@@ -624,13 +624,13 @@ class RemoteLookupTable:
             except HeaderError:
                 # The bounced frame came back undecodable (corrupted in
                 # the slot or on the wire): the clean loss of §7.
-                self._m_lookups_lost.inc()
+                self._m_lookups_lost.value += 1
                 return
             original.meta = meta  # the copy taken at the bounce
         else:
             # Account the pipeline passes spent waiting in recirculation.
             passes = (now - issued_at) // self.switch.config.recirculation_latency_ns
-            self._m_recirc_passes.inc(max(1, int(passes)))
+            self._m_recirc_passes.value += max(1, int(passes))
         self._mutate(ctx, original, action)
         port = self.resolve_egress(original, action)
         if port is not None and action.action_id != ACTION_DROP:
@@ -658,16 +658,16 @@ class RemoteLookupTable:
             valid, action_id, param, stored = _UNPACK_ACTION(entry, offset)
             if valid:
                 if stored == fingerprint:
-                    self._m_remote_hits.inc()
+                    self._m_remote_hits.value += 1
                     action = RemoteAction(action_id, param)
                     if self.cache is not None and self.config.cache_fill and flow is not None:
                         self._cache_fill(flow, action)  # None: a re-install raced the READ
                     return action
                 occupied = True
         if occupied:
-            self._m_fp_mismatches.inc()
+            self._m_fp_mismatches.value += 1
         else:
-            self._m_remote_invalid.inc()
+            self._m_remote_invalid.value += 1
         return self.default_action
 
     # -- degraded mode & recovery (DESIGN.md §11) --------------------------------
@@ -734,9 +734,9 @@ class RemoteLookupTable:
         assert self.cache is not None
         inserted, evicted = self.cache.admit(flow, action)
         if evicted:
-            self._m_cache_evictions.inc(evicted)
+            self._m_cache_evictions.value += evicted
         if inserted:
-            self._m_cache_inserts.inc()
+            self._m_cache_inserts.value += 1
 
     def _mutate(
         self, ctx: PipelineContext, packet: Packet, action: RemoteAction

@@ -409,7 +409,7 @@ class RemotePacketBuffer:
         # sweep them again: they are clean losses now.
         for pointer in self._windows[index].values():
             self._reorder[pointer] = None
-            self._m_lost_to_failover.inc()
+            self._m_lost_to_failover.value += 1
         self._fail_channel(index)
         # Its other entries resolve as clean losses as the load pointer
         # sweeps them; kick the sweep now.
@@ -463,7 +463,7 @@ class RemotePacketBuffer:
             # strands the packet.  Passing through trades order for
             # delivery; the trade-off is documented in DESIGN.md §11.
             if regs.read(_BUFFERING):
-                self._m_degraded_passthrough.inc()
+                self._m_degraded_passthrough.value += 1
             return _PASS
         if not regs.read(_BUFFERING):
             if (
@@ -473,7 +473,7 @@ class RemotePacketBuffer:
                 return _PASS
             # Queue built past the watermark: enter buffering mode.
             regs.write(_BUFFERING, 1)
-            self._m_episodes.inc()
+            self._m_episodes.value += 1
         self._store(packet, queue)
         return _CONSUMED
 
@@ -486,10 +486,10 @@ class RemotePacketBuffer:
             ip = packet.find(Ipv4Header)
             if ip is not None and ip.ecn in (1, 2):
                 ip.ecn = 3  # CE: the ring, not the port queue, is hot
-                self._m_ecn_marked.inc()
+                self._m_ecn_marked.value += 1
         frame = packet.pack()
         if len(frame) > config.entry_bytes - ENTRY_SEQ_BYTES:
-            self._m_oversize_drops.inc()
+            self._m_oversize_drops.value += 1
             return
         # Round-robin over the surviving channels, skipping full rings.
         targets = self._targets
@@ -503,7 +503,7 @@ class RemotePacketBuffer:
             # Remote rings exhausted (or no channel left) — §2.1 argues
             # O(10 GB) makes this rare; when it happens the packet drops
             # like any buffer drop.
-            self._m_ring_full_drops.inc()
+            self._m_ring_full_drops.value += 1
             return
         slot = self._channel_slot_counter[channel_idx] % self.entries_per_channel
         self._channel_slot_counter[channel_idx] += 1
@@ -523,8 +523,8 @@ class RemotePacketBuffer:
         self._occupancy += 1
         unread[channel_idx] += 1
         regs.write(_WRITE_PTR, write_ptr + 1)
-        self._m_stored_packets.inc()
-        self._m_stored_bytes.inc(len(frame))
+        self._m_stored_packets.value += 1
+        self._m_stored_bytes.value += len(frame)
         # Loads must never outrun stores *inside the switch*: a READ that
         # jumps the server-port queue (e.g. under read prioritization)
         # would fetch the slot before its WRITE left the box.  The tag
@@ -539,7 +539,7 @@ class RemotePacketBuffer:
             # dequeued, so the frame is lost here and now.  The load pass
             # retires the entry without a READ.
             self._state[index] = _REFUSED
-            self._m_lost_in_transit.inc()
+            self._m_lost_in_transit.value += 1
         # If the local queue already drained below the low watermark the
         # dequeue trigger will never fire again — kick loading from here.
         self._maybe_start_loading(queue)
@@ -627,7 +627,7 @@ class RemotePacketBuffer:
                     channel_idx = self._channel_of[index]
                     if channel_idx in self._failed_channels:
                         reorder[pointer] = None
-                        self._m_lost_to_failover.inc()
+                        self._m_lost_to_failover.value += 1
                         continue
                     # §4: "each load operation fetches a single entire entry
                     # regardless of the original packet size".
@@ -668,7 +668,7 @@ class RemotePacketBuffer:
             self._channel_strikes[idx] += 1
             if self._channel_strikes[idx] >= strikes:
                 self._fail_channel(idx)
-        self._m_read_recoveries.inc()
+        self._m_read_recoveries.value += 1
         self._restart_reads()
 
     def _restart_reads(self) -> None:
@@ -686,7 +686,7 @@ class RemotePacketBuffer:
         self._draining_channels.discard(idx)
         self._retarget()
         self._windows[idx].clear()
-        self._m_channels_failed.inc()
+        self._m_channels_failed.value += 1
 
     # -- degraded mode & recovery (DESIGN.md §11) --------------------------------
 
@@ -787,7 +787,7 @@ class RemotePacketBuffer:
             # Stale stamp (the WRITE for this slot was lost on the wire) or
             # an undecodable frame: the original packet is gone — the clean
             # loss best-effort semantics prescribe (§7).
-            self._m_lost_in_transit.inc()
+            self._m_lost_in_transit.value += 1
         reorder = self._reorder
         reorder[pointer] = original
         if len(reorder) > self._m_reorder_peak.value:
@@ -820,8 +820,8 @@ class RemotePacketBuffer:
             self._meta[index] = None
             read_ptr += 1
             if original is not None:
-                self._m_loaded_packets.inc()
-                self._m_loaded_bytes.inc(original.buffer_len)
+                self._m_loaded_packets.value += 1
+                self._m_loaded_bytes.value += original.buffer_len
                 # Re-inject into the protected egress queue, bypassing the
                 # hook so the loaded packet is not diverted again.
                 queue.enqueue_direct(original)

@@ -159,8 +159,8 @@ class RoceRequestGenerator:
         self._snapshot: Optional[int] = None
         self._stuck = 0
         self._wait = 1
-        # The PSN the last positive response answered, and its QP: RC
-        # answers in order, so the newest but for a reordered copy.
+        # The newest PSN a positive response answered, and its QP; a
+        # response reordered behind a later one leaves it.
         self._acked_qpn = -1
         self._acked_psn = 0
         obs = switch.sim.obs
@@ -192,12 +192,12 @@ class RoceRequestGenerator:
 
     def record_strike(self) -> None:
         """A loss event implicated this channel in a stall."""
-        self._m_strikes.inc()
+        self._m_strikes.value += 1
         self._emit_health("strike")
 
     def record_timeout(self) -> None:
         """A timer round expired waiting on this channel."""
-        self._m_timeouts.inc()
+        self._m_timeouts.value += 1
         self._emit_health("timeout")
 
     # -- request crafting ---------------------------------------------------------
@@ -225,7 +225,7 @@ class RoceRequestGenerator:
         )
         if meta:
             request.meta.update(meta)
-        self._m_writes.inc()
+        self._m_writes.value += 1
         return request if self._transmit(request, KIND_WRITE) else None
 
     def read(
@@ -252,7 +252,7 @@ class RoceRequestGenerator:
             request = build_read_request(
                 qp, remote_address, channel.rkey, length, psn=self._reuse(psn)
             )
-        self._m_reads.inc()
+        self._m_reads.value += 1
         if context is not None:
             self.window[psn] = context
             timer = self._timer
@@ -286,7 +286,7 @@ class RoceRequestGenerator:
             request = build_fetch_add_request(
                 qp, remote_address, channel.rkey, value, psn=self._reuse(psn)
             )
-        self._m_fetch_adds.inc()
+        self._m_fetch_adds.value += 1
         if context is not None:
             self.window[psn] = context
             timer = self._timer
@@ -311,7 +311,7 @@ class RoceRequestGenerator:
 
     def _transmit(self, request: Packet, kind: str) -> bool:
         """Hand *request* to the server port; False if its queue refused it."""
-        self._m_request_bytes.inc(request.wire_len)
+        self._m_request_bytes.value += request.wire_len
         if self._trace is not None:
             self._trace.emit(
                 self.switch.sim.now,
@@ -344,7 +344,7 @@ class RoceRequestGenerator:
         aeth = packet.find(AethHeader)
         is_nak = aeth is not None and aeth.syndrome & _NAK_MASK == _NAK_MASK
         if not verify_icrc(packet):
-            self._m_icrc_drops.inc()
+            self._m_icrc_drops.value += 1
             if self._trace is not None:
                 self._trace.emit(
                     self.switch.sim.now,
@@ -356,13 +356,13 @@ class RoceRequestGenerator:
                     channel="icrc",
                 )
             return None, is_nak, None
-        self._m_responses.inc()
-        self._m_response_bytes.inc(packet.wire_len)
+        self._m_responses.value += 1
+        self._m_response_bytes.value += packet.wire_len
         # Every member is truthy; Opcode() raises for a value that is none.
         opcode = OPCODES.get(bth.opcode) or Opcode(bth.opcode)
         psn = bth.psn
         if is_nak:
-            self._m_naks.inc()
+            self._m_naks.value += 1
         for listener in self.health_listeners:
             listener(self, "nak" if is_nak else "progress")
         if self._trace is not None:
@@ -396,7 +396,11 @@ class RoceRequestGenerator:
                 if lost:
                     self._lose(lost)
             return opcode, True, None
-        self._acked_qpn, self._acked_psn = bth.dest_qp, psn
+        # Monotone: a response reordered behind a later one must not move
+        # the acknowledged PSN back, or the guard above would let a delayed
+        # NAK naming an executed PSN rewind the QP onto it.
+        if (psn - self._acked_psn) & _PSN_MASK < _PSN_HALF or bth.dest_qp != self._acked_qpn:
+            self._acked_qpn, self._acked_psn = bth.dest_qp, psn
         window = self.window
         if psn not in window:
             return opcode, False, None  # untracked or stale: it proves nothing

@@ -238,7 +238,7 @@ class RemoteStateStore:
         """
         if self.config.sample is not None and not self.config.sample(packet):
             return
-        self._m_sampled.inc()
+        self._m_sampled.value += 1
         value = 1 if self.config.count_mode == "packets" else packet.buffer_len
         self.update(self.key_of(packet).hash() % self.config.counters, value)
 
@@ -259,9 +259,9 @@ class RemoteStateStore:
             # Breaker open: the channel is dead, so every update
             # accumulates locally; recovery flushes the backlog.
             self._accumulators[index] = pending
-            self._m_degraded_updates.inc()
+            self._m_degraded_updates.value += 1
             if pending > value:
-                self._m_combined.inc()
+                self._m_combined.value += 1
             return
         # Batch readiness uses the magnitude so negative (Count Sketch)
         # deltas flush too; a zero net change needs no operation at all.
@@ -275,7 +275,7 @@ class RemoteStateStore:
             # No room (or batch not full): accumulate locally, flush later.
             self._accumulators[index] = pending
             if pending > value:
-                self._m_combined.inc()
+                self._m_combined.value += 1
 
     def _issue(self, index: int, value: int) -> None:
         # Negative deltas (Count Sketch's ±1 updates) ride as two's
@@ -287,8 +287,8 @@ class RemoteStateStore:
         if block is not None:
             self._busy_blocks[block] = self._busy_blocks.get(block, 0) + 1
         self._regs.add(_OUTSTANDING, 1)
-        self._m_ops.inc()
-        self._m_value.inc(value)
+        self._m_ops.value += 1
+        self._m_value.value += value
 
     # -- busy-block / latency bookkeeping ------------------------------------
 
@@ -341,7 +341,7 @@ class RemoteStateStore:
             counter = self._m_requeued if cause == LOST_NAK else self._m_retx
             for psn, op in lost:
                 gen.fetch_add(op[2], op[1] % _U64, psn=psn, context=op)
-                counter.inc()
+                counter.value += 1
         else:
             for _psn, op in lost:
                 self._forget(op)
@@ -365,9 +365,9 @@ class RemoteStateStore:
             self._complete_reconcile(self.switch.requesters[bth.dest_qp], bth.psn, packet)
         elif opcode is Opcode.ATOMIC_ACKNOWLEDGE or opcode is Opcode.ACKNOWLEDGE:
             if is_nak:
-                self._m_naks.inc()
+                self._m_naks.value += 1
             else:
-                self._m_acks.inc()
+                self._m_acks.value += 1
                 if op is not None:
                     self._retire(op)
         else:
@@ -503,7 +503,7 @@ class RemoteStateStore:
             gen, address, _block = self._locate(index, record=False)
             request = gen.read(address, ATOMIC_OPERAND_BYTES)
             self._reconcile_reads[(gen, request.require(BthHeader).psn)] = index
-            self._m_reconcile_reads.inc()
+            self._m_reconcile_reads.value += 1
 
     def _complete_reconcile(
         self, gen: RoceRequestGenerator, psn: int, packet: Packet
@@ -520,10 +520,10 @@ class RemoteStateStore:
         # suspended or crediting more than we observed.
         applied = max(0, min(remote - committed, suspended))
         self._committed[index] = committed + applied
-        self._m_reconciled_applied.inc(applied)
+        self._m_reconciled_applied.value += applied
         missing = suspended - applied
         if missing:
-            self._m_reconciled_reissued.inc(missing)
+            self._m_reconciled_reissued.value += missing
             self._accumulators[index] = (
                 self._accumulators.get(index, 0) + missing
             )

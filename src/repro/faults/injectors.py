@@ -154,7 +154,7 @@ class LinkFaultInjector:
 
     def note(self, effect: str, packet: Packet) -> None:
         """Record one injected *effect* on *packet* (registry + trace)."""
-        self.count(effect).inc()
+        self.count(effect).value += 1
         if self._trace is not None:
             bth = packet.find(BthHeader)
             self._trace.emit(
@@ -173,7 +173,7 @@ class LinkFaultInjector:
         """Carry *packet* across *link*, applying every armed model."""
         dst = link.peer_of(src)
         self._seen += 1
-        self._m_carried.inc()
+        self._m_carried.value += 1
         for trigger in list(self._triggers):
             if self._seen == trigger.nth:
                 self.arm(trigger.fault)
@@ -192,7 +192,7 @@ class LinkFaultInjector:
                 if not deliveries:
                     break
         for delay, delivered in deliveries:
-            self._m_delivered.inc()
+            self._m_delivered.value += 1
             link.sim.post(delay, dst.deliver, delivered)
 
     def _in_scope(self, link: Link, src) -> bool:
@@ -321,12 +321,12 @@ class RnicFaultInjector:
 
     def _handle_packet(self, packet: Packet) -> None:
         if self.blackout:
-            self._m_blackout_drops.inc()
+            self._m_blackout_drops.value += 1
             self._note("blackout_drop", packet)
             return
         if self._drop_budget > 0:
             self._drop_budget -= 1
-            self._m_burst_drops.inc()
+            self._m_burst_drops.value += 1
             self._note("burst_drop", packet)
             return
         self._inner(packet)
@@ -362,7 +362,7 @@ class RnicFaultInjector:
 
     def start_blackout(self) -> None:
         if not self.blackout:
-            self._m_blackouts.inc()
+            self._m_blackouts.value += 1
         self.blackout = True
 
     def end_blackout(self) -> None:
@@ -376,7 +376,7 @@ class RnicFaultInjector:
 
     def stall_atomics(self, stall_ns: float) -> None:
         """Push the atomic engine's next free slot ``stall_ns`` out."""
-        self._m_atomic_stalls.inc()
+        self._m_atomic_stalls.value += 1
         self.rnic._atomic_free_at = max(
             self.rnic._atomic_free_at, self.sim.now + stall_ns
         )

@@ -340,12 +340,12 @@ class LinkGuard:
             # it is lost, a NAK for its seq draws a RESYNC instead of a
             # resend and the transport's machinery takes over.
             lane.skipped.add(seq)
-            self._m_exhausted.inc()
+            self._m_exhausted.value += 1
             self._trace_event(lane, "buffer_exhausted", seq)
             for callback in self.on_exhausted:
                 callback(self, lane.label, seq)
-        self._m_protected.inc()
-        self._m_shim_bytes.inc(GuardShimHeader.LENGTH)
+        self._m_protected.value += 1
+        self._m_shim_bytes.value += GuardShimHeader.LENGTH
         wire = self._shimmed(lane, packet, seq, checksum, resent=False)
         # The shim's extra serialization time: the frame enters the wire
         # LENGTH bytes later than the unshimmed serializer accounted for.
@@ -403,7 +403,7 @@ class LinkGuard:
         seq, (packet, sent_ns) = next(iter(lane.buffer.items()))
         age = self.sim.now - sent_ns
         if age >= self._tail_timeout_ns - 1e-9:
-            self._m_tail_timeouts.inc()
+            self._m_tail_timeouts.value += 1
             self._trace_event(lane, "tail_timeout", seq)
             self._resend(lane, seq)
             delay = self._tail_timeout_ns
@@ -420,8 +420,8 @@ class LinkGuard:
         wire = self._shimmed(
             lane, packet, seq, lane.checksums[seq], resent=True
         )
-        self._m_resent.inc()
-        self._m_shim_bytes.inc(wire.wire_len)
+        self._m_resent.value += 1
+        self._m_shim_bytes.value += wire.wire_len
         self._trace_event(lane, "resend", seq, wire.wire_len)
         # Guard resends bypass the egress queue (LinkGuardian gives its
         # retransmissions a strict-priority queue); their wire time is
@@ -453,7 +453,7 @@ class LinkGuard:
                 self._send_resync(lane, seq)
 
     def _send_resync(self, lane: _Lane, seq: int) -> None:
-        self._m_resyncs.inc()
+        self._m_resyncs.value += 1
         self._trace_event(lane, "resync", seq)
         self._send_control(
             lane, lane.src, GUARD_RESYNC, seq=seq, extent=seq
@@ -502,7 +502,7 @@ class LinkGuard:
         if guard_checksum(packet.pack()) != shim.checksum:
             # Corruption detected below the transport: drop and NAK this
             # seq immediately — LinkGuardian's detect-and-resend path.
-            self._m_corrupt_dropped.inc()
+            self._m_corrupt_dropped.value += 1
             self._trace_event(lane, "corrupt_dropped", seq, packet.wire_len)
             if seq >= lane.expected and seq not in lane.ahead:
                 lane.max_seen = max(lane.max_seen, seq)
@@ -512,12 +512,12 @@ class LinkGuard:
             # Duplicate (a resend raced the original, or an ack was lost
             # and the tail timer fired): drop, but re-ack so the sender's
             # emergency buffer drains.
-            self._m_duplicates.inc()
+            self._m_duplicates.value += 1
             self._send_ack(lane)
             return
         resent = bool(shim.flags & FLAG_RESENT)
         if resent:
-            self._m_masked.inc()
+            self._m_masked.value += 1
             self._trace_event(lane, "masked", seq)
         inner = self._inner_deliver[lane.dst]
         if seq == lane.expected:
@@ -528,7 +528,7 @@ class LinkGuard:
                 held = ahead.pop(lane.expected)
                 lane.expected += 1
                 if held is not None:
-                    self._m_reorder_fixed.inc()
+                    self._m_reorder_fixed.value += 1
                     inner(held)
         else:  # seq > expected: a hole just became visible
             if seq > lane.max_seen + 1:
@@ -566,7 +566,7 @@ class LinkGuard:
             if held is not None:
                 inner(held)
             elif seq >= first and seq not in lane.ahead:
-                self._m_unmasked.inc()
+                self._m_unmasked.value += 1
                 self._trace_event(lane, "unmasked", seq)
         lane.expected = last + 1
         lane.max_seen = max(lane.max_seen, last)
@@ -575,12 +575,12 @@ class LinkGuard:
             held = ahead.pop(lane.expected)
             lane.expected += 1
             if held is not None:
-                self._m_reorder_fixed.inc()
+                self._m_reorder_fixed.value += 1
                 inner(held)
         self._send_ack(lane)
 
     def _send_nak(self, lane: _Lane, first: int, last: int) -> None:
-        self._m_naks.inc()
+        self._m_naks.value += 1
         self._trace_event(lane, "nak", first)
         lane.since_ack = 0
         self._send_control(
@@ -593,7 +593,7 @@ class LinkGuard:
             self._send_ack(lane)
 
     def _send_ack(self, lane: _Lane) -> None:
-        self._m_acks.inc()
+        self._m_acks.value += 1
         lane.since_ack = 0
         self._send_control(lane, lane.dst, GUARD_ACK)
 
@@ -630,6 +630,6 @@ class LinkGuard:
                 shim,
             ]
         )
-        self._m_shim_bytes.inc(control.wire_len)
+        self._m_shim_bytes.value += control.wire_len
         delay_ns = transmission_delay_ns(control.wire_len, self.link.rate_bps)
         self.sim.post(delay_ns, self._inner_carry, src, control)

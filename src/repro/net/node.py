@@ -159,7 +159,7 @@ class Interface:
             self.link.carry(self, sent)
         self._wake = None
         sim = self.sim
-        now = sim._now
+        now = sim.now
         if now < self._free_at:
             self._wake = sim.push(self._free_at, self._tx_seq, self._transmit_next, ())
             return

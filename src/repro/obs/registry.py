@@ -12,10 +12,11 @@ cluster health monitor above them — emits into one
 
 Design constraints, in order:
 
-* **Hot-path cheap.**  A counter increment is one bound-method call and
-  one integer add; primitives resolve their counters once at
-  construction and hold direct references.  Nothing is formatted or
-  hashed per event.
+* **Hot-path cheap.**  Primitives resolve their counters once at
+  construction and hold direct references; an increment is
+  ``counter.value += n`` in place, one integer add and no call
+  (:meth:`Counter.inc` is for callers off the hot path).  Nothing is
+  formatted or hashed per event.
 * **Deterministic.**  Metrics keep registration order; snapshots sort by
   name; nothing samples wall-clock time.  Two fixed-seed runs produce
   byte-identical metric JSON.
@@ -48,6 +49,8 @@ class Counter:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
+        """Add *amount*; the data path writes ``counter.value += amount``
+        itself and saves the call."""
         self.value += amount
 
     def to_dict(self) -> Dict[str, Any]:

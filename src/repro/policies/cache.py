@@ -86,18 +86,18 @@ class CachePolicy(Policy):
     def lookup(self, flow: Any) -> Optional[Any]:
         action = self._get(flow)
         if action is not None:
-            self._m_hits.inc()
+            self._m_hits.value += 1
         else:
-            self._m_misses.inc()
+            self._m_misses.value += 1
         return action
 
     def admit(self, flow: Any, action: Any) -> Tuple[bool, int]:
         """Offer a fetched entry; returns ``(inserted, evictions)``."""
         inserted, evicted = self._put(flow, action)
         if inserted:
-            self._m_inserts.inc()
+            self._m_inserts.value += 1
         if evicted:
-            self._m_evictions.inc(evicted)
+            self._m_evictions.value += evicted
         return inserted, evicted
 
     def contains(self, flow: Any) -> bool:
@@ -339,7 +339,7 @@ class PinningCachePolicy(CachePolicy):
                 self._lru.popitem(last=False)
                 evicted = 1
             self._pinned[flow] = action
-            self._m_pins.inc()
+            self._m_pins.value += 1
             return True, evicted
         if flow in self._lru:
             self._lru.move_to_end(flow)

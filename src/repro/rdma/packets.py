@@ -23,6 +23,7 @@ from typing import Iterator, Optional, Tuple
 
 from ..net.addresses import Ipv4Address, MacAddress
 from ..net.headers import (
+    ETHERTYPE_IPV4,
     ETHERTYPE_ROCEV1,
     ROCEV2_UDP_PORT,
     EthernetHeader,
@@ -93,13 +94,6 @@ def verify_icrc(packet: Packet) -> bool:
     return _crc32(packet.payload, crc) == trailer.value
 
 
-#: The constant part of every RoCEv2 frame.  A builder copies these three
-#: headers and patches addresses, source port and the two length fields —
-#: the way the switch fills fields into a fixed header stack — instead of
-#: constructing and re-validating three outer headers per packet.
-_ETH = EthernetHeader(dst=MacAddress(0), src=MacAddress(0))
-_IP = Ipv4Header(src=Ipv4Address(0), dst=Ipv4Address(0), protocol=Ipv4Header.PROTO_UDP)
-_UDP = UdpHeader(src_port=0, dst_port=ROCEV2_UDP_PORT)
 #: UDP source port of every request (responses mirror the request's).
 _REQUEST_UDP_PORT = 49152
 
@@ -142,33 +136,53 @@ def _stamp(
 ) -> Packet:
     """Stamp one RoCEv2 packet of *shape* that *qp* sends, in one pass.
 
-    The BTH is a copy of the QP's template (``dest_qp`` range-checked once,
-    by ``qp.connect()``) with the shape's opcode, *psn* (QP state, or
-    checked by the caller) and *ack_request* filled in; Eth/IPv4/UDP are
-    copies of the module's triple.  Every length follows arithmetically
-    from the shape and the payload length; nothing is re-walked.
+    Eth/IPv4/UDP/BTH are filled slot by slot, each slot once, as the
+    switch fills a fixed header stack: from the arguments, the QP's peer
+    (``dest_qpn``, range-checked once by ``qp.connect()``), the shape's
+    opcode, *psn* (QP state, or checked by the caller) and *ack_request*,
+    or a constant of every RoCEv2 frame (the constructors' defaults).  No
+    template is copied and nothing is range-checked here.  Each packet
+    owns its headers: the TM's ECN marking and the layout packer's length
+    fields write into them.  Every length follows arithmetically from the
+    shape and the payload length; nothing is re-walked.
     """
     opcode, layout, size = shape
     size += len(payload)
-    if size - EthernetHeader.LENGTH > 0xFFFF:
+    ip_len = size - EthernetHeader.LENGTH
+    if ip_len > 0xFFFF:
         raise HeaderError(
-            f"Ipv4Header.total_length cannot hold {size - EthernetHeader.LENGTH}: "
+            f"Ipv4Header.total_length cannot hold {ip_len}: "
             f"the RoCE payload of {len(payload)} B does not fit one packet"
         )
-    eth = _ETH.copy()
+    eth = _new(EthernetHeader)
     eth.dst = dst_mac
     eth.src = src_mac
-    ip = _IP.copy()
+    eth.ethertype = ETHERTYPE_IPV4
+    ip = _new(Ipv4Header)
     ip.src = src_ip
     ip.dst = dst_ip
-    ip.total_length = size - EthernetHeader.LENGTH
-    udp = _UDP.copy()
+    ip.protocol = 17  # UDP
+    ip.total_length = ip_len
+    ip.ttl = 64
+    ip.dscp = 0
+    ip.ecn = 0
+    ip.identification = 0
+    ip.flags = 0b010  # don't fragment
+    ip.fragment_offset = 0
+    udp = _new(UdpHeader)
     udp.src_port = src_udp_port
-    udp.length = size - (EthernetHeader.LENGTH + Ipv4Header.LENGTH)
-    bth = qp.bth_template.copy()
+    udp.dst_port = ROCEV2_UDP_PORT
+    udp.length = ip_len - Ipv4Header.LENGTH
+    udp.checksum = 0
+    bth = _new(BthHeader)
     bth.opcode = opcode
+    bth.dest_qp = qp.dest_qpn
     bth.psn = psn
     bth.ack_request = ack_request
+    bth.solicited_event = False
+    bth.migration_request = False
+    bth.pad_count = 0
+    bth.partition_key = 0xFFFF  # the default partition
     icrc = _new(IcrcTrailer)
     icrc.value = 0
     if compute_icrc or _default_compute_icrc:
@@ -262,7 +276,8 @@ def _response(
 ) -> Packet:
     """Stamp a response addressed back at the requester of *request*; it
     opens with an AETH of *syndrome* (a constant, or checked by
-    :func:`build_ack`) and the QP's MSN, then *extensions*."""
+    :func:`build_ack`) and the QP's MSN, then *extensions*.  Its PSN is
+    *psn*, or the request's when that is None."""
     req_eth = request.require(EthernetHeader)
     req_ip = request.require(Ipv4Header)
     if psn is None:
@@ -273,7 +288,7 @@ def _response(
     aeth.syndrome = syndrome
     aeth.msn = responder_qp.msn
     return _stamp(
-        responder_qp, shape, psn, False,  # the template names the requester's QP
+        responder_qp, shape, psn, False,  # its dest_qpn is the requester's QP
         req_eth.dst, req_eth.src, req_ip.dst, req_ip.src,
         request.require(UdpHeader).src_port,
         (aeth,) + extensions, payload, compute_icrc,
@@ -285,12 +300,17 @@ def build_read_response(
     responder_qp: QueuePair,
     data: bytes,
     compute_icrc: bool = False,
+    psn_override: Optional[int] = None,
 ) -> Packet:
-    """READ response (only) carrying *data*, mirrored from *request*."""
+    """READ response (only) carrying *data*, mirrored from *request*.
+
+    A responder that holds the request's BTH passes its PSN as
+    ``psn_override``, which saves looking the BTH up again.
+    """
     if type(data) is not bytes:
         data = bytes(data)
     return _response(
-        request, responder_qp, _READ_RESPONSE, None, AethSyndrome.ACK, (), data,
+        request, responder_qp, _READ_RESPONSE, psn_override, AethSyndrome.ACK, (), data,
         compute_icrc,
     )
 
@@ -320,11 +340,17 @@ def build_atomic_ack(
     responder_qp: QueuePair,
     original_value: int,
     compute_icrc: bool = False,
+    psn_override: Optional[int] = None,
 ) -> Packet:
-    """Atomic acknowledgement carrying the pre-operation value."""
+    """Atomic acknowledgement carrying the pre-operation value; see
+    :func:`build_read_response` for ``psn_override``."""
+    if not 0 <= original_value < (1 << 64):
+        raise HeaderError(f"AtomicAckETH data out of range: {original_value}")
+    atomic_ack = _new(AtomicAckEthHeader)  # the constructor's check, made above
+    atomic_ack.original_data = original_value
     return _response(
-        request, responder_qp, _ATOMIC_ACK, None, AethSyndrome.ACK,
-        (AtomicAckEthHeader(original_data=original_value),), b"", compute_icrc,
+        request, responder_qp, _ATOMIC_ACK, psn_override, AethSyndrome.ACK,
+        (atomic_ack,), b"", compute_icrc,
     )
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..net.addresses import Ipv4Address, MacAddress
+from ..net.headers import HeaderError
 from .constants import PSN_MODULO, Opcode
-from .headers import BthHeader
 
 
 class QpState(enum.Enum):
@@ -94,9 +94,6 @@ class QueuePair:
         self.dest_qpn: Optional[int] = None
         self.dest_ip: Optional[Ipv4Address] = None
         self.dest_mac: Optional[MacAddress] = None
-        #: The BTH every packet this QP sends is a copy of.  :meth:`connect`,
-        #: ``dest_qpn``'s only writer, rebuilds it: it never names a past peer.
-        self.bth_template = BthHeader(opcode=0, dest_qp=0, psn=0)
         # Requester-side sequencing.
         self.next_psn = initial_psn % (1 << 24)
         # Responder-side sequencing.
@@ -117,7 +114,9 @@ class QueuePair:
         """Transition INIT → RTR → RTS with the peer's identity installed."""
         if self.state not in (QpState.INIT, QpState.RESET):
             raise RuntimeError(f"QP {self.qpn} cannot connect from {self.state}")
-        self.bth_template = BthHeader(opcode=0, dest_qp=dest_qpn, psn=0)
+        # Checked once here: every BTH this QP stamps carries it unchecked.
+        if not 0 <= dest_qpn < (1 << 24):
+            raise HeaderError(f"BTH dest_qp out of range: {dest_qpn}")
         self.dest_qpn = dest_qpn
         self.dest_ip = Ipv4Address(dest_ip)
         self.dest_mac = MacAddress(dest_mac)
@@ -133,11 +132,6 @@ class QueuePair:
         psn = self.next_psn
         self.next_psn = (psn + 1) % PSN_MODULO
         return psn
-
-    def advance_expected(self) -> None:
-        """Responder accepted the in-order request: bump ePSN and MSN."""
-        self.expected_psn = (self.expected_psn + 1) % PSN_MODULO
-        self.msn = (self.msn + 1) % PSN_MODULO
 
     def to_error(self) -> None:
         self.state = QpState.ERROR

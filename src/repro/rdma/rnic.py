@@ -301,7 +301,7 @@ class Rnic:
         if bth is None:
             return
         if not verify_icrc(packet):
-            self._m_icrc_drops.inc()
+            self._m_icrc_drops.value += 1
             if self._trace is not None:
                 self._trace.emit(
                     self.sim.now,
@@ -316,10 +316,10 @@ class Rnic:
         if bth.opcode not in REQUEST_OPCODES:
             self._handle_response(packet, bth)
             return
-        self._m_requests.inc()
+        self._m_requests.value += 1
         size = packet.buffer_len
         if self._rx_backlog_bytes + size > self.config.rx_buffer_bytes:
-            self._m_rx_overflow.inc()
+            self._m_rx_overflow.value += 1
             return
         self._rx_backlog_bytes += size
         if self._rx_busy:
@@ -350,7 +350,7 @@ class Rnic:
             self._rx_busy = False
         qp = self.qps.get(bth.dest_qp)
         if qp is None or qp.state not in _RECEIVING_STATES:
-            self._m_unknown_qp.inc()
+            self._m_unknown_qp.value += 1
             self._rx_backlog_bytes -= packet.buffer_len
             return
         qp.requests_received += 1
@@ -361,13 +361,13 @@ class Rnic:
             if (psn - expected) % PSN_MODULO < PSN_MODULO // 2:
                 # Future PSN: at least one request was lost.  NAK with the
                 # expected PSN so the requester can resynchronize.
-                self._m_sequence_errors.inc()
+                self._m_sequence_errors.value += 1
                 self._send_nak(
                     packet, qp, AethSyndrome.NAK_PSN_SEQUENCE_ERROR, expected
                 )
             else:
                 # Past PSN: a duplicate (requester retransmission).
-                self._m_duplicates.inc()
+                self._m_duplicates.value += 1
                 self._replay(packet, bth, qp)
             return
         try:
@@ -376,8 +376,9 @@ class Rnic:
                 raise _InvalidRequest
             execute(self, packet, bth, qp)
         except MemoryAccessError:
-            self._m_access_errors.inc()
-            qp.advance_expected()
+            self._m_access_errors.value += 1
+            qp.expected_psn = (qp.expected_psn + 1) % PSN_MODULO
+            qp.msn = (qp.msn + 1) % PSN_MODULO
             self._rx_backlog_bytes -= packet.buffer_len
             self._send_nak(packet, qp, AethSyndrome.NAK_REMOTE_ACCESS_ERROR, psn)
         except _InvalidRequest:
@@ -421,13 +422,16 @@ class Rnic:
             raise _InvalidRequest
         region = self.dram.regions[reth.rkey]  # unknown: MemoryAccessError
         region.write(reth.virtual_address, data)
-        self._m_writes.inc()
-        self._m_bytes_written.inc(size)
-        qp.advance_expected()
+        self._m_writes.value += 1
+        self._m_bytes_written.value += size
+        qp.expected_psn = (qp.expected_psn + 1) % PSN_MODULO
+        qp.msn = (qp.msn + 1) % PSN_MODULO
         finish = self._reserve_dma(size, self.config.dma_write_bandwidth_bps)
         if bth.ack_request:
-            self._m_acks.inc()
-            self._send_response_at(finish, build_ack(packet, qp), qp, packet)
+            self._m_acks.value += 1
+            self._send_response_at(
+                finish, build_ack(packet, qp, psn_override=bth.psn), qp, packet
+            )
         else:
             self._retire_at(finish, packet)
 
@@ -438,22 +442,25 @@ class Rnic:
             raise _InvalidRequest
         region = self.dram.regions[reth.rkey]  # unknown: MemoryAccessError
         data = region.read(reth.virtual_address, reth.dma_length)
-        self._m_reads.inc()
-        self._m_bytes_read.inc(len(data))
-        qp.advance_expected()
+        self._m_reads.value += 1
+        self._m_bytes_read.value += len(data)
+        qp.expected_psn = (qp.expected_psn + 1) % PSN_MODULO
+        qp.msn = (qp.msn + 1) % PSN_MODULO
         finish = self._reserve_dma(
             len(data),
             self.config.dma_read_bandwidth_bps,
             extra_ns=self._read_latency_ns(region),
         )
-        self._send_response_at(finish, build_read_response(packet, qp, data), qp, packet)
+        self._send_response_at(
+            finish, build_read_response(packet, qp, data, psn_override=bth.psn), qp, packet
+        )
 
     def _execute_fetch_add(self, packet: Packet, bth: BthHeader, qp: QueuePair) -> None:
         config = self.config
         if self._atomic_inflight >= config.max_outstanding_atomics:
             # The atomic engine is saturated; a real NIC drops or stalls the
             # wire.  The paper's switch-side primitive exists to avoid this.
-            self._m_atomic_overflow.inc()
+            self._m_atomic_overflow.value += 1
             self._rx_backlog_bytes -= packet.buffer_len
             return
         atomic = packet.require(AtomicEthHeader)
@@ -462,8 +469,9 @@ class Rnic:
         # the bounded atomic *engine* only determines when the response can
         # leave and when the request's buffer is retired.
         original = region.fetch_add(atomic.virtual_address, atomic.swap_add)
-        self._m_atomics.inc()
-        qp.advance_expected()
+        self._m_atomics.value += 1
+        qp.expected_psn = (qp.expected_psn + 1) % PSN_MODULO
+        qp.msn = (qp.msn + 1) % PSN_MODULO
         cache = self._atomic_replay[qp.qpn]
         cache[bth.psn] = original
         while len(cache) > config.max_outstanding_atomics:
@@ -477,7 +485,11 @@ class Rnic:
         now = self.sim.now
         self._atomic_free_at = finish = max(now, self._atomic_free_at) + 1e9 / rate
         self._send_response_at(
-            finish, build_atomic_ack(packet, qp, original), qp, packet, atomic=True
+            finish,
+            build_atomic_ack(packet, qp, original, psn_override=bth.psn),
+            qp,
+            packet,
+            atomic=True,
         )
 
     def _retire_atomic(self, packet: Packet) -> None:
@@ -523,7 +535,7 @@ class Rnic:
             # Not in the replay cache: silently drop; the requester errors out.
         elif bth.ack_request:
             # Duplicate WRITE: already applied; just re-ACK.
-            self._m_acks.inc()
+            self._m_acks.value += 1
             self._send_response_at(self.sim.now, build_ack(packet, qp), qp)
 
     def _reserve_dma(
@@ -567,7 +579,7 @@ class Rnic:
         the retirement is its own event, posted first.
         """
         qp.responses_sent += 1
-        self._m_responses.inc()
+        self._m_responses.value += 1
         now = self.sim.now
         at = max(when_ns, now, self._resp_floor.get(qp.qpn, 0.0))
         self._resp_floor[qp.qpn] = at
@@ -586,13 +598,13 @@ class Rnic:
 
     def _send_nak(self, packet: Packet, qp: QueuePair, syndrome: int, psn: int) -> None:
         """NAK *packet* now; *psn* is its own, or the expected one (sequence error)."""
-        self._m_naks.inc()
+        self._m_naks.value += 1
         qp.naks_sent += 1
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, self._trace_node, qp.qpn, "NAK", psn=psn, syndrome=syndrome
             )
-        self._m_acks.inc()  # a NAK is an ACKNOWLEDGE packet too
+        self._m_acks.value += 1  # a NAK is an ACKNOWLEDGE packet too
         self._send_response_at(
             self.sim.now, build_ack(packet, qp, syndrome=syndrome, psn_override=psn), qp
         )
@@ -680,7 +692,7 @@ class Rnic:
         never correctness.
         """
         for wr in self._qp_outstanding(qp):
-            self._m_retransmissions.inc()
+            self._m_retransmissions.value += 1
             packet = self._build_request(qp, wr)
             if self._trace is not None:
                 self._trace.emit(
@@ -706,7 +718,7 @@ class Rnic:
         keys = [key for key in self._outstanding if key[0] == qp.qpn]
         for key in keys:
             wr = self._outstanding.pop(key)
-            self._m_retries_exhausted.inc()
+            self._m_retries_exhausted.value += 1
             self._complete(
                 wr,
                 Completion(
@@ -736,7 +748,7 @@ class Rnic:
         # to by QPN.
         qp = self.qps.get(bth.dest_qp)
         if qp is None:
-            self._m_unknown_qp.inc()
+            self._m_unknown_qp.value += 1
             return
         aeth = packet.find(AethHeader)
         if aeth is not None and AethSyndrome.is_nak(aeth.syndrome):

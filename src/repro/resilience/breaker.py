@@ -204,7 +204,7 @@ class CircuitBreaker:
         self._disarmed = True
         self._epoch += 1  # cancels any scheduled half-open / probe check
         if self._opened_at is not None:
-            self._m_degraded_ns.inc(int(self.sim.now - self._opened_at))
+            self._m_degraded_ns.value += int(self.sim.now - self._opened_at)
             self._opened_at = None
 
     # -- wiring -----------------------------------------------------------------
@@ -254,10 +254,10 @@ class CircuitBreaker:
             if self._failures >= self.config.fail_threshold:
                 self.trip()
         elif self.state == BREAKER_HALF_OPEN:
-            self._m_probe_failures.inc()
+            self._m_probe_failures.value += 1
             self.trip()
         else:
-            self._m_suppressed.inc()
+            self._m_suppressed.value += 1
 
     # -- transitions ------------------------------------------------------------
 
@@ -279,7 +279,7 @@ class CircuitBreaker:
         self.state = BREAKER_OPEN
         self._failures = 0
         self._successes = 0
-        self._m_opens.inc()
+        self._m_opens.value += 1
         self._transition_trace(was, BREAKER_OPEN)
         for callback in list(self.on_open):
             callback(self)
@@ -299,7 +299,7 @@ class CircuitBreaker:
             return
         self.state = BREAKER_HALF_OPEN
         self._successes = 0
-        self._m_half_opens.inc()
+        self._m_half_opens.value += 1
         self._transition_trace(BREAKER_OPEN, BREAKER_HALF_OPEN)
         for callback in list(self.on_half_open):
             callback(self)
@@ -315,7 +315,7 @@ class CircuitBreaker:
             return
         # The canary got no response inside the window: the path is still
         # dead, and silence — unlike a NAK — is stall evidence.
-        self._m_probe_failures.inc()
+        self._m_probe_failures.value += 1
         self.trip()
 
     def _close(self) -> None:
@@ -326,9 +326,9 @@ class CircuitBreaker:
         self._epoch += 1  # cancels any pending probe watchdog
         self._current_open_timeout = self.config.open_timeout_ns
         if self._opened_at is not None:
-            self._m_degraded_ns.inc(int(self.sim.now - self._opened_at))
+            self._m_degraded_ns.value += int(self.sim.now - self._opened_at)
             self._opened_at = None
-        self._m_closes.inc()
+        self._m_closes.value += 1
         self._transition_trace(was, BREAKER_CLOSED)
         for callback in list(self.on_close):
             callback(self)

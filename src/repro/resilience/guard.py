@@ -107,20 +107,20 @@ class SelfHealingChannel:
     def _on_open(self, breaker: CircuitBreaker) -> None:
         if not self._active:
             return
-        self._m_degrades.inc()
+        self._m_degrades.value += 1
         self.primitive.degrade(self.channel)
 
     def _on_half_open(self, breaker: CircuitBreaker) -> None:
         if not self._active:
             return
         self.controller.reconnect_channel(self.channel)
-        self._m_reconnects.inc()
+        self._m_reconnects.value += 1
         self.primitive.probe(self.channel)
 
     def _on_close(self, breaker: CircuitBreaker) -> None:
         if not self._active:
             return
-        self._m_recoveries.inc()
+        self._m_recoveries.value += 1
         self.primitive.recover(self.channel)
 
     def _on_teardown(self) -> None:

@@ -80,7 +80,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_heap", "_far", "_bound", "_bound_methods", "_now", "_seq", "_events_processed",
+        "_heap", "_far", "_bound", "_bound_methods", "now", "_seq", "_events_processed",
         "_running", "obs",
     )
 
@@ -97,7 +97,9 @@ class Simulator:
         #: The far tier's bound methods, each its own key: one copy shared
         #: by every far event scheduled with an equal one.
         self._bound_methods: Dict[MethodType, MethodType] = {}
-        self._now: float = 0.0
+        #: Current simulated time in nanoseconds: a plain slot, written by
+        #: the kernel as each event fires and at a ``run`` deadline.
+        self.now: float = 0.0
         self._seq: int = 0
         #: Observability handle shared by everything in this simulation
         #: (the session-wide one when a CLI/benchmark run installed it).
@@ -106,11 +108,6 @@ class Simulator:
         self._running: bool = False
 
     # -- clock ---------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -170,7 +167,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        now = self._now
+        now = self.now
         time_ns = now + delay_ns
         if delay_ns > self._FAR_NS and time_ns >= self._bound:
             if not now and type(delay_ns) is float:
@@ -184,13 +181,13 @@ class Simulator:
         self, time_ns: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
         """Schedule *callback(*args)* at absolute time ``time_ns``."""
-        if not self._now <= time_ns < _INF:
+        if not self.now <= time_ns < _INF:
             raise SimulationError(
-                f"cannot schedule at t={time_ns}ns, now is t={self._now}ns"
+                f"cannot schedule at t={time_ns}ns, now is t={self.now}ns"
             )
         seq = self._seq
         self._seq = seq + 1
-        if time_ns - self._now > self._FAR_NS and time_ns >= self._bound:
+        if time_ns - self.now > self._FAR_NS and time_ns >= self._bound:
             return self._far_event(time_ns, seq, callback, args)
         event = Event((time_ns, seq, callback, args))
         _heappush(self._heap, event)
@@ -204,7 +201,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._heap, [self._now + delay_ns, seq, callback, args])
+        _heappush(self._heap, [self.now + delay_ns, seq, callback, args])
 
     def push(
         self, time_ns: float, seq: int, callback: Callable[..., Any], args: Tuple[Any, ...]
@@ -219,9 +216,9 @@ class Simulator:
         the frame's delivery with the second and keeps the first for the
         wake, the tx-complete event it no longer posts (DESIGN.md §5.1).
         """
-        if not self._now <= time_ns < _INF:
+        if not self.now <= time_ns < _INF:
             raise SimulationError(
-                f"cannot push at t={time_ns}ns, now is t={self._now}ns"
+                f"cannot push at t={time_ns}ns, now is t={self.now}ns"
             )
         entry = [time_ns, seq, callback, args]
         _heappush(self._heap, entry)
@@ -275,7 +272,7 @@ class Simulator:
             if event[SEQ] < 0:
                 callback()
                 continue
-            self._now = event[TIME]
+            self.now = event[TIME]
             self._events_processed += 1
             self._running = True
             try:
@@ -327,13 +324,13 @@ class Simulator:
                         continue
                     args = event[3]
                     if args:
-                        self._now = event[0]
+                        self.now = event[0]
                         fired += 1
                         callback(*args)
                     elif event[1] < 0:
                         callback()
                     else:
-                        self._now = event[0]
+                        self.now = event[0]
                         fired += 1
                         callback()
             else:
@@ -352,21 +349,21 @@ class Simulator:
                     if head[1] < 0:
                         head[2]()
                         continue
-                    self._now = head[0]
+                    self.now = head[0]
                     fired += 1
                     head[2](*head[3])
         finally:
             self._running = False
             self._events_processed += fired
-        if until_ns is not None and self._now < until_ns:
-            self._now = until_ns
+        if until_ns is not None and self.now < until_ns:
+            self.now = until_ns
 
     def run_for(self, duration_ns: float, **kwargs: Any) -> None:
         """Run for ``duration_ns`` of simulated time from the current clock."""
-        self.run(until_ns=self._now + duration_ns, **kwargs)
+        self.run(until_ns=self.now + duration_ns, **kwargs)
 
     def __repr__(self) -> str:
         return (
-            f"<Simulator t={self._now:.1f}ns pending={self.active_events} "
+            f"<Simulator t={self.now:.1f}ns pending={self.active_events} "
             f"fired={self._events_processed}>"
         )

@@ -268,15 +268,15 @@ class TieredMemoryPool(MemoryPool):
     # -- access + move accounting ----------------------------------------------
 
     def _on_access(self, tier: str) -> None:
-        self._m_hits[tier].inc()
+        self._m_hits[tier].value += 1
         other = TIER_DRAM if tier == TIER_FAST else TIER_FAST
-        self._m_misses[other].inc()
+        self._m_misses[other].value += 1
         self._arm_tick()
 
     def _on_move(self, block: int, to_tier: str, reason: str) -> None:
-        self._m_moves[to_tier].inc()
+        self._m_moves[to_tier].value += 1
         if reason == "abandon":
-            self._m_abandoned.inc()
+            self._m_abandoned.value += 1
         if to_tier == TIER_FAST:
             self._note_fast_peak()
 
@@ -341,8 +341,8 @@ class TieredMemoryPool(MemoryPool):
             if moved:
                 executed += 1
             else:
-                self._m_skipped.inc()
-        self._m_ticks.inc()
+                self._m_skipped.value += 1
+        self._m_ticks.value += 1
         return drained + executed
 
     # -- membership (PoolListener on ourselves) ----------------------------------

@@ -33,8 +33,9 @@ MODEL_CALLS_PER_FRAME = 30
 #: tx-complete and a delivery event per hop, 42 with the helper chains).
 HOP_CALLS_PER_FRAME = 19
 #: ``rdma/*`` + request-generator calls per Fetch-and-Add round trip
-#: (PR 19; measured 23, was 56).
-ROUND_TRIP_CALLS_PER_OP = 25
+#: (measured 20 with the ePSN advance inlined and the AtomicAckETH filled
+#: slot-wise; 22 with both as calls, 56 with the helper chains).
+ROUND_TRIP_CALLS_PER_OP = 22
 #: Every call, C functions included, per ``RemoteLookupTable.install``
 #: (measured 31; 33 with a ``dict.setdefault`` per filter cell into the T0
 #: index, 41 with the two-CRC16 fingerprint and rollback scaffolding on
@@ -147,8 +148,10 @@ BENCH_BUDGETS = {
     # arrival fused into its pipeline pass (20.6 with a delivery event and
     # a posted pass, 26 with two events per hop, 43 with the helper chains).
     "hop path": ("l2_forward", ("net.wire", "switches.tm", "switches.pipeline", "sim"), 18),
-    # A counted Fetch-and-Add's round trip (22 measured; was 61).
-    "RoCE round trip": ("counter_tiered", ("rdma.rnic", "rdma.codec", "core.rocegen"), 34),
+    # A counted Fetch-and-Add's round trip (20.7 measured with the ePSN
+    # advance inlined and the AtomicAckETH filled slot-wise; 22.7 with both
+    # as calls, 61 with the helper chains).
+    "RoCE round trip": ("counter_tiered", ("rdma.rnic", "rdma.codec", "core.rocegen"), 22),
     # A buffered frame in the primitive and its registers (36 measured; was 100).
     "buffered frame": ("pktbuf_ring", ("core.pktbuf", "switches.pipeline"), 60),
     # A bounced lookup in the generator, the sharded front and the table

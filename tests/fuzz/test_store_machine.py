@@ -238,3 +238,30 @@ TestStoreMachine = StoreMachine.TestCase
 TestStoreMachine.settings = settings(
     max_examples=examples(15), stateful_step_count=12, deadline=None
 )
+
+
+def test_a_reorder_after_a_blackout_loses_no_update():
+    """A blackout round then a reorder window on the server link: a response
+    reordered behind a later one must not move the acknowledged PSN back,
+    or a delayed sequence-error NAK naming an executed PSN passes as fresh,
+    the resync rewinds the switch QP onto it and the RNIC answers the next
+    Fetch-and-Add from its replay cache unapplied.  Kept in tier-1, which
+    draws this schedule in only some runs."""
+    machine = StoreMachine()
+    machine.build(
+        icrc=False,
+        seed=31624,
+        burst={"start_ns": 68326.55486669924, "indices": [0] * 6, "gap_ns": 50.0},
+        fault={
+            "name": "blackout",
+            "duration_ns": 62394.44097697245,
+            "fault_start_ns": 35784.52166750437,
+            "probability": 0.1,
+        },
+    )
+    machine.burst(gap_ns=50.0, indices=[0] * 6, start_ns=100000.0)
+    machine.fault(duration_ns=50000.0, fault_start_ns=57713.0, name="reorder", probability=0.5)
+    machine.quiesce()
+    machine.burst(gap_ns=50.0, indices=[0], start_ns=6000.0)
+    machine.quiesce()
+    machine.teardown()

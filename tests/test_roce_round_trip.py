@@ -8,7 +8,8 @@ Five groups, one per mechanism of the budgeted round trip (DESIGN.md §5.1):
 (ii)  every builder against header-by-header assembly with the checked
       constructors (the reference of ``test_packet_model.py``, extended to
       explicit PSNs and every syndrome), caller-supplied fields still
-      range-checked, templates never stale after a reconnect;
+      range-checked, a reconnect's QPNs in every later packet, no header
+      shared between two stamped frames;
 (iii) the one-pass ICRC against ``zlib.crc32`` of the joined bytes, and a
       flipped bit anywhere from BTH to payload still detected;
 (iv)  the straight-line responder on ten scenarios, each pinned by a
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from repro.apps.programs import StaticL2Program
 from repro.core.rocegen import RoceRequestGenerator
 from repro.hosts.server import Host, MemoryServer
+from repro.net.addresses import MacAddress
 from repro.net.headers import HeaderError
 from repro.net.link import connect
 from repro.net.packet import Packet
@@ -186,17 +188,20 @@ def test_every_builder_equals_header_by_header_assembly(icrc, explicit):
     assert a.next_psn == (100 if explicit else 103)
 
     ack = AethHeader(syndrome=AethSyndrome.ACK, msn=77)
-    _same(
-        build_read_response(read, b, data, compute_icrc=icrc),
-        _reference_response(read, b, Opcode.RDMA_READ_RESPONSE_ONLY, None, [ack], data, icrc),
-    )
-    _same(
-        build_atomic_ack(faa, b, (1 << 64) - 1, compute_icrc=icrc),
-        _reference_response(
-            faa, b, Opcode.ATOMIC_ACKNOWLEDGE, None,
-            [ack, AtomicAckEthHeader(original_data=(1 << 64) - 1)], b"", icrc,
-        ),
-    )
+    for override in (None, 0, (1 << 24) - 1):
+        _same(
+            build_read_response(read, b, data, compute_icrc=icrc, psn_override=override),
+            _reference_response(
+                read, b, Opcode.RDMA_READ_RESPONSE_ONLY, override, [ack], data, icrc
+            ),
+        )
+        _same(
+            build_atomic_ack(faa, b, (1 << 64) - 1, compute_icrc=icrc, psn_override=override),
+            _reference_response(
+                faa, b, Opcode.ATOMIC_ACKNOWLEDGE, override,
+                [ack, AtomicAckEthHeader(original_data=(1 << 64) - 1)], b"", icrc,
+            ),
+        )
     for syndrome in [AethSyndrome.ACK] + NAKS:
         for override in (None, 0, (1 << 24) - 1):
             aeth = AethHeader(syndrome=syndrome, msn=77)
@@ -204,6 +209,74 @@ def test_every_builder_equals_header_by_header_assembly(icrc, explicit):
                 build_ack(write, b, syndrome=syndrome, psn_override=override, compute_icrc=icrc),
                 _reference_response(write, b, Opcode.ACKNOWLEDGE, override, [aeth], b"", icrc),
             )
+
+
+def _stamper(shape):
+    """A builder stamping one QP's frames of *shape*, and the frame's
+    header-by-header reference."""
+    a, b = _qps()
+    data = bytes(range(64))
+
+    def reth():
+        return RethHeader(virtual_address=0x2000, rkey=0x99, dma_length=len(data))
+
+    read = build_read_request(a, 0x2000, 0x99, len(data), psn=5)
+    faa = build_fetch_add_request(a, 0x4008, 0x97, 3, psn=6)
+    write = build_write_request(a, 0x2000, 0x99, data, psn=4)
+
+    def aeth():
+        return AethHeader(syndrome=AethSyndrome.ACK, msn=77)
+
+    return {
+        "write": (
+            lambda: build_write_request(a, 0x2000, 0x99, data, psn=4),
+            lambda: _reference_request(a, Opcode.RDMA_WRITE_ONLY, 4, True, reth(), data, False),
+        ),
+        "read": (
+            lambda: build_read_request(a, 0x2000, 0x99, len(data), psn=5),
+            lambda: _reference_request(a, Opcode.RDMA_READ_REQUEST, 5, False, reth(), b"", False),
+        ),
+        "fetch_add": (
+            lambda: build_fetch_add_request(a, 0x4008, 0x97, 3, psn=6),
+            lambda: _reference_request(
+                a, Opcode.FETCH_ADD, 6, False,
+                AtomicEthHeader(virtual_address=0x4008, rkey=0x97, swap_add=3), b"", False,
+            ),
+        ),
+        "read_response": (
+            lambda: build_read_response(read, b, data),
+            lambda: _reference_response(
+                read, b, Opcode.RDMA_READ_RESPONSE_ONLY, None, [aeth()], data, False
+            ),
+        ),
+        "ack": (
+            lambda: build_ack(write, b),
+            lambda: _reference_response(write, b, Opcode.ACKNOWLEDGE, None, [aeth()], b"", False),
+        ),
+        "atomic_ack": (
+            lambda: build_atomic_ack(faa, b, 41),
+            lambda: _reference_response(
+                faa, b, Opcode.ATOMIC_ACKNOWLEDGE, None,
+                [aeth(), AtomicAckEthHeader(original_data=41)], b"", False,
+            ),
+        ),
+    }[shape]
+
+
+@pytest.mark.parametrize(
+    "shape", ["write", "read", "fetch_add", "read_response", "ack", "atomic_ack"]
+)
+def test_stamped_frames_share_no_header(shape):
+    """Each stamped frame owns its Eth/IPv4/UDP headers: the TM's ECN mark
+    and the layout packer's length fields write into them in place."""
+    stamp, reference = _stamper(shape)
+    first, second = stamp(), stamp()
+    first.ipv4.ecn = 3
+    first.ipv4.ttl = 1
+    first.eth.dst = MacAddress(0xFFFFFFFFFFFF)
+    first.udp.src_port = 7
+    assert (first.ipv4.ecn, first.ipv4.ttl, first.udp.src_port) == (3, 1, 7)
+    _same(second, reference())
 
 
 def test_bytearray_and_memoryview_payloads_become_bytes_and_bytes_are_not_copied():
@@ -273,7 +346,7 @@ def test_packets_stamped_after_a_reconnect_carry_the_new_queue_pair_numbers():
     assert after.require(BthHeader).psn == 0  # fresh PSN state too
     response = build_atomic_ack(after, channel.server_qp, 5)
     assert response.require(BthHeader).dest_qp == channel.switch_qp.qpn != old_switch_qpn
-    # A QP connected a second time (RESET → RTS) is re-templated as well.
+    # A QP connected a second time (RESET → RTS) stamps its new peer too.
     qp = channel.switch_qp
     qp.state = QpState.RESET
     qp.connect(0x777, channel.server_qp.local_ip, channel.server_qp.local_mac)
@@ -651,12 +724,12 @@ def test_a_fetch_add_round_trip_costs_a_bounded_number_of_calls():
     calls = _round_trip_calls(operations)
     assert calls == _round_trip_calls(operations), "the count must repeat exactly"
     # Per round trip: 2 to issue (fetch_add, transmit), 4 to stamp the request
-    # (builder, AtomicETH check, request, stamp), 11 in the responder (entry,
-    # ICRC check, process, execute, three in memory, ePSN, emit, retire, the
-    # checked AtomicAckETH constructor), 3 to stamp the response and 2 back at
-    # the switch (the one-pass accept, ICRC check): 22.  It was 56
-    # with the helper chains; the bench bound of 34 (ISSUE 19) adds the
-    # tiering moves' READs and WRITEs.
+    # (builder, AtomicETH check, request, stamp), 9 in the responder (entry,
+    # ICRC check, process, execute, three in memory, emit, retire), 3 to stamp
+    # the response (builder, response, stamp) and 2 back at the switch (the
+    # one-pass accept, ICRC check): 20.  It was 22 with the ePSN advance and
+    # the checked AtomicAckETH constructor as calls, 56 with the helper
+    # chains; the bench bound of 22 adds the tiering moves' READs and WRITEs.
     assert 0 < calls <= ROUND_TRIP_CALLS_PER_OP * operations, (
         f"{calls / operations:.1f} calls per round trip"
     )

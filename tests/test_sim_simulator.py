@@ -383,3 +383,39 @@ def test_deadline_sliced_run_matches_a_straight_run(seed):
     assert sliced_log == straight_log
     assert len(straight_log) > 30
     assert sliced.events_processed == straight.events_processed
+
+
+@pytest.mark.parametrize("drive", ["run", "deadline", "step"])
+def test_the_clock_is_each_entrys_time_inside_its_callback(drive):
+    """``sim.now`` is a plain slot that the kernel writes as an entry fires:
+    inside a callback fired through ``post``, ``push``, ``schedule_at`` or
+    the far tier it reads that entry's time, in either drain loop and in
+    ``step``; after ``run(until_ns=...)`` it reads the deadline."""
+    sim = Simulator()
+    seen = []
+
+    def note(kind, time_ns):
+        seen.append((kind, time_ns, sim.now))
+        if kind == "post":  # one posted from inside a callback, at now + delay
+            sim.post(2.5, note, "nested", time_ns + 2.5)
+
+    far_ns = 3 * Simulator._FAR_NS
+    sim.post(10.0, note, "post", 10.0)
+    seq = sim._seq  # a seq taken ahead, as a frame's start takes one
+    sim._seq = seq + 1
+    sim.push(25.5, seq, note, ("push", 25.5))
+    sim.schedule_at(40.0, note, "schedule_at", 40.0)
+    sim.schedule(far_ns, note, "far", far_ns)
+    assert len(sim._far) == 1  # the last one waits in the far tier
+    if drive == "run":
+        sim.run()
+    elif drive == "deadline":
+        sim.run(until_ns=30.0)
+        assert sim.now == 30.0  # between two entries
+        sim.run(until_ns=far_ns + 100.0)
+        assert sim.now == far_ns + 100.0  # past the last one
+    else:
+        while sim.step():
+            pass
+    assert [kind for kind, _, _ in seen] == ["post", "nested", "push", "schedule_at", "far"]
+    assert all(now == time_ns for _, time_ns, now in seen), seen
