@@ -23,7 +23,7 @@ from repro.net.packet import Packet
 from repro.rdma.headers import BthHeader, IcrcTrailer, RethHeader, parse_roce
 from repro.rdma.constants import Opcode
 from repro.sim.simulator import Simulator
-from repro.switches.hashing import FiveTuple, crc16, hash_fields
+from repro.switches.hashing import FiveTuple, crc16
 from repro.workloads.zipf import ZipfGenerator
 
 
@@ -82,11 +82,6 @@ def test_five_tuple_hash_throughput(benchmark):
     ft = FiveTuple(0x0A000001, 0x0A000002, 17, 1000, 2000)
     value = benchmark(ft.hash)
     assert value == ft.hash()
-
-
-def test_hash_fields_throughput(benchmark):
-    fields = [0x0A000001, 0x0A000002, 17, 1000, 2000]
-    benchmark(hash_fields, fields)
 
 
 def test_rdma_write_round_trip(benchmark):

@@ -43,7 +43,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..net.headers import HeaderError, Ipv4Header
 from ..net.packet import Packet
@@ -56,9 +56,6 @@ from ..switches.switch import ProgrammableSwitch
 from ..switches.traffic_manager import HookVerdict, PortQueue
 from .channel import RemoteMemoryChannel
 from .rocegen import RetryTimer, RoceRequestGenerator
-
-if TYPE_CHECKING:  # cluster imports core; break the cycle for typing
-    from ..cluster.pool import MemoryPool, PoolMember
 
 #: Register indices for the ring state.
 _WRITE_PTR, _READ_PTR, _NEXT_LOAD_PTR, _BUFFERING = range(4)
@@ -247,7 +244,7 @@ class RemotePacketBuffer:
         # for an empty ring without reading both registers; it always
         # equals sum(_channel_unread).
         self._occupancy = 0
-        # Stripe targets, recomputed at every membership change.
+        # Stripe targets, recomputed at every change of a channel's health.
         self._targets: List[int] = list(range(len(self.channels)))
         self._rr_cursor = 0
         self._channel_slot_counter = [0] * len(self.channels)
@@ -256,16 +253,6 @@ class RemotePacketBuffer:
         # recoveries per channel.
         self._channel_strikes = [0] * len(self.channels)
         self._failed_channels: set = set()
-        # Gracefully leaving channels: excluded from striping but still
-        # read until their unread entries drain (pool membership).
-        self._draining_channels: set = set()
-        # Pool mode (see from_pool): membership and health govern
-        # failover instead of the private failover_strikes counter.
-        self.pool: Optional["MemoryPool"] = None
-        self._member_channel: Dict[str, int] = {}
-        self._bytes_per_member = 0
-        self.drain_poll_ns = 10_000.0
-        self.drain_timeout_ns = 1_000_000.0
         self._loading = False  # reentrancy guard for the load loop
         self._queue: PortQueue = switch.port_queue(protected_port)
         # Plug into the traffic manager.
@@ -281,154 +268,6 @@ class RemotePacketBuffer:
             self.switch, channel, self._on_read_loss, timer, self._on_response
         )
 
-    # -- pool mode (cluster subsystem) ---------------------------------------------
-
-    @classmethod
-    def from_pool(
-        cls,
-        switch: ProgrammableSwitch,
-        pool: "MemoryPool",
-        protected_port: int,
-        bytes_per_member: int,
-        config: Optional[PacketBufferConfig] = None,
-        separate_read_qps: bool = True,
-    ) -> "RemotePacketBuffer":
-        """Build a buffer striped over every alive pool member.
-
-        The pool takes over the roles the constructor wires statically:
-        members that join mid-run become stripe targets
-        (:meth:`add_channel`), members the health monitor declares dead
-        are failed over exactly as ``failover_strikes`` would, and
-        graceful leaves drain their unread entries before the channels
-        close.  ``bytes_per_member`` fixes an equal ring per server.
-        """
-        members = pool.alive_members
-        if not members:
-            raise ValueError("pool has no alive members")
-        rings = [
-            cls._open_rings(pool, member, bytes_per_member, separate_read_qps)
-            for member in members
-        ]
-        buffer = cls(
-            switch,
-            [channel for channel, _ in rings],
-            protected_port,
-            config=config,
-            read_channels=[read for _, read in rings] if separate_read_qps else None,
-        )
-        buffer.pool = pool
-        buffer._bytes_per_member = bytes_per_member
-        buffer._member_channel = {
-            member.name: idx for idx, member in enumerate(members)
-        }
-        for member in members:
-            pool.watch(
-                member, buffer.read_rocegens[buffer._member_channel[member.name]]
-            )
-        pool.listeners.append(buffer)
-        return buffer
-
-    @staticmethod
-    def _open_rings(pool: "MemoryPool", member: "PoolMember", size: int, separate: bool):
-        """Open *member*'s ring and, with separate read QPs, a second QP on it."""
-        channel = pool.open_channel(member, size, name=f"pktbuf:{member.name}")
-        read_channel = pool.open_channel(
-            member, size, name=f"pktbuf-read:{member.name}", share_region_with=channel
-        ) if separate else None
-        return channel, read_channel
-
-    def add_channel(
-        self,
-        channel: RemoteMemoryChannel,
-        read_channel: Optional[RemoteMemoryChannel] = None,
-    ) -> int:
-        """Enroll another stripe target mid-run; returns its index.
-
-        The new ring must hold at least as many entries as the existing
-        ones (striping keeps slot geometry uniform across channels).
-        """
-        if channel.length // self.config.entry_bytes < self.entries_per_channel:
-            raise ValueError(
-                f"channel {channel.name!r} holds fewer than "
-                f"{self.entries_per_channel} entries"
-            )
-        separate = self.read_channels is not self.channels
-        if separate:
-            if read_channel is None:
-                raise ValueError(
-                    "buffer uses separate read QPs; pass read_channel"
-                )
-            if not _same_region(read_channel, channel):
-                raise ValueError(
-                    "read channel must share the write channel's region"
-                )
-        index = len(self.channels)
-        self.channels.append(channel)
-        self.rocegens.append(self._requester(channel))
-        if separate:
-            self.read_channels.append(read_channel)
-            self.read_rocegens.append(self._requester(read_channel))
-        self._windows.append(self.read_rocegens[index].window)
-        self._channel_slot_counter.append(0)
-        self._channel_unread.append(0)
-        self._channel_strikes.append(0)
-        self.capacity_entries = self.entries_per_channel * len(self.channels)
-        self._retarget()
-        return index
-
-    def on_member_join(self, member: "PoolMember") -> None:
-        channel, read_channel = self._open_rings(
-            self.pool, member, self._bytes_per_member,
-            separate=self.read_channels is not self.channels,
-        )
-        index = self.add_channel(channel, read_channel)
-        self._member_channel[member.name] = index
-        self.pool.watch(member, self.read_rocegens[index])
-
-    def on_member_leave(self, member: "PoolMember", graceful: bool) -> None:
-        index = self._member_channel.pop(member.name, None)
-        if index is None:
-            return
-        if not graceful:
-            self._abandon_channel(index)
-            return
-        # Stop striping to the leaver but keep reading its ring; hold its
-        # channels open until the unread entries drain out.
-        self._draining_channels.add(index)
-        self._retarget()
-        self.pool.hold_for_drain(member)
-        self._drain_channel(
-            member, index, deadline=self.switch.sim.now + self.drain_timeout_ns
-        )
-
-    def _abandon_channel(self, index: int) -> None:
-        """Fail a channel outside the recovery path (member death)."""
-        if index in self._failed_channels:
-            return
-        # Its READs in flight are behind the load pointer, which will not
-        # sweep them again: they are clean losses now.
-        for pointer in self._windows[index].values():
-            self._reorder[pointer] = None
-            self._m_lost_to_failover.value += 1
-        self._fail_channel(index)
-        # Its other entries resolve as clean losses as the load pointer
-        # sweeps them; kick the sweep now.
-        self._maybe_start_loading(self._queue)
-
-    def _drain_channel(
-        self, member: "PoolMember", index: int, deadline: float
-    ) -> None:
-        if self._channel_unread[index] == 0 and not self._windows[index]:
-            self.pool.release_drain(member)
-            return
-        if self.switch.sim.now >= deadline:
-            self._abandon_channel(index)
-            self.pool.release_drain(member)
-            return
-        self.switch.sim.schedule(
-            self.drain_poll_ns, self._drain_channel, member, index, deadline
-        )
-
     # -- ring geometry -------------------------------------------------------------
 
     @property
@@ -441,15 +280,13 @@ class RemotePacketBuffer:
 
     @property
     def alive_channels(self) -> List[int]:
-        """Stripe targets: not failed, not draining out of the pool, not
-        degraded."""
+        """Stripe targets: neither failed nor degraded."""
         return self._targets
 
     def _retarget(self) -> None:
-        """Recompute the stripe targets; every membership change ends here
-        (``add_channel``, graceful leave, ``_fail_channel``, ``degrade``,
-        ``recover``)."""
-        out = self._failed_channels | self._draining_channels | self._degraded_channels
+        """Recompute the stripe targets; every change of a channel's health
+        ends here (``_fail_channel``, ``degrade``, ``recover``)."""
+        out = self._failed_channels | self._degraded_channels
         self._targets = [i for i in range(len(self.channels)) if i not in out]
 
     # -- store path ---------------------------------------------------------------
@@ -660,11 +497,8 @@ class RemotePacketBuffer:
             # the chain explicitly, so keep out of it.
             return
         idx = self.read_rocegens.index(gen)
-        # Pool mode: the health monitor judges the requester's strikes and
-        # timeouts and calls back into on_member_leave; the private count
-        # would judge the same evidence twice.
         strikes = self.config.failover_strikes
-        if self.pool is None and strikes is not None and idx not in self._failed_channels:
+        if strikes is not None and idx not in self._failed_channels:
             self._channel_strikes[idx] += 1
             if self._channel_strikes[idx] >= strikes:
                 self._fail_channel(idx)
@@ -683,7 +517,6 @@ class RemotePacketBuffer:
         """Declare channel *idx* dead: exclude it from striping; entries
         still waiting on it are abandoned as the reads reach them."""
         self._failed_channels.add(idx)
-        self._draining_channels.discard(idx)
         self._retarget()
         self._windows[idx].clear()
         self._m_channels_failed.value += 1

@@ -92,7 +92,7 @@ class Interface:
         self._inflight: Optional[List[Any]] = None
         #: Set by a switch on its ports: its pipeline pass and this port's
         #: number.  A frame bound here is pushed straight to
-        #: ``_pass(packet, _port, 0, self)``, due
+        #: ``_pass(packet, _port, self)``, due
         #: ``node.config.pipeline_latency_ns`` after it lands (§5.1).
         self._pass: Optional[Callable[..., None]] = None
         self._port: Optional[int] = None
@@ -188,7 +188,7 @@ class Interface:
             if peer._pass is not None and not peer.rx_taps and "deliver" not in peer.__dict__:
                 entry = [
                     (free_at + link.propagation_ns) + peer.node.config.pipeline_latency_ns,
-                    seq + 1, peer._pass, (packet, peer._port, 0, peer),
+                    seq + 1, peer._pass, (packet, peer._port, peer),
                 ]
             else:
                 entry = [free_at + link.propagation_ns, seq + 1, peer.deliver, (packet,)]

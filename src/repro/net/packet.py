@@ -3,8 +3,8 @@
 A :class:`Packet` is an ordered stack of header objects (outermost first)
 plus an opaque payload.  Network elements manipulate the structured form —
 pushing and popping headers the way a P4 deparser would — while byte-level
-serialization remains available for tests, pcap dumps, and wire-size
-accounting.
+serialization remains available for tests, the RDMA payloads that carry
+frames, and wire-size accounting.
 
 ``meta`` carries simulation-only annotations (flow ids, creation timestamps,
 trace hooks) that never appear on the wire and never count toward sizes.
@@ -426,13 +426,6 @@ class Packet:
     @property
     def udp(self) -> UdpHeader:
         return self.require(UdpHeader)
-
-    def find_trailer(self, trailer_type: Type[H]) -> Optional[H]:
-        """Return the first trailer of *trailer_type*, or None."""
-        for trailer in self._trailers:
-            if isinstance(trailer, trailer_type):
-                return trailer
-        return None
 
     @property
     def header_len(self) -> int:

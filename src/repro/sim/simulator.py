@@ -16,7 +16,7 @@ its pipeline pass):
   handle.  ``heapq`` compares either kind with C list comparison (time,
   then the unique sequence number) instead of a Python ``__lt__`` per
   sift step, and scheduling allocates one object.
-* ``run()`` drains the heap inline — no per-event ``step()`` call — with
+* ``run()`` drains the heap inline — no per-event method call — with
   the heap and ``heappop`` hoisted into locals, a dedicated tightest loop
   for the common "no deadline, no budget" case, and a no-unpack call for
   argument-less callbacks.
@@ -113,7 +113,7 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of events fired so far (cancelled events excluded).
 
-        Updated when :meth:`run`/:meth:`step` return, not per event.
+        Updated when :meth:`run` returns, not per event.
         """
         return self._events_processed
 
@@ -253,34 +253,6 @@ class Simulator:
         _heappush(heap, [bound, -1, self._promote, ()])
 
     # -- execution -------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Fire the next pending event.
-
-        Returns ``True`` if an event fired, ``False`` if the heap is empty.
-        Cancelled events are skipped silently.  Like :meth:`run`, it may
-        not be called from inside a callback.
-        """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        heap = self._heap
-        while heap:
-            event = _heappop(heap)
-            callback = event[CALLBACK]
-            if callback is None:
-                continue
-            if event[SEQ] < 0:
-                callback()
-                continue
-            self.now = event[TIME]
-            self._events_processed += 1
-            self._running = True
-            try:
-                callback(*event[ARGS])
-            finally:
-                self._running = False
-            return True
-        return False
 
     def run(
         self,

@@ -34,11 +34,6 @@ def msec(value: float) -> float:
     return value * MSEC
 
 
-def sec(value: float) -> float:
-    """Return *value* seconds, in nanoseconds."""
-    return value * SEC
-
-
 def to_usec(time_ns: float) -> float:
     """Convert a time in nanoseconds to microseconds."""
     return time_ns / USEC
@@ -49,41 +44,15 @@ def to_msec(time_ns: float) -> float:
     return time_ns / MSEC
 
 
-def to_sec(time_ns: float) -> float:
-    """Convert a time in nanoseconds to seconds."""
-    return time_ns / SEC
-
-
 # -- data rates ------------------------------------------------------------
 
-#: One bit per second (the base rate unit).
-BPS = 1.0
-#: One kilobit per second in bits per second.
-KBPS = 1e3
-#: One megabit per second in bits per second.
-MBPS = 1e6
 #: One gigabit per second in bits per second.
 GBPS = 1e9
-
-
-def kbps(value: float) -> float:
-    """Return *value* kilobits/second, in bits/second."""
-    return value * KBPS
-
-
-def mbps(value: float) -> float:
-    """Return *value* megabits/second, in bits/second."""
-    return value * MBPS
 
 
 def gbps(value: float) -> float:
     """Return *value* gigabits/second, in bits/second."""
     return value * GBPS
-
-
-def to_gbps(rate_bps: float) -> float:
-    """Convert a rate in bits/second to gigabits/second."""
-    return rate_bps / GBPS
 
 
 # -- sizes -----------------------------------------------------------------
@@ -122,14 +91,3 @@ def transmission_delay_ns(size_bytes: int, rate_bps: float) -> float:
     if rate_bps <= 0:
         raise ValueError(f"rate must be positive, got {rate_bps}")
     return size_bytes * 8 * SEC / rate_bps
-
-
-def rate_bps_from_bytes(total_bytes: int, duration_ns: float) -> float:
-    """Average rate in bits/second for *total_bytes* over *duration_ns*.
-
-    Returns 0.0 for a zero-length interval rather than raising, because
-    monitors routinely compute rates over possibly-empty windows.
-    """
-    if duration_ns <= 0:
-        return 0.0
-    return total_bytes * 8 * SEC / duration_ns

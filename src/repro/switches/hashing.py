@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterable, NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple
 
 from ..net.headers import Ipv4Header, UdpHeader
 from ..net.packet import Packet
-
-FieldValue = Union[int, bytes]
 
 
 def _build_crc16_table(poly: int = 0xA001) -> Tuple[int, ...]:
@@ -80,39 +78,6 @@ def flow_fingerprint(packed: bytes) -> int:
 def crc32(data: bytes) -> int:
     """CRC-32 (IEEE 802.3) of *data*."""
     return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def _field_bytes(value: FieldValue) -> bytes:
-    """Serialize one hash input field the way the hash unit would see it."""
-    if isinstance(value, bytes):
-        return value
-    if isinstance(value, int):
-        if value < 0:
-            raise ValueError(f"hash fields must be non-negative, got {value}")
-        length = max(1, (value.bit_length() + 7) // 8)
-        return value.to_bytes(length, "big")
-    # Address types expose .to_bytes().
-    to_bytes = getattr(value, "to_bytes", None)
-    if callable(to_bytes):
-        return to_bytes()
-    raise TypeError(f"cannot hash field of type {type(value).__name__}")
-
-
-def hash_fields(fields: Iterable[FieldValue], width_bits: int = 32) -> int:
-    """Hash a tuple of fields into ``width_bits`` bits (CRC32-based).
-
-    This is the ``hash(...)`` extern a P4 program calls; the field list is
-    concatenated with length prefixes so (1, 23) and (12, 3) differ.
-    """
-    parts = []
-    for value in fields:
-        raw = _field_bytes(value)
-        parts.append(struct.pack("!H", len(raw)))
-        parts.append(raw)
-    digest = crc32(b"".join(parts))
-    if width_bits >= 32:
-        return digest
-    return digest & ((1 << width_bits) - 1)
 
 
 _FIVE_TUPLE = struct.Struct("!IIBHH")

@@ -2,7 +2,7 @@
 
 A :class:`SwitchProgram` is the Python analogue of a P4 program: it gets a
 :class:`PipelineContext` per packet and decides forwarding by calling
-context actions (forward / drop / emit / recirculate / flood).  The
+context actions (forward / drop / emit).  The
 *primitive actions* of the paper are ordinary methods invoked from a
 program's ``on_ingress`` — exactly how the paper packages them ("we design
 the primitives as data plane actions so that switch data plane programs can
@@ -23,27 +23,17 @@ class PipelineContext:
     """Per-packet forwarding decisions collected during pipeline execution.
 
     The model's packet metadata struct: a fixed set of slots, built once
-    per pipeline pass.  It refers to its switch and its packet and to
-    nothing that refers back, so it and the packet are freed by reference
-    count the moment the pass ends.
+    per pipeline pass.  It refers to its switch and to nothing that refers
+    back, so it is freed by reference count the moment the pass ends.
     """
 
-    __slots__ = (
-        "switch", "in_port", "packet",
-        "egress_port", "dropped", "flooded", "recirculated", "emitted",
-    )
+    __slots__ = ("switch", "in_port", "egress_port", "dropped", "emitted")
 
-    def __init__(
-        self, switch: "ProgrammableSwitch", in_port: Optional[int], packet: Packet
-    ) -> None:
+    def __init__(self, switch: "ProgrammableSwitch", in_port: Optional[int]) -> None:
         self.switch = switch
         self.in_port = in_port
-        #: The packet this pass is deciding about (what ``clone_to`` mirrors).
-        self.packet = packet
         self.egress_port: Optional[int] = None
         self.dropped = False
-        self.flooded = False
-        self.recirculated = False
         #: Additional packets to transmit: (packet, egress port); None
         #: until the first ``emit``, as most passes emit nothing.
         self.emitted: Optional[List[Tuple[Packet, int]]] = None
@@ -52,18 +42,10 @@ class PipelineContext:
         """Send the packet out of *port* (unicast)."""
         self.egress_port = port
         self.dropped = False
-        self.flooded = False
 
     def drop(self) -> None:
         """Discard the packet."""
         self.dropped = True
-        self.egress_port = None
-        self.flooded = False
-
-    def flood(self) -> None:
-        """Send the packet out of every port except the ingress port."""
-        self.flooded = True
-        self.dropped = False
         self.egress_port = None
 
     def emit(self, packet: Packet, port: int) -> None:
@@ -77,23 +59,6 @@ class PipelineContext:
             self.emitted = [(packet, port)]
         else:
             self.emitted.append((packet, port))
-
-    def clone_to(self, port: int) -> Packet:
-        """Mirror the current packet to *port*; returns the clone for
-        further modification (truncation, header rewrites)."""
-        clone = self.packet.clone()
-        self.emit(clone, port)
-        return clone
-
-    def recirculate(self) -> None:
-        """Send the packet through the pipeline again (loopback port).
-
-        Costs one extra pipeline pass of latency and consumes internal
-        bandwidth; the §7 ablation compares this against packet bouncing.
-        """
-        self.recirculated = True
-        self.dropped = False
-        self.egress_port = None
 
 
 class SwitchProgram:
@@ -110,6 +75,3 @@ class SwitchProgram:
     def on_ingress(self, ctx: PipelineContext, packet: Packet) -> None:
         raise NotImplementedError
 
-    def on_recirculate(self, ctx: PipelineContext, packet: Packet) -> None:
-        """Handle a recirculated packet (defaults to normal ingress)."""
-        self.on_ingress(ctx, packet)

@@ -1,9 +1,9 @@
 """The programmable switch node.
 
 Models a Tofino-class single-chip switch: N ports, a fixed-latency
-match-action pipeline, a traffic manager with a shared packet buffer, and a
-recirculation path.  A bound :class:`~repro.switches.pipeline.SwitchProgram`
-decides forwarding; the paper's primitives plug into the same program API.
+match-action pipeline and a traffic manager with a shared packet buffer.
+A bound :class:`~repro.switches.pipeline.SwitchProgram` decides
+forwarding; the paper's primitives plug into the same program API.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ class SwitchConfig:
 
     #: One pass through parser + match-action stages + deparser.
     pipeline_latency_ns: float = 400.0
-    #: Extra latency for a recirculation pass (loopback port + re-parse).
+    #: Extra latency for a recirculation pass (loopback port + re-parse),
+    #: as the lookup table's ``recirculate`` ablation mode prices it.
     recirculation_latency_ns: float = 400.0
-    #: Safety bound on recirculations per packet (hardware programs must
-    #: bound this too; unbounded recirculation melts the pipeline).
-    max_recirculations: int = 8
 
 
 @dataclass
@@ -42,8 +40,6 @@ class SwitchStats:
     tx_packets: int = 0
     processed: int = 0
     dropped_by_program: int = 0
-    recirculations: int = 0
-    recirculation_overflow_drops: int = 0
 
 
 class ProgrammableSwitch(Node):
@@ -132,20 +128,12 @@ class ProgrammableSwitch(Node):
             self._run_pipeline,
             packet,
             self._port_of_interface[interface],
-            0,
-        )
-
-    def inject(self, packet: Packet, port: Optional[int] = None) -> None:
-        """Run a locally-generated packet through the pipeline (CPU port)."""
-        self.sim.post(
-            self.config.pipeline_latency_ns, self._run_pipeline, packet, port, 0
         )
 
     def _run_pipeline(
         self,
         packet: Packet,
-        in_port: Optional[int],
-        pass_count: int,
+        in_port: int,
         arrived: Optional[Interface] = None,
     ) -> None:
         """One pipeline pass.  *arrived* is the ingress interface of a
@@ -159,7 +147,7 @@ class ProgrammableSwitch(Node):
         if program is None:
             raise RuntimeError(f"{self.name}: no program bound")
         self.stats.processed += 1
-        ctx = PipelineContext(self, in_port, packet)
+        ctx = PipelineContext(self, in_port)
         requester = None
         if self.requesters:
             bth = packet.find(BthHeader)
@@ -171,35 +159,14 @@ class ProgrammableSwitch(Node):
             ctx.drop()
             opcode, is_nak, context = requester.accept_response(packet, bth)
             requester.on_response(ctx, packet, opcode, is_nak, context)
-        elif pass_count == 0:
-            program.on_ingress(ctx, packet)
         else:
-            program.on_recirculate(ctx, packet)
+            program.on_ingress(ctx, packet)
         # Apply the verdict.
         if ctx.emitted:
             for extra, port in ctx.emitted:
                 self.transmit(extra, port)
-        if ctx.recirculated:
-            if pass_count + 1 > self.config.max_recirculations:
-                self.stats.recirculation_overflow_drops += 1
-                return
-            self.stats.recirculations += 1
-            self.sim.post(
-                self.config.recirculation_latency_ns,
-                self._run_pipeline,
-                packet,
-                in_port,
-                pass_count + 1,
-            )
-        elif ctx.dropped:
+        if ctx.dropped:
             self.stats.dropped_by_program += 1
-        elif ctx.flooded:
-            targets = [p for p in range(len(self._ports)) if p != in_port]
-            # Every target but the last gets a clone; the last, the original.
-            for port in targets[:-1]:
-                self.transmit(packet.clone(), port)
-            if targets:
-                self.transmit(packet, targets[-1])
         elif ctx.egress_port is not None:
             self.transmit(packet, ctx.egress_port)
 

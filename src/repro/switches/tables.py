@@ -1,6 +1,6 @@
-"""Match-action tables: exact, LPM, and ternary.
+"""The exact-match table.
 
-These model the SRAM/TCAM tables of a programmable switch, including the
+This models the SRAM tables of a programmable switch, including the
 crucial property the paper is about: **bounded capacity**.  Inserting past
 ``capacity`` raises :class:`TableFullError`, which is what forces real
 deployments onto CPU slow paths — and what the remote lookup-table
@@ -14,11 +14,11 @@ data structures with hit/miss accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, Optional
 
 
 class TableFullError(Exception):
-    """The table has no free SRAM/TCAM entries left."""
+    """The table has no free SRAM entries left."""
 
 
 @dataclass
@@ -111,107 +111,3 @@ class ExactMatchTable:
 
     def __repr__(self) -> str:
         return f"<ExactMatchTable {self.name} {len(self)}/{self.capacity}>"
-
-
-class LpmTable:
-    """Longest-prefix-match table over integer keys (e.g. IPv4 addresses)."""
-
-    def __init__(self, name: str, capacity: int, key_bits: int = 32) -> None:
-        if capacity <= 0:
-            raise ValueError(f"table capacity must be positive: {capacity}")
-        self.name = name
-        self.capacity = capacity
-        self.key_bits = key_bits
-        self.default_action: Optional[ActionEntry] = None
-        self.stats = TableStats()
-        # prefix length -> {masked key -> entry}; scanned longest-first.
-        self._by_length: Dict[int, Dict[int, ActionEntry]] = {}
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def _mask(self, key: int, length: int) -> int:
-        if length == 0:
-            return 0
-        shift = self.key_bits - length
-        return (key >> shift) << shift
-
-    def insert(self, prefix: int, length: int, entry: ActionEntry) -> None:
-        if not 0 <= length <= self.key_bits:
-            raise ValueError(f"prefix length out of range: {length}")
-        bucket = self._by_length.setdefault(length, {})
-        masked = self._mask(prefix, length)
-        if masked not in bucket:
-            if self._count >= self.capacity:
-                raise TableFullError(
-                    f"table {self.name!r} full ({self.capacity} entries)"
-                )
-            self._count += 1
-        bucket[masked] = entry
-        self.stats.inserts += 1
-
-    def lookup(self, key: int) -> Optional[ActionEntry]:
-        for length in sorted(self._by_length, reverse=True):
-            entry = self._by_length[length].get(self._mask(key, length))
-            if entry is not None:
-                self.stats.hits += 1
-                return entry
-        self.stats.misses += 1
-        return self.default_action
-
-    def __repr__(self) -> str:
-        return f"<LpmTable {self.name} {self._count}/{self.capacity}>"
-
-
-@dataclass
-class TernaryRule:
-    """value/mask pair with a priority (lower number = higher priority)."""
-
-    value: int
-    mask: int
-    priority: int
-    entry: ActionEntry
-
-    def matches(self, key: int) -> bool:
-        return (key & self.mask) == (self.value & self.mask)
-
-
-class TernaryTable:
-    """A ternary (TCAM) table over integer keys with rule priorities."""
-
-    def __init__(self, name: str, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"table capacity must be positive: {capacity}")
-        self.name = name
-        self.capacity = capacity
-        self.default_action: Optional[ActionEntry] = None
-        self.stats = TableStats()
-        self._rules: List[TernaryRule] = []
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def insert(
-        self, value: int, mask: int, entry: ActionEntry, priority: int = 0
-    ) -> None:
-        if len(self._rules) >= self.capacity:
-            raise TableFullError(
-                f"table {self.name!r} full ({self.capacity} entries)"
-            )
-        self._rules.append(
-            TernaryRule(value=value, mask=mask, priority=priority, entry=entry)
-        )
-        self._rules.sort(key=lambda r: r.priority)
-        self.stats.inserts += 1
-
-    def lookup(self, key: int) -> Optional[ActionEntry]:
-        for rule in self._rules:
-            if rule.matches(key):
-                self.stats.hits += 1
-                return rule.entry
-        self.stats.misses += 1
-        return self.default_action
-
-    def __repr__(self) -> str:
-        return f"<TernaryTable {self.name} {len(self)}/{self.capacity}>"

@@ -11,8 +11,7 @@ of which objects live there.  The pool owns three things:
   gauge can never exceed the bound (asserted in tests and CI).
 * **Geometry wiring** — :meth:`tier_object` opens the DRAM home channel
   and the fast window channel for one object and returns its
-  :class:`~repro.tiering.geometry.TieredRegionGeometry`; whole-object
-  pins (a packet-buffer ring) use :meth:`place_channel`.
+  :class:`~repro.tiering.geometry.TieredRegionGeometry`.
 * **The policy tick** — access counters drain into a
   :class:`~repro.policies.placement.PlacementView` every ``tick_ns`` of
   simulated time; the policy plans :class:`TierMove`\\ s and the pool
@@ -33,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from ..cluster.pool import MemoryPool, PoolMember
-from ..core.channel import RdmaChannelController, RemoteMemoryChannel
+from ..core.channel import RdmaChannelController
 from ..policies.placement import (
     BlockStat,
     PlacementPolicy,
@@ -81,11 +80,9 @@ class TieredMemoryPool(MemoryPool):
             )
         self.policy = policy
         self.geometries: Dict[str, TieredRegionGeometry] = {}
-        #: Fast bytes committed (object windows + whole-channel pins);
-        #: reservations, not occupancy — occupancy is what is resident.
+        #: Fast bytes committed to object windows; reservations, not
+        #: occupancy — occupancy is what is resident.
         self._fast_reserved = 0
-        #: Fast bytes held by whole-channel pins (always "resident").
-        self._pinned_fast_bytes = 0
         self._tick_event = None
 
         fast = self.metrics.child(f"tier[{TIER_FAST}]")
@@ -122,8 +119,7 @@ class TieredMemoryPool(MemoryPool):
     # -- occupancy ------------------------------------------------------------
 
     def _fast_occupancy_bytes(self) -> int:
-        resident = sum(g.fast_bytes for g in self.geometries.values())
-        return resident + self._pinned_fast_bytes
+        return sum(g.fast_bytes for g in self.geometries.values())
 
     def _dram_occupancy_bytes(self) -> int:
         total = sum(g.total_bytes for g in self.geometries.values())
@@ -226,44 +222,6 @@ class TieredMemoryPool(MemoryPool):
                 for block in range(min(fast_blocks, total_blocks)):
                     geometry.promote(block, reason="pin")
         return geometry
-
-    def place_channel(
-        self,
-        name: str,
-        size_bytes: int,
-        tier: str = TIER_FAST,
-        member: Optional[PoolMember] = None,
-        access: AccessFlags = AccessFlags.ALL_REMOTE,
-    ) -> RemoteMemoryChannel:
-        """Open a whole channel pinned to *tier* (static placement).
-
-        The packet-buffer ring path: the object is not block-tiered, it
-        simply *lives* in the fast tier, and its bytes count against the
-        fast budget for the lifetime of the channel.
-        """
-        if tier not in TIERS:
-            raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
-        if member is None:
-            member = (
-                self._fast_home(self.member_for(name.encode()))
-                if tier == TIER_FAST
-                else self.member_for(name.encode())
-            )
-        if tier == TIER_FAST:
-            self._reserve_fast(size_bytes, name)
-        channel = self.open_channel(
-            member, size_bytes, name=name, access=access, tier=tier
-        )
-        if tier == TIER_FAST:
-            self._pinned_fast_bytes += size_bytes
-            self._note_fast_peak()
-
-            def _unpin() -> None:
-                self._pinned_fast_bytes -= size_bytes
-                self._fast_reserved -= size_bytes
-
-            channel.teardown_callbacks.append(_unpin)
-        return channel
 
     # -- access + move accounting ----------------------------------------------
 

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.apps.programs import (
-    CountingProgram,
-    RemoteBufferProgram,
-    RemoteLookupProgram,
-)
+from repro.apps.programs import CountingProgram, RemoteLookupProgram
 from repro.cluster.health import HealthMonitor
 from repro.cluster.pool import MemoryPool
 from repro.cluster.replicated_store import ReplicatedStateStore
@@ -17,18 +13,12 @@ from repro.core.lookup_table import (
     LookupTableConfig,
     RemoteAction,
 )
-from repro.core.packet_buffer import (
-    ENTRY_SEQ_BYTES,
-    PacketBufferConfig,
-    RemotePacketBuffer,
-)
 from repro.core.rocegen import RoceRequestGenerator
 from repro.core.state_store import ATOMIC_OPERAND_BYTES, StateStoreConfig
 from repro.testbed import build_testbed
 from repro.sim.units import kib
 from repro.switches.hashing import FiveTuple
-from repro.switches.traffic_manager import TrafficManagerConfig
-from repro.workloads.perftest import PacketSink, RawEthernetBw
+from repro.workloads.perftest import RawEthernetBw
 
 
 # -- consistent-hash ring -----------------------------------------------------
@@ -572,90 +562,3 @@ class TestReplicatedStateStore:
         assert hosted, "ring should hand the joiner some arcs"
         for i in hosted:
             assert late.read_counter_via_control_plane(i) == 4
-
-
-# -- packet buffer in pool mode -----------------------------------------------
-
-
-RECEIVER = 1
-
-
-def build_pool_buffer(servers=2, ring_entries=512):
-    entry_bytes = 1600 + ENTRY_SEQ_BYTES
-    tb = build_testbed(
-        n_hosts=3,
-        n_memory_servers=servers,
-        tm_config=TrafficManagerConfig(buffer_bytes=kib(256)),
-    )
-    pool = MemoryPool(tb.controller, seed=1)
-    for server, port in zip(tb.memory_servers, tb.server_ports):
-        pool.add_server(server, port)
-    program = RemoteBufferProgram()
-    for host, port in zip(tb.hosts, tb.host_ports):
-        program.install(host.eth.mac, port)
-    tb.switch.bind_program(program)
-    primitive = RemotePacketBuffer.from_pool(
-        tb.switch,
-        pool,
-        protected_port=tb.host_ports[RECEIVER],
-        bytes_per_member=ring_entries * entry_bytes,
-        config=PacketBufferConfig(
-            entry_bytes=entry_bytes,
-            high_watermark_bytes=kib(64),
-            low_watermark_bytes=kib(8),
-        ),
-    )
-    program.use_packet_buffer(primitive)
-    return tb, pool, primitive
-
-
-def blast_buffer(tb, count, senders=(0, 2)):
-    sink = PacketSink(tb.hosts[RECEIVER], dst_port=20_000)
-    for s in senders:
-        RawEthernetBw(
-            tb.sim,
-            tb.hosts[s],
-            tb.hosts[RECEIVER],
-            packet_size=1500,
-            rate_bps=40e9,
-            count=count,
-            src_port=10_000 + s,
-        ).start()
-    return sink
-
-
-class TestPacketBufferPoolMode:
-    def test_overload_stripes_over_every_member(self):
-        tb, pool, primitive = build_pool_buffer(servers=2)
-        sink = blast_buffer(tb, count=120)
-        tb.sim.run()
-        assert primitive.metrics["stored_packets"] > 0
-        assert sink.packets == 240  # nothing lost
-        assert tb.switch.tm.total_dropped_packets == 0
-        busy = [s for s in tb.memory_servers if s.rnic.metrics["requests_received"] > 0]
-        assert len(busy) == 2
-
-    def test_capacity_scales_with_members(self):
-        tb, pool, primitive = build_pool_buffer(servers=2, ring_entries=256)
-        assert primitive.capacity_entries == 2 * 256
-
-    def test_member_join_adds_striping_capacity(self):
-        tb, pool, primitive = build_pool_buffer(servers=2, ring_entries=256)
-        pool.add_server(tb.memory_servers[0], tb.server_ports[0], name="late")
-        assert primitive.capacity_entries == 3 * 256
-        sink = blast_buffer(tb, count=100)
-        tb.sim.run()
-        assert sink.packets == 200
-        assert tb.switch.tm.total_dropped_packets == 0
-
-    def test_graceful_leave_drains_member_then_delivers_all(self):
-        tb, pool, primitive = build_pool_buffer(servers=2)
-        sink = blast_buffer(tb, count=100)
-
-        def leave():
-            pool.remove_server("memserver1")
-
-        tb.sim.schedule_at(5_000.0, leave)
-        tb.sim.run()
-        assert sink.packets == 200
-        assert tb.switch.tm.total_dropped_packets == 0

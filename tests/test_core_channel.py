@@ -80,9 +80,6 @@ class DummyProgram:
         self.seen += 1
         ctx.drop()
 
-    def on_recirculate(self, ctx, packet):
-        ctx.drop()
-
 
 class TestRoceRequestGenerator:
     def make(self):

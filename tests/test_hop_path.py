@@ -12,7 +12,7 @@ Four properties of the hop path (DESIGN.md §5.1, "the hop path"):
   ``dest_qp``, and the match table tracks membership.
 
 Plus the regressions that rode along: serialiser re-entrancy, NaN event
-times, and ``PipelineContext.clone_to`` on a hand-built context.
+times, and ``PipelineContext.emit`` on a hand-built context.
 """
 
 from __future__ import annotations
@@ -546,16 +546,20 @@ def test_replicated_store_and_striped_buffer_steer_by_qp():
     assert tb.switch.requesters == brute_force_requesters(*stores)
     assert len(tb.switch.requesters) == 3
 
-    buffer = RemotePacketBuffer.from_pool(
-        tb.switch, pool, protected_port=tb.host_ports[1], bytes_per_member=64 * 1024,
-        separate_read_qps=True,
+    channels = tb.open_channels(64 * 1024)
+    read_channels = [
+        tb.controller.open_channel(server, port, share_region_with=channel)
+        for server, port, channel in zip(tb.memory_servers, tb.server_ports, channels)
+    ]
+    buffer = RemotePacketBuffer(
+        tb.switch, channels, protected_port=tb.host_ports[1], read_channels=read_channels
     )
-    assert len(brute_force_requesters(buffer)) == 4  # a write and a read QP per member
+    assert len(brute_force_requesters(buffer)) == 6  # a write and a read QP per server
     assert tb.switch.requesters == brute_force_requesters(*stores, buffer)
     pool.add_server(tb.memory_servers[0], tb.server_ports[0], name="late")
     stores.append(store.stores["late"])
     assert tb.switch.requesters == brute_force_requesters(*stores, buffer)
-    assert len(tb.switch.requesters) == 4 + 6
+    assert len(tb.switch.requesters) == 6 + 4
     assert tb.switch.requesters[buffer.read_channels[2].switch_qp.qpn] is buffer.read_rocegens[2]
 
 
@@ -619,12 +623,13 @@ def test_nan_times_are_rejected_at_every_entry_point():
     assert fired == [5] and sim.now == 10.0
 
 
-def test_clone_to_works_on_a_hand_built_context():
+def test_emit_works_on_a_hand_built_context():
     tb = build_testbed(n_hosts=2, with_memory_server=False, seed=1)
     packet = udp_between(tb.hosts[0], tb.hosts[1], 128)
-    ctx = PipelineContext(tb.switch, 0, packet)
-    clone = ctx.clone_to(1)
-    assert clone is not packet and clone.pack() == packet.pack()
-    assert ctx.emitted == [(clone, 1)]
+    ctx = PipelineContext(tb.switch, 0)
+    clone = packet.clone()
+    ctx.emit(clone, 1)
+    ctx.emit(packet, 0)
+    assert ctx.emitted == [(clone, 1), (packet, 0)]
     assert not hasattr(ctx, "__dict__")  # a fixed struct: nothing can be hung on it
     assert not hasattr(tb.switch.port_interface(0), "on_idle")

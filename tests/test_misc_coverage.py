@@ -1,4 +1,4 @@
-"""Focused tests for smaller APIs: switch injection, topology, rocegen."""
+"""Focused tests for smaller APIs: the switch, topology, rocegen."""
 
 import pytest
 
@@ -22,16 +22,6 @@ class TestSwitchMisc:
         tb.switch.bind_program(program)
         return tb
 
-    def test_inject_runs_pipeline_without_ingress_port(self):
-        tb = self.build()
-        received = []
-        tb.hosts[1].packet_handlers.append(lambda p, i: received.append(p))
-        packet = make_udp_packet()
-        packet.headers[0].dst = tb.hosts[1].eth.mac
-        tb.switch.inject(packet)
-        tb.sim.run()
-        assert len(received) == 1
-
     def test_port_of_round_trips(self):
         tb = self.build()
         for port in tb.host_ports:
@@ -50,7 +40,7 @@ class TestSwitchMisc:
         sim = Simulator()
         switch = ProgrammableSwitch(sim, "bare")
         switch.add_port(MacAddress(1))
-        switch.inject(make_udp_packet())
+        switch.receive(make_udp_packet(), switch.port_interface(0))
         with pytest.raises(RuntimeError):
             sim.run()
 
@@ -155,7 +145,7 @@ class TestRoceGenMisc:
         RoceRequestGenerator(tb.switch, channel, on_response=lambda *args: handled.append(args))
         packet = make_udp_packet()
         packet.append(BthHeader(opcode=Opcode.ACKNOWLEDGE, dest_qp=0xBEEF, psn=0))
-        tb.switch.inject(packet, tb.host_ports[0])
+        tb.switch.receive(packet, tb.switch.port_interface(tb.host_ports[0]))
         tb.sim.run()
         assert handled == [] and tb.switch.stats.dropped_by_program == 1
 

@@ -1,56 +1,19 @@
-"""Tests for the remaining infrastructure: pcap, hosts, RNG, pausing."""
+"""Tests for the remaining infrastructure: hosts, RNG, pausing, module reach."""
 
-import io
-import struct
+import ast
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.hosts.server import Host, MemoryServer
 from repro.net.link import connect
-from repro.net.pcap import PcapWriter
 from repro.rdma.memory import AccessFlags
 from repro.sim.rng import SeedSequence
 from repro.sim.simulator import Simulator
 from repro.sim.units import gbps, gib
 from tests.test_net_packet import make_udp_packet
-
-
-class TestPcapWriter:
-    def test_global_header(self):
-        buffer = io.BytesIO()
-        PcapWriter(buffer)
-        header = buffer.getvalue()
-        assert len(header) == 24
-        magic, major, minor = struct.unpack("!IHH", header[:8])
-        assert magic == 0xA1B2C3D4
-        assert (major, minor) == (2, 4)
-        (linktype,) = struct.unpack("!I", header[20:24])
-        assert linktype == 1  # Ethernet
-
-    def test_record_framing(self):
-        buffer = io.BytesIO()
-        writer = PcapWriter(buffer)
-        packet = make_udp_packet(payload=b"pcap!")
-        writer.write(packet, time_ns=1_500_000_000.0)  # 1.5 s
-        raw = buffer.getvalue()[24:]
-        seconds, micros, caplen, origlen = struct.unpack("!IIII", raw[:16])
-        assert seconds == 1
-        assert micros == 500_000
-        assert caplen == origlen == len(packet.pack())
-        assert raw[16:] == packet.pack()
-        assert writer.packets_written == 1
-
-    def test_tap_uses_sim_clock(self):
-        sim = Simulator()
-        buffer = io.BytesIO()
-        writer = PcapWriter(buffer, sim=sim)
-        packet = make_udp_packet()
-        sim.schedule(2_000.0, writer.tap, packet)
-        sim.run()
-        raw = buffer.getvalue()[24:]
-        seconds, micros, _, _ = struct.unpack("!IIII", raw[:16])
-        assert seconds == 0
-        assert micros == 2  # 2000 ns
 
 
 class TestSeedSequence:
@@ -162,3 +125,24 @@ class TestInterfacePause:
         a.eth.set_paused(True)
         sim.run()
         assert len(b.got) == 1  # the wire finishes what it started
+
+
+def test_every_module_is_imported_by_the_api_an_experiment_or_the_cli():
+    """A module that none of the three entry points imports is code that
+    nothing runs (only tests could reach it): delete it, or reach it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path[:0] = [{str(src)!r}]\n"
+        "import repro.api as api, repro.cli, repro.experiments as experiments\n"
+        "[getattr(api, name) for name in api.__all__]\n"
+        "[experiments.load(name) for name in experiments.REGISTRY]\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'repro'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, check=True, timeout=120
+    )
+    modules = {
+        ".".join(path.relative_to(src).with_suffix("").parts).replace(".__init__", "")
+        for path in (src / "repro").rglob("*.py")
+    }
+    assert sorted(modules - set(ast.literal_eval(done.stdout))) == []

@@ -6,7 +6,7 @@ its requesters' windows; ``Packet.parse`` decodes a drained frame in
 place.  Five angles:
 
 (i)   both primitives' semantics over seeded scenarios — loss, failover,
-      degrade and recover, pools, the PSN wrap: the ring delivers every
+      degrade and recover, the PSN wrap: the ring delivers every
       frame in store order or counts it lost, and the counters match the
       ledger (exactly, in reliable mode);
 (ii)  ``Packet.parse(data, offset)`` against slice-then-parse;
@@ -32,7 +32,6 @@ from repro.api import (
     CountingProgram,
     FiveTuple,
     LookupTableConfig,
-    MemoryPool,
     OpenLoopZipfTraffic,
     PacketBufferConfig,
     RemoteAction,
@@ -85,7 +84,7 @@ ENTRY_BYTES = 1500 + ENTRY_SEQ_BYTES
 # -- (i) the packet buffer against the data plane it replaced -------------------------------
 
 
-def buffer_rig(buffer_type, servers=1, read_qps=False, pooled=False, ring_entries=512,
+def buffer_rig(buffer_type, servers=1, read_qps=False, ring_entries=512,
                tm=None, entry_bytes=ENTRY_BYTES, **config):
     """An incast rig: hosts 0 and 2 overload host 1 behind a 256 KiB switch."""
     tb = build_testbed(
@@ -97,25 +96,15 @@ def buffer_rig(buffer_type, servers=1, read_qps=False, pooled=False, ring_entrie
         entry_bytes=entry_bytes, high_watermark_bytes=kib(64), low_watermark_bytes=kib(8),
         **config,
     )
-    ring_bytes = ring_entries * entry_bytes
-    if pooled:
-        pool = tb.pool = MemoryPool(tb.controller, seed=1)
-        for server, port in zip(tb.memory_servers[:2], tb.server_ports[:2]):
-            pool.add_server(server, port)
-        buffer = buffer_type.from_pool(
-            tb.switch, pool, protected_port=tb.host_ports[RECEIVER],
-            bytes_per_member=ring_bytes, config=config,
-        )
-    else:
-        channels = tb.open_channels(ring_bytes)
-        read_channels = [
-            tb.controller.open_channel(server, port, share_region_with=channel)
-            for server, port, channel in zip(tb.memory_servers, tb.server_ports, channels)
-        ] if read_qps else None
-        buffer = buffer_type(
-            tb.switch, channels, protected_port=tb.host_ports[RECEIVER],
-            config=config, read_channels=read_channels,
-        )
+    channels = tb.open_channels(ring_entries * entry_bytes)
+    read_channels = [
+        tb.controller.open_channel(server, port, share_region_with=channel)
+        for server, port, channel in zip(tb.memory_servers, tb.server_ports, channels)
+    ] if read_qps else None
+    buffer = buffer_type(
+        tb.switch, channels, protected_port=tb.host_ports[RECEIVER],
+        config=config, read_channels=read_channels,
+    )
     program.use_packet_buffer(buffer)
     tb.delivered = delivered = []
 
@@ -233,20 +222,6 @@ def breaker_degrade_and_recover(buffer_type):
     observe(tb, buffer, 480, ordered=False)
 
 
-def pool_join_leave_and_death(buffer_type):
-    tb, buffer = buffer_rig(buffer_type, servers=3, pooled=True, read_timeout_ns=usec(50))
-    pool = tb.pool
-    blast(tb, 250)
-    tb.sim.schedule_at(usec(10), pool.add_server, tb.memory_servers[2], tb.server_ports[2])
-    tb.sim.schedule_at(usec(40), pool.remove_server, "memserver0")
-    tb.sim.schedule_at(usec(90), setattr, tb.server_links[1], "loss_probability", 1.0)
-    tb.sim.schedule_at(usec(95), pool.fail_server, "memserver1")
-    blast(tb, 60, at_ns=usec(1_500))
-    tb.sim.run(max_events=2_000_000)
-    assert buffer.alive_channels == [2] and buffer.metrics["channels_failed"] == 1
-    observe(tb, buffer, 620)
-
-
 def ecn_from_ring_occupancy(buffer_type):
     tb, buffer = buffer_rig(buffer_type, ecn_ring_threshold_entries=20)
     blast(tb, 150, ecn=2)
@@ -290,8 +265,7 @@ def store_all_then_manual_drain(buffer_type):
 
 BUFFER_CASES = [
     single_channel, striped_over_three, separate_read_qps, loss_with_go_back_n,
-    failover_on_strikes, breaker_degrade_and_recover, pool_join_leave_and_death,
-    ecn_from_ring_occupancy, ring_too_small_for_the_burst, frames_too_big_for_an_entry,
+    failover_on_strikes, breaker_degrade_and_recover, ecn_from_ring_occupancy, ring_too_small_for_the_burst, frames_too_big_for_an_entry,
     store_all_then_manual_drain,
 ]
 

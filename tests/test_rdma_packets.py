@@ -46,7 +46,7 @@ class TestRequestBuilders:
         assert reth.virtual_address == 0x4000
         assert reth.dma_length == 5
         assert packet.payload == b"hello"
-        assert packet.find_trailer(IcrcTrailer) is not None
+        assert [type(trailer) for trailer in packet.trailers] == [IcrcTrailer]
 
     def test_psns_sequence_per_qp(self, qps):
         a, b = qps

@@ -459,7 +459,6 @@ class TestTierTagSurvivesReconnect:
     """
 
     def build_fast_channel(self):
-        from repro.rdma.memory import TIER_FAST
         from repro.sim.units import kib
         from repro.tiering.pool import TieredMemoryPool
 
@@ -468,8 +467,12 @@ class TestTierTagSurvivesReconnect:
             tb.controller, fast_capacity_bytes=kib(1), seed=1
         )
         pool.add_server(tb.memory_server, tb.server_port)
-        channel = pool.place_channel("ring", 512, tier=TIER_FAST)
-        return tb, pool, channel
+        return tb, pool, self.fast_window(pool, "ring")
+
+    @staticmethod
+    def fast_window(pool, name):
+        """The fast channel of a one-block tiered object (8 B units)."""
+        return pool.tier_object(name, 8, 64, fast_blocks=1).fast_channel
 
     def test_reconnect_restamps_region_tier_on_fresh_qps(self):
         from repro.rdma.memory import TIER_FAST
@@ -492,8 +495,9 @@ class TestTierTagSurvivesReconnect:
         tb, pool, channel = self.build_fast_channel()
         old_rkey = channel.region.rkey
         tb.controller.close_channel(channel)
-        assert pool.fast_free_bytes == kib(1)  # pin released
-        again = pool.place_channel("ring2", 512, tier=TIER_FAST)
+        assert pool.fast_free_bytes == kib(1) - 512  # the object keeps its window
+        again = self.fast_window(pool, "ring2")
+        assert pool.fast_free_bytes == 0
         assert again.region.rkey != old_rkey
         assert again.tier == TIER_FAST and again.region.tier == TIER_FAST
 

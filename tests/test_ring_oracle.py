@@ -2,7 +2,8 @@
 
 Hypothesis composes sender bursts into a small switch buffer, loss on the
 server link, shared or separate read QPs, a breaker's ``degrade`` /
-``recover``, and a pool member dying or joining.  A FIFO of every frame
+``recover``, and the second of two servers going dark until
+``failover_strikes`` fails its channel.  A FIFO of every frame
 the buffer consumed at the egress hook is the model; whatever the
 composition:
 
@@ -23,7 +24,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
-    MemoryPool,
     PacketBufferConfig,
     RemoteBufferProgram,
     RemotePacketBuffer,
@@ -54,49 +54,37 @@ burst = st.tuples(
 membership = st.one_of(
     st.none(),
     st.tuples(st.just("degrade"), st.integers(0, 200), st.integers(1, 200)),
-    st.tuples(st.sampled_from(["fail", "join"]), st.integers(0, 300)),
+    st.tuples(st.just("fail"), st.integers(0, 300)),
 )
 
 
 def rig(switch_kib, loss, separate, event, seed):
     """Hosts 0 and 2 send to host 1 behind the buffer: one memory server,
-    or a pool of two (and a third to join) when a member dies or joins."""
-    pooled = event is not None and event[0] in ("fail", "join")
+    or two when the second one's link dies."""
+    striped = event is not None and event[0] == "fail"
     tb = build_testbed(
-        n_hosts=3, n_memory_servers=3 if pooled else 1, seed=seed,
+        n_hosts=3, n_memory_servers=2 if striped else 1, seed=seed,
         tm_config=TrafficManagerConfig(buffer_bytes=kib(switch_kib)),
     )
     program = bind(tb, RemoteBufferProgram())
     config = PacketBufferConfig(
         entry_bytes=ENTRY_BYTES, high_watermark_bytes=kib(32), low_watermark_bytes=kib(8),
-        read_timeout_ns=usec(50),
+        read_timeout_ns=usec(50), failover_strikes=3 if striped else None,
     )
     protected = tb.host_ports[RECEIVER]
-    if pooled:
-        pool = MemoryPool(tb.controller, seed=seed)
-        for server, port in zip(tb.memory_servers[:2], tb.server_ports[:2]):
-            pool.add_server(server, port)
-        buffer = RemotePacketBuffer.from_pool(
-            tb.switch, pool, protected, bytes_per_member=RING_ENTRIES * ENTRY_BYTES,
-            config=config, separate_read_qps=separate,
-        )
-        if event[0] == "fail":
-            tb.sim.schedule_at(usec(event[1]), pool.fail_server, "memserver1")
-        else:
-            tb.sim.schedule_at(
-                usec(event[1]), pool.add_server, tb.memory_servers[2], tb.server_ports[2]
-            )
-    else:
-        (channel,) = tb.open_channels(RING_ENTRIES * ENTRY_BYTES)
-        read_channels = [
-            tb.controller.open_channel(tb.memory_server, tb.server_port, share_region_with=channel)
-        ] if separate else None
-        buffer = RemotePacketBuffer(
-            tb.switch, channel, protected, config=config, read_channels=read_channels
-        )
-        if event is not None:  # what a breaker does: degrade, then recover
-            tb.sim.schedule_at(usec(event[1]), buffer.degrade)
-            tb.sim.schedule_at(usec(event[1] + event[2]), buffer.recover)
+    channels = tb.open_channels(RING_ENTRIES * ENTRY_BYTES)
+    read_channels = [
+        tb.controller.open_channel(server, port, share_region_with=channel)
+        for server, port, channel in zip(tb.memory_servers, tb.server_ports, channels)
+    ] if separate else None
+    buffer = RemotePacketBuffer(
+        tb.switch, channels, protected, config=config, read_channels=read_channels
+    )
+    if striped:
+        tb.sim.schedule_at(usec(event[1]), setattr, tb.server_links[1], "loss_probability", 1.0)
+    elif event is not None:  # what a breaker does: degrade, then recover
+        tb.sim.schedule_at(usec(event[1]), buffer.degrade)
+        tb.sim.schedule_at(usec(event[1] + event[2]), buffer.recover)
     program.use_packet_buffer(buffer)
     for link in tb.server_links:
         link.loss_probability = loss
@@ -108,7 +96,7 @@ def rig(switch_kib, loss, separate, event, seed):
     bursts=[(0, 120, 0, 1500, 40e9), (2, 120, 0, 1500, 40e9)],
     switch_kib=64, loss=0.0, separate=False, event=None, seed=1,
 )
-@example(  # a member died with READs in flight on it: 59 entries stranded
+@example(  # a server died with READs in flight on it
     bursts=[(0, 11, 0, 1500, 40e9), (0, 10, 0, 1500, 40e9), (0, 1, 0, 64, 10e9),
             (2, 80, 0, 1500, 40e9)],
     switch_kib=64, loss=0.0, separate=False, event=("fail", 13), seed=1,

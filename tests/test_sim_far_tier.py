@@ -6,8 +6,7 @@ list of pending events, and each firing takes the least ``(time, seq)``
 from it, seq being the order of the scheduling calls.  A cancelled event
 leaves the list.  ``run()`` fires until the list is empty;
 ``run(until_ns=t)`` fires what is due at or before ``t`` and then moves the
-clock up to ``t``; ``run(max_events=k)`` fires at most ``k``; ``step()``
-fires one.  The clock is the time of the last event fired, or a deadline.
+clock up to ``t``; ``run(max_events=k)`` fires at most ``k``.  The clock is the time of the last event fired, or a deadline.
 There is no heap, no far tier and no lazy deletion in it.
 
 The scripts schedule bound methods of several objects that share one
@@ -98,12 +97,6 @@ class Oracle:
             fired += 1
         if until_ns is not None and self.now < until_ns:
             self.now = until_ns
-
-    def step(self) -> bool:
-        if not self.pending:
-            return False
-        self._fire(self._next())
-        return True
 
 
 class _Receiver:
@@ -215,7 +208,7 @@ drivers = st.one_of(
     st.tuples(st.just("run_until"), st.sampled_from(DELAYS + (FAR / 2, 4 * FAR))),
     st.tuples(st.just("run_until_pending"), st.integers(0, 10_000)),
     st.tuples(st.just("run_max"), st.integers(0, 3 * BATCH)),
-    st.tuples(st.just("step")),
+    st.tuples(st.just("run_max"), st.just(1)),
 )
 #: A phase starts a chain in flight across the far range, so that a far
 #: event fired out of place shows against it, makes some calls and drives.
@@ -230,8 +223,6 @@ def _drive(program: Program, op, until) -> None:
         target.run(until_ns=until)
     elif kind == "run_max":
         target.run(max_events=op[1])
-    elif kind == "step":
-        target.step()
     else:
         program.play(op)
 
@@ -280,15 +271,16 @@ def test_more_far_events_at_one_instant_than_a_batch_fire_in_seq_order():
 
 def test_a_cancelled_far_tail_leaves_the_clock_at_the_last_event_fired():
     # The sentinel fires at the cancelled event's time; the clock must not.
-    for drive in (Simulator.run, Simulator.step):
+    for budget in (None, 1):
         sim = Simulator()
         sim.schedule(10.0, lambda: None)
         timers = [sim.schedule(FAR * 10 + n, lambda: None) for n in range(2 * BATCH)]
         for timer in timers:
             timer.cancel()
         assert sim.active_events == 1
-        while drive(sim):
-            pass
+        sim.run(max_events=budget)  # the live event
+        sim.run(max_events=budget)  # the sentinel and the cancelled tail
+        assert not sim._heap and not sim._far
         assert sim.now == 10.0 and sim.events_processed == 1 and sim.active_events == 0
 
 
@@ -316,7 +308,8 @@ def test_the_sentinel_is_not_an_event():
     sim.run(max_events=3)
     assert fired == [0, 1, 2] and sim.events_processed == 3
     assert sim.active_events == 2 * BATCH - 3
-    assert sim.step() and fired[-1] == 3 and sim.events_processed == 4
+    sim.run(max_events=1)
+    assert fired[-1] == 3 and sim.events_processed == 4
     sim.run(max_events=0)
     assert sim.events_processed == 4 and sim.now == 2 * FAR + 3
 

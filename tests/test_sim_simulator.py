@@ -106,7 +106,9 @@ def test_max_events_budget(sim):
 
 
 def test_step_returns_false_when_empty(sim):
-    assert sim.step() is False
+    """A step, ``run(max_events=1)``, on an empty calendar fires nothing."""
+    sim.run(max_events=1)
+    assert sim.events_processed == 0 and sim.now == 0.0
 
 
 def test_events_processed_counts_only_fired(sim):
@@ -287,16 +289,13 @@ def test_step_inside_a_callback_rejected(sim):
     fired = []
 
     def peek_ahead():
-        sim.step()
+        sim.run(max_events=1)
 
     sim.schedule(1.0, peek_ahead)
     sim.schedule(5.0, fired.append, "later")
     with pytest.raises(SimulationError):
         sim.run()
     assert fired == [] and sim.now == 1.0
-    with pytest.raises(SimulationError):
-        sim.schedule(1.0, peek_ahead)
-        sim.step()
 
 
 # -- post: fire-and-forget entries ----------------------------------------------
@@ -344,16 +343,18 @@ def test_zero_delay_post_fires_after_the_events_already_due(sim):
 
 
 def test_step_fires_one_posted_event_at_a_time(sim):
+    """One step is a one-event run, ``run(max_events=1)``."""
     out = []
     for n in range(3):
         sim.post(5.0, out.append, n)
-    assert sim.step() is True
+    sim.run(max_events=1)
     assert out == [0]
     assert sim.active_events == 2
-    while sim.step():
-        pass
-    assert out == [0, 1, 2]
-    assert sim.step() is False
+    while sim.active_events:
+        sim.run(max_events=1)
+    assert out == [0, 1, 2] and sim.events_processed == 3
+    sim.run(max_events=1)
+    assert sim.events_processed == 3
 
 
 def _prime(sim, seed):
@@ -389,8 +390,8 @@ def test_deadline_sliced_run_matches_a_straight_run(seed):
 def test_the_clock_is_each_entrys_time_inside_its_callback(drive):
     """``sim.now`` is a plain slot that the kernel writes as an entry fires:
     inside a callback fired through ``post``, ``push``, ``schedule_at`` or
-    the far tier it reads that entry's time, in either drain loop and in
-    ``step``; after ``run(until_ns=...)`` it reads the deadline."""
+    the far tier it reads that entry's time, in either drain loop and one
+    event at a time (``step``: ``run(max_events=1)``); after ``run(until_ns=...)`` it reads the deadline."""
     sim = Simulator()
     seen = []
 
@@ -415,7 +416,7 @@ def test_the_clock_is_each_entrys_time_inside_its_callback(drive):
         sim.run(until_ns=far_ns + 100.0)
         assert sim.now == far_ns + 100.0  # past the last one
     else:
-        while sim.step():
-            pass
+        while sim.active_events:
+            sim.run(max_events=1)
     assert [kind for kind, _, _ in seen] == ["post", "nested", "push", "schedule_at", "far"]
     assert all(now == time_ns for _, time_ns, now in seen), seen

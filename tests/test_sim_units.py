@@ -8,17 +8,12 @@ from repro.sim import units
 def test_time_conversions():
     assert units.usec(1) == 1_000.0
     assert units.msec(1) == 1_000_000.0
-    assert units.sec(1) == 1_000_000_000.0
     assert units.to_usec(units.usec(2.5)) == pytest.approx(2.5)
     assert units.to_msec(units.msec(7)) == pytest.approx(7)
-    assert units.to_sec(units.sec(0.25)) == pytest.approx(0.25)
 
 
 def test_rate_conversions():
     assert units.gbps(40) == 40e9
-    assert units.mbps(100) == 100e6
-    assert units.kbps(1) == 1e3
-    assert units.to_gbps(units.gbps(10)) == pytest.approx(10)
 
 
 def test_size_helpers():
@@ -35,15 +30,6 @@ def test_transmission_delay_mtu_at_40g():
 def test_transmission_delay_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
         units.transmission_delay_ns(100, 0)
-
-
-def test_rate_from_bytes_roundtrip():
-    rate = units.rate_bps_from_bytes(1500, 300.0)
-    assert rate == pytest.approx(units.gbps(40))
-
-
-def test_rate_from_bytes_zero_window():
-    assert units.rate_bps_from_bytes(1500, 0.0) == 0.0
 
 
 def test_incast_arithmetic_from_paper_section_2_1():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.headers import EthernetHeader, Ipv4Header, UdpHeader
 from repro.net.packet import Packet
-from repro.switches.hashing import FiveTuple, crc16, crc32, flow_fingerprint, hash_fields
+from repro.switches.hashing import FiveTuple, crc16, crc32, flow_fingerprint
 
 
 class TestCrc:
@@ -58,27 +58,6 @@ class TestFlowFingerprint:
         assert flow_fingerprint(packed) == two_crc16s(packed) < 2**32
         with pytest.raises(ValueError):
             flow_fingerprint(packed + b"\x00")  # a packed 5-tuple is 13 bytes
-
-
-class TestHashFields:
-    def test_width_truncation(self):
-        value = hash_fields([1, 2, 3], width_bits=8)
-        assert 0 <= value < 256
-
-    def test_field_boundaries_matter(self):
-        # (1, 23) and (12, 3) must not collide by concatenation.
-        assert hash_fields([1, 23]) != hash_fields([12, 3])
-
-    def test_bytes_and_int_fields(self):
-        assert hash_fields([b"abc", 7]) == hash_fields([b"abc", 7])
-
-    def test_address_fields_supported(self):
-        value = hash_fields([Ipv4Address("10.0.0.1"), MacAddress(5)])
-        assert isinstance(value, int)
-
-    def test_negative_field_rejected(self):
-        with pytest.raises(ValueError):
-            hash_fields([-1])
 
 
 def make_packet(src="10.0.0.1", dst="10.0.0.2", sport=1000, dport=2000):

@@ -1,8 +1,8 @@
-"""Integration tests: programmable switch + traffic manager + L2 program."""
+"""Integration tests: programmable switch + traffic manager + static L2 program."""
 
 import pytest
 
-from repro.baselines.l2_switch import L2SwitchProgram
+from repro.apps.programs import StaticL2Program
 from repro.net.addresses import MacAddress
 from repro.net.link import connect
 from repro.net.node import Node
@@ -10,7 +10,7 @@ from repro.net.packet import Packet
 from repro.net.headers import EthernetHeader
 from repro.sim.simulator import Simulator
 from repro.sim.units import gbps, kib
-from repro.switches.pipeline import PipelineContext, SwitchProgram
+from repro.switches.pipeline import SwitchProgram
 from repro.switches.switch import ProgrammableSwitch, SwitchConfig
 from repro.switches.traffic_manager import HookVerdict, TrafficManagerConfig
 from tests.test_net_packet import make_udp_packet
@@ -30,16 +30,18 @@ class SinkHost(Node):
 
 
 def build_fabric(sim, n_hosts=3, tm_config=None, switch_config=None):
-    """n hosts star-wired to one switch running L2 learning."""
+    """n hosts star-wired to one switch forwarding by installed MACs."""
     switch = ProgrammableSwitch(
         sim, "sw", config=switch_config, tm_config=tm_config
     )
-    switch.bind_program(L2SwitchProgram())
+    program = StaticL2Program()
+    switch.bind_program(program)
     hosts = []
     for i in range(n_hosts):
         host = SinkHost(sim, f"h{i}", MacAddress(0x0200_0000_0000 + i + 1))
         port = switch.add_port(MacAddress(0x0200_0000_1000 + i + 1))
         connect(sim, host.eth, switch.port_interface(port), gbps(40))
+        program.install(host.eth.mac, port)
         hosts.append(host)
     return switch, hosts
 
@@ -51,28 +53,6 @@ def packet_between(hosts, src_idx, dst_idx, payload=b"x" * 100):
         EthernetHeader(dst=hosts[dst_idx].eth.mac, src=hosts[src_idx].eth.mac)
     )
     return packet
-
-
-def test_unknown_destination_floods():
-    sim = Simulator()
-    switch, hosts = build_fabric(sim)
-    hosts[0].send(packet_between(hosts, 0, 1))
-    sim.run()
-    assert len(hosts[1].received) == 1
-    assert len(hosts[2].received) == 1  # flooded
-    assert len(hosts[0].received) == 0  # never back out the ingress port
-
-
-def test_learned_destination_unicasts():
-    sim = Simulator()
-    switch, hosts = build_fabric(sim)
-    hosts[1].send(packet_between(hosts, 1, 0))  # teaches the switch h1's port
-    sim.run()
-    hosts[0].send(packet_between(hosts, 0, 1))
-    sim.run()
-    assert len(hosts[1].received) == 1  # unicast only (h1 sent the flood)
-    assert len(hosts[0].received) == 1  # got the initial flood
-    assert len(hosts[2].received) == 1  # got the initial flood, not the unicast
 
 
 def test_forwarding_latency_includes_pipeline():
@@ -92,58 +72,28 @@ def test_shared_buffer_overflow_drops():
     sim = Simulator()
     tm = TrafficManagerConfig(buffer_bytes=kib(4))
     switch, hosts = build_fabric(sim, tm_config=tm)
-    # Pre-teach MACs so traffic unicasts toward h1.
-    hosts[1].send(packet_between(hosts, 1, 0))
-    sim.run()
-    received_before = len(hosts[1].received)
     # Two senders at 40 Gbps into one 40 Gbps egress: 2:1 incast.
     for _ in range(20):
         hosts[0].send(packet_between(hosts, 0, 1, payload=b"y" * 1458))
         hosts[2].send(packet_between(hosts, 2, 1, payload=b"y" * 1458))
     sim.run()
     assert switch.tm.total_dropped_packets > 0
-    delivered = len(hosts[1].received) - received_before
-    assert delivered < 40
+    assert len(hosts[1].received) < 40
     # Buffer accounting must return to zero once drained.
     assert switch.tm.used_bytes == 0
-
-
-class RecirculatingProgram(SwitchProgram):
-    """Recirculates each packet twice, then forwards to port 1."""
-
-    def on_ingress(self, ctx, packet):
-        packet.meta.setdefault("passes", 0)
-        packet.meta["passes"] += 1
-        if packet.meta["passes"] <= 2:
-            ctx.recirculate()
-        else:
-            ctx.forward(1)
-
-
-def test_recirculation_counts_and_latency():
-    sim = Simulator()
-    switch = ProgrammableSwitch(sim, "sw")
-    switch.bind_program(RecirculatingProgram())
-    h0 = SinkHost(sim, "h0", MacAddress(1))
-    h1 = SinkHost(sim, "h1", MacAddress(2))
-    connect(sim, h0.eth, switch.port_interface(switch.add_port(MacAddress(0x10))), gbps(40))
-    connect(sim, h1.eth, switch.port_interface(switch.add_port(MacAddress(0x11))), gbps(40))
-    h0.send(make_udp_packet())
-    sim.run()
-    assert switch.stats.recirculations == 2
-    assert len(h1.received) == 1
 
 
 class EmittingProgram(SwitchProgram):
     """Forwards the packet and emits a clone out of port 0."""
 
     def on_ingress(self, ctx, packet):
-        clone = ctx.clone_to(0)
+        clone = packet.clone()
         clone.meta["is_clone"] = True
+        ctx.emit(clone, 0)
         ctx.forward(1)
 
 
-def test_clone_to_emits_copy():
+def test_emit_sends_a_copy_beside_the_verdict():
     sim = Simulator()
     switch = ProgrammableSwitch(sim, "sw")
     switch.bind_program(EmittingProgram())
@@ -170,8 +120,7 @@ def test_egress_hook_can_consume_packets():
     switch.tm.egress_hook = hook
     hosts[0].send(packet_between(hosts, 0, 1))
     sim.run()
-    # Flood tried 2 egress ports; the hook swallowed both copies.
-    assert len(consumed) == 2
+    assert [port for port, _ in consumed] == [1]
     assert all(len(h.received) == 0 for h in hosts)
     assert switch.tm.total_dropped_packets == 0
 
@@ -185,20 +134,4 @@ def test_dequeue_listener_fires():
     )
     hosts[0].send(packet_between(hosts, 0, 1))
     sim.run()
-    assert len(events) == 2  # two flood copies dequeued
-
-
-def test_recirculation_bound_drops_runaway_packets():
-    class Forever(SwitchProgram):
-        def on_ingress(self, ctx, packet):
-            ctx.recirculate()
-
-    sim = Simulator()
-    switch = ProgrammableSwitch(sim, "sw", config=SwitchConfig(max_recirculations=3))
-    switch.bind_program(Forever())
-    h0 = SinkHost(sim, "h0", MacAddress(1))
-    connect(sim, h0.eth, switch.port_interface(switch.add_port(MacAddress(0x10))), gbps(40))
-    h0.send(make_udp_packet())
-    sim.run()
-    assert switch.stats.recirculation_overflow_drops == 1
-    assert switch.stats.recirculations == 3
+    assert events == [1]

@@ -1,14 +1,8 @@
-"""Tests for match-action tables."""
+"""Tests for the exact-match table."""
 
 import pytest
 
-from repro.switches.tables import (
-    ActionEntry,
-    ExactMatchTable,
-    LpmTable,
-    TableFullError,
-    TernaryTable,
-)
+from repro.switches.tables import ActionEntry, ExactMatchTable, TableFullError
 
 
 class TestExactMatch:
@@ -60,63 +54,3 @@ class TestExactMatch:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             ExactMatchTable("t", capacity=0)
-
-
-class TestLpm:
-    def make_table(self):
-        table = LpmTable("routes", capacity=10)
-        table.insert(0x0A000000, 8, ActionEntry("short"))    # 10.0.0.0/8
-        table.insert(0x0A010000, 16, ActionEntry("longer"))  # 10.1.0.0/16
-        return table
-
-    def test_longest_prefix_wins(self):
-        table = self.make_table()
-        assert table.lookup(0x0A010203).action == "longer"
-        assert table.lookup(0x0A990203).action == "short"
-
-    def test_no_match_default(self):
-        table = self.make_table()
-        table.default_action = ActionEntry("drop")
-        assert table.lookup(0x0B000000).action == "drop"
-
-    def test_zero_length_prefix_matches_all(self):
-        table = LpmTable("t", capacity=2)
-        table.insert(0, 0, ActionEntry("any"))
-        assert table.lookup(0xFFFFFFFF).action == "any"
-
-    def test_capacity(self):
-        table = LpmTable("t", capacity=1)
-        table.insert(1, 32, ActionEntry("a"))
-        with pytest.raises(TableFullError):
-            table.insert(2, 32, ActionEntry("b"))
-
-    def test_prefix_length_range(self):
-        table = LpmTable("t", capacity=1)
-        with pytest.raises(ValueError):
-            table.insert(0, 33, ActionEntry("x"))
-
-
-class TestTernary:
-    def test_priority_order(self):
-        table = TernaryTable("acl", capacity=4)
-        table.insert(0b1010, 0b1111, ActionEntry("exact"), priority=0)
-        table.insert(0b1000, 0b1000, ActionEntry("coarse"), priority=5)
-        assert table.lookup(0b1010).action == "exact"
-        assert table.lookup(0b1001).action == "coarse"
-
-    def test_mask_semantics(self):
-        table = TernaryTable("acl", capacity=4)
-        table.insert(0xAB00, 0xFF00, ActionEntry("upper"))
-        assert table.lookup(0xABCD).action == "upper"
-        assert table.lookup(0xACCD) is None
-
-    def test_capacity(self):
-        table = TernaryTable("acl", capacity=1)
-        table.insert(0, 0, ActionEntry("a"))
-        with pytest.raises(TableFullError):
-            table.insert(1, 1, ActionEntry("b"))
-
-    def test_default_action_on_miss(self):
-        table = TernaryTable("acl", capacity=1)
-        table.default_action = ActionEntry("permit")
-        assert table.lookup(123).action == "permit"

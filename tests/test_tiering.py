@@ -177,18 +177,6 @@ class TestTieredMemoryPool:
         with pytest.raises(ValueError, match="already tiered"):
             tier_counters(pool, fast_blocks=1)
 
-    def test_place_channel_pins_whole_object_and_unpins_on_teardown(self):
-        tb, pool = build_tiered(fast_capacity_bytes=kib(1))
-        channel = pool.place_channel("ring", 512, tier=TIER_FAST)
-        assert channel.tier == TIER_FAST
-        assert channel.region.tier == TIER_FAST
-        assert pool.fast_free_bytes == kib(1) - 512
-        assert pool.metrics["tier[fast].occupancy"] == 512
-        tb.controller.close_channel(channel)
-        assert pool.fast_free_bytes == kib(1)
-        with pytest.raises(ValueError):
-            pool.place_channel("huge", kib(2), tier=TIER_FAST)
-
     def test_tick_promotes_hot_blocks_within_policy_bounds(self):
         tb, pool = build_tiered(policy="frequency")
         geometry = tier_counters(pool, fast_blocks=2)
